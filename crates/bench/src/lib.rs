@@ -1,8 +1,13 @@
 //! # hsim-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation:
+//! One binary, one subcommand per artefact of the paper's evaluation
+//! and per sweep of the later tiers:
 //!
-//! | binary | regenerates |
+//! ```text
+//! cargo run --release -p hsim-bench -- <name> [--smoke|--test-scale]
+//! ```
+//!
+//! | name | regenerates |
 //! |---|---|
 //! | `table1` | Table 1 — simulator configuration parameters |
 //! | `table2` | Table 2 — microbenchmark scheme + emitted assembly |
@@ -12,38 +17,153 @@
 //! | `fig9`   | Figure 9 — execution-time reduction vs cache-based |
 //! | `fig10`  | Figure 10 — energy reduction vs cache-based |
 //! | `ablate` | design-choice ablations (store collapsing, directory latency, prefetcher table, DMA pipelining) |
-//! | `simspeed` | host-speed benchmark of the event-horizon cycle skipper (`BENCH_simspeed.json`) |
-//! | `backside` | DRAM row-hit rate and L3 bank contention per kernel × core count (`BENCH_backside.json`; `--smoke` runs the CI guard grid) |
-//! | `scaling` | speedup-vs-cores curves per kernel with bus-wait breakdowns (`BENCH_scaling.json`; `--smoke` for CI) |
-//! | `coherence` | `Replicate` vs `Mesi` coherence modes side by side — DRAM traffic, shared hits, invalidations, interventions, replication fallbacks (`BENCH_coherence.json`; `--smoke` for CI) |
-//! | `hetero` | mixed hybrid/cache-based chips: tile ratios, LM-size asymmetry and weighted shards, with interpolation/identity assertions (`BENCH_hetero.json`; `--smoke` for CI) |
-//! | `clusters` | hierarchical clusters: channels × clusters × cores sweep, threaded runs asserted bit-identical to the serial oracle, cross-cluster replication fallbacks counted (`BENCH_clusters.json`; `--smoke` for CI) |
-//! | `faults` | fault-injection sweep: fault rate × kernel makespan-degradation curves with recovery counters, every point replayed same-seed and asserted bit-identical, committed totals asserted fault-invariant (`BENCH_faults.json`; `--smoke` for CI) |
-//! | `comm` | communication workloads (ping-pong, multi-buffered queue, lock, barrier) hybrid vs cache-based plus the protocol family on the queue hand-off, and the open-loop request-serving latency report with p50/p95/p99 and requests/sec (`BENCH_comm.json`; `--smoke` for CI) |
-//! | `figshapes` | no output files — asserts the monotonicity/ordering invariants of figures 7/8/9, the scaling curves, the mixed-chip interpolation and the communication-workload orderings (the CI figure-shapes job) |
+//! | `backside` | DRAM row-hit rate and L3 bank contention per kernel × core count (`BENCH_backside.json`) |
+//! | `scaling` | speedup-vs-cores curves per kernel with bus-wait breakdowns (`BENCH_scaling.json`) |
+//! | `coherence` | `Replicate` vs `Mesi` side by side, then the protocol family — DRAM traffic, shared hits, invalidations, interventions, replication fallbacks (`BENCH_coherence.json`) |
+//! | `hetero` | mixed hybrid/cache-based chips: tile ratios, LM-size asymmetry and weighted shards, with interpolation/identity assertions (`BENCH_hetero.json`) |
+//! | `clusters` | hierarchical clusters: channels × clusters × cores, threaded runs asserted bit-identical to the serial oracle, cross-cluster replication fallbacks counted (`BENCH_clusters.json`) |
+//! | `faults` | fault rate × kernel makespan-degradation curves with recovery counters, every point replayed same-seed and asserted bit-identical (`BENCH_faults.json`) |
+//! | `comm` | communication workloads (ping-pong, queue, lock, barrier) hybrid vs cache-based plus the protocol family on the queue hand-off, and the open-loop request-serving latency report (`BENCH_comm.json`) |
+//! | `figshapes` | no output files — asserts the monotonicity/ordering invariants of figures 7/8/9, the scaling curves, the mixed-chip interpolation and the protocol/communication orderings |
+//! | `all` | every JSON-writing sweep, then `figshapes` — what CI runs with `--smoke` |
 //!
-//! Every binary accepts `--test-scale` to run the small workloads (CI),
-//! and prints the paper-reported values next to the measured ones.
-//! The inter-core coherence mode of default-configured machines follows
-//! `HSIM_COHERENCE` (CI runs the smoke grid once per mode).
-//! `cargo bench` additionally provides Criterion microbenchmarks of the
-//! simulator components and end-to-end simulation throughput.
+//! `--test-scale` runs the small workloads; `--smoke` additionally
+//! shrinks a sweep to its CI guard grid (the paper tables and figures
+//! have no smaller grid and ignore it). The inter-core coherence mode
+//! of default-configured machines follows `HSIM_COHERENCE` (CI runs the
+//! smoke grid once per mode). Host speed is measured by the repository
+//! benchmark (`benchmark/`), not here.
+//!
+//! Layout: [`figures`] holds the paper's tables and figures, [`sweeps`]
+//! the JSON-writing sweeps, [`shapes`] the shape invariants shared by
+//! the sweeps and `figshapes`; this module holds what they share — the
+//! flags, the [`Col`] declarations rendered to both the printed table
+//! and [`SweepJson`], and the paper's reference values.
 
 use hsim::prelude::*;
 use hsim_workloads::nas;
 
-/// Parses the common `--test-scale` flag.
-pub fn scale_from_args() -> Scale {
-    if std::env::args().any(|a| a == "--test-scale") {
-        Scale::Test
-    } else {
-        Scale::Paper
+pub mod figures;
+pub mod shapes;
+pub mod sweeps;
+
+/// The command-line flags, parsed once by [`parse_args`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Flags {
+    /// `--smoke`: a sweep's minimal CI guard grid (at test scale).
+    pub smoke: bool,
+    /// `--test-scale`: the small workloads.
+    pub test_scale: bool,
+}
+
+impl Flags {
+    /// The workload scale of a table or figure (no smoke grid).
+    pub fn scale(&self) -> Scale {
+        if self.test_scale {
+            Scale::Test
+        } else {
+            Scale::Paper
+        }
+    }
+
+    /// The workload scale of a sweep: `--smoke` implies test scale.
+    pub fn sweep_scale(&self) -> Scale {
+        if self.smoke {
+            Scale::Test
+        } else {
+            self.scale()
+        }
+    }
+
+    /// `smoke` under `--smoke`, `full` otherwise.
+    pub fn pick<T>(&self, smoke: T, full: T) -> T {
+        if self.smoke {
+            smoke
+        } else {
+            full
+        }
+    }
+
+    /// The NAS kernels a sweep runs: all six at [`Flags::sweep_scale`],
+    /// or only those named in `smoke` under `--smoke`.
+    pub fn sweep_kernels(&self, smoke: &[&str]) -> Vec<hsim_compiler::Kernel> {
+        let mut kernels = nas::all_nas(self.sweep_scale());
+        if self.smoke {
+            kernels.retain(|k| smoke.contains(&k.name.as_str()));
+        }
+        kernels
     }
 }
 
-/// The six NAS-signature kernels at the chosen scale.
-pub fn kernels(scale: Scale) -> Vec<hsim_compiler::Kernel> {
-    nas::all_nas(scale)
+/// A subcommand's entry point.
+pub type Run = fn(Flags);
+
+/// One subcommand: its name and entry point.
+pub type Command = (&'static str, Run);
+
+/// The JSON-writing sweeps, in the order `all` runs them.
+pub const SWEEPS: [Command; 7] = [
+    ("backside", sweeps::backside),
+    ("scaling", sweeps::scaling),
+    ("coherence", sweeps::coherence),
+    ("hetero", sweeps::hetero),
+    ("clusters", sweeps::clusters),
+    ("faults", sweeps::faults),
+    ("comm", sweeps::comm),
+];
+
+/// Every subcommand, `all` last.
+pub fn commands() -> Vec<Command> {
+    let mut all: Vec<Command> = vec![
+        ("table1", figures::table1),
+        ("table2", figures::table2),
+        ("table3", figures::table3),
+        ("fig7", figures::fig7),
+        ("fig8", figures::fig8),
+        ("fig9", figures::fig9),
+        ("fig10", figures::fig10),
+        ("ablate", figures::ablate),
+    ];
+    all.extend(SWEEPS);
+    all.push(("figshapes", shapes::figshapes));
+    all.push(("all", run_all));
+    all
+}
+
+/// `all`: every JSON-writing sweep, then `figshapes`.
+pub fn run_all(flags: Flags) {
+    for (_, run) in SWEEPS {
+        run(flags);
+    }
+    shapes::figshapes(flags);
+}
+
+/// Parses `<name> [--smoke|--test-scale]...` (the arguments after the
+/// program name). An unknown name or flag is an error carrying the
+/// usage text with every valid name.
+pub fn parse_args(args: &[String]) -> Result<(Run, Flags), String> {
+    let commands = commands();
+    let usage = || {
+        let names: Vec<&str> = commands.iter().map(|(n, _)| *n).collect();
+        format!(
+            "usage: hsim-bench <name> [--smoke|--test-scale]\nnames: {}",
+            names.join(" ")
+        )
+    };
+    let mut flags = Flags::default();
+    let mut run = None;
+    for arg in args {
+        match arg.as_str() {
+            "--smoke" => flags.smoke = true,
+            "--test-scale" => flags.test_scale = true,
+            name => match (commands.iter().find(|(n, _)| *n == name), run) {
+                (Some((_, f)), None) => run = Some(*f),
+                _ => return Err(format!("unexpected argument `{name}`\n{}", usage())),
+            },
+        }
+    }
+    let run = run.ok_or_else(usage)?;
+    Ok((run, flags))
 }
 
 /// Paper-reported speedups for Figure 9 (cache-based / hybrid).
@@ -91,6 +211,177 @@ pub fn paper_table3(name: &str) -> Option<(&'static str, f64, f64, f64, f64)> {
     })
 }
 
+/// A column's value for one row, before formatting.
+pub enum Val {
+    /// A count.
+    Int(u64),
+    /// A measurement, printed with the column's decimals (or `Display`
+    /// when the column sets none).
+    Float(f64),
+    /// Text: raw in the table, quoted in JSON.
+    Text(String),
+    /// A pre-rendered JSON fragment (e.g. an array).
+    Json(String),
+}
+
+impl Val {
+    /// A pre-formatted text cell.
+    pub fn text(s: impl std::fmt::Display) -> Self {
+        Val::Text(s.to_string())
+    }
+}
+
+impl From<u64> for Val {
+    fn from(x: u64) -> Self {
+        Val::Int(x)
+    }
+}
+
+impl From<usize> for Val {
+    fn from(x: usize) -> Self {
+        Val::Int(x as u64)
+    }
+}
+
+impl From<f64> for Val {
+    fn from(x: f64) -> Self {
+        Val::Float(x)
+    }
+}
+
+impl From<&String> for Val {
+    fn from(s: &String) -> Self {
+        Val::Text(s.clone())
+    }
+}
+
+/// One column of a result table, declared once: its accessor, and where
+/// it appears — header and width in the printed table, key in the
+/// `BENCH_*.json` rows, or both. Columns are listed in JSON order; the
+/// table prints them in the same order unless [`Col::after`] moves one.
+pub struct Col<R> {
+    get: fn(&R) -> Val,
+    table: Option<(&'static str, usize)>,
+    json: Option<&'static str>,
+    /// Decimals of a [`Val::Float`] in the table and in JSON.
+    decimals: Option<(usize, usize)>,
+    suffix: &'static str,
+    after: Option<&'static str>,
+}
+
+impl<R> Col<R> {
+    /// A column in both the printed table and the JSON rows.
+    pub fn both(header: &'static str, width: usize, key: &'static str, get: fn(&R) -> Val) -> Self {
+        Col {
+            get,
+            table: Some((header, width)),
+            json: Some(key),
+            decimals: None,
+            suffix: "",
+            after: None,
+        }
+    }
+
+    /// A column of the printed table only.
+    pub fn table(header: &'static str, width: usize, get: fn(&R) -> Val) -> Self {
+        Col {
+            json: None,
+            ..Col::both(header, width, "", get)
+        }
+    }
+
+    /// A field of the JSON rows only.
+    pub fn json(key: &'static str, get: fn(&R) -> Val) -> Self {
+        Col {
+            table: None,
+            ..Col::both("", 0, key, get)
+        }
+    }
+
+    /// Decimals of a float value: `table` in the printed table, `json`
+    /// in the artefact.
+    pub fn decimals(mut self, table: usize, json: usize) -> Self {
+        self.decimals = Some((table, json));
+        self
+    }
+
+    /// A unit suffix appended to the table cell (e.g. `x`, `%`).
+    pub fn suffix(mut self, suffix: &'static str) -> Self {
+        self.suffix = suffix;
+        self
+    }
+
+    /// Prints this column right after the column headed `header` in the
+    /// table (its JSON position is unchanged).
+    pub fn after(mut self, header: &'static str) -> Self {
+        self.after = Some(header);
+        self
+    }
+
+    fn render(&self, row: &R, json: bool) -> String {
+        match (self.get)(row) {
+            Val::Int(x) => format!("{x}"),
+            Val::Float(x) => match self.decimals {
+                Some((t, j)) => format!("{x:.*}", if json { j } else { t }),
+                None => format!("{x}"),
+            },
+            Val::Text(s) if json => jstr(s),
+            Val::Text(s) | Val::Json(s) => s,
+        }
+    }
+}
+
+/// The table columns of `cols`, in print order.
+fn table_order<R>(cols: &[Col<R>]) -> Vec<&Col<R>> {
+    let shown = || cols.iter().filter(|c| c.table.is_some());
+    let mut order: Vec<&Col<R>> = shown().filter(|c| c.after.is_none()).collect();
+    for c in shown() {
+        if let Some(prev) = c.after {
+            let at = order
+                .iter()
+                .position(|o| o.table.is_some_and(|(h, _)| h == prev))
+                .unwrap_or_else(|| panic!("column placed after unknown header `{prev}`"));
+            order.insert(at + 1, c);
+        }
+    }
+    order
+}
+
+/// The headers of the table `cols` prints, in print order.
+pub fn table_headers<R>(cols: &[Col<R>]) -> Vec<&'static str> {
+    table_order(cols)
+        .iter()
+        .map(|c| c.table.expect("table column").0)
+        .collect()
+}
+
+/// The keys of the JSON rows `cols` renders, in order.
+pub fn json_keys<R>(cols: &[Col<R>]) -> Vec<&'static str> {
+    cols.iter().filter_map(|c| c.json).collect()
+}
+
+/// Prints the header, a separator and one line per row. Returns the
+/// printer so callers can append summary rows.
+pub fn print_table<R>(cols: &[Col<R>], rows: &[R]) -> Table {
+    let order = table_order(cols);
+    let widths: Vec<usize> = order.iter().map(|c| c.table.expect("table").1).collect();
+    let t = Table::new(&widths);
+    t.row(&table_headers(cols));
+    t.sep();
+    for r in rows {
+        t.row(&table_cells(cols, r));
+    }
+    t
+}
+
+/// One row's table cells, in print order.
+pub fn table_cells<R>(cols: &[Col<R>], row: &R) -> Vec<String> {
+    table_order(cols)
+        .iter()
+        .map(|c| c.render(row, false) + c.suffix)
+        .collect()
+}
+
 /// Simple fixed-width table printer.
 pub struct Table {
     widths: Vec<usize>,
@@ -104,12 +395,12 @@ impl Table {
         }
     }
 
-    /// Prints one row.
-    pub fn row(&self, cells: &[String]) {
+    /// Prints one row; `cells` must hold one cell per column.
+    pub fn row<S: AsRef<str>>(&self, cells: &[S]) {
+        assert_eq!(cells.len(), self.widths.len(), "one cell per column");
         let mut line = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            let w = self.widths.get(i).copied().unwrap_or(12);
-            line.push_str(&format!("{:>w$}  ", c, w = w));
+        for (c, w) in cells.iter().zip(&self.widths) {
+            line.push_str(&format!("{:>w$}  ", c.as_ref(), w = w));
         }
         println!("{}", line.trim_end());
     }
@@ -121,31 +412,23 @@ impl Table {
     }
 }
 
-/// Formats a count in thousands, Table 3 style.
-pub fn k(x: u64) -> String {
-    format!("{}", x / 1000)
-}
-
 /// Quotes a display value as a JSON string.
 pub fn jstr(s: impl std::fmt::Display) -> String {
     format!("\"{s}\"")
 }
 
-/// The one JSON document shape every bench binary emits (hand-rendered;
-/// no serde in the offline tree): flat metadata fields followed by one
-/// or more named row arrays. Keeping the rendering here means every
+/// The one JSON document shape every sweep emits (hand-rendered; no
+/// serde in the offline tree): flat metadata fields followed by one or
+/// more named row arrays. Keeping the rendering here means every
 /// `BENCH_*.json` file indents, separates and terminates identically —
 /// the CI artifact parsers rely on that.
-///
-/// Values are pre-rendered JSON fragments: numbers via `format!`,
-/// strings via [`jstr`].
 pub struct SweepJson {
     meta: Vec<(String, String)>,
     arrays: Vec<(String, Vec<String>)>,
 }
 
 impl SweepJson {
-    /// Starts a document carrying the workload scale every bench runs
+    /// Starts a document carrying the workload scale every sweep runs
     /// at.
     pub fn new(scale: Scale) -> Self {
         SweepJson {
@@ -161,24 +444,21 @@ impl SweepJson {
         self
     }
 
-    /// Opens a row array; subsequent [`SweepJson::row`] calls append to
-    /// it. The first array of most documents is `"rows"`.
-    pub fn begin_rows(&mut self, name: &str) {
-        self.arrays.push((name.into(), Vec::new()));
-    }
-
-    /// Appends one row object to the most recently opened array.
-    /// Values must already be JSON fragments.
-    pub fn row(&mut self, fields: &[(&str, String)]) {
-        let body: Vec<String> = fields
+    /// Appends the row array `name`: one object per row, one field per
+    /// JSON column of `cols`.
+    pub fn rows<R>(mut self, name: &str, cols: &[Col<R>], rows: &[R]) -> Self {
+        let rendered = rows
             .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .map(|r| {
+                let body: Vec<String> = cols
+                    .iter()
+                    .filter_map(|c| Some(format!("\"{}\": {}", c.json?, c.render(r, true))))
+                    .collect();
+                format!("    {{{}}}", body.join(", "))
+            })
             .collect();
-        self.arrays
-            .last_mut()
-            .expect("begin_rows before row")
-            .1
-            .push(format!("    {{{}}}", body.join(", ")));
+        self.arrays.push((name.into(), rendered));
+        self
     }
 
     /// Renders the document.
@@ -207,24 +487,5 @@ impl SweepJson {
         std::fs::write(path, self.render()).unwrap_or_else(|e| panic!("write {path}: {e}"));
         let rows: usize = self.arrays.iter().map(|(_, r)| r.len()).sum();
         println!("wrote {path} ({rows} rows)");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paper_values_cover_all_benchmarks() {
-        for n in ["CG", "EP", "FT", "IS", "MG", "SP"] {
-            assert!(paper_speedup(n).is_finite());
-            assert!(paper_table3(n).is_some());
-        }
-        assert!(paper_speedup("XX").is_nan());
-    }
-
-    #[test]
-    fn kernels_build_at_test_scale() {
-        assert_eq!(kernels(Scale::Test).len(), 6);
     }
 }

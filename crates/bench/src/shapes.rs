@@ -1,31 +1,130 @@
-//! Figure-shapes guard: asserts the monotonicity and ordering
-//! invariants of the paper's figures (7, 8, 9) and of the scaling
-//! curves on a small grid, then exits. CI runs this as its own job
-//! (`--smoke`); a violated shape is a failed build, not a silently
-//! drifting figure.
-//!
-//! ```text
-//! cargo run --release -p hsim-bench --bin figshapes -- --smoke
-//! ```
-//!
-//! The single-core figures are coherence-mode-invariant (an unsharded
-//! kernel registers no shared ranges); the scaling curves are asserted
-//! at shape level so the guard holds under both `HSIM_COHERENCE`
-//! matrix legs.
+//! Shape invariants: the orderings and identities the results must
+//! keep, each written once and called from both the sweep that measures
+//! it and the `figshapes` guard — a violated shape is a failed build,
+//! not a silently drifting figure.
 
+use crate::Flags;
 use hsim::prelude::*;
 use hsim_workloads::nas;
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let n: u64 = if smoke { 2 * 1024 } else { 4 * 1024 };
+/// The all-hybrid heterogeneous chip is the homogeneous machine,
+/// exactly: the hetero path is a pure generalization.
+pub fn all_hybrid_is_homogeneous(kernel: &str, all_hybrid: u64, homogeneous: u64) {
+    assert_eq!(
+        all_hybrid, homogeneous,
+        "{kernel}: the all-hybrid hetero chip must reproduce the homogeneous \
+         machine bit for bit"
+    );
+}
+
+/// A mixed hybrid/cache chip's makespan sits between the all-hybrid and
+/// all-cache endpoints (inclusive, with a small contention tolerance).
+pub fn mixed_chip_interpolates(what: &str, mixed: u64, all_hybrid: u64, all_cache: u64) {
+    let (lo, hi) = (all_hybrid.min(all_cache), all_hybrid.max(all_cache));
+    assert!(
+        mixed as f64 >= lo as f64 * 0.95 && mixed as f64 <= hi as f64 * 1.05,
+        "{what}: mixed makespan {mixed} must interpolate the endpoints [{lo}, {hi}]"
+    );
+}
+
+/// One kernel × core-count point under every directory protocol:
+/// dirty-recall policy orders the DRAM read counts — MSI re-reads
+/// memory on every dirty recall, MESI serves recalls without a re-read,
+/// MOESI's dirty sharing can only drop further reads — and MESIF's
+/// designated forwarder never scores fewer shared hits than MESI. Ties
+/// are legitimate on read-mostly tables: the orderings are non-strict.
+/// Returns the `[msi, mesi, moesi, mesif]` rows of the point.
+pub fn protocol_family_ordering(point: &[ProtocolSweepRow]) -> [&ProtocolSweepRow; 4] {
+    let row = |name: &str| {
+        point
+            .iter()
+            .find(|r| r.protocol == name)
+            .unwrap_or_else(|| panic!("every point runs under {name}"))
+    };
+    let (msi, mesi, moesi, mesif) = (row("msi"), row("mesi"), row("moesi"), row("mesif"));
+    let what = format!("{} x{}", mesi.kernel, mesi.cores);
+    assert!(
+        msi.dram_reads >= mesi.dram_reads,
+        "{what}: MSI DRAM reads ({}) must be >= MESI ({})",
+        msi.dram_reads,
+        mesi.dram_reads
+    );
+    assert!(
+        mesi.dram_reads >= moesi.dram_reads,
+        "{what}: MESI DRAM reads ({}) must be >= MOESI ({})",
+        mesi.dram_reads,
+        moesi.dram_reads
+    );
+    assert!(
+        mesif.shared_hits >= mesi.shared_hits,
+        "{what}: MESIF shared hits ({}) must be >= MESI ({})",
+        mesif.shared_hits,
+        mesi.shared_hits
+    );
+    [msi, mesi, moesi, mesif]
+}
+
+/// The communication sweep's headline orderings at one core count.
+/// Hybrid tiles move the ping-pong payload through LM + DMA bulk
+/// transfers and keep only the `no_map`'d flags coherent; cache-based
+/// tiles ping-pong every payload line through invalidations and
+/// interventions, so the hybrid round trip must be cheaper. On the
+/// cache-based queue hand-off, MSI recalls every dirty line through
+/// DRAM while MOESI's dirty sharing and MESIF's forwarder avoid the
+/// re-read: MSI upper-bounds both on DRAM reads. Returns the
+/// `[pingpong hybrid, pingpong cache, queue msi, queue moesi, queue
+/// mesif]` rows.
+pub fn comm_orderings(rows: &[CommSweepRow], cores: usize) -> [&CommSweepRow; 5] {
+    let find = |workload: &str, mode: SysMode, proto: Option<&str>| {
+        rows.iter()
+            .find(|r| {
+                r.workload == workload
+                    && r.cores == cores
+                    && r.mode == mode
+                    && (proto.is_none() || proto == Some(&r.protocol))
+            })
+            .unwrap_or_else(|| panic!("{workload} x{cores} must run on {mode:?} {proto:?}"))
+    };
+    let hybrid = find("pingpong", SysMode::HybridCoherent, None);
+    let cache = find("pingpong", SysMode::CacheBased, None);
+    assert!(
+        hybrid.round_cycles < cache.round_cycles,
+        "pingpong x{cores}: hybrid LM+DMA RTT ({:.1}) must beat the \
+         cache-coherent flag-spinning RTT ({:.1})",
+        hybrid.round_cycles,
+        cache.round_cycles
+    );
+    let q = |proto| find("queue", SysMode::CacheBased, Some(proto));
+    let (msi, moesi, mesif) = (q("msi"), q("moesi"), q("mesif"));
+    for other in [moesi, mesif] {
+        assert!(
+            msi.dram_reads >= other.dram_reads,
+            "queue x{cores}: MSI hand-off DRAM reads ({}) must be >= {} ({})",
+            msi.dram_reads,
+            other.protocol,
+            other.dram_reads
+        );
+    }
+    [hybrid, cache, msi, moesi, mesif]
+}
+
+/// The figure-shapes guard: asserts the monotonicity and ordering
+/// invariants of the paper's figures (7, 8, 9), the scaling curves, the
+/// mixed-chip interpolation and the protocol/communication orderings on
+/// a small grid, then returns. The single-core figures are
+/// coherence-mode-invariant (an unsharded kernel registers no shared
+/// ranges); the multicore sections are asserted at shape level so the
+/// guard holds under every `HSIM_COHERENCE` leg.
+pub fn figshapes(flags: Flags) {
+    let n: u64 = flags.pick(2 * 1024, 4 * 1024);
+    let par = Parallelism::HostThreads;
     let mut checked = 0usize;
 
     // ---------------------------------------------------------- fig 7
     // RD guards are free (the CAM lookup fits the AGU cycle); WR
     // overhead grows monotonically with the guarded share, driven by
     // the double store's extra instructions.
-    let pts = fig7(n, 50, Parallelism::HostThreads).expect("fig7");
+    let pts = fig7(n, 50, par).expect("fig7");
     for p in pts.iter().filter(|p| p.mode == MicroMode::Rd) {
         assert!(
             (p.overhead - 1.0).abs() < 0.05,
@@ -48,12 +147,13 @@ fn main() {
         );
         checked += 1;
     }
+    let wr_last = wr.last().expect("WR points");
     assert!(
-        wr.last().expect("WR points").overhead > wr[0].overhead + 0.05,
+        wr_last.overhead > wr[0].overhead + 0.05,
         "fig7 WR: the curve must actually rise"
     );
     assert!(
-        wr.last().unwrap().inst_ratio > 1.10,
+        wr_last.inst_ratio > 1.10,
         "fig7 WR@100%: the double store must add instructions"
     );
     checked += 2;
@@ -63,11 +163,7 @@ fn main() {
     // Protocol overhead vs the oracle: never a speedup beyond noise,
     // and the double-store kernels (IS) sit above the read-only ones
     // (CG).
-    let f8 = fig8(
-        &[nas::is(Scale::Test), nas::cg(Scale::Test)],
-        Parallelism::HostThreads,
-    )
-    .expect("fig8");
+    let f8 = fig8(&[nas::is(Scale::Test), nas::cg(Scale::Test)], par).expect("fig8");
     let ratio = |name: &str| f8.iter().find(|r| r.name == name).unwrap().time_ratio;
     for r in &f8 {
         assert!(
@@ -96,7 +192,7 @@ fn main() {
             nas::ft(Scale::Test),
             nas::mg(Scale::Test),
         ],
-        Parallelism::HostThreads,
+        par,
     )
     .expect("fig9");
     let speedup = |name: &str| f9.iter().find(|r| r.name == name).unwrap().speedup;
@@ -121,14 +217,9 @@ fn main() {
     // Sharding a kernel over more cores must shrink the makespan
     // monotonically and keep the speedup curve rising; the shared
     // backside keeps it sublinear (speedup < cores).
+    let cg = nas::cg(Scale::Test);
     let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
-    let curves = scaling_sweep(
-        &[nas::cg(Scale::Test)],
-        &[1, 2, 4],
-        &cfg,
-        Parallelism::HostThreads,
-    )
-    .expect("scaling");
+    let curves = scaling_sweep(std::slice::from_ref(&cg), &[1, 2, 4], &cfg, par).expect("scaling");
     assert_eq!(curves.len(), 3, "CG must shard to every point");
     for w in curves.windows(2) {
         assert!(
@@ -154,9 +245,8 @@ fn main() {
         );
         checked += 1;
     }
-    let four = curves.last().unwrap();
     assert!(
-        four.bus_wait_cycles >= curves[0].bus_wait_cycles,
+        curves[2].bus_wait_cycles >= curves[0].bus_wait_cycles,
         "scaling: contention must not shrink with more cores"
     );
     checked += 1;
@@ -166,48 +256,25 @@ fn main() {
     );
 
     // --------------------------------------------------------- hetero
-    // Mixed hybrid/cache chips: the all-hybrid hetero machine is the
-    // homogeneous machine exactly, and mixing in cache-based tiles
-    // moves the makespan monotonically toward (and between) the
-    // all-cache endpoint — the coexistence claim, as a curve.
-    let cg = nas::cg(Scale::Test);
+    // Mixed hybrid/cache chips: mixing in cache-based tiles moves the
+    // makespan toward (and between) the all-cache endpoint — the
+    // coexistence claim, as a curve.
     let cores = 4;
-    let chip = |hybrid_tiles: usize| -> u64 {
-        let cfgs: Vec<MachineConfig> = (0..cores)
-            .map(|i| {
-                MachineConfig::for_mode(if i < hybrid_tiles {
-                    SysMode::HybridCoherent
-                } else {
-                    SysMode::CacheBased
-                })
-            })
-            .collect();
-        RunSpec::new(&cg)
-            .hetero(cfgs)
-            .weights(&vec![1; cores])
-            .run()
-            .expect("hetero run")
-            .into_multi()
+    let chips = hetero_sweep(std::slice::from_ref(&cg), cores, par).expect("hetero sweep");
+    let chip = |shape: &str| {
+        let row = chips.iter().find(|r| r.label == shape);
+        row.unwrap_or_else(|| panic!("CG must run on {shape}"))
             .makespan
     };
-    let all_hybrid = chip(4);
-    let mixed = chip(2);
-    let all_cache = chip(0);
+    let (all_hybrid, mixed, all_cache) = (chip("4H+0C"), chip("2H+2C"), chip("0H+4C"));
     let homo = RunSpec::new(&cg)
         .cores(cores)
         .run()
         .expect("homogeneous run")
         .into_multi()
         .makespan;
-    assert_eq!(
-        all_hybrid, homo,
-        "hetero: the all-hybrid chip must equal the homogeneous machine"
-    );
-    let (lo, hi) = (all_hybrid.min(all_cache), all_hybrid.max(all_cache));
-    assert!(
-        mixed as f64 >= lo as f64 * 0.95 && mixed as f64 <= hi as f64 * 1.05,
-        "hetero: the 2H+2C chip ({mixed}) must interpolate the endpoints [{lo}, {hi}]"
-    );
+    all_hybrid_is_homogeneous("CG", all_hybrid, homo);
+    mixed_chip_interpolates("CG 2H+2C", mixed, all_hybrid, all_cache);
     assert!(
         all_hybrid < all_cache,
         "hetero: CG must favor the hybrid endpoint ({all_hybrid} vs {all_cache})"
@@ -219,48 +286,19 @@ fn main() {
     );
 
     // ------------------------------------------------- protocol family
-    // CG x4 under every directory protocol: dirty-recall policy orders
-    // the DRAM read counts — MSI re-reads memory on every dirty recall,
-    // MESI serves recalls without a re-read, MOESI's dirty sharing can
-    // only drop further reads. MESIF's designated forwarder never
-    // scores fewer shared hits than MESI. CG's shared table is
-    // read-mostly, so ties are legitimate: the orderings are non-strict.
+    // CG x4 under every directory protocol, and no protocol may change
+    // committed work.
     let proto = protocol_sweep(
-        &[nas::cg(Scale::Test)],
+        std::slice::from_ref(&cg),
         &[4],
         SysMode::HybridCoherent,
-        Parallelism::HostThreads,
+        par,
     )
     .expect("protocol sweep");
-    let row = |name: &str| {
-        proto
-            .iter()
-            .find(|r| r.protocol == name)
-            .unwrap_or_else(|| panic!("CG x4 must run under {name}"))
-    };
-    let (msi, mesi, moesi, mesif) = (row("msi"), row("mesi"), row("moesi"), row("mesif"));
-    assert!(
-        msi.dram_reads >= mesi.dram_reads,
-        "protocol ordering: MSI DRAM reads ({}) must be >= MESI ({})",
-        msi.dram_reads,
-        mesi.dram_reads
-    );
-    assert!(
-        mesi.dram_reads >= moesi.dram_reads,
-        "protocol ordering: MESI DRAM reads ({}) must be >= MOESI ({})",
-        mesi.dram_reads,
-        moesi.dram_reads
-    );
-    assert!(
-        mesif.shared_hits >= mesi.shared_hits,
-        "protocol ordering: MESIF shared hits ({}) must be >= MESI ({})",
-        mesif.shared_hits,
-        mesi.shared_hits
-    );
-    let committed = mesi.committed;
+    let [msi, mesi, moesi, mesif] = protocol_family_ordering(&proto);
     for r in &proto {
         assert_eq!(
-            r.committed, committed,
+            r.committed, mesi.committed,
             "protocol {} changed committed work",
             r.protocol
         );
@@ -273,46 +311,8 @@ fn main() {
     );
 
     // ----------------------------------------------- comm workloads
-    // The communication sweep's headline orderings. Hybrid tiles move
-    // the ping-pong payload through LM + DMA bulk transfers and keep
-    // only the no_map'd flags coherent; cache-based tiles ping-pong
-    // every payload line through invalidations and interventions, so
-    // the hybrid round trip must be cheaper. On the cache-based queue
-    // hand-off, MSI recalls every dirty line through DRAM while
-    // MOESI's dirty sharing and MESIF's forwarder avoid the re-read:
-    // MSI upper-bounds both on DRAM reads.
-    let comm = comm_sweep(Scale::Test, &[4], Parallelism::HostThreads).expect("comm sweep");
-    let pp = |mode: SysMode| {
-        comm.iter()
-            .find(|r| r.workload == "pingpong" && r.mode == mode)
-            .expect("ping-pong runs on both systems")
-    };
-    let (pp_hybrid, pp_cache) = (pp(SysMode::HybridCoherent), pp(SysMode::CacheBased));
-    assert!(
-        pp_hybrid.round_cycles < pp_cache.round_cycles,
-        "comm: hybrid LM+DMA ping-pong RTT ({:.1}) must beat the \
-         cache-coherent flag-spinning RTT ({:.1})",
-        pp_hybrid.round_cycles,
-        pp_cache.round_cycles
-    );
-    let q = |proto: &str| {
-        comm.iter()
-            .find(|r| r.workload == "queue" && r.mode == SysMode::CacheBased && r.protocol == proto)
-            .unwrap_or_else(|| panic!("queue must run under {proto}"))
-    };
-    let (q_msi, q_moesi, q_mesif) = (q("msi"), q("moesi"), q("mesif"));
-    assert!(
-        q_msi.dram_reads >= q_moesi.dram_reads,
-        "comm: MSI queue hand-off DRAM reads ({}) must be >= MOESI ({})",
-        q_msi.dram_reads,
-        q_moesi.dram_reads
-    );
-    assert!(
-        q_msi.dram_reads >= q_mesif.dram_reads,
-        "comm: MSI queue hand-off DRAM reads ({}) must be >= MESIF ({})",
-        q_msi.dram_reads,
-        q_mesif.dram_reads
-    );
+    let comm = comm_sweep(Scale::Test, &[4], par).expect("comm sweep");
+    let [pp_hybrid, pp_cache, q_msi, q_moesi, q_mesif] = comm_orderings(&comm, 4);
     // Protocols are timing-only: every cache-based queue run commits
     // the same instructions regardless of the directory table. (The
     // hybrid rows commit a different count — LM+DMA codegen — so the

@@ -35,6 +35,6 @@ pub mod stats;
 
 pub use branch::{BranchPredictor, Btb, Ras};
 pub use config::{CoherenceConfig, CoherenceMode, CoreConfig, DramTiming, L3Geometry};
-pub use pipeline::{Core, DeadlockReport, HostProfile, SimError};
+pub use pipeline::{Core, DeadlockReport, HostProfile, SimError, TickOutcome};
 pub use port::{DmaKind, MemSide, MemoryPort, PortDiagnostics, RouteInfo};
 pub use stats::CoreStats;

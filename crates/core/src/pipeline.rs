@@ -100,8 +100,9 @@ impl std::error::Error for SimError {}
 /// Host wall-clock attribution for one simulated run, filled by
 /// [`Core::run_profiled`]: where the *simulator* spends its time —
 /// executing ticks, bulk-advancing over skipped stretches, or scanning
-/// for the next event horizon. `simspeed --profile` reports this per
-/// kernel so scheduler regressions are diagnosed with data.
+/// for the next event horizon. The benchmark's traced pass (`benchmark/`)
+/// reports this per workload so scheduler regressions are diagnosed with
+/// data.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct HostProfile {
     /// Host seconds spent inside [`Core::tick`].
@@ -130,6 +131,33 @@ impl HostProfile {
         self.horizon_secs += other.horizon_secs;
         self.horizon_scans += other.horizon_scans;
     }
+}
+
+/// Runs `f`, charging its wall-clock time to `secs`/`count` when `on`.
+/// Monomorphized away entirely when the caller passes a const `false`.
+#[inline(always)]
+pub fn timed<T>(on: bool, secs: &mut f64, count: &mut u64, f: impl FnOnce() -> T) -> T {
+    if on {
+        let t0 = std::time::Instant::now();
+        let r = f();
+        *secs += t0.elapsed().as_secs_f64();
+        *count += 1;
+        r
+    } else {
+        f()
+    }
+}
+
+/// What one [`Core::tick_classified`] tick did, as the cycle-skipping
+/// schedulers see it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TickOutcome {
+    /// The program halted during the tick.
+    Halted,
+    /// The pipeline moved something: the core is due again next cycle.
+    Busy,
+    /// Nothing moved: the core is idle until its next event horizon.
+    Quiet,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -302,87 +330,80 @@ impl Core {
     /// statistic, every port interaction, every error — is bit-identical
     /// to walking each cycle, which `CoreConfig::lockstep` still does.
     pub fn run(&mut self, port: &mut impl MemoryPort) -> Result<(), SimError> {
-        if self.cfg.lockstep {
-            while !self.halted {
-                self.tick(port)?;
-            }
-            return Ok(());
-        }
-        while !self.halted {
-            if self.progress_certain() {
-                // A commit or dispatch is guaranteed this cycle, so the
-                // fingerprint must change — skip both probes.
-                self.tick(port)?;
-                continue;
-            }
-            let before = self.progress_fingerprint();
-            self.tick(port)?;
-            if self.halted {
-                break;
-            }
-            if self.progress_fingerprint() != before {
-                // The pipeline moved something this cycle; assume it
-                // stays busy and skip the horizon scan entirely — idle
-                // periods reveal themselves with one no-op tick.
-                continue;
-            }
-            let target = self.skip_target(port.next_mem_event_at(self.now));
-            if target > self.now {
-                self.advance_to(target);
-            }
-        }
-        Ok(())
+        self.run_gen::<false>(port, &mut HostProfile::default())
     }
 
     /// Runs to completion like [`Core::run`], attributing host wall-clock
-    /// time to the scheduler's phases in `prof` (the `simspeed --profile`
-    /// instrumentation). The simulated outcome is identical to `run`;
-    /// only host-side timing is added.
+    /// time to the scheduler's phases in `prof`. The simulated outcome is
+    /// identical to `run`; only host-side timing is added.
     pub fn run_profiled(
+        &mut self,
+        port: &mut impl MemoryPort,
+        prof: &mut HostProfile,
+    ) -> Result<(), SimError> {
+        self.run_gen::<true>(port, prof)
+    }
+
+    fn run_gen<const PROF: bool>(
         &mut self,
         port: &mut impl MemoryPort,
         prof: &mut HostProfile,
     ) -> Result<(), SimError> {
         if self.cfg.lockstep {
             while !self.halted {
-                let t0 = std::time::Instant::now();
-                self.tick(port)?;
-                prof.tick_secs += t0.elapsed().as_secs_f64();
-                prof.ticks += 1;
+                timed(PROF, &mut prof.tick_secs, &mut prof.ticks, || {
+                    self.tick(port)
+                })?;
             }
             return Ok(());
         }
+        // Busy ticks assume the pipeline stays busy and skip the horizon
+        // scan entirely — idle periods reveal themselves with one quiet
+        // tick.
         while !self.halted {
-            if self.progress_certain() {
-                let t0 = std::time::Instant::now();
-                self.tick(port)?;
-                prof.tick_secs += t0.elapsed().as_secs_f64();
-                prof.ticks += 1;
+            if self.tick_classified::<PROF>(port, prof)? != TickOutcome::Quiet {
                 continue;
             }
-            let before = self.progress_fingerprint();
-            let t0 = std::time::Instant::now();
-            self.tick(port)?;
-            prof.tick_secs += t0.elapsed().as_secs_f64();
-            prof.ticks += 1;
-            if self.halted {
-                break;
-            }
-            if self.progress_fingerprint() != before {
-                continue;
-            }
-            let t1 = std::time::Instant::now();
-            let target = self.skip_target(port.next_mem_event_at(self.now));
-            prof.horizon_secs += t1.elapsed().as_secs_f64();
-            prof.horizon_scans += 1;
+            let target = timed(
+                PROF,
+                &mut prof.horizon_secs,
+                &mut prof.horizon_scans,
+                || self.skip_target(port.next_mem_event_at(self.now)),
+            );
             if target > self.now {
-                let t2 = std::time::Instant::now();
-                self.advance_to(target);
-                prof.advance_secs += t2.elapsed().as_secs_f64();
-                prof.advances += 1;
+                timed(PROF, &mut prof.advance_secs, &mut prof.advances, || {
+                    self.advance_to(target)
+                });
             }
         }
         Ok(())
+    }
+
+    /// Executes one tick and classifies it for the cycle-skipping
+    /// schedulers ([`Core::run`] and the multicore horizon heap): the
+    /// one place that decides whether a core is busy or quiet. When
+    /// [`Core::progress_certain`] holds, a commit or dispatch is
+    /// guaranteed, the fingerprint must change, and both probes are
+    /// skipped; otherwise the tick is bracketed by
+    /// [`Core::progress_fingerprint`] probes. With `PROF` the tick's host
+    /// time is charged to `prof`.
+    #[inline(always)]
+    pub fn tick_classified<const PROF: bool>(
+        &mut self,
+        port: &mut impl MemoryPort,
+        prof: &mut HostProfile,
+    ) -> Result<TickOutcome, SimError> {
+        let before = (!self.progress_certain()).then(|| self.progress_fingerprint());
+        timed(PROF, &mut prof.tick_secs, &mut prof.ticks, || {
+            self.tick(port)
+        })?;
+        Ok(if self.halted {
+            TickOutcome::Halted
+        } else if before == Some(self.progress_fingerprint()) {
+            TickOutcome::Quiet
+        } else {
+            TickOutcome::Busy
+        })
     }
 
     /// Whether the ROB head commits on the next tick: it has issued and

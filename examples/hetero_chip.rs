@@ -57,7 +57,8 @@ fn main() {
             .zip(&cfgs)
             .map(|(s, cfg)| (compile_for_tile(s, cfg), s.clone()))
             .collect();
-        let mut machine = MultiMachine::for_kernels_hetero(cfgs, &compiled);
+        let mut machine = MultiMachine::try_for_kernels_hetero(cfgs, &compiled)
+            .expect("CG declares no comm arrays");
         machine.run().expect("all tiles halt");
         let cks: Vec<_> = compiled.iter().map(|(ck, _)| ck.clone()).collect();
         let report = MultiRunReport::collect(&machine, &cks);

@@ -164,8 +164,12 @@ impl ClusterConfig {
     /// [`ClusterConfig::max_epochs`] when set, otherwise derived from
     /// the cycle budget so a healthy run can never trip it.
     pub fn effective_max_epochs(&self, cfg: &MachineConfig) -> u64 {
-        self.max_epochs
-            .unwrap_or_else(|| cfg.core.max_cycles.div_ceil(self.epoch_len()) + 2)
+        self.max_epochs.unwrap_or_else(|| {
+            cfg.core
+                .max_cycles
+                .div_ceil(self.epoch_len())
+                .saturating_add(2)
+        })
     }
 }
 
@@ -362,22 +366,89 @@ pub fn cross_cluster_fallbacks(kernel: &Kernel, clusters: usize) -> u64 {
     }
 }
 
-/// Per-cluster machine state for the serial driver. `lane` is `None`
-/// after a contained build- or epoch-panic (the machine may be
-/// mid-mutation; it is never touched again).
+/// What one cluster's driver returns: its report and the epoch count.
+type LaneResult = Result<(MultiRunReport, u64), ClusterFailure>;
+
+/// One cluster's host-side driver state, shared by [`run_serial`] and
+/// [`run_threaded`] so the two perform the same build / epoch step /
+/// finish sequence and fail identically. Every fallible step runs
+/// under `catch_unwind`; `machine` is `None` after a contained build-
+/// or epoch-panic (the machine may be mid-mutation; it is never touched
+/// again).
 struct ClusterLane {
-    lane: Option<(MultiMachine, Vec<CompiledKernel>)>,
+    id: usize,
+    machine: Option<(MultiMachine, Vec<CompiledKernel>)>,
     failure: Option<ClusterFailure>,
     done: bool,
 }
 
-fn build_cluster(
-    cfg: &MachineConfig,
-    shards: &[(CompiledKernel, Kernel)],
-) -> (MultiMachine, Vec<CompiledKernel>) {
-    let m = MultiMachine::for_kernels(cfg.clone(), shards);
-    let cks = shards.iter().map(|(ck, _)| ck.clone()).collect();
-    (m, cks)
+impl ClusterLane {
+    /// Builds cluster `id`'s machine. Machines hold `Rc` backside
+    /// handles, so the threaded driver calls this — and everything
+    /// else on the lane — inside the cluster's own thread; only plain
+    /// data crosses the boundary.
+    fn build(id: usize, cfg: &MachineConfig, shards: &[(CompiledKernel, Kernel)]) -> Self {
+        let built = catch_unwind(AssertUnwindSafe(|| {
+            let m = MultiMachine::for_kernels(cfg.clone(), shards);
+            (m, shards.iter().map(|(ck, _)| ck.clone()).collect())
+        }));
+        let mut lane = ClusterLane {
+            id,
+            machine: None,
+            failure: None,
+            done: false,
+        };
+        match built {
+            Ok(m) => lane.machine = Some(m),
+            Err(p) => lane.fail(ClusterFailure::Panic(panic_message(p))),
+        }
+        lane
+    }
+
+    fn fail(&mut self, failure: ClusterFailure) {
+        self.failure = Some(failure);
+        self.done = true;
+    }
+
+    /// Advances a running lane through the epoch ending at `epoch_end`
+    /// (`epochs` epochs ran before it), then applies the watchdog; a
+    /// lane that is already done does nothing.
+    fn step(&mut self, epoch_end: u64, epochs: u64, max_epochs: u64, inject_panic: Option<usize>) {
+        if self.done {
+            return;
+        }
+        let id = self.id;
+        let (m, _) = self.machine.as_mut().expect("running lane has a machine");
+        let inject = inject_panic == Some(id) && epochs == 0;
+        match catch_unwind(AssertUnwindSafe(|| {
+            if inject {
+                panic!("injected cluster-thread panic (cluster {id})");
+            }
+            m.run_until(epoch_end)
+        })) {
+            Err(p) => {
+                self.machine = None;
+                self.fail(ClusterFailure::Panic(panic_message(p)));
+            }
+            Ok(Err(e)) => self.fail(ClusterFailure::Sim(e)),
+            Ok(Ok(())) => self.done = m.all_halted(),
+        }
+        if !self.done && epochs + 1 >= max_epochs {
+            self.fail(ClusterFailure::Watchdog { epochs: epochs + 1 });
+        }
+    }
+
+    /// The lane's failure, or its collected report with the run's epoch
+    /// count.
+    fn finish(self, epochs: u64) -> LaneResult {
+        if let Some(f) = self.failure {
+            return Err(f);
+        }
+        let (m, cks) = self.machine.as_ref().expect("completed lane has a machine");
+        catch_unwind(AssertUnwindSafe(|| MultiRunReport::collect(m, cks)))
+            .map(|r| (r, epochs))
+            .map_err(|p| ClusterFailure::Panic(panic_message(p)))
+    }
 }
 
 /// Runs a clustered machine: cluster `c` is a [`MultiMachine`] over
@@ -447,105 +518,50 @@ pub fn run_clusters(
 }
 
 /// The serial oracle: all clusters on the calling thread, advanced
-/// round-robin one epoch at a time — the exact `run_until` call
+/// round-robin one epoch at a time — the exact [`ClusterLane`] call
 /// sequence per cluster that each thread of [`run_threaded`] performs,
-/// with the same panic containment, injection point and watchdog, so
-/// the two drivers fail identically too.
+/// so the two drivers fail identically too.
 fn run_serial(
     cfg: &MachineConfig,
     shards: &[Vec<(CompiledKernel, Kernel)>],
     epoch_len: u64,
     max_epochs: u64,
     inject_panic: Option<usize>,
-) -> Vec<Result<(MultiRunReport, u64), ClusterFailure>> {
+) -> Vec<LaneResult> {
     let mut lanes: Vec<ClusterLane> = shards
         .iter()
-        .map(|s| {
-            let (lane, failure) = match catch_unwind(AssertUnwindSafe(|| build_cluster(cfg, s))) {
-                Ok(l) => (Some(l), None),
-                Err(p) => (None, Some(ClusterFailure::Panic(panic_message(p)))),
-            };
-            let done = failure.is_some();
-            ClusterLane {
-                lane,
-                failure,
-                done,
-            }
-        })
+        .enumerate()
+        .map(|(c, s)| ClusterLane::build(c, cfg, s))
         .collect();
     let mut epoch_end = epoch_len;
     let mut epochs = 0u64;
     loop {
-        for (c, l) in lanes.iter_mut().enumerate() {
-            if l.done {
-                continue;
-            }
-            let (m, _) = l.lane.as_mut().expect("running lane has a machine");
-            let inject = inject_panic == Some(c) && epochs == 0;
-            match catch_unwind(AssertUnwindSafe(|| {
-                if inject {
-                    panic!("injected cluster-thread panic (cluster {c})");
-                }
-                m.run_until(epoch_end)
-            })) {
-                Err(p) => {
-                    l.failure = Some(ClusterFailure::Panic(panic_message(p)));
-                    l.lane = None;
-                    l.done = true;
-                }
-                Ok(Err(e)) => {
-                    l.failure = Some(ClusterFailure::Sim(e));
-                    l.done = true;
-                }
-                Ok(Ok(())) => {
-                    if m.all_halted() {
-                        l.done = true;
-                    }
-                }
-            }
+        for l in &mut lanes {
+            l.step(epoch_end, epochs, max_epochs, inject_panic);
         }
         epochs += 1;
-        for l in lanes.iter_mut().filter(|l| !l.done) {
-            if epochs >= max_epochs {
-                l.failure = Some(ClusterFailure::Watchdog { epochs });
-                l.done = true;
-            }
-        }
         if lanes.iter().all(|l| l.done) {
             break;
         }
         epoch_end += epoch_len;
     }
-    lanes
-        .into_iter()
-        .map(|l| match l.failure {
-            Some(f) => Err(f),
-            None => {
-                let (m, cks) = l.lane.as_ref().expect("completed lane has a machine");
-                catch_unwind(AssertUnwindSafe(|| MultiRunReport::collect(m, cks)))
-                    .map(|r| (r, epochs))
-                    .map_err(|p| ClusterFailure::Panic(panic_message(p)))
-            }
-        })
-        .collect()
+    lanes.into_iter().map(|l| l.finish(epochs)).collect()
 }
 
 /// The threaded driver: one scoped `std::thread` per cluster, epochs
 /// synchronized with a double barrier (see the module docs for why two
 /// waits make the done decision consistent without a race).
 ///
-/// Every fallible step — machine build, each epoch's `run_until`, the
-/// report collection — runs under `catch_unwind`: a panicking cluster
-/// marks itself done and keeps joining the barriers so no peer ever
-/// blocks on a vanished thread, and the epoch watchdog bounds the loop
-/// even if a cluster wedges without erroring.
+/// A lane that panicked, failed or tripped the watchdog is done and
+/// keeps joining the barriers so no peer ever blocks on a vanished
+/// thread.
 fn run_threaded(
     cfg: &MachineConfig,
     shards: &[Vec<(CompiledKernel, Kernel)>],
     epoch_len: u64,
     max_epochs: u64,
     inject_panic: Option<usize>,
-) -> Vec<Result<(MultiRunReport, u64), ClusterFailure>> {
+) -> Vec<LaneResult> {
     let n = shards.len();
     let barrier = Barrier::new(n);
     let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
@@ -556,54 +572,14 @@ fn run_threaded(
             .map(|(c, cluster_shards)| {
                 let barrier = &barrier;
                 let done = &done;
-                s.spawn(move || -> Result<(MultiRunReport, u64), ClusterFailure> {
-                    // Machines hold `Rc` backside handles, so each is
-                    // built — and its report collected — inside its own
-                    // thread; only plain data crosses the boundary.
-                    let (mut lane, mut failure) =
-                        match catch_unwind(AssertUnwindSafe(|| build_cluster(cfg, cluster_shards)))
-                        {
-                            Ok(l) => (Some(l), None),
-                            Err(p) => (None, Some(ClusterFailure::Panic(panic_message(p)))),
-                        };
-                    let mut finished = failure.is_some();
-                    if finished {
-                        done[c].store(true, Ordering::SeqCst);
-                    }
+                s.spawn(move || -> LaneResult {
+                    let mut lane = ClusterLane::build(c, cfg, cluster_shards);
                     let mut epoch_end = epoch_len;
                     let mut epochs = 0u64;
                     loop {
-                        if !finished {
-                            let (m, _) = lane.as_mut().expect("running lane has a machine");
-                            let inject = inject_panic == Some(c) && epochs == 0;
-                            match catch_unwind(AssertUnwindSafe(|| {
-                                if inject {
-                                    panic!("injected cluster-thread panic (cluster {c})");
-                                }
-                                m.run_until(epoch_end)
-                            })) {
-                                Err(p) => {
-                                    failure = Some(ClusterFailure::Panic(panic_message(p)));
-                                    lane = None;
-                                    finished = true;
-                                }
-                                Ok(Err(e)) => {
-                                    failure = Some(ClusterFailure::Sim(e));
-                                    finished = true;
-                                }
-                                Ok(Ok(())) => {
-                                    if m.all_halted() {
-                                        finished = true;
-                                    }
-                                }
-                            }
-                        }
+                        lane.step(epoch_end, epochs, max_epochs, inject_panic);
                         epochs += 1;
-                        if !finished && epochs >= max_epochs {
-                            failure = Some(ClusterFailure::Watchdog { epochs });
-                            finished = true;
-                        }
-                        if finished {
+                        if lane.done {
                             done[c].store(true, Ordering::SeqCst);
                         }
                         barrier.wait();
@@ -616,15 +592,7 @@ fn run_threaded(
                         }
                         epoch_end += epoch_len;
                     }
-                    match failure {
-                        Some(f) => Err(f),
-                        None => {
-                            let (m, cks) = lane.as_ref().expect("completed lane has a machine");
-                            catch_unwind(AssertUnwindSafe(|| MultiRunReport::collect(m, cks)))
-                                .map(|r| (r, epochs))
-                                .map_err(|p| ClusterFailure::Panic(panic_message(p)))
-                        }
-                    }
+                    lane.finish(epochs)
                 })
             })
             .collect();

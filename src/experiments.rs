@@ -1,7 +1,7 @@
 //! Experiment drivers: one function per paper table/figure, plus the
 //! communication-workload and request-serving drivers.
 //!
-//! The bench harness binaries (`hsim-bench`) print these results in the
+//! The bench driver (`hsim-bench <name>`) prints these results in the
 //! paper's format; the integration tests assert the qualitative shapes
 //! at small scale. Each driver compiles the workload for the modes it
 //! compares, runs the machine(s), and returns structured rows.
@@ -11,9 +11,7 @@
 //! single core, sharded homogeneous multicore, heterogeneous tiles with
 //! weighted shards, per-core kernel sets (communication workloads),
 //! clustered machines — plus verification against the reference
-//! interpreter and host-time profiling. The legacy `run_kernel_*`
-//! functions survive as thin `#[deprecated]` wrappers, pinned
-//! bit-identical to the builder by a regression test.
+//! interpreter and host-time profiling.
 //!
 //! **Sweeps.** Every sweep driver takes a [`Parallelism`] knob:
 //! `Serial` runs the independent simulation points sequentially,
@@ -183,7 +181,7 @@ impl RunOutcome {
 /// | calls | machine |
 /// |---|---|
 /// | `new(k)` | one [`Machine`] |
-/// | `new(k).cores(n)` | `k` sharded over an n-core [`MultiMachine`] (note: `cores(1)` still builds the 1-core *multicore* machine — shared-L3 port arbitration included — exactly like the legacy `run_kernel_multi(k, 1, ..)`) |
+/// | `new(k).cores(n)` | `k` sharded over an n-core [`MultiMachine`] (note: `cores(1)` still builds the 1-core *multicore* machine — shared-L3 port arbitration included) |
 /// | `new(k).hetero(cfgs)` | weighted shards on per-tile configurations |
 /// | `many(&kernels)` | one kernel **per core** (communication workloads) |
 /// | `...clustered(topo)` | epoch-synchronized clusters |
@@ -343,74 +341,37 @@ impl<'a> RunSpec<'a> {
             out.clusters = Some(self.run_clustered_shape(&cfg)?);
             return Ok(out);
         }
-        if let Some(kernels) = self.many {
-            assert!(
-                self.weights.is_none(),
-                "weights shard a single kernel; RunSpec::many runs one kernel per core"
-            );
+        if let Some(tiles) = self.flat_tiles(&cfg)? {
             assert!(!self.verified, "verification covers single-machine shapes");
-            let cfgs = self
-                .hetero
-                .clone()
-                .unwrap_or_else(|| vec![cfg.clone(); kernels.len()]);
-            assert_eq!(cfgs.len(), kernels.len(), "one configuration per kernel");
-            let compiled: Vec<(CompiledKernel, Kernel)> = kernels
-                .iter()
-                .zip(&cfgs)
-                .map(|(k, c)| (compile_for_tile(k, c), k.clone()))
-                .collect();
+            let (cfgs, compiled): (Vec<MachineConfig>, Vec<(CompiledKernel, Kernel)>) = tiles
+                .into_iter()
+                .map(|(c, k)| {
+                    let ck = compile_for_tile(&k, &c);
+                    (c, (ck, k))
+                })
+                .unzip();
             let mut m = MultiMachine::try_for_kernels_hetero(cfgs, &compiled)?;
-            out.profile = run_multi(&mut m, self.profiled)?;
+            if self.profiled {
+                let mut prof = hsim_core::HostProfile::default();
+                m.run_profiled(&mut prof)?;
+                out.profile = Some(prof);
+            } else {
+                m.run()?;
+            }
             let cks: Vec<_> = compiled.into_iter().map(|(ck, _)| ck).collect();
             out.multi = Some(MultiRunReport::collect(&m, &cks));
             return Ok(out);
         }
         let kernel = self.single.expect("RunSpec always holds kernels");
-        if self.hetero.is_some() || self.weights.is_some() {
-            assert!(!self.verified, "verification covers single-machine shapes");
-            let cfgs = self
-                .hetero
-                .clone()
-                .unwrap_or_else(|| vec![cfg.clone(); self.weights.as_ref().unwrap().len()]);
-            let weights = self.weights.clone().unwrap_or_else(|| vec![1; cfgs.len()]);
-            assert_eq!(cfgs.len(), weights.len(), "one weight per tile");
-            let shards = kernel.shard_weighted(&weights)?;
-            let compiled: Vec<(CompiledKernel, Kernel)> = shards
-                .into_iter()
-                .zip(&cfgs)
-                .map(|(s, c)| {
-                    let ck = compile_for_tile(&s, c);
-                    (ck, s)
-                })
-                .collect();
-            let mut m = MultiMachine::try_for_kernels_hetero(cfgs, &compiled)?;
-            out.profile = run_multi(&mut m, self.profiled)?;
-            let cks: Vec<_> = compiled.into_iter().map(|(ck, _)| ck).collect();
-            out.multi = Some(MultiRunReport::collect(&m, &cks));
-            return Ok(out);
-        }
-        if let Some(n) = self.cores {
-            assert!(!self.verified, "verification covers single-machine shapes");
-            let shards = kernel.shard(n)?;
-            let compiled: Vec<_> = shards
-                .iter()
-                .map(|s| (compile(s, cfg.mode.codegen()), s.clone()))
-                .collect();
-            let mut m = MultiMachine::try_for_kernels_hetero(vec![cfg; n], &compiled)?;
-            out.profile = run_multi(&mut m, self.profiled)?;
-            let cks: Vec<_> = compiled.into_iter().map(|(ck, _)| ck).collect();
-            out.multi = Some(MultiRunReport::collect(&m, &cks));
-            return Ok(out);
-        }
         // Single machine.
         let ck = compile(kernel, cfg.mode.codegen());
         let mut m = Machine::for_kernel(cfg, &ck, kernel);
         if self.profiled {
             let mut prof = hsim_core::HostProfile::default();
-            m.run_profiled(&mut prof).map_err(MultiRunError::Sim)?;
+            m.run_profiled(&mut prof)?;
             out.profile = Some(prof);
         } else {
-            m.run().map_err(MultiRunError::Sim)?;
+            m.run()?;
         }
         let report = RunReport::collect(&m, &ck);
         if self.verified {
@@ -424,6 +385,40 @@ impl<'a> RunSpec<'a> {
         }
         out.single = Some(report);
         Ok(out)
+    }
+
+    /// The `(configuration, kernel)` of every tile of a flat multicore
+    /// shape — one kernel per core ([`RunSpec::many`]), weighted shards
+    /// on per-tile configurations ([`RunSpec::hetero`] /
+    /// [`RunSpec::weights`]) or even shards ([`RunSpec::cores`]) — or
+    /// `None` for the single-machine shape.
+    fn flat_tiles(
+        &self,
+        cfg: &MachineConfig,
+    ) -> Result<Option<Vec<(MachineConfig, Kernel)>>, MultiRunError> {
+        let cfgs = |n: usize| self.hetero.clone().unwrap_or_else(|| vec![cfg.clone(); n]);
+        let (cfgs, kernels) = if let Some(kernels) = self.many {
+            assert!(
+                self.weights.is_none(),
+                "weights shard a single kernel; RunSpec::many runs one kernel per core"
+            );
+            (cfgs(kernels.len()), kernels.to_vec())
+        } else {
+            let kernel = self.single.expect("RunSpec always holds kernels");
+            if self.hetero.is_some() || self.weights.is_some() {
+                let cfgs = cfgs(self.weights.as_ref().map_or(0, Vec::len));
+                let weights = self.weights.clone().unwrap_or_else(|| vec![1; cfgs.len()]);
+                assert_eq!(cfgs.len(), weights.len(), "one weight per tile");
+                let shards = kernel.shard_weighted(&weights)?;
+                (cfgs, shards)
+            } else if let Some(n) = self.cores {
+                (cfgs(n), kernel.shard(n)?)
+            } else {
+                return Ok(None);
+            }
+        };
+        assert_eq!(cfgs.len(), kernels.len(), "one configuration per tile");
+        Ok(Some(cfgs.into_iter().zip(kernels).collect()))
     }
 
     fn run_clustered_shape(&self, cfg: &MachineConfig) -> Result<ClusterRunReport, MultiRunError> {
@@ -469,170 +464,6 @@ impl<'a> RunSpec<'a> {
         };
         Ok(run_clusters(cfg, cluster, &shards, fallbacks)?)
     }
-}
-
-/// Advances a built multicore machine to completion, profiled or not.
-fn run_multi(
-    m: &mut MultiMachine,
-    profiled: bool,
-) -> Result<Option<hsim_core::HostProfile>, MultiRunError> {
-    if profiled {
-        let mut prof = hsim_core::HostProfile::default();
-        m.run_profiled(&mut prof).map_err(MultiRunError::Sim)?;
-        Ok(Some(prof))
-    } else {
-        m.run().map_err(MultiRunError::Sim)?;
-        Ok(None)
-    }
-}
-
-/// Unwraps the only error a non-sharded, non-clustered run can hit.
-fn expect_sim(e: MultiRunError) -> SimError {
-    match e {
-        MultiRunError::Sim(e) => e,
-        other => unreachable!("this run can only fail in simulation: {other}"),
-    }
-}
-
-/// Compiles `kernel` for `mode`, runs it, and reports.
-#[deprecated(note = "use RunSpec::new(kernel).mode(mode).track(track).run()")]
-pub fn run_kernel(kernel: &Kernel, mode: SysMode, track: bool) -> Result<RunReport, SimError> {
-    RunSpec::new(kernel)
-        .mode(mode)
-        .track(track)
-        .run()
-        .map(RunOutcome::into_single)
-        .map_err(expect_sim)
-}
-
-/// The configurable sibling of [`run_kernel`]: compiles `kernel` for
-/// `cfg.mode` and runs it on a machine built from `cfg`.
-#[deprecated(note = "use RunSpec::new(kernel).config(cfg).run()")]
-pub fn run_kernel_with(kernel: &Kernel, cfg: MachineConfig) -> Result<RunReport, SimError> {
-    RunSpec::new(kernel)
-        .config(cfg)
-        .run()
-        .map(RunOutcome::into_single)
-        .map_err(expect_sim)
-}
-
-/// Runs `kernel` in `mode` and also checks the final memory image
-/// against the reference interpreter. Returns the report and the number
-/// of mismatching array elements.
-#[deprecated(note = "use RunSpec::new(kernel).mode(mode).track(track).verified().run()")]
-pub fn run_kernel_verified(
-    kernel: &Kernel,
-    mode: SysMode,
-    track: bool,
-) -> Result<(RunReport, usize), SimError> {
-    let out = RunSpec::new(kernel)
-        .mode(mode)
-        .track(track)
-        .verified()
-        .run()
-        .map_err(expect_sim)?;
-    let mismatches = out.verify_mismatches.expect("verified run");
-    Ok((out.into_single(), mismatches))
-}
-
-/// Shards `kernel` across `n_cores` simulated cores and runs them as one
-/// lock-step machine on a shared L3/DRAM backside (see
-/// [`MultiMachine`]).
-#[deprecated(note = "use RunSpec::new(kernel).cores(n).mode(mode).track(track).run()")]
-pub fn run_kernel_multi(
-    kernel: &Kernel,
-    n_cores: usize,
-    mode: SysMode,
-    track: bool,
-) -> Result<MultiRunReport, MultiRunError> {
-    RunSpec::new(kernel)
-        .cores(n_cores)
-        .mode(mode)
-        .track(track)
-        .run()
-        .map(RunOutcome::into_multi)
-}
-
-/// The configurable sibling of [`run_kernel_multi`]: shards `kernel`
-/// across `n_cores` tiles built from `cfg` (compiling for `cfg.mode`).
-#[deprecated(note = "use RunSpec::new(kernel).cores(n).config(cfg).run()")]
-pub fn run_kernel_multi_with(
-    kernel: &Kernel,
-    n_cores: usize,
-    cfg: MachineConfig,
-) -> Result<MultiRunReport, MultiRunError> {
-    RunSpec::new(kernel)
-        .cores(n_cores)
-        .config(cfg)
-        .run()
-        .map(RunOutcome::into_multi)
-}
-
-/// [`run_kernel_with`] with host-time attribution (see
-/// [`RunSpec::profiled`]). The simulated results are bit-identical to
-/// the unprofiled run.
-#[deprecated(note = "use RunSpec::new(kernel).config(cfg).profiled().run()")]
-pub fn run_kernel_profiled(
-    kernel: &Kernel,
-    cfg: MachineConfig,
-) -> Result<(RunReport, hsim_core::HostProfile), SimError> {
-    let out = RunSpec::new(kernel)
-        .config(cfg)
-        .profiled()
-        .run()
-        .map_err(expect_sim)?;
-    let prof = out.profile.expect("profiled run");
-    Ok((out.into_single(), prof))
-}
-
-/// [`run_kernel_multi_with`] with host-time attribution; phases are
-/// accumulated across all tiles of the multicore scheduler.
-#[deprecated(note = "use RunSpec::new(kernel).cores(n).config(cfg).profiled().run()")]
-pub fn run_kernel_multi_profiled(
-    kernel: &Kernel,
-    n_cores: usize,
-    cfg: MachineConfig,
-) -> Result<(MultiRunReport, hsim_core::HostProfile), MultiRunError> {
-    let out = RunSpec::new(kernel)
-        .cores(n_cores)
-        .config(cfg)
-        .profiled()
-        .run()?;
-    let prof = out.profile.expect("profiled run");
-    Ok((out.into_multi(), prof))
-}
-
-/// Shards `kernel` two-level across a clustered machine and runs it
-/// with the epoch-synchronized cluster driver (see
-/// [`RunSpec::clustered`]).
-#[deprecated(note = "use RunSpec::new(kernel).clustered(cluster).config(cfg).run()")]
-pub fn run_kernel_clustered(
-    kernel: &Kernel,
-    cluster: &ClusterConfig,
-    cfg: MachineConfig,
-) -> Result<ClusterRunReport, MultiRunError> {
-    RunSpec::new(kernel)
-        .clustered(cluster)
-        .config(cfg)
-        .run()
-        .map(RunOutcome::into_clusters)
-}
-
-/// The heterogeneous sibling of [`run_kernel_multi_with`]: shards
-/// `kernel` across `cfgs.len()` tiles, tile `i` built from `cfgs[i]`
-/// with a share of the iterations proportional to `weights[i]`.
-#[deprecated(note = "use RunSpec::new(kernel).hetero(cfgs).weights(weights).run()")]
-pub fn run_kernel_multi_hetero(
-    kernel: &Kernel,
-    cfgs: &[MachineConfig],
-    weights: &[u64],
-) -> Result<MultiRunReport, MultiRunError> {
-    assert_eq!(cfgs.len(), weights.len(), "one weight per tile");
-    RunSpec::new(kernel)
-        .hetero(cfgs.to_vec())
-        .weights(weights)
-        .run()
-        .map(RunOutcome::into_multi)
 }
 
 /// Compiles one shard for one tile of a heterogeneous machine: for the
@@ -696,6 +527,37 @@ impl From<ClusterError> for MultiRunError {
     }
 }
 
+impl MultiRunError {
+    /// The sweep-point policy: a kernel that cannot shard to a point's
+    /// shape (indirect indexing, a weight starving a shard) skips the
+    /// point — `Ok(None)` — while every other error fails the sweep.
+    pub fn skip_unshardable<T>(run: Result<T, Self>) -> Result<Option<T>, Self> {
+        match run {
+            Ok(v) => Ok(Some(v)),
+            Err(MultiRunError::Shard(_)) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+}
+
+/// Runs `point` over the cartesian grid `outer × inner` (outer-major
+/// order), one job per point under `par`, and collects the rows of the
+/// points that were not skipped (`Ok(None)`).
+fn sweep_grid<A: Sync, B: Sync, R: Send>(
+    outer: &[A],
+    inner: &[B],
+    par: Parallelism,
+    point: impl Fn(&A, &B) -> Result<Option<R>, MultiRunError> + Sync,
+) -> Result<Vec<R>, MultiRunError> {
+    let points: Vec<(&A, &B)> = outer
+        .iter()
+        .flat_map(|a| inner.iter().map(move |b| (a, b)))
+        .collect();
+    let results: Result<Vec<Option<R>>, _> =
+        par.map(points, |(a, b)| point(a, b)).into_iter().collect();
+    Ok(results?.into_iter().flatten().collect())
+}
+
 /// One point of Figure 7.
 #[derive(Clone, Debug)]
 pub struct Fig7Point {
@@ -715,64 +577,37 @@ pub struct Fig7Point {
     pub inst_ratio: f64,
 }
 
-/// The (mode, pct) grid of the Figure 7 sweep.
-fn fig7_points(step: u32) -> Vec<(MicroMode, u32)> {
-    let mut points = Vec::new();
-    for mode in [MicroMode::Rd, MicroMode::Wr, MicroMode::RdWr] {
-        let mut pct = 0;
-        while pct <= 100 {
-            points.push((mode, pct));
-            pct += step.max(10);
-        }
-    }
-    points
-}
-
-/// Runs one Figure 7 sweep point against the baseline run.
-fn fig7_point(n: u64, mode: MicroMode, pct: u32, base: &RunReport) -> Result<Fig7Point, SimError> {
-    let k = microbench(&MicrobenchConfig {
-        mode,
-        guarded_pct: pct,
-        n,
-    });
-    let r = RunSpec::new(&k)
-        .run()
-        .map(RunOutcome::into_single)
-        .map_err(expect_sim)?;
-    let base_work = base.phase(hsim_isa::Phase::Work).max(1) as f64;
-    Ok(Fig7Point {
-        mode,
-        pct,
-        overhead: r.phase(hsim_isa::Phase::Work) as f64 / base_work,
-        inst_ratio: r.committed as f64 / base.committed as f64,
-    })
-}
-
-/// The Baseline-mode run every Figure 7 point normalizes against.
-fn fig7_baseline(n: u64) -> Result<RunReport, SimError> {
-    let base_kernel = microbench(&MicrobenchConfig {
-        mode: MicroMode::Baseline,
-        guarded_pct: 0,
-        n,
-    });
-    RunSpec::new(&base_kernel)
-        .run()
-        .map(RunOutcome::into_single)
-        .map_err(expect_sim)
-}
-
 /// Figure 7: microbenchmark overhead as the share of guarded references
 /// grows, for the RD / WR / RD+WR modes. `n` is the iteration count;
-/// `step` the sweep step in percent (multiple of 10). The baseline runs
-/// first (every point normalizes against it), then every (mode, pct)
-/// point is an independent job under `par`.
-pub fn fig7(n: u64, step: u32, par: Parallelism) -> Result<Vec<Fig7Point>, SimError> {
-    let base = fig7_baseline(n)?;
-    par.map(fig7_points(step), |(mode, pct)| {
-        fig7_point(n, mode, pct, &base)
-    })
-    .into_iter()
-    .collect()
+/// `step` the sweep step in percent (multiple of 10). The Baseline-mode
+/// run goes first (every point normalizes against it), then every
+/// (mode, pct) point is an independent job under `par`.
+pub fn fig7(n: u64, step: u32, par: Parallelism) -> Result<Vec<Fig7Point>, MultiRunError> {
+    let run = |mode: MicroMode, guarded_pct: u32| {
+        let k = microbench(&MicrobenchConfig {
+            mode,
+            guarded_pct,
+            n,
+        });
+        RunSpec::new(&k).run().map(RunOutcome::into_single)
+    };
+    let base = run(MicroMode::Baseline, 0)?;
+    let base_work = base.phase(hsim_isa::Phase::Work).max(1) as f64;
+    let pcts: Vec<u32> = (0..=100).step_by(step.max(10) as usize).collect();
+    sweep_grid(
+        &[MicroMode::Rd, MicroMode::Wr, MicroMode::RdWr],
+        &pcts,
+        par,
+        |&mode, &pct| {
+            let r = run(mode, pct)?;
+            Ok(Some(Fig7Point {
+                mode,
+                pct,
+                overhead: r.phase(hsim_isa::Phase::Work) as f64 / base_work,
+                inst_ratio: r.committed as f64 / base.committed as f64,
+            }))
+        },
+    )
 }
 
 /// One row of Figure 8: coherence-protocol overhead on a real benchmark.
@@ -792,13 +627,12 @@ pub struct Fig8Row {
 }
 
 /// Runs one benchmark on the coherent and oracle machines.
-fn fig8_row(k: &Kernel) -> Result<Fig8Row, SimError> {
+fn fig8_row(k: &Kernel) -> Result<Fig8Row, MultiRunError> {
     let run = |mode: SysMode| {
         RunSpec::new(k)
             .mode(mode)
             .run()
             .map(RunOutcome::into_single)
-            .map_err(expect_sim)
     };
     let coherent = run(SysMode::HybridCoherent)?;
     let oracle = run(SysMode::HybridOracle)?;
@@ -813,7 +647,7 @@ fn fig8_row(k: &Kernel) -> Result<Fig8Row, SimError> {
 
 /// Figure 8: hybrid-coherent vs hybrid-oracle on the given kernels, one
 /// job per benchmark under `par`.
-pub fn fig8(kernels: &[Kernel], par: Parallelism) -> Result<Vec<Fig8Row>, SimError> {
+pub fn fig8(kernels: &[Kernel], par: Parallelism) -> Result<Vec<Fig8Row>, MultiRunError> {
     par.map(kernels.iter().collect(), fig8_row)
         .into_iter()
         .collect()
@@ -841,13 +675,12 @@ pub struct ComparisonRow {
 }
 
 /// Runs one benchmark on the hybrid-coherent and cache-based machines.
-fn comparison_row(k: &Kernel) -> Result<ComparisonRow, SimError> {
+fn comparison_row(k: &Kernel) -> Result<ComparisonRow, MultiRunError> {
     let run = |mode: SysMode| {
         RunSpec::new(k)
             .mode(mode)
             .run()
             .map(RunOutcome::into_single)
-            .map_err(expect_sim)
     };
     let hybrid = run(SysMode::HybridCoherent)?;
     let cache = run(SysMode::CacheBased)?;
@@ -873,7 +706,7 @@ fn comparison_row(k: &Kernel) -> Result<ComparisonRow, SimError> {
 pub fn compare_systems(
     kernels: &[Kernel],
     par: Parallelism,
-) -> Result<Vec<ComparisonRow>, SimError> {
+) -> Result<Vec<ComparisonRow>, MultiRunError> {
     par.map(kernels.iter().collect(), comparison_row)
         .into_iter()
         .collect()
@@ -914,29 +747,18 @@ fn backside_point(
     kernel: &Kernel,
     cores: usize,
     mode: SysMode,
-) -> Result<Option<BacksideSweepRow>, SimError> {
-    let cfg = MachineConfig::for_mode(mode);
+) -> Result<Option<BacksideSweepRow>, MultiRunError> {
+    let spec = RunSpec::new(kernel).config(MachineConfig::for_mode(mode));
     let (per_core, makespan) = if cores == 1 {
-        let r = RunSpec::new(kernel)
-            .config(cfg)
-            .run()
-            .map(RunOutcome::into_single)
-            .map_err(expect_sim)?;
+        let r = spec.run()?.into_single();
         let makespan = r.cycles;
         (vec![r], makespan)
     } else {
-        match RunSpec::new(kernel).cores(cores).config(cfg).run() {
-            Ok(out) => {
-                let m = out.into_multi();
-                let makespan = m.makespan;
-                (m.per_core, makespan)
-            }
-            Err(MultiRunError::Shard(_)) => return Ok(None),
-            Err(MultiRunError::Sim(e)) => return Err(e),
-            Err(MultiRunError::Cluster(_)) => {
-                unreachable!("flat multicore runs produce no cluster errors")
-            }
-        }
+        let Some(out) = MultiRunError::skip_unshardable(spec.cores(cores).run())? else {
+            return Ok(None);
+        };
+        let m = out.into_multi();
+        (m.per_core, m.makespan)
     };
     let sum = |f: fn(&RunReport) -> u64| per_core.iter().map(f).sum::<u64>();
     // Route the hit-rate computation through `DramStats` so the sweep
@@ -971,19 +793,10 @@ pub fn backside_sweep(
     core_counts: &[usize],
     mode: SysMode,
     par: Parallelism,
-) -> Result<Vec<BacksideSweepRow>, SimError> {
-    let points: Vec<(&Kernel, usize)> = kernels
-        .iter()
-        .flat_map(|k| core_counts.iter().map(move |&c| (k, c)))
-        .collect();
-    let results = par.map(points, |(k, cores)| backside_point(k, cores, mode));
-    let mut rows = Vec::new();
-    for r in results {
-        if let Some(row) = r? {
-            rows.push(row);
-        }
-    }
-    Ok(rows)
+) -> Result<Vec<BacksideSweepRow>, MultiRunError> {
+    sweep_grid(kernels, core_counts, par, |k, &cores| {
+        backside_point(k, cores, mode)
+    })
 }
 
 /// One point of the scaling experiment: one kernel sharded over one
@@ -1021,16 +834,10 @@ fn scaling_rows_for(
     kernel: &Kernel,
     core_counts: &[usize],
     cfg: &MachineConfig,
-) -> Result<Vec<ScalingRow>, SimError> {
-    let run = |cores: usize| -> Result<Option<MultiRunReport>, SimError> {
-        match RunSpec::new(kernel).cores(cores).config(cfg.clone()).run() {
-            Ok(out) => Ok(Some(out.into_multi())),
-            Err(MultiRunError::Shard(_)) => Ok(None),
-            Err(MultiRunError::Sim(e)) => Err(e),
-            Err(MultiRunError::Cluster(_)) => {
-                unreachable!("flat multicore runs produce no cluster errors")
-            }
-        }
+) -> Result<Vec<ScalingRow>, MultiRunError> {
+    let run = |cores: usize| {
+        let spec = RunSpec::new(kernel).cores(cores).config(cfg.clone());
+        MultiRunError::skip_unshardable(spec.run().map(RunOutcome::into_multi))
     };
     let Some(base) = run(1)? else {
         return Ok(Vec::new());
@@ -1072,7 +879,7 @@ pub fn scaling_sweep(
     core_counts: &[usize],
     cfg: &MachineConfig,
     par: Parallelism,
-) -> Result<Vec<ScalingRow>, SimError> {
+) -> Result<Vec<ScalingRow>, MultiRunError> {
     let per_kernel = par.map(kernels.iter().collect(), |k| {
         scaling_rows_for(k, core_counts, cfg)
     });
@@ -1137,10 +944,8 @@ fn coherence_point(
             .run()
             .map(RunOutcome::into_multi)
     };
-    let rep = match run(CoherenceMode::Replicate) {
-        Ok(m) => m,
-        Err(MultiRunError::Shard(_)) => return Ok(None),
-        Err(e) => return Err(e),
+    let Some(rep) = MultiRunError::skip_unshardable(run(CoherenceMode::Replicate))? else {
+        return Ok(None);
     };
     let mesi = run(CoherenceMode::Mesi)?;
     assert_eq!(
@@ -1174,18 +979,9 @@ pub fn coherence_sweep(
     mode: SysMode,
     par: Parallelism,
 ) -> Result<Vec<CoherenceSweepRow>, MultiRunError> {
-    let points: Vec<(&Kernel, usize)> = kernels
-        .iter()
-        .flat_map(|k| core_counts.iter().map(move |&c| (k, c)))
-        .collect();
-    let results = par.map(points, |(k, cores)| coherence_point(k, cores, mode));
-    let mut rows = Vec::new();
-    for r in results {
-        if let Some(row) = r? {
-            rows.push(row);
-        }
-    }
-    Ok(rows)
+    sweep_grid(kernels, core_counts, par, |k, &cores| {
+        coherence_point(k, cores, mode)
+    })
 }
 
 /// One point of the protocol-family comparison: one kernel at one core
@@ -1228,16 +1024,13 @@ fn protocol_point(
     let mut rows = Vec::new();
     let mut committed = None;
     for cm in CoherenceMode::ALL {
-        let report = match RunSpec::new(kernel)
+        let spec = RunSpec::new(kernel)
             .cores(cores)
-            .config(MachineConfig::for_mode(mode).with_coherence(cm))
-            .run()
-            .map(RunOutcome::into_multi)
-        {
-            Ok(m) => m,
-            Err(MultiRunError::Shard(_)) => return Ok(None),
-            Err(e) => return Err(e),
+            .config(MachineConfig::for_mode(mode).with_coherence(cm));
+        let Some(out) = MultiRunError::skip_unshardable(spec.run())? else {
+            return Ok(None);
         };
+        let report = out.into_multi();
         match committed {
             None => committed = Some(report.total_committed()),
             Some(c) => assert_eq!(
@@ -1273,18 +1066,10 @@ pub fn protocol_sweep(
     mode: SysMode,
     par: Parallelism,
 ) -> Result<Vec<ProtocolSweepRow>, MultiRunError> {
-    let points: Vec<(&Kernel, usize)> = kernels
-        .iter()
-        .flat_map(|k| core_counts.iter().map(move |&c| (k, c)))
-        .collect();
-    let results = par.map(points, |(k, cores)| protocol_point(k, cores, mode));
-    let mut rows = Vec::new();
-    for r in results {
-        if let Some(point) = r? {
-            rows.extend(point);
-        }
-    }
-    Ok(rows)
+    let points = sweep_grid(kernels, core_counts, par, |k, &cores| {
+        protocol_point(k, cores, mode)
+    })?;
+    Ok(points.into_iter().flatten().collect())
 }
 
 /// One point of the heterogeneous-chip sweep: one kernel on one mixed
@@ -1378,20 +1163,12 @@ fn hetero_point(
     label: &str,
     cfgs: &[MachineConfig],
     weights: &[u64],
-) -> Result<Option<HeteroSweepRow>, SimError> {
-    let m = match RunSpec::new(kernel)
-        .hetero(cfgs.to_vec())
-        .weights(weights)
-        .run()
-        .map(RunOutcome::into_multi)
-    {
-        Ok(m) => m,
-        Err(MultiRunError::Shard(_)) => return Ok(None),
-        Err(MultiRunError::Sim(e)) => return Err(e),
-        Err(MultiRunError::Cluster(_)) => {
-            unreachable!("flat multicore runs produce no cluster errors")
-        }
+) -> Result<Option<HeteroSweepRow>, MultiRunError> {
+    let spec = RunSpec::new(kernel).hetero(cfgs.to_vec()).weights(weights);
+    let Some(out) = MultiRunError::skip_unshardable(spec.run())? else {
+        return Ok(None);
     };
+    let m = out.into_multi();
     let default_lm = hsim_mem::LmConfig::default().size_bytes;
     Ok(Some(HeteroSweepRow {
         kernel: kernel.name.clone(),
@@ -1425,22 +1202,13 @@ pub fn hetero_sweep(
     kernels: &[Kernel],
     cores: usize,
     par: Parallelism,
-) -> Result<Vec<HeteroSweepRow>, SimError> {
-    let shapes = hetero_shapes(cores);
-    let points: Vec<(&Kernel, &HeteroShape)> = kernels
-        .iter()
-        .flat_map(|k| shapes.iter().map(move |s| (k, s)))
-        .collect();
-    let results = par.map(points, |(k, (label, cfgs, weights))| {
-        hetero_point(k, label, cfgs, weights)
-    });
-    let mut rows = Vec::new();
-    for r in results {
-        if let Some(row) = r? {
-            rows.push(row);
-        }
-    }
-    Ok(rows)
+) -> Result<Vec<HeteroSweepRow>, MultiRunError> {
+    sweep_grid(
+        kernels,
+        &hetero_shapes(cores),
+        par,
+        |k, (label, cfgs, weights)| hetero_point(k, label, cfgs, weights),
+    )
 }
 
 /// One row of the communication-workload sweep: one workload family at

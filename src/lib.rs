@@ -58,8 +58,8 @@
 //!
 //! ## Multicore model
 //!
-//! [`Machine::new_multi`] (or [`MultiMachine::for_kernels`]) builds an
-//! N-core machine: everything the paper adds — local memory, coherence
+//! [`Machine::new_multi_hetero`] (or [`MultiMachine::for_kernels`])
+//! builds an N-core machine: everything the paper adds — local memory, coherence
 //! directory, guarded AGU path, DMAC — is replicated per core and never
 //! interacts across cores, exactly the §3 integration argument. The
 //! cores share a banked L3 (per-bank round-robin port arbitration) and
@@ -71,17 +71,17 @@
 //! per-core slices the paper's evaluation model assumes, and
 //! [`experiments::backside_sweep`] measures row-buffer locality and
 //! bank contention across kernels and core counts
-//! (`cargo run -p hsim-bench --bin backside`).
+//! (`cargo run -p hsim-bench -- backside`).
 //!
 //! Machines are built **per tile**: [`Machine::new_multi_hetero`] /
-//! [`machine::MultiMachine::for_kernels_hetero`] take one
+//! [`machine::MultiMachine::try_for_kernels_hetero`] take one
 //! `MachineConfig` per core, so hybrid and cache-based tiles — or
 //! hybrid tiles with different LM budgets — coexist on one chip under
 //! one inter-core protocol (the paper's §3/§6 coexistence claim,
 //! simulated). [`compiler::Kernel::shard_weighted`] matches iteration
 //! counts to tile strength, and [`experiments::hetero_sweep`] sweeps
 //! hybrid:cache ratios and LM asymmetry
-//! (`cargo run -p hsim-bench --bin hetero`).
+//! (`cargo run -p hsim-bench -- hetero`).
 //!
 //! ## Cycle-skipping scheduler
 //!
@@ -103,8 +103,9 @@
 //! `skip_equivalence` tests against the `lockstep: true` escape hatch,
 //! [`MachineConfig::with_lockstep`]). `CoreStats::skipped_cycles` and
 //! `RunReport::skipped_cycles` report how much dead time each workload
-//! had; the `simspeed` bench binary turns that into a
-//! simulated-cycles-per-host-second trajectory (`BENCH_simspeed.json`).
+//! had; the repository's benchmark (`benchmark/`, declared in
+//! `BENCHMARK.json`) turns that into simulated cycles per host second,
+//! end to end and layer by layer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -132,12 +133,6 @@ pub use experiments::{
     scaling_sweep, BacksideSweepRow, CoherenceSweepRow, CommSweepRow, HeteroSweepRow,
     MultiRunError, Parallelism, ProtocolSweepRow, RunOutcome, RunSpec, ScalingRow,
 };
-#[allow(deprecated)]
-pub use experiments::{
-    run_kernel, run_kernel_clustered, run_kernel_multi, run_kernel_multi_hetero,
-    run_kernel_multi_profiled, run_kernel_multi_with, run_kernel_profiled, run_kernel_verified,
-    run_kernel_with,
-};
 pub use machine::{Machine, MachineConfig, MultiMachine, SysMode, World};
 pub use metrics::{
     activity, LatencyHistogram, MultiRunReport, RequestServingReport, RunReport, NOMINAL_CLOCK_HZ,
@@ -153,12 +148,6 @@ pub mod prelude {
         hetero_sweep, protocol_sweep, request_serving, request_serving_sweep, scaling_sweep,
         BacksideSweepRow, CoherenceSweepRow, CommSweepRow, HeteroSweepRow, MultiRunError,
         Parallelism, ProtocolSweepRow, RunOutcome, RunSpec, ScalingRow,
-    };
-    #[allow(deprecated)]
-    pub use crate::experiments::{
-        run_kernel, run_kernel_clustered, run_kernel_multi, run_kernel_multi_hetero,
-        run_kernel_multi_profiled, run_kernel_multi_with, run_kernel_profiled, run_kernel_verified,
-        run_kernel_with,
     };
     pub use crate::machine::{Machine, MachineConfig, MultiMachine, SysMode};
     pub use crate::metrics::{

@@ -22,8 +22,10 @@
 
 use hsim_coherence::{DirConfig, Directory, Tracker};
 use hsim_compiler::{CodegenMode, CompiledKernel, Kernel, ShardError};
-use hsim_core::pipeline::SimError;
-use hsim_core::{Core, CoreConfig, DmaKind, MemSide, MemoryPort, PortDiagnostics, RouteInfo};
+use hsim_core::pipeline::{timed, SimError};
+use hsim_core::{
+    Core, CoreConfig, DmaKind, MemSide, MemoryPort, PortDiagnostics, RouteInfo, TickOutcome,
+};
 use hsim_isa::memmap::{MemoryMap, Region};
 use hsim_isa::{Program, Route, Width};
 use hsim_mem::{Level, MemConfig, MemSystem, PagedMem, SharedBackside};
@@ -276,24 +278,11 @@ impl Machine {
             .unwrap_or(0)
     }
 
-    /// Builds an `n`-core machine: per-core tiles (pipeline, L1/L2, TLB,
+    /// Builds an `n`-core machine — per-core tiles (pipeline, L1/L2, TLB,
     /// prefetcher, LM, DMAC and coherence directory) in front of one
-    /// shared L3 + DRAM backside, one program per core. See
-    /// [`MultiMachine`] for the lock-step execution model.
-    ///
-    /// If the configuration's `l3_port_gap` is 0 (the single-core
-    /// default, an ideally-ported L3), it is raised to
-    /// [`MultiMachine::DEFAULT_L3_PORT_GAP`] so the shared port is a real
-    /// contended resource; set it explicitly to model anything else.
-    ///
-    /// This is the homogeneous wrapper around
-    /// [`Machine::new_multi_hetero`]: every tile gets a clone of `cfg`.
-    pub fn new_multi(n: usize, cfg: MachineConfig, programs: Vec<Program>) -> MultiMachine {
-        Machine::new_multi_hetero(vec![cfg; n], programs)
-    }
-
-    /// Builds a **heterogeneous** machine: tile `i` is configured by
-    /// `cfgs[i]` and runs `programs[i]`. Tiles may differ in anything
+    /// shared L3 + DRAM backside; see [`MultiMachine`] for the execution
+    /// model. Tile `i` is configured by `cfgs[i]` and runs `programs[i]`
+    /// (`vec![cfg; n]` is the homogeneous machine). Tiles may differ in anything
     /// private to a tile — core parameters, `SysMode` (hybrid and
     /// cache-based tiles coexist on one chip), L1/L2 geometry, LM size
     /// or absence, prefetcher, MSHRs, DMA engine — but must agree on
@@ -306,9 +295,10 @@ impl Machine {
     /// guarantees — exact per-core shares, bit-identical cycle skipping
     /// — holds for mixed chips too.
     ///
-    /// Any tile whose `l3_port_gap` is 0 is raised to
-    /// [`MultiMachine::DEFAULT_L3_PORT_GAP`], mirroring
-    /// [`Machine::new_multi`].
+    /// Any tile whose `l3_port_gap` is 0 (the single-core default, an
+    /// ideally-ported L3) is raised to
+    /// [`MultiMachine::DEFAULT_L3_PORT_GAP`] so the shared port is a real
+    /// contended resource; set it explicitly to model anything else.
     pub fn new_multi_hetero(mut cfgs: Vec<MachineConfig>, programs: Vec<Program>) -> MultiMachine {
         let n = cfgs.len();
         assert!(n >= 1, "a machine needs at least one core");
@@ -360,21 +350,6 @@ struct SchedState {
     in_stretch: bool,
 }
 
-/// Runs `f`, charging its wall-clock time to `secs`/`count` when `on`.
-/// Monomorphized away entirely when the caller passes a const `false`.
-#[inline(always)]
-fn timed<T>(on: bool, secs: &mut f64, count: &mut u64, f: impl FnOnce() -> T) -> T {
-    if on {
-        let t0 = std::time::Instant::now();
-        let r = f();
-        *secs += t0.elapsed().as_secs_f64();
-        *count += 1;
-        r
-    } else {
-        f()
-    }
-}
-
 /// An `n`-core machine: per-core [`Machine`] tiles sharing one L3 + DRAM
 /// backside.
 ///
@@ -418,31 +393,23 @@ impl MultiMachine {
     /// `shards[i]`'s program with its data loaded. Use
     /// [`hsim_compiler::Kernel::shard`] to slice one kernel across cores.
     pub fn for_kernels(cfg: MachineConfig, shards: &[(CompiledKernel, Kernel)]) -> MultiMachine {
-        MultiMachine::for_kernels_hetero(vec![cfg; shards.len()], shards)
+        MultiMachine::try_for_kernels_hetero(vec![cfg; shards.len()], shards)
+            .expect("communication-array layouts diverge across the kernels")
     }
 
-    /// The heterogeneous sibling of [`MultiMachine::for_kernels`]: tile
+    /// The heterogeneous form of [`MultiMachine::for_kernels`]: tile
     /// `i` is built from `cfgs[i]` and runs `shards[i]`, whose codegen
     /// mode must match that tile's `SysMode` (compile each shard for
-    /// its tile — hybrid tiles with [`hsim_compiler::compile`] or a
-    /// per-tile LM budget via [`hsim_compiler::compile_with_lm`],
-    /// cache-based tiles with their own codegen). Use
+    /// its tile — [`crate::experiments::compile_for_tile`]). Use
     /// [`hsim_compiler::Kernel::shard_weighted`] to match iteration
     /// counts to tile strength. Shared-range registration works across
     /// mixed modes: the data layout is mode-independent, so a
     /// cache-based tile and a hybrid tile can serve one read-only array
     /// from the same directory-tracked lines under
     /// `CoherenceMode::Mesi`.
-    pub fn for_kernels_hetero(
-        cfgs: Vec<MachineConfig>,
-        shards: &[(CompiledKernel, Kernel)],
-    ) -> MultiMachine {
-        MultiMachine::try_for_kernels_hetero(cfgs, shards)
-            .expect("communication-array layouts diverge across the kernels")
-    }
-
-    /// Like [`MultiMachine::for_kernels_hetero`], but surfaces the one
-    /// construction failure that must not be papered over: a
+    ///
+    /// Surfaces the one construction failure that must not be papered
+    /// over: a
     /// **communication array** ([`hsim_compiler::ArrayDecl::comm`] —
     /// flags, queue slots, locks, shared request tables) whose layouts
     /// diverge across the per-core kernels. Read-only sharder-derived
@@ -593,7 +560,7 @@ impl MultiMachine {
 
     /// Runs to completion like [`MultiMachine::run`], attributing host
     /// wall-clock time to the scheduler's tick / advance / horizon-scan
-    /// phases in `prof` (the `simspeed --profile` instrumentation). The
+    /// phases in `prof` (what the benchmark's traced pass reads). The
     /// simulated outcome is identical; only host timing is added.
     pub fn run_profiled(&mut self, prof: &mut hsim_core::HostProfile) -> Result<(), SimError> {
         self.run_until_gen::<true>(u64::MAX, prof)
@@ -651,15 +618,7 @@ impl MultiMachine {
                     if !tile.core.halted() {
                         live += 1;
                         mcycle = mcycle.max(tile.core.now());
-                        heap.push(Reverse((
-                            timed(
-                                PROF,
-                                &mut prof.horizon_secs,
-                                &mut prof.horizon_scans,
-                                || Self::tile_target(tile),
-                            ),
-                            i,
-                        )));
+                        heap.push(Self::horizon_entry::<PROF>(tile, i, prof));
                     }
                 }
                 SchedState {
@@ -690,28 +649,13 @@ impl MultiMachine {
                         if tile.core.halted() {
                             continue;
                         }
-                        if tile.core.progress_certain() {
-                            // A commit or dispatch is guaranteed this
-                            // tick: the fingerprint provably changes,
-                            // skip both probes.
-                            timed(PROF, &mut prof.tick_secs, &mut prof.ticks, || {
-                                tile.core.tick(&mut tile.world)
-                            })?;
-                            if tile.core.halted() {
+                        match tile.core.tick_classified::<PROF>(&mut tile.world, prof)? {
+                            TickOutcome::Halted => {
                                 st.live -= 1;
                                 stretch_over = true;
                             }
-                            continue;
-                        }
-                        let before = tile.core.progress_fingerprint();
-                        timed(PROF, &mut prof.tick_secs, &mut prof.ticks, || {
-                            tile.core.tick(&mut tile.world)
-                        })?;
-                        if tile.core.halted() {
-                            st.live -= 1;
-                            stretch_over = true;
-                        } else if tile.core.progress_fingerprint() == before {
-                            stretch_over = true;
+                            TickOutcome::Quiet => stretch_over = true,
+                            TickOutcome::Busy => {}
                         }
                     }
                     self.rr_start = (self.rr_start + 1) % n;
@@ -723,15 +667,7 @@ impl MultiMachine {
                 st.in_stretch = false;
                 for (i, tile) in self.tiles.iter().enumerate() {
                     if !tile.core.halted() {
-                        st.heap.push(Reverse((
-                            timed(
-                                PROF,
-                                &mut prof.horizon_secs,
-                                &mut prof.horizon_scans,
-                                || Self::tile_target(tile),
-                            ),
-                            i,
-                        )));
+                        st.heap.push(Self::horizon_entry::<PROF>(tile, i, prof));
                     }
                 }
             }
@@ -788,40 +724,12 @@ impl MultiMachine {
                     continue;
                 }
                 is_due[i] = false;
-                if tile.core.progress_certain() {
-                    // Provably commits or dispatches — the fingerprint
-                    // would change, so the tile stays busy without
-                    // either probe.
-                    timed(PROF, &mut prof.tick_secs, &mut prof.ticks, || {
-                        tile.core.tick(&mut tile.world)
-                    })?;
-                    if tile.core.halted() {
-                        st.live -= 1;
-                    } else {
-                        busy.push(i);
-                    }
-                    continue;
-                }
-                let before = tile.core.progress_fingerprint();
-                timed(PROF, &mut prof.tick_secs, &mut prof.ticks, || {
-                    tile.core.tick(&mut tile.world)
-                })?;
-                if tile.core.halted() {
-                    st.live -= 1;
-                } else if tile.core.progress_fingerprint() != before {
+                match tile.core.tick_classified::<PROF>(&mut tile.world, prof)? {
+                    TickOutcome::Halted => st.live -= 1,
                     // A tile that moved something stays due next cycle;
                     // only quiesced tiles pay for a horizon scan.
-                    busy.push(i);
-                } else {
-                    st.heap.push(Reverse((
-                        timed(
-                            PROF,
-                            &mut prof.horizon_secs,
-                            &mut prof.horizon_scans,
-                            || Self::tile_target(tile),
-                        ),
-                        i,
-                    )));
+                    TickOutcome::Busy => busy.push(i),
+                    TickOutcome::Quiet => st.heap.push(Self::horizon_entry::<PROF>(tile, i, prof)),
                 }
             }
             st.mcycle = event + 1;
@@ -836,11 +744,25 @@ impl MultiMachine {
         Ok(())
     }
 
-    /// One tile's next-event cycle: the core's clamped horizon, further
-    /// clamped by its memory side's pending work.
-    fn tile_target(tile: &Machine) -> u64 {
-        let mem_event = tile.world.next_mem_event_at(tile.core.now());
-        tile.core.skip_target(mem_event)
+    /// Tile `i`'s horizon-heap entry: its next-event cycle — the core's
+    /// clamped horizon, further clamped by its memory side's pending
+    /// work — with the scan charged to `prof` under `PROF`.
+    #[inline(always)]
+    fn horizon_entry<const PROF: bool>(
+        tile: &Machine,
+        i: usize,
+        prof: &mut hsim_core::HostProfile,
+    ) -> std::cmp::Reverse<(u64, usize)> {
+        let target = timed(
+            PROF,
+            &mut prof.horizon_secs,
+            &mut prof.horizon_scans,
+            || {
+                tile.core
+                    .skip_target(tile.world.next_mem_event_at(tile.core.now()))
+            },
+        );
+        std::cmp::Reverse((target, i))
     }
 
     /// Parallel makespan: the cycle count of the slowest core.

@@ -77,6 +77,12 @@ fn assert_cluster_reports_equal(
         a.cross_cluster_fallbacks, b.cross_cluster_fallbacks,
         "{what}: cluster fallbacks"
     );
+    assert_per_cluster_equal(a, b, what);
+}
+
+/// The simulated side of two cluster reports — every per-cluster,
+/// per-core statistic — must agree (the epoch bookkeeping may differ).
+fn assert_per_cluster_equal(a: &hsim::ClusterRunReport, b: &hsim::ClusterRunReport, what: &str) {
     assert_eq!(a.per_cluster.len(), b.per_cluster.len(), "{what}: clusters");
     for (c, (ca, cb)) in a.per_cluster.iter().zip(&b.per_cluster).enumerate() {
         assert_eq!(ca.makespan, cb.makespan, "{what}: cluster {c} makespan");
@@ -140,6 +146,35 @@ fn threaded_clusters_match_serial_oracle() {
             }
         }
     }
+}
+
+/// The epoch length is a host-side synchronization grain, not a
+/// simulated quantity: a 1-cycle inter-cluster latency (one epoch per
+/// cycle) must reproduce the default 500-cycle run's per-cluster
+/// reports exactly. Regression: with the default `max_cycles` of
+/// `u64::MAX`, the derived watchdog bound `max_cycles / 1 + 2` wrapped
+/// to 1 (release) or overflow-panicked (debug), failing every cluster
+/// after its first epoch.
+#[test]
+fn one_cycle_epochs_match_the_default_epoch_length() {
+    let kernel = nas::cg(Scale::Test);
+    let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
+    let run = |latency: u64| {
+        let mut cluster = ClusterConfig::new(ClusterTopology::new(2, 2)).serial();
+        cluster.inter_cluster_latency = latency;
+        assert!(cluster.effective_max_epochs(&cfg) > 2);
+        RunSpec::new(&kernel)
+            .clustered(&cluster)
+            .config(cfg.clone())
+            .run()
+            .map(RunOutcome::into_clusters)
+            .unwrap_or_else(|e| panic!("latency {latency}: {e}"))
+    };
+    let (fine, default) = (run(1), run(500));
+    assert_eq!(fine.makespan, default.makespan);
+    assert_eq!(fine.epoch_cycles, 1);
+    assert!(fine.epochs > default.epochs);
+    assert_per_cluster_equal(&fine, &default, "CG 2x2 latency 1 vs 500");
 }
 
 /// Identity 2: the epoch-chunked skipping machine == the per-cycle

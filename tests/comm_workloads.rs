@@ -18,9 +18,6 @@
 //!   whose comm-marked declarations disagree must fail with
 //!   [`ShardError::CommLayoutDiverged`], never silently fall back to
 //!   replication and report wrong-answer timings.
-//! - **legacy wrappers pin bit-identical**: every deprecated
-//!   `run_kernel*` entry point must return exactly what the equivalent
-//!   [`RunSpec`] does.
 
 use hsim::compiler::ShardError;
 use hsim::prelude::*;
@@ -252,117 +249,4 @@ mod open_loop_determinism {
             prop_assert_eq!(a.span_cycles, b.span_cycles);
         }
     }
-}
-
-/// Every deprecated entry point must return exactly what the
-/// equivalent [`RunSpec`] does — the compatibility contract of the
-/// redesign.
-#[allow(deprecated)]
-#[test]
-fn legacy_wrappers_pin_bit_identical_to_runspec() {
-    use hsim_workloads::nas;
-    let k = nas::cg(Scale::Test);
-    let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
-
-    let assert_single = |a: &RunReport, b: &RunReport, what: &str| {
-        assert_eq!(a.cycles, b.cycles, "{what}: cycles");
-        assert_eq!(a.committed, b.committed, "{what}: committed");
-        assert_eq!(a.dram_reads, b.dram_reads, "{what}: DRAM reads");
-        assert_eq!(a.amat.to_bits(), b.amat.to_bits(), "{what}: AMAT");
-        assert_eq!(a.skipped_cycles, b.skipped_cycles, "{what}: skipped");
-    };
-
-    let legacy = hsim::run_kernel(&k, SysMode::CacheBased, false).unwrap();
-    let spec = RunSpec::new(&k)
-        .mode(SysMode::CacheBased)
-        .run()
-        .unwrap()
-        .into_single();
-    assert_single(&legacy, &spec, "run_kernel");
-
-    let legacy = hsim::run_kernel_with(&k, cfg.clone()).unwrap();
-    let spec = RunSpec::new(&k)
-        .config(cfg.clone())
-        .run()
-        .unwrap()
-        .into_single();
-    assert_single(&legacy, &spec, "run_kernel_with");
-
-    let (legacy, lm) = hsim::run_kernel_verified(&k, SysMode::HybridCoherent, true).unwrap();
-    let out = RunSpec::new(&k)
-        .mode(SysMode::HybridCoherent)
-        .track(true)
-        .verified()
-        .run()
-        .unwrap();
-    assert_eq!(lm, out.verify_mismatches.expect("verified run"));
-    assert_single(&legacy, &out.into_single(), "run_kernel_verified");
-
-    let (legacy, lprof) = hsim::run_kernel_profiled(&k, cfg.clone()).unwrap();
-    let out = RunSpec::new(&k)
-        .config(cfg.clone())
-        .profiled()
-        .run()
-        .unwrap();
-    let sprof = out.profile.expect("profiled run");
-    assert_eq!(lprof.ticks, sprof.ticks, "run_kernel_profiled: ticks");
-    assert_eq!(
-        lprof.advances, sprof.advances,
-        "run_kernel_profiled: advances"
-    );
-    assert_single(&legacy, &out.into_single(), "run_kernel_profiled");
-
-    let legacy = hsim::run_kernel_multi(&k, 4, SysMode::HybridCoherent, false).unwrap();
-    let spec = RunSpec::new(&k)
-        .cores(4)
-        .mode(SysMode::HybridCoherent)
-        .run()
-        .unwrap()
-        .into_multi();
-    assert_multi_equal(&legacy, &spec, "run_kernel_multi");
-
-    let legacy = hsim::run_kernel_multi_with(&k, 4, cfg.clone()).unwrap();
-    let spec = RunSpec::new(&k)
-        .cores(4)
-        .config(cfg.clone())
-        .run()
-        .unwrap()
-        .into_multi();
-    assert_multi_equal(&legacy, &spec, "run_kernel_multi_with");
-
-    let (legacy, _) = hsim::run_kernel_multi_profiled(&k, 4, cfg.clone()).unwrap();
-    let spec = RunSpec::new(&k)
-        .cores(4)
-        .config(cfg.clone())
-        .profiled()
-        .run()
-        .unwrap()
-        .into_multi();
-    assert_multi_equal(&legacy, &spec, "run_kernel_multi_profiled");
-
-    let cfgs = vec![cfg.clone(); 2];
-    let legacy = hsim::run_kernel_multi_hetero(&k, &cfgs, &[1, 3]).unwrap();
-    let spec = RunSpec::new(&k)
-        .hetero(cfgs)
-        .weights(&[1, 3])
-        .run()
-        .unwrap()
-        .into_multi();
-    assert_multi_equal(&legacy, &spec, "run_kernel_multi_hetero");
-
-    let cluster = ClusterConfig::new(ClusterTopology::new(2, 2));
-    let legacy = hsim::run_kernel_clustered(&k, &cluster, cfg.clone()).unwrap();
-    let spec = RunSpec::new(&k)
-        .clustered(&cluster)
-        .config(cfg)
-        .run()
-        .unwrap()
-        .into_clusters();
-    assert_eq!(legacy.makespan, spec.makespan, "run_kernel_clustered");
-    assert_eq!(legacy.epochs, spec.epochs, "run_kernel_clustered: epochs");
-    assert_eq!(
-        legacy.total_committed(),
-        spec.total_committed(),
-        "run_kernel_clustered: committed"
-    );
 }

@@ -42,7 +42,8 @@ fn run_hetero_machine(
             (ck, s)
         })
         .collect();
-    let mut m = MultiMachine::for_kernels_hetero(cfgs.to_vec(), &compiled);
+    let mut m = MultiMachine::try_for_kernels_hetero(cfgs.to_vec(), &compiled)
+        .expect("no comm arrays to diverge");
     m.run().expect("all tiles halt");
     let cks: Vec<_> = compiled.iter().map(|(ck, _)| ck.clone()).collect();
     let report = MultiRunReport::collect(&m, &cks);

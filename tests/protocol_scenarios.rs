@@ -316,7 +316,7 @@ fn multicore_directories_are_isolated() {
 
     let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
     cfg.track_coherence = true;
-    let mut multi = Machine::new_multi(4, cfg, vec![program; 4]);
+    let mut multi = Machine::new_multi_hetero(vec![cfg; 4], vec![program; 4]);
     multi.run().expect("all cores halt");
 
     for tile in &multi.tiles {
