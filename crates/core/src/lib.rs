@@ -6,7 +6,7 @@
 //! * hybrid branch predictor (4K selector / 4K gshare / 4K bimodal),
 //!   4K-entry 4-way BTB, 32-entry return address stack;
 //! * rename onto 256-entry INT and FP physical register files;
-//! * 3 INT ALUs, 3 FP ALUs, 2 load/store units; 128-entry ROB;
+//! * 3 INT ALUs, 3 FP ALUs, 2 load/store units; 224-entry ROB;
 //! * a load/store queue with store-to-load forwarding and **store
 //!   collapsing** — two uncommitted stores to the same address commit with
 //!   a single cache access, which is the mechanism behind the paper's
@@ -23,6 +23,33 @@
 //! at fetch, so misprediction costs are modeled; wrong-path instructions
 //! are not executed (documented simplification — no wrong-path cache
 //! pollution).
+//!
+//! ## The issue stage is event-driven
+//!
+//! Nothing in the back end walks the ROB. At dispatch an instruction
+//! links itself onto the *consumer chain* of every producer that has not
+//! issued yet (intrusive, allocation-free: `dep_head` on the producer,
+//! `dep_next[slot]` on the consumer) and counts those producers in
+//! `pending`; producers that already issued fold their completion time
+//! into its `ready_at`. Issuing an entry walks its chain; a consumer
+//! whose `pending` reaches zero enters the `wake` min-heap keyed
+//! `(ready_at, seq)`. Each cycle `issue` moves the keys that have come
+//! due into `ready` — the operand-ready entries, oldest first — and runs
+//! select over that list alone. Loads disambiguate against `store_q`,
+//! the in-flight stores in program order, not against the ROB.
+//!
+//! Two ordering invariants make this select pick what an oldest-first
+//! scan of the whole ROB would: every result completes strictly after
+//! its issue cycle, so nothing woken during a select is selectable in
+//! it; and select runs in age order, so a store issued earlier in the
+//! cycle is visible as issued to a younger load in the same cycle.
+//!
+//! Cost model: a tick pays for the entries that commit, issue, wake or
+//! dispatch, plus the length of `ready`; [`Core::next_event_at`] pays
+//! for `ready` and one heap peek. Entries that only wait — the bulk of a
+//! full ROB behind a cache miss — cost nothing. The scans this replaced
+//! are kept as test-only oracles and checked against the structures
+//! after every tick of generated programs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,7 +14,8 @@ use hsim_isa::inst::{Inst, Operand, Phase};
 use hsim_isa::memmap::MemoryMap;
 use hsim_isa::reg::{FReg, Reg};
 use hsim_isa::{Program, Route, Width};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Cycles without a commit before the watchdog declares
 /// [`SimError::Deadlock`]. The cycle skipper clamps its jumps to
@@ -180,11 +181,29 @@ struct MemOp {
     route: Route,
 }
 
+/// End of a consumer chain.
+const NO_LINK: u64 = u64::MAX;
+
 struct RobEntry {
     seq: u64,
     pc: usize,
     state: EState,
-    /// Producer sequence numbers (up to 3: e.g. dma-get reads 3 regs).
+    /// Source operands whose producer has not issued yet. At zero a
+    /// `Waiting` entry is in `Core::wake` or `Core::ready`.
+    pending: u8,
+    /// Latest `done_at` over the producers that had issued when this
+    /// entry linked to them or was woken by them: once `pending` is
+    /// zero, the cycle from which the operands are all available.
+    ready_at: u64,
+    /// Head of this entry's consumer chain: the entries waiting for it
+    /// to issue, each link encoded `consumer seq << 2 | source slot`.
+    dep_head: u64,
+    /// Per source slot (up to 3: e.g. dma-get reads 3 regs), the next
+    /// link on that producer's consumer chain.
+    dep_next: [u64; 3],
+    /// Producer sequence numbers per source slot, kept for the scan
+    /// oracle the wakeup chains are tested against.
+    #[cfg(test)]
     srcs: [Option<u64>; 3],
     fu: FuClass,
     /// Execution latency for non-memory instructions.
@@ -194,6 +213,7 @@ struct RobEntry {
     is_load: bool,
     is_store: bool,
     is_fp: bool,
+    writes_int: bool,
     is_branch: bool,
     mem: Option<MemOp>,
     /// `dma-synch`: may not complete before this cycle.
@@ -250,6 +270,19 @@ pub struct Core {
     fp_inflight: usize,
     loads_inflight: usize,
     stores_inflight: usize,
+    /// `Waiting` entries with no un-issued producer left whose operands
+    /// arrive later than the next cycle, keyed `(ready_at, seq)`:
+    /// [`Core::issue`] moves the keys that have come due into `ready`.
+    wake: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Seqs of the `Waiting` entries whose operands are available by the
+    /// next select (`ready_at <= now` between ticks), oldest first: the
+    /// only entries select looks at.
+    ready: Vec<u64>,
+    /// Seqs of the in-flight stores, oldest first.
+    store_q: VecDeque<u64>,
+    /// ROB entries the back end has looked up by seq.
+    #[cfg(test)]
+    rob_visits: std::cell::Cell<u64>,
 
     now: u64,
     cur_phase: Phase,
@@ -271,6 +304,9 @@ impl Core {
             ),
             btb: Btb::new(cfg.btb_entries, cfg.btb_ways),
             ras: Ras::new(cfg.ras_entries),
+            wake: BinaryHeap::with_capacity(cfg.rob_size),
+            ready: Vec::with_capacity(cfg.rob_size),
+            store_q: VecDeque::with_capacity(cfg.lsq_stores),
             cfg,
             program,
             mmap,
@@ -292,6 +328,8 @@ impl Core {
             fp_inflight: 0,
             loads_inflight: 0,
             stores_inflight: 0,
+            #[cfg(test)]
+            rob_visits: std::cell::Cell::new(0),
             now: 0,
             cur_phase: Phase::Other,
             halted: false,
@@ -446,7 +484,8 @@ impl Core {
     /// The earliest cycle at or after `now` at which *anything* in the
     /// pipeline can change: the ROB head completing (commit), a waiting
     /// instruction's operands becoming ready (issue), or the front end
-    /// leaving an I-miss/redirect stall (fetch). Returns `now` itself
+    /// leaving an I-miss/redirect stall (fetch). Costs the ready list
+    /// plus one heap peek — no ROB walk. Returns `now` itself
     /// whenever any stage may make progress this cycle — the
     /// conservative "don't skip" answer. Cycles strictly before the
     /// returned horizon are provable no-ops: no port traffic and no
@@ -479,38 +518,55 @@ impl Core {
             }
             horizon = horizon.min(t);
         }
-        for (i, e) in self.rob.iter().enumerate() {
-            match e.state {
-                EState::Issued => {
-                    // Completion matters at the head (commit); elsewhere
-                    // it is observed through dependents' readiness below.
-                    if i == 0 {
-                        horizon = horizon.min(e.done_at.max(now));
+        // Completion matters at the head (commit); elsewhere it is
+        // observed through dependents' wake keys below.
+        if let Some(head) = self.rob.front() {
+            if head.state == EState::Issued {
+                horizon = horizon.min(head.done_at.max(now));
+            }
+        }
+        // An entry whose operands are ready can issue now, unless it is
+        // a load blocked by memory disambiguation: that one unblocks
+        // only when the older store issues or commits — both events of
+        // their own, so the blocked load adds no horizon.
+        if self.ready.iter().any(|&seq| !self.is_blocked_load(seq)) {
+            return now;
+        }
+        // Entries whose producers have not all issued are in neither
+        // list: they wake through those producers' own horizons.
+        match self.wake.peek() {
+            None => {}
+            Some(&Reverse((ready_at, _))) if ready_at > now => horizon = horizon.min(ready_at),
+            // Keys that came due since the last select count as ready;
+            // the heap does not order them by age, so look at each.
+            Some(_) => {
+                for &Reverse((ready_at, seq)) in &self.wake {
+                    if ready_at > now {
+                        horizon = horizon.min(ready_at);
+                    } else if !self.is_blocked_load(seq) {
+                        return now;
                     }
-                }
-                EState::Waiting => {
-                    // Earliest cycle the operands can be ready. Entries
-                    // whose producers have not issued wake through those
-                    // producers' own horizons instead.
-                    let Some(ready_at) = self.operand_ready_at(i) else {
-                        continue;
-                    };
-                    let ready_at = ready_at.max(now);
-                    // A ready load can still be blocked by memory
-                    // disambiguation; it unblocks only when the older
-                    // store issues or commits — both events of their
-                    // own, so the blocked load adds no horizon.
-                    if ready_at <= now
-                        && e.is_load
-                        && matches!(self.load_disambiguate(i), LoadPath::Blocked)
-                    {
-                        continue;
-                    }
-                    horizon = horizon.min(ready_at);
                 }
             }
         }
         horizon
+    }
+
+    /// Whether in-flight entry `seq` is a load that memory
+    /// disambiguation holds back this cycle.
+    fn is_blocked_load(&self, seq: u64) -> bool {
+        let i = self.rob_index(seq);
+        self.rob[i].is_load && matches!(self.load_disambiguate(i), LoadPath::Blocked)
+    }
+
+    /// ROB position of in-flight entry `seq`. Every seq-to-entry lookup
+    /// of the back end goes through here, so the test-only visit count
+    /// bounds the entries a tick or a horizon query examines.
+    #[inline(always)]
+    fn rob_index(&self, seq: u64) -> usize {
+        #[cfg(test)]
+        self.rob_visits.set(self.rob_visits.get() + 1);
+        (seq - self.head_seq) as usize
     }
 
     /// The cycle-skipping target for the current state:
@@ -631,7 +687,7 @@ impl Core {
             if e.is_fp {
                 self.stats.fp_ops += 1;
                 self.fp_inflight -= 1;
-            } else if writes_int(&self.program.insts[e.pc]) {
+            } else if e.writes_int {
                 self.int_inflight -= 1;
             }
             if e.is_branch {
@@ -646,6 +702,8 @@ impl Core {
                 if e.is_store {
                     self.stats.stores += 1;
                     self.stores_inflight -= 1;
+                    let oldest = self.store_q.pop_front();
+                    debug_assert_eq!(oldest, Some(e.seq), "stores commit in order");
                     store_ports -= 1;
                     let key = (m.info.addr, m.width.bytes(), m.info.side);
                     if last_store == Some(key) {
@@ -672,26 +730,44 @@ impl Core {
 
     // ---------------------------------------------------------------- issue
 
+    /// Wakeup and select. `wake` keys that have come due join the
+    /// age-ordered `ready` list; select then runs oldest-first over
+    /// `ready` alone, losers (no free unit, a disambiguation-blocked
+    /// load, no slot left) staying for the next cycle. This picks what
+    /// an oldest-first scan of the whole ROB would, on two invariants,
+    /// both asserted:
+    ///
+    /// * every `done_at` assigned at issue is `> now`, so an entry woken
+    ///   during this select cannot itself be selectable this cycle —
+    ///   draining `wake` once, up front, sees every candidate;
+    /// * select visits `ready` in `seq` order, so a store issued earlier
+    ///   in the cycle is already `Issued` when a younger load
+    ///   disambiguates against it.
     fn issue(&mut self, port: &mut impl MemoryPort) {
+        let now = self.now;
+        while let Some(&Reverse((ready_at, seq))) = self.wake.peek() {
+            if ready_at > now {
+                break;
+            }
+            self.wake.pop();
+            let at = self.ready.partition_point(|&s| s < seq);
+            self.ready.insert(at, seq);
+        }
+        if self.ready.is_empty() {
+            return;
+        }
+        debug_assert!(self.ready.windows(2).all(|w| w[0] < w[1]));
         let mut int_free = self.cfg.int_alus;
         let mut fp_free = self.cfg.fp_alus;
         let mut mem_free = self.cfg.ls_units;
         let mut slots = self.cfg.issue_width;
-        let now = self.now;
 
-        // Oldest-first selection.
-        for i in 0..self.rob.len() {
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.retain(|&seq| {
             if slots == 0 {
-                break;
+                return true;
             }
-            if self.rob[i].state != EState::Waiting {
-                continue;
-            }
-            // Operand readiness.
-            match self.operand_ready_at(i) {
-                Some(ready_at) if ready_at <= now => {}
-                _ => continue,
-            }
+            let i = self.rob_index(seq);
             // FU availability.
             let fu_free = match self.rob[i].fu {
                 FuClass::IntAlu => &mut int_free,
@@ -699,43 +775,30 @@ impl Core {
                 FuClass::Mem => &mut mem_free,
             };
             if *fu_free == 0 {
-                continue;
+                return true;
             }
-            // Loads: memory disambiguation against older stores.
-            if self.rob[i].is_load {
+            let done_at = if self.rob[i].is_load {
+                // Loads: memory disambiguation against older stores.
                 match self.load_disambiguate(i) {
-                    LoadPath::Blocked => continue,
+                    LoadPath::Blocked => return true,
                     LoadPath::Forward => {
-                        *fu_free -= 1;
-                        slots -= 1;
-                        let done = now + 1 + self.cfg.forward_latency;
-                        let e = &mut self.rob[i];
-                        e.state = EState::Issued;
-                        e.done_at = done;
-                        self.stats.issued += 1;
                         self.stats.lsq_forwards += 1;
                         self.stats.served[5] += 1;
-                        continue;
+                        now + 1 + self.cfg.forward_latency
                     }
                     LoadPath::Memory => {
-                        *fu_free -= 1;
-                        slots -= 1;
-                        let pc_addr = self.pc_addr(self.rob[i].pc);
-                        let e = &mut self.rob[i];
-                        let m = e.mem.as_ref().unwrap();
+                        let e = &self.rob[i];
+                        let info = e.mem.as_ref().unwrap().info;
                         // AGU takes one cycle; the presence bit may delay
                         // the access further (§3.2 double-buffer support).
                         let mut start = now + 1;
-                        if m.info.ready_at > start {
+                        if info.ready_at > start {
                             self.stats.presence_stalls += 1;
-                            start = m.info.ready_at;
+                            start = info.ready_at;
                         }
-                        let info = m.info;
-                        let (lat, served) = port.timing_access(start, pc_addr, &info, false);
-                        e.state = EState::Issued;
-                        e.done_at = start + lat;
-                        self.stats.issued += 1;
-                        self.stats.load_latency_sum += e.done_at - (now + 1);
+                        let (lat, served) =
+                            port.timing_access(start, self.pc_addr(e.pc), &info, false);
+                        self.stats.load_latency_sum += start + lat - (now + 1);
                         self.stats.loads_timed += 1;
                         self.stats.served[level_index(served)] += 1;
                         if matches!(
@@ -744,65 +807,66 @@ impl Core {
                         ) {
                             self.stats.replay_issues += self.cfg.replay_per_miss;
                         }
-                        continue;
+                        start + lat
                     }
                 }
-            }
-            // Everything else.
+            } else {
+                let e = &self.rob[i];
+                if e.synch_until > 0 {
+                    (now + 1).max(e.synch_until)
+                } else {
+                    now + e.latency
+                }
+            };
+            debug_assert!(done_at > now, "a result is never ready in its issue cycle");
             *fu_free -= 1;
             slots -= 1;
             let e = &mut self.rob[i];
             e.state = EState::Issued;
-            e.done_at = if e.synch_until > 0 {
-                (now + 1).max(e.synch_until)
-            } else {
-                now + e.latency
-            };
+            e.done_at = done_at;
             self.stats.issued += 1;
             // A resolved misprediction restarts the front end.
             if e.mispredicted {
                 let target = e.redirect_to;
-                let resume = e.done_at + self.cfg.redirect_penalty;
+                let resume = done_at + self.cfg.redirect_penalty;
                 self.pending_redirect = None;
                 self.fetch_pc = target;
                 self.fetch_resume_at = self.fetch_resume_at.max(resume);
                 self.last_fetch_line = u64::MAX;
             }
-        }
+            self.wake_dependents(i);
+            false
+        });
+        self.ready = ready;
     }
 
-    /// Earliest cycle ROB entry `i`'s operands can all be ready:
-    /// `None` while a producer has not issued (its completion time is
-    /// unknown), otherwise the latest `done_at` over its in-flight
-    /// producers (0 when every producer committed). Shared between
-    /// [`Core::issue`]'s selection and [`Core::next_event_at`]'s horizon
-    /// so the two can never disagree on readiness.
-    fn operand_ready_at(&self, i: usize) -> Option<u64> {
-        let head = self.head_seq;
-        let mut ready_at = 0u64;
-        for s in self.rob[i].srcs.iter().flatten() {
-            if *s < head {
-                continue; // producer committed
+    /// Entry `i` just issued: walks its consumer chain, folding its
+    /// completion time into each consumer's `ready_at`; a consumer whose
+    /// last un-issued producer this was enters `wake`.
+    fn wake_dependents(&mut self, i: usize) {
+        let done_at = self.rob[i].done_at;
+        let mut link = std::mem::replace(&mut self.rob[i].dep_head, NO_LINK);
+        while link != NO_LINK {
+            let (seq, slot) = (link >> 2, (link & 3) as usize);
+            let at = self.rob_index(seq);
+            let c = &mut self.rob[at];
+            c.ready_at = c.ready_at.max(done_at);
+            c.pending -= 1;
+            if c.pending == 0 {
+                self.wake.push(Reverse((c.ready_at, seq)));
             }
-            let p = &self.rob[(*s - head) as usize];
-            if p.state != EState::Issued {
-                return None;
-            }
-            ready_at = ready_at.max(p.done_at);
+            link = c.dep_next[slot];
         }
-        Some(ready_at)
     }
 
     fn load_disambiguate(&self, i: usize) -> LoadPath {
         let e = &self.rob[i];
         let m = e.mem.as_ref().unwrap();
         let (a, w) = (m.info.addr, m.width.bytes());
-        // Scan older stores, youngest first.
-        for j in (0..i).rev() {
-            let s = &self.rob[j];
-            if !s.is_store {
-                continue;
-            }
+        // Older in-flight stores, youngest first.
+        let older = self.store_q.partition_point(|&s| s < e.seq);
+        for &s in self.store_q.range(..older).rev() {
+            let s = &self.rob[self.rob_index(s)];
             let sm = s.mem.as_ref().unwrap();
             let (sa, sw) = (sm.info.addr, sm.width.bytes());
             let overlap = a < sa + sw && sa < a + w;
@@ -823,21 +887,22 @@ impl Core {
     // ------------------------------------------------------------- dispatch
 
     /// Whether the fetch-queue head provably cannot dispatch this cycle:
-    /// the exact rename/LSQ gates [`Core::dispatch`] applies to it. An
-    /// off-program pc counts as *not* blocked — the impending
-    /// `RanOffProgram` error must surface on a real tick, never be
-    /// skipped over.
+    /// it fails [`Core::dispatch_gated`], the gate [`Core::dispatch`]
+    /// itself applies. An off-program pc counts as *not* blocked — the
+    /// impending `RanOffProgram` error must surface on a real tick, never
+    /// be skipped over.
     fn dispatch_blocked(&self) -> bool {
         let Some(f) = self.fetch_queue.front() else {
             return true;
         };
-        let pc = f.pc;
-        if pc >= self.program.len() {
-            return false;
-        }
-        let inst = self.program.insts[pc];
-        (writes_int(&inst) && self.int_inflight >= self.cfg.int_rename_budget())
-            || (writes_fp(&inst) && self.fp_inflight >= self.cfg.fp_rename_budget())
+        f.pc < self.program.len() && self.dispatch_gated(&self.program.insts[f.pc])
+    }
+
+    /// The rename/LSQ gates: whether `inst` must wait for a commit to
+    /// free a physical register or a load/store-queue entry.
+    fn dispatch_gated(&self, inst: &Inst) -> bool {
+        (writes_int(inst) && self.int_inflight >= self.cfg.int_rename_budget())
+            || (writes_fp(inst) && self.fp_inflight >= self.cfg.fp_rename_budget())
             || (inst.is_load() && self.loads_inflight >= self.cfg.lsq_loads)
             || (inst.is_store() && self.stores_inflight >= self.cfg.lsq_stores)
     }
@@ -857,17 +922,7 @@ impl Core {
                 return Err(SimError::RanOffProgram);
             }
             let inst = self.program.insts[pc];
-            // Rename resource checks.
-            if writes_int(&inst) && self.int_inflight >= self.cfg.int_rename_budget() {
-                break;
-            }
-            if writes_fp(&inst) && self.fp_inflight >= self.cfg.fp_rename_budget() {
-                break;
-            }
-            if inst.is_load() && self.loads_inflight >= self.cfg.lsq_loads {
-                break;
-            }
-            if inst.is_store() && self.stores_inflight >= self.cfg.lsq_stores {
+            if self.dispatch_gated(&inst) {
                 break;
             }
             let f = self.fetch_queue.pop_front().unwrap();
@@ -880,6 +935,11 @@ impl Core {
                 seq,
                 pc,
                 state: EState::Waiting,
+                pending: 0,
+                ready_at: 0,
+                dep_head: NO_LINK,
+                dep_next: [NO_LINK; 3],
+                #[cfg(test)]
                 srcs: [None; 3],
                 fu: FuClass::IntAlu,
                 latency: 1,
@@ -887,6 +947,7 @@ impl Core {
                 is_load: inst.is_load(),
                 is_store: inst.is_store(),
                 is_fp: writes_fp(&inst),
+                writes_int: writes_int(&inst),
                 is_branch: inst.is_cond_branch(),
                 mem: None,
                 synch_until: 0,
@@ -897,12 +958,35 @@ impl Core {
             };
 
             // Functional execution + dependence collection.
-            let actual_next = self.exec_functional(port, &inst, pc, seq, &mut entry)?;
+            let mut srcs = [None; 3];
+            let actual_next = self.exec_functional(port, &inst, pc, &mut entry, &mut srcs)?;
 
-            if writes_int(&inst) {
+            // Wakeup links. A committed producer's value is architectural
+            // and an issued one's completion time is known; only a
+            // producer still waiting to issue has to wake this entry.
+            for (slot, src) in srcs.into_iter().enumerate() {
+                let Some(src) = src.filter(|&s| s >= self.head_seq) else {
+                    continue;
+                };
+                let at = self.rob_index(src);
+                let producer = &mut self.rob[at];
+                if producer.state == EState::Issued {
+                    entry.ready_at = entry.ready_at.max(producer.done_at);
+                } else {
+                    entry.dep_next[slot] = producer.dep_head;
+                    producer.dep_head = seq << 2 | slot as u64;
+                    entry.pending += 1;
+                }
+            }
+            #[cfg(test)]
+            {
+                entry.srcs = srcs;
+            }
+
+            if entry.writes_int {
                 self.int_inflight += 1;
             }
-            if writes_fp(&inst) {
+            if entry.is_fp {
                 self.fp_inflight += 1;
             }
             if entry.is_load {
@@ -910,6 +994,17 @@ impl Core {
             }
             if entry.is_store {
                 self.stores_inflight += 1;
+                self.store_q.push_back(seq);
+            }
+            if entry.pending == 0 {
+                // Due by the next select, whenever that runs: the
+                // youngest entry joins `ready` at its tail, in order,
+                // without a trip through the heap.
+                if entry.ready_at <= self.now + 1 {
+                    self.ready.push(seq);
+                } else {
+                    self.wake.push(Reverse((entry.ready_at, seq)));
+                }
             }
             self.rob.push_back(entry);
 
@@ -935,15 +1030,16 @@ impl Core {
         Ok(())
     }
 
-    /// Functionally executes `inst`, filling producers/latency/FU class in
-    /// `entry`, and returns the actual next PC.
+    /// Functionally executes `inst`, filling latency/FU class in `entry`
+    /// and the producer sequence numbers of its source registers in
+    /// `srcs`, and returns the actual next PC.
     fn exec_functional(
         &mut self,
         port: &mut impl MemoryPort,
         inst: &Inst,
         pc: usize,
-        _seq: u64,
         entry: &mut RobEntry,
+        srcs: &mut [Option<u64>; 3],
     ) -> Result<usize, SimError> {
         use Inst::*;
         let mut next = pc + 1;
@@ -954,8 +1050,8 @@ impl Core {
                     Operand::Reg(r) => (self.int_regs[r.index()], self.last_writer_int[r.index()]),
                     Operand::Imm(i) => (i, None),
                 };
-                entry.srcs[0] = self.last_writer_int[rs1.index()];
-                entry.srcs[1] = src2_dep;
+                srcs[0] = self.last_writer_int[rs1.index()];
+                srcs[1] = src2_dep;
                 entry.latency = op.latency() as u64;
                 self.write_int(rd, op.eval(a, b), entry);
             }
@@ -965,30 +1061,30 @@ impl Core {
             Fpu { op, fd, fs1, fs2 } => {
                 let a = self.fp_regs[fs1.index()];
                 let b = self.fp_regs[fs2.index()];
-                entry.srcs[0] = self.last_writer_fp[fs1.index()];
-                entry.srcs[1] = self.last_writer_fp[fs2.index()];
+                srcs[0] = self.last_writer_fp[fs1.index()];
+                srcs[1] = self.last_writer_fp[fs2.index()];
                 entry.fu = FuClass::FpAlu;
                 entry.latency = op.latency() as u64;
                 self.write_fp(fd, op.eval(a, b), entry);
             }
             MovIF { fd, rs } => {
-                entry.srcs[0] = self.last_writer_int[rs.index()];
+                srcs[0] = self.last_writer_int[rs.index()];
                 entry.fu = FuClass::FpAlu;
                 let v = f64::from_bits(self.int_regs[rs.index()] as u64);
                 self.write_fp(fd, v, entry);
             }
             MovFI { rd, fs } => {
-                entry.srcs[0] = self.last_writer_fp[fs.index()];
+                srcs[0] = self.last_writer_fp[fs.index()];
                 self.write_int(rd, self.fp_regs[fs.index()].to_bits() as i64, entry);
             }
             CvtIF { fd, rs } => {
-                entry.srcs[0] = self.last_writer_int[rs.index()];
+                srcs[0] = self.last_writer_int[rs.index()];
                 entry.fu = FuClass::FpAlu;
                 entry.latency = 3;
                 self.write_fp(fd, self.int_regs[rs.index()] as f64, entry);
             }
             CvtFI { rd, fs } => {
-                entry.srcs[0] = self.last_writer_fp[fs.index()];
+                srcs[0] = self.last_writer_fp[fs.index()];
                 entry.latency = 3;
                 self.write_int(rd, self.fp_regs[fs.index()] as i64, entry);
             }
@@ -1000,8 +1096,8 @@ impl Core {
                 width,
                 route,
             } => {
-                entry.srcs[0] = self.last_writer_int[base.index()];
-                entry.srcs[1] = index.and_then(|x| self.last_writer_int[x.index()]);
+                srcs[0] = self.last_writer_int[base.index()];
+                srcs[1] = index.and_then(|x| self.last_writer_int[x.index()]);
                 entry.fu = FuClass::Mem;
                 let addr = self.effective_addr(base, index, offset);
                 let (bits, info) = port.exec_mem(self.pc_addr(pc), addr, width, route, None);
@@ -1016,9 +1112,9 @@ impl Core {
                 width,
                 route,
             } => {
-                entry.srcs[0] = self.last_writer_int[rs.index()];
-                entry.srcs[1] = self.last_writer_int[base.index()];
-                entry.srcs[2] = index.and_then(|x| self.last_writer_int[x.index()]);
+                srcs[0] = self.last_writer_int[rs.index()];
+                srcs[1] = self.last_writer_int[base.index()];
+                srcs[2] = index.and_then(|x| self.last_writer_int[x.index()]);
                 entry.fu = FuClass::Mem;
                 let addr = self.effective_addr(base, index, offset);
                 let bits = self.int_regs[rs.index()] as u64;
@@ -1032,8 +1128,8 @@ impl Core {
                 offset,
                 route,
             } => {
-                entry.srcs[0] = self.last_writer_int[base.index()];
-                entry.srcs[1] = index.and_then(|x| self.last_writer_int[x.index()]);
+                srcs[0] = self.last_writer_int[base.index()];
+                srcs[1] = index.and_then(|x| self.last_writer_int[x.index()]);
                 entry.fu = FuClass::Mem;
                 let addr = self.effective_addr(base, index, offset);
                 let (bits, info) = port.exec_mem(self.pc_addr(pc), addr, Width::D, route, None);
@@ -1051,9 +1147,9 @@ impl Core {
                 offset,
                 route,
             } => {
-                entry.srcs[0] = self.last_writer_fp[fs.index()];
-                entry.srcs[1] = self.last_writer_int[base.index()];
-                entry.srcs[2] = index.and_then(|x| self.last_writer_int[x.index()]);
+                srcs[0] = self.last_writer_fp[fs.index()];
+                srcs[1] = self.last_writer_int[base.index()];
+                srcs[2] = index.and_then(|x| self.last_writer_int[x.index()]);
                 entry.fu = FuClass::Mem;
                 let addr = self.effective_addr(base, index, offset);
                 let bits = self.fp_regs[fs.index()].to_bits();
@@ -1070,8 +1166,8 @@ impl Core {
                 rs2,
                 target,
             } => {
-                entry.srcs[0] = self.last_writer_int[rs1.index()];
-                entry.srcs[1] = self.last_writer_int[rs2.index()];
+                srcs[0] = self.last_writer_int[rs1.index()];
+                srcs[1] = self.last_writer_int[rs2.index()];
                 let taken = cond.eval(self.int_regs[rs1.index()], self.int_regs[rs2.index()]);
                 self.bp.update(self.pc_addr(pc), taken);
                 next = if taken { target } else { pc + 1 };
@@ -1090,9 +1186,9 @@ impl Core {
                 next = ra as usize;
             }
             DmaGet { lm, sm, bytes, tag } => {
-                entry.srcs[0] = self.last_writer_int[lm.index()];
-                entry.srcs[1] = self.last_writer_int[sm.index()];
-                entry.srcs[2] = self.last_writer_int[bytes.index()];
+                srcs[0] = self.last_writer_int[lm.index()];
+                srcs[1] = self.last_writer_int[sm.index()];
+                srcs[2] = self.last_writer_int[bytes.index()];
                 entry.fu = FuClass::Mem;
                 let _ = port.exec_dma(
                     self.now,
@@ -1104,9 +1200,9 @@ impl Core {
                 );
             }
             DmaPut { lm, sm, bytes, tag } => {
-                entry.srcs[0] = self.last_writer_int[lm.index()];
-                entry.srcs[1] = self.last_writer_int[sm.index()];
-                entry.srcs[2] = self.last_writer_int[bytes.index()];
+                srcs[0] = self.last_writer_int[lm.index()];
+                srcs[1] = self.last_writer_int[sm.index()];
+                srcs[2] = self.last_writer_int[bytes.index()];
                 entry.fu = FuClass::Mem;
                 let _ = port.exec_dma(
                     self.now,
@@ -1121,7 +1217,7 @@ impl Core {
                 entry.synch_until = port.dma_synch(self.now, tag).max(1);
             }
             DirCfg { rs } => {
-                entry.srcs[0] = self.last_writer_int[rs.index()];
+                srcs[0] = self.last_writer_int[rs.index()];
                 port.dir_configure(self.int_regs[rs.index()] as u64);
             }
             PhaseMark { phase } => {
@@ -1233,6 +1329,7 @@ impl Core {
     }
 }
 
+#[derive(Debug, PartialEq, Eq)]
 enum LoadPath {
     Blocked,
     Forward,
@@ -1264,6 +1361,9 @@ fn writes_fp(inst: &Inst) -> bool {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::port::ServedLevel;
@@ -1271,22 +1371,25 @@ mod tests {
     use hsim_isa::ProgramBuilder;
     use std::collections::HashMap;
 
-    /// A flat test port: all SM accesses hit a 4-cycle memory; LM window
-    /// accesses take 2 cycles; no directory.
-    struct MockPort {
+    /// A flat test port: all SM accesses hit a 4-cycle memory (or the
+    /// latency `latency_at` gives their address); LM window accesses
+    /// take 2 cycles; no directory.
+    pub(super) struct MockPort {
         mem: HashMap<u64, u64>,
         mmap: MemoryMap,
-        sm_latency: u64,
+        pub(super) sm_latency: u64,
+        pub(super) latency_at: HashMap<u64, u64>,
         accesses: Vec<(u64, bool)>,
         timed: Vec<(u64, bool)>,
     }
 
     impl MockPort {
-        fn new() -> Self {
+        pub(super) fn new() -> Self {
             MockPort {
                 mem: HashMap::new(),
                 mmap: MemoryMap::default(),
                 sm_latency: 4,
+                latency_at: HashMap::new(),
                 accesses: Vec::new(),
                 timed: Vec::new(),
             }
@@ -1363,7 +1466,10 @@ mod tests {
             self.timed.push((info.addr, write));
             match info.side {
                 MemSide::Lm => (2, ServedLevel::Lm),
-                MemSide::Sm => (self.sm_latency, ServedLevel::L1),
+                MemSide::Sm => (
+                    *self.latency_at.get(&info.addr).unwrap_or(&self.sm_latency),
+                    ServedLevel::L1,
+                ),
             }
         }
 
@@ -1633,21 +1739,34 @@ mod tests {
     /// Runs the same program in lockstep and skipping configurations and
     /// asserts the statistics are identical (minus the skip counter).
     fn assert_skip_equivalent(build: impl Fn(&mut ProgramBuilder) + Copy) -> (CoreStats, u64) {
+        let (result, stats, skipped) =
+            assert_skip_equivalent_on(MockPort::new, CoreConfig::default(), build);
+        result.expect("program must halt");
+        (stats, skipped)
+    }
+
+    /// [`assert_skip_equivalent`] on a configured port and core, for
+    /// programs that may end in an error: the outcome must be equal too.
+    fn assert_skip_equivalent_on(
+        mk_port: impl Fn() -> MockPort,
+        cfg: CoreConfig,
+        build: impl Fn(&mut ProgramBuilder),
+    ) -> (Result<(), SimError>, CoreStats, u64) {
         let run = |lockstep: bool| {
             let mut b = ProgramBuilder::new();
             build(&mut b);
-            let p = b.build();
             let cfg = CoreConfig {
                 lockstep,
-                ..Default::default()
+                ..cfg.clone()
             };
-            let mut core = Core::new(cfg, p, MemoryMap::default());
-            let mut port = MockPort::new();
-            core.run(&mut port).expect("program must halt");
-            (core, port)
+            let mut core = Core::new(cfg, b.build(), MemoryMap::default());
+            let mut port = mk_port();
+            let result = core.run(&mut port);
+            (result, core, port)
         };
-        let (skip, skip_port) = run(false);
-        let (lock, lock_port) = run(true);
+        let (skip_result, skip, skip_port) = run(false);
+        let (lock_result, lock, lock_port) = run(true);
+        assert_eq!(skip_result, lock_result, "same outcome at the same cycle");
         assert_eq!(lock.stats.skipped_cycles, 0);
         let skipped = skip.stats.skipped_cycles;
         let mut norm = skip.stats.clone();
@@ -1655,7 +1774,170 @@ mod tests {
         assert_eq!(norm, lock.stats, "stats must be bit-identical");
         assert_eq!(skip_port.accesses, lock_port.accesses);
         assert_eq!(skip_port.timed, lock_port.timed);
-        (lock.stats, skipped)
+        (lock_result, lock.stats, skipped)
+    }
+
+    const SM: i64 = 0x1000_0000;
+
+    /// A port whose loads of `SM + 64` take `latency` cycles.
+    fn slow_cell(latency: u64) -> impl Fn() -> MockPort {
+        move || {
+            let mut port = MockPort::new();
+            port.latency_at.insert(SM as u64 + 64, latency);
+            port
+        }
+    }
+
+    #[test]
+    fn partial_overlap_blocks_the_load_until_the_store_commits() {
+        // A byte store inside the word a younger load reads: no
+        // forwarding, the load waits for the store to commit — which a
+        // 300-cycle load ahead of it in the ROB delays. The blocked load
+        // sits in the ready list the whole time and must add no horizon:
+        // the wait is skipped, not ticked through.
+        let (result, stats, skipped) =
+            assert_skip_equivalent_on(slow_cell(300), CoreConfig::default(), |b| {
+                b.li(Reg(1), SM);
+                b.li(Reg(2), 0xab);
+                b.ld(Reg(5), Reg(1), 64);
+                b.store(Reg(2), Reg(1), 1, Width::B, Route::Plain);
+                b.load(Reg(3), Reg(1), 0, Width::W, Route::Plain);
+                b.halt();
+            });
+        result.expect("program must halt");
+        assert_eq!(stats.lsq_forwards, 0);
+        assert_eq!(stats.loads_timed, 2, "both loads went to memory");
+        assert!(stats.cycles > 300);
+        assert!(skipped > 250, "a blocked load is not a horizon ({skipped})");
+    }
+
+    #[test]
+    fn store_issued_this_cycle_forwards_to_a_load_ready_this_cycle() {
+        // The store's and the load's address both wait for one 20-cycle
+        // divide, so both become ready in the same cycle. Select runs in
+        // age order: the store issues first and the load, disambiguating
+        // later in the same select, finds it `Issued` and forwards.
+        let build = |b: &mut ProgramBuilder| {
+            b.li(Reg(1), SM);
+            b.li(Reg(2), 7);
+            b.li(Reg(5), 0);
+            b.alu(AluOp::Div, Reg(4), Reg(5), Reg(2)); // 0, after 20 cycles
+            b.store_x(Reg(2), Reg(1), Reg(4), 0, Width::D, Route::Plain);
+            b.load_x(Reg(3), Reg(1), Reg(4), 0, Width::D, Route::Plain);
+            b.halt();
+        };
+        let (stats, _) = assert_skip_equivalent(build);
+        assert_eq!(stats.lsq_forwards, 1);
+        assert_eq!(stats.loads_timed, 0);
+
+        let mut b = ProgramBuilder::new();
+        build(&mut b);
+        let mut core = Core::new(CoreConfig::default(), b.build(), MemoryMap::default());
+        let mut port = MockPort::new();
+        let issued = |core: &Core, pc: usize| {
+            let e = core.rob.iter().find(|e| e.pc == pc);
+            e.map(|e| e.state == EState::Issued)
+        };
+        while issued(&core, 4) != Some(true) {
+            assert_ne!(issued(&core, 5), Some(true), "the load cannot lead");
+            core.tick(&mut port).unwrap();
+        }
+        assert_eq!(issued(&core, 5), Some(true), "same select, one cycle");
+        assert_eq!(core.stats.lsq_forwards, 1);
+    }
+
+    #[test]
+    fn load_waits_for_a_store_whose_address_arrives_late() {
+        // The store's index register comes from a slow load; the younger
+        // load of the same cell is ready at once but blocked until the
+        // store's address is generated, then forwards from it.
+        let build = |b: &mut ProgramBuilder| {
+            b.li(Reg(1), SM);
+            b.li(Reg(2), 9);
+            b.ld(Reg(4), Reg(1), 64); // 0, late
+            b.store_x(Reg(2), Reg(1), Reg(4), 0, Width::D, Route::Plain);
+            b.ld(Reg(3), Reg(1), 0);
+            b.halt();
+        };
+        let (result, stats, skipped) =
+            assert_skip_equivalent_on(slow_cell(500), CoreConfig::default(), build);
+        result.expect("program must halt");
+        assert_eq!(stats.lsq_forwards, 1);
+        assert!(stats.cycles > 500);
+        assert!(skipped > 450, "the wait is one jump ({skipped})");
+
+        // The same wait cut short by the cycle budget, then outlasting
+        // the watchdog: the error and its cycle are the lockstep loop's.
+        let budget = CoreConfig {
+            max_cycles: 300,
+            ..Default::default()
+        };
+        let (result, stats, _) = assert_skip_equivalent_on(slow_cell(500), budget, build);
+        assert_eq!(result, Err(SimError::CycleLimit));
+        assert_eq!(stats.cycles, 300);
+        let (result, stats, _) =
+            assert_skip_equivalent_on(slow_cell(1_000_000), CoreConfig::default(), build);
+        let Err(SimError::Deadlock { cycle, report }) = result else {
+            panic!("must deadlock, got {result:?}");
+        };
+        assert_eq!(cycle, stats.cycles);
+        assert_eq!(report.rob_head_pc, Some(2), "the slow load is the head");
+    }
+
+    #[test]
+    fn a_full_rob_behind_one_load_costs_nothing_per_tick() {
+        // One 10 000-cycle load, then enough dependent work to fill the
+        // ROB: a chain of adds on its result, a store whose address
+        // waits for it, and a ready load of the stored cell that stays
+        // blocked — the one entry select has to look at. While the load
+        // is outstanding a tick and a horizon query may examine the
+        // ready list and what issue moves, never the waiting ROB.
+        let mut b = ProgramBuilder::new();
+        b.li(Reg(1), SM);
+        b.li(Reg(2), 9);
+        b.ld(Reg(4), Reg(1), 64);
+        b.store_x(Reg(2), Reg(1), Reg(4), 0, Width::D, Route::Plain);
+        b.ld(Reg(3), Reg(1), 0);
+        for _ in 0..400 {
+            b.addi(Reg(4), Reg(4), 1);
+        }
+        b.halt();
+        let cfg = CoreConfig {
+            lockstep: true,
+            ..Default::default()
+        };
+        let mut core = Core::new(cfg.clone(), b.build(), MemoryMap::default());
+        let mut port = slow_cell(10_000)();
+        // Until the ROB is full behind the load and fetch has topped up
+        // its queue: from there on nothing can move.
+        while core.rob.len() < cfg.rob_size || core.fetch_queue.len() < cfg.fetch_queue {
+            core.tick(&mut port).unwrap();
+        }
+        assert_eq!(core.rob[0].pc, 2);
+        let load_done = core.rob[0].done_at;
+        assert!(load_done > 10_000);
+        for _ in 0..2_000 {
+            let before = core.rob_visits.get();
+            core.tick(&mut port).unwrap();
+            let tick_visits = core.rob_visits.get() - before;
+            assert_eq!(core.rob.len(), cfg.rob_size);
+            // Per candidate: itself and, for a load, the older stores.
+            let bound = (cfg.issue_width + core.ready.len() * (1 + core.store_q.len())) as u64;
+            assert!(
+                tick_visits <= bound,
+                "a tick examined {tick_visits} ROB entries, ready list {:?}",
+                core.ready
+            );
+            let before = core.rob_visits.get();
+            assert_eq!(core.next_event_at(), load_done);
+            let horizon_visits = core.rob_visits.get() - before;
+            assert!(
+                horizon_visits <= bound,
+                "next_event_at examined {horizon_visits} ROB entries"
+            );
+        }
+        assert_eq!(core.ready, [4], "only the blocked load is ready");
+        assert_eq!(core.wake.len(), 2, "the store and the first add");
     }
 
     #[test]

@@ -1,0 +1,446 @@
+//! The O(ROB) scans the event-driven issue stage replaced, kept as the
+//! reference it is tested against: readiness re-derived per entry from
+//! its producers, the horizon walk over every entry, and disambiguation
+//! by walking the ROB backwards. [`Core::check_against_scan`] compares
+//! them with the wake heap, ready list, consumer chains and store queue;
+//! the property below runs it after every tick of generated programs.
+
+use super::tests::MockPort;
+use super::*;
+use hsim_isa::inst::{AluOp, Cond, FpuOp};
+use hsim_isa::ProgramBuilder;
+use proptest::prelude::*;
+
+impl Core {
+    /// Earliest cycle ROB entry `i`'s operands can all be ready: `None`
+    /// while a producer has not issued, otherwise the latest `done_at`
+    /// over its in-flight producers (0 when every producer committed).
+    fn scan_operand_ready_at(&self, i: usize) -> Option<u64> {
+        let head = self.head_seq;
+        let mut ready_at = 0u64;
+        for s in self.rob[i].srcs.iter().flatten() {
+            if *s < head {
+                continue; // producer committed
+            }
+            let p = &self.rob[(*s - head) as usize];
+            if p.state != EState::Issued {
+                return None;
+            }
+            ready_at = ready_at.max(p.done_at);
+        }
+        Some(ready_at)
+    }
+
+    fn scan_load_disambiguate(&self, i: usize) -> LoadPath {
+        let m = self.rob[i].mem.as_ref().unwrap();
+        let (a, w) = (m.info.addr, m.width.bytes());
+        for j in (0..i).rev() {
+            let s = &self.rob[j];
+            if !s.is_store {
+                continue;
+            }
+            let sm = s.mem.as_ref().unwrap();
+            let (sa, sw) = (sm.info.addr, sm.width.bytes());
+            if !(a < sa + sw && sa < a + w) {
+                continue;
+            }
+            if s.state == EState::Waiting {
+                return LoadPath::Blocked;
+            }
+            if sa == a && sw == w {
+                return LoadPath::Forward;
+            }
+            return LoadPath::Blocked;
+        }
+        LoadPath::Memory
+    }
+
+    /// `next_event_at` as it was: front-end terms, then a walk of the
+    /// whole ROB.
+    fn scan_next_event_at(&self) -> u64 {
+        let now = self.now;
+        if !self.fetch_queue.is_empty()
+            && self.rob.len() < self.cfg.rob_size
+            && !self.dispatch_blocked()
+        {
+            return now;
+        }
+        let mut horizon = u64::MAX;
+        if !self.fetch_off
+            && self.pending_redirect.is_none()
+            && self.fetch_pc < self.program.len()
+            && self.fetch_queue.len() < self.cfg.fetch_queue
+        {
+            horizon = horizon.min(self.fetch_resume_at.max(now));
+        }
+        for (i, e) in self.rob.iter().enumerate() {
+            match e.state {
+                EState::Issued => {
+                    if i == 0 {
+                        horizon = horizon.min(e.done_at.max(now));
+                    }
+                }
+                EState::Waiting => {
+                    let Some(ready_at) = self.scan_operand_ready_at(i) else {
+                        continue;
+                    };
+                    let ready_at = ready_at.max(now);
+                    if ready_at <= now
+                        && e.is_load
+                        && self.scan_load_disambiguate(i) == LoadPath::Blocked
+                    {
+                        continue;
+                    }
+                    horizon = horizon.min(ready_at);
+                }
+            }
+        }
+        horizon
+    }
+
+    /// Compares every event-driven structure with what the scans derive
+    /// from the ROB at the current cycle.
+    pub(super) fn check_against_scan(&self) -> Result<(), String> {
+        let (now, head) = (self.now, self.head_seq);
+        let fail = |what: &str, seq: u64| Err(format!("cycle {now}: {what} (seq {seq})"));
+
+        let wake: Vec<(u64, u64)> = self.wake.iter().map(|r| r.0).collect();
+        let mut listed: Vec<u64> = self.ready.clone();
+        listed.extend(wake.iter().map(|&(_, seq)| seq));
+        listed.sort_unstable();
+        if listed.windows(2).any(|w| w[0] == w[1]) {
+            return Err(format!("cycle {now}: an entry is listed twice: {listed:?}"));
+        }
+        if !self.ready.windows(2).all(|w| w[0] < w[1]) {
+            return Err(format!(
+                "cycle {now}: ready is not age-ordered: {:?}",
+                self.ready
+            ));
+        }
+
+        let mut chained = 0usize;
+        let mut selectable = Vec::new();
+        for (i, e) in self.rob.iter().enumerate() {
+            if e.seq != head + i as u64 {
+                return fail("ROB seqs are not contiguous", e.seq);
+            }
+            if e.state == EState::Issued {
+                if e.dep_head != NO_LINK || listed.binary_search(&e.seq).is_ok() {
+                    return fail("an issued entry still has consumers or is listed", e.seq);
+                }
+                continue;
+            }
+            // Every link on the chain is a consumer naming this producer
+            // in that source slot.
+            let mut link = e.dep_head;
+            while link != NO_LINK {
+                let (cseq, slot) = (link >> 2, (link & 3) as usize);
+                let c = &self.rob[(cseq - head) as usize];
+                if c.srcs[slot] != Some(e.seq) {
+                    return fail("a chain link names the wrong producer", cseq);
+                }
+                chained += 1;
+                link = c.dep_next[slot];
+            }
+            let unissued = e
+                .srcs
+                .iter()
+                .flatten()
+                .filter(|&&s| s >= head && self.rob[(s - head) as usize].state != EState::Issued)
+                .count();
+            if e.pending as usize != unissued {
+                return fail("pending is not the count of un-issued producers", e.seq);
+            }
+            match self.scan_operand_ready_at(i) {
+                None => {
+                    if unissued == 0 || listed.binary_search(&e.seq).is_ok() {
+                        return fail("an entry with an un-issued producer is listed", e.seq);
+                    }
+                }
+                Some(ready_at) => {
+                    // A committed producer drops out of the scan's
+                    // maximum, but only once its result is in the past.
+                    if ready_at.max(now) != e.ready_at.max(now) {
+                        return fail("ready_at disagrees with the scan", e.seq);
+                    }
+                    let in_ready = self.ready.binary_search(&e.seq).is_ok();
+                    let in_wake = wake.contains(&(e.ready_at, e.seq));
+                    if in_ready == in_wake || (in_ready && e.ready_at > now) {
+                        return fail("an operand-complete entry is not listed once", e.seq);
+                    }
+                    if ready_at <= now {
+                        selectable.push(e.seq);
+                    }
+                }
+            }
+            if e.is_load
+                && e.pending == 0
+                && self.load_disambiguate(i) != self.scan_load_disambiguate(i)
+            {
+                return fail(
+                    "store-queue disambiguation disagrees with the ROB walk",
+                    e.seq,
+                );
+            }
+        }
+        let pending: usize = self.rob.iter().map(|e| e.pending as usize).sum();
+        if chained != pending {
+            return Err(format!(
+                "cycle {now}: {chained} chain links for {pending} pending operands"
+            ));
+        }
+
+        let mut due: Vec<u64> = self.ready.clone();
+        due.extend(wake.iter().filter(|&&(t, _)| t <= now).map(|&(_, seq)| seq));
+        due.sort_unstable();
+        if due != selectable {
+            return Err(format!(
+                "cycle {now}: ready ∪ due wake keys {due:?} != scan's operand-ready set {selectable:?}"
+            ));
+        }
+
+        let stores: Vec<u64> = self
+            .rob
+            .iter()
+            .filter(|e| e.is_store)
+            .map(|e| e.seq)
+            .collect();
+        if !self.store_q.iter().eq(stores.iter()) {
+            return Err(format!(
+                "cycle {now}: store_q {:?} != the ROB's stores {stores:?}",
+                self.store_q
+            ));
+        }
+
+        let (got, want) = (self.next_event_at(), self.scan_next_event_at());
+        if got != want {
+            return Err(format!(
+                "cycle {now}: next_event_at {got} != the scan's {want}"
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// One generated instruction. Register fields index small pools (so
+/// dependences are dense), `cell`/`sub`/`width` pick an access inside
+/// four adjacent 8-byte cells (so accesses of mixed widths alias).
+#[derive(Clone, Debug)]
+enum Op {
+    Alu {
+        op: u8,
+        rd: u8,
+        rs1: u8,
+        rs2: u8,
+    },
+    Fpu {
+        op: u8,
+        fd: u8,
+        fs1: u8,
+        fs2: u8,
+    },
+    /// `late` routes the address through an index register that is zero
+    /// but depends on pool register `late`: the address operand arrives
+    /// whenever that register's producer completes.
+    Mem {
+        store: bool,
+        fp: bool,
+        reg: u8,
+        cell: u8,
+        sub: u8,
+        width: u8,
+        late: Option<u8>,
+    },
+    DmaGet {
+        tag: u8,
+    },
+    DmaSynch {
+        tag: u8,
+    },
+    /// A data-dependent forward branch over an increment of `a`.
+    SkipIfEq {
+        a: u8,
+        b: u8,
+    },
+}
+
+const BASE: i64 = 0x1000_0000;
+const R_BASE: Reg = Reg(10);
+const R_INDEX: Reg = Reg(11);
+/// Never written: reads zero and has no producer.
+const R_ZERO: Reg = Reg(14);
+const R_LM: Reg = Reg(12);
+const R_BYTES: Reg = Reg(13);
+const R_ITER: Reg = Reg(20);
+const R_ITERS: Reg = Reg(21);
+
+fn pool(r: u8) -> Reg {
+    Reg(1 + r % 6)
+}
+
+fn fpool(r: u8) -> FReg {
+    FReg(1 + r % 4)
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    let r = || 0u8..6;
+    let alu =
+        || (0u8..3, r(), r(), r()).prop_map(|(op, rd, rs1, rs2)| Op::Alu { op, rd, rs1, rs2 });
+    let mem = || {
+        (
+            prop::bool::ANY,
+            0u8..4,
+            (r(), 0u8..4, 0u8..8, 0u8..3),
+            0u8..12,
+        )
+            .prop_map(|(store, fp, (reg, cell, sub, width), late)| Op::Mem {
+                store,
+                fp: fp == 0,
+                reg,
+                cell,
+                sub,
+                width,
+                late: (late < 6).then_some(late),
+            })
+    };
+    // ALU and memory operations twice: they carry the dependences.
+    prop_oneof![
+        alu(),
+        alu(),
+        (0u8..3, r(), r(), r()).prop_map(|(op, fd, fs1, fs2)| Op::Fpu { op, fd, fs1, fs2 }),
+        mem(),
+        mem(),
+        (0u8..2).prop_map(|tag| Op::DmaGet { tag }),
+        (0u8..2).prop_map(|tag| Op::DmaSynch { tag }),
+        (r(), r()).prop_map(|(a, b)| Op::SkipIfEq { a, b }),
+    ]
+}
+
+fn emit(b: &mut ProgramBuilder, op: &Op) {
+    match *op {
+        Op::Alu { op, rd, rs1, rs2 } => {
+            let op = [AluOp::Add, AluOp::Mul, AluOp::Div][op as usize];
+            b.alu(op, pool(rd), pool(rs1), pool(rs2));
+        }
+        Op::Fpu { op, fd, fs1, fs2 } => {
+            let op = [FpuOp::FAdd, FpuOp::FDiv, FpuOp::FSqrt][op as usize];
+            b.fpu(op, fpool(fd), fpool(fs1), fpool(fs2));
+        }
+        Op::Mem {
+            store,
+            fp,
+            reg,
+            cell,
+            sub,
+            width,
+            late,
+        } => {
+            let width = if fp {
+                Width::D
+            } else {
+                [Width::B, Width::W, Width::D][width as usize]
+            };
+            let offset = (cell as u64 * 8 + (sub as u64 & !(width.bytes() - 1))) as i64;
+            // Either index register holds zero; only `R_INDEX` has a
+            // producer to wait for.
+            let index = match late {
+                Some(src) => {
+                    b.alui(AluOp::And, R_INDEX, pool(src), 0);
+                    R_INDEX
+                }
+                None => R_ZERO,
+            };
+            match (store, fp) {
+                (false, false) => b.load_x(pool(reg), R_BASE, index, offset, width, Route::Plain),
+                (true, false) => b.store_x(pool(reg), R_BASE, index, offset, width, Route::Plain),
+                (false, true) => b.fload_x(fpool(reg), R_BASE, index, offset, Route::Plain),
+                (true, true) => b.fstore_x(fpool(reg), R_BASE, index, offset, Route::Plain),
+            }
+        }
+        Op::DmaGet { tag } => b.dma_get(R_LM, R_BASE, R_BYTES, tag),
+        Op::DmaSynch { tag } => b.dma_synch(tag),
+        Op::SkipIfEq { a, b: rb } => {
+            let over = b.new_label();
+            b.branch(Cond::Eq, pool(a), pool(rb), over);
+            b.addi(pool(a), pool(a), 1);
+            b.bind(over);
+        }
+    }
+}
+
+fn build_program(ops: &[Op], iters: i64) -> Program {
+    let mut b = ProgramBuilder::new();
+    b.li(R_BASE, BASE);
+    b.li(R_LM, 0x7fff_0000_0000u64 as i64);
+    b.li(R_BYTES, 256);
+    for r in 0..6u8 {
+        b.li(pool(r), 3 + r as i64);
+    }
+    b.li(R_ITER, 0);
+    b.li(R_ITERS, iters);
+    let top = b.new_label();
+    b.bind(top);
+    for op in ops {
+        emit(&mut b, op);
+    }
+    b.addi(R_ITER, R_ITER, 1);
+    b.branch(Cond::Lt, R_ITER, R_ITERS, top);
+    b.halt();
+    b.build()
+}
+
+/// Runs `program` to its halt, checking the structures against the scans
+/// after every tick and every bulk advance.
+fn run_checked(
+    program: &Program,
+    sm_latency: u64,
+    slow_cell_latency: u64,
+    lockstep: bool,
+) -> Result<CoreStats, TestCaseError> {
+    let cfg = CoreConfig {
+        lockstep,
+        ..Default::default()
+    };
+    let mut core = Core::new(cfg, program.clone(), MemoryMap::default());
+    let mut port = MockPort::new();
+    port.sm_latency = sm_latency;
+    // The last cell is the long-latency one, whatever else the port does.
+    for sub in 0..8 {
+        port.latency_at
+            .insert(BASE as u64 + 24 + sub, slow_cell_latency);
+    }
+    let mut prof = HostProfile::default();
+    let check = |core: &Core| core.check_against_scan().map_err(TestCaseError::fail);
+    while !core.halted() {
+        let outcome = core
+            .tick_classified::<false>(&mut port, &mut prof)
+            .map_err(|e| TestCaseError::fail(format!("generated program failed: {e}")))?;
+        check(&core)?;
+        if !lockstep && outcome == TickOutcome::Quiet {
+            let target = core.skip_target(port.next_mem_event_at(core.now()));
+            core.advance_to(target);
+            check(&core)?;
+        }
+    }
+    Ok(core.stats.clone())
+}
+
+proptest! {
+    // The release leg of CI runs the larger case count.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 256 }))]
+
+    #[test]
+    fn event_driven_issue_matches_the_scan(
+        ops in prop::collection::vec(op_strategy(), 4..70),
+        iters in 1i64..4,
+        sm_latency in prop_oneof![Just(4u64), Just(35u64), Just(260u64)],
+        slow_cell_latency in prop_oneof![Just(4u64), Just(700u64)],
+    ) {
+        let program = build_program(&ops, iters);
+        let lock = run_checked(&program, sm_latency, slow_cell_latency, true)?;
+        let mut skip = run_checked(&program, sm_latency, slow_cell_latency, false)?;
+        prop_assert_eq!(lock.skipped_cycles, 0);
+        skip.skipped_cycles = 0;
+        prop_assert_eq!(skip, lock);
+    }
+}
