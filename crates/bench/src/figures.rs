@@ -109,7 +109,8 @@ pub fn table1(_: Flags) {
             "DRAM",
             format!(
                 "{} cycles latency, {}-cycle line gap",
-                mem.dram.latency, mem.dram.gap
+                mem.dram.timing.t_rcd + mem.dram.timing.t_cas,
+                mem.dram.gap
             ),
         ),
     ];

@@ -255,12 +255,21 @@ impl From<&String> for Val {
     }
 }
 
+/// How a column reads its value off a row.
+enum Get<R> {
+    /// Any function of the row.
+    Row(fn(&R) -> Val),
+    /// One [`RunReport`] counter summed over the cores of one of the
+    /// row's reports.
+    Total(fn(&R) -> &MultiRunReport, fn(&RunReport) -> u64),
+}
+
 /// One column of a result table, declared once: its accessor, and where
 /// it appears — header and width in the printed table, key in the
 /// `BENCH_*.json` rows, or both. Columns are listed in JSON order; the
 /// table prints them in the same order unless [`Col::after`] moves one.
 pub struct Col<R> {
-    get: fn(&R) -> Val,
+    get: Get<R>,
     table: Option<(&'static str, usize)>,
     json: Option<&'static str>,
     /// Decimals of a [`Val::Float`] in the table and in JSON.
@@ -270,32 +279,47 @@ pub struct Col<R> {
 }
 
 impl<R> Col<R> {
-    /// A column in both the printed table and the JSON rows.
-    pub fn both(header: &'static str, width: usize, key: &'static str, get: fn(&R) -> Val) -> Self {
+    fn new(table: Option<(&'static str, usize)>, json: Option<&'static str>, get: Get<R>) -> Self {
         Col {
             get,
-            table: Some((header, width)),
-            json: Some(key),
+            table,
+            json,
             decimals: None,
             suffix: "",
             after: None,
         }
     }
 
+    /// A column in both the printed table and the JSON rows.
+    pub fn both(header: &'static str, width: usize, key: &'static str, get: fn(&R) -> Val) -> Self {
+        Col::new(Some((header, width)), Some(key), Get::Row(get))
+    }
+
+    /// A column in both forms showing one [`RunReport`] counter summed
+    /// over the cores of `report` — the only place a table names the
+    /// counter it shows.
+    pub fn total(
+        header: &'static str,
+        width: usize,
+        key: &'static str,
+        report: fn(&R) -> &MultiRunReport,
+        counter: fn(&RunReport) -> u64,
+    ) -> Self {
+        Col::new(
+            Some((header, width)),
+            Some(key),
+            Get::Total(report, counter),
+        )
+    }
+
     /// A column of the printed table only.
     pub fn table(header: &'static str, width: usize, get: fn(&R) -> Val) -> Self {
-        Col {
-            json: None,
-            ..Col::both(header, width, "", get)
-        }
+        Col::new(Some((header, width)), None, Get::Row(get))
     }
 
     /// A field of the JSON rows only.
     pub fn json(key: &'static str, get: fn(&R) -> Val) -> Self {
-        Col {
-            table: None,
-            ..Col::both("", 0, key, get)
-        }
+        Col::new(None, Some(key), Get::Row(get))
     }
 
     /// Decimals of a float value: `table` in the printed table, `json`
@@ -319,7 +343,11 @@ impl<R> Col<R> {
     }
 
     fn render(&self, row: &R, json: bool) -> String {
-        match (self.get)(row) {
+        let val = match self.get {
+            Get::Row(get) => get(row),
+            Get::Total(report, counter) => report(row).total(counter).into(),
+        };
+        match val {
             Val::Int(x) => format!("{x}"),
             Val::Float(x) => match self.decimals {
                 Some((t, j)) => format!("{x:.*}", if json { j } else { t }),
@@ -358,6 +386,16 @@ pub fn table_headers<R>(cols: &[Col<R>]) -> Vec<&'static str> {
 /// The keys of the JSON rows `cols` renders, in order.
 pub fn json_keys<R>(cols: &[Col<R>]) -> Vec<&'static str> {
     cols.iter().filter_map(|c| c.json).collect()
+}
+
+/// One row's JSON object: one field per JSON column of `cols`, as
+/// [`SweepJson::rows`] writes it into a `BENCH_*.json`.
+pub fn json_row<R>(cols: &[Col<R>], row: &R) -> String {
+    let body: Vec<String> = cols
+        .iter()
+        .filter_map(|c| Some(format!("\"{}\": {}", c.json?, c.render(row, true))))
+        .collect();
+    format!("{{{}}}", body.join(", "))
 }
 
 /// Prints the header, a separator and one line per row. Returns the
@@ -449,13 +487,7 @@ impl SweepJson {
     pub fn rows<R>(mut self, name: &str, cols: &[Col<R>], rows: &[R]) -> Self {
         let rendered = rows
             .iter()
-            .map(|r| {
-                let body: Vec<String> = cols
-                    .iter()
-                    .filter_map(|c| Some(format!("\"{}\": {}", c.json?, c.render(r, true))))
-                    .collect();
-                format!("    {{{}}}", body.join(", "))
-            })
+            .map(|r| format!("    {}", json_row(cols, r)))
             .collect();
         self.arrays.push((name.into(), rendered));
         self

@@ -7,6 +7,18 @@ use crate::Flags;
 use hsim::prelude::*;
 use hsim_workloads::nas;
 
+fn dram_reads(m: &MultiRunReport) -> u64 {
+    m.total(|c| c.dram_reads)
+}
+
+fn shared_hits(m: &MultiRunReport) -> u64 {
+    m.total(|c| c.coh_shared_hits)
+}
+
+fn committed(m: &MultiRunReport) -> u64 {
+    m.total(|c| c.committed)
+}
+
 /// The all-hybrid heterogeneous chip is the homogeneous machine,
 /// exactly: the hetero path is a pure generalization.
 pub fn all_hybrid_is_homogeneous(kernel: &str, all_hybrid: u64, homogeneous: u64) {
@@ -43,23 +55,19 @@ pub fn protocol_family_ordering(point: &[ProtocolSweepRow]) -> [&ProtocolSweepRo
     };
     let (msi, mesi, moesi, mesif) = (row("msi"), row("mesi"), row("moesi"), row("mesif"));
     let what = format!("{} x{}", mesi.kernel, mesi.cores);
+    let [r_msi, r_mesi, r_moesi] = [msi, mesi, moesi].map(|r| dram_reads(&r.report));
     assert!(
-        msi.dram_reads >= mesi.dram_reads,
-        "{what}: MSI DRAM reads ({}) must be >= MESI ({})",
-        msi.dram_reads,
-        mesi.dram_reads
+        r_msi >= r_mesi,
+        "{what}: MSI DRAM reads ({r_msi}) must be >= MESI ({r_mesi})"
     );
     assert!(
-        mesi.dram_reads >= moesi.dram_reads,
-        "{what}: MESI DRAM reads ({}) must be >= MOESI ({})",
-        mesi.dram_reads,
-        moesi.dram_reads
+        r_mesi >= r_moesi,
+        "{what}: MESI DRAM reads ({r_mesi}) must be >= MOESI ({r_moesi})"
     );
+    let (h_mesif, h_mesi) = (shared_hits(&mesif.report), shared_hits(&mesi.report));
     assert!(
-        mesif.shared_hits >= mesi.shared_hits,
-        "{what}: MESIF shared hits ({}) must be >= MESI ({})",
-        mesif.shared_hits,
-        mesi.shared_hits
+        h_mesif >= h_mesi,
+        "{what}: MESIF shared hits ({h_mesif}) must be >= MESI ({h_mesi})"
     );
     [msi, mesi, moesi, mesif]
 }
@@ -96,13 +104,13 @@ pub fn comm_orderings(rows: &[CommSweepRow], cores: usize) -> [&CommSweepRow; 5]
     );
     let q = |proto| find("queue", SysMode::CacheBased, Some(proto));
     let (msi, moesi, mesif) = (q("msi"), q("moesi"), q("mesif"));
+    let msi_reads = dram_reads(&msi.report);
     for other in [moesi, mesif] {
+        let reads = dram_reads(&other.report);
         assert!(
-            msi.dram_reads >= other.dram_reads,
-            "queue x{cores}: MSI hand-off DRAM reads ({}) must be >= {} ({})",
-            msi.dram_reads,
-            other.protocol,
-            other.dram_reads
+            msi_reads >= reads,
+            "queue x{cores}: MSI hand-off DRAM reads ({msi_reads}) must be >= {} ({reads})",
+            other.protocol
         );
     }
     [hybrid, cache, msi, moesi, mesif]
@@ -223,11 +231,11 @@ pub fn figshapes(flags: Flags) {
     assert_eq!(curves.len(), 3, "CG must shard to every point");
     for w in curves.windows(2) {
         assert!(
-            w[1].makespan < w[0].makespan,
+            w[1].report.makespan < w[0].report.makespan,
             "scaling: makespan must shrink with cores ({}@x{} -> {}@x{})",
-            w[0].makespan,
+            w[0].report.makespan,
             w[0].cores,
-            w[1].makespan,
+            w[1].report.makespan,
             w[1].cores
         );
         assert!(
@@ -246,7 +254,8 @@ pub fn figshapes(flags: Flags) {
         checked += 1;
     }
     assert!(
-        curves[2].bus_wait_cycles >= curves[0].bus_wait_cycles,
+        curves[2].report.total(|c| c.bus_wait_cycles)
+            >= curves[0].report.total(|c| c.bus_wait_cycles),
         "scaling: contention must not shrink with more cores"
     );
     checked += 1;
@@ -264,6 +273,7 @@ pub fn figshapes(flags: Flags) {
     let chip = |shape: &str| {
         let row = chips.iter().find(|r| r.label == shape);
         row.unwrap_or_else(|| panic!("CG must run on {shape}"))
+            .report
             .makespan
     };
     let (all_hybrid, mixed, all_cache) = (chip("4H+0C"), chip("2H+2C"), chip("0H+4C"));
@@ -298,7 +308,8 @@ pub fn figshapes(flags: Flags) {
     let [msi, mesi, moesi, mesif] = protocol_family_ordering(&proto);
     for r in &proto {
         assert_eq!(
-            r.committed, mesi.committed,
+            committed(&r.report),
+            committed(&mesi.report),
             "protocol {} changed committed work",
             r.protocol
         );
@@ -307,7 +318,11 @@ pub fn figshapes(flags: Flags) {
     println!(
         "protocol shapes OK (CG x4 dramR msi/mesi/moesi {}/{}/{}, \
          shrhits mesif/mesi {}/{})",
-        msi.dram_reads, mesi.dram_reads, moesi.dram_reads, mesif.shared_hits, mesi.shared_hits
+        dram_reads(&msi.report),
+        dram_reads(&mesi.report),
+        dram_reads(&moesi.report),
+        shared_hits(&mesif.report),
+        shared_hits(&mesi.report)
     );
 
     // ----------------------------------------------- comm workloads
@@ -323,7 +338,8 @@ pub fn figshapes(flags: Flags) {
         .collect();
     for r in &cache_queue {
         assert_eq!(
-            r.committed, q_msi.committed,
+            committed(&r.report),
+            committed(&q_msi.report),
             "comm: queue committed work must be protocol-invariant ({})",
             r.protocol
         );
@@ -334,9 +350,9 @@ pub fn figshapes(flags: Flags) {
          queue dramR msi/moesi/mesif {}/{}/{})",
         pp_hybrid.round_cycles,
         pp_cache.round_cycles,
-        q_msi.dram_reads,
-        q_moesi.dram_reads,
-        q_mesif.dram_reads
+        dram_reads(&q_msi.report),
+        dram_reads(&q_moesi.report),
+        dram_reads(&q_mesif.report)
     );
 
     println!("all figure shapes hold ({checked} assertions)");

@@ -18,29 +18,22 @@ const PAR: Parallelism = Parallelism::HostThreads;
 /// Columns of the `backside` sweep.
 pub fn backside_cols() -> Vec<Col<BacksideSweepRow>> {
     type C = Col<BacksideSweepRow>;
+    let total = |header, width, key, counter| C::total(header, width, key, |r| &r.report, counter);
     vec![
         C::both("kernel", 6, "kernel", |r| (&r.kernel).into()),
         C::both("cores", 5, "cores", |r| r.cores.into()),
-        C::both("makespan", 10, "makespan", |r| r.makespan.into()),
-        C::both("rhits", 9, "dram_row_hits", |r| r.dram_row_hits.into()),
-        C::both("rmisses", 9, "dram_row_misses", |r| {
-            r.dram_row_misses.into()
-        }),
-        C::both("rconfl", 9, "dram_row_conflicts", |r| {
-            r.dram_row_conflicts.into()
-        }),
+        C::both("makespan", 10, "makespan", |r| r.report.makespan.into()),
+        total("rhits", 9, "dram_row_hits", |c| c.dram_row_hits),
+        total("rmisses", 9, "dram_row_misses", |c| c.dram_row_misses),
+        total("rconfl", 9, "dram_row_conflicts", |c| c.dram_row_conflicts),
         C::both("rowhit%", 8, "dram_row_hit_rate", |r| {
-            r.dram_row_hit_rate.into()
+            r.report.dram_row_hit_rate().into()
         })
         .decimals(1, 2)
         .after("makespan"),
-        C::both("bankcfl", 9, "bank_conflicts", |r| r.bank_conflicts.into()),
-        C::both("buswait", 10, "bus_wait_cycles", |r| {
-            r.bus_wait_cycles.into()
-        }),
-        C::both("qstall", 8, "dram_queue_stalls", |r| {
-            r.dram_queue_stalls.into()
-        }),
+        total("bankcfl", 9, "bank_conflicts", |c| c.l3_bank_conflicts),
+        total("buswait", 10, "bus_wait_cycles", |c| c.bus_wait_cycles),
+        total("qstall", 8, "dram_queue_stalls", |c| c.dram_queue_stalls),
     ]
 }
 
@@ -65,13 +58,14 @@ pub fn backside(flags: Flags) {
 
     // Locality and contention must actually vary across the grid, or
     // the model has gone flat.
-    let varies = rows
-        .iter()
-        .any(|r| r.dram_row_hit_rate != rows[0].dram_row_hit_rate);
+    let rate = |r: &BacksideSweepRow| r.report.dram_row_hit_rate();
+    let varies = rows.iter().any(|r| rate(r) != rate(&rows[0]));
     println!(
         "row-hit rate {} across the grid; total bank conflicts {}",
         if varies { "varies" } else { "is constant" },
-        rows.iter().map(|r| r.bank_conflicts).sum::<u64>(),
+        rows.iter()
+            .map(|r| r.report.total(|c| c.l3_bank_conflicts))
+            .sum::<u64>(),
     );
     assert!(
         varies || rows.len() < 2,
@@ -87,22 +81,24 @@ pub fn backside(flags: Flags) {
 /// Columns of the `scaling` sweep.
 pub fn scaling_cols() -> Vec<Col<ScalingRow>> {
     type C = Col<ScalingRow>;
+    let total = |header, width, key, counter| C::total(header, width, key, |r| &r.report, counter);
     vec![
         C::both("kernel", 6, "kernel", |r| (&r.kernel).into()),
         C::both("cores", 5, "cores", |r| r.cores.into()),
-        C::both("makespan", 10, "makespan", |r| r.makespan.into()),
+        C::both("makespan", 10, "makespan", |r| r.report.makespan.into()),
         C::both("speedup", 7, "speedup", |r| r.speedup.into()).decimals(2, 3),
-        C::json("committed", |r| r.committed.into()),
-        C::both("ipc", 8, "aggregate_ipc", |r| r.aggregate_ipc.into()).decimals(2, 3),
-        C::both("buswait", 9, "bus_wait_cycles", |r| {
-            r.bus_wait_cycles.into()
-        }),
-        C::both("bankcfl", 9, "bank_conflicts", |r| r.bank_conflicts.into()),
+        C::json("committed", |r| r.report.total(|c| c.committed).into()),
+        C::both("ipc", 8, "aggregate_ipc", |r| {
+            r.report.aggregate_ipc().into()
+        })
+        .decimals(2, 3),
+        total("buswait", 9, "bus_wait_cycles", |c| c.bus_wait_cycles),
+        total("bankcfl", 9, "bank_conflicts", |c| c.l3_bank_conflicts),
         C::both("rowhit%", 8, "dram_row_hit_rate", |r| {
-            r.dram_row_hit_rate.into()
+            r.report.dram_row_hit_rate().into()
         })
         .decimals(1, 2),
-        C::both("dramR", 9, "dram_reads", |r| r.dram_reads.into()),
+        total("dramR", 9, "dram_reads", |c| c.dram_reads),
     ]
 }
 
@@ -153,25 +149,24 @@ pub fn scaling(flags: Flags) {
 /// Columns of the `coherence` sweep's Replicate-vs-Mesi table.
 pub fn coherence_cols() -> Vec<Col<CoherenceSweepRow>> {
     type C = Col<CoherenceSweepRow>;
+    let replicate =
+        |header, width, key, counter| C::total(header, width, key, |r| &r.replicate, counter);
+    let mesi = |header, width, key, counter| C::total(header, width, key, |r| &r.mesi, counter);
     vec![
         C::both("kernel", 6, "kernel", |r| (&r.kernel).into()),
         C::both("cores", 5, "cores", |r| r.cores.into()),
         C::both("mk.rep", 10, "makespan_replicate", |r| {
-            r.makespan_replicate.into()
+            r.replicate.makespan.into()
         }),
-        C::both("mk.mesi", 10, "makespan_mesi", |r| r.makespan_mesi.into()),
-        C::both("dramR.rep", 9, "dram_reads_replicate", |r| {
-            r.dram_reads_replicate.into()
-        }),
-        C::both("dramR.mesi", 9, "dram_reads_mesi", |r| {
-            r.dram_reads_mesi.into()
-        }),
-        C::both("shrhits", 9, "shared_hits", |r| r.shared_hits.into()),
-        C::both("invals", 8, "invalidations", |r| r.invalidations.into()),
-        C::both("intervs", 8, "interventions", |r| r.interventions.into()),
-        C::json("committed", |r| r.committed.into()),
+        C::both("mk.mesi", 10, "makespan_mesi", |r| r.mesi.makespan.into()),
+        replicate("dramR.rep", 9, "dram_reads_replicate", |c| c.dram_reads),
+        mesi("dramR.mesi", 9, "dram_reads_mesi", |c| c.dram_reads),
+        mesi("shrhits", 9, "shared_hits", |c| c.coh_shared_hits),
+        mesi("invals", 8, "invalidations", |c| c.coh_invalidations),
+        mesi("intervs", 8, "interventions", |c| c.coh_interventions),
+        C::json("committed", |r| r.replicate.total(|c| c.committed).into()),
         C::both("replfall", 8, "replication_fallbacks", |r| {
-            r.replication_fallbacks.into()
+            r.mesi.replication_fallbacks.into()
         }),
         C::both("clufall", 8, "cluster_fallbacks", |r| {
             r.cluster_fallbacks.into()
@@ -182,16 +177,17 @@ pub fn coherence_cols() -> Vec<Col<CoherenceSweepRow>> {
 /// Columns of the `coherence` sweep's protocol-family table.
 pub fn protocol_cols() -> Vec<Col<ProtocolSweepRow>> {
     type C = Col<ProtocolSweepRow>;
+    let total = |header, width, key, counter| C::total(header, width, key, |r| &r.report, counter);
     vec![
         C::both("kernel", 6, "kernel", |r| (&r.kernel).into()),
         C::both("cores", 5, "cores", |r| r.cores.into()),
         C::both("proto", 9, "protocol", |r| (&r.protocol).into()),
-        C::both("makespan", 10, "makespan", |r| r.makespan.into()),
-        C::both("dramR", 9, "dram_reads", |r| r.dram_reads.into()),
-        C::both("shrhits", 9, "shared_hits", |r| r.shared_hits.into()),
-        C::both("invals", 8, "invalidations", |r| r.invalidations.into()),
-        C::both("intervs", 8, "interventions", |r| r.interventions.into()),
-        C::json("committed", |r| r.committed.into()),
+        C::both("makespan", 10, "makespan", |r| r.report.makespan.into()),
+        total("dramR", 9, "dram_reads", |c| c.dram_reads),
+        total("shrhits", 9, "shared_hits", |c| c.coh_shared_hits),
+        total("invals", 8, "invalidations", |c| c.coh_invalidations),
+        total("intervs", 8, "interventions", |c| c.coh_interventions),
+        C::json("committed", |r| r.report.total(|c| c.committed).into()),
     ]
 }
 
@@ -217,7 +213,7 @@ pub fn coherence(flags: Flags) {
     println!();
     print_table(&coherence_cols(), &rows);
     println!();
-    let fallbacks: u64 = rows.iter().map(|r| r.replication_fallbacks).sum();
+    let fallbacks: u64 = rows.iter().map(|r| r.mesi.replication_fallbacks).sum();
     if fallbacks > 0 {
         println!(
             "note: {fallbacks} shared-marked array(s) fell back to per-core \
@@ -240,22 +236,23 @@ pub fn coherence(flags: Flags) {
     // under Mesi than under Replicate (the gathered x table is fetched
     // once per chip, not once per core).
     if let Some(cg4) = rows.iter().find(|r| r.kernel == "CG" && r.cores == 4) {
+        let reads_replicate = cg4.replicate.total(|c| c.dram_reads);
+        let reads_mesi = cg4.mesi.total(|c| c.dram_reads);
+        let shared_hits = cg4.mesi.total(|c| c.coh_shared_hits);
         println!(
-            "CG x4 DRAM reads: {} (Replicate) vs {} (Mesi), {} shared hits",
-            cg4.dram_reads_replicate, cg4.dram_reads_mesi, cg4.shared_hits
+            "CG x4 DRAM reads: {reads_replicate} (Replicate) vs {reads_mesi} (Mesi), \
+             {shared_hits} shared hits"
         );
         assert!(
-            cg4.dram_reads_mesi < cg4.dram_reads_replicate,
-            "CG x4 must read less DRAM under Mesi ({} vs {})",
-            cg4.dram_reads_mesi,
-            cg4.dram_reads_replicate
+            reads_mesi < reads_replicate,
+            "CG x4 must read less DRAM under Mesi ({reads_mesi} vs {reads_replicate})"
         );
-        assert!(cg4.shared_hits > 0, "CG x4 must score shared hits");
+        assert!(shared_hits > 0, "CG x4 must score shared hits");
     }
     // Single-core points must be mode-invariant (nothing is shared).
     for r in rows.iter().filter(|r| r.cores == 1) {
         assert_eq!(
-            r.makespan_replicate, r.makespan_mesi,
+            r.replicate.makespan, r.mesi.makespan,
             "{}: a lone core has nothing to share",
             r.kernel
         );
@@ -289,6 +286,7 @@ pub fn coherence(flags: Flags) {
 /// Columns of the `hetero` sweep.
 pub fn hetero_cols() -> Vec<Col<HeteroSweepRow>> {
     type C = Col<HeteroSweepRow>;
+    let total = |header, width, key, counter| C::total(header, width, key, |r| &r.report, counter);
     vec![
         C::both("kernel", 6, "kernel", |r| (&r.kernel).into()),
         C::both("shape", 12, "shape", |r| (&r.label).into()),
@@ -298,15 +296,13 @@ pub fn hetero_cols() -> Vec<Col<HeteroSweepRow>> {
             let weights: Vec<String> = r.weights.iter().map(|w| w.to_string()).collect();
             Val::Json(format!("[{}]", weights.join(", ")))
         }),
-        C::both("makespan", 10, "makespan", |r| r.makespan.into()),
-        C::both("committed", 10, "committed", |r| r.committed.into()),
-        C::both("dramR", 10, "dram_reads", |r| r.dram_reads.into()),
-        C::both("buswait", 9, "bus_wait_cycles", |r| {
-            r.bus_wait_cycles.into()
-        }),
-        C::both("shrhits", 8, "shared_hits", |r| r.shared_hits.into()),
+        C::both("makespan", 10, "makespan", |r| r.report.makespan.into()),
+        total("committed", 10, "committed", |c| c.committed),
+        total("dramR", 10, "dram_reads", |c| c.dram_reads),
+        total("buswait", 9, "bus_wait_cycles", |c| c.bus_wait_cycles),
+        total("shrhits", 8, "shared_hits", |c| c.coh_shared_hits),
         C::both("replfall", 9, "replication_fallbacks", |r| {
-            r.replication_fallbacks.into()
+            r.report.replication_fallbacks.into()
         }),
     ]
 }
@@ -343,17 +339,22 @@ pub fn hetero(flags: Flags) {
             .run()
             .expect("homogeneous run")
             .into_multi();
-        all_hybrid_is_homogeneous(&k.name, all_h.makespan, homo.makespan);
-        assert_eq!(all_h.committed, homo.total_committed(), "{}", k.name);
+        all_hybrid_is_homogeneous(&k.name, all_h.report.makespan, homo.makespan);
+        assert_eq!(
+            all_h.report.total(|c| c.committed),
+            homo.total(|c| c.committed),
+            "{}",
+            k.name
+        );
 
         // 2. Mixed ratios interpolate the endpoints.
         for h in 1..cores {
             if let Some(mix) = row(&format!("{h}H+{}C", cores - h)) {
                 mixed_chip_interpolates(
                     &format!("{} {}", k.name, mix.label),
-                    mix.makespan,
-                    all_h.makespan,
-                    all_c.makespan,
+                    mix.report.makespan,
+                    all_h.report.makespan,
+                    all_c.report.makespan,
                 );
             }
         }
@@ -371,13 +372,12 @@ pub fn hetero(flags: Flags) {
             row(&format!("{h}H+{}C", cores - h)),
             row(&format!("{h}H+{}C w2:1", cores / 2)),
         ) {
-            if even.makespan as f64 > all_h.makespan as f64 * 1.3 {
+            let (even, weighted) = (even.report.makespan, weighted.report.makespan);
+            if even as f64 > all_h.report.makespan as f64 * 1.3 {
                 assert!(
-                    weighted.makespan < even.makespan,
-                    "{}: 2:1 weights ({}) must beat the even split ({})",
-                    k.name,
-                    weighted.makespan,
-                    even.makespan
+                    weighted < even,
+                    "{}: 2:1 weights ({weighted}) must beat the even split ({even})",
+                    k.name
                 );
             }
         }
@@ -393,12 +393,18 @@ pub fn hetero(flags: Flags) {
 /// One point of the `clusters` sweep: the simulated results (asserted
 /// identical between the drivers) and both host wall-clocks.
 pub struct ClusterRow {
-    kernel: String,
-    topo: ClusterTopology,
-    channels: usize,
-    report: ClusterRunReport,
-    host_secs_serial: f64,
-    host_secs_threaded: f64,
+    /// Kernel name.
+    pub kernel: String,
+    /// Clusters × cores per cluster.
+    pub topo: ClusterTopology,
+    /// DRAM channels.
+    pub channels: usize,
+    /// The threaded run's report.
+    pub report: ClusterRunReport,
+    /// Best host wall-clock of the serial driver.
+    pub host_secs_serial: f64,
+    /// Best host wall-clock of the threaded driver.
+    pub host_secs_threaded: f64,
 }
 
 impl ClusterRow {
@@ -419,10 +425,12 @@ pub fn clusters_cols() -> Vec<Col<ClusterRow>> {
         C::both("ch", 3, "dram_channels", |r| r.channels.into()),
         C::both("makespan", 10, "makespan", |r| r.report.makespan.into()),
         C::both("epochs", 7, "epochs", |r| r.report.epochs.into()),
-        C::json("committed", |r| r.report.total_committed().into()),
-        C::json("skipped_cycles", |r| r.report.total_skipped_cycles().into()),
+        C::json("committed", |r| r.report.total(|c| c.committed).into()),
+        C::json("skipped_cycles", |r| {
+            r.report.total(|c| c.skipped_cycles).into()
+        }),
         C::both("dramR", 9, "dram_reads", |r| {
-            r.report.total_dram_reads().into()
+            r.report.total(|c| c.dram_reads).into()
         }),
         C::both("clufall", 8, "cross_cluster_fallbacks", |r| {
             r.report.cross_cluster_fallbacks.into()
@@ -524,12 +532,13 @@ pub fn clusters(flags: Flags) {
                     kernel.name, clusters, per, channels
                 );
                 assert_eq!(serial.epochs, threaded.epochs);
-                assert_eq!(serial.total_committed(), threaded.total_committed());
-                assert_eq!(
-                    serial.total_skipped_cycles(),
-                    threaded.total_skipped_cycles()
-                );
-                assert_eq!(serial.total_dram_reads(), threaded.total_dram_reads());
+                for counter in [
+                    |c: &RunReport| c.committed,
+                    |c: &RunReport| c.skipped_cycles,
+                    |c: &RunReport| c.dram_reads,
+                ] {
+                    assert_eq!(serial.total(counter), threaded.total(counter));
+                }
 
                 rows.push(ClusterRow {
                     kernel: kernel.name.clone(),
@@ -592,37 +601,30 @@ pub fn clusters(flags: Flags) {
 
 /// One point of the `faults` sweep.
 pub struct FaultRow {
-    kernel: String,
-    rate: f64,
-    report: MultiRunReport,
+    /// Kernel name.
+    pub kernel: String,
+    /// Uniform fault probability of all three sites.
+    pub rate: f64,
+    /// The run's report.
+    pub report: MultiRunReport,
     /// Makespan of the same kernel's rate-0 run.
-    baseline: u64,
+    pub baseline: u64,
 }
 
 /// Columns of the `faults` sweep.
 pub fn faults_cols() -> Vec<Col<FaultRow>> {
     type C = Col<FaultRow>;
+    let total = |header, width, key, counter| C::total(header, width, key, |r| &r.report, counter);
     vec![
         C::both("kernel", 6, "kernel", |r| (&r.kernel).into()),
         C::both("rate", 7, "rate", |r| r.rate.into()),
         C::both("makespan", 10, "makespan", |r| r.report.makespan.into()),
-        C::json("committed", |r| r.report.total_committed().into()),
-        C::both("skipped", 7, "skipped_cycles", |r| {
-            r.report.total_skipped_cycles().into()
-        })
-        .after("degr"),
-        C::both("eccRetry", 9, "ecc_retries", |r| {
-            r.report.total_ecc_retries().into()
-        }),
-        C::both("dmaRtry", 7, "dma_retries", |r| {
-            r.report.total_dma_retries().into()
-        }),
-        C::both("dirNack", 7, "dir_nacks", |r| {
-            r.report.total_dir_nacks().into()
-        }),
-        C::both("escal", 7, "escalations", |r| {
-            r.report.total_escalations().into()
-        }),
+        C::json("committed", |r| r.report.total(|c| c.committed).into()),
+        total("skipped", 7, "skipped_cycles", |c| c.skipped_cycles).after("degr"),
+        total("eccRetry", 9, "ecc_retries", |c| c.ecc_retries),
+        total("dmaRtry", 7, "dma_retries", |c| c.dma_retries),
+        total("dirNack", 7, "dir_nacks", |c| c.dir_nacks),
+        total("escal", 7, "escalations", |c| c.escalations),
         C::table("degr", 5, |r| {
             (r.report.makespan as f64 / r.baseline.max(1) as f64).into()
         })
@@ -680,24 +682,31 @@ pub fn faults(flags: Flags) {
                 "{} rate {rate}: replay changed the makespan",
                 kernel.name
             );
-            assert_eq!(report.total_skipped_cycles(), replay.total_skipped_cycles());
-            assert_eq!(report.total_ecc_retries(), replay.total_ecc_retries());
-            assert_eq!(report.total_dma_retries(), replay.total_dma_retries());
-            assert_eq!(report.total_dir_nacks(), replay.total_dir_nacks());
-            assert_eq!(report.total_escalations(), replay.total_escalations());
+            for counter in [
+                |c: &RunReport| c.skipped_cycles,
+                |c: &RunReport| c.ecc_retries,
+                |c: &RunReport| c.dma_retries,
+                |c: &RunReport| c.dir_nacks,
+                |c: &RunReport| c.escalations,
+            ] {
+                assert_eq!(report.total(counter), replay.total(counter));
+            }
 
             // Timing-only: faults never change architectural progress.
             assert_eq!(
-                report.total_committed(),
-                clean.total_committed(),
+                report.total(|c| c.committed),
+                clean.total(|c| c.committed),
                 "{} rate {rate}: faults changed the committed-instruction total",
                 kernel.name
             );
             if rate == 0.0 {
                 // A zero-rate plan is bit-identical to no plan.
                 assert_eq!(report.makespan, clean.makespan);
-                assert_eq!(report.total_skipped_cycles(), clean.total_skipped_cycles());
-                assert_eq!(report.total_ecc_retries(), 0);
+                assert_eq!(
+                    report.total(|c| c.skipped_cycles),
+                    clean.total(|c| c.skipped_cycles)
+                );
+                assert_eq!(report.total(|c| c.ecc_retries), 0);
             }
 
             rows.push(FaultRow {
@@ -735,6 +744,7 @@ pub fn faults(flags: Flags) {
 /// Columns of the `comm` sweep's microbenchmark table.
 pub fn comm_cols() -> Vec<Col<CommSweepRow>> {
     type C = Col<CommSweepRow>;
+    let total = |header, width, key, counter| C::total(header, width, key, |r| &r.report, counter);
     vec![
         C::both("workload", 9, "workload", |r| (&r.workload).into()),
         C::both("cores", 5, "cores", |r| r.cores.into()),
@@ -747,14 +757,14 @@ pub fn comm_cols() -> Vec<Col<CommSweepRow>> {
         C::json("mode", |r| Val::text(format!("{:?}", r.mode))),
         C::both("proto", 9, "protocol", |r| (&r.protocol).into()),
         C::json("rounds", |r| r.rounds.into()),
-        C::both("makespan", 10, "makespan", |r| r.makespan.into()),
+        C::both("makespan", 10, "makespan", |r| r.report.makespan.into()),
         C::both("rt/rnd", 8, "round_cycles", |r| r.round_cycles.into()).decimals(1, 2),
-        C::both("dramR", 8, "dram_reads", |r| r.dram_reads.into()),
-        C::both("shrhits", 8, "shared_hits", |r| r.shared_hits.into()),
-        C::both("invals", 8, "invalidations", |r| r.invalidations.into()),
-        C::both("intervs", 8, "interventions", |r| r.interventions.into()),
-        C::both("recalls", 8, "dirty_recalls", |r| r.dirty_recalls.into()),
-        C::json("committed", |r| r.committed.into()),
+        total("dramR", 8, "dram_reads", |c| c.dram_reads),
+        total("shrhits", 8, "shared_hits", |c| c.coh_shared_hits),
+        total("invals", 8, "invalidations", |c| c.coh_invalidations),
+        total("intervs", 8, "interventions", |c| c.coh_interventions),
+        total("recalls", 8, "dirty_recalls", |c| c.coh_dirty_recalls),
+        C::json("committed", |r| r.report.total(|c| c.committed).into()),
     ]
 }
 

@@ -2,6 +2,7 @@
 //! artefact schema pinned against the committed `BENCH_*.json` files,
 //! and the one-cell-per-column rule of every table.
 
+use hsim::cluster::{ClusterConfig, ClusterTopology};
 use hsim::prelude::*;
 use hsim_bench::{commands, json_keys, parse_args, sweeps, table_cells, table_headers, Col, Flags};
 use std::process::Command;
@@ -160,53 +161,48 @@ fn every_table_renders_one_cell_per_header() {
         assert_eq!(table_headers(&cols).len(), headers);
         assert_eq!(table_cells(&cols, &row).len(), headers);
     }
-    let kernel = String::from("CG");
+    // Every row wraps a report; one tiny real run fills them all.
+    let mut kb = KernelBuilder::new("axpy");
+    let a = kb.array_f64("a", 256);
+    kb.begin_loop(256);
+    let ra = kb.ref_affine(a, 1, 0);
+    kb.stmt(ra, Expr::add(Expr::Ref(ra), Expr::ConstF(1.0)));
+    kb.end_loop();
+    let kernel = kb.build().unwrap();
+    let spec = RunSpec::new(&kernel).cores(2);
+    let report = spec.clone().run().unwrap().into_multi();
+    let clustered = spec
+        .clustered(&ClusterConfig::new(ClusterTopology::new(1, 2)))
+        .run()
+        .unwrap()
+        .into_clusters();
+    let name = String::from("axpy");
     check(
         sweeps::backside_cols(),
         BacksideSweepRow {
-            kernel: kernel.clone(),
+            kernel: name.clone(),
             cores: 2,
-            makespan: 1,
-            dram_row_hits: 1,
-            dram_row_misses: 1,
-            dram_row_conflicts: 1,
-            dram_row_hit_rate: 50.0,
-            bank_conflicts: 1,
-            bus_wait_cycles: 1,
-            dram_queue_stalls: 1,
+            report: report.clone(),
         },
         10,
     );
     check(
         sweeps::scaling_cols(),
         ScalingRow {
-            kernel: kernel.clone(),
+            kernel: name.clone(),
             cores: 2,
-            makespan: 1,
             speedup: 1.0,
-            committed: 1,
-            aggregate_ipc: 1.0,
-            bus_wait_cycles: 1,
-            bank_conflicts: 1,
-            dram_row_hit_rate: 50.0,
-            dram_reads: 1,
+            report: report.clone(),
         },
         9,
     );
     check(
         sweeps::coherence_cols(),
         CoherenceSweepRow {
-            kernel: kernel.clone(),
+            kernel: name.clone(),
             cores: 2,
-            makespan_replicate: 1,
-            makespan_mesi: 1,
-            dram_reads_replicate: 1,
-            dram_reads_mesi: 1,
-            shared_hits: 1,
-            invalidations: 1,
-            interventions: 1,
-            committed: 1,
-            replication_fallbacks: 0,
+            replicate: report.clone(),
+            mesi: report.clone(),
             cluster_fallbacks: 0,
         },
         11,
@@ -214,59 +210,60 @@ fn every_table_renders_one_cell_per_header() {
     check(
         sweeps::protocol_cols(),
         ProtocolSweepRow {
-            kernel: kernel.clone(),
+            kernel: name.clone(),
             cores: 2,
             protocol: "mesi".into(),
-            makespan: 1,
-            dram_reads: 1,
-            shared_hits: 1,
-            invalidations: 1,
-            interventions: 1,
-            committed: 1,
+            report: report.clone(),
         },
         8,
     );
     check(
         sweeps::hetero_cols(),
         HeteroSweepRow {
-            kernel: kernel.clone(),
-            label: "2H+2C".into(),
-            cores: 4,
+            kernel: name.clone(),
+            label: "2H+0C".into(),
             hybrid_tiles: 2,
             small_lm_tiles: 0,
-            weights: vec![1; 4],
-            makespan: 1,
-            committed: 1,
-            dram_reads: 1,
-            bus_wait_cycles: 1,
-            shared_hits: 1,
-            replication_fallbacks: 0,
+            weights: vec![1; 2],
+            report: report.clone(),
         },
         8,
+    );
+    check(
+        sweeps::clusters_cols(),
+        sweeps::ClusterRow {
+            kernel: name.clone(),
+            topo: ClusterTopology::new(1, 2),
+            channels: 1,
+            report: clustered,
+            host_secs_serial: 1.0,
+            host_secs_threaded: 1.0,
+        },
+        11,
+    );
+    check(
+        sweeps::faults_cols(),
+        sweeps::FaultRow {
+            kernel: name,
+            rate: 0.0,
+            baseline: report.makespan,
+            report: report.clone(),
+        },
+        9,
     );
     check(
         sweeps::comm_cols(),
         CommSweepRow {
             workload: "queue".into(),
             cores: 2,
-            mode: SysMode::CacheBased,
+            mode: SysMode::HybridCoherent,
             protocol: "msi".into(),
             rounds: 1,
-            makespan: 1,
             round_cycles: 1.0,
-            dram_reads: 1,
-            shared_hits: 1,
-            invalidations: 1,
-            interventions: 1,
-            dirty_recalls: 1,
-            committed: 1,
+            report,
         },
         11,
     );
-    // The rows of `clusters` and `faults` wrap whole reports; their
-    // header lists are still declared once.
-    assert_eq!(table_headers(&sweeps::clusters_cols()).len(), 11);
-    assert_eq!(table_headers(&sweeps::faults_cols()).len(), 9);
 }
 
 #[test]

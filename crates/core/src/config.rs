@@ -8,9 +8,9 @@
 //! [`CoherenceMode::Replicate`] keeps per-core private replicas bit-for-
 //! bit as before; [`CoherenceMode::Mesi`] adds a directory slice per L3
 //! bank serving registered shared ranges from one copy). The DRAM
-//! defaults decompose the historical flat DRAM latency, so a cold access
-//! costs the same either way; the `flat_dram` escape hatch in
-//! `hsim_mem::DramConfig` restores the pre-banking backside bit for bit.
+//! defaults decompose the paper's flat 200-cycle DRAM latency
+//! (`t_rcd + t_cas`), so a cold access to a closed row costs exactly
+//! that.
 
 pub use hsim_mem::{CoherenceConfig, CoherenceMode, DramTiming, L3Geometry};
 

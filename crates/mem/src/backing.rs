@@ -15,10 +15,8 @@
 //! * [`DramController`] — the **timing** model of the memory channel the
 //!   shared backside reads and writes through: per-DRAM-bank row buffers
 //!   with an open-row policy (row hit / row miss / row conflict
-//!   latencies), a bounded posted-write queue drained hit-first
-//!   (FR-FCFS-style), and a flat-latency escape hatch
-//!   ([`DramConfig::flat_dram`]) that reproduces the pre-banking model
-//!   bit for bit.
+//!   latencies) and a bounded posted-write queue drained hit-first
+//!   (FR-FCFS-style).
 //!
 //! ## Invariants
 //!
@@ -302,25 +300,16 @@ impl Default for DramTiming {
 /// DRAM channel configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DramConfig {
-    /// Flat access latency in cycles, used only when `flat_dram` is set.
-    pub latency: u64,
     /// Minimum gap between line transfers on the channel (bandwidth).
     pub gap: u64,
-    /// Escape hatch: model the channel as a fixed-latency pipe with no
-    /// row or bank state, reproducing the pre-banking backside bit for
-    /// bit (`MachineConfig::with_flat_backside` sets this together with
-    /// a single L3 bank).
-    pub flat_dram: bool,
-    /// Row-buffer timing (ignored when `flat_dram` is set).
+    /// Row-buffer timing.
     pub timing: DramTiming,
 }
 
 impl Default for DramConfig {
     fn default() -> Self {
         DramConfig {
-            latency: 200,
             gap: 12,
-            flat_dram: false,
             timing: DramTiming::default(),
         }
     }
@@ -387,7 +376,7 @@ impl DramStats {
     }
 
     /// Row-buffer hit rate in percent over classified accesses (100.0
-    /// when there were none, e.g. under `flat_dram`).
+    /// when there were none).
     pub fn row_hit_rate(&self) -> f64 {
         let n = self.row_accesses();
         if n == 0 {
@@ -435,10 +424,6 @@ struct QueuedWrite {
 /// (FR-FCFS-style hit-first scheduling over the reorderable traffic;
 /// read latencies are returned synchronously at issue, so reads
 /// themselves serve in arrival order with priority over queued writes).
-///
-/// With [`DramConfig::flat_dram`] set, the controller is a fixed-latency
-/// `gap`-spaced pipe with no row, bank or queue state — bit-identical to
-/// the pre-banking model.
 pub struct DramController {
     cfg: DramConfig,
     /// Finite-queue horizon: the furthest beyond `now` a request can be
@@ -580,35 +565,25 @@ impl DramController {
     }
 
     /// A line read issued at cycle `now`. Returns the latency beyond
-    /// `now` (wait plus access), in row mode how the access met the
-    /// row buffer, and the number of injected ECC retries (each one
-    /// `t_cas` extra latency) — the caller mirrors the outcome and the
-    /// retries into the requesting core's stat share.
-    pub fn read(&mut self, now: u64, line_addr: u64) -> (u64, Option<RowOutcome>, u64) {
+    /// `now` (wait plus access), how the access met the row buffer, and
+    /// the number of injected ECC retries (each one `t_cas` extra
+    /// latency) — the caller mirrors the outcome and the retries into
+    /// the requesting core's stat share.
+    pub fn read(&mut self, now: u64, line_addr: u64) -> (u64, RowOutcome, u64) {
         self.stats.reads += 1;
-        if self.cfg.flat_dram {
-            let start = now.max(self.busy_until);
-            self.busy_until = start + self.cfg.gap;
-            let retries = self.ecc_replays();
-            return (
-                (start - now) + self.cfg.latency + retries * self.cfg.timing.t_cas,
-                None,
-                retries,
-            );
-        }
         let (bank, row) = self.map(line_addr);
         let (start, outcome, lat) = self.schedule(now, bank, row);
         let retries = self.ecc_replays();
         (
             (start - now) + lat + retries * self.cfg.timing.t_cas,
-            Some(outcome),
+            outcome,
             retries,
         )
     }
 
     /// Posts a line write at cycle `now`. The write is counted
-    /// immediately; in row mode it parks in the bounded queue, and when
-    /// the queue is full one queued write is drained first — hit-first
+    /// immediately and parks in the bounded queue; when the queue is
+    /// full one queued write is drained first — hit-first
     /// over the open rows, else the oldest. `intervention` marks a MESI
     /// M-intervention write-back (the caller charges those to the
     /// recalled owner). Returns the drained write's (posting core, row
@@ -624,11 +599,6 @@ impl DramController {
         intervention: bool,
     ) -> Option<(usize, RowOutcome, bool)> {
         self.stats.writes += 1;
-        if self.cfg.flat_dram {
-            let start = now.max(self.busy_until);
-            self.busy_until = start + self.cfg.gap;
-            return None;
-        }
         let (bank, row) = self.map(line_addr);
         let drained = if self.queue.len() >= self.cfg.timing.queue_depth {
             self.stats.queue_stalls += 1;
@@ -669,13 +639,8 @@ impl DramController {
     /// events (they drain inside `write_posted` calls), so this is the
     /// complete set of future state-change times.
     pub fn next_event_after(&self, now: u64) -> Option<u64> {
-        let banks = if self.cfg.flat_dram {
-            &[]
-        } else {
-            self.bank_busy.as_slice()
-        };
         std::iter::once(self.busy_until)
-            .chain(banks.iter().copied())
+            .chain(self.bank_busy.iter().copied())
             .filter(|&t| t > now)
             .min()
     }
@@ -812,7 +777,7 @@ mod tests {
         let mut d = dram();
         let (lat, outcome, retries) = d.read(0, 0);
         assert_eq!(lat, 200);
-        assert_eq!(outcome, Some(RowOutcome::Miss));
+        assert_eq!(outcome, RowOutcome::Miss);
         assert_eq!(retries, 0, "fault-free controllers never ECC-retry");
     }
 
@@ -822,7 +787,7 @@ mod tests {
         let (first, _, _) = d.read(0, 0);
         // Next line in the same 2 KiB row, issued after the bank freed.
         let (second, outcome, _) = d.read(first, 64);
-        assert_eq!(outcome, Some(RowOutcome::Hit));
+        assert_eq!(outcome, RowOutcome::Hit);
         assert_eq!(second, 80, "row hit must cost t_cas only");
         assert_eq!(d.stats.row_hits, 1);
         assert_eq!(d.stats.row_misses, 1);
@@ -844,7 +809,7 @@ mod tests {
         let t = DramTiming::default();
         let other = row_with_bank(&d, true) * t.row_bytes;
         let (lat, outcome, _) = d.read(0, other);
-        assert_eq!(outcome, Some(RowOutcome::Conflict));
+        assert_eq!(outcome, RowOutcome::Conflict);
         // Serializes behind the first access's bank commands (its
         // activate: t_rcd) then pays precharge + activate + column.
         assert_eq!(lat, t.t_rcd + t.t_rp + t.t_rcd + t.t_cas);
@@ -858,7 +823,7 @@ mod tests {
         let t = DramTiming::default();
         let other = row_with_bank(&d, false) * t.row_bytes;
         let (lat, outcome, _) = d.read(0, other);
-        assert_eq!(outcome, Some(RowOutcome::Miss));
+        assert_eq!(outcome, RowOutcome::Miss);
         // Only the channel gap separates them, not the full access.
         assert_eq!(lat, d.cfg.gap + t.t_rcd + t.t_cas);
     }
@@ -910,22 +875,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_dram_has_no_row_state() {
-        let mut d = DramController::new(DramConfig {
-            flat_dram: true,
-            ..DramConfig::default()
-        });
-        let (a, oa, _) = d.read(0, 0);
-        assert_eq!((a, oa), (200, None));
-        // Same row again: still the flat latency plus the channel gap.
-        let (b, ob, _) = d.read(0, 64);
-        assert_eq!((b, ob), (12 + 200, None));
-        assert_eq!(d.write_posted(0, 0, 0, false), None);
-        assert_eq!(d.stats.row_accesses(), 0);
-        assert_eq!(d.stats.row_hit_rate(), 100.0);
-    }
-
-    #[test]
     fn ecc_retries_are_deterministic_bounded_and_timing_only() {
         use crate::fault::FaultConfig;
         // Rate 1.0: every read replays exactly max_retries times (the
@@ -938,7 +887,7 @@ mod tests {
         let mut d = DramController::with_faults(DramConfig::default(), &plan, 0);
         let (lat, outcome, retries) = d.read(0, 0);
         assert_eq!(retries, 3);
-        assert_eq!(outcome, Some(RowOutcome::Miss));
+        assert_eq!(outcome, RowOutcome::Miss);
         assert_eq!(lat, 200 + 3 * t.t_cas);
         assert_eq!(d.stats.ecc_retries, 3);
         assert_eq!(d.stats.row_misses, 1, "replays never re-classify rows");

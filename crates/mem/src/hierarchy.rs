@@ -24,11 +24,8 @@
 //! own arbitrated port, in front of one [`DramController`] with
 //! per-DRAM-bank row buffers and a posted-write queue. Requests to different L3 banks
 //! proceed in parallel; requests to one bank serialize on its port in
-//! the rotating round-robin order the machine ticks cores in. The
-//! single-port, flat-DRAM model of earlier revisions is preserved bit
-//! for bit by `L3Geometry { banks: 1 }` + [`DramConfig::flat_dram`]
-//! (`MachineConfig::with_flat_backside`). Single-core systems embed a
-//! private one-core backside.
+//! the rotating round-robin order the machine ticks cores in.
+//! Single-core systems embed a private one-core backside.
 //!
 //! ## Inter-core coherence modes
 //!
@@ -1045,9 +1042,7 @@ impl SharedBackside {
             let s = &mut self.per_core[core].dram;
             s.reads += 1;
             s.ecc_retries += ecc_retries;
-            if let Some(o) = outcome {
-                Self::bump_row(s, o);
-            }
+            Self::bump_row(s, outcome);
         }
         let prefetched = kind == AccessKind::Prefetch;
         if let Some(ev) = self.banks[bank].cache.fill(a, false, prefetched) {
@@ -1138,9 +1133,7 @@ impl SharedBackside {
             let s = &mut self.per_core[core].dram;
             s.reads += 1;
             s.ecc_retries += ecc;
-            if let Some(o) = outcome {
-                Self::bump_row(s, o);
-            }
+            Self::bump_row(s, outcome);
             extra += lat;
         }
         self.banks[bank].dir.entries.insert(local, e);

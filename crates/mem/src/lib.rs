@@ -8,7 +8,7 @@
 //!   models; data always lives here, which is what makes the end-to-end
 //!   coherence checks possible) and the [`DramController`] timing model
 //!   (per-bank row buffers, open-row policy, bounded posted-write queue
-//!   with FR-FCFS-style hit-first draining, flat-latency escape hatch).
+//!   with FR-FCFS-style hit-first draining).
 //! * [`cache`] — set-associative cache arrays with LRU replacement,
 //!   write-through and write-back policies, and the Table 3 access
 //!   accounting (demand, prefetch, fill, write-back, snoop, invalidate).

@@ -82,11 +82,11 @@ fn main() {
             "  makespan {} cycles; DRAM reads {}; shared hits {}; invalidations {}; \
              replication fallbacks {}; coherence violations {}",
             report.makespan,
-            report.total_dram_reads(),
-            report.total_shared_hits(),
-            report.total_invalidations(),
+            report.total(|c| c.dram_reads),
+            report.total(|c| c.coh_shared_hits),
+            report.total(|c| c.coh_invalidations),
             report.replication_fallbacks,
-            report.total_violations()
+            report.total(|c| c.violations)
         );
     }
     println!(

@@ -60,8 +60,8 @@ fn main() {
          coherence violations: {}",
         report.makespan,
         report.aggregate_ipc(),
-        report.total_bus_wait_cycles(),
-        report.total_violations()
+        report.total(|c| c.bus_wait_cycles),
+        report.total(|c| c.violations)
     );
     println!(
         "under Replicate, no inter-core coherence traffic exists: each directory only ever \
@@ -86,11 +86,11 @@ fn main() {
          coherence violations: {}",
         mesi.makespan,
         report.makespan,
-        mesi.total_dram_reads(),
-        report.total_dram_reads(),
-        mesi.total_shared_hits(),
-        mesi.total_invalidations(),
-        mesi.total_interventions(),
-        mesi.total_violations()
+        mesi.total(|c| c.dram_reads),
+        report.total(|c| c.dram_reads),
+        mesi.total(|c| c.coh_shared_hits),
+        mesi.total(|c| c.coh_invalidations),
+        mesi.total(|c| c.coh_interventions),
+        mesi.total(|c| c.violations)
     );
 }

@@ -68,7 +68,7 @@
 //!   reports — partial results instead of a poisoned hang.
 
 use crate::machine::{MachineConfig, MultiMachine};
-use crate::metrics::MultiRunReport;
+use crate::metrics::{MultiRunReport, RunReport};
 use hsim_compiler::{CompiledKernel, Kernel};
 use hsim_core::pipeline::SimError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -279,65 +279,15 @@ pub struct ClusterRunReport {
 }
 
 impl ClusterRunReport {
-    /// Number of clusters.
-    pub fn n_clusters(&self) -> usize {
-        self.per_cluster.len()
+    /// Every core's report, cluster-major.
+    pub fn cores(&self) -> impl Iterator<Item = &RunReport> {
+        self.per_cluster.iter().flat_map(|m| &m.per_core)
     }
 
-    /// Total cores across all clusters.
-    pub fn n_cores(&self) -> usize {
-        self.per_cluster.iter().map(|r| r.n_cores()).sum()
-    }
-
-    /// Total committed instructions across all clusters.
-    pub fn total_committed(&self) -> u64 {
-        self.per_cluster.iter().map(|r| r.total_committed()).sum()
-    }
-
-    /// Total scheduler-skipped cycles across all clusters.
-    pub fn total_skipped_cycles(&self) -> u64 {
-        self.per_cluster
-            .iter()
-            .map(|r| r.total_skipped_cycles())
-            .sum()
-    }
-
-    /// Intra-cluster replication fallbacks (diverged shard layouts),
-    /// summed over clusters — distinct from the cross-cluster count.
-    pub fn total_replication_fallbacks(&self) -> u64 {
-        self.per_cluster
-            .iter()
-            .map(|r| r.replication_fallbacks)
-            .sum()
-    }
-
-    /// Total DRAM line reads across all clusters and channels.
-    pub fn total_dram_reads(&self) -> u64 {
-        self.per_cluster.iter().map(|r| r.total_dram_reads()).sum()
-    }
-
-    /// Total injected-and-recovered DRAM ECC retries across all
-    /// clusters (0 without a fault plan).
-    pub fn total_ecc_retries(&self) -> u64 {
-        self.per_cluster.iter().map(|r| r.total_ecc_retries()).sum()
-    }
-
-    /// Total DMA timeout retries across all clusters (0 without a
-    /// fault plan).
-    pub fn total_dma_retries(&self) -> u64 {
-        self.per_cluster.iter().map(|r| r.total_dma_retries()).sum()
-    }
-
-    /// Total directory/bank NACKs across all clusters (0 without a
-    /// fault plan).
-    pub fn total_dir_nacks(&self) -> u64 {
-        self.per_cluster.iter().map(|r| r.total_dir_nacks()).sum()
-    }
-
-    /// Total retry-budget escalations across all clusters (0 without a
-    /// fault plan).
-    pub fn total_escalations(&self) -> u64 {
-        self.per_cluster.iter().map(|r| r.total_escalations()).sum()
+    /// Sums one per-core counter over every core of every cluster (and
+    /// so over all DRAM channels): `r.total(|c| c.dram_reads)`.
+    pub fn total<T: std::iter::Sum>(&self, f: impl Fn(&RunReport) -> T) -> T {
+        self.cores().map(f).sum()
     }
 }
 

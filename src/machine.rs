@@ -117,22 +117,6 @@ impl MachineConfig {
         self
     }
 
-    /// Restores the pre-banking backside (the `flat_dram: true` escape
-    /// hatch): a single monolithic single-ported L3 bank and a
-    /// fixed-latency DRAM channel with no row-buffer or write-queue
-    /// state, with the inter-core coherence mode pinned to `Replicate`
-    /// (the flat backside predates the MESI directory). Runs under this
-    /// configuration are bit-identical to the revisions before the
-    /// banked backside landed; the identity tests pin that against
-    /// recorded cycle counts.
-    pub fn with_flat_backside(mut self) -> Self {
-        self.mem.l3_geometry.banks = 1;
-        self.mem.dram.flat_dram = true;
-        self.mem.dram_channels = 1;
-        self.mem.coherence.mode = hsim_core::config::CoherenceMode::Replicate;
-        self
-    }
-
     /// Selects the inter-core coherence model of the shared backside
     /// (overriding the `HSIM_COHERENCE` environment default):
     /// `Replicate` keeps per-core private replicas of every cacheable
@@ -509,11 +493,6 @@ impl MultiMachine {
         self.replication_fallbacks
     }
 
-    /// Number of cores.
-    pub fn n_cores(&self) -> usize {
-        self.tiles.len()
-    }
-
     /// The shared backside (contention statistics, aggregate L3/DRAM).
     pub fn backside(&self) -> Rc<RefCell<SharedBackside>> {
         Rc::clone(&self.backside)
@@ -763,15 +742,6 @@ impl MultiMachine {
             },
         );
         std::cmp::Reverse((target, i))
-    }
-
-    /// Parallel makespan: the cycle count of the slowest core.
-    pub fn makespan(&self) -> u64 {
-        self.tiles
-            .iter()
-            .map(|t| t.core.stats.cycles)
-            .max()
-            .unwrap_or(0)
     }
 
     /// Total coherence violations over all tiles (tracking runs only).

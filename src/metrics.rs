@@ -55,8 +55,7 @@ pub struct RunReport {
     pub dram_reads: u64,
     /// DRAM lines written on behalf of this core.
     pub dram_writes: u64,
-    /// This core's DRAM accesses that hit an open row (`flat_dram` runs
-    /// report 0 row activity).
+    /// This core's DRAM accesses that hit an open row.
     pub dram_row_hits: u64,
     /// This core's DRAM accesses to a bank with no open row.
     pub dram_row_misses: u64,
@@ -69,23 +68,24 @@ pub struct RunReport {
     pub dram_queue_stalls: u64,
     /// The subset of this core's `dram_queue_stalls` whose drained
     /// victim was an M-intervention write-back of *this core's* dirty
-    /// data (`CoherenceMode::Mesi` only; 0 under `Replicate`).
+    /// data (directory protocols only; 0 under `Replicate`).
     pub dram_intervention_drain_stalls: u64,
     /// L3 hits this core scored on shared, directory-tracked lines also
-    /// held or brought in by another core (`CoherenceMode::Mesi` only;
-    /// 0 under `Replicate`).
+    /// held or brought in by another core (directory protocols only; 0
+    /// under `Replicate`).
     pub coh_shared_hits: u64,
     /// Invalidation messages this core's writes/evictions sent to other
-    /// cores' upper levels (Mesi only).
+    /// cores' upper levels (directory protocols only).
     pub coh_invalidations: u64,
-    /// M-state interventions this core's requests triggered (Mesi only).
+    /// Dirty-owner interventions this core's requests triggered
+    /// (directory protocols only).
     pub coh_interventions: u64,
     /// MSHR merges that stalled on a fill lengthened by an intervention
-    /// (Mesi only).
+    /// (directory protocols only).
     pub coh_intervention_stalls: u64,
     /// Back-invalidations that recalled a *dirty* line out of this
     /// core's L1/L2, each charging the tile-side recall port occupancy
-    /// (Mesi only).
+    /// (directory protocols only).
     pub coh_dirty_recalls: u64,
     /// Injected transient DRAM read errors recovered by ECC replay on
     /// behalf of this core (0 without a fault plan; timing-only).
@@ -171,23 +171,6 @@ impl RunReport {
         self.committed as f64 / self.cycles.max(1) as f64
     }
 
-    /// Fraction of simulated cycles the scheduler skipped (0.0 on
-    /// lockstep runs; close to 1.0 for DMA- or DRAM-bound workloads).
-    pub fn skipped_fraction(&self) -> f64 {
-        self.skipped_cycles as f64 / self.cycles.max(1) as f64
-    }
-
-    /// This core's DRAM row-buffer hit rate in percent over its
-    /// row-classified accesses (100.0 when there were none, e.g. under
-    /// `flat_dram`).
-    pub fn dram_row_hit_rate(&self) -> f64 {
-        let n = self.dram_row_hits + self.dram_row_misses + self.dram_row_conflicts;
-        if n == 0 {
-            return 100.0;
-        }
-        100.0 * self.dram_row_hits as f64 / n as f64
-    }
-
     /// Cycles in a phase.
     pub fn phase(&self, p: Phase) -> u64 {
         self.phase_cycles[hsim_core::stats::phase_index(p)]
@@ -209,7 +192,7 @@ pub struct MultiRunReport {
     pub makespan: u64,
     /// Shared-marked arrays that fell back to per-core replication
     /// because the shards' layouts diverged (uneven weighted shards):
-    /// under `CoherenceMode::Mesi` those arrays are *not* served from
+    /// under a directory protocol those arrays are *not* served from
     /// shared lines. 0 on evenly-sharded machines.
     pub replication_fallbacks: u64,
 }
@@ -231,12 +214,6 @@ impl MultiRunReport {
             makespan,
             replication_fallbacks: m.replication_fallbacks(),
         }
-    }
-
-    /// The per-tile system modes, indexed by core id — equal on a
-    /// homogeneous machine, mixed on a heterogeneous one.
-    pub fn tile_modes(&self) -> Vec<SysMode> {
-        self.per_core.iter().map(|r| r.mode).collect()
     }
 
     /// Whether the tiles run more than one `SysMode` (a mixed
@@ -264,114 +241,39 @@ impl MultiRunReport {
         self.per_core.len()
     }
 
-    /// Total backside-port wait cycles over all cores — the headline
-    /// shared-L3/DRAM contention figure.
-    pub fn total_bus_wait_cycles(&self) -> u64 {
-        self.per_core.iter().map(|r| r.bus_wait_cycles).sum()
+    /// Sums one per-core counter (or any per-core value) over the
+    /// machine: `m.total(|r| r.dram_reads)`. The per-core shares of the
+    /// shared backside partition its totals exactly, so this is the
+    /// machine-level figure of every [`RunReport`] counter.
+    pub fn total<T: std::iter::Sum>(&self, f: impl Fn(&RunReport) -> T) -> T {
+        self.per_core.iter().map(f).sum()
     }
 
-    /// Total cycles the event-horizon scheduler skipped over all cores
-    /// (0 on lockstep runs).
-    pub fn total_skipped_cycles(&self) -> u64 {
-        self.per_core.iter().map(|r| r.skipped_cycles).sum()
-    }
-
-    /// Total L3 bank-port conflicts over all cores — the banked-backside
-    /// contention headline next to [`Self::total_bus_wait_cycles`].
-    pub fn total_bank_conflicts(&self) -> u64 {
-        self.per_core.iter().map(|r| r.l3_bank_conflicts).sum()
-    }
-
-    /// Total DRAM line reads over all cores (the replication-traffic
-    /// headline the MESI directory reduces on shared tables).
-    pub fn total_dram_reads(&self) -> u64 {
-        self.per_core.iter().map(|r| r.dram_reads).sum()
-    }
-
-    /// Total shared-line L3 hits over all cores (0 under `Replicate`).
-    pub fn total_shared_hits(&self) -> u64 {
-        self.per_core.iter().map(|r| r.coh_shared_hits).sum()
-    }
-
-    /// Total invalidation messages over all cores (0 under `Replicate`).
-    pub fn total_invalidations(&self) -> u64 {
-        self.per_core.iter().map(|r| r.coh_invalidations).sum()
-    }
-
-    /// Total M-state interventions over all cores (0 under `Replicate`).
-    pub fn total_interventions(&self) -> u64 {
-        self.per_core.iter().map(|r| r.coh_interventions).sum()
-    }
-
-    /// Total dirty upper-level recalls over all cores (0 under
-    /// `Replicate`).
-    pub fn total_dirty_recalls(&self) -> u64 {
-        self.per_core.iter().map(|r| r.coh_dirty_recalls).sum()
-    }
-
-    /// Total queued-drain stalls serviced for intervention write-backs
-    /// over all cores (0 under `Replicate`).
-    pub fn total_intervention_drain_stalls(&self) -> u64 {
-        self.per_core
-            .iter()
-            .map(|r| r.dram_intervention_drain_stalls)
-            .sum()
-    }
-
-    /// Machine-wide DRAM row-buffer hit rate in percent over all cores'
-    /// row-classified accesses (100.0 when there were none).
+    /// Machine-wide DRAM row-buffer hit rate in percent
+    /// ([`dram_row_hit_rate`] over all cores).
     pub fn dram_row_hit_rate(&self) -> f64 {
-        let hits: u64 = self.per_core.iter().map(|r| r.dram_row_hits).sum();
-        let total: u64 = self
-            .per_core
-            .iter()
-            .map(|r| r.dram_row_hits + r.dram_row_misses + r.dram_row_conflicts)
-            .sum();
-        if total == 0 {
-            return 100.0;
-        }
-        100.0 * hits as f64 / total as f64
-    }
-
-    /// Total injected-and-recovered DRAM ECC retries over all cores (0
-    /// without a fault plan).
-    pub fn total_ecc_retries(&self) -> u64 {
-        self.per_core.iter().map(|r| r.ecc_retries).sum()
-    }
-
-    /// Total DMA timeout retries over all cores (0 without a fault
-    /// plan).
-    pub fn total_dma_retries(&self) -> u64 {
-        self.per_core.iter().map(|r| r.dma_retries).sum()
-    }
-
-    /// Total directory/bank NACKs over all cores (0 without a fault
-    /// plan).
-    pub fn total_dir_nacks(&self) -> u64 {
-        self.per_core.iter().map(|r| r.dir_nacks).sum()
-    }
-
-    /// Total retry-budget escalations over all cores (0 without a fault
-    /// plan).
-    pub fn total_escalations(&self) -> u64 {
-        self.per_core.iter().map(|r| r.escalations).sum()
-    }
-
-    /// Total committed instructions over all cores.
-    pub fn total_committed(&self) -> u64 {
-        self.per_core.iter().map(|r| r.committed).sum()
-    }
-
-    /// Total coherence violations over all cores.
-    pub fn total_violations(&self) -> usize {
-        self.per_core.iter().map(|r| r.violations).sum()
+        dram_row_hit_rate(&self.per_core)
     }
 
     /// Aggregate instructions per cycle of the machine (total committed
     /// over the makespan).
     pub fn aggregate_ipc(&self) -> f64 {
-        self.total_committed() as f64 / self.makespan.max(1) as f64
+        self.total(|r| r.committed) as f64 / self.makespan.max(1) as f64
     }
+}
+
+/// The DRAM row-buffer hit rate in percent over the row-classified
+/// accesses of `cores` — one core, one machine or every cluster of a
+/// clustered run (100.0 when there were none; the convention is
+/// [`hsim_mem::DramStats::row_hit_rate`]'s).
+pub fn dram_row_hit_rate<'a>(cores: impl IntoIterator<Item = &'a RunReport>) -> f64 {
+    let mut rows = hsim_mem::DramStats::default();
+    for r in cores {
+        rows.row_hits += r.dram_row_hits;
+        rows.row_misses += r.dram_row_misses;
+        rows.row_conflicts += r.dram_row_conflicts;
+    }
+    rows.row_hit_rate()
 }
 
 /// Nominal tile clock used to convert simulated cycles into wall-clock

@@ -196,9 +196,13 @@ fn epoch_chunked_skipping_matches_lockstep() {
             "{}: chunked skipping changed the makespan",
             kernel.name
         );
-        assert_eq!(skip.total_committed(), lock.total_committed());
-        assert_eq!(skip.total_dram_reads(), lock.total_dram_reads());
-        assert_eq!(lock.total_skipped_cycles(), 0, "lockstep must not skip");
+        assert_eq!(skip.total(|c| c.committed), lock.total(|c| c.committed));
+        assert_eq!(skip.total(|c| c.dram_reads), lock.total(|c| c.dram_reads));
+        assert_eq!(
+            lock.total(|c| c.skipped_cycles),
+            0,
+            "lockstep must not skip"
+        );
         for (a, b) in skip
             .per_cluster
             .iter()
@@ -292,19 +296,98 @@ fn dram_channels_conserve_line_traffic() {
             let multi = run(&kernel, topo, false, channels, false)
                 .expect("shardability cannot depend on channels");
             assert_eq!(
-                one.total_committed(),
-                multi.total_committed(),
+                one.total(|c| c.committed),
+                multi.total(|c| c.committed),
                 "{} ch{channels}: committed work",
                 kernel.name
             );
             assert_eq!(
-                one.total_dram_reads(),
-                multi.total_dram_reads(),
+                one.total(|c| c.dram_reads),
+                multi.total(|c| c.dram_reads),
                 "{} ch{channels}: DRAM line reads",
                 kernel.name
             );
         }
     }
+}
+
+/// The partition invariant, stated once at report level: for every
+/// backside counter, `ClusterRunReport::total` is the sum of the
+/// clusters' `MultiRunReport::total`s, and each of those is what that
+/// cluster's own backside counted (`dram_total_stats` /
+/// `l3_total_stats`) — per-core shares never lose or double-count an
+/// event, whatever the machine shape.
+#[test]
+fn report_totals_partition_the_backsides_of_a_clustered_run() {
+    use hsim::mem::{CacheStats, DramStats};
+    type Counter = (
+        &'static str,
+        fn(&RunReport) -> u64,
+        fn(&DramStats, &CacheStats) -> u64,
+    );
+    let counters: [Counter; 7] = [
+        ("dram_reads", |r| r.dram_reads, |d, _| d.reads),
+        ("dram_writes", |r| r.dram_writes, |d, _| d.writes),
+        ("dram_row_hits", |r| r.dram_row_hits, |d, _| d.row_hits),
+        (
+            "dram_row_misses",
+            |r| r.dram_row_misses,
+            |d, _| d.row_misses,
+        ),
+        (
+            "dram_row_conflicts",
+            |r| r.dram_row_conflicts,
+            |d, _| d.row_conflicts,
+        ),
+        (
+            "dram_queue_stalls",
+            |r| r.dram_queue_stalls,
+            |d, _| d.queue_stalls,
+        ),
+        (
+            "l3_accesses",
+            |r| r.l3_accesses,
+            |_, l3| l3.total_accesses(),
+        ),
+    ];
+
+    let kernel = nas::cg(Scale::Test);
+    let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
+    let report = run(&kernel, ClusterTopology::new(2, 2), true, 1, false).expect("CG shards 2x2");
+    // Clusters share nothing, so each one's machine can be rebuilt and
+    // run on its own to read its backside directly.
+    let backsides: Vec<(DramStats, CacheStats)> = kernel
+        .shard_clustered(2, 2)
+        .expect("CG shards 2x2")
+        .into_iter()
+        .map(|shards| {
+            let compiled: Vec<_> = shards
+                .into_iter()
+                .map(|s| (compile_for_tile(&s, &cfg), s))
+                .collect();
+            let mut m = hsim::MultiMachine::for_kernels(cfg.clone(), &compiled);
+            m.run().expect("cluster machine halts");
+            let bs = m.backside();
+            let bs = bs.borrow();
+            (bs.dram_total_stats(), bs.l3_total_stats())
+        })
+        .collect();
+
+    for (name, per_core, backside) in counters {
+        let per_cluster: Vec<u64> = report
+            .per_cluster
+            .iter()
+            .map(|m| m.total(per_core))
+            .collect();
+        let counted: Vec<u64> = backsides.iter().map(|(d, l3)| backside(d, l3)).collect();
+        assert_eq!(per_cluster, counted, "{name}: cluster totals vs backsides");
+        assert_eq!(
+            report.total(per_core),
+            per_cluster.iter().sum::<u64>(),
+            "{name}: machine total vs cluster totals"
+        );
+    }
+    assert!(report.total(|c| c.dram_reads) > 0, "the run must use DRAM");
 }
 
 /// The two-level sharder nests exactly: `shard_clustered(c, p)` is

@@ -28,38 +28,38 @@ use hsim_workloads::comm;
 fn assert_multi_equal(a: &MultiRunReport, b: &MultiRunReport, what: &str) {
     assert_eq!(a.makespan, b.makespan, "{what}: makespan");
     assert_eq!(
-        a.total_committed(),
-        b.total_committed(),
+        a.total(|c| c.committed),
+        b.total(|c| c.committed),
         "{what}: committed"
     );
     assert_eq!(
-        a.total_dram_reads(),
-        b.total_dram_reads(),
+        a.total(|c| c.dram_reads),
+        b.total(|c| c.dram_reads),
         "{what}: DRAM reads"
     );
     assert_eq!(
-        a.total_shared_hits(),
-        b.total_shared_hits(),
+        a.total(|c| c.coh_shared_hits),
+        b.total(|c| c.coh_shared_hits),
         "{what}: shared hits"
     );
     assert_eq!(
-        a.total_invalidations(),
-        b.total_invalidations(),
+        a.total(|c| c.coh_invalidations),
+        b.total(|c| c.coh_invalidations),
         "{what}: invalidations"
     );
     assert_eq!(
-        a.total_interventions(),
-        b.total_interventions(),
+        a.total(|c| c.coh_interventions),
+        b.total(|c| c.coh_interventions),
         "{what}: interventions"
     );
     assert_eq!(
-        a.total_dirty_recalls(),
-        b.total_dirty_recalls(),
+        a.total(|c| c.coh_dirty_recalls),
+        b.total(|c| c.coh_dirty_recalls),
         "{what}: dirty recalls"
     );
     assert_eq!(
-        a.total_bus_wait_cycles(),
-        b.total_bus_wait_cycles(),
+        a.total(|c| c.bus_wait_cycles),
+        b.total(|c| c.bus_wait_cycles),
         "{what}: bus waits"
     );
     assert_eq!(
@@ -88,7 +88,7 @@ fn check_skip_lockstep(w: &comm::CommWorkload, mode: SysMode, cm: CoherenceMode)
         .unwrap_or_else(|e| panic!("{what} lockstep: {e}"))
         .into_multi();
     assert_eq!(
-        lock.total_skipped_cycles(),
+        lock.total(|c| c.skipped_cycles),
         0,
         "{what}: lockstep must not skip"
     );
@@ -164,20 +164,20 @@ fn clusters_serial_matches_threaded_for_comm_sets() {
         assert_eq!(serial.makespan, threaded.makespan, "{}: makespan", w.name);
         assert_eq!(serial.epochs, threaded.epochs, "{}: epochs", w.name);
         assert_eq!(
-            serial.total_committed(),
-            threaded.total_committed(),
+            serial.total(|c| c.committed),
+            threaded.total(|c| c.committed),
             "{}: committed",
             w.name
         );
         assert_eq!(
-            serial.total_skipped_cycles(),
-            threaded.total_skipped_cycles(),
+            serial.total(|c| c.skipped_cycles),
+            threaded.total(|c| c.skipped_cycles),
             "{}: skipped",
             w.name
         );
         assert_eq!(
-            serial.total_dram_reads(),
-            threaded.total_dram_reads(),
+            serial.total(|c| c.dram_reads),
+            threaded.total(|c| c.dram_reads),
             "{}: DRAM reads",
             w.name
         );

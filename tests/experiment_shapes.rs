@@ -215,8 +215,11 @@ fn scaling_sweep_produces_rising_sublinear_curves() {
     .unwrap();
     assert_eq!(par.len(), rows.len());
     for (s, p) in rows.iter().zip(&par) {
-        assert_eq!(s.makespan, p.makespan);
-        assert_eq!(s.bus_wait_cycles, p.bus_wait_cycles);
+        assert_eq!(s.report.makespan, p.report.makespan);
+        assert_eq!(
+            s.report.total(|c| c.bus_wait_cycles),
+            p.report.total(|c| c.bus_wait_cycles)
+        );
     }
 }
 
@@ -248,18 +251,25 @@ fn hetero_sweep_covers_the_shapes_and_matches_parallel() {
         .run()
         .map(RunOutcome::into_multi)
         .unwrap();
-    assert_eq!(by("2H+0C").makespan, homo.makespan);
-    assert_eq!(by("2H+0C").committed, homo.total_committed());
+    assert_eq!(by("2H+0C").report.makespan, homo.makespan);
+    assert_eq!(
+        by("2H+0C").report.total(|c| c.committed),
+        homo.total(|c| c.committed)
+    );
     // Mixing in the cache tile costs cycles on CG.
-    assert!(by("1H+1C").makespan > by("2H+0C").makespan);
+    assert!(by("1H+1C").report.makespan > by("2H+0C").report.makespan);
 
     let par = hetero_sweep(&kernels, 2, Parallelism::HostThreads).unwrap();
     assert_eq!(par.len(), rows.len());
     for (s, p) in rows.iter().zip(&par) {
         assert_eq!(s.label, p.label);
-        assert_eq!(s.makespan, p.makespan);
-        assert_eq!(s.dram_reads, p.dram_reads);
-        assert_eq!(s.bus_wait_cycles, p.bus_wait_cycles);
+        assert_eq!(s.report.makespan, p.report.makespan);
+        for counter in [
+            |c: &RunReport| c.dram_reads,
+            |c: &RunReport| c.bus_wait_cycles,
+        ] {
+            assert_eq!(s.report.total(counter), p.report.total(counter));
+        }
     }
 }
 
@@ -307,7 +317,7 @@ fn multicore_sharding_scales_the_makespan_down() {
     );
     // The whole kernel's work happens: the per-core committed counts sum
     // close to the unsharded run (per-shard control overhead aside).
-    let total = m4.total_committed() as f64;
+    let total = m4.total(|c| c.committed) as f64;
     assert!(
         total > 0.8 * solo.committed as f64,
         "sharded work went missing: {} vs {}",
@@ -317,10 +327,10 @@ fn multicore_sharding_scales_the_makespan_down() {
     // Sharing the backside must add waits beyond the one-core floor (a
     // lone core can still queue behind its own outstanding misses).
     assert!(
-        m4.total_bus_wait_cycles() > m1.total_bus_wait_cycles(),
+        m4.total(|c| c.bus_wait_cycles) > m1.total(|c| c.bus_wait_cycles),
         "four cores must contend: {} vs {}",
-        m4.total_bus_wait_cycles(),
-        m1.total_bus_wait_cycles()
+        m4.total(|c| c.bus_wait_cycles),
+        m1.total(|c| c.bus_wait_cycles)
     );
-    assert_eq!(m4.total_violations(), 0);
+    assert_eq!(m4.total(|c| c.violations), 0);
 }

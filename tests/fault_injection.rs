@@ -203,8 +203,8 @@ proptest! {
             run_multi(&kernel, 2, fault, cm).expect("shardability cannot depend on faults");
         prop_assert_eq!(clean_img, fault_img, "memory images diverged under faults");
         prop_assert_eq!(
-            clean.total_committed(),
-            faulted.total_committed(),
+            clean.total(|c| c.committed),
+            faulted.total(|c| c.committed),
             "committed work diverged under faults"
         );
     }
@@ -240,10 +240,10 @@ proptest! {
         let threaded = run(false).expect("shardability cannot depend on threading");
         prop_assert_eq!(serial.makespan, threaded.makespan, "makespan");
         prop_assert_eq!(serial.epochs, threaded.epochs, "epochs");
-        prop_assert_eq!(serial.total_ecc_retries(), threaded.total_ecc_retries());
-        prop_assert_eq!(serial.total_dma_retries(), threaded.total_dma_retries());
-        prop_assert_eq!(serial.total_dir_nacks(), threaded.total_dir_nacks());
-        prop_assert_eq!(serial.total_escalations(), threaded.total_escalations());
+        prop_assert_eq!(serial.total(|c| c.ecc_retries), threaded.total(|c| c.ecc_retries));
+        prop_assert_eq!(serial.total(|c| c.dma_retries), threaded.total(|c| c.dma_retries));
+        prop_assert_eq!(serial.total(|c| c.dir_nacks), threaded.total(|c| c.dir_nacks));
+        prop_assert_eq!(serial.total(|c| c.escalations), threaded.total(|c| c.escalations));
         for (ca, cb) in serial.per_cluster.iter().zip(&threaded.per_cluster) {
             for (ra, rb) in ca.per_core.iter().zip(&cb.per_core) {
                 prop_assert_eq!(&ra.core, &rb.core, "core stats diverged across drivers");
@@ -391,7 +391,7 @@ fn injected_cluster_panic_degrades_gracefully() {
         let (survivor, report) = &e.completed[0];
         assert_eq!(*survivor, 1);
         assert!(
-            report.total_committed() > 0,
+            report.total(|c| c.committed) > 0,
             "partial results carry real work"
         );
         assert!(

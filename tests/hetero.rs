@@ -113,16 +113,19 @@ fn mixed_chip_shares_read_only_tables_across_modes_under_mesi() {
     let (_, mesi) = run_hetero_machine(&kernel, &mixed_cfgs(CoherenceMode::Mesi), &[1; 4]);
     assert_eq!(rep.replication_fallbacks, 0, "even shards must not diverge");
     assert_eq!(mesi.replication_fallbacks, 0);
-    assert_eq!(rep.total_shared_hits(), 0);
-    assert!(mesi.total_shared_hits() > 0, "the mixed chip must share");
+    assert_eq!(rep.total(|c| c.coh_shared_hits), 0);
     assert!(
-        mesi.total_dram_reads() < rep.total_dram_reads(),
+        mesi.total(|c| c.coh_shared_hits) > 0,
+        "the mixed chip must share"
+    );
+    assert!(
+        mesi.total(|c| c.dram_reads) < rep.total(|c| c.dram_reads),
         "sharing must cut DRAM reads ({} vs {})",
-        mesi.total_dram_reads(),
-        rep.total_dram_reads()
+        mesi.total(|c| c.dram_reads),
+        rep.total(|c| c.dram_reads)
     );
     // Architectural work is mode-invariant on the mixed chip too.
-    assert_eq!(rep.total_committed(), mesi.total_committed());
+    assert_eq!(rep.total(|c| c.committed), mesi.total(|c| c.committed));
     // Both tile kinds participate: at least one hybrid and one
     // cache-based tile score shared hits.
     let hits = |r: &MultiRunReport, mode: SysMode| {
@@ -210,6 +213,41 @@ fn small_lm_tiles_pay_more_dma_round_trips() {
     for r in &report.per_core {
         assert!(r.committed > 0, "tile {} must commit work", r.core_id);
     }
+}
+
+#[test]
+fn every_run_spec_shape_compiles_against_the_tiles_own_lm() {
+    // One compile policy: `RunSpec::config` with a quarter-LM tile must
+    // reach codegen on the single-machine and the sharded clustered
+    // shapes too (they used to tile against the full LM window whatever
+    // the configuration said). Smaller DMA buffers mean more round
+    // trips, so more committed control instructions.
+    let kernel = nas::cg(Scale::Test);
+    let default_lm = MachineConfig::for_mode(SysMode::HybridCoherent);
+    let mut quarter_lm = default_lm.clone();
+    quarter_lm.mem.lm.as_mut().unwrap().size_bytes /= 4;
+
+    let single = |cfg: &MachineConfig| {
+        let spec = RunSpec::new(&kernel).config(cfg.clone());
+        spec.run().expect("single run").into_single().committed
+    };
+    assert!(
+        single(&quarter_lm) > single(&default_lm),
+        "a quarter-LM single machine must commit more instructions"
+    );
+
+    let cluster = hsim::ClusterConfig::new(hsim::ClusterTopology::new(2, 2));
+    let clustered = |cfg: &MachineConfig| {
+        let spec = RunSpec::new(&kernel)
+            .clustered(&cluster)
+            .config(cfg.clone());
+        let report = spec.run().expect("clustered run").into_clusters();
+        report.total(|c| c.committed)
+    };
+    assert!(
+        clustered(&quarter_lm) > clustered(&default_lm),
+        "a quarter-LM 2x2 clustered machine must commit more instructions"
+    );
 }
 
 #[test]

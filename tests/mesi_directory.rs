@@ -79,17 +79,17 @@ fn sharded_cg_reads_less_dram_under_mesi() {
         cfg_with(SysMode::HybridCoherent, CoherenceMode::Mesi),
     );
     assert!(
-        mesi.total_dram_reads() < rep.total_dram_reads(),
+        mesi.total(|c| c.dram_reads) < rep.total(|c| c.dram_reads),
         "Mesi must read less DRAM: {} vs {}",
-        mesi.total_dram_reads(),
-        rep.total_dram_reads()
+        mesi.total(|c| c.dram_reads),
+        rep.total(|c| c.dram_reads)
     );
     assert!(
-        mesi.total_shared_hits() > 0,
+        mesi.total(|c| c.coh_shared_hits) > 0,
         "the directory must serve shared hits"
     );
     assert_eq!(
-        rep.total_shared_hits(),
+        rep.total(|c| c.coh_shared_hits),
         0,
         "Replicate has no sharing machinery"
     );
@@ -150,7 +150,10 @@ fn mesi_coherence_counters_reach_the_reports() {
     // Sharing happened and was attributed to cores (partitioned, so the
     // totals are sums of per-core shares by construction).
     let per_core_hits: Vec<u64> = mesi.per_core.iter().map(|r| r.coh_shared_hits).collect();
-    assert_eq!(per_core_hits.iter().sum::<u64>(), mesi.total_shared_hits());
+    assert_eq!(
+        per_core_hits.iter().sum::<u64>(),
+        mesi.total(|c| c.coh_shared_hits)
+    );
     assert!(
         per_core_hits.iter().filter(|&&h| h > 0).count() >= 2,
         "several cores must benefit from sharing: {per_core_hits:?}"
@@ -200,8 +203,12 @@ fn diverged_shard_layouts_fall_back_to_replication() {
         2,
         cfg_with(SysMode::HybridCoherent, CoherenceMode::Mesi),
     );
-    assert_eq!(mesi.total_shared_hits(), 0, "diverged table must not share");
-    assert_eq!(mesi.total_invalidations(), 0);
+    assert_eq!(
+        mesi.total(|c| c.coh_shared_hits),
+        0,
+        "diverged table must not share"
+    );
+    assert_eq!(mesi.total(|c| c.coh_invalidations), 0);
     assert_eq!(
         rep.makespan, mesi.makespan,
         "with nothing registered, Mesi is the Replicate machine"
@@ -236,7 +243,7 @@ fn diverged_shard_layouts_fall_back_to_replication() {
     );
     assert_eq!(even_rep.replication_fallbacks, 0);
     assert!(
-        even_rep.total_shared_hits() > 0,
+        even_rep.total(|c| c.coh_shared_hits) > 0,
         "even shards share cleanly"
     );
 }
@@ -254,12 +261,13 @@ fn coherence_sweep_driver_reports_the_cg_win() {
     let one = &rows[0];
     assert_eq!(one.cores, 1);
     assert_eq!(
-        one.makespan_replicate, one.makespan_mesi,
+        one.replicate.makespan, one.mesi.makespan,
         "a lone core has nothing to share"
     );
-    assert_eq!(one.dram_reads_replicate, one.dram_reads_mesi);
+    let reads = |m: &MultiRunReport| m.total(|c| c.dram_reads);
+    assert_eq!(reads(&one.replicate), reads(&one.mesi));
     let four = &rows[1];
     assert_eq!(four.cores, 4);
-    assert!(four.dram_reads_mesi < four.dram_reads_replicate);
-    assert!(four.shared_hits > 0);
+    assert!(reads(&four.mesi) < reads(&four.replicate));
+    assert!(four.mesi.total(|c| c.coh_shared_hits) > 0);
 }

@@ -78,14 +78,19 @@ fn every_protocol_skips_bit_identically() {
             .map(RunOutcome::into_multi)
             .expect("lockstep run");
         assert_eq!(skip.makespan, lock.makespan, "{}: makespan", cm.name());
-        assert_eq!(lock.total_skipped_cycles(), 0, "{}: lockstep", cm.name());
+        assert_eq!(
+            lock.total(|c| c.skipped_cycles),
+            0,
+            "{}: lockstep",
+            cm.name()
+        );
         assert!(
-            skip.total_skipped_cycles() > 0,
+            skip.total(|c| c.skipped_cycles) > 0,
             "{}: the run must still skip idle cycles",
             cm.name()
         );
         assert!(
-            skip.total_shared_hits() > 0,
+            skip.total(|c| c.coh_shared_hits) > 0,
             "{}: CG x4 must actually exercise the directory",
             cm.name()
         );
@@ -172,13 +177,15 @@ fn every_protocol_treats_faults_as_pure_timing() {
             .map(RunOutcome::into_multi)
             .expect("faulted run");
         assert_eq!(
-            clean.total_committed(),
-            faulted.total_committed(),
+            clean.total(|c| c.committed),
+            faulted.total(|c| c.committed),
             "{}: committed work diverged under faults",
             cm.name()
         );
         assert!(
-            faulted.total_ecc_retries() + faulted.total_dma_retries() + faulted.total_dir_nacks()
+            faulted.total(|c| c.ecc_retries)
+                + faulted.total(|c| c.dma_retries)
+                + faulted.total(|c| c.dir_nacks)
                 > 0,
             "{}: the plan must actually inject faults",
             cm.name()
@@ -269,22 +276,22 @@ fn family_members_differ_only_where_their_tables_say() {
     let moesi = run(CoherenceMode::Moesi);
     let mesif = run(CoherenceMode::Mesif);
     assert!(
-        msi.total_dram_reads() >= mesi.total_dram_reads(),
+        msi.total(|c| c.dram_reads) >= mesi.total(|c| c.dram_reads),
         "MSI must not read less DRAM than MESI ({} vs {})",
-        msi.total_dram_reads(),
-        mesi.total_dram_reads()
+        msi.total(|c| c.dram_reads),
+        mesi.total(|c| c.dram_reads)
     );
     assert!(
-        mesi.total_dram_reads() >= moesi.total_dram_reads(),
+        mesi.total(|c| c.dram_reads) >= moesi.total(|c| c.dram_reads),
         "MOESI must not read more DRAM than MESI ({} vs {})",
-        moesi.total_dram_reads(),
-        mesi.total_dram_reads()
+        moesi.total(|c| c.dram_reads),
+        mesi.total(|c| c.dram_reads)
     );
     assert!(
-        mesif.total_shared_hits() >= mesi.total_shared_hits(),
+        mesif.total(|c| c.coh_shared_hits) >= mesi.total(|c| c.coh_shared_hits),
         "MESIF must not score fewer shared hits than MESI ({} vs {})",
-        mesif.total_shared_hits(),
-        mesi.total_shared_hits()
+        mesif.total(|c| c.coh_shared_hits),
+        mesi.total(|c| c.coh_shared_hits)
     );
     for (name, r) in [
         ("msi", &msi),
@@ -293,7 +300,7 @@ fn family_members_differ_only_where_their_tables_say() {
         ("mesif", &mesif),
     ] {
         assert!(
-            r.total_shared_hits() > 0,
+            r.total(|c| c.coh_shared_hits) > 0,
             "{name}: CG x4 must exercise the directory"
         );
     }
