@@ -14,6 +14,7 @@ use hsim_isa::inst::{Inst, Operand, Phase};
 use hsim_isa::memmap::MemoryMap;
 use hsim_isa::reg::{FReg, Reg};
 use hsim_isa::{Program, Route, Width};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -167,11 +168,25 @@ enum EState {
     Issued,
 }
 
+/// Functional-unit class; `as usize` indexes the per-class arrays.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum FuClass {
     IntAlu,
     FpAlu,
     Mem,
+}
+
+/// What memory disambiguation found the first time it looked at the
+/// stores older than a load (see [`Core::load_disambiguate`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Blocker {
+    /// Not asked yet.
+    Unasked,
+    /// No older in-flight store overlaps the load; none ever will.
+    Clear,
+    /// The youngest older store that overlaps the load; `partial`
+    /// unless it writes exactly the bytes the load reads.
+    Store { seq: u64, partial: bool },
 }
 
 #[derive(Clone, Copy)]
@@ -189,7 +204,7 @@ struct RobEntry {
     pc: usize,
     state: EState,
     /// Source operands whose producer has not issued yet. At zero a
-    /// `Waiting` entry is in `Core::wake` or `Core::ready`.
+    /// `Waiting` entry is in `Core::ready`, `Core::wheel` or `Core::far`.
     pending: u8,
     /// Latest `done_at` over the producers that had issued when this
     /// entry linked to them or was woken by them: once `pending` is
@@ -216,6 +231,9 @@ struct RobEntry {
     writes_int: bool,
     is_branch: bool,
     mem: Option<MemOp>,
+    /// A load's disambiguation memo; a `Cell` because the horizon query,
+    /// which only borrows the core, asks too.
+    blocker: Cell<Blocker>,
     /// `dma-synch`: may not complete before this cycle.
     synch_until: u64,
     /// Marks the start of an execution phase at commit.
@@ -270,19 +288,37 @@ pub struct Core {
     fp_inflight: usize,
     loads_inflight: usize,
     stores_inflight: usize,
+    /// `seq & slot_mask` is an in-flight entry's slot: the ROB size
+    /// rounded up to a power of two, minus one.
+    slot_mask: u64,
+    /// Slots of the `Waiting` entries whose operands are available by
+    /// the next select (`ready_at <= now` between ticks): the only
+    /// entries select looks at.
+    ready: SlotSet,
+    /// Slots of the `Waiting` entries per [`FuClass`], operands ready or
+    /// not: what select masks out of its walk once a class's units are
+    /// spent.
+    waiting: [SlotSet; 3],
     /// `Waiting` entries with no un-issued producer left whose operands
-    /// arrive later than the next cycle, keyed `(ready_at, seq)`:
-    /// [`Core::issue`] moves the keys that have come due into `ready`.
-    wake: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Seqs of the `Waiting` entries whose operands are available by the
-    /// next select (`ready_at <= now` between ticks), oldest first: the
-    /// only entries select looks at.
-    ready: Vec<u64>,
+    /// arrive within the wheel's span, bucketed by that cycle:
+    /// [`Core::issue`] moves the bucket of `now` into `ready`.
+    wheel: WakeWheel,
+    /// The same for operands further out (L3/DRAM misses, DMA waits),
+    /// keyed `(ready_at, seq)`.
+    far: BinaryHeap<Reverse<(u64, u64)>>,
     /// Seqs of the in-flight stores, oldest first.
     store_q: VecDeque<u64>,
-    /// ROB entries the back end has looked up by seq.
+    /// Which 8-byte granules the stores of `store_q` write.
+    store_filter: StoreFilter,
+    /// ROB entries the back end has looked up by seq or slot.
     #[cfg(test)]
-    rob_visits: std::cell::Cell<u64>,
+    rob_visits: Cell<u64>,
+    /// `store_q` entries disambiguation has walked over.
+    #[cfg(test)]
+    store_q_visits: Cell<u64>,
+    /// Seqs the current cycle's select issued, in issue order.
+    #[cfg(test)]
+    selected: Vec<u64>,
 
     now: u64,
     cur_phase: Phase,
@@ -295,6 +331,7 @@ pub struct Core {
 impl Core {
     /// Builds a core ready to execute `program` from PC 0.
     pub fn new(cfg: CoreConfig, program: Program, mmap: MemoryMap) -> Self {
+        let slots = cfg.rob_size.next_power_of_two();
         Core {
             bp: BranchPredictor::new(
                 cfg.gshare_entries,
@@ -304,9 +341,13 @@ impl Core {
             ),
             btb: Btb::new(cfg.btb_entries, cfg.btb_ways),
             ras: Ras::new(cfg.ras_entries),
-            wake: BinaryHeap::with_capacity(cfg.rob_size),
-            ready: Vec::with_capacity(cfg.rob_size),
+            slot_mask: slots as u64 - 1,
+            ready: SlotSet::new(slots),
+            waiting: [(); 3].map(|()| SlotSet::new(slots)),
+            wheel: WakeWheel::new(slots),
+            far: BinaryHeap::new(),
             store_q: VecDeque::with_capacity(cfg.lsq_stores),
+            store_filter: StoreFilter::new(cfg.lsq_stores),
             cfg,
             program,
             mmap,
@@ -329,7 +370,11 @@ impl Core {
             loads_inflight: 0,
             stores_inflight: 0,
             #[cfg(test)]
-            rob_visits: std::cell::Cell::new(0),
+            rob_visits: Cell::new(0),
+            #[cfg(test)]
+            store_q_visits: Cell::new(0),
+            #[cfg(test)]
+            selected: Vec::new(),
             now: 0,
             cur_phase: Phase::Other,
             halted: false,
@@ -484,8 +529,9 @@ impl Core {
     /// The earliest cycle at or after `now` at which *anything* in the
     /// pipeline can change: the ROB head completing (commit), a waiting
     /// instruction's operands becoming ready (issue), or the front end
-    /// leaving an I-miss/redirect stall (fetch). Costs the ready list
-    /// plus one heap peek — no ROB walk. Returns `now` itself
+    /// leaving an I-miss/redirect stall (fetch). Costs the blocked loads
+    /// in `ready`, one wheel bucket and one heap peek — no ROB walk, no
+    /// store-queue walk. Returns `now` itself
     /// whenever any stage may make progress this cycle — the
     /// conservative "don't skip" answer. Cycles strictly before the
     /// returned horizon are provable no-ops: no port traffic and no
@@ -528,22 +574,29 @@ impl Core {
         // An entry whose operands are ready can issue now, unless it is
         // a load blocked by memory disambiguation: that one unblocks
         // only when the older store issues or commits — both events of
-        // their own, so the blocked load adds no horizon.
-        if self.ready.iter().any(|&seq| !self.is_blocked_load(seq)) {
+        // their own, so the blocked load adds no horizon. The bucket of
+        // `now` holds the keys that came due since the last select.
+        if slots_of(&self.ready.words)
+            .chain(slots_of(self.wheel.bucket(now)))
+            .any(|slot| !self.is_blocked_load(slot))
+        {
             return now;
         }
-        // Entries whose producers have not all issued are in neither
-        // list: they wake through those producers' own horizons.
-        match self.wake.peek() {
+        // Entries whose producers have not all issued are in no list:
+        // they wake through those producers' own horizons.
+        if let Some(t) = self.wheel.next_after(now) {
+            horizon = horizon.min(t);
+        }
+        match self.far.peek() {
             None => {}
             Some(&Reverse((ready_at, _))) if ready_at > now => horizon = horizon.min(ready_at),
-            // Keys that came due since the last select count as ready;
-            // the heap does not order them by age, so look at each.
+            // Due keys count as ready; the heap does not order the rest,
+            // so look at each.
             Some(_) => {
-                for &Reverse((ready_at, seq)) in &self.wake {
+                for &Reverse((ready_at, seq)) in &self.far {
                     if ready_at > now {
                         horizon = horizon.min(ready_at);
-                    } else if !self.is_blocked_load(seq) {
+                    } else if !self.is_blocked_load(self.slot(seq)) {
                         return now;
                     }
                 }
@@ -552,11 +605,11 @@ impl Core {
         horizon
     }
 
-    /// Whether in-flight entry `seq` is a load that memory
+    /// Whether the in-flight entry in `slot` is a load that memory
     /// disambiguation holds back this cycle.
-    fn is_blocked_load(&self, seq: u64) -> bool {
-        let i = self.rob_index(seq);
-        self.rob[i].is_load && matches!(self.load_disambiguate(i), LoadPath::Blocked)
+    fn is_blocked_load(&self, slot: usize) -> bool {
+        let i = self.rob_index_of_slot(slot);
+        self.rob[i].is_load && self.load_disambiguate(i) == LoadPath::Blocked
     }
 
     /// ROB position of in-flight entry `seq`. Every seq-to-entry lookup
@@ -601,6 +654,9 @@ impl Core {
         if target <= self.now {
             return;
         }
+        // The one bucket a skip can leave behind: loads due this cycle
+        // that disambiguation blocks, which the horizon rightly ignored.
+        self.wheel.drain_into(self.now, &mut self.ready);
         let delta = target - self.now;
         self.stats.phase_cycles[phase_index(self.cur_phase)] += delta;
         if self.rob.len() >= self.cfg.rob_size {
@@ -709,6 +765,7 @@ impl Core {
                     self.stores_inflight -= 1;
                     let oldest = self.store_q.pop_front();
                     debug_assert_eq!(oldest, Some(e.seq), "stores commit in order");
+                    self.store_filter.remove(m.info.addr, m.width.bytes());
                     store_ports -= 1;
                     let key = (m.info.addr, m.width.bytes(), m.info.side);
                     if last_store == Some(key) {
@@ -742,7 +799,7 @@ impl RobEntry {
 
 mod frontend;
 mod issue;
-use issue::LoadPath;
+use issue::{slots_of, LoadPath, SlotSet, StoreFilter, WakeWheel};
 
 #[cfg(test)]
 mod oracle;

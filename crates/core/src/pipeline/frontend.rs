@@ -70,6 +70,7 @@ impl Core {
                 writes_int: writes_int(&inst),
                 is_branch: inst.is_cond_branch(),
                 mem: None,
+                blocker: Cell::new(Blocker::Unasked),
                 synch_until: 0,
                 phase_mark: None,
                 is_halt: false,
@@ -115,15 +116,17 @@ impl Core {
             if entry.is_store {
                 self.stores_inflight += 1;
                 self.store_q.push_back(seq);
+                let m = entry.mem.as_ref().unwrap();
+                self.store_filter.add(m.info.addr, m.width.bytes());
             }
+            let slot = self.slot(seq);
+            self.waiting[entry.fu as usize].insert(slot);
             if entry.pending == 0 {
-                // Due by the next select, whenever that runs: the
-                // youngest entry joins `ready` at its tail, in order,
-                // without a trip through the heap.
+                // Due by the next select, whenever that runs.
                 if entry.ready_at <= self.now + 1 {
-                    self.ready.push(seq);
+                    self.ready.insert(slot);
                 } else {
-                    self.wake.push(Reverse((entry.ready_at, seq)));
+                    self.park(seq, entry.ready_at);
                 }
             }
             self.rob.push_back(entry);

@@ -1,10 +1,14 @@
 //! The O(ROB) scans the event-driven issue stage replaced, kept as the
 //! reference it is tested against: readiness re-derived per entry from
-//! its producers, the horizon walk over every entry, and disambiguation
-//! by walking the ROB backwards. [`Core::check_against_scan`] compares
-//! them with the wake heap, ready list, consumer chains and store queue;
-//! the property below runs it after every tick of generated programs.
+//! its producers, the horizon walk over every entry, disambiguation by
+//! walking the ROB backwards, and select as an oldest-first walk of the
+//! whole ROB. [`Core::check_against_scan`] compares them with the slot
+//! sets, wake wheel, far heap, consumer chains, store queue, store
+//! filter and blocker memos, and [`Core::scan_select`] predicts what
+//! each cycle's select issues; the property below runs both on every
+//! tick of generated programs.
 
+use super::issue::WHEEL_SPAN;
 use super::tests::MockPort;
 use super::*;
 use hsim_isa::inst::{AluOp, Cond, FpuOp};
@@ -31,7 +35,9 @@ impl Core {
         Some(ready_at)
     }
 
-    fn scan_load_disambiguate(&self, i: usize) -> LoadPath {
+    /// Disambiguation by walking the ROB backwards from load `i`, the
+    /// stores in `issued_now` counting as issued.
+    fn scan_load_disambiguate(&self, i: usize, issued_now: &[u64]) -> LoadPath {
         let m = self.rob[i].mem.as_ref().unwrap();
         let (a, w) = (m.info.addr, m.width.bytes());
         for j in (0..i).rev() {
@@ -41,10 +47,11 @@ impl Core {
             }
             let sm = s.mem.as_ref().unwrap();
             let (sa, sw) = (sm.info.addr, sm.width.bytes());
-            if !(a < sa + sw && sa < a + w) {
+            // Byte by byte, on the wrapping address space.
+            if !(0..w).any(|k| a.wrapping_add(k).wrapping_sub(sa) < sw) {
                 continue;
             }
-            if s.state == EState::Waiting {
+            if s.state == EState::Waiting && !issued_now.contains(&s.seq) {
                 return LoadPath::Blocked;
             }
             if sa == a && sw == w {
@@ -53,6 +60,29 @@ impl Core {
             return LoadPath::Blocked;
         }
         LoadPath::Memory
+    }
+
+    /// Select as it was before any structure: an oldest-first walk of
+    /// the whole ROB under the issue width and the unit counts. Returns
+    /// the seqs this cycle issues, in order.
+    pub(super) fn scan_select(&self) -> Vec<u64> {
+        let mut free = [self.cfg.int_alus, self.cfg.fp_alus, self.cfg.ls_units];
+        let mut picked = Vec::new();
+        for (i, e) in self.rob.iter().enumerate() {
+            if picked.len() == self.cfg.issue_width {
+                break;
+            }
+            if e.state != EState::Waiting
+                || free[e.fu as usize] == 0
+                || self.scan_operand_ready_at(i).is_none_or(|t| t > self.now)
+                || (e.is_load && self.scan_load_disambiguate(i, &picked) == LoadPath::Blocked)
+            {
+                continue;
+            }
+            free[e.fu as usize] -= 1;
+            picked.push(e.seq);
+        }
+        picked
     }
 
     /// `next_event_at` as it was: front-end terms, then a walk of the
@@ -87,7 +117,7 @@ impl Core {
                     let ready_at = ready_at.max(now);
                     if ready_at <= now
                         && e.is_load
-                        && self.scan_load_disambiguate(i) == LoadPath::Blocked
+                        && self.scan_load_disambiguate(i, &[]) == LoadPath::Blocked
                     {
                         continue;
                     }
@@ -98,28 +128,62 @@ impl Core {
         horizon
     }
 
+    /// The seqs of the in-flight entries whose slots are set in `words`,
+    /// oldest first.
+    pub(super) fn seqs_of(&self, words: &[u64]) -> Result<Vec<u64>, String> {
+        let mut seqs = Vec::new();
+        for slot in slots_of(words) {
+            let age = (slot as u64).wrapping_sub(self.head_seq) & self.slot_mask;
+            if age >= self.rob.len() as u64 {
+                return Err(format!(
+                    "cycle {}: slot {slot} is set but holds no in-flight entry",
+                    self.now
+                ));
+            }
+            seqs.push(self.head_seq + age);
+        }
+        seqs.sort_unstable();
+        Ok(seqs)
+    }
+
     /// Compares every event-driven structure with what the scans derive
     /// from the ROB at the current cycle.
     pub(super) fn check_against_scan(&self) -> Result<(), String> {
         let (now, head) = (self.now, self.head_seq);
         let fail = |what: &str, seq: u64| Err(format!("cycle {now}: {what} (seq {seq})"));
 
-        let wake: Vec<(u64, u64)> = self.wake.iter().map(|r| r.0).collect();
-        let mut listed: Vec<u64> = self.ready.clone();
-        listed.extend(wake.iter().map(|&(_, seq)| seq));
+        // Where each operand-complete entry waits.
+        let ready = self.seqs_of(&self.ready.words)?;
+        let mut wheel = Vec::new();
+        for at in now..now + WHEEL_SPAN {
+            let bucket = self.seqs_of(self.wheel.bucket(at))?;
+            if (self.wheel.occupied >> (at % WHEEL_SPAN) & 1 != 0) == bucket.is_empty() {
+                return Err(format!(
+                    "cycle {now}: the occupancy word is wrong about bucket {}",
+                    at % WHEEL_SPAN
+                ));
+            }
+            for seq in bucket {
+                // The only cycle of `now..now + 64` that maps to this
+                // bucket is `at`.
+                if self.rob[(seq - head) as usize].ready_at != at {
+                    return fail("a wheel key is not in the bucket of its cycle", seq);
+                }
+                wheel.push(seq);
+            }
+        }
+        let far: Vec<(u64, u64)> = self.far.iter().map(|r| r.0).collect();
+        let mut listed: Vec<u64> = ready.clone();
+        listed.extend(&wheel);
+        listed.extend(far.iter().map(|&(_, seq)| seq));
         listed.sort_unstable();
         if listed.windows(2).any(|w| w[0] == w[1]) {
             return Err(format!("cycle {now}: an entry is listed twice: {listed:?}"));
         }
-        if !self.ready.windows(2).all(|w| w[0] < w[1]) {
-            return Err(format!(
-                "cycle {now}: ready is not age-ordered: {:?}",
-                self.ready
-            ));
-        }
 
         let mut chained = 0usize;
         let mut selectable = Vec::new();
+        let mut waiting: [Vec<u64>; 3] = Default::default();
         for (i, e) in self.rob.iter().enumerate() {
             if e.seq != head + i as u64 {
                 return fail("ROB seqs are not contiguous", e.seq);
@@ -130,6 +194,7 @@ impl Core {
                 }
                 continue;
             }
+            waiting[e.fu as usize].push(e.seq);
             // Every link on the chain is a consumer naming this producer
             // in that source slot.
             let mut link = e.dep_head;
@@ -163,9 +228,12 @@ impl Core {
                     if ready_at.max(now) != e.ready_at.max(now) {
                         return fail("ready_at disagrees with the scan", e.seq);
                     }
-                    let in_ready = self.ready.binary_search(&e.seq).is_ok();
-                    let in_wake = wake.contains(&(e.ready_at, e.seq));
-                    if in_ready == in_wake || (in_ready && e.ready_at > now) {
+                    let in_ready = ready.binary_search(&e.seq).is_ok();
+                    let in_wheel = wheel.contains(&e.seq);
+                    let in_far = far.contains(&(e.ready_at, e.seq));
+                    if [in_ready, in_wheel, in_far].iter().filter(|&&x| x).count() != 1
+                        || (in_ready && e.ready_at > now)
+                    {
                         return fail("an operand-complete entry is not listed once", e.seq);
                     }
                     if ready_at <= now {
@@ -175,12 +243,9 @@ impl Core {
             }
             if e.is_load
                 && e.pending == 0
-                && self.load_disambiguate(i) != self.scan_load_disambiguate(i)
+                && self.load_disambiguate(i) != self.scan_load_disambiguate(i, &[])
             {
-                return fail(
-                    "store-queue disambiguation disagrees with the ROB walk",
-                    e.seq,
-                );
+                return fail("memo'd disambiguation disagrees with the ROB walk", e.seq);
             }
         }
         let pending: usize = self.rob.iter().map(|e| e.pending as usize).sum();
@@ -189,13 +254,22 @@ impl Core {
                 "cycle {now}: {chained} chain links for {pending} pending operands"
             ));
         }
+        for (class, want) in self.waiting.iter().zip(&waiting) {
+            let got = self.seqs_of(&class.words)?;
+            if got != *want {
+                return Err(format!(
+                    "cycle {now}: a class set holds {got:?}, the waiting entries of that class are {want:?}"
+                ));
+            }
+        }
 
-        let mut due: Vec<u64> = self.ready.clone();
-        due.extend(wake.iter().filter(|&&(t, _)| t <= now).map(|&(_, seq)| seq));
+        let mut due = ready;
+        due.extend(self.seqs_of(self.wheel.bucket(now))?);
+        due.extend(far.iter().filter(|&&(t, _)| t <= now).map(|&(_, seq)| seq));
         due.sort_unstable();
         if due != selectable {
             return Err(format!(
-                "cycle {now}: ready ∪ due wake keys {due:?} != scan's operand-ready set {selectable:?}"
+                "cycle {now}: ready ∪ due keys {due:?} != scan's operand-ready set {selectable:?}"
             ));
         }
 
@@ -209,6 +283,16 @@ impl Core {
             return Err(format!(
                 "cycle {now}: store_q {:?} != the ROB's stores {stores:?}",
                 self.store_q
+            ));
+        }
+        let mut recount = StoreFilter::new(self.cfg.lsq_stores);
+        for e in self.rob.iter().filter(|e| e.is_store) {
+            let m = e.mem.as_ref().unwrap();
+            recount.add(m.info.addr, m.width.bytes());
+        }
+        if recount.counts != self.store_filter.counts {
+            return Err(format!(
+                "cycle {now}: the store filter's counts are not a recount over store_q"
             ));
         }
 

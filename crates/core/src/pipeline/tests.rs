@@ -515,15 +515,20 @@ fn load_waits_for_a_store_whose_address_arrives_late() {
 fn a_full_rob_behind_one_load_costs_nothing_per_tick() {
     // One 10 000-cycle load, then enough dependent work to fill the
     // ROB: a chain of adds on its result, a store whose address
-    // waits for it, and a ready load of the stored cell that stays
-    // blocked — the one entry select has to look at. While the load
-    // is outstanding a tick and a horizon query may examine the
-    // ready list and what issue moves, never the waiting ROB.
+    // waits for it, sixteen more stores to other cells, and a ready
+    // load of the first store's cell that stays blocked — the one
+    // entry select has to look at. While the slow load is outstanding
+    // a tick and a horizon query may examine the blocked load and the
+    // store it remembers, never the waiting ROB and never the other
+    // stores.
     let mut b = ProgramBuilder::new();
     b.li(Reg(1), SM);
     b.li(Reg(2), 9);
     b.ld(Reg(4), Reg(1), 64);
     b.store_x(Reg(2), Reg(1), Reg(4), 0, Width::D, Route::Plain);
+    for k in 0..16 {
+        b.st(Reg(2), Reg(1), 128 + 8 * k);
+    }
     b.ld(Reg(3), Reg(1), 0);
     for _ in 0..400 {
         b.addi(Reg(4), Reg(4), 1);
@@ -543,17 +548,19 @@ fn a_full_rob_behind_one_load_costs_nothing_per_tick() {
     assert_eq!(core.rob[0].pc, 2);
     let load_done = core.rob[0].done_at;
     assert!(load_done > 10_000);
+    assert_eq!(core.store_q.len(), 17);
     for _ in 0..2_000 {
+        let blocked = slots_of(&core.ready.words).count();
+        assert_eq!(blocked, 1, "only the blocked load is ready");
+        // Per blocked load: itself and the store it remembers.
+        let bound = (cfg.issue_width + 2 * blocked) as u64;
         let before = core.rob_visits.get();
         core.tick(&mut port).unwrap();
         let tick_visits = core.rob_visits.get() - before;
         assert_eq!(core.rob.len(), cfg.rob_size);
-        // Per candidate: itself and, for a load, the older stores.
-        let bound = (cfg.issue_width + core.ready.len() * (1 + core.store_q.len())) as u64;
         assert!(
             tick_visits <= bound,
-            "a tick examined {tick_visits} ROB entries, ready list {:?}",
-            core.ready
+            "a tick examined {tick_visits} ROB entries with {blocked} blocked load(s) ready"
         );
         let before = core.rob_visits.get();
         assert_eq!(core.next_event_at(), load_done);
@@ -563,8 +570,61 @@ fn a_full_rob_behind_one_load_costs_nothing_per_tick() {
             "next_event_at examined {horizon_visits} ROB entries"
         );
     }
-    assert_eq!(core.ready, [4], "only the blocked load is ready");
-    assert_eq!(core.wake.len(), 2, "the store and the first add");
+    let blocked_load = core.rob.iter().find(|e| e.pc == 20).unwrap().seq;
+    assert_eq!(core.seqs_of(&core.ready.words).unwrap(), [blocked_load]);
+    assert_eq!(core.wheel.occupied, 0);
+    assert_eq!(core.far.len(), 2, "the first store and the first add");
+}
+
+#[test]
+fn disambiguation_walks_the_store_queue_once_per_blocked_load() {
+    // Behind one 10 000-cycle load: a full store queue — the oldest
+    // store's address waits for the load, the others write distinct
+    // lines —, a load of the oldest store's cell, blocked for the
+    // duration, and a stream of loads to yet other lines. (All lines
+    // are chosen clear of the store filter's false positives.)
+    let cfg = CoreConfig {
+        lockstep: true,
+        ..Default::default()
+    };
+    let stores = cfg.lsq_stores as i64;
+    let mut b = ProgramBuilder::new();
+    b.li(Reg(1), SM);
+    b.li(Reg(2), 9);
+    b.ld(Reg(4), Reg(1), 64);
+    b.store_x(Reg(2), Reg(1), Reg(4), 0, Width::D, Route::Plain);
+    for k in 1..stores {
+        b.st(Reg(2), Reg(1), 4096 + 64 * k);
+    }
+    b.ld(Reg(3), Reg(1), 0);
+    for j in 0..40 {
+        b.ld(Reg(5), Reg(1), (1 << 20) + 64 * j);
+    }
+    b.halt();
+    let mut core = Core::new(cfg.clone(), b.build(), MemoryMap::default());
+    let mut port = slow_cell(10_000)();
+    // Until the slow load's return is the only event left.
+    while core.rob.front().is_none_or(|e| e.pc != 2) || core.next_event_at() < 10_000 {
+        core.tick(&mut port).unwrap();
+    }
+    assert_eq!(core.store_q.len(), cfg.lsq_stores);
+    assert_eq!(core.stats.loads_timed, 41, "the stream's loads all issued");
+    // The blocked load walked past every store to find the oldest;
+    // the filter cleared the stream's loads without a walk.
+    assert_eq!(
+        core.store_q_visits.get(),
+        cfg.lsq_stores as u64,
+        "store_q visits: one walk for the blocked load, none for loads of other lines"
+    );
+    for _ in 0..2_000 {
+        core.tick(&mut port).unwrap();
+        assert!(core.next_event_at() > 10_000);
+    }
+    assert_eq!(
+        core.store_q_visits.get(),
+        cfg.lsq_stores as u64,
+        "a load that stays blocked re-asks its memo, not the store queue"
+    );
 }
 
 #[test]
