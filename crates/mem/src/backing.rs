@@ -43,6 +43,7 @@
 use crate::fault::{FaultConfig, FaultRoller, FaultSite};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -51,6 +52,29 @@ const OFFSET_MASK: u64 = (PAGE_SIZE - 1) as u64;
 /// The memo's empty sentinel: page numbers are `addr >> 12`, so a real
 /// page can never equal it.
 const NO_PAGE: u64 = u64::MAX;
+
+/// Hashes a page number by one multiplication. Page numbers come from
+/// the simulated program's addresses, not from outside input, and the
+/// default SipHash costs more than the access it translates whenever a
+/// loop alternates arrays and the one-entry memo misses.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    /// The product's high bits are its well-mixed ones and the map
+    /// picks buckets by the low ones: rotate them down.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("page numbers hash through write_u64");
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
 
 /// Sparse paged memory. Reads of untouched memory return zero.
 ///
@@ -62,7 +86,7 @@ pub struct PagedMem {
     /// Page frames, indexed by the slots stored in `index`.
     pages: Vec<Box<[u8; PAGE_SIZE]>>,
     /// Page number → frame slot in `pages`.
-    index: HashMap<u64, usize>,
+    index: HashMap<u64, usize, BuildHasherDefault<PageHasher>>,
     /// One-entry translation memo: the last resident page touched, as
     /// `(page number, frame slot)`. A `Cell` so the read path (`&self`)
     /// can refresh it too.
@@ -73,7 +97,7 @@ impl Default for PagedMem {
     fn default() -> Self {
         PagedMem {
             pages: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
             last: Cell::new((NO_PAGE, 0)),
         }
     }
