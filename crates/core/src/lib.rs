@@ -26,30 +26,45 @@
 //!
 //! ## The issue stage is event-driven
 //!
-//! Nothing in the back end walks the ROB. At dispatch an instruction
-//! links itself onto the *consumer chain* of every producer that has not
-//! issued yet (intrusive, allocation-free: `dep_head` on the producer,
-//! `dep_next[slot]` on the consumer) and counts those producers in
-//! `pending`; producers that already issued fold their completion time
-//! into its `ready_at`. Issuing an entry walks its chain; a consumer
-//! whose `pending` reaches zero enters the `wake` min-heap keyed
-//! `(ready_at, seq)`. Each cycle `issue` moves the keys that have come
-//! due into `ready` — the operand-ready entries, oldest first — and runs
-//! select over that list alone. Loads disambiguate against `store_q`,
-//! the in-flight stores in program order, not against the ROB.
+//! Nothing in the back end walks the ROB or the store queue. At dispatch
+//! an instruction links itself onto the *consumer chain* of every
+//! producer that has not issued yet (intrusive, allocation-free:
+//! `dep_head` on the producer, `dep_next[slot]` on the consumer) and
+//! counts those producers in `pending`; producers that already issued
+//! fold their completion time into its `ready_at`. Issuing an entry
+//! walks its chain; a consumer whose `pending` reaches zero waits for
+//! its `ready_at` in the *wake wheel* — 64 buckets of slot bitsets, one
+//! per cycle, with an occupancy word — or, 64 or more cycles out, in
+//! the `far` min-heap. An entry's *slot* is its seq modulo the ROB size
+//! rounded up to a power of two, so ring order from the head's slot is
+//! age order. Each cycle `issue` ORs the bucket of `now` into `ready`,
+//! a bitset over slots, and select walks its set bits oldest first,
+//! masking a unit class out of the walk once its units are spent and
+//! stopping with the issue width. A load asks memory disambiguation
+//! once: a table of in-flight-store counts per hashed 8-byte granule
+//! clears it without a walk when no store can overlap, otherwise it
+//! walks `store_q` (the in-flight stores in program order) and
+//! remembers the youngest older overlapping store — which, dispatch and
+//! commit both being in order, stays the deciding one for as long as it
+//! is in flight. Every re-ask is one ROB lookup.
 //!
-//! Two ordering invariants make this select pick what an oldest-first
+//! Three ordering invariants make this select pick what an oldest-first
 //! scan of the whole ROB would: every result completes strictly after
 //! its issue cycle, so nothing woken during a select is selectable in
-//! it; and select runs in age order, so a store issued earlier in the
-//! cycle is visible as issued to a younger load in the same cycle.
+//! it; select runs in age order, so a store issued earlier in the cycle
+//! is visible as issued to a younger load in the same cycle; and a
+//! wheel key is never skipped, because [`Core::next_event_at`] reports
+//! the nearest non-empty bucket and [`Core::advance_to`] takes the
+//! blocked loads due at its departure cycle along.
 //!
-//! Cost model: a tick pays for the entries that commit, issue, wake or
-//! dispatch, plus the length of `ready`; [`Core::next_event_at`] pays
-//! for `ready` and one heap peek. Entries that only wait — the bulk of a
-//! full ROB behind a cache miss — cost nothing. The scans this replaced
-//! are kept as test-only oracles and checked against the structures
-//! after every tick of generated programs.
+//! Cost model: a tick pays for what commits, issues, wakes or
+//! dispatches, plus one lookup per disambiguation-blocked load;
+//! [`Core::next_event_at`] pays for the blocked loads, one bucket and
+//! one heap peek. Entries that only wait — the bulk of a full ROB behind
+//! a cache miss — cost nothing, however many stores are in flight. The
+//! scans this replaced are kept as test-only oracles: the structures
+//! are checked against them, and select's picks against an oldest-first
+//! walk of the ROB, on every tick of generated programs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -477,11 +477,14 @@ fn build_program(ops: &[Op], iters: i64) -> Program {
 /// after every tick and every bulk advance.
 fn run_checked(
     program: &Program,
+    (rob_size, issue_width): (usize, usize),
     sm_latency: u64,
     slow_cell_latency: u64,
     lockstep: bool,
 ) -> Result<CoreStats, TestCaseError> {
     let cfg = CoreConfig {
+        rob_size,
+        issue_width,
         lockstep,
         ..Default::default()
     };
@@ -517,12 +520,16 @@ proptest! {
     fn event_driven_issue_matches_the_scan(
         ops in prop::collection::vec(op_strategy(), 4..70),
         iters in 1i64..4,
-        sm_latency in prop_oneof![Just(4u64), Just(35u64), Just(260u64)],
+        // Table 1's back end; a ROB that fills its ring of 64 slots
+        // exactly, under a narrowed width; one that leaves slots unused.
+        shape in prop_oneof![Just((224usize, 4usize)), Just((64usize, 2usize)), Just((40usize, 4usize))],
+        // 64: a load's consumers wake 65 cycles out, one past the wheel.
+        sm_latency in prop_oneof![Just(4u64), Just(35u64), Just(64u64), Just(260u64)],
         slow_cell_latency in prop_oneof![Just(4u64), Just(700u64)],
     ) {
         let program = build_program(&ops, iters);
-        let lock = run_checked(&program, sm_latency, slow_cell_latency, true)?;
-        let mut skip = run_checked(&program, sm_latency, slow_cell_latency, false)?;
+        let lock = run_checked(&program, shape, sm_latency, slow_cell_latency, true)?;
+        let mut skip = run_checked(&program, shape, sm_latency, slow_cell_latency, false)?;
         prop_assert_eq!(lock.skipped_cycles, 0);
         skip.skipped_cycles = 0;
         prop_assert_eq!(skip, lock);

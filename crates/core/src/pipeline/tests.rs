@@ -628,6 +628,56 @@ fn disambiguation_walks_the_store_queue_once_per_blocked_load() {
 }
 
 #[test]
+fn a_skip_takes_the_blocked_loads_due_at_its_departure_cycle_along() {
+    // Two loads of a cell whose store waits for a 300-cycle load. Their
+    // index operands come from two divides issued a cycle apart, so
+    // they come due in consecutive cycles, both blocked. The first's
+    // tick is quiet, the horizon rightly ignores the second — due at
+    // the very cycle the skip departs from, still in its wheel bucket —
+    // and jumps to the slow load's return: the bucket must not stay
+    // behind, or the second load would wake a wheel turn late.
+    let build = |b: &mut ProgramBuilder| {
+        b.li(Reg(1), SM);
+        b.li(Reg(2), 7);
+        b.li(Reg(5), 0);
+        b.ld(Reg(9), Reg(1), 64); // 0, late
+        b.alu(AluOp::Div, Reg(4), Reg(5), Reg(2)); // 0, after 20 cycles
+        b.addi(Reg(8), Reg(5), 0);
+        b.alu(AluOp::Div, Reg(6), Reg(8), Reg(2)); // 0, a cycle later
+        b.store_x(Reg(2), Reg(1), Reg(9), 0, Width::D, Route::Plain);
+        b.load_x(Reg(3), Reg(1), Reg(4), 0, Width::D, Route::Plain);
+        b.load_x(Reg(7), Reg(1), Reg(6), 0, Width::D, Route::Plain);
+        b.halt();
+    };
+    let (result, stats, skipped) =
+        assert_skip_equivalent_on(slow_cell(300), CoreConfig::default(), build);
+    result.expect("program must halt");
+    assert!(stats.cycles > 300);
+    assert!(skipped > 250, "the wait is skipped ({skipped})");
+
+    // The same run by hand, to see the departure with a due bucket.
+    let mut b = ProgramBuilder::new();
+    build(&mut b);
+    let mut core = Core::new(CoreConfig::default(), b.build(), MemoryMap::default());
+    let mut port = slow_cell(300)();
+    let mut prof = HostProfile::default();
+    let mut departures_with_a_due_bucket = 0;
+    while !core.halted() {
+        let outcome = core.tick_classified::<false>(&mut port, &mut prof);
+        core.check_against_scan().unwrap();
+        if outcome.unwrap() == TickOutcome::Quiet {
+            let target = core.skip_target(None);
+            if target > core.now() && slots_of(core.wheel.bucket(core.now())).count() > 0 {
+                departures_with_a_due_bucket += 1;
+            }
+            core.advance_to(target);
+            core.check_against_scan().unwrap();
+        }
+    }
+    assert_eq!(departures_with_a_due_bucket, 1);
+}
+
+#[test]
 fn skipping_matches_lockstep_on_mixed_program() {
     let (stats, skipped) = assert_skip_equivalent(|b| {
         let top = b.new_label();
