@@ -119,7 +119,7 @@ pub(super) struct StoreFilter {
 
 impl StoreFilter {
     /// A filter for at most `stores` stores in flight: sixteen counters
-    /// per store keep the false positives of a full queue around 6 %.
+    /// per store, so even a full queue occupies at most an eighth.
     pub(super) fn new(stores: usize) -> Self {
         let len = (16 * stores).next_power_of_two().max(64);
         StoreFilter {
@@ -131,7 +131,7 @@ impl StoreFilter {
     /// The counters of the one or two granules `bytes` (at most 8) bytes
     /// at `addr` touch, wrapping with the address space.
     #[inline]
-    pub(super) fn counters(&self, addr: u64, bytes: u64) -> (usize, usize) {
+    fn counters(&self, addr: u64, bytes: u64) -> (usize, usize) {
         let at = |a: u64| ((a >> 3).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
         (at(addr), at(addr.wrapping_add(bytes - 1)))
     }
@@ -228,12 +228,9 @@ impl Core {
     /// drops out of the walk; the walk ends with the issue width or the
     /// last unit.
     fn select(&mut self, port: &mut impl MemoryPort) {
-        if self.ready.is_empty() {
-            return;
-        }
         let mut free = [self.cfg.int_alus, self.cfg.fp_alus, self.cfg.ls_units];
         let mut width = self.cfg.issue_width;
-        if width == 0 {
+        if width == 0 || self.ready.is_empty() {
             return;
         }
         let words = self.ready.words.len();
