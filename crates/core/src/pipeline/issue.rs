@@ -238,13 +238,15 @@ impl Core {
         let (head_word, head_bit) = (head / 64, head % 64);
         // The head's word comes first with the bits from the head slot
         // up, and once more at the end with the bits below it.
-        for k in 0..=words {
-            let w = (head_word + k) % words;
+        for (k, w) in (head_word..words).chain(0..=head_word).enumerate() {
             let mut bits = self.ready.words[w];
             if k == 0 {
                 bits &= !0 << head_bit;
             } else if k == words {
                 bits &= !(!0 << head_bit);
+            }
+            if bits == 0 {
+                continue;
             }
             for (class, &units) in self.waiting.iter().zip(&free) {
                 if units == 0 {
