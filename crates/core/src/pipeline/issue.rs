@@ -188,7 +188,8 @@ impl Core {
     /// runs oldest-first over `ready` alone, losers (no free unit, a
     /// disambiguation-blocked load, no width left) staying for the next
     /// cycle. This picks what an oldest-first scan of the whole ROB
-    /// would, on three invariants, all asserted:
+    /// would — under test `scan_select` checks exactly that, every cycle —
+    /// on three invariants:
     ///
     /// * every `done_at` assigned at issue is `> now`, so an entry woken
     ///   during this select cannot itself be selectable this cycle —

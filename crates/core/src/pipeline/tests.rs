@@ -420,7 +420,7 @@ fn partial_overlap_blocks_the_load_until_the_store_commits() {
     // A byte store inside the word a younger load reads: no
     // forwarding, the load waits for the store to commit — which a
     // 300-cycle load ahead of it in the ROB delays. The blocked load
-    // sits in the ready list the whole time and must add no horizon:
+    // stays set in `ready` the whole time and must add no horizon:
     // the wait is skipped, not ticked through.
     let (result, stats, skipped) =
         assert_skip_equivalent_on(slow_cell(300), CoreConfig::default(), |b| {

@@ -164,7 +164,7 @@ for wl in "${workloads[@]}"; do
                     h = (n - 1) * p + 1; lo = int(h)
                     return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
                 }
-                function num(x) { return x == int(x) ? sprintf("%d", x) : sprintf("%.6g", x) }
+                function num(x) { return x == int(x) ? sprintf("%d", x) : sprintf(x < 1e6 ? "%.6g" : "%.1f", x) }
                 function sorted(src, dst, n,    i, j, t) {
                     for (i = 1; i <= n; i++) dst[i] = src[i]
                     for (i = 2; i <= n; i++)
