@@ -412,7 +412,7 @@ pub fn fig10(flags: Flags) {
     }
 }
 
-/// Ablations of the design choices DESIGN.md §5 calls out: +1/+2 cycle
+/// Ablations of the design choices the reproduction made: +1/+2 cycle
 /// directory lookup (vs the paper's in-AGU-cycle argument), an unbounded
 /// prefetcher history table, the prefetcher off, a serialized
 /// (non-pipelined) DMA engine — approximated by raising the per-command

@@ -18,7 +18,8 @@
 //! * the buffer size is a power of two, at least 64 bytes, at most the LM
 //!   size;
 //! * `dma-get` chunks are buffer-size aligned in both memories (the
-//!   compiler allocates arrays and windows aligned — see DESIGN.md §5);
+//!   compiler allocates arrays and windows aligned — see
+//!   `hsim_compiler::layout`);
 //! * reconfiguring the buffer size invalidates all entries.
 
 /// Outcome of a directory lookup that hit.

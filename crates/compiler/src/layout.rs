@@ -4,7 +4,7 @@
 //! chunks to be buffer-size aligned. The compiler therefore aligns every
 //! array to the largest possible buffer size (the whole LM) and pads each
 //! array with one maximal window, so the last tile's full-window transfer
-//! never touches a neighbouring array. See DESIGN.md §5.
+//! never touches a neighbouring array.
 
 use crate::ir::Kernel;
 use hsim_isa::memmap::{Addr, DATA_BASE, LM_SIZE};

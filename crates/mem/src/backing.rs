@@ -370,6 +370,16 @@ pub struct DramStats {
 }
 
 impl DramStats {
+    /// Counts one row-classified access (the shared backside mirrors the
+    /// channel's outcomes into per-core shares with this).
+    pub(crate) fn count_row(&mut self, outcome: RowOutcome) {
+        match outcome {
+            RowOutcome::Hit => self.row_hits += 1,
+            RowOutcome::Miss => self.row_misses += 1,
+            RowOutcome::Conflict => self.row_conflicts += 1,
+        }
+    }
+
     /// Merges another stats block into this one, field by field — the
     /// partitioning tests sum per-core shares through this, so a newly
     /// added counter is covered the moment it exists.
@@ -554,11 +564,7 @@ impl DramController {
             .max(self.busy_until.min(horizon))
             .max(self.bank_busy[bank].min(horizon));
         let (outcome, lat) = self.classify(bank, row);
-        match outcome {
-            RowOutcome::Hit => self.stats.row_hits += 1,
-            RowOutcome::Miss => self.stats.row_misses += 1,
-            RowOutcome::Conflict => self.stats.row_conflicts += 1,
-        }
+        self.stats.count_row(outcome);
         self.open_rows[bank] = Some(row);
         self.busy_until = start + self.cfg.gap;
         // The bank is occupied by its *commands* (precharge/activate);

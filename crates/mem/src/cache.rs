@@ -93,6 +93,19 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// Counts one [`Cache::access`] outcome (the shared backside mirrors
+    /// each bank's counts into the requesting core's share with this).
+    pub(crate) fn count_access(&mut self, kind: AccessKind, hit: bool) {
+        match (kind, hit) {
+            (AccessKind::Read, true) => self.read_hits += 1,
+            (AccessKind::Read, false) => self.read_misses += 1,
+            (AccessKind::Write, true) => self.write_hits += 1,
+            (AccessKind::Write, false) => self.write_misses += 1,
+            (AccessKind::Prefetch, true) => self.prefetch_hits += 1,
+            (AccessKind::Prefetch, false) => {} // fill accounted separately
+        }
+    }
+
     /// Demand accesses (reads + writes).
     pub fn demand_accesses(&self) -> u64 {
         self.read_hits + self.read_misses + self.write_hits + self.write_misses
@@ -242,14 +255,7 @@ impl Cache {
             }
             None => false,
         };
-        match (kind, hit) {
-            (AccessKind::Read, true) => self.stats.read_hits += 1,
-            (AccessKind::Read, false) => self.stats.read_misses += 1,
-            (AccessKind::Write, true) => self.stats.write_hits += 1,
-            (AccessKind::Write, false) => self.stats.write_misses += 1,
-            (AccessKind::Prefetch, true) => self.stats.prefetch_hits += 1,
-            (AccessKind::Prefetch, false) => {} // fill accounted separately
-        }
+        self.stats.count_access(kind, hit);
         hit
     }
 

@@ -3,7 +3,7 @@
 //! A seeded [`FaultConfig`] drives three recoverable fault sites:
 //! transient DRAM read errors (ECC retry, `backing.rs`), DMA transfer
 //! timeouts (exponential backoff, `dma.rs`) and directory/bank message
-//! NACKs under port contention (`hierarchy.rs`). Each site owns a
+//! NACKs under port contention (`backside.rs`). Each site owns a
 //! [`FaultRoller`] — a **counter-based** xorshift generator keyed on
 //! `(seed, site, instance)` — so whether the *k*-th event at a site
 //! faults depends only on the seed and on `k`, never on host thread

@@ -27,35 +27,48 @@
 //!   timeouts and directory NACKs, all recovered by bounded
 //!   retry/backoff — faults perturb timing only, never architectural
 //!   state.
-//! * [`hierarchy`] — the L1/L2/L3 + DRAM walk that ties the above
-//!   together and produces per-level access counts and latencies; the
-//!   shared backside ([`SharedBackside`]) lives here as a vector of
-//!   address-interleaved L3 banks with per-bank arbitrated ports in
+//! * [`config`] — the Table 1 geometry ([`MemConfig`]), the inter-core
+//!   coherence model and message timings ([`CoherenceMode`],
+//!   [`CoherenceConfig`]) and what an access reports back ([`Level`],
+//!   [`AccessResponse`], [`CacheEvent`]).
+//! * [`tile`] — the per-core [`MemSystem`]: the L1/L2 walk with MSHR
+//!   merging, prefetch fills, write-through forwarding and the DMA bus
+//!   requests, in front of the shared backside. Everything the paper's
+//!   protocol adds is private to a tile.
+//! * [`backside`] — where tiles meet: the [`SharedBackside`], a vector
+//!   of address-interleaved L3 banks with per-bank arbitrated ports in
 //!   front of the DRAM controller, with per-core statistics that
-//!   partition the chip totals exactly.
+//!   partition the chip totals exactly. It resolves each line's home
+//!   once and discharges what a directory transition owes in one place.
+//! * `dirslice` (crate-private) — each bank's slice of the inter-core
+//!   directory; the one file that knows how the directory is stored.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backing;
+pub mod backside;
 pub mod cache;
+pub mod config;
+mod dirslice;
 pub mod dma;
 pub mod fault;
-pub mod hierarchy;
 pub mod lm;
 pub mod mshr;
 pub mod prefetch;
+pub mod tile;
 pub mod tlb;
 
 pub use backing::{DramConfig, DramController, DramStats, DramTiming, PagedMem, RowOutcome};
+pub use backside::{BacksideCoreStats, CoherenceStats, SharedBackside};
 pub use cache::{AccessKind, Cache, CacheConfig, CacheStats, WritePolicy};
+pub use config::{
+    AccessResponse, CacheEvent, CoherenceConfig, CoherenceMode, L3Geometry, Level, MemConfig,
+};
 pub use dma::{DmaConfig, DmaOp, DmaStats, Dmac};
 pub use fault::{FaultConfig, FaultEscalation, FaultRoller, FaultSite};
-pub use hierarchy::{
-    AccessResponse, BacksideCoreStats, CacheEvent, CoherenceConfig, CoherenceMode, CoherenceStats,
-    L3Geometry, Level, MemConfig, MemSystem, SharedBackside,
-};
 pub use lm::{LmConfig, LocalMem};
 pub use mshr::MshrFile;
 pub use prefetch::{PrefetchConfig, StreamPrefetcher};
+pub use tile::MemSystem;
 pub use tlb::{Tlb, TlbConfig};

@@ -9,8 +9,9 @@
 //!   potentially-incoherent references of Table 3 and §4.2, with data
 //!   footprints and reuse patterns matching the paper's narrative. The
 //!   real NAS sources and 150M-instruction SimPoints are not reproducible
-//!   inside this simulator; DESIGN.md §1 documents why the signature
-//!   approach preserves the evaluated mechanisms.
+//!   inside this simulator; the signatures preserve what the evaluated
+//!   mechanisms react to — which references are guarded, what they hit
+//!   and how far apart reuses are.
 //!
 //! * [`comm`] — communication workloads, where the traffic *between*
 //!   cores is the workload: producer-consumer flag/data ping-pong,

@@ -122,7 +122,7 @@ pub struct Fig7Point {
     /// which is what the paper's microbenchmark measures; the control
     /// phase additionally differs because a buffer that is only written
     /// through guarded stores is mapped read-only and skips its
-    /// `dma-put`s (see EXPERIMENTS.md).
+    /// `dma-put`s.
     pub overhead: f64,
     /// Instruction-count ratio against the Baseline mode.
     pub inst_ratio: f64,

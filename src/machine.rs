@@ -274,7 +274,9 @@ impl Machine {
     /// controller, port occupancy, inter-core coherence model), because
     /// there is only one L3 and one memory channel per chip
     /// ([`hsim_mem::MemConfig::backside_compatible`]; violations
-    /// panic). Per-core stat partitioning and the event horizons are
+    /// panic, as do more than 64 tiles under a directory mode, whose
+    /// sharer bitset is one `u64` — `Replicate` takes more).
+    /// Per-core stat partitioning and the event horizons are
     /// geometry-independent, so everything the homogeneous machine
     /// guarantees — exact per-core shares, bit-identical cycle skipping
     /// — holds for mixed chips too.
