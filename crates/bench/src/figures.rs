@@ -30,7 +30,7 @@ pub fn table1(_: Flags) {
     let lm = mem.lm.as_ref().expect("the hybrid system has an LM");
 
     println!("TABLE 1: simulator configuration parameters");
-    println!("(paper values in parentheses where they differ — see DESIGN.md)");
+    println!("(paper values in parentheses where they differ)");
     println!();
     let rows: Vec<(&str, String)> = vec![
         (
@@ -233,7 +233,7 @@ pub fn table3(flags: Flags) {
         "\n'(paper)' rows give the paper's guarded ratio, then hybrid/cache AMAT and L1 hit%."
     );
     println!("Access counts depend on the workload sizes and are not directly comparable;");
-    println!("the ratios and orderings are (see EXPERIMENTS.md).");
+    println!("the ratios and orderings are.");
 }
 
 /// Figure 7: microbenchmark overhead in all modes as the share of

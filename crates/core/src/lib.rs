@@ -57,6 +57,15 @@
 //! the nearest non-empty bucket and [`Core::advance_to`] takes the
 //! blocked loads due at its departure cycle along.
 //!
+//! That horizon is complete without asking the memory side anything:
+//! each [`MemoryPort`] call that starts a wait returns when it ends — a
+//! load's latency and its presence-bit `ready_at` become `done_at`, a
+//! `dma-synch`'s completion `synch_until`, an I-miss `fetch_resume_at` —
+//! and memory-side state changes only inside such calls, which only a
+//! tick that moves something makes. [`Core::skip_target`] therefore
+//! clamps the horizon to the watchdog and the cycle budget and nothing
+//! else.
+//!
 //! Cost model: a tick pays for what commits, issues, wakes or
 //! dispatches, plus one lookup per disambiguation-blocked load;
 //! [`Core::next_event_at`] pays for the blocked loads, one bucket and

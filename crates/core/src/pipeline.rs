@@ -116,7 +116,7 @@ pub struct HostProfile {
     /// Bulk advances performed.
     pub advances: u64,
     /// Host seconds spent computing skip targets (the horizon scan:
-    /// [`Core::next_event_at`] plus the memory-side horizon query).
+    /// [`Core::skip_target`]).
     pub horizon_secs: f64,
     /// Horizon scans performed.
     pub horizon_scans: u64,
@@ -451,7 +451,7 @@ impl Core {
                 PROF,
                 &mut prof.horizon_secs,
                 &mut prof.horizon_scans,
-                || self.skip_target(port.next_mem_event_at(self.now)),
+                || self.skip_target(),
             );
             if target > self.now {
                 timed(PROF, &mut prof.advance_secs, &mut prof.advances, || {
@@ -628,21 +628,18 @@ impl Core {
     }
 
     /// The cycle-skipping target for the current state:
-    /// [`Core::next_event_at`] clamped so the jump never crosses a
-    /// pending memory-side event (`mem_event`, from
-    /// [`MemoryPort::next_mem_event_at`]), the deadlock watchdog, or the
-    /// cycle budget. The watchdog fires on the tick *at*
-    /// `last_commit + DEADLOCK_WINDOW` and the budget on the tick at
-    /// `max_cycles - 1`; ticking exactly there keeps error cycle numbers
-    /// identical to the naive loop.
-    pub fn skip_target(&self, mem_event: Option<u64>) -> u64 {
-        let mut target = self.next_event_at();
-        if let Some(m) = mem_event {
-            target = target.min(m.max(self.now));
-        }
-        target = target.min(self.last_commit_cycle + DEADLOCK_WINDOW);
-        target = target.min(self.cfg.max_cycles.saturating_sub(1));
-        target.max(self.now)
+    /// [`Core::next_event_at`] clamped so the jump never crosses the
+    /// deadlock watchdog or the cycle budget. The watchdog fires on the
+    /// tick *at* `last_commit + DEADLOCK_WINDOW` and the budget on the
+    /// tick at `max_cycles - 1`; ticking exactly there keeps error cycle
+    /// numbers identical to the naive loop. Nothing on the memory side
+    /// is asked: every port call hands its completion back when it is
+    /// made ([`MemoryPort`]), so the core's own horizon is complete.
+    pub fn skip_target(&self) -> u64 {
+        self.next_event_at()
+            .min(self.last_commit_cycle + DEADLOCK_WINDOW)
+            .min(self.cfg.max_cycles.saturating_sub(1))
+            .max(self.now)
     }
 
     /// Bulk-advances the clock to `target`, accounting the skipped

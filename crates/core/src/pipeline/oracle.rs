@@ -504,7 +504,7 @@ fn run_checked(
             .map_err(|e| TestCaseError::fail(format!("generated program failed: {e}")))?;
         check(&core)?;
         if !lockstep && outcome == TickOutcome::Quiet {
-            let target = core.skip_target(port.next_mem_event_at(core.now()));
+            let target = core.skip_target();
             core.advance_to(target);
             check(&core)?;
         }

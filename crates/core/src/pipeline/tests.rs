@@ -121,6 +121,12 @@ impl MemoryPort for MockPort {
     fn fetch_latency(&mut self, _now: u64, _addr: u64) -> u64 {
         2
     }
+
+    /// Every completion above went back to the core with its call, so
+    /// every run on this port — the oracles' included — is a guard.
+    fn next_mem_event_at(&self, _now: u64) -> Option<u64> {
+        panic!("the core's horizon is complete; nothing asks the memory side")
+    }
 }
 
 fn run_prog(build: impl FnOnce(&mut ProgramBuilder)) -> (Core, MockPort) {
@@ -666,7 +672,7 @@ fn a_skip_takes_the_blocked_loads_due_at_its_departure_cycle_along() {
         let outcome = core.tick_classified::<false>(&mut port, &mut prof);
         core.check_against_scan().unwrap();
         if outcome.unwrap() == TickOutcome::Quiet {
-            let target = core.skip_target(None);
+            let target = core.skip_target();
             if target > core.now() && slots_of(core.wheel.bucket(core.now())).count() > 0 {
                 departures_with_a_due_bucket += 1;
             }
@@ -698,6 +704,45 @@ fn skipping_matches_lockstep_on_mixed_program() {
     });
     assert!(stats.cycles > 0);
     assert!(skipped > 0, "the dma-synch wait must be skipped");
+}
+
+#[test]
+fn a_memory_bound_run_never_asks_the_memory_side_for_a_horizon() {
+    // Misses of 700 cycles with dependent work behind them, a DMA
+    // transfer and its synch: every wait a port can cause, skipped on
+    // the completions the calls returned ([`MockPort`] panics if asked
+    // for more).
+    let port = || {
+        let mut port = MockPort::new();
+        for k in 0..8 {
+            port.latency_at.insert(SM as u64 + 4096 * k, 700);
+        }
+        port
+    };
+    let (result, stats, skipped) = assert_skip_equivalent_on(port, CoreConfig::default(), |b| {
+        let top = b.new_label();
+        b.li(Reg(1), SM);
+        b.li(Reg(2), 0);
+        b.li(Reg(3), 8);
+        b.li(Reg(4), 0x7fff_0000_0000u64 as i64);
+        b.li(Reg(5), 4096);
+        b.bind(top);
+        b.ld(Reg(6), Reg(1), 0);
+        b.alu(AluOp::Add, Reg(7), Reg(7), Reg(6));
+        b.st(Reg(7), Reg(1), 8);
+        b.dma_get(Reg(4), Reg(1), Reg(5), 1);
+        b.dma_synch(1);
+        b.addi(Reg(1), Reg(1), 4096);
+        b.addi(Reg(2), Reg(2), 1);
+        b.branch(Cond::Lt, Reg(2), Reg(3), top);
+        b.halt();
+    });
+    result.expect("program must halt");
+    assert!(
+        skipped * 10 > stats.cycles * 9,
+        "memory-bound: {skipped} of {} cycles skipped",
+        stats.cycles
+    );
 }
 
 #[test]

@@ -105,14 +105,14 @@ pub trait MemoryPort {
     /// Instruction-fetch latency for the line containing `pc_addr`.
     fn fetch_latency(&mut self, now: u64, pc_addr: u64) -> u64;
 
-    /// The earliest cycle strictly after `now` at which pending
-    /// memory-side work completes — an outstanding MSHR fill, an
-    /// in-flight DMA transfer, a busy backside port — or `None` when
-    /// nothing is pending. Cycle-skipping cores clamp their jump to this
-    /// so they never skip past a backside event that could change
-    /// arbitration; the wake-up is a provable no-op, so reporting a
-    /// conservative (early) cycle is always safe. Timing-only mocks can
-    /// rely on this default.
+    /// **Uncalled.** The cycle skipper asks only the core
+    /// ([`Core::skip_target`](crate::pipeline::Core::skip_target)):
+    /// every completion a core waits for is handed back by the call
+    /// that starts the wait (`timing_access`, `exec_dma`, `dma_synch`,
+    /// `fetch_latency`, [`RouteInfo::ready_at`]), so between a core's
+    /// own events nothing on the memory side can concern it. The method
+    /// stays only because `benchmark/src/replays.rs` implements it;
+    /// remove that override and this method together.
     fn next_mem_event_at(&self, now: u64) -> Option<u64> {
         let _ = now;
         None

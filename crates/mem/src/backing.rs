@@ -33,12 +33,6 @@
 //!   intervention-triggered writes partition exactly like every other
 //!   counter (pinned by the hierarchy partitioning tests in both
 //!   coherence modes).
-//! * **Horizon monotonicity** — [`DramController::next_event_after`]
-//!   returns the earliest cycle strictly after `now` at which channel or
-//!   bank occupancy changes. All controller state changes happen
-//!   synchronously inside `read`/`write_posted` calls, so between calls
-//!   the horizon can only move forward: the event-horizon cycle skipper
-//!   may sleep until it without missing a state change.
 
 use crate::fault::{FaultConfig, FaultRoller, FaultSite};
 use std::cell::Cell;
@@ -662,18 +656,6 @@ impl DramController {
     pub fn queued_writes(&self) -> usize {
         self.queue.len()
     }
-
-    /// The earliest cycle strictly after `now` at which the channel or a
-    /// bank frees up, if any — the controller's contribution to the
-    /// memory-side event horizon. Queued writes generate no autonomous
-    /// events (they drain inside `write_posted` calls), so this is the
-    /// complete set of future state-change times.
-    pub fn next_event_after(&self, now: u64) -> Option<u64> {
-        std::iter::once(self.busy_until)
-            .chain(self.bank_busy.iter().copied())
-            .filter(|&t| t > now)
-            .min()
-    }
 }
 
 #[cfg(test)]
@@ -922,7 +904,7 @@ mod tests {
         assert_eq!(d.stats.ecc_retries, 3);
         assert_eq!(d.stats.row_misses, 1, "replays never re-classify rows");
         // The replays held the channel: 1 gap for the read + 3 more.
-        assert_eq!(d.next_event_after(0), Some(4 * d.cfg.gap));
+        assert_eq!(d.busy_until, 4 * d.cfg.gap);
         // Same seed, fresh controller: byte-identical replay.
         let mut e = DramController::with_faults(DramConfig::default(), &plan, 0);
         assert_eq!(e.read(0, 0), (lat, outcome, retries));
@@ -930,17 +912,5 @@ mod tests {
         let mut z = DramController::with_faults(DramConfig::default(), &FaultConfig::none(), 0);
         assert_eq!(z.read(0, 0), dram().read(0, 0));
         assert_eq!(z.stats.ecc_retries, 0);
-    }
-
-    #[test]
-    fn dram_horizon_reports_channel_and_bank_frees() {
-        let mut d = dram();
-        let t = DramTiming::default();
-        assert_eq!(d.next_event_after(0), None);
-        // Channel busy for the gap; the bank for its activate (t_rcd).
-        d.read(0, 0);
-        assert_eq!(d.next_event_after(0), Some(12));
-        assert_eq!(d.next_event_after(12), Some(t.t_rcd));
-        assert_eq!(d.next_event_after(t.t_rcd), None);
     }
 }

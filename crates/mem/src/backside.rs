@@ -34,8 +34,8 @@
 //!   recalls other sharers' copies with invalidation messages; a read
 //!   of another core's dirty line pays an intervention; evicting a
 //!   shared line (capacity or DMA) back-invalidates every upper copy.
-//!   Message latencies are charged on the home bank's port, so the
-//!   event horizon already covers them. Everything outside the
+//!   Message latencies are charged on the home bank's port, so later
+//!   requests to that bank queue behind them. Everything outside the
 //!   registered ranges keeps the `Replicate` path.
 //!
 //! Every entry point resolves its line once (`home`), and whatever a
@@ -60,13 +60,6 @@
 //!   row outcome are charged to the *owner* whose dirty data is written
 //!   back (interventions) or to the evicting requester (clean-path
 //!   victims), never double-counted. Tests pin this for every counter.
-//! * **Horizon monotonicity** — [`SharedBackside::next_event_after`]
-//!   covers *every* backside resource that can free up in the future
-//!   (all L3 bank ports, the DRAM channel, every DRAM bank). Backside
-//!   state changes only inside access calls made by ticking cores, so
-//!   between calls the horizon only moves forward and the event-horizon
-//!   scheduler can bulk-advance to it without missing an
-//!   arbitration-relevant event.
 
 use crate::backing::{DramController, DramStats};
 use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats, Evicted};
@@ -74,16 +67,6 @@ use crate::config::{CacheEvent, CoherenceConfig, Level, MemConfig};
 use crate::dirslice::DirectorySlice;
 use crate::fault::{backoff_delay, FaultRoller, FaultSite};
 use hsim_coherence::protocol::{CoherenceProtocol, Obligations, ProtocolTable};
-use std::cell::Cell;
-
-/// Sentinel for a stale horizon cache: some mutation happened since the
-/// last scan, so the next query must recompute. Cycle 0 can never be a
-/// real horizon value — events are strictly after the querying `now`,
-/// and `now` is unsigned.
-pub(crate) const HORIZON_DIRTY: u64 = 0;
-/// Sentinel for a *clean* horizon cache with no pending event: the
-/// component is provably idle until the next mutation dirties it again.
-pub(crate) const HORIZON_NONE: u64 = u64::MAX;
 
 /// Per-core inter-core coherence activity (all zero under
 /// [`CoherenceMode::Replicate`](crate::CoherenceMode::Replicate)).
@@ -165,8 +148,7 @@ struct L3Bank {
     cache: Cache,
     /// When this bank's port frees up (`l3_port_gap` occupancy per
     /// request; never advances when the gap is 0). Coherence messages
-    /// the directory sends occupy the port too, so the event horizon
-    /// covers them through this field.
+    /// the directory sends occupy the port too.
     busy_until: u64,
     /// This bank's directory slice (shared lines homed here).
     dir: DirectorySlice,
@@ -217,10 +199,6 @@ pub struct SharedBackside {
     /// Bank-index bits (`log2(banks)`), taken from the line number's
     /// low end so consecutive lines rotate through the banks.
     bank_bits: u32,
-    /// Cached [`SharedBackside::next_event_after`] result:
-    /// `HORIZON_DIRTY` after any mutation, `HORIZON_NONE` when the
-    /// backside is provably idle, otherwise the next event cycle.
-    horizon_cache: Cell<u64>,
     per_core: Vec<BacksideCoreStats>,
     /// Per-core residency-event queues (coherence tracking); `None`
     /// queues collect nothing.
@@ -300,7 +278,6 @@ impl SharedBackside {
             l3_latency: cfg.l3.latency,
             line_shift: cfg.l3.line_bytes.trailing_zeros(),
             bank_bits: n_banks.trailing_zeros(),
-            horizon_cache: Cell::new(HORIZON_DIRTY),
             per_core: vec![BacksideCoreStats::default(); n_cores],
             events: (0..n_cores).map(|_| None).collect(),
             coherence: cfg.coherence.clone(),
@@ -368,14 +345,6 @@ impl SharedBackside {
             as usize
     }
 
-    /// Marks every cached horizon stale. Called at the top of each
-    /// public `&mut self` method: any mutation may create or consume a
-    /// future backside event.
-    #[inline]
-    fn touch(&mut self) {
-        self.horizon_cache.set(HORIZON_DIRTY);
-    }
-
     /// Registers `[start, start + bytes)` as cross-core shared data:
     /// under the directory modes its lines drop the per-core tag and
     /// are tracked by the per-bank directory slices. Under
@@ -384,7 +353,6 @@ impl SharedBackside {
     /// registrations (every tile registers the same shard layout) are
     /// idempotent.
     pub fn mark_shared_range(&mut self, start: u64, bytes: u64) {
-        self.touch();
         if bytes == 0 || self.shared_ranges.contains(&(start, start + bytes)) {
             return;
         }
@@ -420,7 +388,6 @@ impl SharedBackside {
     /// levels, counting their application. Always empty under
     /// `Replicate`.
     pub fn take_upper_invals(&mut self, core: usize) -> Vec<u64> {
-        self.touch();
         let lines = std::mem::take(&mut self.pending_upper_inval[core]);
         self.per_core[core].coh.upper_invals_applied += lines.len() as u64;
         lines
@@ -437,7 +404,6 @@ impl SharedBackside {
     /// `dirty_recall_latency` port-occupancy cycles per line; the count
     /// lands in the victim core's coherence share).
     pub fn note_dirty_recalls(&mut self, core: usize, n: u64) {
-        self.touch();
         self.per_core[core].coh.dirty_recalls += n;
     }
 
@@ -640,13 +606,11 @@ impl SharedBackside {
 
     /// Enables residency-event collection for one core.
     pub fn enable_events(&mut self, core: usize) {
-        self.touch();
         self.events[core] = Some(Vec::new());
     }
 
     /// Drains the events queued for one core.
     pub fn take_events(&mut self, core: usize) -> Vec<CacheEvent> {
-        self.touch();
         match &mut self.events[core] {
             Some(q) => std::mem::take(q),
             None => Vec::new(),
@@ -705,7 +669,6 @@ impl SharedBackside {
         line_addr: u64,
         kind: AccessKind,
     ) -> (u64, Level, bool) {
-        self.touch();
         let home = self.home(core, line_addr);
         let start = self.arbitrate(core, now, home.bank);
         let wait = start - now;
@@ -755,7 +718,6 @@ impl SharedBackside {
     /// sharer bit is cleared, and an M-owner's write-back demotes the
     /// entry (`Shared` if others still hold it, else no upper copies).
     pub fn accept_writeback(&mut self, core: usize, now: u64, line_addr: u64) {
-        self.touch();
         let home = self.home(core, line_addr);
         let had = self.banks[home.bank].cache.probe(home.key);
         if let Some(ev) = self.banks[home.bank].cache.writeback_fill(home.key) {
@@ -779,7 +741,6 @@ impl SharedBackside {
     /// resident shared line claims M ownership and recalls other
     /// sharers' copies.
     pub fn writethrough(&mut self, core: usize, now: u64, line_addr: u64) {
-        self.touch();
         let home = self.home(core, line_addr);
         self.per_core[core].l3.writethrough_writes += 1;
         if self.banks[home.bank]
@@ -803,7 +764,6 @@ impl SharedBackside {
     /// port. Cheap no-op under `Replicate` (the tile does not even call
     /// in).
     pub fn note_shared_store(&mut self, core: usize, now: u64, line_addr: u64) {
-        self.touch();
         let home = self.home(core, line_addr);
         if home.shared {
             self.posted_store(&home, core, now);
@@ -826,7 +786,6 @@ impl SharedBackside {
     /// data) — written back and downgraded under MESI/MESIF, kept
     /// dirty-shared under MOESI, re-read from memory under MSI.
     pub fn snoop(&mut self, core: usize, now: u64, line_addr: u64) -> bool {
-        self.touch();
         let home = self.home(core, line_addr);
         self.per_core[core].l3.snoops += 1;
         let present = self.banks[home.bank].cache.snoop(home.key);
@@ -845,7 +804,6 @@ impl SharedBackside {
     /// invalidates its own L1/L2 as part of the `dma-put` walk); no
     /// write-back — the DMA data supersedes any cached copy (§2.1).
     pub fn invalidate(&mut self, core: usize, line_addr: u64) -> bool {
-        self.touch();
         let home = self.home(core, line_addr);
         self.per_core[core].l3.invalidations += 1;
         let present = self.banks[home.bank].cache.invalidate(home.key).is_some();
@@ -863,7 +821,6 @@ impl SharedBackside {
     /// the DMAC; the channel accounting still belongs here). `line_addr`
     /// selects the channel the line is charged to.
     pub fn note_dram_read(&mut self, core: usize, line_addr: u64) {
-        self.touch();
         let ch = self.channel_of(line_addr);
         self.channels[ch].stats.reads += 1;
         self.per_core[core].dram.reads += 1;
@@ -871,7 +828,6 @@ impl SharedBackside {
 
     /// Counts a DRAM line write with no timing (DMA write-back traffic).
     pub fn note_dram_write(&mut self, core: usize, line_addr: u64) {
-        self.touch();
         let ch = self.channel_of(line_addr);
         self.channels[ch].stats.writes += 1;
         self.per_core[core].dram.writes += 1;
@@ -883,34 +839,6 @@ impl SharedBackside {
     pub fn probe(&self, core: usize, line_addr: u64) -> bool {
         let home = self.home(core, line_addr);
         self.banks[home.bank].cache.probe(home.key)
-    }
-
-    /// The earliest backside resource release strictly after `now` — any
-    /// L3 bank port, the DRAM channel, or a DRAM bank freeing up — if
-    /// any. Part of the memory-side event horizon: cycle-skipping cores
-    /// never jump past it, so arbitration-relevant backside state is
-    /// observed at the cycle it changes (see the module docs).
-    pub fn next_event_after(&self, now: u64) -> Option<u64> {
-        let cached = self.horizon_cache.get();
-        if cached == HORIZON_NONE {
-            return None;
-        }
-        if cached != HORIZON_DIRTY && cached > now {
-            return Some(cached);
-        }
-        let next = self
-            .banks
-            .iter()
-            .map(|b| b.busy_until)
-            .filter(|&t| t > now)
-            .chain(
-                self.channels
-                    .iter()
-                    .filter_map(|ch| ch.next_event_after(now)),
-            )
-            .min();
-        self.horizon_cache.set(next.unwrap_or(HORIZON_NONE));
-        next
     }
 }
 

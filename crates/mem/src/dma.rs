@@ -18,12 +18,6 @@
 //!
 //! ## Invariants
 //!
-//! * **Horizon monotonicity** — [`Dmac::next_event_after`] reports the
-//!   earliest engine-free or tag-landing event strictly after `now`.
-//!   All engine state changes happen synchronously inside
-//!   `issue`/`synch` calls, so between calls the horizon only moves
-//!   forward; the event-horizon cycle skipper sleeps until it (a
-//!   `dma-synch` wake-up is exactly such an event).
 //! * **Channel accounting stays with the backside** — the DMAC times
 //!   its own streaming; the DRAM *line counts* its transfers move are
 //!   attributed per core by the shared backside (`note_dram_read` /
@@ -216,17 +210,6 @@ impl Dmac {
     /// The most recent retry-budget exhaustion, if any.
     pub fn last_escalation(&self) -> Option<FaultEscalation> {
         self.last_escalation
-    }
-
-    /// The earliest DMA event strictly after `now` — the engine freeing
-    /// up or a tagged transfer landing — if any: the DMAC contribution to
-    /// the memory-side event horizon the cycle skipper must not jump
-    /// past.
-    pub fn next_event_after(&self, now: u64) -> Option<u64> {
-        std::iter::once(self.engine_free_at)
-            .chain(self.tag_done_at.iter().copied())
-            .filter(|&t| t > now)
-            .min()
     }
 }
 

@@ -8,15 +8,6 @@
 //!
 //! ## Invariants
 //!
-//! * **Horizon monotonicity** — [`MshrFile::next_ready_after`] is the
-//!   MSHR contribution to the memory-side event horizon: the earliest
-//!   in-flight fill completion strictly after `now`. Entries change
-//!   only inside `lookup_or_allocate`/`set_ready` calls made by a
-//!   ticking core, so between calls the horizon can only move forward
-//!   and the event-horizon cycle skipper may sleep until it.
-//!   Provisional entries (allocated, completion not yet known) are
-//!   excluded — their fill time is computed and recorded within the
-//!   same access call, before any skip decision can observe the file.
 //! * **Throttling** — an allocation against a full file starts only
 //!   when the earliest in-flight entry retires (`full_stall_cycles`),
 //!   so the stream of fetches the file injects into the shared
@@ -172,17 +163,6 @@ impl MshrFile {
             intervention: false,
         };
         MshrOutcome::Allocated { idx, start_at }
-    }
-
-    /// The earliest in-flight fill completion strictly after `now`, if
-    /// any — the MSHR contribution to the memory-side event horizon the
-    /// cycle skipper must not jump past.
-    pub fn next_ready_after(&self, now: u64) -> Option<u64> {
-        self.entries
-            .iter()
-            .filter(|e| e.valid && e.ready_at != u64::MAX && e.ready_at > now)
-            .map(|e| e.ready_at)
-            .min()
     }
 
     /// Records the completion cycle of an allocated fetch.

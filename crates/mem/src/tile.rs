@@ -18,7 +18,7 @@
 //! Everything here is private to one core; tiles meet only at the
 //! backside (paper §3).
 
-use crate::backside::{BacksideCoreStats, SharedBackside, HORIZON_DIRTY, HORIZON_NONE};
+use crate::backside::{BacksideCoreStats, SharedBackside};
 use crate::cache::{AccessKind, Cache};
 use crate::config::{AccessResponse, CacheEvent, Level, MemConfig};
 use crate::dma::{DmaOp, Dmac};
@@ -26,7 +26,7 @@ use crate::lm::LocalMem;
 use crate::mshr::{MshrFile, MshrOutcome};
 use crate::prefetch::StreamPrefetcher;
 use crate::tlb::Tlb;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 /// The per-core memory tile plus its handle on the shared backside.
@@ -54,10 +54,6 @@ pub struct MemSystem {
     pub events: Option<Vec<CacheEvent>>,
     pub(crate) backside: Rc<RefCell<SharedBackside>>,
     core_id: usize,
-    /// Cached tile-local horizon (`min` of the MSHR fills and in-flight
-    /// DMA): `HORIZON_DIRTY` after any access that can move either,
-    /// `HORIZON_NONE` when both are provably idle.
-    tile_horizon: Cell<u64>,
 }
 
 impl MemSystem {
@@ -91,7 +87,6 @@ impl MemSystem {
             events: None,
             backside,
             core_id,
-            tile_horizon: Cell::new(HORIZON_DIRTY),
             cfg,
         }
     }
@@ -200,7 +195,6 @@ impl MemSystem {
 
     /// A demand access to system memory from instruction at `pc`.
     pub fn data_access(&mut self, now: u64, pc: u64, addr: u64, write: bool) -> AccessResponse {
-        self.tile_horizon.set(HORIZON_DIRTY);
         let recall_penalty = self.apply_upper_invals();
         let tlb_penalty = self.tlb.access(addr);
         let now = now + tlb_penalty + recall_penalty;
@@ -354,7 +348,6 @@ impl MemSystem {
     /// The bus requests of one DMA command, line by line, then the
     /// command's issue on the DMAC.
     fn dma(&mut self, op: DmaOp, now: u64, sm_addr: u64, bytes: u64, tag: u8) -> u64 {
-        self.tile_horizon.set(HORIZON_DIRTY);
         // Draining pending recalls first delays the command issue by the
         // dirty-recall port occupancy, like any other memory operation.
         let now = now + self.apply_upper_invals();
@@ -392,38 +385,7 @@ impl MemSystem {
 
     /// `dma-synch`: the cycle at which the wait for `tag` ends.
     pub fn dma_synch(&mut self, now: u64, tag: u8) -> u64 {
-        self.tile_horizon.set(HORIZON_DIRTY);
         self.dmac.synch(tag, now)
-    }
-
-    /// The pending-work horizon of this tile's memory side: the earliest
-    /// cycle strictly after `now` at which an outstanding MSHR fill
-    /// completes, the DMA engine frees up or lands a transfer, or a
-    /// shared backside resource (L3 port, DRAM channel) becomes free —
-    /// `None` when nothing is pending. The machine forwards this through
-    /// `MemoryPort::next_mem_event_at` so a cycle-skipping core never
-    /// jumps past a backside event that could change arbitration.
-    pub fn next_event_at(&self, now: u64) -> Option<u64> {
-        let cached = self.tile_horizon.get();
-        let local = if cached == HORIZON_NONE {
-            None
-        } else if cached != HORIZON_DIRTY && cached > now {
-            Some(cached)
-        } else {
-            let v = [
-                self.mshr.next_ready_after(now),
-                self.dmac.next_event_after(now),
-            ]
-            .into_iter()
-            .flatten()
-            .min();
-            self.tile_horizon.set(v.unwrap_or(HORIZON_NONE));
-            v
-        };
-        match (local, self.backside.borrow().next_event_after(now)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
     }
 
     /// Total LM activity for the Table 3 "LM Accesses" column: CPU

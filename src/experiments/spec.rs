@@ -12,8 +12,8 @@ use hsim_core::pipeline::SimError;
 
 /// What one [`RunSpec::run`] produced. Exactly one of `single`,
 /// `multi`, `clusters` is populated, matching the machine shape the
-/// spec requested; `profile` and `verify_mismatches` accompany them
-/// when profiling/verification was enabled.
+/// spec requested; `verify_mismatches` accompanies them when
+/// verification was enabled.
 #[derive(Debug)]
 pub struct RunOutcome {
     /// The report of a single-machine run ([`RunSpec::new`] without
@@ -24,8 +24,6 @@ pub struct RunOutcome {
     pub multi: Option<MultiRunReport>,
     /// The report of a clustered run ([`RunSpec::clustered`]).
     pub clusters: Option<ClusterRunReport>,
-    /// Host-time attribution when [`RunSpec::profiled`] was set.
-    pub profile: Option<hsim_core::HostProfile>,
     /// Mismatching array elements against the reference interpreter
     /// when [`RunSpec::verified`] was set (0 = clean).
     pub verify_mismatches: Option<usize>,
@@ -88,9 +86,9 @@ impl RunOutcome {
 ///
 /// Configuration: [`RunSpec::mode`]/[`RunSpec::track`] adjust the
 /// default machine; [`RunSpec::config`] replaces it wholesale
-/// (`track` still applies afterwards). [`RunSpec::profiled`] attributes
-/// host time; [`RunSpec::verified`] checks the final memory image
-/// against the reference interpreter (single-machine shapes only).
+/// (`track` still applies afterwards). [`RunSpec::verified`] checks the
+/// final memory image against the reference interpreter
+/// (single-machine shapes only).
 #[derive(Clone)]
 pub struct RunSpec<'a> {
     single: Option<&'a Kernel>,
@@ -102,7 +100,6 @@ pub struct RunSpec<'a> {
     hetero: Option<Vec<MachineConfig>>,
     weights: Option<Vec<u64>>,
     cluster: Option<ClusterConfig>,
-    profiled: bool,
     verified: bool,
 }
 
@@ -120,7 +117,6 @@ impl<'a> RunSpec<'a> {
             hetero: None,
             weights: None,
             cluster: None,
-            profiled: false,
             verified: false,
         }
     }
@@ -193,15 +189,6 @@ impl<'a> RunSpec<'a> {
         self
     }
 
-    /// Attributes host time to scheduler phases
-    /// ([`hsim_core::HostProfile`]); simulated results are
-    /// bit-identical to the unprofiled run. Not supported on clustered
-    /// shapes.
-    pub fn profiled(mut self) -> Self {
-        self.profiled = true;
-        self
-    }
-
     /// Also checks the final memory image against the reference
     /// interpreter ([`RunOutcome::verify_mismatches`]). Single-machine
     /// shapes only.
@@ -230,14 +217,10 @@ impl<'a> RunSpec<'a> {
             single: None,
             multi: None,
             clusters: None,
-            profile: None,
             verify_mismatches: None,
         };
         if self.cluster.is_some() {
-            assert!(
-                !self.profiled && !self.verified,
-                "profiled/verified clustered runs are not supported"
-            );
+            assert!(!self.verified, "verified clustered runs are not supported");
             out.clusters = Some(self.run_clustered_shape(&cfg)?);
             return Ok(out);
         }
@@ -251,13 +234,7 @@ impl<'a> RunSpec<'a> {
                 })
                 .unzip();
             let mut m = MultiMachine::try_for_kernels_hetero(cfgs, &compiled)?;
-            if self.profiled {
-                let mut prof = hsim_core::HostProfile::default();
-                m.run_profiled(&mut prof)?;
-                out.profile = Some(prof);
-            } else {
-                m.run()?;
-            }
+            m.run()?;
             let cks: Vec<_> = compiled.into_iter().map(|(ck, _)| ck).collect();
             out.multi = Some(MultiRunReport::collect(&m, &cks));
             return Ok(out);
@@ -266,13 +243,7 @@ impl<'a> RunSpec<'a> {
         // Single machine.
         let ck = compile_for_tile(kernel, &cfg);
         let mut m = Machine::for_kernel(cfg, &ck, kernel);
-        if self.profiled {
-            let mut prof = hsim_core::HostProfile::default();
-            m.run_profiled(&mut prof)?;
-            out.profile = Some(prof);
-        } else {
-            m.run()?;
-        }
+        m.run()?;
         let report = RunReport::collect(&m, &ck);
         if self.verified {
             let want = interpret(kernel).expect("kernel must interpret");

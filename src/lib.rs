@@ -91,12 +91,12 @@
 //! instead of walking them cycle by cycle. Each core reports its **event
 //! horizon** — the earliest cycle at which anything can change
 //! (`Core::next_event_at`: ROB-head completion, producer readiness,
-//! fetch resume), clamped by the memory side's pending work
-//! (`mem::MemSystem::next_event_at`: outstanding MSHR fills, in-flight
-//! DMA, every busy L3 bank port, the DRAM channel and every DRAM bank)
-//! and by the watchdog/cycle-budget deadlines —
-//! and `Core::advance_to` jumps over the provably idle cycles in one
-//! step. [`MultiMachine::run`] coordinates the jump across tiles with a
+//! fetch resume), clamped by the watchdog/cycle-budget deadlines
+//! (`Core::skip_target`) — and `Core::advance_to` jumps over the
+//! provably idle cycles in one step. The memory side is never asked:
+//! every port call that starts a wait (a miss, a presence-bit stall, a
+//! `dma-synch`, an I-miss) returns the cycle it ends, so the core's
+//! horizon is complete. [`MultiMachine::run`] coordinates the jump across tiles with a
 //! per-tile horizon min-heap, rotating the round-robin arbitration
 //! origin by the skipped distance, so every statistic stays
 //! **bit-identical** to the naive lock-step loop (asserted by the

@@ -523,9 +523,8 @@ impl MultiMachine {
     /// Runs the whole machine to completion (every core halted).
     ///
     /// Execution is event-driven: a min-heap of per-tile event horizons
-    /// ([`hsim_core::Core::skip_target`], clamped by each tile's
-    /// memory-side pending work) finds the earliest cycle at which any
-    /// core can make progress. When that lies beyond the current cycle,
+    /// ([`hsim_core::Core::skip_target`]) finds the earliest cycle at
+    /// which any core can make progress. When that lies beyond the current cycle,
     /// every live tile bulk-advances to it in one step and the rotating
     /// round-robin origin moves by the same amount, so backside
     /// arbitration order — and with it every statistic — stays
@@ -725,9 +724,8 @@ impl MultiMachine {
         Ok(())
     }
 
-    /// Tile `i`'s horizon-heap entry: its next-event cycle — the core's
-    /// clamped horizon, further clamped by its memory side's pending
-    /// work — with the scan charged to `prof` under `PROF`.
+    /// Tile `i`'s horizon-heap entry: its core's next-event cycle, with
+    /// the scan charged to `prof` under `PROF`.
     #[inline(always)]
     fn horizon_entry<const PROF: bool>(
         tile: &Machine,
@@ -738,10 +736,7 @@ impl MultiMachine {
             PROF,
             &mut prof.horizon_secs,
             &mut prof.horizon_scans,
-            || {
-                tile.core
-                    .skip_target(tile.world.next_mem_event_at(tile.core.now()))
-            },
+            || tile.core.skip_target(),
         );
         std::cmp::Reverse((target, i))
     }
@@ -979,10 +974,6 @@ impl MemoryPort for World {
 
     fn fetch_latency(&mut self, now: u64, pc_addr: u64) -> u64 {
         self.mem.inst_fetch(now, pc_addr)
-    }
-
-    fn next_mem_event_at(&self, now: u64) -> Option<u64> {
-        self.mem.next_event_at(now)
     }
 
     fn stall_diagnostics(&self, now: u64) -> PortDiagnostics {

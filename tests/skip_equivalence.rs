@@ -11,6 +11,7 @@
 //! 4-core machines in all three `SysMode`s.
 
 use hsim::compiler::compile;
+use hsim::core::{DmaKind, MemoryPort, RouteInfo};
 use hsim::prelude::*;
 use hsim_workloads::nas;
 
@@ -518,4 +519,118 @@ fn cycle_limit_fires_at_the_same_cycle() {
     assert_eq!(skip_err, hsim::core::pipeline::SimError::CycleLimit);
     assert_eq!(skip_err, lock_err);
     assert_eq!(skip_cycles, lock_cycles, "limit must fire at one cycle");
+}
+
+/// One timed port call: the cycle it was made at, which call, the
+/// address (or DMA tag) it named, and the latency or completion cycle
+/// the memory side handed back.
+type PortCall = (u64, &'static str, u64, u64);
+
+/// The real [`World`](hsim::World) behind a port that logs every call
+/// that returns a completion — and refuses to be asked for a
+/// memory-side horizon: those completions are all a core ever waits
+/// for.
+struct TracingPort {
+    world: hsim::World,
+    log: Vec<PortCall>,
+}
+
+impl MemoryPort for TracingPort {
+    fn exec_mem(
+        &mut self,
+        pc: u64,
+        addr: u64,
+        width: hsim::isa::Width,
+        route: Route,
+        store: Option<u64>,
+    ) -> (u64, RouteInfo) {
+        self.world.exec_mem(pc, addr, width, route, store)
+    }
+
+    fn timing_access(
+        &mut self,
+        now: u64,
+        pc: u64,
+        info: &RouteInfo,
+        write: bool,
+    ) -> (u64, hsim::mem::Level) {
+        let (lat, served) = self.world.timing_access(now, pc, info, write);
+        let call = if write { "store" } else { "load" };
+        self.log.push((now, call, info.addr, lat));
+        (lat, served)
+    }
+
+    fn exec_dma(&mut self, now: u64, kind: DmaKind, lm: u64, sm: u64, bytes: u64, tag: u8) -> u64 {
+        let done = self.world.exec_dma(now, kind, lm, sm, bytes, tag);
+        let call = match kind {
+            DmaKind::Get => "dma-get",
+            DmaKind::Put => "dma-put",
+        };
+        self.log.push((now, call, sm, done));
+        done
+    }
+
+    fn dma_synch(&mut self, now: u64, tag: u8) -> u64 {
+        let until = self.world.dma_synch(now, tag);
+        self.log.push((now, "dma-synch", tag as u64, until));
+        until
+    }
+
+    fn dir_configure(&mut self, buf_size: u64) {
+        self.world.dir_configure(buf_size)
+    }
+
+    fn fetch_latency(&mut self, now: u64, pc_addr: u64) -> u64 {
+        let lat = self.world.fetch_latency(now, pc_addr);
+        self.log.push((now, "fetch", pc_addr, lat));
+        lat
+    }
+
+    fn next_mem_event_at(&self, _now: u64) -> Option<u64> {
+        panic!("the core's horizon is complete; nothing asks the memory side")
+    }
+}
+
+#[test]
+fn every_port_call_lands_on_the_same_cycle_without_a_memory_side_horizon() {
+    // The end-of-run reports above cannot tell a call that moved by a
+    // cycle and was absorbed; the call-by-call log can. Hybrid tiles
+    // bring DMA, guarded accesses and presence stalls, the cache-based
+    // tile under MESI the miss-bound stream.
+    let systems = [
+        MachineConfig::for_mode(SysMode::HybridCoherent),
+        MachineConfig::for_mode(SysMode::CacheBased).with_coherence(CoherenceMode::Mesi),
+    ];
+    for kernel in [nas::cg(Scale::Test), nas::is(Scale::Test)] {
+        for cfg in &systems {
+            let ck = compile(&kernel, cfg.mode.codegen());
+            let trace = |cfg: MachineConfig| {
+                let Machine {
+                    mut core, world, ..
+                } = Machine::for_kernel(cfg, &ck, &kernel);
+                let mut port = TracingPort {
+                    world,
+                    log: Vec::new(),
+                };
+                core.run(&mut port).expect("the kernel halts");
+                (port.log, core.stats.skipped_cycles)
+            };
+            let what = format!("{} {:?}", kernel.name, cfg.mode);
+            let (skip, skipped) = trace(cfg.clone());
+            let (lock, _) = trace(cfg.clone().with_lockstep());
+            assert!(skipped > 0, "{what}: nothing was skipped");
+            assert_eq!(skip.len(), lock.len(), "{what}: port calls made");
+            for (i, (s, l)) in skip.iter().zip(&lock).enumerate() {
+                assert_eq!(s, l, "{what}: port call {i} (cycle, call, address, result)");
+            }
+            for call in ["load", "store", "fetch"] {
+                assert!(skip.iter().any(|c| c.1 == call), "{what}: no {call}");
+            }
+            if cfg.mode == SysMode::HybridCoherent {
+                for call in ["dma-get", "dma-synch"] {
+                    assert!(skip.iter().any(|c| c.1 == call), "{what}: no {call}");
+                }
+            }
+        }
+    }
 }
