@@ -296,8 +296,8 @@ pub fn figshapes(flags: Flags) {
     );
 
     // ------------------------------------------------- protocol family
-    // CG x4 under every directory protocol, and no protocol may change
-    // committed work.
+    // CG x4 under every directory protocol; no protocol may change
+    // committed work (`protocol_sweep` asserts it for every row).
     let proto = protocol_sweep(
         std::slice::from_ref(&cg),
         &[4],
@@ -306,14 +306,6 @@ pub fn figshapes(flags: Flags) {
     )
     .expect("protocol sweep");
     let [msi, mesi, moesi, mesif] = protocol_family_ordering(&proto);
-    for r in &proto {
-        assert_eq!(
-            committed(&r.report),
-            committed(&mesi.report),
-            "protocol {} changed committed work",
-            r.protocol
-        );
-    }
     checked += 3 + proto.len();
     println!(
         "protocol shapes OK (CG x4 dramR msi/mesi/moesi {}/{}/{}, \

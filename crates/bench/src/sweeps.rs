@@ -205,8 +205,11 @@ pub fn coherence(flags: Flags) {
     let kernels = flags.sweep_kernels(&["CG", "IS"]);
     let core_counts: &[usize] = flags.pick(&[1, 2, 4], &[1, 2, 4, 8]);
 
-    let rows = coherence_sweep(&kernels, core_counts, SysMode::HybridCoherent, PAR)
-        .expect("coherence sweep failed");
+    // One simulation per point and mode; the Replicate-vs-Mesi table is
+    // a view of the protocol sweep's rows.
+    let proto_rows = protocol_sweep(&kernels, core_counts, SysMode::HybridCoherent, PAR)
+        .expect("protocol sweep failed");
+    let rows = coherence_rows(&kernels, &proto_rows);
 
     println!("COHERENCE: Replicate vs Mesi on the shared backside ({scale:?} scale)");
     println!("(hybrid-coherent machine; dramR = total DRAM line reads)");
@@ -260,9 +263,6 @@ pub fn coherence(flags: Flags) {
 
     // The protocol axis: the same grid, every family member side by
     // side.
-    let proto_rows = protocol_sweep(&kernels, core_counts, SysMode::HybridCoherent, PAR)
-        .expect("protocol sweep failed");
-
     println!();
     println!("PROTOCOL FAMILY: protocol x kernel x cores ({scale:?} scale)");
     println!();

@@ -86,21 +86,20 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
         &rows,
     );
 
-    let rows = coherence_sweep(&cg, &[1], mode, par).unwrap();
+    let proto = protocol_sweep(&cg, &[1], mode, par).unwrap();
     assert_rows(
         "BENCH_coherence.json",
         "rows",
         0,
         &sweeps::coherence_cols(),
-        &rows,
+        &coherence_rows(&cg, &proto),
     );
-    let rows = protocol_sweep(&cg, &[1], mode, par).unwrap();
     assert_rows(
         "BENCH_coherence.json",
         "protocol_rows",
         0,
         &sweeps::protocol_cols(),
-        &rows,
+        &proto,
     );
 
     // EP (the shortest kernel) on every 4-core shape: rows 7..14.

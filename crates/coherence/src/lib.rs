@@ -17,18 +17,16 @@
 //!   §3.4 invariants: replicated copies are either identical or the LM
 //!   copy is the newest, and every access is served by a memory holding a
 //!   valid copy.
-//! * [`mesi`] — the hand-written **inter-core** MESI transition set from
-//!   PR 4, kept as the refactor-equivalence *reference* for the
-//!   table-driven family below (and still the event vocabulary both
-//!   speak). Deliberately type-disjoint from the intra-tile machinery
-//!   above: the paper's §3 claim that the hybrid protocol "does not
-//!   interact with the inter-core cache coherence protocol" is pinned by
-//!   the `protocols_do_not_interact` tests — for every family member.
-//! * [`protocol`] — the inter-core protocol family as *data*:
-//!   [`ProtocolTable`]s of guarded-action rows for
-//!   [`CoherenceProtocol`] `{ Msi, Mesi, Moesi, Mesif }`, plus
-//!   [`DirLine`], the sharer/owner bookkeeping the shared-L3 directory
-//!   slices step generically.
+//! * [`protocol`] — the **inter-core** protocol family as *data*, and
+//!   its only statement: [`ProtocolTable`]s of guarded-action rows for
+//!   [`CoherenceProtocol`] `{ Msi, Mesi, Moesi, Mesif }` over
+//!   [`LineState`] × [`LineEvent`], plus [`DirLine`], the sharer/owner
+//!   bookkeeping that alone consults them — stepped by the shared-L3
+//!   directory slices and by the explorer below. Type-disjoint from the
+//!   intra-tile machinery above: the paper's §3 claim that the hybrid
+//!   protocol "does not interact with the inter-core cache coherence
+//!   protocol" is pinned for every family member by the
+//!   `protocols_do_not_interact_across_the_family` test.
 //! * [`protocol_explorer`] — an exhaustive small-model (1 line, 2–4
 //!   cores) enumeration of each table's reachable
 //!   state × sharer-set × owner space, asserting SWMR, data-value and
@@ -41,17 +39,15 @@
 #![warn(missing_docs)]
 
 pub mod directory;
-pub mod mesi;
 pub mod protocol;
 pub mod protocol_explorer;
 pub mod state;
 pub mod tracker;
 
 pub use directory::{DirConfig, DirError, DirHit, DirStats, Directory};
-pub use mesi::{MesiAction, MesiEvent, MesiState};
 pub use protocol::{
-    Action, CoherenceProtocol, DirLine, Guard, GuardCtx, LineState, Obligations, ProtocolTable,
-    Rule, StepOutcome,
+    Action, CoherenceProtocol, DirLine, Guard, GuardCtx, LineEvent, LineState, Obligations,
+    ProtocolTable, Rule, Stuck,
 };
 pub use protocol_explorer::{explore, replay, Exploration, ModelEvent, Violation};
 pub use state::{DataEvent, DataState, TransitionError};

@@ -1,25 +1,25 @@
 //! The **table-driven inter-core protocol family**: MSI, MESI, MOESI and
-//! MESIF as declarative guarded-action tables over one shared state and
-//! event vocabulary.
+//! MESIF as declarative guarded-action tables over one shared state
+//! ([`LineState`]) and event ([`LineEvent`]) vocabulary — the only
+//! statement of the inter-core protocol in the repository.
 //!
-//! PR 4 hard-coded the inter-core protocol as one hand-written `match`
-//! ([`MesiState::step`]). This module refactors the protocol into *data*:
-//! a [`ProtocolTable`] is a list of [`Rule`]s
+//! A [`ProtocolTable`] is a list of [`Rule`]s
 //! `(state, event) → guard → (next_state, actions)`, evaluated
 //! first-match-wins, in the guarded-action style of the GAL coherence
-//! modeling papers. The backside's directory slices step whichever table
+//! modeling papers. [`DirLine`] is the only code that consults a table:
+//! the backside's directory slices step it under whichever table
 //! [`CoherenceProtocol`] selects, so a protocol sweep is one config axis
-//! — and the whole family can be model-checked by the exhaustive
-//! small-model [`protocol_explorer`](crate::protocol_explorer) instead of scenario tests.
+//! — and the exhaustive small-model
+//! [`protocol_explorer`](crate::protocol_explorer) steps the same
+//! `DirLine`, so it model-checks the executed code.
 //!
 //! The four tables:
 //!
 //! * [`CoherenceProtocol::Msi`] — no Exclusive state: the first reader
 //!   fills [`LineState::Shared`], and recalling a dirty line re-reads
 //!   memory ([`Action::MemoryRead`]) because sharers may not forward.
-//! * [`CoherenceProtocol::Mesi`] — the PR 4 protocol, row for row. The
-//!   hand-written [`MesiState::step`] is kept as the refactor-equivalence
-//!   reference; a proptest pins the table to it transition by transition.
+//! * [`CoherenceProtocol::Mesi`] — the PR 4 protocol, row for row; a
+//!   frozen golden of its 20 transitions pins the table.
 //! * [`CoherenceProtocol::Moesi`] — adds [`LineState::Owned`]: a dirty
 //!   line read by another core is supplied cache-to-cache
 //!   ([`Action::CacheTransfer`]) and stays dirty at its owner instead of
@@ -33,11 +33,11 @@
 //! request (are there other sharers? is the requester the recorded
 //! owner?) and selects among rows for the same `(state, event)` pair.
 //! Actions are obligations the home slice must discharge — the table
-//! never performs them, it only names them, which is what makes the
-//! small-model explorer and the cycle-accurate backside share one
-//! protocol definition (via [`DirLine`], the bookkeeping both step).
+//! never performs them, it only names them; [`DirLine`] decodes a row's
+//! actions into [`Obligations`], and reports a table with no row for its
+//! input as [`Stuck`].
 
-use crate::mesi::{MesiEvent, MesiState};
+use std::fmt;
 
 /// The inter-core protocol family member a directory runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -45,7 +45,7 @@ pub enum CoherenceProtocol {
     /// Three-state Modified/Shared/Invalid (no silent-upgrade Exclusive;
     /// dirty recalls re-read memory).
     Msi,
-    /// The PR 4 four-state protocol (reference: [`MesiState::step`]).
+    /// The PR 4 four-state protocol.
     Mesi,
     /// MESI plus an Owned state: dirty sharing via cache-to-cache
     /// transfer, write-backs deferred until the owner's copy is evicted.
@@ -99,11 +99,6 @@ pub enum LineState {
 }
 
 impl LineState {
-    /// States in which exactly one core may hold the line.
-    pub fn is_exclusive(self) -> bool {
-        matches!(self, LineState::Exclusive | LineState::Modified)
-    }
-
     /// States in which the shared cache / memory copy is stale against
     /// the owner's.
     pub fn is_dirty(self) -> bool {
@@ -118,6 +113,25 @@ impl LineState {
             LineState::Exclusive | LineState::Modified | LineState::Owned | LineState::Forward
         )
     }
+}
+
+/// Line events as seen by the home directory slice — the column every
+/// table's rows consume. `Local` means the event comes from a core
+/// already recorded for the line (owner or sharer); `Remote` means it
+/// comes from any other core.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LineEvent {
+    /// A read by a core already holding the line.
+    LocalRead,
+    /// A write (read-for-ownership or write-through) by the holder.
+    LocalWrite,
+    /// A read by a core not holding the line.
+    RemoteRead,
+    /// A write by a core not holding the line.
+    RemoteWrite,
+    /// The line leaves the shared cache (capacity eviction or DMA
+    /// invalidation): every copy above must be recalled.
+    Evict,
 }
 
 /// The guard column of a [`Rule`]: a predicate over the request's sharer
@@ -187,7 +201,7 @@ pub struct Rule {
     /// Directory state the row applies in.
     pub state: LineState,
     /// Event the row consumes.
-    pub event: MesiEvent,
+    pub event: LineEvent,
     /// Predicate selecting this row among same-`(state, event)` rows.
     pub guard: Guard,
     /// Successor state.
@@ -199,7 +213,7 @@ pub struct Rule {
 /// Shorthand for writing the const rule arrays.
 const fn rule(
     state: LineState,
-    event: MesiEvent,
+    event: LineEvent,
     guard: Guard,
     next: LineState,
     actions: &'static [Action],
@@ -215,8 +229,8 @@ const fn rule(
 
 use Action::{CacheTransfer, ClaimForward, InvalidateSharers, MemoryRead, Writeback};
 use Guard::{Always, RequesterIsOwner};
+use LineEvent::{Evict, LocalRead, LocalWrite, RemoteRead, RemoteWrite};
 use LineState::{Exclusive, Forward, Invalid, Modified, Owned, Shared};
-use MesiEvent::{Evict, LocalRead, LocalWrite, RemoteRead, RemoteWrite};
 
 /// MSI: no Exclusive state — the first reader fills Shared — and a
 /// recalled dirty line is re-read from memory (no forwarding).
@@ -256,8 +270,8 @@ const MSI_RULES: &[Rule] = &[
     ),
 ];
 
-/// MESI: row-for-row the PR 4 hand-written table ([`MesiState::step`]);
-/// the refactor-equivalence proptest pins the correspondence.
+/// MESI: row-for-row the PR 4 protocol; the frozen golden of its 20
+/// transitions pins the correspondence.
 const MESI_RULES: &[Rule] = &[
     rule(Invalid, LocalRead, Always, Exclusive, &[]),
     rule(Invalid, RemoteRead, Always, Exclusive, &[]),
@@ -442,25 +456,7 @@ const MESIF_RULES: &[Rule] = &[
     ),
 ];
 
-/// The outcome of stepping a table: the successor state and the
-/// obligation set, decoded into flags.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StepOutcome {
-    /// Successor directory state.
-    pub next: LineState,
-    /// The previous owner's dirty data must be written back.
-    pub writeback: bool,
-    /// Other sharers' copies must be invalidated.
-    pub invalidate: bool,
-    /// The owner supplies the requester cache-to-cache.
-    pub cache_transfer: bool,
-    /// The request is served by a memory re-read.
-    pub memory_read: bool,
-    /// The requester becomes the designated forwarder.
-    pub claim_forward: bool,
-}
-
-/// One protocol's rule table, steppable generically. Built from the
+/// One protocol's rule table, consulted by [`DirLine`]. Built from the
 /// const family tables by [`ProtocolTable::new`], or from arbitrary rows
 /// by [`ProtocolTable::from_rules`] (test mutants for the explorer's
 /// diagnostics coverage).
@@ -501,33 +497,37 @@ impl ProtocolTable {
         &self.rules
     }
 
-    /// Applies one event: the first row matching `(state, event)` whose
-    /// guard holds decides the transition. `None` means no row matched —
-    /// a stuck state, which the explorer reports as a protocol bug (the
-    /// four shipped tables are total over their reachable spaces).
-    pub fn step(&self, state: LineState, event: MesiEvent, ctx: GuardCtx) -> Option<StepOutcome> {
-        let row = self
-            .rules
+    /// The row deciding one event: the first matching `(state, event)`
+    /// whose guard holds. `None` means no row matched — a [`Stuck`]
+    /// table (the four shipped tables are total over their reachable
+    /// spaces, which the explorer proves).
+    pub fn row(&self, state: LineState, event: LineEvent, ctx: GuardCtx) -> Option<&Rule> {
+        self.rules
             .iter()
-            .find(|r| r.state == state && r.event == event && r.guard.holds(ctx))?;
-        let mut out = StepOutcome {
-            next: row.next,
-            writeback: false,
-            invalidate: false,
-            cache_transfer: false,
-            memory_read: false,
-            claim_forward: false,
-        };
-        for a in row.actions {
-            match a {
-                Action::Writeback => out.writeback = true,
-                Action::InvalidateSharers => out.invalidate = true,
-                Action::CacheTransfer => out.cache_transfer = true,
-                Action::MemoryRead => out.memory_read = true,
-                Action::ClaimForward => out.claim_forward = true,
-            }
-        }
-        Some(out)
+            .find(|r| r.state == state && r.event == event && r.guard.holds(ctx))
+    }
+}
+
+/// A table with no row for the input a [`DirLine`] presented — a
+/// protocol bug. The explorer reports it as a `"stuck-state"` violation
+/// with a trace; the product path panics with its `Display`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Stuck {
+    /// The table's report name.
+    pub table: &'static str,
+    /// The directory state the line was in.
+    pub state: LineState,
+    /// The event no row consumes in that state.
+    pub event: LineEvent,
+}
+
+impl fmt::Display for Stuck {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "protocol table '{}' is stuck: no row for ({:?}, {:?})",
+            self.table, self.state, self.event
+        )
     }
 }
 
@@ -588,10 +588,10 @@ impl DirLine {
     /// A freshly L3-resident line filled by `core` (`write` = RFO):
     /// steps the table's Invalid row, making the requester the sole
     /// holder in whatever state the table fills to.
-    pub fn fill(table: &ProtocolTable, core: usize, write: bool) -> Self {
+    pub fn fill(table: &ProtocolTable, core: usize, write: bool) -> Result<Self, Stuck> {
         let mut line = DirLine::empty();
-        line.access(table, core, write);
-        line
+        line.access(table, core, write)?;
+        Ok(line)
     }
 
     /// Whether `core` is recorded as holding a copy above the shared
@@ -609,24 +609,55 @@ impl DirLine {
     /// The protocol event an access by `core` presents to the home
     /// slice: local if the core is recorded for the line, remote
     /// otherwise.
-    pub fn event_for(&self, core: usize, write: bool) -> MesiEvent {
+    fn event_for(&self, core: usize, write: bool) -> LineEvent {
         match (write, self.holds(core)) {
-            (false, true) => MesiEvent::LocalRead,
-            (false, false) => MesiEvent::RemoteRead,
-            (true, true) => MesiEvent::LocalWrite,
-            (true, false) => MesiEvent::RemoteWrite,
+            (false, true) => LineEvent::LocalRead,
+            (false, false) => LineEvent::RemoteRead,
+            (true, true) => LineEvent::LocalWrite,
+            (true, false) => LineEvent::RemoteWrite,
         }
     }
 
-    /// The guard context an access by `core` is evaluated under (public
-    /// so the explorer can pre-check row coverage — a missing row is a
-    /// *stuck state* it reports with a trace, where the product path
-    /// panics).
-    pub fn ctx_for(&self, core: usize) -> GuardCtx {
+    /// The guard context an access by `core` is evaluated under.
+    fn ctx_for(&self, core: usize) -> GuardCtx {
         GuardCtx {
             other_sharers: self.sharers & !(1u64 << core) != 0,
             requester_is_owner: self.state.has_owner() && self.owner == core,
         }
+    }
+
+    /// The one consult of the table behind every operation: the row moves
+    /// the line to its successor state, and its actions decode into the
+    /// obligations owed (`invalidate` = every recorded sharer, for the
+    /// caller to narrow) and whether the requester claims the forwarder.
+    fn consult(
+        &mut self,
+        table: &ProtocolTable,
+        event: LineEvent,
+        ctx: GuardCtx,
+    ) -> Result<(Obligations, bool), Stuck> {
+        let row = table.row(self.state, event, ctx).ok_or(Stuck {
+            table: table.name(),
+            state: self.state,
+            event,
+        })?;
+        let mut ob = Obligations {
+            old_owner: self.owner,
+            ..Default::default()
+        };
+        let mut claim_forward = false;
+        for a in row.actions {
+            match a {
+                Action::Writeback => ob.writeback = true,
+                Action::InvalidateSharers => ob.invalidate = self.sharers,
+                Action::CacheTransfer => ob.cache_transfer = true,
+                Action::MemoryRead => ob.memory_read = true,
+                Action::ClaimForward => claim_forward = true,
+            }
+        }
+        ob.intervention = ob.writeback || ob.cache_transfer;
+        self.state = row.next;
+        Ok((ob, claim_forward))
     }
 
     /// One access (read/prefetch or write) by `core`: steps the table
@@ -635,79 +666,51 @@ impl DirLine {
     /// [`Action::InvalidateSharers`] recalls the other sharers, so a
     /// table that forgets the action leaves stale sharers behind for the
     /// explorer to catch.
-    pub fn access(&mut self, table: &ProtocolTable, core: usize, write: bool) -> Obligations {
+    pub fn access(
+        &mut self,
+        table: &ProtocolTable,
+        core: usize,
+        write: bool,
+    ) -> Result<Obligations, Stuck> {
         let me = 1u64 << core;
         let was = self.state;
-        let old_owner = self.owner;
         let others = self.sharers & !me;
-        let out = table
-            .step(was, self.event_for(core, write), self.ctx_for(core))
-            .unwrap_or_else(|| {
-                panic!(
-                    "protocol table '{}' is stuck: no row for ({:?}, {:?})",
-                    table.name(),
-                    was,
-                    self.event_for(core, write),
-                )
-            });
-        let intervention = out.writeback || out.cache_transfer;
-        self.state = out.next;
-        let mut ob = Obligations {
-            writeback: out.writeback,
-            old_owner,
-            cache_transfer: out.cache_transfer,
-            memory_read: out.memory_read,
-            intervention,
-            ..Default::default()
-        };
+        let (mut ob, claim_forward) =
+            self.consult(table, self.event_for(core, write), self.ctx_for(core))?;
         if write {
-            let recalled = if out.invalidate { others } else { 0 };
-            ob.invalidate = recalled;
+            ob.invalidate &= others;
             self.owner = core;
-            self.sharers = me | (others & !recalled);
+            self.sharers = me | (others & !ob.invalidate);
         } else {
-            ob.shared_hit = !intervention && others != 0;
-            if was == LineState::Invalid || out.claim_forward {
+            ob.invalidate = 0;
+            ob.shared_hit = !ob.intervention && others != 0;
+            if was == LineState::Invalid || claim_forward {
                 self.owner = core;
             }
             self.sharers |= me;
         }
-        ob
+        Ok(ob)
     }
 
     /// The line leaves the shared cache (capacity eviction or DMA
     /// invalidation): every upper copy is recalled; a dirty owner's data
     /// is written back when the table's Evict row says so.
-    pub fn evict(&mut self, table: &ProtocolTable) -> Obligations {
-        let out = table
-            .step(
-                self.state,
-                MesiEvent::Evict,
-                GuardCtx {
-                    other_sharers: self.sharers != 0,
-                    requester_is_owner: false,
-                },
-            )
-            .unwrap_or_else(|| {
-                panic!(
-                    "protocol table '{}' is stuck: no row for ({:?}, Evict)",
-                    table.name(),
-                    self.state,
-                )
-            });
-        debug_assert_eq!(out.next, LineState::Invalid, "eviction must empty the line");
-        let ob = Obligations {
-            writeback: out.writeback,
-            old_owner: self.owner,
-            // Every upper copy is recalled regardless of the action —
-            // the copies are gone with the home line either way.
-            invalidate: self.sharers,
-            intervention: out.writeback,
-            ..Default::default()
+    pub fn evict(&mut self, table: &ProtocolTable) -> Result<Obligations, Stuck> {
+        let ctx = GuardCtx {
+            other_sharers: self.sharers != 0,
+            requester_is_owner: false,
         };
-        self.state = out.next;
+        let (mut ob, _) = self.consult(table, LineEvent::Evict, ctx)?;
+        debug_assert_eq!(
+            self.state,
+            LineState::Invalid,
+            "eviction must empty the line"
+        );
+        // Every upper copy is recalled regardless of the action — the
+        // copies are gone with the home line either way.
+        ob.invalidate = self.sharers;
         self.sharers = 0;
-        ob
+        Ok(ob)
     }
 
     /// `core`'s L2 wrote the line back (upper eviction cascade): its
@@ -729,96 +732,90 @@ impl DirLine {
     /// core: steps the RemoteRead row to recall the data, but leaves the
     /// sharer set and owner untouched — the DMA never joins the sharers.
     /// Returns `None` when the line is not dirty at another core.
-    pub fn snoop_recall(&mut self, table: &ProtocolTable, core: usize) -> Option<Obligations> {
+    pub fn snoop_recall(
+        &mut self,
+        table: &ProtocolTable,
+        core: usize,
+    ) -> Result<Option<Obligations>, Stuck> {
         if !(self.state.is_dirty() && self.owner != core) {
-            return None;
+            return Ok(None);
         }
-        let out = table
-            .step(self.state, MesiEvent::RemoteRead, self.ctx_for(core))
-            .unwrap_or_else(|| {
-                panic!(
-                    "protocol table '{}' is stuck: no row for ({:?}, RemoteRead)",
-                    table.name(),
-                    self.state,
-                )
-            });
-        self.state = out.next;
-        Some(Obligations {
-            writeback: out.writeback,
-            old_owner: self.owner,
-            cache_transfer: out.cache_transfer,
-            memory_read: out.memory_read,
-            intervention: out.writeback || out.cache_transfer,
-            ..Default::default()
-        })
-    }
-}
-
-/// Maps the legacy [`MesiState`] alphabet into the family-wide
-/// [`LineState`] alphabet (the refactor-equivalence tests speak both).
-pub fn line_state_of(m: MesiState) -> LineState {
-    match m {
-        MesiState::Invalid => LineState::Invalid,
-        MesiState::Exclusive => LineState::Exclusive,
-        MesiState::Shared => LineState::Shared,
-        MesiState::Modified => LineState::Modified,
+        let (mut ob, _) = self.consult(table, LineEvent::RemoteRead, self.ctx_for(core))?;
+        ob.invalidate = 0;
+        Ok(Some(ob))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mesi::MesiAction;
 
-    fn mesi() -> ProtocolTable {
-        ProtocolTable::new(CoherenceProtocol::Mesi)
+    const EVENTS: [LineEvent; 5] = [LocalRead, LocalWrite, RemoteRead, RemoteWrite, Evict];
+
+    /// Every guard context a row can be consulted under.
+    fn every_ctx() -> impl Iterator<Item = GuardCtx> {
+        [(false, false), (false, true), (true, false), (true, true)]
+            .into_iter()
+            .map(|(other_sharers, requester_is_owner)| GuardCtx {
+                other_sharers,
+                requester_is_owner,
+            })
     }
 
-    const EVENTS: [MesiEvent; 5] = [LocalRead, LocalWrite, RemoteRead, RemoteWrite, Evict];
-
-    /// Satellite: the Mesi table is transition-for-transition the
-    /// hand-written `MesiState::step` — exhaustively, over every
-    /// (state, event) pair and both guard contexts.
+    /// Frozen golden of the PR 4 hand-written MESI `step`: its 20
+    /// `(state, event) → (next, writeback, invalidate)` transitions,
+    /// which the Mesi table reproduces under every guard context without
+    /// firing a family-extension action. Stepping is memoryless, so
+    /// covering every input covers every event trace.
     #[test]
     fn mesi_table_matches_handwritten_step_exhaustively() {
-        let table = mesi();
-        for s in [
-            MesiState::Invalid,
-            MesiState::Exclusive,
-            MesiState::Shared,
-            MesiState::Modified,
-        ] {
-            for e in EVENTS {
-                let (next, action) = s.step(e);
-                for other_sharers in [false, true] {
-                    for requester_is_owner in [false, true] {
-                        let out = table
-                            .step(
-                                line_state_of(s),
-                                e,
-                                GuardCtx {
-                                    other_sharers,
-                                    requester_is_owner,
-                                },
-                            )
-                            .expect("mesi table is total");
-                        assert_eq!(out.next, line_state_of(next), "({s:?}, {e:?})");
-                        let (want_wb, want_inv) = match action {
-                            MesiAction::None => (false, false),
-                            MesiAction::Writeback => (true, false),
-                            MesiAction::InvalidateSharers => (false, true),
-                            MesiAction::WritebackAndInvalidate => (true, true),
-                        };
-                        assert_eq!(out.writeback, want_wb, "({s:?}, {e:?})");
-                        assert_eq!(out.invalidate, want_inv, "({s:?}, {e:?})");
-                        assert!(
-                            !out.cache_transfer && !out.memory_read && !out.claim_forward,
-                            "mesi emits no family-extension actions ({s:?}, {e:?})"
-                        );
-                    }
-                }
+        const PR4: [(LineState, LineEvent, LineState, bool, bool); 20] = [
+            (Invalid, LocalRead, Exclusive, false, false),
+            (Invalid, LocalWrite, Modified, false, false),
+            (Invalid, RemoteRead, Exclusive, false, false),
+            (Invalid, RemoteWrite, Modified, false, false),
+            (Invalid, Evict, Invalid, false, false),
+            (Exclusive, LocalRead, Exclusive, false, false),
+            (Exclusive, LocalWrite, Modified, false, false),
+            (Exclusive, RemoteRead, Shared, false, false),
+            (Exclusive, RemoteWrite, Modified, false, true),
+            (Exclusive, Evict, Invalid, false, true),
+            (Shared, LocalRead, Shared, false, false),
+            (Shared, LocalWrite, Modified, false, true),
+            (Shared, RemoteRead, Shared, false, false),
+            (Shared, RemoteWrite, Modified, false, true),
+            (Shared, Evict, Invalid, false, true),
+            (Modified, LocalRead, Modified, false, false),
+            (Modified, LocalWrite, Modified, false, false),
+            (Modified, RemoteRead, Shared, true, false),
+            (Modified, RemoteWrite, Modified, true, true),
+            (Modified, Evict, Invalid, true, true),
+        ];
+        let table = ProtocolTable::new(CoherenceProtocol::Mesi);
+        for (state, event, next, writeback, invalidate) in PR4 {
+            for ctx in every_ctx() {
+                let row = table.row(state, event, ctx).expect("mesi table is total");
+                let has = |a| row.actions.contains(&a);
+                assert_eq!(
+                    (row.next, has(Writeback), has(InvalidateSharers)),
+                    (next, writeback, invalidate),
+                    "({state:?}, {event:?}) under {ctx:?}"
+                );
+                assert!(
+                    row.actions
+                        .iter()
+                        .all(|&a| a == Writeback || a == InvalidateSharers),
+                    "mesi emits no family-extension actions ({state:?}, {event:?})"
+                );
             }
         }
+        assert!(
+            table
+                .rules()
+                .iter()
+                .all(|r| PR4.iter().any(|t| (t.0, t.1) == (r.state, r.event))),
+            "mesi has no row outside the PR 4 alphabet"
+        );
     }
 
     /// All four tables are total over their full declared state × event
@@ -829,97 +826,110 @@ mod tests {
     fn all_tables_are_total_over_their_states() {
         for p in CoherenceProtocol::ALL {
             let table = ProtocolTable::new(p);
-            let states: Vec<LineState> = {
-                let mut s: Vec<LineState> = table.rules().iter().map(|r| r.state).collect();
-                s.dedup();
-                s
-            };
+            let mut states: Vec<LineState> = table.rules().iter().map(|r| r.state).collect();
+            states.dedup();
             for &st in &states {
                 for e in EVENTS {
-                    for other_sharers in [false, true] {
-                        for requester_is_owner in [false, true] {
-                            assert!(
-                                table
-                                    .step(
-                                        st,
-                                        e,
-                                        GuardCtx {
-                                            other_sharers,
-                                            requester_is_owner,
-                                        },
-                                    )
-                                    .is_some(),
-                                "{}: no row for ({st:?}, {e:?})",
-                                p.name()
-                            );
-                        }
+                    for ctx in every_ctx() {
+                        assert!(
+                            table.row(st, e, ctx).is_some(),
+                            "{}: no row for ({st:?}, {e:?})",
+                            p.name()
+                        );
                     }
                 }
             }
         }
     }
 
+    /// A missing row is a [`Stuck`] naming the table, state and event —
+    /// the text the product path panics with — and leaves the line as it
+    /// was.
     #[test]
-    fn msi_has_no_exclusive_and_rereads_memory_on_dirty_recall() {
-        let table = ProtocolTable::new(CoherenceProtocol::Msi);
-        let mut line = DirLine::fill(&table, 0, false);
-        assert_eq!(line.state, LineState::Shared, "first reader fills Shared");
-        let mut dirty = DirLine::fill(&table, 0, true);
-        assert_eq!(dirty.state, LineState::Modified);
-        let ob = dirty.access(&table, 1, false);
-        assert!(ob.writeback && ob.memory_read && ob.intervention);
-        assert_eq!(dirty.state, LineState::Shared);
-        // A write while alone still costs no invalidation round.
-        let ob = line.access(&table, 0, true);
-        assert_eq!(ob.invalidate, 0);
-        assert_eq!(line.state, LineState::Modified);
+    fn a_missing_row_is_stuck_and_says_where() {
+        let rules = ProtocolTable::new(CoherenceProtocol::Mesi)
+            .rules()
+            .iter()
+            .filter(|r| !(r.state == Shared && r.event == Evict))
+            .copied()
+            .collect();
+        let table = ProtocolTable::from_rules("mesi-no-shared-evict", rules);
+        let mut line = DirLine::fill(&table, 0, false).expect("the fill rows remain");
+        line.access(&table, 1, false)
+            .expect("the share rows remain");
+        let before = line;
+        let stuck = line.evict(&table).expect_err("no (Shared, Evict) row");
+        assert_eq!(line, before);
+        assert_eq!(
+            stuck.to_string(),
+            "protocol table 'mesi-no-shared-evict' is stuck: no row for (Shared, Evict)"
+        );
     }
 
     #[test]
-    fn moesi_dirty_sharing_skips_the_writeback() {
+    fn msi_has_no_exclusive_and_rereads_memory_on_dirty_recall() -> Result<(), Stuck> {
+        let table = ProtocolTable::new(CoherenceProtocol::Msi);
+        let mut line = DirLine::fill(&table, 0, false)?;
+        assert_eq!(line.state, LineState::Shared, "first reader fills Shared");
+        let mut dirty = DirLine::fill(&table, 0, true)?;
+        assert_eq!(dirty.state, LineState::Modified);
+        let ob = dirty.access(&table, 1, false)?;
+        assert!(ob.writeback && ob.memory_read && ob.intervention);
+        assert_eq!(dirty.state, LineState::Shared);
+        // A write while alone still costs no invalidation round.
+        let ob = line.access(&table, 0, true)?;
+        assert_eq!(ob.invalidate, 0);
+        assert_eq!(line.state, LineState::Modified);
+        Ok(())
+    }
+
+    #[test]
+    fn moesi_dirty_sharing_skips_the_writeback() -> Result<(), Stuck> {
         let table = ProtocolTable::new(CoherenceProtocol::Moesi);
-        let mut line = DirLine::fill(&table, 0, true);
+        let mut line = DirLine::fill(&table, 0, true)?;
         assert_eq!(line.state, LineState::Modified);
         // Remote read: cache-to-cache, no write-back, owner keeps dirty.
-        let ob = line.access(&table, 1, false);
+        let ob = line.access(&table, 1, false)?;
         assert!(ob.cache_transfer && !ob.writeback && ob.intervention);
         assert_eq!(line.state, LineState::Owned);
         assert_eq!(line.owner, 0, "dirty owner unchanged");
         assert!(line.holds(0) && line.holds(1));
         // The owner re-reads its own line for free.
-        let ob = line.access(&table, 0, false);
+        let ob = line.access(&table, 0, false)?;
         assert!(!ob.cache_transfer && !ob.writeback);
         // Owner upgrade: invalidate the fed sharers, no transfer.
-        let ob = line.access(&table, 0, true);
+        let ob = line.access(&table, 0, true)?;
         assert_eq!(ob.invalidate, 1 << 1);
         assert!(!ob.cache_transfer);
         assert_eq!(line.state, LineState::Modified);
         assert_eq!(line.sharers, 1 << 0);
         // Eviction of the dirty line finally pays the write-back.
-        let ob = line.evict(&table);
+        let ob = line.evict(&table)?;
         assert!(ob.writeback);
         assert_eq!(ob.old_owner, 0);
+        Ok(())
     }
 
     #[test]
-    fn mesif_designates_and_hands_off_the_forwarder() {
+    fn mesif_designates_and_hands_off_the_forwarder() -> Result<(), Stuck> {
         let table = ProtocolTable::new(CoherenceProtocol::Mesif);
-        let mut line = DirLine::fill(&table, 0, false);
+        let mut line = DirLine::fill(&table, 0, false)?;
         assert_eq!(line.state, LineState::Exclusive);
         // Second reader becomes the forwarder.
-        let ob = line.access(&table, 1, false);
+        let ob = line.access(&table, 1, false)?;
         assert!(ob.shared_hit);
         assert_eq!(line.state, LineState::Forward);
         assert_eq!(line.owner, 1);
         // Third reader takes the designation over.
-        line.access(&table, 2, false);
+        line.access(&table, 2, false)?;
         assert_eq!(line.owner, 2);
         assert_eq!(line.sharers, 0b111);
         // The forwarder writes: everyone else is recalled.
-        let ob = line.access(&table, 2, true);
+        let ob = line.access(&table, 2, true)?;
         assert_eq!(ob.invalidate, 0b011);
         assert_eq!(line.state, LineState::Modified);
         assert_eq!(line.sharers, 1 << 2);
+        Ok(())
     }
 
     /// Satellite: the §3 non-interaction claim holds for the whole
@@ -927,7 +937,7 @@ mod tests {
     /// protocol table's traffic moves neither machine off its isolated
     /// reference run.
     #[test]
-    fn protocols_do_not_interact_across_the_family() {
+    fn protocols_do_not_interact_across_the_family() -> Result<(), Stuck> {
         use crate::state::{DataEvent as H, DataState};
         let hybrid_events = [
             H::LmMap,
@@ -946,7 +956,7 @@ mod tests {
             let mut line = DirLine::empty();
             for (h, &(core, write)) in hybrid_events.iter().zip(&ops) {
                 hybrid = hybrid.step(*h).expect("legal hybrid sequence");
-                line.access(&table, core, write);
+                line.access(&table, core, write)?;
             }
 
             // Isolated reference runs.
@@ -956,7 +966,7 @@ mod tests {
             }
             let mut line_alone = DirLine::empty();
             for &(core, write) in &ops {
-                line_alone.access(&table, core, write);
+                line_alone.access(&table, core, write)?;
             }
 
             assert_eq!(
@@ -972,5 +982,6 @@ mod tests {
                 p.name()
             );
         }
+        Ok(())
     }
 }

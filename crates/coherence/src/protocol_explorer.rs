@@ -41,8 +41,7 @@
 //! backside steps — it model-checks the executed code, not a
 //! re-implementation of it.
 
-use crate::mesi::MesiEvent;
-use crate::protocol::{DirLine, GuardCtx, LineState, ProtocolTable};
+use crate::protocol::{DirLine, LineState, ProtocolTable, Stuck};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -190,45 +189,23 @@ impl Model {
         }
     }
 
-    /// The `(event, guard-context)` pair `event` will present to the
-    /// table, or `None` for bookkeeping-only events that consume no row.
-    fn table_input(&self, event: ModelEvent) -> Option<(MesiEvent, GuardCtx)> {
-        match event {
-            ModelEvent::Read(c) => Some((self.line.event_for(c, false), self.line.ctx_for(c))),
-            ModelEvent::Write(c) => Some((self.line.event_for(c, true), self.line.ctx_for(c))),
-            ModelEvent::Snoop(c) => {
-                if self.line.state.is_dirty() && self.line.owner != c {
-                    Some((MesiEvent::RemoteRead, self.line.ctx_for(c)))
-                } else {
-                    None
-                }
-            }
-            ModelEvent::Evict => Some((
-                MesiEvent::Evict,
-                GuardCtx {
-                    other_sharers: self.line.sharers != 0,
-                    requester_is_owner: false,
-                },
-            )),
-            ModelEvent::WritebackFrom(_) => None,
-        }
-    }
-
     /// Applies one applicable event, moving the data-version abstraction
     /// per the discharged obligations. `Err` is an *event-level*
-    /// data-value violation: the read was served from a stale copy.
+    /// violation: a table with no row for the event (`"stuck-state"`),
+    /// or a read served from a stale copy (`"data-value"`).
     fn apply(
         &mut self,
         table: &ProtocolTable,
         event: ModelEvent,
     ) -> Result<(), (&'static str, String)> {
+        let stuck = |s: Stuck| ("stuck-state", s.to_string());
         match event {
             ModelEvent::Read(c) => {
                 // A dirty line's owner reads its own copy (dirty data
                 // never leaves the owner's caches silently — only via
                 // WritebackFrom, which the directory sees).
                 let dirty_at_self = self.line.state.is_dirty() && self.line.owner == c;
-                let ob = self.line.access(table, c, false);
+                let ob = self.line.access(table, c, false).map_err(stuck)?;
                 let owner_fresh = self.fresh & (1 << ob.old_owner) != 0;
                 if ob.writeback {
                     self.mem_latest = owner_fresh;
@@ -252,7 +229,7 @@ impl Model {
                 }
             }
             ModelEvent::Write(c) => {
-                let ob = self.line.access(table, c, true);
+                let ob = self.line.access(table, c, true).map_err(stuck)?;
                 if ob.writeback {
                     self.mem_latest = self.fresh & (1 << ob.old_owner) != 0;
                 }
@@ -269,7 +246,7 @@ impl Model {
                 self.fresh &= !(1 << c);
             }
             ModelEvent::Snoop(c) => {
-                let served_latest = match self.line.snoop_recall(table, c) {
+                let served_latest = match self.line.snoop_recall(table, c).map_err(stuck)? {
                     Some(ob) => {
                         let owner_fresh = self.fresh & (1 << ob.old_owner) != 0;
                         if ob.writeback {
@@ -291,7 +268,7 @@ impl Model {
                 }
             }
             ModelEvent::Evict => {
-                let ob = self.line.evict(table);
+                let ob = self.line.evict(table).map_err(stuck)?;
                 if ob.writeback {
                     self.mem_latest = self.fresh & (1 << ob.old_owner) != 0;
                 }
@@ -357,31 +334,10 @@ pub fn explore(table: &ProtocolTable, cores: usize) -> Result<Exploration, Viola
             if !model.applicable(ev) {
                 continue;
             }
-            // Stuck check: the row the event is about to consume exists.
-            if let Some((tev, ctx)) = model.table_input(ev) {
-                if table.step(model.line.state, tev, ctx).is_none() {
-                    return Err(Violation {
-                        invariant: "stuck-state",
-                        detail: format!(
-                            "no '{}' row for ({:?}, {tev:?}) — the event {ev} has \
-                             nowhere to go",
-                            table.name(),
-                            model.line.state,
-                        ),
-                        trace: trace_to(&order, head, ev),
-                    });
-                }
-            }
             transitions += 1;
             let mut next = model;
-            if let Err((invariant, detail)) = next.apply(table, ev) {
-                return Err(Violation {
-                    invariant,
-                    detail,
-                    trace: trace_to(&order, head, ev),
-                });
-            }
-            if let Err((invariant, detail)) = next.check(cores) {
+            let step = next.apply(table, ev).and_then(|()| next.check(cores));
+            if let Err((invariant, detail)) = step {
                 return Err(Violation {
                     invariant,
                     detail,
@@ -414,24 +370,8 @@ pub fn replay(table: &ProtocolTable, cores: usize, trace: &[ModelEvent]) -> Opti
                 trace: trace[..=i].to_vec(),
             });
         }
-        if let Some((tev, ctx)) = model.table_input(ev) {
-            if table.step(model.line.state, tev, ctx).is_none() {
-                return Some(Violation {
-                    invariant: "stuck-state",
-                    detail: format!(
-                        "no '{}' row for ({:?}, {tev:?})",
-                        table.name(),
-                        model.line.state,
-                    ),
-                    trace: trace[..=i].to_vec(),
-                });
-            }
-        }
-        let step = model
-            .apply(table, ev)
-            .err()
-            .or_else(|| model.check(cores).err());
-        if let Some((invariant, detail)) = step {
+        let step = model.apply(table, ev).and_then(|()| model.check(cores));
+        if let Err((invariant, detail)) = step {
             return Some(Violation {
                 invariant,
                 detail,
@@ -445,8 +385,7 @@ pub fn replay(table: &ProtocolTable, cores: usize, trace: &[ModelEvent]) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Action, CoherenceProtocol, Rule};
-    use crate::MesiEvent;
+    use crate::protocol::{Action, CoherenceProtocol, LineEvent, Rule};
 
     /// The headline guarantee: all four shipped tables pass SWMR,
     /// data-value and stuck-freedom over their *entire* reachable
@@ -521,7 +460,7 @@ mod tests {
     fn dropped_invalidation_yields_minimal_replayable_counterexample() {
         let mutant = mutate_mesi("mesi-dropped-inval", |r| {
             if r.state == LineState::Shared
-                && matches!(r.event, MesiEvent::LocalWrite | MesiEvent::RemoteWrite)
+                && matches!(r.event, LineEvent::LocalWrite | LineEvent::RemoteWrite)
             {
                 Rule { actions: &[], ..*r }
             } else {
@@ -568,7 +507,7 @@ mod tests {
     #[test]
     fn dropped_eviction_writeback_breaks_data_value() {
         let mutant = mutate_mesi("mesi-dropped-evict-wb", |r| {
-            if r.state == LineState::Modified && r.event == MesiEvent::Evict {
+            if r.state == LineState::Modified && r.event == LineEvent::Evict {
                 Rule {
                     actions: &[Action::InvalidateSharers],
                     ..*r
@@ -588,13 +527,14 @@ mod tests {
     }
 
     /// A mutant with a *missing row* is reported as a stuck state, with
-    /// the trace that walks into the hole.
+    /// the trace that walks into the hole — and replaying that trace
+    /// reproduces the same violation.
     #[test]
     fn missing_row_is_reported_as_stuck() {
         let rules = ProtocolTable::new(CoherenceProtocol::Mesi)
             .rules()
             .iter()
-            .filter(|r| !(r.state == LineState::Shared && r.event == MesiEvent::Evict))
+            .filter(|r| !(r.state == LineState::Shared && r.event == LineEvent::Evict))
             .copied()
             .collect();
         let mutant = ProtocolTable::from_rules("mesi-no-shared-evict", rules);
@@ -602,5 +542,10 @@ mod tests {
         assert_eq!(v.invariant, "stuck-state");
         assert_eq!(v.trace.last(), Some(&ModelEvent::Evict));
         assert!(v.detail.contains("Shared"));
+        let r = replay(&mutant, 2, &v.trace).expect("replay reproduces the hole");
+        assert_eq!(
+            (r.invariant, &r.detail, &r.trace),
+            (v.invariant, &v.detail, &v.trace)
+        );
     }
 }

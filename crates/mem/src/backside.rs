@@ -579,7 +579,7 @@ impl SharedBackside {
             // Evicting the home copy: the table's Evict row decides
             // what the recall owes (a dirty state additionally writes
             // the owner's data back).
-            let ob = self.banks[bank].dir.retire(local).evict(&self.table);
+            let ob = self.banks[bank].dir.retire(local, &self.table);
             self.recall_sharers(ob.invalidate, core, global);
             if ob.invalidate != 0 {
                 self.occupy_bank(bank, now, self.coherence.inval_latency);
@@ -802,14 +802,15 @@ impl SharedBackside {
     /// resident. Invalidating a shared line retires its directory entry
     /// and recalls every *other* core's upper copy (the requester
     /// invalidates its own L1/L2 as part of the `dma-put` walk); no
-    /// write-back — the DMA data supersedes any cached copy (§2.1).
+    /// write-back, whatever the table's Evict row owes — the DMA data
+    /// supersedes any cached copy (§2.1).
     pub fn invalidate(&mut self, core: usize, line_addr: u64) -> bool {
         let home = self.home(core, line_addr);
         self.per_core[core].l3.invalidations += 1;
         let present = self.banks[home.bank].cache.invalidate(home.key).is_some();
         if home.shared {
-            let others = self.banks[home.bank].dir.retire(home.local).sharers & !(1 << core);
-            self.recall_sharers(others, core, line_addr);
+            let retired = self.banks[home.bank].dir.retire(home.local, &self.table);
+            self.recall_sharers(retired.invalidate & !(1 << core), core, line_addr);
         }
         if present {
             self.push_event(core, line_addr, false);

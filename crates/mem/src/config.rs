@@ -83,8 +83,8 @@ pub enum CoherenceMode {
     /// table (no Exclusive state; dirty recalls re-read memory).
     Msi,
     /// Directory slices stepping the four-state MESI table (PR 4's
-    /// protocol, now table-driven; bit-identical to the hand-written
-    /// original).
+    /// protocol, row for row; a frozen golden of its 20 transitions pins
+    /// the table).
     Mesi,
     /// Directory slices stepping the MOESI table: an Owned state shares
     /// dirty lines cache-to-cache, deferring write-backs to eviction.
@@ -113,19 +113,34 @@ impl CoherenceMode {
         CoherenceMode::Mesif,
     ];
 
-    /// Reads the mode from the `HSIM_COHERENCE` environment variable
-    /// (`msi`, `mesi`, `moesi` or `mesif` select the corresponding
-    /// directory protocol; anything else, or the variable being unset,
-    /// selects [`CoherenceMode::Replicate`]). This is the CI matrix
-    /// knob: the same test and bench-smoke suite runs once per mode.
-    /// Tests that pin recorded cycle counts set the mode explicitly
-    /// instead of inheriting it from here.
-    pub fn from_env() -> Self {
-        let knob = std::env::var("HSIM_COHERENCE").unwrap_or_default();
-        Self::DIRECTORY
+    /// Parses a mode name, case-insensitively: `replicate` or the empty
+    /// string select [`CoherenceMode::Replicate`], `msi`, `mesi`, `moesi`
+    /// and `mesif` the corresponding directory protocol. Anything else is
+    /// an `Err` listing the valid names.
+    pub fn parse(knob: &str) -> Result<Self, String> {
+        let found = Self::ALL
             .into_iter()
-            .find(|mode| knob.eq_ignore_ascii_case(mode.name()))
-            .unwrap_or(CoherenceMode::Replicate)
+            .find(|m| knob.eq_ignore_ascii_case(m.name()));
+        match found {
+            Some(mode) => Ok(mode),
+            None if knob.is_empty() => Ok(CoherenceMode::Replicate),
+            None => Err(format!(
+                "unknown coherence mode {knob:?}: expected one of {}",
+                Self::ALL.map(Self::name).join(", ")
+            )),
+        }
+    }
+
+    /// Reads the mode from the `HSIM_COHERENCE` environment variable
+    /// through [`CoherenceMode::parse`] (unset selects `Replicate`), and
+    /// panics on a value it rejects, so a typo cannot silently run
+    /// `Replicate`. This is the CI matrix knob: the same test and
+    /// bench-smoke suite runs once per mode. Tests that pin recorded
+    /// cycle counts set the mode explicitly instead of inheriting it
+    /// from here.
+    pub fn from_env() -> Self {
+        let knob = std::env::var_os("HSIM_COHERENCE").unwrap_or_default();
+        Self::parse(&knob.to_string_lossy()).unwrap_or_else(|e| panic!("HSIM_COHERENCE: {e}"))
     }
 
     /// Whether this mode runs directory slices at the L3 banks (every
@@ -365,5 +380,25 @@ mod tests {
         let mut b = MemConfig::hybrid();
         b.fault = FaultConfig::uniform(1, 0.1);
         assert!(!a.backside_compatible(&b));
+    }
+
+    /// `parse`, not the environment: tests share one process, and other
+    /// tests read `HSIM_COHERENCE`.
+    #[test]
+    fn coherence_mode_names_parse_and_typos_are_rejected() {
+        assert_eq!(CoherenceMode::parse(""), Ok(CoherenceMode::Replicate));
+        for mode in CoherenceMode::ALL {
+            assert_eq!(CoherenceMode::parse(mode.name()), Ok(mode));
+            let upper = mode.name().to_ascii_uppercase();
+            assert_eq!(CoherenceMode::parse(&upper), Ok(mode));
+        }
+        assert_eq!(CoherenceMode::parse("MeSiF"), Ok(CoherenceMode::Mesif));
+        for typo in ["mseI ", "moesi2", "mesi ", " msi", "none"] {
+            let err = CoherenceMode::parse(typo).expect_err(typo);
+            assert!(
+                err.contains(typo) && err.contains("replicate, msi, mesi, moesi, mesif"),
+                "{err}"
+            );
+        }
     }
 }

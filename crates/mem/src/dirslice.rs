@@ -9,8 +9,14 @@
 //! the backside's [`ProtocolTable`] and hands back the [`Obligations`]
 //! the transition owes, for the backside's `discharge` to pay.
 
-use hsim_coherence::protocol::{DirLine, Obligations, ProtocolTable};
+use hsim_coherence::protocol::{DirLine, Obligations, ProtocolTable, Stuck};
 use std::collections::HashMap;
+
+/// The product path's one answer to a [`Stuck`] table: a protocol bug
+/// (the explorer proves the shipped tables total where reachable).
+fn stepped<T>(step: Result<T, Stuck>) -> T {
+    step.unwrap_or_else(|stuck| panic!("{stuck}"))
+}
 
 /// The per-bank directory slice (see the module docs).
 #[derive(Default)]
@@ -39,7 +45,7 @@ impl DirectorySlice {
     /// Invalid row fills to.
     pub(crate) fn fill(&mut self, local: u64, table: &ProtocolTable, core: usize, write: bool) {
         self.store()
-            .insert(local, DirLine::fill(table, core, write));
+            .insert(local, stepped(DirLine::fill(table, core, write)));
     }
 
     /// Steps one access by `core` to a resident line: the table decides
@@ -52,7 +58,8 @@ impl DirectorySlice {
         core: usize,
         write: bool,
     ) -> Option<Obligations> {
-        Some(self.store().get_mut(&local)?.access(table, core, write))
+        let line = self.store().get_mut(&local)?;
+        Some(stepped(line.access(table, core, write)))
     }
 
     /// `core`'s L2 wrote `local` back, so it also evicted its upper
@@ -74,7 +81,7 @@ impl DirectorySlice {
         table: &ProtocolTable,
         core: usize,
     ) -> Option<Obligations> {
-        let ob = self.store().get_mut(&local)?.snoop_recall(table, core)?;
+        let ob = stepped(self.store().get_mut(&local)?.snoop_recall(table, core))?;
         debug_assert!(
             ob.intervention && ob.invalidate == 0 && !ob.shared_hit,
             "a snoop recall is an intervention and nothing else: {ob:?}"
@@ -82,10 +89,13 @@ impl DirectorySlice {
         Some(ob)
     }
 
-    /// `local` left the L3 (capacity eviction or `dma-put`): drops and
-    /// returns its record — an empty line when it was not tracked.
-    pub(crate) fn retire(&mut self, local: u64) -> DirLine {
-        self.store().remove(&local).unwrap_or(DirLine::empty())
+    /// `local` left the L3 (capacity eviction or `dma-put`): drops its
+    /// record (an empty line when it was not tracked) through the table's
+    /// Evict row, which names every upper copy to recall and whether a
+    /// dirty owner's data is owed.
+    pub(crate) fn retire(&mut self, local: u64, table: &ProtocolTable) -> Obligations {
+        let mut line = self.store().remove(&local).unwrap_or(DirLine::empty());
+        stepped(line.evict(table))
     }
 
     /// How many cores hold `local` above the L3 (`None` when the slice
@@ -99,7 +109,7 @@ impl DirectorySlice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsim_coherence::protocol::{CoherenceProtocol, LineState};
+    use hsim_coherence::protocol::CoherenceProtocol;
 
     #[test]
     fn every_operation_is_one_lookup() {
@@ -110,7 +120,7 @@ mod tests {
         assert!(s.access(0x80, &t, 1, false).is_none(), "untracked line");
         assert!(s.snoop_recall(0x40, &t, 2).is_none(), "clean: nothing owed");
         s.writeback_from(0x40, 1);
-        s.retire(0x40);
+        s.retire(0x40, &t);
         assert_eq!(s.lookups, 6);
     }
 
@@ -128,8 +138,8 @@ mod tests {
         // A write-back that allocated the line tracks it with no holders.
         s.writeback_from(0x80, 1);
         assert_eq!(s.sharer_count(0x80), Some(0));
-        assert_eq!(s.retire(0x40).sharers, 1);
+        assert_eq!(s.retire(0x40, &t).invalidate, 1);
         assert_eq!(s.sharer_count(0x40), None);
-        assert_eq!(s.retire(0x40).state, LineState::Invalid, "retiring twice");
+        assert_eq!(s.retire(0x40, &t), Obligations::default(), "retiring twice");
     }
 }

@@ -394,7 +394,7 @@ pub fn scaling_sweep(
 
 /// One point of the coherence-mode comparison: the same sharded kernel
 /// at the same core count under `Replicate` and under `Mesi`, side by
-/// side.
+/// side ([`coherence_rows`] of a [`protocol_sweep`]).
 #[derive(Clone, Debug)]
 pub struct CoherenceSweepRow {
     /// Kernel name.
@@ -414,53 +414,6 @@ pub struct CoherenceSweepRow {
     /// never silently free, so the sweep surfaces the cost a clustered
     /// run of the same kernel would pay.
     pub cluster_fallbacks: u64,
-}
-
-/// Runs one coherence-comparison point; `None` when the kernel does not
-/// shard to `cores`.
-fn coherence_point(
-    kernel: &Kernel,
-    cores: usize,
-    mode: SysMode,
-) -> Result<Option<CoherenceSweepRow>, MultiRunError> {
-    let run = |cm: CoherenceMode| {
-        RunSpec::new(kernel)
-            .cores(cores)
-            .config(MachineConfig::for_mode(mode).with_coherence(cm))
-            .run()
-            .map(RunOutcome::into_multi)
-    };
-    let Some(rep) = MultiRunError::skip_unshardable(run(CoherenceMode::Replicate))? else {
-        return Ok(None);
-    };
-    let mesi = run(CoherenceMode::Mesi)?;
-    assert_eq!(
-        rep.total(|r| r.committed),
-        mesi.total(|r| r.committed),
-        "{} x{cores}: coherence modes must not change committed work",
-        kernel.name
-    );
-    Ok(Some(CoherenceSweepRow {
-        kernel: kernel.name.clone(),
-        cores,
-        replicate: rep,
-        mesi,
-        cluster_fallbacks: cross_cluster_fallbacks(kernel, 2),
-    }))
-}
-
-/// The coherence-mode comparison: every kernel × core-count point run
-/// under `Replicate` and `Mesi` on otherwise identical machines. Points
-/// a kernel cannot shard to are skipped; one job per point under `par`.
-pub fn coherence_sweep(
-    kernels: &[Kernel],
-    core_counts: &[usize],
-    mode: SysMode,
-    par: Parallelism,
-) -> Result<Vec<CoherenceSweepRow>, MultiRunError> {
-    sweep_grid(kernels, core_counts, par, |k, &cores| {
-        coherence_point(k, cores, mode)
-    })
 }
 
 /// One point of the protocol-family comparison: one kernel at one core
@@ -530,6 +483,29 @@ pub fn protocol_sweep(
         protocol_point(k, cores, mode)
     })?;
     Ok(points.into_iter().flatten().collect())
+}
+
+/// The Replicate-vs-Mesi view of a [`protocol_sweep`] over `kernels`:
+/// one row per point, pairing the point's `replicate` and `mesi` runs,
+/// so every point is simulated once whichever view reports it.
+pub fn coherence_rows(kernels: &[Kernel], rows: &[ProtocolSweepRow]) -> Vec<CoherenceSweepRow> {
+    rows.chunks(CoherenceMode::ALL.len())
+        .map(|point| {
+            let run = |cm: CoherenceMode| {
+                let row = point.iter().find(|r| r.protocol == cm.name());
+                row.expect("every mode ran").report.clone()
+            };
+            let kernel = kernels.iter().find(|k| k.name == point[0].kernel);
+            let kernel = kernel.expect("the rows' kernel is in `kernels`");
+            CoherenceSweepRow {
+                kernel: kernel.name.clone(),
+                cores: point[0].cores,
+                replicate: run(CoherenceMode::Replicate),
+                mesi: run(CoherenceMode::Mesi),
+                cluster_fallbacks: cross_cluster_fallbacks(kernel, 2),
+            }
+        })
+        .collect()
 }
 
 /// One point of the heterogeneous-chip sweep: one kernel on one mixed

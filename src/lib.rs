@@ -128,7 +128,7 @@ pub use cluster::{
     ClusterRunReport, ClusterTopology,
 };
 pub use experiments::{
-    backside_sweep, coherence_sweep, comm_sweep, compare_systems, compile_for_tile, fig7, fig8,
+    backside_sweep, coherence_rows, comm_sweep, compare_systems, compile_for_tile, fig7, fig8,
     geomean, hetero_sweep, parallel_map, protocol_sweep, request_serving, request_serving_sweep,
     scaling_sweep, BacksideSweepRow, CoherenceSweepRow, CommSweepRow, HeteroSweepRow,
     MultiRunError, Parallelism, ProtocolSweepRow, RunOutcome, RunSpec, ScalingRow,
@@ -144,7 +144,7 @@ pub mod prelude {
         ClusterConfig, ClusterError, ClusterFailure, ClusterRunReport, ClusterTopology,
     };
     pub use crate::experiments::{
-        backside_sweep, coherence_sweep, comm_sweep, compare_systems, compile_for_tile, fig7, fig8,
+        backside_sweep, coherence_rows, comm_sweep, compare_systems, compile_for_tile, fig7, fig8,
         hetero_sweep, protocol_sweep, request_serving, request_serving_sweep, scaling_sweep,
         BacksideSweepRow, CoherenceSweepRow, CommSweepRow, HeteroSweepRow, MultiRunError,
         Parallelism, ProtocolSweepRow, RunOutcome, RunSpec, ScalingRow,
