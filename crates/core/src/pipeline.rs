@@ -113,7 +113,9 @@ pub struct HostProfile {
     pub ticks: u64,
     /// Host seconds spent inside [`Core::advance_to`] (bulk skips).
     pub advance_secs: f64,
-    /// Bulk advances performed.
+    /// Bulk advances performed: one catch-up per wake-up of a core
+    /// from a quiet tick, under both the single-core and the multicore
+    /// schedulers.
     pub advances: u64,
     /// Host seconds spent computing skip targets (the horizon scan:
     /// [`Core::skip_target`]).
@@ -463,7 +465,7 @@ impl Core {
     }
 
     /// Executes one tick and classifies it for the cycle-skipping
-    /// schedulers ([`Core::run`] and the multicore horizon heap): the
+    /// schedulers ([`Core::run`] and the multicore due-cycle loop): the
     /// one place that decides whether a core is busy or quiet. When
     /// [`Core::progress_certain`] holds, a commit or dispatch is
     /// guaranteed, the fingerprint must change, and both probes are

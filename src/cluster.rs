@@ -69,7 +69,7 @@
 
 use crate::machine::{MachineConfig, MultiMachine};
 use crate::metrics::{MultiRunReport, RunReport};
-use hsim_compiler::{CompiledKernel, Kernel};
+use hsim_compiler::{CompiledKernel, Kernel, ShardError};
 use hsim_core::pipeline::SimError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -176,6 +176,10 @@ impl ClusterConfig {
 /// Why one cluster of a clustered run failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ClusterFailure {
+    /// The cluster's machine could not be built: a communication
+    /// array's layouts diverge across its kernels
+    /// ([`ShardError::CommLayoutDiverged`]).
+    Shard(ShardError),
     /// The cluster's simulation returned an error (deadlock, cycle
     /// limit, …).
     Sim(SimError),
@@ -193,6 +197,7 @@ pub enum ClusterFailure {
 impl std::fmt::Display for ClusterFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ClusterFailure::Shard(e) => write!(f, "shard: {e}"),
             ClusterFailure::Sim(e) => write!(f, "simulation error: {e}"),
             ClusterFailure::Panic(msg) => write!(f, "host thread panicked: {msg}"),
             ClusterFailure::Watchdog { epochs } => {
@@ -322,9 +327,9 @@ type LaneResult = Result<(MultiRunReport, u64), ClusterFailure>;
 /// One cluster's host-side driver state, shared by [`run_serial`] and
 /// [`run_threaded`] so the two perform the same build / epoch step /
 /// finish sequence and fail identically. Every fallible step runs
-/// under `catch_unwind`; `machine` is `None` after a contained build-
-/// or epoch-panic (the machine may be mid-mutation; it is never touched
-/// again).
+/// under `catch_unwind`; `machine` is `None` after a failed build or a
+/// contained epoch panic (the machine may be mid-mutation; it is never
+/// touched again).
 struct ClusterLane {
     id: usize,
     machine: Option<(MultiMachine, Vec<CompiledKernel>)>,
@@ -333,14 +338,15 @@ struct ClusterLane {
 }
 
 impl ClusterLane {
-    /// Builds cluster `id`'s machine. Machines hold `Rc` backside
-    /// handles, so the threaded driver calls this — and everything
-    /// else on the lane — inside the cluster's own thread; only plain
-    /// data crosses the boundary.
+    /// Builds cluster `id`'s machine; diverging comm-array layouts fail
+    /// the lane with [`ClusterFailure::Shard`]. Machines hold `Rc`
+    /// backside handles, so the threaded driver calls this — and
+    /// everything else on the lane — inside the cluster's own thread;
+    /// only plain data crosses the boundary.
     fn build(id: usize, cfg: &MachineConfig, shards: &[(CompiledKernel, Kernel)]) -> Self {
         let built = catch_unwind(AssertUnwindSafe(|| {
-            let m = MultiMachine::for_kernels(cfg.clone(), shards);
-            (m, shards.iter().map(|(ck, _)| ck.clone()).collect())
+            let m = MultiMachine::try_for_kernels_hetero(vec![cfg.clone(); shards.len()], shards)?;
+            Ok((m, shards.iter().map(|(ck, _)| ck.clone()).collect()))
         }));
         let mut lane = ClusterLane {
             id,
@@ -349,7 +355,8 @@ impl ClusterLane {
             done: false,
         };
         match built {
-            Ok(m) => lane.machine = Some(m),
+            Ok(Ok(m)) => lane.machine = Some(m),
+            Ok(Err(e)) => lane.fail(ClusterFailure::Shard(e)),
             Err(p) => lane.fail(ClusterFailure::Panic(panic_message(p))),
         }
         lane

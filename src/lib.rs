@@ -96,9 +96,10 @@
 //! provably idle cycles in one step. The memory side is never asked:
 //! every port call that starts a wait (a miss, a presence-bit stall, a
 //! `dma-synch`, an I-miss) returns the cycle it ends, so the core's
-//! horizon is complete. [`MultiMachine::run`] coordinates the jump across tiles with a
-//! per-tile horizon min-heap, rotating the round-robin arbitration
-//! origin by the skipped distance, so every statistic stays
+//! horizon is complete. [`MultiMachine::run`] keeps one due cycle per
+//! tile and executes the earliest, ticking the due tiles in the
+//! round-robin rotation lock-step would use at that cycle; a tile's
+//! clock is caught up only when it is next due, so every statistic stays
 //! **bit-identical** to the naive lock-step loop (asserted by the
 //! `skip_equivalence` tests against the `lockstep: true` escape hatch,
 //! [`MachineConfig::with_lockstep`]). `CoreStats::skipped_cycles` and

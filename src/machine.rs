@@ -314,37 +314,23 @@ impl Machine {
         MultiMachine {
             tiles,
             backside,
-            rr_start: 0,
             replication_fallbacks: 0,
-            sched: None,
+            due: vec![0; n],
+            stretch: false,
         }
     }
-}
-
-/// Persistent event-horizon scheduler state between [`MultiMachine::run_until`]
-/// calls. Carrying the heap, live count, machine cycle and stretch flag
-/// across calls makes a chunked run (`run_until(e1)`, `run_until(e2)`, …)
-/// execute the *exact* operation sequence of one monolithic
-/// [`MultiMachine::run`] — including each tile's `skipped_cycles` —
-/// rather than merely an equivalent one.
-struct SchedState {
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
-    live: usize,
-    mcycle: u64,
-    /// The machine was mid lock-step stretch (every live tile busy) when
-    /// the previous `run_until` hit its limit.
-    in_stretch: bool,
 }
 
 /// An `n`-core machine: per-core [`Machine`] tiles sharing one L3 + DRAM
 /// backside.
 ///
 /// The execution model is lock-step: every machine cycle, each non-halted
-/// core ticks once, and the order rotates each cycle so backside port
+/// core ticks once, in rotation from `cycle % n`, so backside port
 /// conflicts resolve round-robin rather than always favoring core 0.
-/// [`MultiMachine::run`] drives that model event-style — idle stretches
-/// where no tile can make progress are jumped in one step — with results
-/// bit-identical to ticking every cycle (see its docs).
+/// [`MultiMachine::run`] drives that model event-style — each tile ticks
+/// only on the cycles it is due, and its clock is brought up to date
+/// when it next is — with results bit-identical to ticking every cycle
+/// (see its docs).
 /// Everything the paper's protocol adds — LM, directory, guarded AGU
 /// path, DMAC — is private per tile and never interacts across cores
 /// (§3: the protocol "does not interact with the inter-core cache
@@ -360,14 +346,17 @@ pub struct MultiMachine {
     /// The per-core tiles, indexed by core id.
     pub tiles: Vec<Machine>,
     backside: Rc<RefCell<SharedBackside>>,
-    rr_start: usize,
     /// Shared-marked arrays whose shard layouts diverged, silently
     /// served from per-core replicas instead (see
     /// [`MultiMachine::replication_fallbacks`]).
     replication_fallbacks: u64,
-    /// Scheduler state carried across [`MultiMachine::run_until`] calls
-    /// (`None` before the first call and after completion).
-    sched: Option<SchedState>,
+    /// The cycle of each tile's next tick, `u64::MAX` once it has
+    /// halted. With `stretch`, the whole scheduler state carried across
+    /// [`MultiMachine::run_until`] calls.
+    due: Vec<u64>,
+    /// The last executed cycle had every live tile due, and every one of
+    /// them ticked busy: the horizon scans wait until the stretch ends.
+    stretch: bool,
 }
 
 impl MultiMachine {
@@ -505,34 +494,34 @@ impl MultiMachine {
         self.tiles.iter().all(|t| t.core.halted())
     }
 
-    /// Advances every non-halted core by one cycle, in rotating
-    /// (round-robin) order.
-    pub fn tick_all(&mut self) -> Result<(), SimError> {
+    /// The lock-step oracle: ticks every non-halted core once at machine
+    /// cycle `cycle`, in rotation from `cycle % n`.
+    fn tick_all(&mut self, cycle: u64) -> Result<(), SimError> {
         let n = self.tiles.len();
+        let origin = (cycle % n as u64) as usize;
         for k in 0..n {
-            let i = (self.rr_start + k) % n;
-            let tile = &mut self.tiles[i];
+            let tile = &mut self.tiles[(origin + k) % n];
             if !tile.core.halted() {
                 tile.core.tick(&mut tile.world)?;
             }
         }
-        self.rr_start = (self.rr_start + 1) % n;
         Ok(())
     }
 
     /// Runs the whole machine to completion (every core halted).
     ///
-    /// Execution is event-driven: a min-heap of per-tile event horizons
-    /// ([`hsim_core::Core::skip_target`]) finds the earliest cycle at
-    /// which any core can make progress. When that lies beyond the current cycle,
-    /// every live tile bulk-advances to it in one step and the rotating
-    /// round-robin origin moves by the same amount, so backside
-    /// arbitration order — and with it every statistic — stays
-    /// bit-identical to the naive lock-step loop. Tiles whose horizon is
-    /// still in the future at an executed cycle have a provable no-op
-    /// cycle and are advanced instead of ticked. Building the machine
-    /// with `lockstep: true` in the core configuration falls back to the
-    /// naive loop (the equivalence tests compare the two).
+    /// Execution is event-driven: each tile carries the cycle it is next
+    /// due — the next cycle after a busy tick, its own event horizon
+    /// ([`hsim_core::Core::skip_target`]) after a quiet one — and each
+    /// step executes the earliest due cycle, ticking the due tiles in the
+    /// rotation the lock-step loop would use at that cycle. Every cycle
+    /// a tile is not due is a provable no-op for it, so its clock is
+    /// brought up to date in one [`hsim_core::Core::advance_to`] when it
+    /// next is: backside arbitration order — and with it every
+    /// statistic — stays bit-identical to the naive lock-step loop, and
+    /// an error leaves every tile where that loop would. Building the
+    /// machine with `lockstep: true` in the core configuration falls
+    /// back to the naive loop (the equivalence tests compare the two).
     pub fn run(&mut self) -> Result<(), SimError> {
         let mut prof = hsim_core::HostProfile::default();
         self.run_until_gen::<false>(u64::MAX, &mut prof)
@@ -554,6 +543,8 @@ impl MultiMachine {
     /// operation sequence of one monolithic `run`, leaving every
     /// statistic (skip counters included) bit-identical. This is what
     /// the epoch-synchronized cluster driver calls once per epoch.
+    /// Between calls a live tile's clock may lag behind `limit`; it is
+    /// brought up to date when the tile is next due.
     pub fn run_until(&mut self, limit: u64) -> Result<(), SimError> {
         let mut prof = hsim_core::HostProfile::default();
         self.run_until_gen::<false>(limit, &mut prof)
@@ -565,180 +556,95 @@ impl MultiMachine {
         prof: &mut hsim_core::HostProfile,
     ) -> Result<(), SimError> {
         if self.tiles.iter().any(|t| t.cfg.core.lockstep) {
-            while !self.all_halted() {
-                let now = self
-                    .tiles
-                    .iter()
-                    .filter(|t| !t.core.halted())
-                    .map(|t| t.core.now())
-                    .max()
-                    .unwrap_or(0);
+            // Lock-step: every live tile shares one clock.
+            while let Some(now) = self
+                .tiles
+                .iter()
+                .filter(|t| !t.core.halted())
+                .map(|t| t.core.now())
+                .max()
+            {
                 if now >= limit {
                     return Ok(());
                 }
                 timed(PROF, &mut prof.tick_secs, &mut prof.ticks, || {
-                    self.tick_all()
+                    self.tick_all(now)
                 })?;
             }
             return Ok(());
         }
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
         let n = self.tiles.len();
-        // Resume the previous call's scheduler state, or build it fresh.
-        // All live tiles share the same cycle (the lock-step invariant);
-        // `mcycle` tracks it so the loop never rescans the tiles for it.
-        let mut st = match self.sched.take() {
-            Some(st) => st,
-            None => {
-                let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(n);
-                let mut live = 0usize;
-                let mut mcycle = 0u64;
-                for (i, tile) in self.tiles.iter().enumerate() {
-                    if !tile.core.halted() {
-                        live += 1;
-                        mcycle = mcycle.max(tile.core.now());
-                        heap.push(Self::horizon_entry::<PROF>(tile, i, prof));
-                    }
-                }
-                SchedState {
-                    heap,
-                    live,
-                    mcycle,
-                    in_stretch: false,
-                }
-            }
-        };
-        let mut busy: Vec<usize> = Vec::with_capacity(n);
-        let mut is_due: Vec<bool> = vec![false; n];
         loop {
-            if st.in_stretch {
-                // Every live tile is busy: stay in a plain lock-step
-                // stretch (no heap traffic) until one of them quiesces
-                // or halts, then rebuild the horizons.
-                debug_assert!(st.heap.is_empty());
-                loop {
-                    if st.mcycle >= limit {
-                        self.sched = Some(st);
-                        return Ok(());
-                    }
-                    let mut stretch_over = false;
-                    for k in 0..n {
-                        let i = (self.rr_start + k) % n;
-                        let tile = &mut self.tiles[i];
-                        if tile.core.halted() {
-                            continue;
-                        }
-                        match tile.core.tick_classified::<PROF>(&mut tile.world, prof)? {
-                            TickOutcome::Halted => {
-                                st.live -= 1;
-                                stretch_over = true;
-                            }
-                            TickOutcome::Quiet => stretch_over = true,
-                            TickOutcome::Busy => {}
-                        }
-                    }
-                    self.rr_start = (self.rr_start + 1) % n;
-                    st.mcycle += 1;
-                    if stretch_over || st.live == 0 {
-                        break;
-                    }
-                }
-                st.in_stretch = false;
-                for (i, tile) in self.tiles.iter().enumerate() {
-                    if !tile.core.halted() {
-                        st.heap.push(Self::horizon_entry::<PROF>(tile, i, prof));
-                    }
-                }
-            }
-            let Some(&Reverse((event, _))) = st.heap.peek() else {
-                break;
-            };
+            let event = self.due.iter().copied().min().unwrap_or(u64::MAX);
             if event >= limit {
-                self.sched = Some(st);
                 return Ok(());
             }
-            // Fast-forward the machine to the earliest pending event.
-            if event > st.mcycle {
-                let skipped = event - st.mcycle;
-                self.rr_start = (self.rr_start + (skipped % n as u64) as usize) % n;
-                for tile in &mut self.tiles {
-                    if !tile.core.halted() {
-                        timed(PROF, &mut prof.advance_secs, &mut prof.advances, || {
-                            tile.core.advance_to(event)
-                        });
+            // The lock-step rotation of this cycle: its origin moves one
+            // slot per cycle, skipped cycles included.
+            let origin = (event % n as u64) as usize;
+            let (stretch, mut all_due, mut all_busy) = (self.stretch, true, true);
+            for k in 0..n {
+                let i = (origin + k) % n;
+                if self.due[i] != event {
+                    all_due &= self.due[i] == u64::MAX;
+                    continue;
+                }
+                let tile = &mut self.tiles[i];
+                // Every cycle since the tile's last tick was a no-op for
+                // it (its horizon said so): catch its clock up in one step.
+                if tile.core.now() < event {
+                    timed(PROF, &mut prof.advance_secs, &mut prof.advances, || {
+                        tile.core.advance_to(event)
+                    });
+                }
+                let outcome = match tile.core.tick_classified::<PROF>(&mut tile.world, prof) {
+                    Ok(outcome) => outcome,
+                    Err(e) => {
+                        // Leave every other live tile where lock-step
+                        // would: past this cycle if it came earlier in the
+                        // rotation, at it otherwise.
+                        for j in (0..n).filter(|&j| j != k) {
+                            let other = &mut self.tiles[(origin + j) % n];
+                            if !other.core.halted() {
+                                other.core.advance_to(event + u64::from(j < k));
+                            }
+                        }
+                        return Err(e);
+                    }
+                };
+                all_busy &= outcome == TickOutcome::Busy;
+                self.due[i] = match outcome {
+                    TickOutcome::Busy => event + 1,
+                    TickOutcome::Halted => u64::MAX,
+                    // A stretch rescans every live tile once it ends, below.
+                    TickOutcome::Quiet if stretch => event + 1,
+                    TickOutcome::Quiet => Self::horizon::<PROF>(tile, prof),
+                };
+            }
+            // A stretch ends with one horizon scan of every live tile,
+            // busy ones included: where the scans fall decides which
+            // cycles each tile skips, and so its `skipped_cycles`.
+            if stretch && !all_busy {
+                for (tile, due) in self.tiles.iter().zip(&mut self.due) {
+                    if *due != u64::MAX {
+                        *due = Self::horizon::<PROF>(tile, prof);
                     }
                 }
             }
-            // Pop every tile due at this cycle.
-            let mut due_count = 0usize;
-            while let Some(&Reverse((t, i))) = st.heap.peek() {
-                if t > event {
-                    break;
-                }
-                st.heap.pop();
-                is_due[i] = true;
-                due_count += 1;
-            }
-            // Walk all live tiles in the rotating round-robin order the
-            // naive loop would use: due tiles tick; every other live
-            // tile's cycle is a provable no-op (its horizon lies further
-            // out, and no-op cycles generate no port traffic), accounted
-            // by a one-cycle advance in its round-robin slot — so even a
-            // mid-cycle error leaves every tile exactly where the naive
-            // loop would have.
-            let rr = self.rr_start;
-            self.rr_start = (self.rr_start + 1) % n;
-            let all_due = due_count == st.live;
-            busy.clear();
-            for k in 0..n {
-                let i = (rr + k) % n;
-                let tile = &mut self.tiles[i];
-                if tile.core.halted() {
-                    continue;
-                }
-                if !is_due[i] {
-                    timed(PROF, &mut prof.advance_secs, &mut prof.advances, || {
-                        tile.core.advance_to(event + 1)
-                    });
-                    continue;
-                }
-                is_due[i] = false;
-                match tile.core.tick_classified::<PROF>(&mut tile.world, prof)? {
-                    TickOutcome::Halted => st.live -= 1,
-                    // A tile that moved something stays due next cycle;
-                    // only quiesced tiles pay for a horizon scan.
-                    TickOutcome::Busy => busy.push(i),
-                    TickOutcome::Quiet => st.heap.push(Self::horizon_entry::<PROF>(tile, i, prof)),
-                }
-            }
-            st.mcycle = event + 1;
-            if all_due && st.live > 0 && busy.len() == due_count {
-                st.in_stretch = true;
-            } else {
-                for &i in &busy {
-                    st.heap.push(Reverse((st.mcycle, i)));
-                }
-            }
+            self.stretch = all_due && all_busy;
         }
-        Ok(())
     }
 
-    /// Tile `i`'s horizon-heap entry: its core's next-event cycle, with
-    /// the scan charged to `prof` under `PROF`.
+    /// The tile's next due cycle after a quiet tick: its core's event
+    /// horizon, with the scan charged to `prof` under `PROF`.
     #[inline(always)]
-    fn horizon_entry<const PROF: bool>(
-        tile: &Machine,
-        i: usize,
-        prof: &mut hsim_core::HostProfile,
-    ) -> std::cmp::Reverse<(u64, usize)> {
-        let target = timed(
+    fn horizon<const PROF: bool>(tile: &Machine, prof: &mut hsim_core::HostProfile) -> u64 {
+        timed(
             PROF,
             &mut prof.horizon_secs,
             &mut prof.horizon_scans,
             || tile.core.skip_target(),
-        );
-        std::cmp::Reverse((target, i))
+        )
     }
 
     /// Total coherence violations over all tiles (tracking runs only).

@@ -16,7 +16,8 @@
 //!   must render a byte-identical report.
 //! - **diverged comm layouts are hard errors**: a per-core kernel set
 //!   whose comm-marked declarations disagree must fail with
-//!   [`ShardError::CommLayoutDiverged`], never silently fall back to
+//!   [`ShardError::CommLayoutDiverged`] — flat, or as the clustered
+//!   run's typed `ClusterFailure::Shard` — never silently fall back to
 //!   replication and report wrong-answer timings.
 
 use hsim::compiler::ShardError;
@@ -210,6 +211,34 @@ fn diverged_comm_layout_is_a_hard_error() {
         Err(MultiRunError::Shard(ShardError::CommLayoutDiverged { .. })) => {}
         Err(other) => panic!("expected CommLayoutDiverged, got {other}"),
         Ok(_) => panic!("diverging comm layouts must not run"),
+    }
+    // The clustered shape fails the cluster with the same typed error —
+    // on the 1×2 machine, and on 2×2, whose clusters each get their own
+    // host thread unless serial.
+    for clusters in [1, 2] {
+        let kernels: Vec<Kernel> = kernels.iter().cycle().take(2 * clusters).cloned().collect();
+        let topo = ClusterTopology::new(clusters, 2);
+        for cluster in [ClusterConfig::new(topo), ClusterConfig::new(topo).serial()] {
+            let what = format!("{clusters}x2 serial={}", cluster.serial_clusters);
+            match RunSpec::many(&kernels).clustered(&cluster).run() {
+                Err(MultiRunError::Cluster(e)) => {
+                    assert_eq!(e.failures.len(), clusters, "{what}: {e}");
+                    for (_, cause) in &e.failures {
+                        assert!(
+                            matches!(
+                                cause,
+                                ClusterFailure::Shard(ShardError::CommLayoutDiverged { name })
+                                    if name == "q"
+                            ),
+                            "{what}: expected CommLayoutDiverged, got {cause}"
+                        );
+                        assert!(cause.to_string().contains("\"q\""), "{what}: {cause}");
+                    }
+                }
+                Err(other) => panic!("{what}: expected a cluster failure, got {other}"),
+                Ok(_) => panic!("{what}: diverging comm layouts must not run"),
+            }
+        }
     }
 }
 

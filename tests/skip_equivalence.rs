@@ -287,8 +287,8 @@ fn identical_config_hetero_machine_is_bit_identical_to_homogeneous() {
 fn mixed_hybrid_cache_chip_skips_bit_identically() {
     // A 2-hybrid/2-cache-based chip: per-tile horizons differ wildly
     // (DMA-phased hybrid tiles skip; cache tiles grind), so this is the
-    // sharpest test of the per-tile horizon heap under heterogeneity —
-    // in both coherence modes.
+    // sharpest test of the per-tile due cycles and lazy clocks under
+    // heterogeneity — in both coherence modes.
     let kernel = nas::cg(Scale::Test);
     for cm in [CoherenceMode::Replicate, CoherenceMode::Mesi] {
         let cfgs = |lockstep: bool| -> Vec<MachineConfig> {
@@ -519,6 +519,128 @@ fn cycle_limit_fires_at_the_same_cycle() {
     assert_eq!(skip_err, hsim::core::pipeline::SimError::CycleLimit);
     assert_eq!(skip_err, lock_err);
     assert_eq!(skip_cycles, lock_cycles, "limit must fire at one cycle");
+}
+
+/// `kernel` sharded over `cores` tiles of `cfg`, each shard compiled for
+/// its tile.
+fn sharded(kernel: &hsim_compiler::Kernel, cores: usize, cfg: &MachineConfig) -> MultiMachine {
+    let shards: Vec<_> = kernel
+        .shard(cores)
+        .expect("the kernel shards")
+        .into_iter()
+        .map(|k| (compile_for_tile(&k, cfg), k))
+        .collect();
+    MultiMachine::for_kernels(cfg.clone(), &shards)
+}
+
+/// Every tile's `(cycle, committed instructions)`.
+fn tile_clocks(m: &MultiMachine) -> Vec<(u64, u64)> {
+    m.tiles
+        .iter()
+        .map(|t| (t.core.now(), t.core.stats.committed))
+        .collect()
+}
+
+#[test]
+fn multicore_errors_leave_every_tile_where_lockstep_does() {
+    // The multicore twin of `cycle_limit_fires_at_the_same_cycle`: a
+    // failing run must stop every tile on the cycle lock-step stops it,
+    // including the tiles whose clocks the scheduler had not yet caught
+    // up. The limits fail different tiles, early and late in the run.
+    use hsim::core::pipeline::SimError;
+    let kernel = nas::cg(Scale::Test);
+    for limit in [5_000, 5_001, 5_002, 7_777] {
+        let run = |lockstep: bool| {
+            let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
+            cfg.core.max_cycles = limit;
+            if lockstep {
+                cfg = cfg.with_lockstep();
+            }
+            let mut m = sharded(&kernel, 4, &cfg);
+            let err = m.run().expect_err("CG cannot finish within the budget");
+            (err, tile_clocks(&m))
+        };
+        let skip = run(false);
+        assert_eq!(skip.0, SimError::CycleLimit, "limit {limit}");
+        assert_eq!(skip, run(true), "limit {limit}: (error, per-tile clocks)");
+    }
+    // Every live tile reaches a cycle limit on the same cycle, so only a
+    // program error can fail a tile that is not first in its cycle's
+    // rotation: tile 2 spins, then returns without a call, while the
+    // others sleep on a chain of dependent DRAM misses. The spin counts
+    // put tile 2 at every rotation position.
+    let sleeper = hsim::isa::asm::assemble(&format!(
+        "
+        li r1, {base}
+        li r2, 0
+        li r3, 64
+    top:
+        ld.d r4, 0(r1)
+        add r1, r1, r4
+        addi r1, r1, 8192
+        addi r2, r2, 1
+        blt r2, r3, top
+        halt
+        ",
+        base = hsim::isa::memmap::DATA_BASE,
+    ))
+    .expect("assembles");
+    let mut positions = Vec::new();
+    for spins in 1000..1004 {
+        let faulty = hsim::isa::asm::assemble(&format!(
+            "
+            li r2, 0
+            li r3, {spins}
+        spin:
+            addi r2, r2, 1
+            blt r2, r3, spin
+            ret
+            halt
+            "
+        ))
+        .expect("assembles");
+        let run = |lockstep: bool| {
+            let mut cfg = MachineConfig::for_mode(SysMode::CacheBased);
+            if lockstep {
+                cfg = cfg.with_lockstep();
+            }
+            let mut programs = vec![sleeper.clone(); 4];
+            programs[2] = faulty.clone();
+            let mut m = Machine::new_multi_hetero(vec![cfg; 4], programs);
+            let err = m.run().expect_err("tile 2 returns without a call");
+            (err, tile_clocks(&m))
+        };
+        let skip = run(false);
+        assert_eq!(skip.0, SimError::RetWithoutCall { pc: 4 }, "{spins} spins");
+        assert_eq!(skip, run(true), "{spins} spins: (error, per-tile clocks)");
+        // The error cuts tile 2's cycle short, so its clock names it.
+        let cycle = skip.1[2].0;
+        positions.push((2 + 4 - cycle % 4) % 4);
+    }
+    positions.sort();
+    assert_eq!(positions, [0, 1, 2, 3], "tile 2's rotation positions");
+}
+
+#[test]
+fn lazy_tile_clocks_advance_only_on_a_wake_up() {
+    // A tile's clock moves in bulk only when it wakes from a quiet tick,
+    // whose horizon scan set the wake-up cycle: never because another
+    // tile executed a cycle. (Advancing every idle tile at every other
+    // tile's cycle costs many advances per scan.)
+    let kernel = nas::cg(Scale::Test);
+    let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
+    for cores in [4, 8] {
+        let mut m = sharded(&kernel, cores, &cfg);
+        let mut prof = hsim::core::HostProfile::default();
+        m.run_profiled(&mut prof).expect("the kernel halts");
+        assert!(prof.advances > 0, "cg x{cores}: no tile ever slept");
+        assert!(
+            prof.advances <= prof.horizon_scans,
+            "cg x{cores}: {} bulk advances for {} horizon scans",
+            prof.advances,
+            prof.horizon_scans
+        );
+    }
 }
 
 /// One timed port call: the cycle it was made at, which call, the
