@@ -57,7 +57,7 @@ pub fn interpret(kernel: &Kernel) -> Result<Vec<Vec<u64>>, InterpError> {
         .iter()
         .zip(&kernel.init)
         .map(|(decl, init)| {
-            let mut v = init.clone();
+            let mut v = init.to_vec();
             v.resize(decl.len as usize, 0);
             v
         })

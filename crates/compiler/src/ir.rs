@@ -12,6 +12,7 @@
 
 use crate::alias::AliasOracle;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Index of an array within a kernel.
 pub type ArrayId = usize;
@@ -220,8 +221,12 @@ pub struct Kernel {
     /// What the compiler's alias analysis can prove (per array pair).
     pub alias: AliasOracle,
     /// Initial contents per array, as raw 64-bit element bits. Shorter
-    /// vectors are zero-extended to the array length.
-    pub init: Vec<Vec<u64>>,
+    /// buffers are zero-extended to the array length. The buffers are
+    /// shared, read-only: cloning a kernel — and sharding it, for every
+    /// array it replicates whole — bumps reference counts instead of
+    /// copying tables, and a machine loads a buffer that several of its
+    /// tiles place at one address into one set of shared page frames.
+    pub init: Vec<Arc<[u64]>>,
 }
 
 /// Validation errors for kernels.
@@ -463,8 +468,12 @@ impl Kernel {
     /// plus a `max(d)`-element halo so offset reads stay in bounds —
     /// the shards' written working sets are disjoint. Arrays accessed
     /// only iteration-independently — scalars and indirection targets —
-    /// are replicated whole into each shard (private per-core copies;
-    /// gathered tables must stay fully indexable). An array accessed
+    /// are replicated whole into each shard (gathered tables must stay
+    /// fully indexable). A replicated array keeps the parent's initial
+    /// data buffer, so every shard's [`Kernel::init`] entry for it is
+    /// the same `Arc`; each core still sees a private copy, because the
+    /// machine maps that one buffer copy-on-write. Sliced arrays get
+    /// buffers of their own. An array accessed
     /// *both* ways admits no consistent slicing and makes the kernel
     /// unshardable ([`ShardError::MixedIndexing`]); silently replicating
     /// it would desynchronize its indices from the sliced arrays'.
@@ -645,14 +654,14 @@ impl Kernel {
                     decl.shared = n > 1 && !written[id];
                     continue;
                 };
-                // Slice the declaration and its (possibly zero-extended)
-                // initial data to this shard's iteration window plus the
-                // halo its widest offset reference reaches into.
+                // Slice the declaration and its initial data to this
+                // shard's iteration window plus the halo its widest
+                // offset reference reaches into. Data past the parent's
+                // buffer stays implicit zero-extension.
                 decl.len = len + halo;
                 let src = &self.init[id];
-                k.init[id] = (start..end + halo)
-                    .map(|i| src.get(i as usize).copied().unwrap_or(0))
-                    .collect();
+                let hi = ((end + halo) as usize).min(src.len());
+                k.init[id] = src[(start as usize).min(hi)..hi].into();
             }
             debug_assert!(k.validate().is_ok(), "shard must stay well-formed");
             shards.push(k);
@@ -698,12 +707,12 @@ impl KernelBuilder {
 
     /// Declares an `f64` array initialized to zero.
     pub fn array_f64(&mut self, name: &str, len: u64) -> ArrayId {
-        self.push_array(name, Elem::F64, len, Vec::new())
+        self.push_array(name, Elem::F64, len, Arc::from([]))
     }
 
     /// Declares an `i64` array initialized to zero.
     pub fn array_i64(&mut self, name: &str, len: u64) -> ArrayId {
-        self.push_array(name, Elem::I64, len, Vec::new())
+        self.push_array(name, Elem::I64, len, Arc::from([]))
     }
 
     /// Declares an `f64` array with initial values.
@@ -718,7 +727,7 @@ impl KernelBuilder {
         self.push_array(name, Elem::I64, data.len() as u64, bits)
     }
 
-    fn push_array(&mut self, name: &str, elem: Elem, len: u64, init: Vec<u64>) -> ArrayId {
+    fn push_array(&mut self, name: &str, elem: Elem, len: u64, init: Arc<[u64]>) -> ArrayId {
         self.kernel.arrays.push(ArrayDecl {
             name: name.to_string(),
             elem,
@@ -967,18 +976,18 @@ mod tests {
             [4, 3, 3]
         );
         // Streamed arrays are sliced disjointly...
-        assert_eq!(shards[0].init[a], vec![0, 1, 2, 3]);
-        assert_eq!(shards[1].init[a], vec![4, 5, 6]);
-        assert_eq!(shards[2].init[a], vec![7, 8, 9]);
+        assert_eq!(*shards[0].init[a], [0, 1, 2, 3]);
+        assert_eq!(*shards[1].init[a], [4, 5, 6]);
+        assert_eq!(*shards[2].init[a], [7, 8, 9]);
         assert_eq!(shards[1].arrays[a].len, 3);
         // ...including the index stream...
-        assert_eq!(shards[2].init[idx], vec![1, 2, 0]);
+        assert_eq!(*shards[2].init[idx], [1, 2, 0]);
         // ...while the gathered table stays whole in every shard, and —
         // being read-only — is marked cross-core shared; the sliced and
         // written arrays are not.
         for s in &shards {
             assert_eq!(s.arrays[table].len, 3);
-            assert_eq!(s.init[table], vec![7, 8, 9]);
+            assert_eq!(*s.init[table], [7, 8, 9]);
             assert!(s.arrays[table].shared, "read-only table is shared");
             assert!(!s.arrays[a].shared, "sliced arrays stay private");
             assert!(!s.arrays[idx].shared, "sliced arrays stay private");
@@ -1037,7 +1046,7 @@ mod tests {
         }
         // The halo keeps offset reads index-consistent: shard 1 starts at
         // original element 5.
-        assert_eq!(shards[1].init[a], vec![5, 6, 7, 8, 9, 10, 11]);
+        assert_eq!(*shards[1].init[a], [5, 6, 7, 8, 9, 10, 11]);
     }
 
     #[test]
@@ -1148,6 +1157,37 @@ mod tests {
         kb.build().unwrap()
     }
 
+    /// Whether two initial-data buffers are one allocation.
+    fn same_buffer(a: &[u64], b: &[u64]) -> bool {
+        std::ptr::eq(a, b)
+    }
+
+    #[test]
+    fn shards_share_replicated_init_buffers_and_own_their_slices() {
+        let k = gather_kernel(32);
+        let (sliced, table) = ([0, 1], 2);
+        let check = |s: &Kernel| {
+            assert!(
+                same_buffer(&s.init[table], &k.init[table]),
+                "{}: the replicated table must be the parent's buffer",
+                s.name
+            );
+            for id in sliced {
+                assert!(
+                    !same_buffer(&s.init[id], &k.init[id]),
+                    "{}: a sliced array must own its buffer",
+                    s.name
+                );
+            }
+        };
+        let flat = k.shard(4).unwrap();
+        let clustered = k.shard_clustered(2, 8).unwrap();
+        assert_eq!(clustered.iter().flatten().count(), 16);
+        flat.iter()
+            .chain(clustered.iter().flatten())
+            .for_each(check);
+    }
+
     #[test]
     fn weighted_shards_split_proportionally() {
         let k = gather_kernel(12);
@@ -1157,9 +1197,9 @@ mod tests {
             [6, 3, 3]
         );
         // Slices stay disjoint and in order.
-        assert_eq!(shards[0].init[0], (0..6).collect::<Vec<u64>>());
-        assert_eq!(shards[1].init[0], (6..9).collect::<Vec<u64>>());
-        assert_eq!(shards[2].init[0], (9..12).collect::<Vec<u64>>());
+        assert_eq!(*shards[0].init[0], *(0..6).collect::<Vec<u64>>());
+        assert_eq!(*shards[1].init[0], *(6..9).collect::<Vec<u64>>());
+        assert_eq!(*shards[2].init[0], *(9..12).collect::<Vec<u64>>());
         // The gathered table stays whole and shared in every shard.
         for s in &shards {
             assert!(s.arrays[2].shared);

@@ -11,7 +11,11 @@
 //!   test suite check the coherence protocol end to end by comparing
 //!   final memory images across machine configurations. Pages are 4 KiB
 //!   and allocated on first touch; a one-entry translation cache makes
-//!   the common sequential-access pattern cheap.
+//!   the common sequential-access pattern cheap. A page may also be a
+//!   read-only frame shared with other memories ([`SharedPages`]): a
+//!   read-only table replicated into every tile is stored once, and the
+//!   first write to such a page copies it, so each memory stays
+//!   private.
 //! * [`DramController`] — the **timing** model of the memory channel the
 //!   shared backside reads and writes through: per-DRAM-bank row buffers
 //!   with an open-row policy (row hit / row miss / row conflict
@@ -38,6 +42,8 @@ use crate::fault::{FaultConfig, FaultRoller, FaultSite};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
+use std::sync::Arc;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -46,6 +52,13 @@ const OFFSET_MASK: u64 = (PAGE_SIZE - 1) as u64;
 /// The memo's empty sentinel: page numbers are `addr >> 12`, so a real
 /// page can never equal it.
 const NO_PAGE: u64 = u64::MAX;
+
+/// Tags a frame slot as an index into the shared frames rather than the
+/// private ones.
+const SHARED: usize = 1 << (usize::BITS - 1);
+
+/// One 4 KiB page frame.
+type Frame = [u8; PAGE_SIZE];
 
 /// Hashes a page number by one multiplication. Page numbers come from
 /// the simulated program's addresses, not from outside input, and the
@@ -72,14 +85,22 @@ impl Hasher for PageHasher {
 
 /// Sparse paged memory. Reads of untouched memory return zero.
 ///
-/// Frames live in a dense `Vec`; a `HashMap` translates page numbers to
-/// frame slots, and a one-entry `(page, slot)` memo short-circuits the
-/// map on the sequential access patterns that dominate kernel traffic
-/// (both reads and writes).
+/// A frame is private or shared. Private frames are boxed in a dense
+/// `Vec` and written in place. Shared frames are read-only `Arc`s mapped
+/// from a [`SharedPages`] image that other memories map too, so a table
+/// replicated into every tile is stored once; the first write to a
+/// shared page copies it into a private frame, so no memory ever sees
+/// another's stores. A `HashMap` translates page numbers to frame slots,
+/// whose top bit says which kind the frame is, and a one-entry
+/// `(page, slot)` memo short-circuits the map on the sequential access
+/// patterns that dominate kernel traffic (both reads and writes).
 pub struct PagedMem {
-    /// Page frames, indexed by the slots stored in `index`.
-    pages: Vec<Box<[u8; PAGE_SIZE]>>,
-    /// Page number → frame slot in `pages`.
+    /// Private frames, indexed by the untagged slots in `index`.
+    pages: Vec<Box<Frame>>,
+    /// Shared frames with their page numbers, indexed by the
+    /// `SHARED`-tagged slots in `index`.
+    shared: Vec<(u64, Arc<Frame>)>,
+    /// Page number → frame slot.
     index: HashMap<u64, usize, BuildHasherDefault<PageHasher>>,
     /// One-entry translation memo: the last resident page touched, as
     /// `(page number, frame slot)`. A `Cell` so the read path (`&self`)
@@ -91,9 +112,57 @@ impl Default for PagedMem {
     fn default() -> Self {
         PagedMem {
             pages: Vec::new(),
+            shared: Vec::new(),
             index: HashMap::default(),
             last: Cell::new((NO_PAGE, 0)),
         }
+    }
+}
+
+/// A read-only image of initial words, cut into page frames once so that
+/// several memories can map it ([`PagedMem::map_shared`]) instead of each
+/// storing a copy. Pages whose words are all zero get no frame.
+pub struct SharedPages {
+    /// `(page number, the image's bytes within the page, frame)`.
+    frames: Vec<(u64, Range<usize>, Arc<Frame>)>,
+}
+
+impl SharedPages {
+    /// Cuts `words`, stored little-endian from `base` (8-byte aligned),
+    /// into page frames.
+    pub fn from_words(base: u64, words: &[u64]) -> Self {
+        let frames = page_runs(base, words)
+            .filter(|(_, _, run)| run.iter().any(|&w| w != 0))
+            .map(|(pn, off, run)| {
+                let mut frame = [0; PAGE_SIZE];
+                fill(&mut frame[off..], run);
+                (pn, off..off + run.len() * 8, Arc::new(frame))
+            })
+            .collect();
+        SharedPages { frames }
+    }
+}
+
+/// Splits `words`, stored from `base`, into per-page runs:
+/// `(page number, byte offset within the page, the run's words)`.
+fn page_runs(base: u64, words: &[u64]) -> impl Iterator<Item = (u64, usize, &[u64])> {
+    assert_eq!(base % 8, 0, "a word image must be 8-byte aligned");
+    let (mut addr, mut rest) = (base, words);
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let (pn, off) = PagedMem::page_of(addr);
+        let (run, tail) = rest.split_at(rest.len().min((PAGE_SIZE - off) / 8));
+        (addr, rest) = (addr + run.len() as u64 * 8, tail);
+        Some((pn, off, run))
+    })
+}
+
+/// Writes `words` little-endian to the start of `dst`.
+fn fill(dst: &mut [u8], words: &[u64]) {
+    for (d, w) in dst.chunks_exact_mut(8).zip(words) {
+        d.copy_from_slice(&w.to_le_bytes());
     }
 }
 
@@ -103,9 +172,47 @@ impl PagedMem {
         Self::default()
     }
 
-    /// Number of resident (touched) pages.
+    /// Number of resident (touched or mapped) pages.
     pub fn resident_pages(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Resident pages held in frames of this memory's own.
+    pub fn private_pages(&self) -> usize {
         self.pages.len()
+    }
+
+    /// Resident pages mapped from a [`SharedPages`] image and not written
+    /// since.
+    pub fn shared_pages(&self) -> usize {
+        self.shared.len()
+    }
+
+    /// Stores `words` little-endian from `base` (8-byte aligned), one
+    /// page lookup per page. A page whose run is all zero is skipped: in
+    /// fresh memory it already reads as zero, so initial data allocates
+    /// frames only where it holds a non-zero word.
+    pub fn load_words(&mut self, base: u64, words: &[u64]) {
+        for (pn, off, run) in page_runs(base, words) {
+            if run.iter().any(|&w| w != 0) {
+                fill(&mut self.page_mut(pn)[off..], run);
+            }
+        }
+    }
+
+    /// Maps every frame of `image` into this memory. A page already
+    /// resident here keeps its own frame and takes the image's bytes by
+    /// copy, so the result always equals [`PagedMem::load_words`] of the
+    /// image's words.
+    pub fn map_shared(&mut self, image: &SharedPages) {
+        for (pn, run, frame) in &image.frames {
+            if self.index.contains_key(pn) {
+                self.page_mut(*pn)[run.clone()].copy_from_slice(&frame[run.clone()]);
+            } else {
+                self.index.insert(*pn, self.shared.len() | SHARED);
+                self.shared.push((*pn, Arc::clone(frame)));
+            }
+        }
     }
 
     #[inline]
@@ -125,25 +232,48 @@ impl PagedMem {
         Some(slot)
     }
 
-    /// The resident frame for `pn`, if any.
+    /// The resident frame for `pn`, if any. A `SHARED`-tagged slot is
+    /// past the end of `pages`, so the bounds check that finds a private
+    /// frame is also the test of the frame's kind.
     #[inline]
-    fn page(&self, pn: u64) -> Option<&[u8; PAGE_SIZE]> {
-        self.slot_of(pn).map(|s| &*self.pages[s])
+    fn page(&self, pn: u64) -> Option<&Frame> {
+        let slot = self.slot_of(pn)?;
+        Some(match self.pages.get(slot) {
+            Some(private) => private,
+            None => &self.shared[slot ^ SHARED].1,
+        })
     }
 
-    /// The frame for `pn`, allocating (and memoizing) on first touch.
-    fn page_mut(&mut self, pn: u64) -> &mut [u8; PAGE_SIZE] {
-        let slot = match self.slot_of(pn) {
-            Some(s) => s,
-            None => {
-                let s = self.pages.len();
-                self.pages.push(Box::new([0; PAGE_SIZE]));
-                self.index.insert(pn, s);
-                self.last.set((pn, s));
-                s
+    /// The private frame for `pn`, allocating (and memoizing) one on
+    /// first touch or on the first write to a shared page.
+    fn page_mut(&mut self, pn: u64) -> &mut Frame {
+        match self.slot_of(pn) {
+            Some(s) if s < self.pages.len() => &mut self.pages[s],
+            found => self.make_private(pn, found),
+        }
+    }
+
+    /// Gives `pn` a private frame — zeroed, or a copy of the shared frame
+    /// at slot `found` — and returns it.
+    #[cold]
+    #[inline(never)]
+    fn make_private(&mut self, pn: u64, found: Option<usize>) -> &mut Frame {
+        let frame = match found {
+            None => Box::new([0; PAGE_SIZE]),
+            Some(tagged) => {
+                let (_, shared) = self.shared.swap_remove(tagged ^ SHARED);
+                // The last shared frame moved into the vacated slot.
+                if let Some(&(moved, _)) = self.shared.get(tagged ^ SHARED) {
+                    self.index.insert(moved, tagged);
+                }
+                Box::new(*shared)
             }
         };
-        &mut self.pages[slot]
+        let s = self.pages.len();
+        self.pages.push(frame);
+        self.index.insert(pn, s);
+        self.last.set((pn, s));
+        &mut self.pages[s]
     }
 
     /// Reads one byte.
@@ -175,7 +305,14 @@ impl PagedMem {
             }
             return [0u8; N];
         }
-        // Page-crossing access: byte-by-byte (rare).
+        self.read_crossing(addr)
+    }
+
+    /// A page-crossing read, byte by byte: rare, so kept out of line to
+    /// leave the common path small enough to inline.
+    #[cold]
+    #[inline(never)]
+    fn read_crossing<const N: usize>(&self, addr: u64) -> [u8; N] {
         let mut out = [0u8; N];
         for (i, b) in out.iter_mut().enumerate() {
             *b = self.read_u8(addr + i as u64);
@@ -190,6 +327,13 @@ impl PagedMem {
             self.page_mut(pn)[off..off + bytes.len()].copy_from_slice(bytes);
             return;
         }
+        self.write_crossing(addr, bytes);
+    }
+
+    /// A page-crossing write, byte by byte (see `read_crossing`).
+    #[cold]
+    #[inline(never)]
+    fn write_crossing(&mut self, addr: u64, bytes: &[u8]) {
         for (i, b) in bytes.iter().enumerate() {
             self.write_u8(addr + i as u64, *b);
         }
@@ -244,19 +388,39 @@ impl PagedMem {
     }
 
     /// Copies `len` bytes from `src` to `dst` (the functional effect of a
-    /// DMA transfer). Ranges may overlap; the copy behaves like
-    /// `memmove`.
+    /// DMA transfer), one chunk at a time, no chunk crossing a page of
+    /// either range. Ranges may overlap; the copy behaves like `memmove`.
+    /// Writing a shared page copies it first, like any other store.
     pub fn copy(&mut self, dst: u64, src: u64, len: u64) {
         if len == 0 || dst == src {
             return;
         }
-        // Buffer through a temporary to get memmove semantics over the
-        // sparse pages. DMA transfers are at most tens of KiB.
-        let mut tmp = vec![0u8; len as usize];
-        for (i, b) in tmp.iter_mut().enumerate() {
-            *b = self.read_u8(src + i as u64);
+        // Walking away from the overlap — from the end when `dst` lies
+        // inside the source — reads every source byte before a chunk
+        // overwrites it.
+        let backwards = dst > src && dst - src < len;
+        let mut chunk = [0u8; PAGE_SIZE];
+        let mut left = len;
+        while left > 0 {
+            let (at, n) = if backwards {
+                // The last bytes left, back to the nearer page start.
+                let room = |a: u64| ((a + left - 1) & OFFSET_MASK) + 1;
+                let n = left.min(room(src)).min(room(dst));
+                (left - n, n)
+            } else {
+                let at = len - left;
+                let room = |a: u64| PAGE_SIZE as u64 - ((a + at) & OFFSET_MASK);
+                (at, left.min(room(src)).min(room(dst)))
+            };
+            let buf = &mut chunk[..n as usize];
+            let (pn, off) = Self::page_of(src + at);
+            match self.page(pn) {
+                Some(p) => buf.copy_from_slice(&p[off..off + buf.len()]),
+                None => buf.fill(0),
+            }
+            self.write_bytes(dst + at, buf);
+            left -= n;
         }
-        self.write_bytes(dst, &tmp);
     }
 
     /// Computes a FNV-1a checksum of `[addr, addr+len)`; used by tests to
@@ -763,6 +927,132 @@ mod tests {
         assert_eq!(m.read_u8(0x20), 0);
         m.copy(0x10, 0x10, 8);
         assert_eq!(m.read_u8(0x10), 7);
+    }
+
+    /// Pages 0..7 hold a byte pattern; page 7 was never touched.
+    fn patterned() -> (PagedMem, Vec<u8>) {
+        let mut flat: Vec<u8> = (0..8 * PAGE_SIZE)
+            .map(|i| (i * 7 + i / 4096) as u8)
+            .collect();
+        flat[7 * PAGE_SIZE..].fill(0);
+        let mut m = PagedMem::new();
+        for (i, &b) in flat[..7 * PAGE_SIZE].iter().enumerate() {
+            m.write_u8(i as u64, b);
+        }
+        (m, flat)
+    }
+
+    /// `copy(dst, src, len)` leaves every byte as `copy_within` does.
+    fn copy_matches_memmove(dst: u64, src: u64, len: u64) {
+        let (mut m, mut flat) = patterned();
+        m.copy(dst, src, len);
+        flat.copy_within(src as usize..(src + len) as usize, dst as usize);
+        for (i, &b) in flat.iter().enumerate() {
+            let at = i as u64;
+            assert_eq!(
+                m.read_u8(at),
+                b,
+                "byte {at:#x} after copy({dst:#x}, {src:#x}, {len})"
+            );
+        }
+    }
+
+    #[test]
+    fn overlapping_copies_across_pages_are_memmove() {
+        copy_matches_memmove(0x0a30, 0x0100, 0x2345); // dst inside the source
+        copy_matches_memmove(0x0100, 0x0a30, 0x2345); // src inside the destination
+        copy_matches_memmove(0x1008, 0x1000, 0x3000); // one word apart
+        copy_matches_memmove(0x0ff8, 0x1000, 0x3000);
+    }
+
+    #[test]
+    fn page_crossing_copy() {
+        copy_matches_memmove(0x2ffc, 0x0ffa, 0x20);
+        copy_matches_memmove(0x5001, 0x3ffe, 0x7);
+    }
+
+    #[test]
+    fn multi_page_copy() {
+        copy_matches_memmove(0x4003, 0x0007, 0x3800);
+        // Part of the source lies on the untouched page: it copies zeros.
+        copy_matches_memmove(0x0010, 0x6ff0, 0x1000);
+    }
+
+    #[test]
+    fn load_words_allocates_only_pages_holding_a_non_zero_word() {
+        let mut words = vec![0u64; 3 * 512];
+        words[700] = 9; // page 1 only
+        let mut m = PagedMem::new();
+        m.load_words(0x4000, &words);
+        assert_eq!(m.resident_pages(), 1);
+        assert_eq!(m.read_u64(0x4000 + 700 * 8), 9);
+        // Unaligned to a page: the runs follow the page boundaries.
+        let words: Vec<u64> = (1..=600).collect();
+        m.load_words(0x8ff8, &words);
+        assert_eq!(m.read_u64(0x8ff8), 1);
+        assert_eq!(m.read_u64(0x9000), 2);
+        assert_eq!(m.read_u64(0x8ff8 + 599 * 8), 600);
+        assert_eq!(m.resident_pages(), 4);
+    }
+
+    #[test]
+    fn a_shared_image_reads_like_loaded_words() {
+        let words: Vec<u64> = (0..1500u64)
+            .map(|i| if i < 512 { 0 } else { i * 3 })
+            .collect();
+        let image = SharedPages::from_words(0x2_0000, &words);
+        let (mut shared, mut loaded) = (PagedMem::new(), PagedMem::new());
+        // A page already resident keeps its frame and takes the image's
+        // bytes; the rest are mapped.
+        shared.write_u64(0x2_1ff8, 77);
+        loaded.write_u64(0x2_1ff8, 77);
+        shared.map_shared(&image);
+        loaded.load_words(0x2_0000, &words);
+        assert_eq!((shared.private_pages(), shared.shared_pages()), (1, 1));
+        assert_eq!(shared.resident_pages(), loaded.resident_pages());
+        assert_eq!(
+            shared.checksum(0x2_0000, 0x3000),
+            loaded.checksum(0x2_0000, 0x3000)
+        );
+    }
+
+    #[test]
+    fn copy_onto_a_shared_frame_leaves_the_other_mappings_alone() {
+        let table: Vec<u64> = (1..=1024).collect(); // two pages
+        let image = SharedPages::from_words(0x1_0000, &table);
+        let (mut a, mut b) = (PagedMem::new(), PagedMem::new());
+        a.map_shared(&image);
+        b.map_shared(&image);
+        // A `dma-put` of one word from `a`'s private buffer into the table.
+        a.write_u64(0x800, 0xdead);
+        a.copy(0x1_0008, 0x800, 8);
+        assert_eq!(a.read_u64(0x1_0008), 0xdead);
+        assert_eq!(a.read_u64(0x1_0010), 3, "the rest of the page was copied");
+        assert_eq!((a.private_pages(), a.shared_pages()), (2, 1));
+        assert_eq!(b.read_u64(0x1_0008), 2, "the other memory is unchanged");
+        assert_eq!((b.private_pages(), b.shared_pages()), (0, 2));
+    }
+
+    #[test]
+    fn copy_on_write_keeps_every_other_shared_page_in_place() {
+        // Writing the first of three shared pages moves the last one into
+        // its slot; both survivors must still resolve, memo or not.
+        let table: Vec<u64> = (0..3 * 512).map(|i| i + 1).collect();
+        let mut m = PagedMem::new();
+        m.map_shared(&SharedPages::from_words(0, &table));
+        assert_eq!(m.read_u64(2 * 4096), 1025);
+        m.write_u64(0, 42);
+        for page in 1..3u64 {
+            assert_eq!(m.read_u64(page * 4096 + 8), page * 512 + 2);
+        }
+        m.write_u64(2 * 4096, 7);
+        m.write_u64(4096, 8);
+        assert_eq!(
+            (m.read_u64(0), m.read_u64(4096), m.read_u64(2 * 4096)),
+            (42, 8, 7)
+        );
+        assert_eq!((m.private_pages(), m.shared_pages()), (3, 0));
+        assert_eq!(m.read_u64(4096 + 16), 515);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! * [`backing`] — everything behind the last-level cache: the functional
 //!   64-bit address space (sparse paged memory — caches are *timing*
 //!   models; data always lives here, which is what makes the end-to-end
-//!   coherence checks possible) and the [`DramController`] timing model
+//!   coherence checks possible; read-only tables can be mapped into many
+//!   memories as copy-on-write [`SharedPages`]) and the
+//!   [`DramController`] timing model
 //!   (per-bank row buffers, open-row policy, bounded posted-write queue
 //!   with FR-FCFS-style hit-first draining).
 //! * [`cache`] — set-associative cache arrays with LRU replacement,
@@ -59,7 +61,9 @@ pub mod prefetch;
 pub mod tile;
 pub mod tlb;
 
-pub use backing::{DramConfig, DramController, DramStats, DramTiming, PagedMem, RowOutcome};
+pub use backing::{
+    DramConfig, DramController, DramStats, DramTiming, PagedMem, RowOutcome, SharedPages,
+};
 pub use backside::{BacksideCoreStats, CoherenceStats, SharedBackside};
 pub use cache::{AccessKind, Cache, CacheConfig, CacheStats, WritePolicy};
 pub use config::{

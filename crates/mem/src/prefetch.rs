@@ -82,11 +82,14 @@ impl StreamPrefetcher {
         }
     }
 
-    /// Observes a demand access from `pc` to `addr` and returns the list
-    /// of line addresses to prefetch (empty while training or disabled).
-    pub fn observe(&mut self, pc: u64, addr: u64, line_bytes: u64) -> Vec<u64> {
+    /// Observes a demand access from `pc` to `addr` and replaces the
+    /// contents of `out` with the line addresses to prefetch (none while
+    /// training or disabled). The caller keeps `out` across calls, so a
+    /// trained stream allocates nothing.
+    pub fn observe(&mut self, pc: u64, addr: u64, line_bytes: u64, out: &mut Vec<u64>) {
+        out.clear();
         if !self.cfg.enabled {
-            return Vec::new();
+            return;
         }
         self.stats.observations += 1;
         // Instructions are 8-byte aligned: hash on the instruction index
@@ -104,12 +107,12 @@ impl StreamPrefetcher {
                 stride: 0,
                 confidence: 0,
             };
-            return Vec::new();
+            return;
         }
         let stride = addr as i64 - e.last_addr as i64;
         e.last_addr = addr;
         if stride == 0 {
-            return Vec::new();
+            return;
         }
         if stride == e.stride {
             e.confidence = e.confidence.saturating_add(1);
@@ -118,14 +121,13 @@ impl StreamPrefetcher {
             e.confidence = 0;
         }
         if e.confidence < self.cfg.train_threshold {
-            return Vec::new();
+            return;
         }
         // Confident: prefetch `degree` lines starting `distance` *lines*
         // ahead in the stream's direction. Small strides advance less
         // than a line per access, so the lookahead must be line-granular
         // for the prefetch to stay ahead of the demand stream
         // (timeliness). Strides larger than a line use the stride itself.
-        let mut out = Vec::with_capacity(self.cfg.degree as usize);
         let line_mask = !(line_bytes - 1);
         let step = if stride.unsigned_abs() >= line_bytes {
             stride
@@ -143,7 +145,6 @@ impl StreamPrefetcher {
             }
         }
         self.stats.issued += out.len() as u64;
-        out
     }
 
     /// Fraction of observations that collided in the table (0..1).
@@ -170,15 +171,23 @@ mod tests {
         })
     }
 
+    /// One observation of 64-byte lines, into a buffer holding stale
+    /// contents that it must replace.
+    fn obs(p: &mut StreamPrefetcher, pc: u64, addr: u64) -> Vec<u64> {
+        let mut out = vec![0xdead];
+        p.observe(pc, addr, 64, &mut out);
+        out
+    }
+
     #[test]
     fn trains_on_constant_stride() {
         let mut p = pf(16);
         let pc = 0x400;
         // stride 64: needs 1 (allocate) + 2 (train) observations.
-        assert!(p.observe(pc, 0x1000, 64).is_empty());
-        assert!(p.observe(pc, 0x1040, 64).is_empty()); // stride learned, conf=0
-        assert!(p.observe(pc, 0x1080, 64).is_empty()); // conf=1
-        let v = p.observe(pc, 0x10c0, 64); // conf=2 -> prefetch
+        assert!(obs(&mut p, pc, 0x1000).is_empty());
+        assert!(obs(&mut p, pc, 0x1040).is_empty()); // stride learned, conf=0
+        assert!(obs(&mut p, pc, 0x1080).is_empty()); // conf=1
+        let v = obs(&mut p, pc, 0x10c0); // conf=2 -> prefetch
         assert_eq!(v, vec![0x10c0 + 4 * 64, 0x10c0 + 5 * 64]);
     }
 
@@ -186,13 +195,13 @@ mod tests {
     fn stride_change_resets_confidence() {
         let mut p = pf(16);
         let pc = 0x400;
-        p.observe(pc, 0x1000, 64);
-        p.observe(pc, 0x1040, 64);
-        p.observe(pc, 0x1080, 64);
-        assert!(!p.observe(pc, 0x10c0, 64).is_empty());
+        obs(&mut p, pc, 0x1000);
+        obs(&mut p, pc, 0x1040);
+        obs(&mut p, pc, 0x1080);
+        assert!(!obs(&mut p, pc, 0x10c0).is_empty());
         // Irregular jump: confidence resets, no prefetch.
-        assert!(p.observe(pc, 0x9000, 64).is_empty());
-        assert!(p.observe(pc, 0x9040, 64).is_empty());
+        assert!(obs(&mut p, pc, 0x9000).is_empty());
+        assert!(obs(&mut p, pc, 0x9040).is_empty());
     }
 
     #[test]
@@ -201,10 +210,10 @@ mod tests {
         let pc = 0x8;
         // stride 8 within a 64B line: distance 4 & 5 strides ahead both in
         // the same or adjacent line; duplicates must be removed.
-        p.observe(pc, 0x1000, 64);
-        p.observe(pc, 0x1008, 64);
-        p.observe(pc, 0x1010, 64);
-        let v = p.observe(pc, 0x1018, 64);
+        obs(&mut p, pc, 0x1000);
+        obs(&mut p, pc, 0x1008);
+        obs(&mut p, pc, 0x1010);
+        let v = obs(&mut p, pc, 0x1018);
         assert!(!v.is_empty());
         let mut sorted = v.clone();
         sorted.dedup();
@@ -221,7 +230,7 @@ mod tests {
             for s in 0..8u64 {
                 let pc = 0x100 + s * 8;
                 let addr = 0x10000 * s + round * 64;
-                issued += p.observe(pc, addr, 64).len();
+                issued += obs(&mut p, pc, addr).len();
             }
         }
         assert_eq!(issued, 0, "thrashed table must never train");
@@ -237,7 +246,7 @@ mod tests {
             for s in 0..8u64 {
                 let pc = 0x100 + s * 8;
                 let addr = 0x10000 * s + round * 64;
-                issued += p.observe(pc, addr, 64).len();
+                issued += obs(&mut p, pc, addr).len();
             }
         }
         assert!(issued > 0, "8 streams fit a 64-entry table");
@@ -250,7 +259,7 @@ mod tests {
             ..PrefetchConfig::default()
         });
         for i in 0..10 {
-            assert!(p.observe(0x4, 0x1000 + i * 64, 64).is_empty());
+            assert!(obs(&mut p, 0x4, 0x1000 + i * 64).is_empty());
         }
         assert_eq!(p.stats.observations, 0);
     }
@@ -259,7 +268,7 @@ mod tests {
     fn zero_stride_never_prefetches() {
         let mut p = pf(16);
         for _ in 0..10 {
-            assert!(p.observe(0x4, 0x1000, 64).is_empty());
+            assert!(obs(&mut p, 0x4, 0x1000).is_empty());
         }
     }
 
@@ -267,10 +276,10 @@ mod tests {
     fn negative_stride_streams_train() {
         let mut p = pf(16);
         let pc = 0x40;
-        p.observe(pc, 0x10000, 64);
-        p.observe(pc, 0x10000 - 64, 64);
-        p.observe(pc, 0x10000 - 128, 64);
-        let v = p.observe(pc, 0x10000 - 192, 64);
+        obs(&mut p, pc, 0x10000);
+        obs(&mut p, pc, 0x10000 - 64);
+        obs(&mut p, pc, 0x10000 - 128);
+        let v = obs(&mut p, pc, 0x10000 - 192);
         assert!(!v.is_empty());
         assert!(v[0] < 0x10000 - 192);
     }

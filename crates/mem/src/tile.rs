@@ -43,6 +43,8 @@ pub struct MemSystem {
     pub mshr: MshrFile,
     /// IP-based stream prefetcher.
     pub prefetcher: StreamPrefetcher,
+    /// The prefetcher's output buffer, reused by every demand access.
+    prefetch_targets: Vec<u64>,
     /// Data TLB (bypassed by LM accesses).
     pub tlb: Tlb,
     /// Local memory, when configured.
@@ -81,6 +83,7 @@ impl MemSystem {
             l2: Cache::new(cfg.l2.clone()),
             mshr: MshrFile::new(cfg.mshr_entries),
             prefetcher: StreamPrefetcher::new(cfg.prefetch.clone()),
+            prefetch_targets: Vec::new(),
             tlb: Tlb::new(cfg.tlb.clone()),
             lm: cfg.lm.clone().map(LocalMem::new),
             dmac: Dmac::with_faults(cfg.dma.clone(), &cfg.fault, core_id as u64),
@@ -203,10 +206,12 @@ impl MemSystem {
         // access so a just-prefetched line does not count as a demand hit
         // for the line that triggered it.
         let line_bytes = self.cfg.l1d.line_bytes;
-        let targets = self.prefetcher.observe(pc, addr, line_bytes);
-        for t in targets {
+        let mut targets = std::mem::take(&mut self.prefetch_targets);
+        self.prefetcher.observe(pc, addr, line_bytes, &mut targets);
+        for &t in &targets {
             self.prefetch_line(now, t);
         }
+        self.prefetch_targets = targets;
 
         let kind = if write {
             AccessKind::Write

@@ -28,9 +28,11 @@ use hsim_core::{
 };
 use hsim_isa::memmap::{MemoryMap, Region};
 use hsim_isa::{Program, Route, Width};
-use hsim_mem::{Level, MemConfig, MemSystem, PagedMem, SharedBackside};
+use hsim_mem::{Level, MemConfig, MemSystem, PagedMem, SharedBackside, SharedPages};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Which of the evaluation's three systems to simulate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -149,7 +151,9 @@ pub struct World {
     pub mem: MemSystem,
     /// The coherence directory (hybrid modes only).
     pub dir: Option<Directory>,
-    /// The functional backing store.
+    /// The functional backing store: this tile's own memory, though a
+    /// read-only table may sit in frames shared copy-on-write with other
+    /// tiles.
     pub backing: PagedMem,
     /// The runtime coherence checker, when enabled.
     pub tracker: Option<Tracker>,
@@ -222,15 +226,12 @@ impl Machine {
         m
     }
 
-    /// Writes the kernel's initial array data into the backing store.
+    /// Writes the kernel's initial array data into the backing store, a
+    /// page at a time.
     pub fn load_data(&mut self, ck: &CompiledKernel, kernel: &Kernel) {
         for (id, init) in kernel.init.iter().enumerate() {
             let base = ck.layout.arrays[id].base;
-            for (i, bits) in init.iter().enumerate() {
-                if *bits != 0 {
-                    self.world.backing.write_u64(base + i as u64 * 8, *bits);
-                }
-            }
+            self.world.backing.load_words(base, init);
         }
     }
 
@@ -413,11 +414,47 @@ impl MultiMachine {
             })
             .collect();
         let mut m = Machine::new_multi_hetero(cfgs, programs);
-        for (tile, (ck, kernel)) in m.tiles.iter_mut().zip(shards) {
-            tile.load_data(ck, kernel);
-        }
+        m.load_shards(shards);
         m.register_shared_ranges(shards)?;
         Ok(m)
+    }
+
+    /// Loads each shard's initial data into its tile. One rule decides
+    /// what is stored once: an init buffer that two or more shards place
+    /// at the same layout base — a replicated-whole array, when the
+    /// layouts agree — is cut into [`SharedPages`] once and every one of
+    /// those tiles maps the frames copy-on-write. Every other array goes
+    /// into the tile's private frames. Either way each tile reads and
+    /// writes only its own memory; sharing changes storage, not
+    /// semantics.
+    fn load_shards(&mut self, shards: &[(CompiledKernel, Kernel)]) {
+        // Each array's init buffer, keyed by the buffer and its base.
+        fn placed((ck, k): &(CompiledKernel, Kernel)) -> impl Iterator<Item = (Place, &[u64])> {
+            let bases = ck.layout.arrays.iter().map(|a| a.base);
+            k.init
+                .iter()
+                .zip(bases)
+                .map(|(init, base)| ((Arc::as_ptr(init), base), &**init))
+        }
+        type Place = (*const [u64], u64);
+        let mut tiles_at = HashMap::new();
+        for (place, _) in shards.iter().flat_map(placed) {
+            *tiles_at.entry(place).or_insert(0) += 1;
+        }
+        let mut images = HashMap::new();
+        for (tile, shard) in self.tiles.iter_mut().zip(shards) {
+            for (place @ (_, base), init) in placed(shard) {
+                let backing = &mut tile.world.backing;
+                if tiles_at[&place] > 1 {
+                    let image = images
+                        .entry(place)
+                        .or_insert_with(|| SharedPages::from_words(base, init));
+                    backing.map_shared(image);
+                } else {
+                    backing.load_words(base, init);
+                }
+            }
+        }
     }
 
     /// Registers the sharder's read-only replicated-whole arrays
