@@ -176,8 +176,7 @@ pub fn table2(_: Flags) {
 /// cache-based systems (guarded references, AMAT, L1 hit ratio, and
 /// access counts per component in thousands).
 pub fn table3(flags: Flags) {
-    let rows = compare_systems(&nas::all_nas(flags.scale()), Parallelism::Serial)
-        .expect("simulation failed");
+    let rows = compare_systems(&nas::all_nas(flags.scale())).expect("simulation failed");
     let k = |x: u64| format!("{}", x / 1000);
 
     println!("TABLE 3: activity in the memory subsystem (counts in thousands)");
@@ -243,7 +242,7 @@ pub fn fig7(flags: Flags) {
         Scale::Test => 8 * 1024,
         Scale::Paper => 64 * 1024,
     };
-    let pts = hsim::fig7(n, 10, Parallelism::Serial).expect("simulation failed");
+    let pts = hsim::fig7(n, 10).expect("simulation failed");
     println!("FIGURE 7: work-phase overhead vs % of guarded references");
     println!("(paper: RD flat at 1.00; WR and RD/WR linear up to ~1.28 at 100%,");
     println!(" driven by a ~26% instruction increase from the double store)");
@@ -279,8 +278,7 @@ pub fn fig7(flags: Flags) {
 /// Figure 8: overhead of the coherence protocol on the real benchmarks,
 /// against the incoherent hybrid with an oracle compiler.
 pub fn fig8(flags: Flags) {
-    let rows =
-        hsim::fig8(&nas::all_nas(flags.scale()), Parallelism::Serial).expect("simulation failed");
+    let rows = hsim::fig8(&nas::all_nas(flags.scale())).expect("simulation failed");
     println!("FIGURE 8: coherence-protocol overhead vs the oracle baseline");
     println!();
     let t = print_table(
@@ -327,8 +325,7 @@ pub fn fig8(flags: Flags) {
 /// system vs the cache-based system, with the work / synch / control
 /// phase split.
 pub fn fig9(flags: Flags) {
-    let rows = compare_systems(&nas::all_nas(flags.scale()), Parallelism::Serial)
-        .expect("simulation failed");
+    let rows = compare_systems(&nas::all_nas(flags.scale())).expect("simulation failed");
     println!("FIGURE 9: execution time normalized to the cache-based system");
     println!();
     type C = Col<ComparisonRow>;
@@ -360,8 +357,7 @@ pub fn fig9(flags: Flags) {
 /// memory system vs the cache-based system, with the CPU / caches / LM
 /// / others component split.
 pub fn fig10(flags: Flags) {
-    let rows = compare_systems(&nas::all_nas(flags.scale()), Parallelism::Serial)
-        .expect("simulation failed");
+    let rows = compare_systems(&nas::all_nas(flags.scale())).expect("simulation failed");
     println!("FIGURE 10: energy normalized to the cache-based system");
     println!("(component split of the hybrid bar; paper reports 12%-41% savings, avg 27%)");
     println!();

@@ -125,14 +125,13 @@ pub fn comm_orderings(rows: &[CommSweepRow], cores: usize) -> [&CommSweepRow; 5]
 /// guard holds under every `HSIM_COHERENCE` leg.
 pub fn figshapes(flags: Flags) {
     let n: u64 = flags.pick(2 * 1024, 4 * 1024);
-    let par = Parallelism::HostThreads;
     let mut checked = 0usize;
 
     // ---------------------------------------------------------- fig 7
     // RD guards are free (the CAM lookup fits the AGU cycle); WR
     // overhead grows monotonically with the guarded share, driven by
     // the double store's extra instructions.
-    let pts = fig7(n, 50, par).expect("fig7");
+    let pts = fig7(n, 50).expect("fig7");
     for p in pts.iter().filter(|p| p.mode == MicroMode::Rd) {
         assert!(
             (p.overhead - 1.0).abs() < 0.05,
@@ -171,7 +170,7 @@ pub fn figshapes(flags: Flags) {
     // Protocol overhead vs the oracle: never a speedup beyond noise,
     // and the double-store kernels (IS) sit above the read-only ones
     // (CG).
-    let f8 = fig8(&[nas::is(Scale::Test), nas::cg(Scale::Test)], par).expect("fig8");
+    let f8 = fig8(&[nas::is(Scale::Test), nas::cg(Scale::Test)]).expect("fig8");
     let ratio = |name: &str| f8.iter().find(|r| r.name == name).unwrap().time_ratio;
     for r in &f8 {
         assert!(
@@ -194,14 +193,11 @@ pub fn figshapes(flags: Flags) {
     // ---------------------------------------------------------- fig 9
     // Hybrid vs cache-based: the stream/reuse kernels (MG, FT) must
     // favor the hybrid, compute-bound EP sits near parity below them.
-    let f9 = compare_systems(
-        &[
-            nas::ep(Scale::Test),
-            nas::ft(Scale::Test),
-            nas::mg(Scale::Test),
-        ],
-        par,
-    )
+    let f9 = compare_systems(&[
+        nas::ep(Scale::Test),
+        nas::ft(Scale::Test),
+        nas::mg(Scale::Test),
+    ])
     .expect("fig9");
     let speedup = |name: &str| f9.iter().find(|r| r.name == name).unwrap().speedup;
     assert!(speedup("MG") > 1.1, "fig9 MG: {:.2}", speedup("MG"));
@@ -227,7 +223,7 @@ pub fn figshapes(flags: Flags) {
     // backside keeps it sublinear (speedup < cores).
     let cg = nas::cg(Scale::Test);
     let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
-    let curves = scaling_sweep(std::slice::from_ref(&cg), &[1, 2, 4], &cfg, par).expect("scaling");
+    let curves = scaling_sweep(std::slice::from_ref(&cg), &[1, 2, 4], &cfg).expect("scaling");
     assert_eq!(curves.len(), 3, "CG must shard to every point");
     for w in curves.windows(2) {
         assert!(
@@ -269,7 +265,7 @@ pub fn figshapes(flags: Flags) {
     // makespan toward (and between) the all-cache endpoint — the
     // coexistence claim, as a curve.
     let cores = 4;
-    let chips = hetero_sweep(std::slice::from_ref(&cg), cores, par).expect("hetero sweep");
+    let chips = hetero_sweep(std::slice::from_ref(&cg), cores).expect("hetero sweep");
     let chip = |shape: &str| {
         let row = chips.iter().find(|r| r.label == shape);
         row.unwrap_or_else(|| panic!("CG must run on {shape}"))
@@ -298,13 +294,8 @@ pub fn figshapes(flags: Flags) {
     // ------------------------------------------------- protocol family
     // CG x4 under every directory protocol; no protocol may change
     // committed work (`protocol_sweep` asserts it for every row).
-    let proto = protocol_sweep(
-        std::slice::from_ref(&cg),
-        &[4],
-        SysMode::HybridCoherent,
-        par,
-    )
-    .expect("protocol sweep");
+    let proto = protocol_sweep(std::slice::from_ref(&cg), &[4], SysMode::HybridCoherent)
+        .expect("protocol sweep");
     let [msi, mesi, moesi, mesif] = protocol_family_ordering(&proto);
     checked += 3 + proto.len();
     println!(
@@ -318,7 +309,7 @@ pub fn figshapes(flags: Flags) {
     );
 
     // ----------------------------------------------- comm workloads
-    let comm = comm_sweep(Scale::Test, &[4], par).expect("comm sweep");
+    let comm = comm_sweep(Scale::Test, &[4]).expect("comm sweep");
     let [pp_hybrid, pp_cache, q_msi, q_moesi, q_mesif] = comm_orderings(&comm, 4);
     // Protocols are timing-only: every cache-based queue run commits
     // the same instructions regardless of the directory table. (The

@@ -11,9 +11,6 @@ use crate::shapes::{
 use crate::{jstr, print_table, Col, Flags, SweepJson, Val};
 use hsim::cluster::{ClusterConfig, ClusterTopology};
 use hsim::prelude::*;
-use std::time::Instant;
-
-const PAR: Parallelism = Parallelism::HostThreads;
 
 /// Columns of the `backside` sweep.
 pub fn backside_cols() -> Vec<Col<BacksideSweepRow>> {
@@ -47,7 +44,7 @@ pub fn backside(flags: Flags) {
     let kernels = flags.sweep_kernels(&["CG", "EP"]);
     let core_counts: &[usize] = flags.pick(&[1, 2], &[1, 2, 4, 8]);
 
-    let rows = backside_sweep(&kernels, core_counts, SysMode::HybridCoherent, PAR)
+    let rows = backside_sweep(&kernels, core_counts, SysMode::HybridCoherent)
         .expect("backside sweep failed");
 
     println!("BACKSIDE: row-buffer locality and L3 bank contention ({scale:?} scale)");
@@ -112,7 +109,7 @@ pub fn scaling(flags: Flags) {
     let core_counts: &[usize] = flags.pick(&[1, 2, 4], &[1, 2, 4, 8]);
 
     let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
-    let rows = scaling_sweep(&kernels, core_counts, &cfg, PAR).expect("scaling sweep failed");
+    let rows = scaling_sweep(&kernels, core_counts, &cfg).expect("scaling sweep failed");
 
     println!(
         "SCALING: speedup vs cores per kernel ({scale:?} scale, {:?} coherence)",
@@ -207,7 +204,7 @@ pub fn coherence(flags: Flags) {
 
     // One simulation per point and mode; the Replicate-vs-Mesi table is
     // a view of the protocol sweep's rows.
-    let proto_rows = protocol_sweep(&kernels, core_counts, SysMode::HybridCoherent, PAR)
+    let proto_rows = protocol_sweep(&kernels, core_counts, SysMode::HybridCoherent)
         .expect("protocol sweep failed");
     let rows = coherence_rows(&kernels, &proto_rows);
 
@@ -317,7 +314,7 @@ pub fn hetero(flags: Flags) {
     let kernels = flags.sweep_kernels(&["CG", "IS"]);
     let cores = 4;
 
-    let rows = hetero_sweep(&kernels, cores, PAR).expect("hetero sweep failed");
+    let rows = hetero_sweep(&kernels, cores).expect("hetero sweep failed");
 
     println!("HETERO: mixed hybrid/cache chips, LM asymmetry, weighted shards ({scale:?} scale)");
     println!("(shape xH+yC = x hybrid + y cache-based tiles; lm/4xN = N tiles at a quarter LM)");
@@ -391,7 +388,7 @@ pub fn hetero(flags: Flags) {
 }
 
 /// One point of the `clusters` sweep: the simulated results (asserted
-/// identical between the drivers) and both host wall-clocks.
+/// identical between the drivers).
 pub struct ClusterRow {
     /// Kernel name.
     pub kernel: String,
@@ -401,16 +398,6 @@ pub struct ClusterRow {
     pub channels: usize,
     /// The threaded run's report.
     pub report: ClusterRunReport,
-    /// Best host wall-clock of the serial driver.
-    pub host_secs_serial: f64,
-    /// Best host wall-clock of the threaded driver.
-    pub host_secs_threaded: f64,
-}
-
-impl ClusterRow {
-    fn thread_speedup(&self) -> f64 {
-        self.host_secs_serial / self.host_secs_threaded.max(1e-9)
-    }
 }
 
 /// Columns of the `clusters` sweep.
@@ -424,7 +411,6 @@ pub fn clusters_cols() -> Vec<Col<ClusterRow>> {
         }),
         C::both("ch", 3, "dram_channels", |r| r.channels.into()),
         C::both("makespan", 10, "makespan", |r| r.report.makespan.into()),
-        C::both("epochs", 7, "epochs", |r| r.report.epochs.into()),
         C::json("committed", |r| r.report.total(|c| c.committed).into()),
         C::json("skipped_cycles", |r| {
             r.report.total(|c| c.skipped_cycles).into()
@@ -435,63 +421,34 @@ pub fn clusters_cols() -> Vec<Col<ClusterRow>> {
         C::both("clufall", 8, "cross_cluster_fallbacks", |r| {
             r.report.cross_cluster_fallbacks.into()
         }),
-        C::both("ser(s)", 9, "host_seconds_serial", |r| {
-            r.host_secs_serial.into()
-        })
-        .decimals(3, 4),
-        C::both("thr(s)", 9, "host_seconds_threaded", |r| {
-            r.host_secs_threaded.into()
-        })
-        .decimals(3, 4),
-        C::both("speedup", 8, "thread_speedup", |r| {
-            r.thread_speedup().into()
-        })
-        .decimals(2, 3)
-        .suffix("x"),
     ]
 }
 
 /// Hierarchical-cluster sweep: channels × clusters × cores per cluster.
-/// Every point runs the epoch-synchronized cluster machine twice —
-/// serially (the lock-step oracle, `ClusterConfig::serial`) and with
-/// one host thread per cluster — asserts the two runs are
-/// **bit-identical**, and reports both wall-clocks. The simulated side
-/// shows where extra DRAM channels un-saturate the bandwidth-bound
-/// kernels (CG, FT); the host side shows the threading speedup, which
-/// tracks `host_parallelism` (recorded so the artefact is interpretable
-/// on a single-CPU host too).
+/// Every point runs the cluster machine twice — serially
+/// (`ClusterConfig::serial`) and with one host thread per cluster — and
+/// asserts the two runs are **bit-identical**. The table shows where
+/// extra DRAM channels un-saturate the bandwidth-bound kernels (CG,
+/// FT).
 pub fn clusters(flags: Flags) {
-    /// Repetitions per configuration; the minimum wall-clock is
-    /// reported (deterministic runs, so the minimum is the cleanest
-    /// host-cost estimate).
-    const REPS: usize = 3;
-
-    // One point, `REPS` times in one threading mode: the last report
-    // and the best host seconds, or `None` when the kernel does not
-    // shard to the topology.
+    // One point on one driver, or `None` when the kernel does not shard
+    // to the topology.
     fn run_point(
         kernel: &hsim_compiler::Kernel,
         topo: ClusterTopology,
         channels: usize,
         serial: bool,
-    ) -> Option<(ClusterRunReport, f64)> {
+    ) -> Option<ClusterRunReport> {
         let mut cluster = ClusterConfig::new(topo);
         if serial {
             cluster = cluster.serial();
         }
         let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
         cfg.mem.dram_channels = channels;
-        let mut best = f64::INFINITY;
-        let mut last = None;
-        for _ in 0..REPS {
-            let start = Instant::now();
-            let spec = RunSpec::new(kernel).clustered(&cluster).config(cfg.clone());
-            let out = MultiRunError::skip_unshardable(spec.run())
-                .unwrap_or_else(|e| panic!("simulation failed: {e}"))?;
-            best = best.min(start.elapsed().as_secs_f64());
-            last = Some(out.into_clusters());
-        }
-        last.map(|report| (report, best))
+        let spec = RunSpec::new(kernel).clustered(&cluster).config(cfg);
+        MultiRunError::skip_unshardable(spec.run())
+            .unwrap_or_else(|e| panic!("simulation failed: {e}"))
+            .map(RunOutcome::into_clusters)
     }
 
     let scale = flags.sweep_scale();
@@ -503,24 +460,20 @@ pub fn clusters(flags: Flags) {
         &[(1, 4), (2, 2), (2, 4), (4, 2), (4, 4)],
     );
     let channel_counts: &[usize] = flags.pick(&[1, 2], &[1, 2, 4]);
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
 
     let mut rows = Vec::new();
     for kernel in &kernels {
         for &(clusters, per) in topologies {
             let topo = ClusterTopology::new(clusters, per);
             for &channels in channel_counts {
-                let Some((serial, host_secs_serial)) = run_point(kernel, topo, channels, true)
-                else {
+                let Some(serial) = run_point(kernel, topo, channels, true) else {
                     println!(
                         "note: {} does not shard to {}x{}; skipped",
                         kernel.name, clusters, per
                     );
                     continue;
                 };
-                let (threaded, host_secs_threaded) = run_point(kernel, topo, channels, false)
+                let threaded = run_point(kernel, topo, channels, false)
                     .expect("shardability cannot depend on threading");
 
                 // The acceptance invariant: the threaded run is
@@ -531,7 +484,6 @@ pub fn clusters(flags: Flags) {
                     "{} {}x{} ch{}: threading changed the makespan",
                     kernel.name, clusters, per, channels
                 );
-                assert_eq!(serial.epochs, threaded.epochs);
                 for counter in [
                     |c: &RunReport| c.committed,
                     |c: &RunReport| c.skipped_cycles,
@@ -545,18 +497,13 @@ pub fn clusters(flags: Flags) {
                     topo,
                     channels,
                     report: threaded,
-                    host_secs_serial,
-                    host_secs_threaded,
                 });
             }
         }
     }
 
     println!("CLUSTERS: channels x clusters x cores sweep ({scale:?} scale)");
-    println!(
-        "(threaded runs asserted bit-identical to the serial oracle; \
-         host parallelism = {host_parallelism})"
-    );
+    println!("(threaded runs asserted bit-identical to the serial oracle)");
     println!();
     print_table(&clusters_cols(), &rows);
     println!();
@@ -594,7 +541,6 @@ pub fn clusters(flags: Flags) {
 
     SweepJson::new(scale)
         .meta("mode", jstr("HybridCoherent"))
-        .meta("host_parallelism", host_parallelism)
         .rows("rows", &clusters_cols(), &rows)
         .write("BENCH_clusters.json");
 }
@@ -810,7 +756,7 @@ pub fn comm(flags: Flags) {
     let scale = flags.sweep_scale();
     let core_counts: &[usize] = flags.pick(&[2, 4], &[2, 4, 8]);
 
-    let rows = comm_sweep(scale, core_counts, PAR).expect("comm sweep failed");
+    let rows = comm_sweep(scale, core_counts).expect("comm sweep failed");
 
     println!("COMM: communication microbenchmarks ({scale:?} scale)");
     println!("(rt/rnd = cycles per hand-off; hybrid = LM+DMA payload, coherent flags)");
@@ -829,7 +775,7 @@ pub fn comm(flags: Flags) {
     println!("comm shapes OK (hybrid RTT < cache RTT; MSI >= MOESI/MESIF queue dramR)");
     println!();
 
-    let reports = request_serving_sweep(scale, core_counts, SEED, LOAD_PERMILLE, PAR)
+    let reports = request_serving_sweep(scale, core_counts, SEED, LOAD_PERMILLE)
         .expect("request-serving sweep failed");
 
     println!(

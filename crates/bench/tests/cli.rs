@@ -236,10 +236,8 @@ fn every_table_renders_one_cell_per_header() {
             topo: ClusterTopology::new(1, 2),
             channels: 1,
             report: clustered,
-            host_secs_serial: 1.0,
-            host_secs_threaded: 1.0,
         },
-        11,
+        7,
     );
     check(
         sweeps::faults_cols(),

@@ -1,7 +1,7 @@
 //! The committed `BENCH_*.json` artefacts as goldens: for each of the
 //! seven files, re-derive its cheapest rows in-process — same driver,
-//! same `*_cols()` declaration, `Parallelism::Serial` — and require the
-//! rendered JSON objects to equal the committed lines. "Every BENCH row
+//! same `*_cols()` declaration — and require the rendered JSON objects
+//! to equal the committed lines. "Every BENCH row
 //! must survive a refactor" is a test, not a manual diff.
 
 use hsim::cluster::{ClusterConfig, ClusterTopology};
@@ -24,15 +24,6 @@ fn meta(file: &str, key: &str) -> String {
     value.trim_end_matches(',').trim_matches('"').to_string()
 }
 
-/// Drops the `clusters` host wall-clocks (the only fields of any
-/// artefact that are not simulated results) from a rendered row.
-fn without_host_timings(row: &str) -> String {
-    match row.find(", \"host_seconds_serial\"") {
-        Some(at) => format!("{}}}", &row[..at]),
-        None => row.to_string(),
-    }
-}
-
 /// Asserts that `rows`, rendered through `cols`, are the committed rows
 /// `first..` of `array` in `file`.
 fn assert_rows<R>(file: &str, array: &str, first: usize, cols: &[Col<R>], rows: &[R]) {
@@ -48,8 +39,8 @@ fn assert_rows<R>(file: &str, array: &str, first: usize, cols: &[Col<R>], rows: 
     assert_eq!(want.len(), rows.len(), "{file}: `{array}` is too short");
     for (i, (row, want)) in rows.iter().zip(want).enumerate() {
         assert_eq!(
-            without_host_timings(&json_row(cols, row)),
-            without_host_timings(want),
+            json_row(cols, row),
+            want,
             "{file}: `{array}` row {}",
             first + i
         );
@@ -62,13 +53,12 @@ fn assert_rows<R>(file: &str, array: &str, first: usize, cols: &[Col<R>], rows: 
 #[test]
 fn committed_artefacts_reproduce_their_cheapest_rows() {
     std::env::set_var("HSIM_COHERENCE", "replicate");
-    let par = Parallelism::Serial;
     let mode = SysMode::HybridCoherent;
     let cg = [nas::cg(Scale::Test)];
     let ep = [nas::ep(Scale::Test)];
 
     // CG on one core is row 0 of the three per-kernel × per-core grids.
-    let rows = backside_sweep(&cg, &[1], mode, par).unwrap();
+    let rows = backside_sweep(&cg, &[1], mode).unwrap();
     assert_rows(
         "BENCH_backside.json",
         "rows",
@@ -77,7 +67,7 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
         &rows,
     );
 
-    let rows = scaling_sweep(&cg, &[1], &MachineConfig::for_mode(mode), par).unwrap();
+    let rows = scaling_sweep(&cg, &[1], &MachineConfig::for_mode(mode)).unwrap();
     assert_rows(
         "BENCH_scaling.json",
         "rows",
@@ -86,7 +76,7 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
         &rows,
     );
 
-    let proto = protocol_sweep(&cg, &[1], mode, par).unwrap();
+    let proto = protocol_sweep(&cg, &[1], mode).unwrap();
     assert_rows(
         "BENCH_coherence.json",
         "rows",
@@ -103,7 +93,7 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
     );
 
     // EP (the shortest kernel) on every 4-core shape: rows 7..14.
-    let rows = hetero_sweep(&ep, 4, par).unwrap();
+    let rows = hetero_sweep(&ep, 4).unwrap();
     assert_eq!(rows.len(), 7);
     assert_rows(
         "BENCH_hetero.json",
@@ -126,8 +116,6 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
         topo,
         channels: 1,
         report,
-        host_secs_serial: 0.0,
-        host_secs_threaded: 0.0,
     };
     assert_rows(
         "BENCH_clusters.json",
@@ -162,12 +150,12 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
 
     // Every comm family and request serving on 2 cores: rows 0..12 and
     // 0..2.
-    let rows = comm_sweep(Scale::Test, &[2], par).unwrap();
+    let rows = comm_sweep(Scale::Test, &[2]).unwrap();
     assert_eq!(rows.len(), 12);
     assert_rows("BENCH_comm.json", "rows", 0, &sweeps::comm_cols(), &rows);
     let seed = meta("BENCH_comm.json", "seed").parse().unwrap();
     let load = meta("BENCH_comm.json", "load_permille").parse().unwrap();
-    let reports = request_serving_sweep(Scale::Test, &[2], seed, load, par).unwrap();
+    let reports = request_serving_sweep(Scale::Test, &[2], seed, load).unwrap();
     assert_rows(
         "BENCH_comm.json",
         "request_serving",

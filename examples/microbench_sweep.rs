@@ -9,7 +9,7 @@
 use hsim::prelude::*;
 
 fn main() {
-    let pts = fig7(16 * 1024, 10, Parallelism::Serial).expect("simulation");
+    let pts = fig7(16 * 1024, 10).expect("simulation");
     println!("Figure 7 — overhead vs %% guarded (x = RD, o = WR, * = RD/WR)\n");
     let ymax = pts.iter().map(|p| p.overhead).fold(1.0, f64::max) * 1.05;
     for row in (0..12).rev() {

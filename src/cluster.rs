@@ -1,5 +1,5 @@
 //! Hierarchical clusters: groups of tiles, each group in front of its
-//! **own** backside slice, advanced in epoch-synchronized host threads.
+//! **own** backside slice, each run to completion on its own.
 //!
 //! A [`ClusterTopology`] splits the machine's cores into `clusters`
 //! groups of `cores_per_cluster` tiles. Each cluster is a full
@@ -22,58 +22,37 @@
 //! and `clusters` bench outputs, mirroring how intra-cluster layout
 //! divergence is surfaced via `MultiMachine::replication_fallbacks`.
 //!
-//! ## Epoch-synchronized host parallelism
+//! ## Each cluster runs on its own
 //!
-//! Because the clusters' simulated state is disjoint, each can advance
-//! on its own host thread. The drivers advance every cluster with the
-//! same call sequence — `run_until(e)`, `run_until(2e)`, … with
-//! `e = max(inter_cluster_latency, 1)` — and barrier between epochs
-//! (the earliest cycle a cross-cluster message could matter is one
-//! inter-cluster latency away, so an epoch never outruns it). The
-//! scheduler state [`MultiMachine::run_until`] persists between calls
-//! makes the chunked run *bit-identical* to one monolithic
-//! [`MultiMachine::run`] per cluster, so:
+//! No cluster sends a message to another, so nothing synchronizes
+//! them: [`run_clusters`] builds each cluster's machine, runs it to
+//! completion with one [`MultiMachine::run`] and collects its report —
+//! one host thread per cluster (through [`parallel_map`]), or one
+//! cluster after another on the calling thread
+//! ([`ClusterConfig::serial_clusters`]). Both drivers perform the same
+//! calls per cluster, so they are bit-identical (every statistic, skip
+//! counters included), and both equal running each cluster's
+//! `MultiMachine` standalone — which the equivalence tests pin against
+//! the `lockstep` oracle as well. When an inter-cluster directory
+//! lands, its messages bring the synchronization they need.
 //!
-//! * threaded vs [`ClusterConfig::serial_clusters`] is bit-identical
-//!   (every statistic, skip counters included), and
-//! * both are bit-identical to running each cluster's `MultiMachine`
-//!   standalone — which the equivalence tests pin against the
-//!   `lockstep` oracle as well.
+//! ## Failure containment
 //!
-//! The thread protocol uses a double barrier per epoch: each thread
-//! runs its epoch, publishes its done flag, waits; every thread then
-//! reads *all* flags (no thread mutates between the barriers, so they
-//! agree), waits again, and either exits or starts the next epoch. A
-//! cluster that halts or errors early keeps joining the barriers —
-//! without simulating — until every cluster is done, so no thread ever
-//! waits on an absent peer.
-//!
-//! ## Host-level degradation
-//!
-//! The barrier protocol makes a *vanished* peer fatal: a cluster thread
-//! that panicked mid-epoch would leave every other thread blocked on
-//! `Barrier::wait` forever. The drivers therefore contain faults
-//! instead of hanging on them:
-//!
-//! * every epoch body (and the machine build, and the report
-//!   collection) runs under `catch_unwind` — a panicking cluster marks
-//!   itself done and **keeps joining the barriers**, so its peers run
-//!   their course;
-//! * an epoch watchdog bounds the barrier loop: a cluster still running
-//!   past [`ClusterConfig::max_epochs`] epochs (derived from the cycle
-//!   budget by default) is failed with [`ClusterFailure::Watchdog`]
-//!   rather than spinning;
-//! * the run then terminates with a structured [`ClusterError`] naming
-//!   every failed cluster and carrying the *completed* clusters'
-//!   reports — partial results instead of a poisoned hang.
+//! A failed cluster never touches its peers. Building, running and
+//! collecting a cluster all happen under `catch_unwind`, so a panic, a
+//! simulation error (the per-core `max_cycles` budget bounds a runaway
+//! run) or a diverging comm-array layout becomes that cluster's
+//! [`ClusterFailure`] while the others run their course. The run then
+//! ends with a structured [`ClusterError`] naming every failed cluster
+//! and carrying the *completed* clusters' reports — partial results
+//! instead of an all-or-nothing error.
 
+use crate::experiments::parallel_map;
 use crate::machine::{MachineConfig, MultiMachine};
 use crate::metrics::{MultiRunReport, RunReport};
 use hsim_compiler::{CompiledKernel, Kernel, ShardError};
 use hsim_core::pipeline::SimError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
 
 /// How a machine's cores are grouped into clusters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,45 +85,24 @@ impl ClusterTopology {
 pub struct ClusterConfig {
     /// The cluster shape.
     pub topology: ClusterTopology,
-    /// Cycles an inter-cluster hop would cost. v1 models no such hops
-    /// (cross-cluster sharing falls back to counted replication), but
-    /// the value still sets the epoch length: clusters synchronize at
-    /// least this often, so a future home-directory hop can never be
-    /// outrun by a cluster that advanced too far.
-    pub inter_cluster_latency: u64,
-    /// Escape hatch: advance the clusters round-robin on the calling
-    /// thread instead of one thread each. Bit-identical to the threaded
+    /// Escape hatch: run the clusters one after another on the calling
+    /// thread instead of on host threads. Bit-identical to the threaded
     /// path (the determinism tests pin this); useful for debugging and
     /// single-CPU hosts.
     pub serial_clusters: bool,
-    /// Epoch watchdog bound: a cluster still running after this many
-    /// epochs fails with [`ClusterFailure::Watchdog`] instead of
-    /// looping. `None` (the default) derives the bound from the cycle
-    /// budget — `max_cycles / epoch_len + 2` — which a healthy run can
-    /// never reach (the per-core cycle limit fires first), so the
-    /// watchdog only catches a host-level wedge.
-    pub max_epochs: Option<u64>,
-    /// Robustness test hook: panic the given cluster's host driver at
-    /// its first epoch, exercising the containment path (the panic is
-    /// caught, the peers complete, the run fails with a structured
-    /// [`ClusterError`] instead of hanging on the barrier).
+    /// Robustness test hook: panic the given cluster's driver before its
+    /// run, exercising the containment path (the panic is caught, the
+    /// peers complete, the run fails with a structured
+    /// [`ClusterError`]).
     pub inject_panic: Option<usize>,
 }
 
 impl ClusterConfig {
-    /// Default inter-cluster hop latency (cycles) — also the epoch
-    /// length. Roughly two DRAM round trips: far enough to amortize
-    /// barrier overhead, close enough that a future inter-cluster
-    /// protocol stays conservative.
-    pub const DEFAULT_INTER_CLUSTER_LATENCY: u64 = 500;
-
-    /// A threaded configuration with the default inter-cluster latency.
+    /// A threaded configuration.
     pub fn new(topology: ClusterTopology) -> Self {
         ClusterConfig {
             topology,
-            inter_cluster_latency: Self::DEFAULT_INTER_CLUSTER_LATENCY,
             serial_clusters: false,
-            max_epochs: None,
             inject_panic: None,
         }
     }
@@ -153,23 +111,6 @@ impl ClusterConfig {
     pub fn serial(mut self) -> Self {
         self.serial_clusters = true;
         self
-    }
-
-    /// The epoch length in cycles (at least 1).
-    pub fn epoch_len(&self) -> u64 {
-        self.inter_cluster_latency.max(1)
-    }
-
-    /// The effective epoch watchdog bound under `cfg`:
-    /// [`ClusterConfig::max_epochs`] when set, otherwise derived from
-    /// the cycle budget so a healthy run can never trip it.
-    pub fn effective_max_epochs(&self, cfg: &MachineConfig) -> u64 {
-        self.max_epochs.unwrap_or_else(|| {
-            cfg.core
-                .max_cycles
-                .div_ceil(self.epoch_len())
-                .saturating_add(2)
-        })
     }
 }
 
@@ -183,15 +124,9 @@ pub enum ClusterFailure {
     /// The cluster's simulation returned an error (deadlock, cycle
     /// limit, …).
     Sim(SimError),
-    /// The cluster's host thread panicked; the payload is rendered to a
+    /// The cluster's driver panicked; the payload is rendered to a
     /// string. The panic was contained — its peers ran their course.
     Panic(String),
-    /// The epoch watchdog fired: the cluster was still running after
-    /// the configured epoch bound (see [`ClusterConfig::max_epochs`]).
-    Watchdog {
-        /// Epochs the cluster had run when the watchdog fired.
-        epochs: u64,
-    },
 }
 
 impl std::fmt::Display for ClusterFailure {
@@ -200,12 +135,6 @@ impl std::fmt::Display for ClusterFailure {
             ClusterFailure::Shard(e) => write!(f, "shard: {e}"),
             ClusterFailure::Sim(e) => write!(f, "simulation error: {e}"),
             ClusterFailure::Panic(msg) => write!(f, "host thread panicked: {msg}"),
-            ClusterFailure::Watchdog { epochs } => {
-                write!(
-                    f,
-                    "epoch watchdog fired after {epochs} epochs without completion"
-                )
-            }
         }
     }
 }
@@ -272,10 +201,6 @@ pub struct ClusterRunReport {
     pub per_cluster: Vec<MultiRunReport>,
     /// Machine makespan: the cycle the last core of any cluster halted.
     pub makespan: u64,
-    /// Epoch-barrier rounds the run took.
-    pub epochs: u64,
-    /// Cycles per epoch (`ClusterConfig::epoch_len`).
-    pub epoch_cycles: u64,
     /// Extra per-cluster replicas of shared arrays whose sharers span
     /// clusters (see [`cross_cluster_fallbacks`]) — cross-cluster
     /// traffic that v1 replicates instead of modeling, surfaced so it
@@ -321,107 +246,49 @@ pub fn cross_cluster_fallbacks(kernel: &Kernel, clusters: usize) -> u64 {
     }
 }
 
-/// What one cluster's driver returns: its report and the epoch count.
-type LaneResult = Result<(MultiRunReport, u64), ClusterFailure>;
-
-/// One cluster's host-side driver state, shared by [`run_serial`] and
-/// [`run_threaded`] so the two perform the same build / epoch step /
-/// finish sequence and fail identically. Every fallible step runs
-/// under `catch_unwind`; `machine` is `None` after a failed build or a
-/// contained epoch panic (the machine may be mid-mutation; it is never
-/// touched again).
-struct ClusterLane {
+/// Runs cluster `id` to completion on the calling thread: builds its
+/// machine over `shards` (one `(CompiledKernel, Kernel)` per core), runs
+/// it and collects its report, all under `catch_unwind`, then hands the
+/// machine to `done`. Diverging comm-array layouts fail the cluster with
+/// [`ClusterFailure::Shard`]. The machine holds `Rc` backside handles,
+/// so it lives and dies on this thread; only plain data crosses a
+/// thread boundary.
+fn run_lane(
     id: usize,
-    machine: Option<(MultiMachine, Vec<CompiledKernel>)>,
-    failure: Option<ClusterFailure>,
-    done: bool,
-}
-
-impl ClusterLane {
-    /// Builds cluster `id`'s machine; diverging comm-array layouts fail
-    /// the lane with [`ClusterFailure::Shard`]. Machines hold `Rc`
-    /// backside handles, so the threaded driver calls this — and
-    /// everything else on the lane — inside the cluster's own thread;
-    /// only plain data crosses the boundary.
-    fn build(id: usize, cfg: &MachineConfig, shards: &[(CompiledKernel, Kernel)]) -> Self {
-        let built = catch_unwind(AssertUnwindSafe(|| {
-            let m = MultiMachine::try_for_kernels_hetero(vec![cfg.clone(); shards.len()], shards)?;
-            Ok((m, shards.iter().map(|(ck, _)| ck.clone()).collect()))
-        }));
-        let mut lane = ClusterLane {
-            id,
-            machine: None,
-            failure: None,
-            done: false,
-        };
-        match built {
-            Ok(Ok(m)) => lane.machine = Some(m),
-            Ok(Err(e)) => lane.fail(ClusterFailure::Shard(e)),
-            Err(p) => lane.fail(ClusterFailure::Panic(panic_message(p))),
+    cfg: &MachineConfig,
+    shards: &[(CompiledKernel, Kernel)],
+    inject_panic: Option<usize>,
+    done: &mut Vec<MultiMachine>,
+) -> Result<MultiRunReport, ClusterFailure> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let cfgs = vec![cfg.clone(); shards.len()];
+        let mut m =
+            MultiMachine::try_for_kernels_hetero(cfgs, shards).map_err(ClusterFailure::Shard)?;
+        if inject_panic == Some(id) {
+            panic!("injected cluster-thread panic (cluster {id})");
         }
-        lane
-    }
-
-    fn fail(&mut self, failure: ClusterFailure) {
-        self.failure = Some(failure);
-        self.done = true;
-    }
-
-    /// Advances a running lane through the epoch ending at `epoch_end`
-    /// (`epochs` epochs ran before it), then applies the watchdog; a
-    /// lane that is already done does nothing.
-    fn step(&mut self, epoch_end: u64, epochs: u64, max_epochs: u64, inject_panic: Option<usize>) {
-        if self.done {
-            return;
-        }
-        let id = self.id;
-        let (m, _) = self.machine.as_mut().expect("running lane has a machine");
-        let inject = inject_panic == Some(id) && epochs == 0;
-        match catch_unwind(AssertUnwindSafe(|| {
-            if inject {
-                panic!("injected cluster-thread panic (cluster {id})");
-            }
-            m.run_until(epoch_end)
-        })) {
-            Err(p) => {
-                self.machine = None;
-                self.fail(ClusterFailure::Panic(panic_message(p)));
-            }
-            Ok(Err(e)) => self.fail(ClusterFailure::Sim(e)),
-            Ok(Ok(())) => self.done = m.all_halted(),
-        }
-        if !self.done && epochs + 1 >= max_epochs {
-            self.fail(ClusterFailure::Watchdog { epochs: epochs + 1 });
-        }
-    }
-
-    /// The lane's failure, or its collected report with the run's epoch
-    /// count.
-    fn finish(self, epochs: u64) -> LaneResult {
-        if let Some(f) = self.failure {
-            return Err(f);
-        }
-        let (m, cks) = self.machine.as_ref().expect("completed lane has a machine");
-        catch_unwind(AssertUnwindSafe(|| MultiRunReport::collect(m, cks)))
-            .map(|r| (r, epochs))
-            .map_err(|p| ClusterFailure::Panic(panic_message(p)))
-    }
+        m.run()?;
+        let cks: Vec<CompiledKernel> = shards.iter().map(|(ck, _)| ck.clone()).collect();
+        let report = MultiRunReport::collect(&m, &cks);
+        done.push(m);
+        Ok(report)
+    }))
+    .unwrap_or_else(|p| Err(ClusterFailure::Panic(panic_message(p))))
 }
 
 /// Runs a clustered machine: cluster `c` is a [`MultiMachine`] over
 /// `shards[c]` (one `(CompiledKernel, Kernel)` per core) built from
-/// `cfg`, with its own backside. Dispatches to the epoch-synchronized
-/// threaded driver, or the bit-identical serial one when
-/// [`ClusterConfig::serial_clusters`] is set (a single cluster always
-/// runs serially — there is nothing to overlap). `fallbacks` is the
-/// plan's [`cross_cluster_fallbacks`] count, carried into the report.
+/// `cfg`, with its own backside. Each cluster runs to completion on its
+/// own — on a host thread through [`parallel_map`], or one after
+/// another on the calling thread when [`ClusterConfig::serial_clusters`]
+/// is set. `fallbacks` is the plan's [`cross_cluster_fallbacks`] count,
+/// carried into the report.
 ///
-/// On failure — a cluster's simulation error, a contained host-thread
-/// panic, or the epoch watchdog — every other cluster still runs its
-/// course, then a structured [`ClusterError`] is returned naming every
-/// failed cluster and carrying the completed clusters' reports. The
-/// same answer regardless of host thread timing (threaded and serial
-/// drivers fail identically; the containment tests pin this).
+/// On failure — a cluster's build or simulation error, or a contained
+/// panic — every other cluster still runs its course, then a structured
+/// [`ClusterError`] is returned naming every failed cluster and
+/// carrying the completed clusters' reports. Threaded and serial
+/// drivers fail identically (the containment tests pin this).
 pub fn run_clusters(
     cfg: &MachineConfig,
     cluster: &ClusterConfig,
@@ -437,23 +304,24 @@ pub fn run_clusters(
             "cluster {c}: one shard per core"
         );
     }
-    let epoch_len = cluster.epoch_len();
-    let max_epochs = cluster.effective_max_epochs(cfg);
-    let inject_panic = cluster.inject_panic;
-    let results = if cluster.serial_clusters || topo.clusters == 1 {
-        run_serial(cfg, shards, epoch_len, max_epochs, inject_panic)
+    let lanes: Vec<_> = shards.iter().enumerate().collect();
+    let inject = cluster.inject_panic;
+    // The serial driver frees its machines together once every cluster
+    // has run. Freeing each one after its report lowers peak memory, but
+    // hands the caller's next set-up a colder heap: on a 2-CPU host,
+    // set-up of the next benchmark point then took a third longer.
+    let mut machines = Vec::new();
+    let results: Vec<_> = if cluster.serial_clusters {
+        let lane = |(c, s): (usize, &Vec<_>)| run_lane(c, cfg, s, inject, &mut machines);
+        lanes.into_iter().map(lane).collect()
     } else {
-        run_threaded(cfg, shards, epoch_len, max_epochs, inject_panic)
+        parallel_map(lanes, |(c, s)| run_lane(c, cfg, s, inject, &mut Vec::new()))
     };
     let mut failures = Vec::new();
     let mut completed = Vec::new();
-    let mut epochs = 0u64;
     for (c, r) in results.into_iter().enumerate() {
         match r {
-            Ok((report, e)) => {
-                epochs = epochs.max(e);
-                completed.push((c, report));
-            }
+            Ok(report) => completed.push((c, report)),
             Err(f) => failures.push((c, f)),
         }
     }
@@ -468,97 +336,6 @@ pub fn run_clusters(
     Ok(ClusterRunReport {
         per_cluster,
         makespan,
-        epochs,
-        epoch_cycles: epoch_len,
         cross_cluster_fallbacks: fallbacks,
-    })
-}
-
-/// The serial oracle: all clusters on the calling thread, advanced
-/// round-robin one epoch at a time — the exact [`ClusterLane`] call
-/// sequence per cluster that each thread of [`run_threaded`] performs,
-/// so the two drivers fail identically too.
-fn run_serial(
-    cfg: &MachineConfig,
-    shards: &[Vec<(CompiledKernel, Kernel)>],
-    epoch_len: u64,
-    max_epochs: u64,
-    inject_panic: Option<usize>,
-) -> Vec<LaneResult> {
-    let mut lanes: Vec<ClusterLane> = shards
-        .iter()
-        .enumerate()
-        .map(|(c, s)| ClusterLane::build(c, cfg, s))
-        .collect();
-    let mut epoch_end = epoch_len;
-    let mut epochs = 0u64;
-    loop {
-        for l in &mut lanes {
-            l.step(epoch_end, epochs, max_epochs, inject_panic);
-        }
-        epochs += 1;
-        if lanes.iter().all(|l| l.done) {
-            break;
-        }
-        epoch_end += epoch_len;
-    }
-    lanes.into_iter().map(|l| l.finish(epochs)).collect()
-}
-
-/// The threaded driver: one scoped `std::thread` per cluster, epochs
-/// synchronized with a double barrier (see the module docs for why two
-/// waits make the done decision consistent without a race).
-///
-/// A lane that panicked, failed or tripped the watchdog is done and
-/// keeps joining the barriers so no peer ever blocks on a vanished
-/// thread.
-fn run_threaded(
-    cfg: &MachineConfig,
-    shards: &[Vec<(CompiledKernel, Kernel)>],
-    epoch_len: u64,
-    max_epochs: u64,
-    inject_panic: Option<usize>,
-) -> Vec<LaneResult> {
-    let n = shards.len();
-    let barrier = Barrier::new(n);
-    let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = shards
-            .iter()
-            .enumerate()
-            .map(|(c, cluster_shards)| {
-                let barrier = &barrier;
-                let done = &done;
-                s.spawn(move || -> LaneResult {
-                    let mut lane = ClusterLane::build(c, cfg, cluster_shards);
-                    let mut epoch_end = epoch_len;
-                    let mut epochs = 0u64;
-                    loop {
-                        lane.step(epoch_end, epochs, max_epochs, inject_panic);
-                        epochs += 1;
-                        if lane.done {
-                            done[c].store(true, Ordering::SeqCst);
-                        }
-                        barrier.wait();
-                        // No thread stores a flag between the barriers,
-                        // so every thread computes the same answer.
-                        let all_done = done.iter().all(|d| d.load(Ordering::SeqCst));
-                        barrier.wait();
-                        if all_done {
-                            break;
-                        }
-                        epoch_end += epoch_len;
-                    }
-                    lane.finish(epochs)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|p| Err(ClusterFailure::Panic(panic_message(p))))
-            })
-            .collect()
     })
 }

@@ -13,14 +13,13 @@
 //! clustered machines — plus verification against the reference
 //! interpreter and host-time profiling.
 //!
-//! **Sweeps** (`sweeps`, `serving`). Every sweep driver takes a
-//! [`Parallelism`] knob: `Serial` runs the independent simulation
-//! points sequentially, `HostThreads` fans them across host threads
-//! with [`parallel_map`] — same results either way (each point is
-//! deterministic and self-contained), a fraction of the wall-clock on
-//! multi-core hosts. This host threading is unrelated to the
-//! *simulated* multicore: one sweep point may itself be an N-core
-//! [`crate::MultiMachine`].
+//! **Sweeps** (`sweeps`, `serving`). Every sweep driver fans its
+//! independent simulation points across host threads with
+//! [`parallel_map`], which returns the outputs in input order and runs
+//! on the calling thread on a one-CPU host; each point is deterministic
+//! and self-contained, so the results do not depend on the schedule.
+//! This host threading is unrelated to the *simulated* multicore: one
+//! sweep point may itself be an N-core [`crate::MultiMachine`].
 
 mod serving;
 mod spec;

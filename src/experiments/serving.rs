@@ -3,7 +3,7 @@
 //! process replays it into a latency report.
 
 use super::spec::{MultiRunError, RunOutcome, RunSpec};
-use super::sweeps::Parallelism;
+use super::sweeps::parallel_map;
 use crate::machine::{MachineConfig, SysMode};
 use crate::metrics::{LatencyHistogram, RequestServingReport};
 use hsim_workloads::comm as commw;
@@ -91,19 +91,18 @@ pub fn request_serving(
 }
 
 /// [`request_serving`] on hybrid-coherent and cache-based chips at
-/// every requested core count, one job per point under `par`.
+/// every requested core count, one [`parallel_map`] job per point.
 pub fn request_serving_sweep(
     scale: Scale,
     core_counts: &[usize],
     seed: u64,
     load_permille: u64,
-    par: Parallelism,
 ) -> Result<Vec<RequestServingReport>, MultiRunError> {
     let points: Vec<(usize, SysMode)> = core_counts
         .iter()
         .flat_map(|&c| [SysMode::HybridCoherent, SysMode::CacheBased].map(|m| (c, m)))
         .collect();
-    par.map(points, |(cores, mode)| {
+    parallel_map(points, |(cores, mode)| {
         request_serving(scale, cores, mode, seed, load_permille)
     })
     .into_iter()

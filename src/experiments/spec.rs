@@ -82,7 +82,7 @@ impl RunOutcome {
 /// | `new(k).cores(n)` | `k` sharded over an n-core [`MultiMachine`] (note: `cores(1)` still builds the 1-core *multicore* machine — shared-L3 port arbitration included) |
 /// | `new(k).hetero(cfgs)` | weighted shards on per-tile configurations |
 /// | `many(&kernels)` | one kernel **per core** (communication workloads) |
-/// | `...clustered(topo)` | epoch-synchronized clusters |
+/// | `...clustered(topo)` | disjoint clusters, each run to completion on its own |
 ///
 /// Configuration: [`RunSpec::mode`]/[`RunSpec::track`] adjust the
 /// default machine; [`RunSpec::config`] replaces it wholesale
@@ -183,7 +183,8 @@ impl<'a> RunSpec<'a> {
     /// across `cluster.topology` (or, with [`RunSpec::many`], kernel
     /// `i` runs on core `i % cores_per_cluster` of cluster
     /// `i / cores_per_cluster`), each cluster owning its backside
-    /// slice, epoch-synchronized ([`crate::cluster::run_clusters`]).
+    /// slice and run to completion on its own
+    /// ([`crate::cluster::run_clusters`]).
     pub fn clustered(mut self, cluster: &ClusterConfig) -> Self {
         self.cluster = Some(cluster.clone());
         self
@@ -343,9 +344,9 @@ pub fn compile_for_tile(shard: &Kernel, cfg: &MachineConfig) -> CompiledKernel {
 
 /// What can go wrong in a sharded multicore run: the split itself, the
 /// simulation of one of the cores, or — for clustered runs — a
-/// host-level cluster failure (contained panic, epoch watchdog, or a
-/// cluster's own simulation error) with the surviving clusters'
-/// partial reports attached.
+/// cluster failure (a contained panic, or a cluster's own build or
+/// simulation error) with the surviving clusters' partial reports
+/// attached.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MultiRunError {
     /// The kernel could not be sharded, or a communication array's

@@ -1,6 +1,6 @@
 //! The paper's figures and the later tiers' sweeps: each driver runs
-//! its grid of [`RunSpec`] points under a [`Parallelism`] policy and
-//! returns rows that carry their labels, their derived ratios and the
+//! its grid of [`RunSpec`] points on host threads ([`parallel_map`])
+//! and returns rows that carry their labels, their derived ratios and the
 //! report(s) they came from. Which counters a table shows is decided
 //! by the bench driver's column declarations, not here.
 
@@ -62,50 +62,21 @@ where
         .collect()
 }
 
-/// How a sweep driver executes its independent simulation points. The
-/// results are identical either way — every point is deterministic and
-/// self-contained — so this is purely a wall-clock knob.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// Points run sequentially on the calling thread.
-    #[default]
-    Serial,
-    /// Points fan out across host threads via [`parallel_map`]
-    /// (`min(available_parallelism, points)` workers).
-    HostThreads,
-}
-
-impl Parallelism {
-    /// Maps `f` over `items` under this execution policy, preserving
-    /// input order.
-    pub fn map<I, O, F>(self, items: Vec<I>, f: F) -> Vec<O>
-    where
-        I: Send,
-        O: Send,
-        F: Fn(I) -> O + Sync,
-    {
-        match self {
-            Parallelism::Serial => items.into_iter().map(f).collect(),
-            Parallelism::HostThreads => parallel_map(items, f),
-        }
-    }
-}
-
 /// Runs `point` over the cartesian grid `outer × inner` (outer-major
-/// order), one job per point under `par`, and collects the rows of the
+/// order), one [`parallel_map`] job per point, and collects the rows of the
 /// points that were not skipped (`Ok(None)`).
 fn sweep_grid<A: Sync, B: Sync, R: Send>(
     outer: &[A],
     inner: &[B],
-    par: Parallelism,
     point: impl Fn(&A, &B) -> Result<Option<R>, MultiRunError> + Sync,
 ) -> Result<Vec<R>, MultiRunError> {
     let points: Vec<(&A, &B)> = outer
         .iter()
         .flat_map(|a| inner.iter().map(move |b| (a, b)))
         .collect();
-    let results: Result<Vec<Option<R>>, _> =
-        par.map(points, |(a, b)| point(a, b)).into_iter().collect();
+    let results: Result<Vec<Option<R>>, _> = parallel_map(points, |(a, b)| point(a, b))
+        .into_iter()
+        .collect();
     Ok(results?.into_iter().flatten().collect())
 }
 
@@ -132,8 +103,8 @@ pub struct Fig7Point {
 /// grows, for the RD / WR / RD+WR modes. `n` is the iteration count;
 /// `step` the sweep step in percent (multiple of 10). The Baseline-mode
 /// run goes first (every point normalizes against it), then every
-/// (mode, pct) point is an independent job under `par`.
-pub fn fig7(n: u64, step: u32, par: Parallelism) -> Result<Vec<Fig7Point>, MultiRunError> {
+/// (mode, pct) point is an independent [`parallel_map`] job.
+pub fn fig7(n: u64, step: u32) -> Result<Vec<Fig7Point>, MultiRunError> {
     let run = |mode: MicroMode, guarded_pct: u32| {
         let k = microbench(&MicrobenchConfig {
             mode,
@@ -148,7 +119,6 @@ pub fn fig7(n: u64, step: u32, par: Parallelism) -> Result<Vec<Fig7Point>, Multi
     sweep_grid(
         &[MicroMode::Rd, MicroMode::Wr, MicroMode::RdWr],
         &pcts,
-        par,
         |&mode, &pct| {
             let r = run(mode, pct)?;
             Ok(Some(Fig7Point {
@@ -197,9 +167,9 @@ fn fig8_row(k: &Kernel) -> Result<Fig8Row, MultiRunError> {
 }
 
 /// Figure 8: hybrid-coherent vs hybrid-oracle on the given kernels, one
-/// job per benchmark under `par`.
-pub fn fig8(kernels: &[Kernel], par: Parallelism) -> Result<Vec<Fig8Row>, MultiRunError> {
-    par.map(kernels.iter().collect(), fig8_row)
+/// [`parallel_map`] job per benchmark.
+pub fn fig8(kernels: &[Kernel]) -> Result<Vec<Fig8Row>, MultiRunError> {
+    parallel_map(kernels.iter().collect(), fig8_row)
         .into_iter()
         .collect()
 }
@@ -252,13 +222,10 @@ fn comparison_row(k: &Kernel) -> Result<ComparisonRow, MultiRunError> {
     })
 }
 
-/// Figures 9/10 + Table 3: runs both systems on each kernel, one job
-/// per benchmark under `par`.
-pub fn compare_systems(
-    kernels: &[Kernel],
-    par: Parallelism,
-) -> Result<Vec<ComparisonRow>, MultiRunError> {
-    par.map(kernels.iter().collect(), comparison_row)
+/// Figures 9/10 + Table 3: runs both systems on each kernel, one
+/// [`parallel_map`] job per benchmark.
+pub fn compare_systems(kernels: &[Kernel]) -> Result<Vec<ComparisonRow>, MultiRunError> {
+    parallel_map(kernels.iter().collect(), comparison_row)
         .into_iter()
         .collect()
 }
@@ -308,14 +275,13 @@ fn backside_point(
 /// Backside-sensitivity sweep: row-buffer locality and L3 bank
 /// contention for every kernel × core-count point, on the default
 /// (banked, row-aware) backside. Points a kernel cannot shard to are
-/// skipped; one job per point under `par`.
+/// skipped; one job per point.
 pub fn backside_sweep(
     kernels: &[Kernel],
     core_counts: &[usize],
     mode: SysMode,
-    par: Parallelism,
 ) -> Result<Vec<BacksideSweepRow>, MultiRunError> {
-    sweep_grid(kernels, core_counts, par, |k, &cores| {
+    sweep_grid(kernels, core_counts, |k, &cores| {
         backside_point(k, cores, mode)
     })
 }
@@ -374,15 +340,14 @@ fn scaling_rows_for(
 /// speedup-vs-cores curves per kernel with bus-wait breakdowns, on
 /// machines built from `cfg`. Rows are grouped by kernel, core counts
 /// ascending within a group when `core_counts` is ascending. One job
-/// per kernel under `par` (each job runs that kernel's whole curve,
+/// per kernel (each job runs that kernel's whole curve,
 /// since every point normalizes against the kernel's own 1-core run).
 pub fn scaling_sweep(
     kernels: &[Kernel],
     core_counts: &[usize],
     cfg: &MachineConfig,
-    par: Parallelism,
 ) -> Result<Vec<ScalingRow>, MultiRunError> {
-    let per_kernel = par.map(kernels.iter().collect(), |k| {
+    let per_kernel = parallel_map(kernels.iter().collect(), |k| {
         scaling_rows_for(k, core_counts, cfg)
     });
     let mut rows = Vec::new();
@@ -472,14 +437,13 @@ fn protocol_point(
 /// The protocol-family comparison: every kernel × core-count point run
 /// under the `Replicate` baseline and all four directory protocols on
 /// otherwise identical machines. Points a kernel cannot shard to are
-/// skipped; one job per point under `par`.
+/// skipped; one job per point.
 pub fn protocol_sweep(
     kernels: &[Kernel],
     core_counts: &[usize],
     mode: SysMode,
-    par: Parallelism,
 ) -> Result<Vec<ProtocolSweepRow>, MultiRunError> {
-    let points = sweep_grid(kernels, core_counts, par, |k, &cores| {
+    let points = sweep_grid(kernels, core_counts, |k, &cores| {
         protocol_point(k, cores, mode)
     })?;
     Ok(points.into_iter().flatten().collect())
@@ -612,16 +576,14 @@ fn hetero_point(
 /// is built from default configurations, so it reproduces the
 /// homogeneous sharded machine bit for bit — the anchor the mixed
 /// shapes are compared against. Shapes a kernel cannot shard to are
-/// skipped; one job per (kernel, shape) point under `par`.
+/// skipped; one job per (kernel, shape) point.
 pub fn hetero_sweep(
     kernels: &[Kernel],
     cores: usize,
-    par: Parallelism,
 ) -> Result<Vec<HeteroSweepRow>, MultiRunError> {
     sweep_grid(
         kernels,
         &hetero_shapes(cores),
-        par,
         |k, (label, cfgs, weights)| hetero_point(k, label, cfgs, weights),
     )
 }
@@ -690,12 +652,8 @@ fn comm_point(
 /// cache-based chips under the environment's inter-core protocol, plus
 /// the full protocol family on the cache-based queue (the dirty
 /// hand-off point where MSI/MESI/MOESI/MESIF separate). Core counts
-/// must be even (pair workloads). One job per point under `par`.
-pub fn comm_sweep(
-    scale: Scale,
-    core_counts: &[usize],
-    par: Parallelism,
-) -> Result<Vec<CommSweepRow>, MultiRunError> {
+/// must be even (pair workloads). One job per point.
+pub fn comm_sweep(scale: Scale, core_counts: &[usize]) -> Result<Vec<CommSweepRow>, MultiRunError> {
     let env_cm = MachineConfig::for_mode(SysMode::HybridCoherent)
         .mem
         .coherence
@@ -713,7 +671,7 @@ pub fn comm_sweep(
             }
         }
     }
-    par.map(points, |(name, cores, mode, cm)| {
+    parallel_map(points, |(name, cores, mode, cm)| {
         comm_point(scale, name, cores, mode, cm)
     })
     .into_iter()

@@ -53,8 +53,8 @@
 //! | [`compiler`] | loop IR, classification, tiling, guarded codegen, double store, kernel sharding (`Kernel::shard`, `Kernel::shard_weighted`, per-tile LM budgets via `compile_with_lm`) |
 //! | [`workloads`] | Table 2 microbenchmark, six NAS-signature kernels, communication workloads (`workloads::comm`) |
 //! | [`machine`] | the assembled systems — hybrid coherent / hybrid oracle / cache-based — as single-core [`Machine`]s or N-core [`MultiMachine`]s sharing one backside, homogeneous or with per-tile configurations |
-//! | [`cluster`] | hierarchical clusters: per-cluster backside slices (own L3 + DRAM channel), epoch-synchronized host threads, serial oracle ([`run_clusters`], [`ClusterTopology`]) |
-//! | [`experiments`] | [`RunSpec`] (the one way to run kernels on any machine shape), sweep drivers regenerating every table and figure (serial or host-parallel via [`Parallelism`]), the communication sweep and the open-loop request-serving driver |
+//! | [`cluster`] | hierarchical clusters: per-cluster backside slices (own L3 + DRAM channel), each cluster run to completion on its own, one host thread each or serially ([`run_clusters`], [`ClusterTopology`]) |
+//! | [`experiments`] | [`RunSpec`] (the one way to run kernels on any machine shape), sweep drivers regenerating every table and figure (host-parallel via [`parallel_map`]), the communication sweep and the open-loop request-serving driver |
 //!
 //! ## Multicore model
 //!
@@ -132,7 +132,7 @@ pub use experiments::{
     backside_sweep, coherence_rows, comm_sweep, compare_systems, compile_for_tile, fig7, fig8,
     geomean, hetero_sweep, parallel_map, protocol_sweep, request_serving, request_serving_sweep,
     scaling_sweep, BacksideSweepRow, CoherenceSweepRow, CommSweepRow, HeteroSweepRow,
-    MultiRunError, Parallelism, ProtocolSweepRow, RunOutcome, RunSpec, ScalingRow,
+    MultiRunError, ProtocolSweepRow, RunOutcome, RunSpec, ScalingRow,
 };
 pub use machine::{Machine, MachineConfig, MultiMachine, SysMode, World};
 pub use metrics::{
@@ -148,7 +148,7 @@ pub mod prelude {
         backside_sweep, coherence_rows, comm_sweep, compare_systems, compile_for_tile, fig7, fig8,
         hetero_sweep, protocol_sweep, request_serving, request_serving_sweep, scaling_sweep,
         BacksideSweepRow, CoherenceSweepRow, CommSweepRow, HeteroSweepRow, MultiRunError,
-        Parallelism, ProtocolSweepRow, RunOutcome, RunSpec, ScalingRow,
+        ProtocolSweepRow, RunOutcome, RunSpec, ScalingRow,
     };
     pub use crate::machine::{Machine, MachineConfig, MultiMachine, SysMode};
     pub use crate::metrics::{

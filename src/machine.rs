@@ -576,10 +576,9 @@ impl MultiMachine {
     /// reaches `limit`: no tick executes at a cycle ≥ `limit`, and no
     /// event at or past it is processed. Scheduler state persists on the
     /// machine between calls, so a chunked run — `run_until(e)` for an
-    /// increasing sequence of epoch boundaries — performs the *exact*
-    /// operation sequence of one monolithic `run`, leaving every
-    /// statistic (skip counters included) bit-identical. This is what
-    /// the epoch-synchronized cluster driver calls once per epoch.
+    /// increasing sequence of limits — performs the *exact* operation
+    /// sequence of one monolithic `run`, leaving every statistic (skip
+    /// counters included) bit-identical.
     /// Between calls a live tile's clock may lag behind `limit`; it is
     /// brought up to date when the tile is next due.
     pub fn run_until(&mut self, limit: u64) -> Result<(), SimError> {

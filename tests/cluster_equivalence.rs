@@ -1,22 +1,23 @@
-//! Cluster-machine equivalence: host-parallel epoch execution must be a
-//! pure host-speed optimization, exactly like the cycle skipper.
+//! Cluster-machine equivalence: running the clusters on host threads
+//! must be a pure host-speed optimization, exactly like the cycle
+//! skipper.
 //!
 //! Three identities are asserted bit for bit, skip counters included:
 //!
-//! 1. **threaded == serial**: one host thread per cluster with
-//!    double-barrier epoch synchronization produces exactly the stats of
-//!    the serial round-robin epoch loop (`ClusterConfig::serial`);
-//! 2. **serial == lockstep**: the epoch-chunked `run_until` driver over
-//!    a skipping machine matches the naive per-cycle loop
-//!    (`MachineConfig::with_lockstep`), so chunking at epoch boundaries
-//!    never perturbs the event-horizon scheduler;
+//! 1. **threaded == serial**: one host thread per cluster produces
+//!    exactly the stats of running the clusters one after another on
+//!    the calling thread (`ClusterConfig::serial`);
+//! 2. **serial == lockstep**: the cluster driver over a skipping machine
+//!    matches the naive per-cycle loop (`MachineConfig::with_lockstep`);
 //! 3. **1 cluster == flat machine**: a 1×n cluster topology with one
 //!    DRAM channel reproduces the flat `RunSpec::new(k).cores(n)` run exactly — the
 //!    cluster layer adds nothing when there is nothing to slice.
 //!
-//! Plus the accounting contracts: cross-cluster replication fallbacks
-//! are counted (never silently free), and the multi-channel DRAM
-//! backside conserves line traffic while partitioning it.
+//! Plus the resumable contract of `MultiMachine::run_until` (a chunked
+//! run equals one `run`), and the accounting contracts: cross-cluster
+//! replication fallbacks are counted (never silently free), and the
+//! multi-channel DRAM backside conserves line traffic while
+//! partitioning it.
 
 use hsim::cluster::{cross_cluster_fallbacks, ClusterConfig, ClusterTopology};
 use hsim::compiler::compile;
@@ -24,7 +25,7 @@ use hsim::prelude::*;
 use hsim_workloads::nas;
 
 /// Every observable of two per-core reports must match bit for bit —
-/// including the skip accounting, which epoch chunking must preserve.
+/// including the skip accounting, which chunking must preserve.
 fn assert_cores_equal(a: &RunReport, b: &RunReport, what: &str) {
     assert_eq!(a.core, b.core, "{what}: core stats (incl. skip counters)");
     assert_eq!(a.cycles, b.cycles, "{what}: cycles");
@@ -63,37 +64,34 @@ fn assert_cores_equal(a: &RunReport, b: &RunReport, what: &str) {
     assert_eq!(a.escalations, b.escalations, "{what}: escalations");
 }
 
-/// Two cluster reports must agree on everything: shape, epochs, per-core
-/// stats, fallback accounting.
+/// Two cluster reports must agree on everything: shape, per-core stats,
+/// fallback accounting.
 fn assert_cluster_reports_equal(
     a: &hsim::ClusterRunReport,
     b: &hsim::ClusterRunReport,
     what: &str,
 ) {
     assert_eq!(a.makespan, b.makespan, "{what}: makespan");
-    assert_eq!(a.epochs, b.epochs, "{what}: epochs");
-    assert_eq!(a.epoch_cycles, b.epoch_cycles, "{what}: epoch length");
     assert_eq!(
         a.cross_cluster_fallbacks, b.cross_cluster_fallbacks,
         "{what}: cluster fallbacks"
     );
-    assert_per_cluster_equal(a, b, what);
-}
-
-/// The simulated side of two cluster reports — every per-cluster,
-/// per-core statistic — must agree (the epoch bookkeeping may differ).
-fn assert_per_cluster_equal(a: &hsim::ClusterRunReport, b: &hsim::ClusterRunReport, what: &str) {
     assert_eq!(a.per_cluster.len(), b.per_cluster.len(), "{what}: clusters");
     for (c, (ca, cb)) in a.per_cluster.iter().zip(&b.per_cluster).enumerate() {
-        assert_eq!(ca.makespan, cb.makespan, "{what}: cluster {c} makespan");
-        assert_eq!(
-            ca.replication_fallbacks, cb.replication_fallbacks,
-            "{what}: cluster {c} repl fallbacks"
-        );
-        assert_eq!(ca.per_core.len(), cb.per_core.len(), "{what}: cores");
-        for (i, (ra, rb)) in ca.per_core.iter().zip(&cb.per_core).enumerate() {
-            assert_cores_equal(ra, rb, &format!("{what}: cluster {c} core {i}"));
-        }
+        assert_multi_equal(ca, cb, &format!("{what}: cluster {c}"));
+    }
+}
+
+/// Every per-core statistic of two multicore reports must agree.
+fn assert_multi_equal(a: &MultiRunReport, b: &MultiRunReport, what: &str) {
+    assert_eq!(a.makespan, b.makespan, "{what}: makespan");
+    assert_eq!(
+        a.replication_fallbacks, b.replication_fallbacks,
+        "{what}: repl fallbacks"
+    );
+    assert_eq!(a.per_core.len(), b.per_core.len(), "{what}: cores");
+    for (i, (ra, rb)) in a.per_core.iter().zip(&b.per_core).enumerate() {
+        assert_cores_equal(ra, rb, &format!("{what} core {i}"));
     }
 }
 
@@ -125,8 +123,8 @@ fn run(
     }
 }
 
-/// Identity 1: threaded epoch execution == serial epoch execution, for
-/// every NAS kernel across topologies and channel counts.
+/// Identity 1: threaded clusters == serial clusters, for every NAS
+/// kernel across topologies and channel counts.
 #[test]
 fn threaded_clusters_match_serial_oracle() {
     for kernel in nas::all_nas(Scale::Test) {
@@ -148,40 +146,46 @@ fn threaded_clusters_match_serial_oracle() {
     }
 }
 
-/// The epoch length is a host-side synchronization grain, not a
-/// simulated quantity: a 1-cycle inter-cluster latency (one epoch per
-/// cycle) must reproduce the default 500-cycle run's per-cluster
-/// reports exactly. Regression: with the default `max_cycles` of
-/// `u64::MAX`, the derived watchdog bound `max_cycles / 1 + 2` wrapped
-/// to 1 (release) or overflow-panicked (debug), failing every cluster
-/// after its first epoch.
+/// The resumable contract of `MultiMachine::run_until`: driving a
+/// machine to completion in chunks of 1 or of 500 cycles performs the
+/// operations of one `run`, so every statistic — skip counters included
+/// — equals the uninterrupted run's.
 #[test]
-fn one_cycle_epochs_match_the_default_epoch_length() {
+fn run_until_chunks_match_one_run() {
     let kernel = nas::cg(Scale::Test);
     let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
-    let run = |latency: u64| {
-        let mut cluster = ClusterConfig::new(ClusterTopology::new(2, 2)).serial();
-        cluster.inter_cluster_latency = latency;
-        assert!(cluster.effective_max_epochs(&cfg) > 2);
-        RunSpec::new(&kernel)
-            .clustered(&cluster)
-            .config(cfg.clone())
-            .run()
-            .map(RunOutcome::into_clusters)
-            .unwrap_or_else(|e| panic!("latency {latency}: {e}"))
+    let shards: Vec<_> = kernel
+        .shard(4)
+        .expect("CG shards 4 ways")
+        .into_iter()
+        .map(|s| (compile_for_tile(&s, &cfg), s))
+        .collect();
+    let cks: Vec<_> = shards.iter().map(|(ck, _)| ck.clone()).collect();
+    let run = |chunk: Option<u64>| {
+        let mut m = hsim::MultiMachine::for_kernels(cfg.clone(), &shards);
+        match chunk {
+            None => m.run().expect("CG halts"),
+            Some(chunk) => {
+                let mut limit = 0;
+                while !m.all_halted() {
+                    limit += chunk;
+                    m.run_until(limit).expect("CG halts");
+                }
+            }
+        }
+        MultiRunReport::collect(&m, &cks)
     };
-    let (fine, default) = (run(1), run(500));
-    assert_eq!(fine.makespan, default.makespan);
-    assert_eq!(fine.epoch_cycles, 1);
-    assert!(fine.epochs > default.epochs);
-    assert_per_cluster_equal(&fine, &default, "CG 2x2 latency 1 vs 500");
+    let whole = run(None);
+    assert!(whole.total(|c| c.skipped_cycles) > 0, "CG must skip cycles");
+    for chunk in [1, 500] {
+        let what = format!("CG x4 in {chunk}-cycle chunks");
+        assert_multi_equal(&whole, &run(Some(chunk)), &what);
+    }
 }
 
-/// Identity 2: the epoch-chunked skipping machine == the per-cycle
-/// lockstep machine, inside the cluster driver. Chunked `run_until`
-/// must not perturb the event-horizon scheduler's decisions (the skip
-/// counters are compared in identity 1; here the *timing* is pinned to
-/// the naive loop).
+/// Identity 2: the skipping machine == the per-cycle lockstep machine,
+/// inside the cluster driver (the skip counters are compared in
+/// identity 1; here the *timing* is pinned to the naive loop).
 #[test]
 fn epoch_chunked_skipping_matches_lockstep() {
     for kernel in nas::all_nas(Scale::Test) {
@@ -193,7 +197,7 @@ fn epoch_chunked_skipping_matches_lockstep() {
             run(&kernel, topo, true, 1, true).expect("shardability cannot depend on lockstep");
         assert_eq!(
             skip.makespan, lock.makespan,
-            "{}: chunked skipping changed the makespan",
+            "{}: skipping changed the makespan",
             kernel.name
         );
         assert_eq!(skip.total(|c| c.committed), lock.total(|c| c.committed));

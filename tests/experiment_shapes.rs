@@ -7,7 +7,7 @@ use hsim_workloads::nas;
 
 #[test]
 fn fig7_rd_is_free_and_wr_grows_linearly() {
-    let pts = fig7(4 * 1024, 20, Parallelism::Serial).unwrap();
+    let pts = fig7(4 * 1024, 20).unwrap();
     // RD: flat at 1.0 (guarded loads are free — the lookup fits the AGU
     // cycle).
     for p in pts.iter().filter(|p| p.mode == MicroMode::Rd) {
@@ -52,7 +52,7 @@ fn fig7_rd_is_free_and_wr_grows_linearly() {
 #[test]
 fn fig8_overheads_are_small_and_double_store_driven() {
     let kernels = nas::all_nas(Scale::Test);
-    let rows = fig8(&kernels, Parallelism::Serial).unwrap();
+    let rows = fig8(&kernels).unwrap();
     for r in &rows {
         match r.name.as_str() {
             // No potentially incoherent writes: zero time overhead.
@@ -95,7 +95,7 @@ fn fig9_memory_bound_kernels_favor_the_hybrid() {
         nas::ft(Scale::Test),
         nas::mg(Scale::Test),
     ];
-    let rows = compare_systems(&kernels, Parallelism::Serial).unwrap();
+    let rows = compare_systems(&kernels).unwrap();
     let get = |n: &str| rows.iter().find(|r| r.name == n).unwrap();
     assert!(get("MG").speedup > 1.2, "MG: {:.2}", get("MG").speedup);
     assert!(get("FT").speedup > 1.1, "FT: {:.2}", get("FT").speedup);
@@ -106,7 +106,7 @@ fn fig9_memory_bound_kernels_favor_the_hybrid() {
 #[test]
 fn fig10_hybrid_saves_energy_on_stream_kernels() {
     let kernels = vec![nas::ft(Scale::Test), nas::mg(Scale::Test)];
-    for r in compare_systems(&kernels, Parallelism::Serial).unwrap() {
+    for r in compare_systems(&kernels).unwrap() {
         assert!(
             r.energy_norm < 0.95,
             "{}: hybrid must save energy, got {:.3}",
@@ -123,7 +123,7 @@ fn fig10_hybrid_saves_energy_on_stream_kernels() {
 #[test]
 fn table3_activity_shifts_from_caches_to_lm() {
     let kernels = vec![nas::mg(Scale::Test)];
-    let r = &compare_systems(&kernels, Parallelism::Serial).unwrap()[0];
+    let r = &compare_systems(&kernels).unwrap()[0];
     // The hybrid system must serve most traffic from the LM and touch the
     // caches less than the cache-based system does.
     assert!(r.hybrid.lm_accesses > 0);
@@ -145,33 +145,19 @@ fn geomean_helper() {
 
 #[test]
 fn parallel_drivers_match_sequential_results() {
-    // Every simulation is deterministic and self-contained, so the
-    // thread-pool drivers must reproduce the sequential results exactly.
-    let kernels = vec![nas::ep(Scale::Test), nas::is(Scale::Test)];
-    let seq = fig8(&kernels, Parallelism::Serial).unwrap();
-    let par = fig8(&kernels, Parallelism::HostThreads).unwrap();
-    assert_eq!(seq.len(), par.len());
-    for (s, p) in seq.iter().zip(&par) {
-        assert_eq!(s.name, p.name);
-        assert_eq!(s.coherent.cycles, p.coherent.cycles);
-        assert_eq!(s.oracle.cycles, p.oracle.cycles);
-        assert_eq!(s.coherent.committed, p.coherent.committed);
-    }
-
-    let seq7 = fig7(512, 50, Parallelism::Serial).unwrap();
-    let par7 = fig7(512, 50, Parallelism::HostThreads).unwrap();
-    assert_eq!(seq7.len(), par7.len());
-    for (s, p) in seq7.iter().zip(&par7) {
-        assert_eq!((s.mode, s.pct), (p.mode, p.pct));
-        assert!((s.overhead - p.overhead).abs() < 1e-12);
-    }
-
-    let seqc = compare_systems(&kernels, Parallelism::Serial).unwrap();
-    let parc = compare_systems(&kernels, Parallelism::HostThreads).unwrap();
-    for (s, p) in seqc.iter().zip(&parc) {
-        assert_eq!(s.hybrid.cycles, p.hybrid.cycles);
-        assert_eq!(s.cache.cycles, p.cache.cycles);
-    }
+    // Every sweep driver fans its points out through `parallel_map`: it
+    // must return exactly `Iterator::map`'s outputs, in input order,
+    // whichever worker finishes first (later items take less work here,
+    // so they tend to finish first).
+    let items: Vec<u64> = (0..64).collect();
+    let f = |i: u64| {
+        let spin = (64 - i) * 1_000;
+        let h = (0..spin).fold(i, |h, x| h.wrapping_mul(31).wrapping_add(x));
+        format!("{i}:{h}")
+    };
+    let want: Vec<String> = items.iter().copied().map(f).collect();
+    assert_eq!(hsim::parallel_map(items, f), want);
+    assert!(hsim::parallel_map(Vec::<u64>::new(), f).is_empty());
 }
 
 #[test]
@@ -180,13 +166,7 @@ fn scaling_sweep_produces_rising_sublinear_curves() {
     // cores but stays sublinear (shared backside), and the 1-core point
     // is exactly 1.0 by construction.
     let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
-    let rows = scaling_sweep(
-        &[nas::cg(Scale::Test)],
-        &[1, 2, 4],
-        &cfg,
-        Parallelism::Serial,
-    )
-    .unwrap();
+    let rows = scaling_sweep(&[nas::cg(Scale::Test)], &[1, 2, 4], &cfg).unwrap();
     assert_eq!(rows.len(), 3);
     assert!((rows[0].speedup - 1.0).abs() < 1e-12, "1-core speedup is 1");
     for w in rows.windows(2) {
@@ -205,32 +185,15 @@ fn scaling_sweep_produces_rising_sublinear_curves() {
             r.speedup
         );
     }
-    // The parallel driver reproduces the sequential rows exactly.
-    let par = scaling_sweep(
-        &[nas::cg(Scale::Test)],
-        &[1, 2, 4],
-        &cfg,
-        Parallelism::HostThreads,
-    )
-    .unwrap();
-    assert_eq!(par.len(), rows.len());
-    for (s, p) in rows.iter().zip(&par) {
-        assert_eq!(s.report.makespan, p.report.makespan);
-        assert_eq!(
-            s.report.total(|c| c.bus_wait_cycles),
-            p.report.total(|c| c.bus_wait_cycles)
-        );
-    }
 }
 
 #[test]
-fn hetero_sweep_covers_the_shapes_and_matches_parallel() {
+fn hetero_sweep_covers_the_shapes() {
     // The heterogeneous sweep on a 2-core chip: every hybrid:cache
     // ratio plus the LM-asymmetry and weighted shapes, with the
-    // all-hybrid anchor equal to the homogeneous machine and the
-    // parallel driver bit-identical to the sequential one.
+    // all-hybrid anchor equal to the homogeneous machine.
     let kernels = [nas::cg(Scale::Test)];
-    let rows = hetero_sweep(&kernels, 2, Parallelism::Serial).unwrap();
+    let rows = hetero_sweep(&kernels, 2).unwrap();
     let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
     assert_eq!(
         labels,
@@ -258,19 +221,6 @@ fn hetero_sweep_covers_the_shapes_and_matches_parallel() {
     );
     // Mixing in the cache tile costs cycles on CG.
     assert!(by("1H+1C").report.makespan > by("2H+0C").report.makespan);
-
-    let par = hetero_sweep(&kernels, 2, Parallelism::HostThreads).unwrap();
-    assert_eq!(par.len(), rows.len());
-    for (s, p) in rows.iter().zip(&par) {
-        assert_eq!(s.label, p.label);
-        assert_eq!(s.report.makespan, p.report.makespan);
-        for counter in [
-            |c: &RunReport| c.dram_reads,
-            |c: &RunReport| c.bus_wait_cycles,
-        ] {
-            assert_eq!(s.report.total(counter), p.report.total(counter));
-        }
-    }
 }
 
 #[test]

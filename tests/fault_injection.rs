@@ -15,13 +15,14 @@
 //! 4. **Deterministic** — equal seeds replay equal fault sequences,
 //!    regardless of host threading (clustered runs included).
 //!
-//! Plus the host-level degradation contracts: an injected cluster-
-//! thread panic terminates with a structured [`ClusterFailure::Panic`]
-//! (never a barrier hang) carrying the surviving clusters' reports, and
-//! the epoch watchdog bounds a wedged run.
+//! Plus the degradation contracts of clustered runs: an injected
+//! cluster-thread panic, or a cluster that exhausts its cycle budget,
+//! fails only that cluster with a structured [`ClusterFailure`]
+//! carrying the surviving clusters' reports.
 
 use hsim::cluster::{ClusterConfig, ClusterTopology};
 use hsim::compiler::compile;
+use hsim::core::SimError;
 use hsim::experiments::MultiRunError;
 use hsim::machine::MultiMachine;
 use hsim::prelude::*;
@@ -239,7 +240,6 @@ proptest! {
         let Some(serial) = run(true) else { return Ok(()); };
         let threaded = run(false).expect("shardability cannot depend on threading");
         prop_assert_eq!(serial.makespan, threaded.makespan, "makespan");
-        prop_assert_eq!(serial.epochs, threaded.epochs, "epochs");
         prop_assert_eq!(serial.total(|c| c.ecc_retries), threaded.total(|c| c.ecc_retries));
         prop_assert_eq!(serial.total(|c| c.dma_retries), threaded.total(|c| c.dma_retries));
         prop_assert_eq!(serial.total(|c| c.dir_nacks), threaded.total(|c| c.dir_nacks));
@@ -351,10 +351,10 @@ fn saturated_fault_rate_recovers_and_escalates_without_hanging() {
     );
 }
 
-/// The acceptance test for host-level degradation: an injected
-/// cluster-thread panic terminates the run with a structured
-/// [`ClusterFailure::Panic`] naming the cluster — no barrier hang — and
-/// the surviving cluster's completed report rides along. The serial
+/// The acceptance test for host-level degradation: a cluster-thread
+/// panic injected before its run terminates the run with a structured
+/// [`ClusterFailure::Panic`] naming the cluster, and the surviving
+/// cluster's completed report rides along. The serial
 /// oracle fails identically (ClusterError equality is failure-based).
 #[test]
 fn injected_cluster_panic_degrades_gracefully() {
@@ -403,43 +403,47 @@ fn injected_cluster_panic_degrades_gracefully() {
     assert_eq!(errors[0], errors[1], "threaded and serial fail identically");
 }
 
-/// The epoch watchdog bounds a run that outlives its epoch budget:
-/// instead of barriering forever, still-running clusters fail with
-/// [`ClusterFailure::Watchdog`] and the run terminates structurally.
+/// The per-core cycle budget is the runaway bound of a clustered run:
+/// with a budget between a short and a long kernel's runtimes, the
+/// cluster running the long kernel fails with `SimError::CycleLimit`,
+/// the other completes, and both drivers fail identically.
 #[test]
-fn epoch_watchdog_bounds_the_run() {
-    let kernel = nas::all_nas(Scale::Test)
-        .into_iter()
-        .find(|k| k.shard(2).is_ok())
-        .expect("some NAS kernel shards 2 ways");
+fn over_budget_cluster_fails_alone() {
+    let micro = |n| {
+        microbench(&MicrobenchConfig {
+            mode: MicroMode::Baseline,
+            guarded_pct: 0,
+            n,
+        })
+    };
+    let kernels = [micro(256), micro(8 * 1024)];
     let topo = ClusterTopology::new(2, 1);
-    for serial in [false, true] {
-        let mut cluster = ClusterConfig::new(topo);
-        cluster.max_epochs = Some(1);
-        if serial {
-            cluster = cluster.serial();
-        }
-        let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
-        match RunSpec::new(&kernel)
-            .clustered(&cluster)
-            .config(cfg)
-            .run()
-            .map(RunOutcome::into_clusters)
-        {
-            // NAS Test kernels run well past one 500-cycle epoch, so the
-            // watchdog must fire; tolerate a kernel that halts inside the
-            // first epoch anyway rather than encode its runtime here.
-            Ok(r) => assert_eq!(r.epochs, 1, "completed within the bound"),
-            Err(MultiRunError::Cluster(e)) => {
-                assert!(!e.failures.is_empty());
-                for (c, cause) in &e.failures {
-                    assert!(
-                        matches!(cause, ClusterFailure::Watchdog { epochs: 1 }),
-                        "cluster {c}: expected the watchdog, got {cause}"
-                    );
-                }
-            }
-            Err(e) => panic!("expected a structured cluster error, got {e}"),
-        }
+    let run = |cluster: &ClusterConfig, max_cycles: u64| {
+        let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
+        cfg.core.max_cycles = max_cycles;
+        RunSpec::many(&kernels).clustered(cluster).config(cfg).run()
+    };
+    let free = run(&ClusterConfig::new(topo), u64::MAX)
+        .expect("both kernels halt without a budget")
+        .into_clusters();
+    let (short, long) = (free.per_cluster[0].makespan, free.per_cluster[1].makespan);
+    assert!(short < long, "kernel sizes order the runtimes");
+    let budget = short + (long - short) / 2;
+    let mut errors = Vec::new();
+    for cluster in [ClusterConfig::new(topo), ClusterConfig::new(topo).serial()] {
+        let err = run(&cluster, budget).expect_err("the long cluster exceeds the budget");
+        let MultiRunError::Cluster(e) = err else {
+            panic!("expected a structured cluster error, got {err}");
+        };
+        assert_eq!(
+            e.failures,
+            [(1, ClusterFailure::Sim(SimError::CycleLimit))],
+            "only the over-budget cluster fails"
+        );
+        assert_eq!(e.completed.len(), 1, "the short cluster completed");
+        assert_eq!(e.completed[0].0, 0);
+        assert_eq!(e.completed[0].1.makespan, short, "the budget never bit");
+        errors.push(e);
     }
+    assert_eq!(errors[0], errors[1], "threaded and serial fail identically");
 }

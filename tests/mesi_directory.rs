@@ -251,8 +251,7 @@ fn diverged_shard_layouts_fall_back_to_replication() {
 #[test]
 fn coherence_sweep_driver_reports_the_cg_win() {
     let cg = [nas::cg(Scale::Test)];
-    let proto =
-        protocol_sweep(&cg, &[1, 4], SysMode::HybridCoherent, Parallelism::Serial).expect("sweep");
+    let proto = protocol_sweep(&cg, &[1, 4], SysMode::HybridCoherent).expect("sweep");
     let rows = coherence_rows(&cg, &proto);
     assert_eq!(rows.len(), 2);
     let one = &rows[0];

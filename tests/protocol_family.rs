@@ -7,7 +7,7 @@
 //!    charges, recalls and owner-attributed write-backs all live inside
 //!    access calls, whatever the table says);
 //! 2. **threaded == serial clusters** — per-cluster directory slices
-//!    keep host-parallel epoch execution invisible for every protocol;
+//!    keep host-parallel cluster execution invisible for every protocol;
 //! 3. **fault equivalence** — a fault plan is a pure timing
 //!    perturbation under every protocol: architectural state matches
 //!    the fault-free run, and skipping stays invisible under faults;
@@ -131,7 +131,6 @@ fn every_protocol_keeps_threaded_clusters_equal_to_serial() {
             "{}: makespan",
             cm.name()
         );
-        assert_eq!(serial.epochs, threaded.epochs, "{}: epochs", cm.name());
         assert_eq!(
             serial.cross_cluster_fallbacks,
             threaded.cross_cluster_fallbacks,

@@ -2,7 +2,7 @@
 # The byte-identity gate for refactors: every `hsim-bench <name> --smoke`
 # stdout and every BENCH_<name>.json must be identical between
 # <parent-rev> and the working tree, under HSIM_COHERENCE unset and
-# =mesi. Only the `clusters` host timings may differ; they are stripped.
+# =mesi. The outputs hold only simulated numbers, so they compare raw.
 #
 #   tools/byte_identity.sh <parent-rev>
 #
@@ -28,19 +28,6 @@ build() { # <source dir> <target dir>
 build "$work/parent" "$work/target-parent"
 build "$root" "$work/target-change"
 
-# Blanks what legitimately differs between two runs of `clusters`: the
-# host wall-clocks, their ratio and the host's CPU count.
-strip_host_timings() { # <dir>
-    sed -E -i \
-        -e 's/host parallelism = [0-9]+/host parallelism = N/' \
-        -e 's/( +[0-9]+\.[0-9]{3}){2} +[0-9]+\.[0-9]{2}x$//' \
-        "$1/clusters.out"
-    sed -E -i \
-        -e 's/"host_parallelism": [0-9]+/"host_parallelism": N/' \
-        -e 's/, "host_seconds_serial": [^,]+, "host_seconds_threaded": [^,]+, "thread_speedup": [^,}]+//' \
-        "$1/BENCH_clusters.json"
-}
-
 run_tree() { # <hsim-bench binary> <output dir>
     mkdir -p "$2"
     (
@@ -49,7 +36,6 @@ run_tree() { # <hsim-bench binary> <output dir>
             "$1" "$name" --smoke >"$name.out"
         done
     )
-    strip_host_timings "$2"
 }
 
 status=0
