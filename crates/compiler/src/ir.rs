@@ -11,8 +11,8 @@
 //! classification and tiling analyzable.
 
 use crate::alias::AliasOracle;
+use hsim_isa::Words;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Index of an array within a kernel.
 pub type ArrayId = usize;
@@ -221,12 +221,12 @@ pub struct Kernel {
     /// What the compiler's alias analysis can prove (per array pair).
     pub alias: AliasOracle,
     /// Initial contents per array, as raw 64-bit element bits. Shorter
-    /// buffers are zero-extended to the array length. The buffers are
-    /// shared, read-only: cloning a kernel — and sharding it, for every
-    /// array it replicates whole — bumps reference counts instead of
-    /// copying tables, and a machine loads a buffer that several of its
-    /// tiles place at one address into one set of shared page frames.
-    pub init: Vec<Arc<[u64]>>,
+    /// views are zero-extended to the array length. Each is a read-only
+    /// view of a shared buffer: cloning a kernel bumps reference counts,
+    /// sharding it narrows views, and a machine maps the views into its
+    /// tiles' memories by borrowing their pages, so each table exists
+    /// once however it is cloned, sliced and placed.
+    pub init: Vec<Words>,
 }
 
 /// Validation errors for kernels.
@@ -469,11 +469,11 @@ impl Kernel {
     /// the shards' written working sets are disjoint. Arrays accessed
     /// only iteration-independently — scalars and indirection targets —
     /// are replicated whole into each shard (gathered tables must stay
-    /// fully indexable). A replicated array keeps the parent's initial
-    /// data buffer, so every shard's [`Kernel::init`] entry for it is
-    /// the same `Arc`; each core still sees a private copy, because the
-    /// machine maps that one buffer copy-on-write. Sliced arrays get
-    /// buffers of their own. An array accessed
+    /// fully indexable). No initial data is copied: a shard's
+    /// [`Kernel::init`] entry is the parent's view, narrowed to the slice
+    /// for a sliced array, so every shard views the parent's buffers.
+    /// Each core still sees a private copy, because the machine maps
+    /// those buffers copy-on-write. An array accessed
     /// *both* ways admits no consistent slicing and makes the kernel
     /// unshardable ([`ShardError::MixedIndexing`]); silently replicating
     /// it would desynchronize its indices from the sliced arrays'.
@@ -502,9 +502,10 @@ impl Kernel {
     /// [`ShardError::TooManyShards`]. Note that *uneven* shards slice
     /// streamed arrays to different lengths, which can place later
     /// arrays at diverging addresses across the shards' layouts; a
-    /// machine sharing read-only tables across cores then falls back to
-    /// per-core replication for the diverged arrays (see
-    /// `MultiMachine::replication_fallbacks`).
+    /// machine then cannot register the diverged read-only tables as
+    /// coherent shared ranges, and each core caches its own lines of
+    /// them (see `MultiMachine::replication_fallbacks`). Their storage
+    /// is still the parent's one buffer.
     pub fn shard_weighted(&self, weights: &[u64]) -> Result<Vec<Kernel>, ShardError> {
         assert!(!weights.is_empty(), "need at least one shard weight");
         let n = weights.len();
@@ -654,14 +655,14 @@ impl Kernel {
                     decl.shared = n > 1 && !written[id];
                     continue;
                 };
-                // Slice the declaration and its initial data to this
+                // Narrow the declaration and its initial data to this
                 // shard's iteration window plus the halo its widest
                 // offset reference reaches into. Data past the parent's
-                // buffer stays implicit zero-extension.
+                // view stays implicit zero-extension.
                 decl.len = len + halo;
                 let src = &self.init[id];
                 let hi = ((end + halo) as usize).min(src.len());
-                k.init[id] = src[(start as usize).min(hi)..hi].into();
+                k.init[id] = src.slice((start as usize).min(hi)..hi);
             }
             debug_assert!(k.validate().is_ok(), "shard must stay well-formed");
             shards.push(k);
@@ -707,12 +708,12 @@ impl KernelBuilder {
 
     /// Declares an `f64` array initialized to zero.
     pub fn array_f64(&mut self, name: &str, len: u64) -> ArrayId {
-        self.push_array(name, Elem::F64, len, Arc::from([]))
+        self.push_array(name, Elem::F64, len, Words::default())
     }
 
     /// Declares an `i64` array initialized to zero.
     pub fn array_i64(&mut self, name: &str, len: u64) -> ArrayId {
-        self.push_array(name, Elem::I64, len, Arc::from([]))
+        self.push_array(name, Elem::I64, len, Words::default())
     }
 
     /// Declares an `f64` array with initial values.
@@ -727,7 +728,7 @@ impl KernelBuilder {
         self.push_array(name, Elem::I64, data.len() as u64, bits)
     }
 
-    fn push_array(&mut self, name: &str, elem: Elem, len: u64, init: Arc<[u64]>) -> ArrayId {
+    fn push_array(&mut self, name: &str, elem: Elem, len: u64, init: Words) -> ArrayId {
         self.kernel.arrays.push(ArrayDecl {
             name: name.to_string(),
             elem,
@@ -1157,35 +1158,41 @@ mod tests {
         kb.build().unwrap()
     }
 
-    /// Whether two initial-data buffers are one allocation.
-    fn same_buffer(a: &[u64], b: &[u64]) -> bool {
-        std::ptr::eq(a, b)
+    /// Asserts that each shard's initial data views its parent's
+    /// buffer, over the very words the parent holds there.
+    fn assert_views_parent(parent: &Kernel, shards: &[Kernel]) {
+        for s in shards {
+            for (id, (view, whole)) in s.init.iter().zip(&parent.init).enumerate() {
+                let ((buf, r), (parent_buf, pr)) = (view.buffer(), whole.buffer());
+                assert!(
+                    std::sync::Arc::ptr_eq(buf, parent_buf),
+                    "{}: array {id} must view its parent's buffer",
+                    s.name
+                );
+                assert!(
+                    pr.start <= r.start && r.end <= pr.end,
+                    "{}: array {id}",
+                    s.name
+                );
+                assert_eq!(**view, whole[r.start - pr.start..r.end - pr.start]);
+            }
+        }
     }
 
     #[test]
-    fn shards_share_replicated_init_buffers_and_own_their_slices() {
+    fn every_shard_views_its_parents_init_buffers() {
         let k = gather_kernel(32);
-        let (sliced, table) = ([0, 1], 2);
-        let check = |s: &Kernel| {
-            assert!(
-                same_buffer(&s.init[table], &k.init[table]),
-                "{}: the replicated table must be the parent's buffer",
-                s.name
-            );
-            for id in sliced {
-                assert!(
-                    !same_buffer(&s.init[id], &k.init[id]),
-                    "{}: a sliced array must own its buffer",
-                    s.name
-                );
-            }
-        };
-        let flat = k.shard(4).unwrap();
+        assert_views_parent(&k, &k.shard(4).unwrap());
+        assert_views_parent(&k, &k.shard_weighted(&[3, 1, 2]).unwrap());
+        let superslices = k.shard(2).unwrap();
+        assert_views_parent(&k, &superslices);
         let clustered = k.shard_clustered(2, 8).unwrap();
         assert_eq!(clustered.iter().flatten().count(), 16);
-        flat.iter()
-            .chain(clustered.iter().flatten())
-            .for_each(check);
+        for (superslice, cluster) in superslices.iter().zip(&clustered) {
+            assert_views_parent(superslice, cluster);
+            assert_views_parent(&k, cluster);
+        }
+        assert_eq!(k.init, gather_kernel(32).init, "sharding changed no word");
     }
 
     #[test]

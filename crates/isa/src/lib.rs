@@ -21,8 +21,9 @@
 //!
 //! The crate also provides the **memory map** shared by all components
 //! (local-memory window, MMIO window, code/data segments), a textual
-//! **assembler** and **disassembler**, and a label-resolving
-//! [`ProgramBuilder`].
+//! **assembler** and **disassembler**, a label-resolving
+//! [`ProgramBuilder`], and [`Words`], the read-only views of shared word
+//! buffers that hold a kernel's initial data.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,8 +33,10 @@ pub mod inst;
 pub mod memmap;
 pub mod program;
 pub mod reg;
+pub mod words;
 
 pub use inst::{AluOp, Cond, FpuOp, Inst, Operand, Phase, Route, Width};
 pub use memmap::MemoryMap;
 pub use program::{Label, Program, ProgramBuilder};
 pub use reg::{FReg, Reg};
+pub use words::Words;

@@ -10,12 +10,13 @@
 //!   correctness is independent of timing bugs — which in turn lets the
 //!   test suite check the coherence protocol end to end by comparing
 //!   final memory images across machine configurations. Pages are 4 KiB
-//!   and allocated on first touch; a one-entry translation cache makes
-//!   the common sequential-access pattern cheap. A page may also be a
-//!   read-only frame shared with other memories ([`SharedPages`]): a
-//!   read-only table replicated into every tile is stored once, and the
-//!   first write to such a page copies it, so each memory stays
-//!   private.
+//!   frames of 512 words, allocated on first touch; a one-entry
+//!   translation cache makes the common sequential-access pattern cheap.
+//!   Initial data is mapped, not copied ([`PagedMem::map_words`]): a page
+//!   an init view covers whole borrows a read-only window of the view's
+//!   buffer, so one table sliced over, or replicated into, every tile is
+//!   stored once, and the first write to such a page copies it, so each
+//!   memory stays private.
 //! * [`DramController`] — the **timing** model of the memory channel the
 //!   shared backside reads and writes through: per-DRAM-bank row buffers
 //!   with an open-row policy (row hit / row miss / row conflict
@@ -37,28 +38,33 @@
 //!   intervention-triggered writes partition exactly like every other
 //!   counter (pinned by the hierarchy partitioning tests in both
 //!   coherence modes).
+//! * **Byte order** — memory is little-endian whatever the host's byte
+//!   order: byte `i` of a page is bits `8 * (i % 8)..` of word `i / 8`,
+//!   and reads and writes take their bytes by shifts.
 
 use crate::fault::{FaultConfig, FaultRoller, FaultSite};
+use hsim_isa::Words;
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::Range;
 use std::sync::Arc;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const OFFSET_MASK: u64 = (PAGE_SIZE - 1) as u64;
+/// Words per page.
+const PAGE_WORDS: usize = PAGE_SIZE / 8;
 
 /// The memo's empty sentinel: page numbers are `addr >> 12`, so a real
 /// page can never equal it.
 const NO_PAGE: u64 = u64::MAX;
 
-/// Tags a frame slot as an index into the shared frames rather than the
-/// private ones.
-const SHARED: usize = 1 << (usize::BITS - 1);
+/// Tags a frame slot as an index into the borrowed windows rather than
+/// the private frames.
+const BORROWED: usize = 1 << (usize::BITS - 1);
 
-/// One 4 KiB page frame.
-type Frame = [u8; PAGE_SIZE];
+/// One 4 KiB page frame, as 512 little-endian words.
+type Frame = [u64; PAGE_WORDS];
 
 /// Hashes a page number by one multiplication. Page numbers come from
 /// the simulated program's addresses, not from outside input, and the
@@ -83,23 +89,41 @@ impl Hasher for PageHasher {
     }
 }
 
+/// A page borrowed from a mapped init buffer: the page's words are
+/// `buf[start..start + 512]`.
+struct Window {
+    pn: u64,
+    buf: Arc<[u64]>,
+    start: usize,
+}
+
+impl Window {
+    #[inline]
+    fn frame(&self) -> &Frame {
+        self.buf[self.start..]
+            .first_chunk()
+            .expect("a window spans a whole page of its buffer")
+    }
+}
+
 /// Sparse paged memory. Reads of untouched memory return zero.
 ///
-/// A frame is private or shared. Private frames are boxed in a dense
-/// `Vec` and written in place. Shared frames are read-only `Arc`s mapped
-/// from a [`SharedPages`] image that other memories map too, so a table
-/// replicated into every tile is stored once; the first write to a
-/// shared page copies it into a private frame, so no memory ever sees
-/// another's stores. A `HashMap` translates page numbers to frame slots,
-/// whose top bit says which kind the frame is, and a one-entry
+/// A frame is private or borrowed. Private frames are boxed in a dense
+/// `Vec` and written in place. A borrowed frame is a read-only window of
+/// an init buffer mapped by [`PagedMem::map_words`], which other
+/// memories may map too, so a table is stored once however many tiles
+/// hold it; the first write to a borrowed page copies it into a private
+/// frame, so no memory ever sees another's stores and no buffer ever
+/// changes. A `HashMap` translates page numbers to frame slots, whose
+/// top bit says which kind the frame is, and a one-entry
 /// `(page, slot)` memo short-circuits the map on the sequential access
 /// patterns that dominate kernel traffic (both reads and writes).
 pub struct PagedMem {
     /// Private frames, indexed by the untagged slots in `index`.
     pages: Vec<Box<Frame>>,
-    /// Shared frames with their page numbers, indexed by the
-    /// `SHARED`-tagged slots in `index`.
-    shared: Vec<(u64, Arc<Frame>)>,
+    /// Borrowed frames, indexed by the `BORROWED`-tagged slots in
+    /// `index`.
+    borrowed: Vec<Window>,
     /// Page number → frame slot.
     index: HashMap<u64, usize, BuildHasherDefault<PageHasher>>,
     /// One-entry translation memo: the last resident page touched, as
@@ -112,58 +136,16 @@ impl Default for PagedMem {
     fn default() -> Self {
         PagedMem {
             pages: Vec::new(),
-            shared: Vec::new(),
+            borrowed: Vec::new(),
             index: HashMap::default(),
             last: Cell::new((NO_PAGE, 0)),
         }
     }
 }
 
-/// A read-only image of initial words, cut into page frames once so that
-/// several memories can map it ([`PagedMem::map_shared`]) instead of each
-/// storing a copy. Pages whose words are all zero get no frame.
-pub struct SharedPages {
-    /// `(page number, the image's bytes within the page, frame)`.
-    frames: Vec<(u64, Range<usize>, Arc<Frame>)>,
-}
-
-impl SharedPages {
-    /// Cuts `words`, stored little-endian from `base` (8-byte aligned),
-    /// into page frames.
-    pub fn from_words(base: u64, words: &[u64]) -> Self {
-        let frames = page_runs(base, words)
-            .filter(|(_, _, run)| run.iter().any(|&w| w != 0))
-            .map(|(pn, off, run)| {
-                let mut frame = [0; PAGE_SIZE];
-                fill(&mut frame[off..], run);
-                (pn, off..off + run.len() * 8, Arc::new(frame))
-            })
-            .collect();
-        SharedPages { frames }
-    }
-}
-
-/// Splits `words`, stored from `base`, into per-page runs:
-/// `(page number, byte offset within the page, the run's words)`.
-fn page_runs(base: u64, words: &[u64]) -> impl Iterator<Item = (u64, usize, &[u64])> {
-    assert_eq!(base % 8, 0, "a word image must be 8-byte aligned");
-    let (mut addr, mut rest) = (base, words);
-    std::iter::from_fn(move || {
-        if rest.is_empty() {
-            return None;
-        }
-        let (pn, off) = PagedMem::page_of(addr);
-        let (run, tail) = rest.split_at(rest.len().min((PAGE_SIZE - off) / 8));
-        (addr, rest) = (addr + run.len() as u64 * 8, tail);
-        Some((pn, off, run))
-    })
-}
-
-/// Writes `words` little-endian to the start of `dst`.
-fn fill(dst: &mut [u8], words: &[u64]) {
-    for (d, w) in dst.chunks_exact_mut(8).zip(words) {
-        d.copy_from_slice(&w.to_le_bytes());
-    }
+/// The low `N` bytes of a word.
+const fn low_bytes(n: usize) -> u64 {
+    u64::MAX >> (64 - 8 * n)
 }
 
 impl PagedMem {
@@ -182,36 +164,36 @@ impl PagedMem {
         self.pages.len()
     }
 
-    /// Resident pages mapped from a [`SharedPages`] image and not written
+    /// Resident pages borrowed from a mapped init buffer and not written
     /// since.
     pub fn shared_pages(&self) -> usize {
-        self.shared.len()
+        self.borrowed.len()
     }
 
-    /// Stores `words` little-endian from `base` (8-byte aligned), one
-    /// page lookup per page. A page whose run is all zero is skipped: in
-    /// fresh memory it already reads as zero, so initial data allocates
-    /// frames only where it holds a non-zero word.
-    pub fn load_words(&mut self, base: u64, words: &[u64]) {
-        for (pn, off, run) in page_runs(base, words) {
-            if run.iter().any(|&w| w != 0) {
-                fill(&mut self.page_mut(pn)[off..], run);
-            }
-        }
-    }
-
-    /// Maps every frame of `image` into this memory. A page already
-    /// resident here keeps its own frame and takes the image's bytes by
-    /// copy, so the result always equals [`PagedMem::load_words`] of the
-    /// image's words.
-    pub fn map_shared(&mut self, image: &SharedPages) {
-        for (pn, run, frame) in &image.frames {
-            if self.index.contains_key(pn) {
-                self.page_mut(*pn)[run.clone()].copy_from_slice(&frame[run.clone()]);
+    /// Maps `words` from `base` (8-byte aligned): afterwards the memory
+    /// reads as if each word had been stored there. A page the view
+    /// covers whole and that is not resident yet borrows a read-only
+    /// window of the view's buffer, so mapping copies nothing. A page
+    /// the view covers in part, or that is resident already, takes the
+    /// words by copy, into a frame that reads zero past them.
+    pub fn map_words(&mut self, base: u64, words: &Words) {
+        assert_eq!(base % 8, 0, "words must be mapped 8-byte aligned");
+        let (buf, range) = words.buffer();
+        let mut at = 0;
+        while at < words.len() {
+            let (pn, off) = Self::page_of(base + at as u64 * 8);
+            let run = &words[at..words.len().min(at + PAGE_WORDS - off / 8)];
+            if run.len() == PAGE_WORDS && !self.index.contains_key(&pn) {
+                self.index.insert(pn, self.borrowed.len() | BORROWED);
+                self.borrowed.push(Window {
+                    pn,
+                    buf: Arc::clone(buf),
+                    start: range.start + at,
+                });
             } else {
-                self.index.insert(*pn, self.shared.len() | SHARED);
-                self.shared.push((*pn, Arc::clone(frame)));
+                self.page_mut(pn)[off / 8..][..run.len()].copy_from_slice(run);
             }
+            at += run.len();
         }
     }
 
@@ -232,7 +214,7 @@ impl PagedMem {
         Some(slot)
     }
 
-    /// The resident frame for `pn`, if any. A `SHARED`-tagged slot is
+    /// The resident frame for `pn`, if any. A `BORROWED`-tagged slot is
     /// past the end of `pages`, so the bounds check that finds a private
     /// frame is also the test of the frame's kind.
     #[inline]
@@ -240,12 +222,13 @@ impl PagedMem {
         let slot = self.slot_of(pn)?;
         Some(match self.pages.get(slot) {
             Some(private) => private,
-            None => &self.shared[slot ^ SHARED].1,
+            None => self.borrowed[slot ^ BORROWED].frame(),
         })
     }
 
     /// The private frame for `pn`, allocating (and memoizing) one on
-    /// first touch or on the first write to a shared page.
+    /// first touch or on the first write to a borrowed page.
+    #[inline]
     fn page_mut(&mut self, pn: u64) -> &mut Frame {
         match self.slot_of(pn) {
             Some(s) if s < self.pages.len() => &mut self.pages[s],
@@ -253,20 +236,20 @@ impl PagedMem {
         }
     }
 
-    /// Gives `pn` a private frame — zeroed, or a copy of the shared frame
-    /// at slot `found` — and returns it.
+    /// Gives `pn` a private frame — zeroed, or a copy of the borrowed
+    /// window at slot `found` — and returns it.
     #[cold]
     #[inline(never)]
     fn make_private(&mut self, pn: u64, found: Option<usize>) -> &mut Frame {
         let frame = match found {
-            None => Box::new([0; PAGE_SIZE]),
+            None => Box::new([0; PAGE_WORDS]),
             Some(tagged) => {
-                let (_, shared) = self.shared.swap_remove(tagged ^ SHARED);
-                // The last shared frame moved into the vacated slot.
-                if let Some(&(moved, _)) = self.shared.get(tagged ^ SHARED) {
-                    self.index.insert(moved, tagged);
+                let window = self.borrowed.swap_remove(tagged ^ BORROWED);
+                // The last window moved into the vacated slot.
+                if let Some(moved) = self.borrowed.get(tagged ^ BORROWED) {
+                    self.index.insert(moved.pn, tagged);
                 }
-                Box::new(*shared)
+                Box::new(*window.frame())
             }
         };
         let s = self.pages.len();
@@ -276,91 +259,85 @@ impl PagedMem {
         &mut self.pages[s]
     }
 
+    /// Reads the `N`-byte little-endian value at `addr`.
+    #[inline]
+    fn read_le<const N: usize>(&self, addr: u64) -> u64 {
+        let (pn, off) = Self::page_of(addr);
+        let shift = (off % 8) * 8;
+        if shift + 8 * N > 64 {
+            return self.read_straddling::<N>(addr);
+        }
+        match self.page(pn) {
+            Some(p) => (p[off / 8] >> shift) & low_bytes(N),
+            None => 0,
+        }
+    }
+
+    /// A read that straddles two words, byte by byte: rare, so kept out
+    /// of line to leave the common path small enough to inline.
+    #[cold]
+    #[inline(never)]
+    fn read_straddling<const N: usize>(&self, addr: u64) -> u64 {
+        (0..N as u64).fold(0, |v, i| v | ((self.read_u8(addr + i) as u64) << (8 * i)))
+    }
+
+    /// Writes the low `N` bytes of `val` little-endian at `addr`.
+    #[inline]
+    fn write_le<const N: usize>(&mut self, addr: u64, val: u64) {
+        let (pn, off) = Self::page_of(addr);
+        let shift = (off % 8) * 8;
+        if shift + 8 * N > 64 {
+            return self.write_straddling::<N>(addr, val);
+        }
+        let keep = !(low_bytes(N) << shift);
+        let word = &mut self.page_mut(pn)[off / 8];
+        *word = (*word & keep) | ((val & low_bytes(N)) << shift);
+    }
+
+    /// A write that straddles two words, byte by byte (see
+    /// `read_straddling`).
+    #[cold]
+    #[inline(never)]
+    fn write_straddling<const N: usize>(&mut self, addr: u64, val: u64) {
+        for i in 0..N as u64 {
+            self.write_u8(addr + i, (val >> (8 * i)) as u8);
+        }
+    }
+
     /// Reads one byte.
     #[inline]
     pub fn read_u8(&self, addr: u64) -> u8 {
-        let (pn, off) = Self::page_of(addr);
-        match self.page(pn) {
-            Some(p) => p[off],
-            None => 0,
-        }
+        self.read_le::<1>(addr) as u8
     }
 
     /// Writes one byte.
     #[inline]
     pub fn write_u8(&mut self, addr: u64, val: u8) {
-        let (pn, off) = Self::page_of(addr);
-        self.page_mut(pn)[off] = val;
-    }
-
-    /// Reads `N` little-endian bytes starting at `addr`.
-    #[inline]
-    fn read_bytes<const N: usize>(&self, addr: u64) -> [u8; N] {
-        let (pn, off) = Self::page_of(addr);
-        if off + N <= PAGE_SIZE {
-            if let Some(p) = self.page(pn) {
-                let mut out = [0u8; N];
-                out.copy_from_slice(&p[off..off + N]);
-                return out;
-            }
-            return [0u8; N];
-        }
-        self.read_crossing(addr)
-    }
-
-    /// A page-crossing read, byte by byte: rare, so kept out of line to
-    /// leave the common path small enough to inline.
-    #[cold]
-    #[inline(never)]
-    fn read_crossing<const N: usize>(&self, addr: u64) -> [u8; N] {
-        let mut out = [0u8; N];
-        for (i, b) in out.iter_mut().enumerate() {
-            *b = self.read_u8(addr + i as u64);
-        }
-        out
-    }
-
-    #[inline]
-    fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        let (pn, off) = Self::page_of(addr);
-        if off + bytes.len() <= PAGE_SIZE {
-            self.page_mut(pn)[off..off + bytes.len()].copy_from_slice(bytes);
-            return;
-        }
-        self.write_crossing(addr, bytes);
-    }
-
-    /// A page-crossing write, byte by byte (see `read_crossing`).
-    #[cold]
-    #[inline(never)]
-    fn write_crossing(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
-        }
+        self.write_le::<1>(addr, val.into());
     }
 
     /// Reads a 32-bit little-endian value.
     #[inline]
     pub fn read_u32(&self, addr: u64) -> u32 {
-        u32::from_le_bytes(self.read_bytes(addr))
+        self.read_le::<4>(addr) as u32
     }
 
     /// Writes a 32-bit little-endian value.
     #[inline]
     pub fn write_u32(&mut self, addr: u64, val: u32) {
-        self.write_bytes(addr, &val.to_le_bytes());
+        self.write_le::<4>(addr, val.into());
     }
 
     /// Reads a 64-bit little-endian value.
     #[inline]
     pub fn read_u64(&self, addr: u64) -> u64 {
-        u64::from_le_bytes(self.read_bytes(addr))
+        self.read_le::<8>(addr)
     }
 
     /// Writes a 64-bit little-endian value.
     #[inline]
     pub fn write_u64(&mut self, addr: u64, val: u64) {
-        self.write_bytes(addr, &val.to_le_bytes());
+        self.write_le::<8>(addr, val);
     }
 
     /// Reads an `i64`.
@@ -390,7 +367,7 @@ impl PagedMem {
     /// Copies `len` bytes from `src` to `dst` (the functional effect of a
     /// DMA transfer), one chunk at a time, no chunk crossing a page of
     /// either range. Ranges may overlap; the copy behaves like `memmove`.
-    /// Writing a shared page copies it first, like any other store.
+    /// Writing a borrowed page copies it first, like any other store.
     pub fn copy(&mut self, dst: u64, src: u64, len: u64) {
         if len == 0 || dst == src {
             return;
@@ -399,7 +376,7 @@ impl PagedMem {
         // inside the source — reads every source byte before a chunk
         // overwrites it.
         let backwards = dst > src && dst - src < len;
-        let mut chunk = [0u8; PAGE_SIZE];
+        let mut chunk = [0u64; PAGE_WORDS];
         let mut left = len;
         while left > 0 {
             let (at, n) = if backwards {
@@ -412,14 +389,31 @@ impl PagedMem {
                 let room = |a: u64| PAGE_SIZE as u64 - ((a + at) & OFFSET_MASK);
                 (at, left.min(room(src)).min(room(dst)))
             };
-            let buf = &mut chunk[..n as usize];
-            let (pn, off) = Self::page_of(src + at);
-            match self.page(pn) {
-                Some(p) => buf.copy_from_slice(&p[off..off + buf.len()]),
-                None => buf.fill(0),
+            let (from, to) = (src + at, dst + at);
+            if (from | to | n) % 8 != 0 {
+                self.copy_bytes(to, from, n);
+            } else {
+                let words = &mut chunk[..n as usize / 8];
+                let (pn, off) = Self::page_of(from);
+                match self.page(pn) {
+                    Some(p) => words.copy_from_slice(&p[off / 8..][..words.len()]),
+                    None => words.fill(0),
+                }
+                let (pn, off) = Self::page_of(to);
+                self.page_mut(pn)[off / 8..][..words.len()].copy_from_slice(words);
             }
-            self.write_bytes(dst + at, buf);
             left -= n;
+        }
+    }
+
+    /// One chunk of a `copy` that is not word-aligned, byte by byte
+    /// through a buffer: rare, so kept out of line.
+    #[cold]
+    #[inline(never)]
+    fn copy_bytes(&mut self, dst: u64, src: u64, len: u64) {
+        let bytes: Vec<u8> = (0..len).map(|i| self.read_u8(src + i)).collect();
+        for (i, b) in (0..).zip(bytes) {
+            self.write_u8(dst + i, b);
         }
     }
 
@@ -978,51 +972,54 @@ mod tests {
         copy_matches_memmove(0x0010, 0x6ff0, 0x1000);
     }
 
-    #[test]
-    fn load_words_allocates_only_pages_holding_a_non_zero_word() {
-        let mut words = vec![0u64; 3 * 512];
-        words[700] = 9; // page 1 only
+    /// `words` stored one word at a time: the image a mapping must read as.
+    fn stored(base: u64, words: &[u64]) -> PagedMem {
         let mut m = PagedMem::new();
-        m.load_words(0x4000, &words);
-        assert_eq!(m.resident_pages(), 1);
-        assert_eq!(m.read_u64(0x4000 + 700 * 8), 9);
-        // Unaligned to a page: the runs follow the page boundaries.
-        let words: Vec<u64> = (1..=600).collect();
-        m.load_words(0x8ff8, &words);
-        assert_eq!(m.read_u64(0x8ff8), 1);
-        assert_eq!(m.read_u64(0x9000), 2);
-        assert_eq!(m.read_u64(0x8ff8 + 599 * 8), 600);
-        assert_eq!(m.resident_pages(), 4);
+        for (i, &w) in (0..).zip(words) {
+            m.write_u64(base + 8 * i, w);
+        }
+        m
     }
 
     #[test]
-    fn a_shared_image_reads_like_loaded_words() {
-        let words: Vec<u64> = (0..1500u64)
-            .map(|i| if i < 512 { 0 } else { i * 3 })
-            .collect();
-        let image = SharedPages::from_words(0x2_0000, &words);
-        let (mut shared, mut loaded) = (PagedMem::new(), PagedMem::new());
-        // A page already resident keeps its frame and takes the image's
-        // bytes; the rest are mapped.
-        shared.write_u64(0x2_1ff8, 77);
-        loaded.write_u64(0x2_1ff8, 77);
-        shared.map_shared(&image);
-        loaded.load_words(0x2_0000, &words);
-        assert_eq!((shared.private_pages(), shared.shared_pages()), (1, 1));
-        assert_eq!(shared.resident_pages(), loaded.resident_pages());
-        assert_eq!(
-            shared.checksum(0x2_0000, 0x3000),
-            loaded.checksum(0x2_0000, 0x3000)
-        );
+    fn mapped_words_borrow_whole_pages_and_copy_the_partial_ones() {
+        // 1500 words from 0x8ff8: a partial first page (1 word), two
+        // whole pages and a partial last page (475 words).
+        let words: Words = (1..=1500).collect();
+        let mut m = PagedMem::new();
+        m.map_words(0x8ff8, &words);
+        assert_eq!((m.private_pages(), m.shared_pages()), (2, 2));
+        let copy = stored(0x8ff8, &words);
+        assert_eq!(m.checksum(0x8000, 0x5000), copy.checksum(0x8000, 0x5000));
+        // Bytes past the array on its last page still read zero.
+        assert_eq!(m.read_u64(0x8ff8 + 1500 * 8), 0);
+        // A view of a view borrows the same buffer at its own offset.
+        let mut v = PagedMem::new();
+        v.map_words(0x4_0000, &words.slice(512..1024));
+        assert_eq!((v.private_pages(), v.shared_pages()), (0, 1));
+        assert_eq!(v.read_u64(0x4_0000), 513);
+        assert_eq!(v.read_u64(0x4_0ff8), 1024);
     }
 
     #[test]
-    fn copy_onto_a_shared_frame_leaves_the_other_mappings_alone() {
-        let table: Vec<u64> = (1..=1024).collect(); // two pages
-        let image = SharedPages::from_words(0x1_0000, &table);
+    fn mapping_over_a_resident_page_copies_into_it() {
+        let words: Words = (0..1024u64).map(|i| i * 3).collect();
+        let mut m = PagedMem::new();
+        m.write_u64(0x2_1ff8, 77);
+        m.write_u64(0x2_2000, 5); // past the view: kept
+        m.map_words(0x2_0000, &words);
+        assert_eq!((m.private_pages(), m.shared_pages()), (2, 1));
+        assert_eq!(m.read_u64(0x2_1ff8), 1023 * 3);
+        assert_eq!(m.read_u64(0x2_2000), 5);
+        assert_eq!(m.read_u64(0x2_0008), 3);
+    }
+
+    #[test]
+    fn copy_onto_a_borrowed_frame_leaves_the_other_mappings_alone() {
+        let table: Words = (1..=1024).collect(); // two pages
         let (mut a, mut b) = (PagedMem::new(), PagedMem::new());
-        a.map_shared(&image);
-        b.map_shared(&image);
+        a.map_words(0x1_0000, &table);
+        b.map_words(0x1_0000, &table);
         // A `dma-put` of one word from `a`'s private buffer into the table.
         a.write_u64(0x800, 0xdead);
         a.copy(0x1_0008, 0x800, 8);
@@ -1031,15 +1028,16 @@ mod tests {
         assert_eq!((a.private_pages(), a.shared_pages()), (2, 1));
         assert_eq!(b.read_u64(0x1_0008), 2, "the other memory is unchanged");
         assert_eq!((b.private_pages(), b.shared_pages()), (0, 2));
+        assert_eq!(table[1], 2, "the buffer is unchanged");
     }
 
     #[test]
-    fn copy_on_write_keeps_every_other_shared_page_in_place() {
-        // Writing the first of three shared pages moves the last one into
-        // its slot; both survivors must still resolve, memo or not.
-        let table: Vec<u64> = (0..3 * 512).map(|i| i + 1).collect();
+    fn copy_on_write_keeps_every_other_borrowed_page_in_place() {
+        // Writing the first of three borrowed pages moves the last one
+        // into its slot; both survivors must still resolve, memo or not.
+        let table: Words = (0..3 * 512).map(|i| i + 1).collect();
         let mut m = PagedMem::new();
-        m.map_shared(&SharedPages::from_words(0, &table));
+        m.map_words(0, &table);
         assert_eq!(m.read_u64(2 * 4096), 1025);
         m.write_u64(0, 42);
         for page in 1..3u64 {
@@ -1053,6 +1051,17 @@ mod tests {
         );
         assert_eq!((m.private_pages(), m.shared_pages()), (3, 0));
         assert_eq!(m.read_u64(4096 + 16), 515);
+    }
+
+    #[test]
+    fn unaligned_accesses_read_back_little_endian() {
+        let mut m = PagedMem::new();
+        m.write_u64(0x13, 0x1122_3344_5566_7788); // straddles two words
+        assert_eq!(m.read_u64(0x13), 0x1122_3344_5566_7788);
+        assert_eq!(m.read_u8(0x13), 0x88);
+        assert_eq!(m.read_u32(0x16), 0x2233_4455);
+        m.write_u32(0x1e, 0xaabb_ccdd);
+        assert_eq!(m.read_u64(0x18), 0xccdd_0000_0011_2233);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! * [`backing`] — everything behind the last-level cache: the functional
 //!   64-bit address space (sparse paged memory — caches are *timing*
 //!   models; data always lives here, which is what makes the end-to-end
-//!   coherence checks possible; read-only tables can be mapped into many
-//!   memories as copy-on-write [`SharedPages`]) and the
+//!   coherence checks possible; a kernel's initial data is mapped into
+//!   many memories as borrowed, copy-on-write windows of its one buffer,
+//!   [`PagedMem::map_words`]) and the
 //!   [`DramController`] timing model
 //!   (per-bank row buffers, open-row policy, bounded posted-write queue
 //!   with FR-FCFS-style hit-first draining).
@@ -61,9 +62,7 @@ pub mod prefetch;
 pub mod tile;
 pub mod tlb;
 
-pub use backing::{
-    DramConfig, DramController, DramStats, DramTiming, PagedMem, RowOutcome, SharedPages,
-};
+pub use backing::{DramConfig, DramController, DramStats, DramTiming, PagedMem, RowOutcome};
 pub use backside::{BacksideCoreStats, CoherenceStats, SharedBackside};
 pub use cache::{AccessKind, Cache, CacheConfig, CacheStats, WritePolicy};
 pub use config::{

@@ -15,8 +15,9 @@
 //! (directory-tracked shared lines under `CoherenceMode::Mesi`,
 //! per-core replicas under `Replicate`). *Across* clusters, v1 does not
 //! model a home-directory hop: a shared range whose sharers span
-//! clusters falls back to one replica per cluster. That fallback is
-//! never silent — [`cross_cluster_fallbacks`] counts the extra replicas
+//! clusters falls back to one replica per cluster: each cluster caches
+//! its own lines of it, while its storage stays the one init buffer
+//! every tile borrows. That fallback is never silent — [`cross_cluster_fallbacks`] counts the extra replicas
 //! at plan-build time and the count travels through
 //! [`ClusterRunReport::cross_cluster_fallbacks`] into the `coherence`
 //! and `clusters` bench outputs, mirroring how intra-cluster layout

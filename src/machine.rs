@@ -28,11 +28,9 @@ use hsim_core::{
 };
 use hsim_isa::memmap::{MemoryMap, Region};
 use hsim_isa::{Program, Route, Width};
-use hsim_mem::{Level, MemConfig, MemSystem, PagedMem, SharedBackside, SharedPages};
+use hsim_mem::{Level, MemConfig, MemSystem, PagedMem, SharedBackside};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Which of the evaluation's three systems to simulate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,9 +149,9 @@ pub struct World {
     pub mem: MemSystem,
     /// The coherence directory (hybrid modes only).
     pub dir: Option<Directory>,
-    /// The functional backing store: this tile's own memory, though a
-    /// read-only table may sit in frames shared copy-on-write with other
-    /// tiles.
+    /// The functional backing store: this tile's own memory, though its
+    /// initial data sits in pages borrowed copy-on-write from the
+    /// kernel's buffers, which other tiles may borrow too.
     pub backing: PagedMem,
     /// The runtime coherence checker, when enabled.
     pub tracker: Option<Tracker>,
@@ -226,12 +224,12 @@ impl Machine {
         m
     }
 
-    /// Writes the kernel's initial array data into the backing store, a
-    /// page at a time.
+    /// Maps the kernel's initial array data into the backing store
+    /// ([`PagedMem::map_words`]): whole pages are borrowed from the
+    /// kernel's buffers, only each array's partial last page is copied.
     pub fn load_data(&mut self, ck: &CompiledKernel, kernel: &Kernel) {
-        for (id, init) in kernel.init.iter().enumerate() {
-            let base = ck.layout.arrays[id].base;
-            self.world.backing.load_words(base, init);
+        for (init, array) in kernel.init.iter().zip(&ck.layout.arrays) {
+            self.world.backing.map_words(array.base, init);
         }
     }
 
@@ -347,8 +345,8 @@ pub struct MultiMachine {
     /// The per-core tiles, indexed by core id.
     pub tiles: Vec<Machine>,
     backside: Rc<RefCell<SharedBackside>>,
-    /// Shared-marked arrays whose shard layouts diverged, silently
-    /// served from per-core replicas instead (see
+    /// Shared-marked arrays whose shard layouts diverged, so they were
+    /// not registered as coherent shared ranges (see
     /// [`MultiMachine::replication_fallbacks`]).
     replication_fallbacks: u64,
     /// The cycle of each tile's next tick, `u64::MAX` once it has
@@ -388,10 +386,11 @@ impl MultiMachine {
     /// over: a
     /// **communication array** ([`hsim_compiler::ArrayDecl::comm`] —
     /// flags, queue slots, locks, shared request tables) whose layouts
-    /// diverge across the per-core kernels. Read-only sharder-derived
-    /// shared arrays keep the counted per-core replication fallback
-    /// (their values replicate correctly; only sharing timing is lost),
-    /// but replicating a *written* comm array would silently turn the
+    /// diverge across the per-core kernels. A read-only sharder-derived
+    /// shared array that diverges is only counted: each core caches its
+    /// own lines of it, so its values are right and only sharing timing
+    /// is lost. But caching a *written* comm array per core would
+    /// silently turn the
     /// communication pattern into private traffic — a wrong-timing run
     /// masquerading as communication — so it is refused with
     /// [`ShardError::CommLayoutDiverged`] instead.
@@ -414,47 +413,11 @@ impl MultiMachine {
             })
             .collect();
         let mut m = Machine::new_multi_hetero(cfgs, programs);
-        m.load_shards(shards);
+        for (tile, (ck, kernel)) in m.tiles.iter_mut().zip(shards) {
+            tile.load_data(ck, kernel);
+        }
         m.register_shared_ranges(shards)?;
         Ok(m)
-    }
-
-    /// Loads each shard's initial data into its tile. One rule decides
-    /// what is stored once: an init buffer that two or more shards place
-    /// at the same layout base — a replicated-whole array, when the
-    /// layouts agree — is cut into [`SharedPages`] once and every one of
-    /// those tiles maps the frames copy-on-write. Every other array goes
-    /// into the tile's private frames. Either way each tile reads and
-    /// writes only its own memory; sharing changes storage, not
-    /// semantics.
-    fn load_shards(&mut self, shards: &[(CompiledKernel, Kernel)]) {
-        // Each array's init buffer, keyed by the buffer and its base.
-        fn placed((ck, k): &(CompiledKernel, Kernel)) -> impl Iterator<Item = (Place, &[u64])> {
-            let bases = ck.layout.arrays.iter().map(|a| a.base);
-            k.init
-                .iter()
-                .zip(bases)
-                .map(|(init, base)| ((Arc::as_ptr(init), base), &**init))
-        }
-        type Place = (*const [u64], u64);
-        let mut tiles_at = HashMap::new();
-        for (place, _) in shards.iter().flat_map(placed) {
-            *tiles_at.entry(place).or_insert(0) += 1;
-        }
-        let mut images = HashMap::new();
-        for (tile, shard) in self.tiles.iter_mut().zip(shards) {
-            for (place @ (_, base), init) in placed(shard) {
-                let backing = &mut tile.world.backing;
-                if tiles_at[&place] > 1 {
-                    let image = images
-                        .entry(place)
-                        .or_insert_with(|| SharedPages::from_words(base, init));
-                    backing.map_shared(image);
-                } else {
-                    backing.load_words(base, init);
-                }
-            }
-        }
     }
 
     /// Registers the sharder's read-only replicated-whole arrays
@@ -471,14 +434,17 @@ impl MultiMachine {
     /// LM-size alignment absorbs most, but not all, length
     /// differences); a range that diverges across shards would alias
     /// one core's table lines with another core's unrelated private
-    /// data, so such arrays fall back to per-core replication instead —
-    /// counted in [`MultiMachine::replication_fallbacks`] so the
-    /// fallback is visible in reports rather than silent.
+    /// data, so such arrays are left unregistered instead: each core
+    /// caches its own lines of them, as under `Replicate`. Only the
+    /// cache lines are per core — the storage is still the kernel's one
+    /// buffer, borrowed by every tile. Each such array is counted in
+    /// [`MultiMachine::replication_fallbacks`], so the fallback is
+    /// visible in reports rather than silent.
     ///
     /// **Communication arrays** ([`hsim_compiler::ArrayDecl::comm`]) are
     /// registered through the same agreement check but get the opposite
-    /// failure mode: they may be written, so the replication fallback
-    /// would produce a wrong-timing run — divergence is a hard
+    /// failure mode: they may be written, so per-core lines would
+    /// produce a wrong-timing run — divergence is a hard
     /// [`ShardError::CommLayoutDiverged`] instead of a counter bump.
     fn register_shared_ranges(
         &mut self,
@@ -511,9 +477,11 @@ impl MultiMachine {
     }
 
     /// How many shared-marked arrays could **not** be registered as
-    /// cross-core shared ranges because the shards' layouts diverged
-    /// (uneven slices moving later arrays): those arrays are served
-    /// from per-core replicas even under `CoherenceMode::Mesi`. 0 on
+    /// coherent shared ranges because the shards' layouts diverged
+    /// (uneven slices moving later arrays): each core caches its own
+    /// lines of those arrays even under `CoherenceMode::Mesi`, instead
+    /// of sharing directory-tracked ones. Storage is never replicated:
+    /// every tile borrows the array's one buffer either way. 0 on
     /// evenly-sharded and single-core machines. Surfaced through
     /// `MultiRunReport::replication_fallbacks` and the `coherence` /
     /// `hetero` bench outputs.

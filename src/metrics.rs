@@ -190,10 +190,11 @@ pub struct MultiRunReport {
     pub per_core: Vec<RunReport>,
     /// Parallel makespan: the cycle the last core halted.
     pub makespan: u64,
-    /// Shared-marked arrays that fell back to per-core replication
-    /// because the shards' layouts diverged (uneven weighted shards):
-    /// under a directory protocol those arrays are *not* served from
-    /// shared lines. 0 on evenly-sharded machines.
+    /// Shared-marked arrays that could not be registered as coherent
+    /// shared ranges because the shards' layouts diverged (uneven
+    /// weighted shards): under a directory protocol each core caches
+    /// its own lines of them instead of sharing. Their storage is not
+    /// replicated. 0 on evenly-sharded machines.
     pub replication_fallbacks: u64,
 }
 
