@@ -7,7 +7,7 @@ use crate::{
     Flags, Table, Val,
 };
 use hsim::experiments::{ComparisonRow, Fig8Row};
-use hsim::machine::{Machine, MachineConfig, SysMode};
+use hsim::machine::{MachineConfig, SysMode};
 use hsim::metrics::RunReport;
 use hsim::prelude::*;
 use hsim_isa::asm::format_inst;
@@ -416,16 +416,17 @@ pub fn fig10(flags: Flags) {
 pub fn ablate(flags: Flags) {
     fn run_with(
         kernel: &hsim_compiler::Kernel,
-        mode: SysMode,
+        mut cfg: MachineConfig,
         f: impl Fn(&mut MachineConfig),
     ) -> RunReport {
-        let ck = compile(kernel, mode.codegen());
-        let mut cfg = MachineConfig::for_mode(mode);
         f(&mut cfg);
-        let mut m = Machine::for_kernel(cfg, &ck, kernel);
-        m.run().expect("run failed");
-        RunReport::collect(&m, &ck)
+        let out = RunSpec::new(kernel).config(cfg).run();
+        out.expect("run failed").into_single()
     }
+    let (hybrid, cache) = (
+        flags.config(SysMode::HybridCoherent),
+        flags.config(SysMode::CacheBased),
+    );
     let delta =
         |r: &RunReport, base: &RunReport| (r.cycles as f64 / base.cycles as f64 - 1.0) * 100.0;
 
@@ -436,11 +437,9 @@ pub fn ablate(flags: Flags) {
     // in the AGU cycle. Charge +1 and +2 cycles on IS (the most
     // directory-intensive kernel).
     let is = nas::is(scale);
-    let base = run_with(&is, SysMode::HybridCoherent, |_| {});
+    let base = run_with(&is, hybrid.clone(), |_| {});
     for extra in [1u64, 2] {
-        let r = run_with(&is, SysMode::HybridCoherent, |c| {
-            c.dir_lookup_extra_cycles = extra
-        });
+        let r = run_with(&is, hybrid.clone(), |c| c.dir_lookup_extra_cycles = extra);
         println!(
             "IS, +{extra} cycle directory lookup:  {:+.2}% time (paper assumes 0: in-cycle CAM)",
             delta(&r, &base)
@@ -449,10 +448,8 @@ pub fn ablate(flags: Flags) {
 
     // 2. Prefetcher history-table size on SP (497 streams).
     let sp = nas::sp(scale);
-    let sp_cache = run_with(&sp, SysMode::CacheBased, |_| {});
-    let sp_huge = run_with(&sp, SysMode::CacheBased, |c| {
-        c.mem.prefetch.table_entries = 4096
-    });
+    let sp_cache = run_with(&sp, cache.clone(), |_| {});
+    let sp_huge = run_with(&sp, cache.clone(), |c| c.mem.prefetch.table_entries = 4096);
     println!(
         "SP cache-based, 4096-entry prefetch table: {:+.2}% time (collisions removed)",
         delta(&sp_huge, &sp_cache)
@@ -460,8 +457,8 @@ pub fn ablate(flags: Flags) {
 
     // 3. Prefetcher disabled entirely (cache-based MG).
     let mg = nas::mg(scale);
-    let mg_cache = run_with(&mg, SysMode::CacheBased, |_| {});
-    let mg_nopf = run_with(&mg, SysMode::CacheBased, |c| c.mem.prefetch.enabled = false);
+    let mg_cache = run_with(&mg, cache.clone(), |_| {});
+    let mg_nopf = run_with(&mg, cache.clone(), |c| c.mem.prefetch.enabled = false);
     println!(
         "MG cache-based, prefetcher off:            {:+.2}% time",
         delta(&mg_nopf, &mg_cache)
@@ -469,8 +466,8 @@ pub fn ablate(flags: Flags) {
 
     // 4. DMA pipelining: serialize commands by folding the first-data
     // latency into every transfer (SP is the most DMA-intensive).
-    let sp_hyb = run_with(&sp, SysMode::HybridCoherent, |_| {});
-    let sp_slow = run_with(&sp, SysMode::HybridCoherent, |c| {
+    let sp_hyb = run_with(&sp, hybrid.clone(), |_| {});
+    let sp_slow = run_with(&sp, hybrid.clone(), |c| {
         c.mem.dma.setup_latency += c.mem.dma.first_data_latency;
     });
     println!(

@@ -4,7 +4,7 @@
 //! and per sweep of the later tiers:
 //!
 //! ```text
-//! cargo run --release -p hsim-bench -- <name> [--smoke|--test-scale]
+//! cargo run --release -p hsim-bench -- <name> [--smoke|--test-scale] [--coherence <mode>]
 //! ```
 //!
 //! | name | regenerates |
@@ -29,10 +29,12 @@
 //!
 //! `--test-scale` runs the small workloads; `--smoke` additionally
 //! shrinks a sweep to its CI guard grid (the paper tables and figures
-//! have no smaller grid and ignore it). The inter-core coherence mode
-//! of default-configured machines follows `HSIM_COHERENCE` (CI runs the
-//! smoke grid once per mode). Host speed is measured by the repository
-//! benchmark (`benchmark/`), not here.
+//! have no smaller grid and ignore it). `--coherence <mode>` selects the
+//! inter-core protocol of every machine a run builds without naming one
+//! (`replicate`, the default, or `msi`, `mesi`, `moesi`, `mesif`; CI
+//! runs the smoke grid once per mode); the protocol sweeps still visit
+//! every mode. Nothing is read from the environment. Host speed is
+//! measured by the repository benchmark (`benchmark/`), not here.
 //!
 //! Layout: [`figures`] holds the paper's tables and figures, [`sweeps`]
 //! the JSON-writing sweeps, [`shapes`] the shape invariants shared by
@@ -54,9 +56,17 @@ pub struct Flags {
     pub smoke: bool,
     /// `--test-scale`: the small workloads.
     pub test_scale: bool,
+    /// `--coherence <mode>`: the inter-core protocol of the machines a
+    /// run builds ([`Flags::config`]).
+    pub coherence: CoherenceMode,
 }
 
 impl Flags {
+    /// The standard `mode` machine under the `--coherence` protocol.
+    pub fn config(&self, mode: SysMode) -> MachineConfig {
+        MachineConfig::for_mode(mode).with_coherence(self.coherence)
+    }
+
     /// The workload scale of a table or figure (no smoke grid).
     pub fn scale(&self) -> Scale {
         if self.test_scale {
@@ -138,24 +148,34 @@ pub fn run_all(flags: Flags) {
     shapes::figshapes(flags);
 }
 
-/// Parses `<name> [--smoke|--test-scale]...` (the arguments after the
-/// program name). An unknown name or flag is an error carrying the
-/// usage text with every valid name.
+/// Parses `<name> [--smoke|--test-scale|--coherence <mode>]...` (the
+/// arguments after the program name). An unknown name, flag or
+/// coherence mode is an error carrying the usage text with every valid
+/// name.
 pub fn parse_args(args: &[String]) -> Result<(Run, Flags), String> {
     let commands = commands();
     let usage = || {
         let names: Vec<&str> = commands.iter().map(|(n, _)| *n).collect();
+        let modes = CoherenceMode::ALL.map(CoherenceMode::name);
         format!(
-            "usage: hsim-bench <name> [--smoke|--test-scale]\nnames: {}",
-            names.join(" ")
+            "usage: hsim-bench <name> [--smoke|--test-scale] [--coherence <mode>]\n\
+             names: {}\nmodes: {}",
+            names.join(" "),
+            modes.join(" ")
         )
     };
     let mut flags = Flags::default();
     let mut run = None;
-    for arg in args {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => flags.smoke = true,
             "--test-scale" => flags.test_scale = true,
+            "--coherence" => {
+                let name = args.next().map_or("", String::as_str);
+                flags.coherence = CoherenceMode::parse(name)
+                    .map_err(|e| format!("--coherence: {e}\n{}", usage()))?;
+            }
             name => match (commands.iter().find(|(n, _)| *n == name), run) {
                 (Some((_, f)), None) => run = Some(*f),
                 _ => return Err(format!("unexpected argument `{name}`\n{}", usage())),

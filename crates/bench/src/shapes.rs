@@ -121,8 +121,8 @@ pub fn comm_orderings(rows: &[CommSweepRow], cores: usize) -> [&CommSweepRow; 5]
 /// mixed-chip interpolation and the protocol/communication orderings on
 /// a small grid, then returns. The single-core figures are
 /// coherence-mode-invariant (an unsharded kernel registers no shared
-/// ranges); the multicore sections are asserted at shape level so the
-/// guard holds under every `HSIM_COHERENCE` leg.
+/// ranges); the multicore sections run under `--coherence` and are
+/// asserted at shape level, so the guard holds under every mode.
 pub fn figshapes(flags: Flags) {
     let n: u64 = flags.pick(2 * 1024, 4 * 1024);
     let mut checked = 0usize;
@@ -222,7 +222,7 @@ pub fn figshapes(flags: Flags) {
     // monotonically and keep the speedup curve rising; the shared
     // backside keeps it sublinear (speedup < cores).
     let cg = nas::cg(Scale::Test);
-    let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
+    let cfg = flags.config(SysMode::HybridCoherent);
     let curves = scaling_sweep(std::slice::from_ref(&cg), &[1, 2, 4], &cfg).expect("scaling");
     assert_eq!(curves.len(), 3, "CG must shard to every point");
     for w in curves.windows(2) {
@@ -265,7 +265,8 @@ pub fn figshapes(flags: Flags) {
     // makespan toward (and between) the all-cache endpoint — the
     // coexistence claim, as a curve.
     let cores = 4;
-    let chips = hetero_sweep(std::slice::from_ref(&cg), cores).expect("hetero sweep");
+    let chips =
+        hetero_sweep(std::slice::from_ref(&cg), cores, flags.coherence).expect("hetero sweep");
     let chip = |shape: &str| {
         let row = chips.iter().find(|r| r.label == shape);
         row.unwrap_or_else(|| panic!("CG must run on {shape}"))
@@ -275,6 +276,7 @@ pub fn figshapes(flags: Flags) {
     let (all_hybrid, mixed, all_cache) = (chip("4H+0C"), chip("2H+2C"), chip("0H+4C"));
     let homo = RunSpec::new(&cg)
         .cores(cores)
+        .config(cfg.clone())
         .run()
         .expect("homogeneous run")
         .into_multi()
@@ -309,7 +311,7 @@ pub fn figshapes(flags: Flags) {
     );
 
     // ----------------------------------------------- comm workloads
-    let comm = comm_sweep(Scale::Test, &[4]).expect("comm sweep");
+    let comm = comm_sweep(Scale::Test, &[4], flags.coherence).expect("comm sweep");
     let [pp_hybrid, pp_cache, q_msi, q_moesi, q_mesif] = comm_orderings(&comm, 4);
     // Protocols are timing-only: every cache-based queue run commits
     // the same instructions regardless of the directory table. (The

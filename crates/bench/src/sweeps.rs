@@ -44,8 +44,8 @@ pub fn backside(flags: Flags) {
     let kernels = flags.sweep_kernels(&["CG", "EP"]);
     let core_counts: &[usize] = flags.pick(&[1, 2], &[1, 2, 4, 8]);
 
-    let rows = backside_sweep(&kernels, core_counts, SysMode::HybridCoherent)
-        .expect("backside sweep failed");
+    let cfg = flags.config(SysMode::HybridCoherent);
+    let rows = backside_sweep(&kernels, core_counts, &cfg).expect("backside sweep failed");
 
     println!("BACKSIDE: row-buffer locality and L3 bank contention ({scale:?} scale)");
     println!("(hybrid-coherent machine, default banked L3 + row-aware DRAM controller)");
@@ -108,7 +108,7 @@ pub fn scaling(flags: Flags) {
     let kernels = flags.sweep_kernels(&["CG", "EP"]);
     let core_counts: &[usize] = flags.pick(&[1, 2, 4], &[1, 2, 4, 8]);
 
-    let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
+    let cfg = flags.config(SysMode::HybridCoherent);
     let rows = scaling_sweep(&kernels, core_counts, &cfg).expect("scaling sweep failed");
 
     println!(
@@ -314,7 +314,7 @@ pub fn hetero(flags: Flags) {
     let kernels = flags.sweep_kernels(&["CG", "IS"]);
     let cores = 4;
 
-    let rows = hetero_sweep(&kernels, cores).expect("hetero sweep failed");
+    let rows = hetero_sweep(&kernels, cores, flags.coherence).expect("hetero sweep failed");
 
     println!("HETERO: mixed hybrid/cache chips, LM asymmetry, weighted shards ({scale:?} scale)");
     println!("(shape xH+yC = x hybrid + y cache-based tiles; lm/4xN = N tiles at a quarter LM)");
@@ -333,6 +333,7 @@ pub fn hetero(flags: Flags) {
         // 1. The all-hybrid shape is the homogeneous machine, exactly.
         let homo = RunSpec::new(k)
             .cores(cores)
+            .config(flags.config(SysMode::HybridCoherent))
             .run()
             .expect("homogeneous run")
             .into_multi();
@@ -433,23 +434,22 @@ pub fn clusters_cols() -> Vec<Col<ClusterRow>> {
 pub fn clusters(flags: Flags) {
     // One point on one driver, or `None` when the kernel does not shard
     // to the topology.
-    fn run_point(
-        kernel: &hsim_compiler::Kernel,
-        topo: ClusterTopology,
-        channels: usize,
-        serial: bool,
-    ) -> Option<ClusterRunReport> {
+    let run_point = |kernel: &hsim_compiler::Kernel,
+                     topo: ClusterTopology,
+                     channels: usize,
+                     serial: bool|
+     -> Option<ClusterRunReport> {
         let mut cluster = ClusterConfig::new(topo);
         if serial {
             cluster = cluster.serial();
         }
-        let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
+        let mut cfg = flags.config(SysMode::HybridCoherent);
         cfg.mem.dram_channels = channels;
         let spec = RunSpec::new(kernel).clustered(&cluster).config(cfg);
         MultiRunError::skip_unshardable(spec.run())
             .unwrap_or_else(|e| panic!("simulation failed: {e}"))
             .map(RunOutcome::into_clusters)
-    }
+    };
 
     let scale = flags.sweep_scale();
     // Smoke: the two bandwidth-bound kernels (the channel-scaling
@@ -593,13 +593,13 @@ pub fn faults(flags: Flags) {
     const SEED: u64 = 0x5EED_FA17;
     const CORES: usize = 4;
 
-    fn run_point(kernel: &hsim_compiler::Kernel, fault: FaultConfig) -> Option<MultiRunReport> {
-        let cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_faults(fault);
+    let run_point = |kernel: &hsim_compiler::Kernel, fault: FaultConfig| {
+        let cfg = flags.config(SysMode::HybridCoherent).with_faults(fault);
         let spec = RunSpec::new(kernel).cores(CORES).config(cfg);
         MultiRunError::skip_unshardable(spec.run())
             .unwrap_or_else(|e| panic!("simulation failed: {e}"))
             .map(RunOutcome::into_multi)
-    }
+    };
 
     let scale = flags.sweep_scale();
     // Smoke: one bandwidth-bound kernel (DRAM/ECC pressure) and one
@@ -756,7 +756,7 @@ pub fn comm(flags: Flags) {
     let scale = flags.sweep_scale();
     let core_counts: &[usize] = flags.pick(&[2, 4], &[2, 4, 8]);
 
-    let rows = comm_sweep(scale, core_counts).expect("comm sweep failed");
+    let rows = comm_sweep(scale, core_counts, flags.coherence).expect("comm sweep failed");
 
     println!("COMM: communication microbenchmarks ({scale:?} scale)");
     println!("(rt/rnd = cycles per hand-off; hybrid = LM+DMA payload, coherent flags)");
@@ -775,7 +775,7 @@ pub fn comm(flags: Flags) {
     println!("comm shapes OK (hybrid RTT < cache RTT; MSI >= MOESI/MESIF queue dramR)");
     println!();
 
-    let reports = request_serving_sweep(scale, core_counts, SEED, LOAD_PERMILLE)
+    let reports = request_serving_sweep(scale, core_counts, flags.coherence, SEED, LOAD_PERMILLE)
         .expect("request-serving sweep failed");
 
     println!(

@@ -1,11 +1,12 @@
-//! The `hsim-bench` driver: name resolution, the usage error, the
-//! artefact schema pinned against the committed `BENCH_*.json` files,
-//! and the one-cell-per-column rule of every table.
+//! The `hsim-bench` driver: name resolution, the `--coherence` flag,
+//! the usage error, the environment's irrelevance, the artefact schema
+//! pinned against the committed `BENCH_*.json` files, and the
+//! one-cell-per-column rule of every table.
 
 use hsim::cluster::{ClusterConfig, ClusterTopology};
 use hsim::prelude::*;
 use hsim_bench::{commands, json_keys, parse_args, sweeps, table_cells, table_headers, Col, Flags};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
@@ -42,13 +43,25 @@ fn every_subcommand_name_resolves() {
         let (_, flags) = parse_args(&args(&["--smoke", name, "--test-scale"])).expect(name);
         assert!(flags.smoke && flags.test_scale);
     }
+    // `--coherence` selects the protocol of every machine a run builds;
+    // the default is `Replicate`.
+    assert_eq!(Flags::default().coherence, CoherenceMode::Replicate);
+    for mode in CoherenceMode::ALL {
+        let (_, flags) = parse_args(&args(&["scaling", "--coherence", mode.name()])).unwrap();
+        assert_eq!(flags.coherence, mode);
+        let cfg = flags.config(SysMode::CacheBased);
+        assert_eq!(
+            (cfg.mode, cfg.mem.coherence.mode),
+            (SysMode::CacheBased, mode)
+        );
+    }
 }
 
 #[test]
 fn flags_pick_the_grid_and_paper_values_cover_every_kernel() {
     let smoke = Flags {
         smoke: true,
-        test_scale: false,
+        ..Flags::default()
     };
     assert_eq!(smoke.sweep_scale(), Scale::Test);
     assert_eq!(smoke.scale(), Scale::Paper, "figures have no smoke grid");
@@ -59,14 +72,58 @@ fn flags_pick_the_grid_and_paper_values_cover_every_kernel() {
         .collect();
     assert_eq!(names, ["CG", "IS"]);
     let test_scale = Flags {
-        smoke: false,
         test_scale: true,
+        ..Flags::default()
     };
     for k in test_scale.sweep_kernels(&[]) {
         assert!(hsim_bench::paper_speedup(&k.name).is_finite());
         assert!(hsim_bench::paper_table3(&k.name).is_some());
     }
     assert!(hsim_bench::paper_speedup("XX").is_nan());
+}
+
+/// The process environment never changes a run: the same sweeps under
+/// `HSIM_COHERENCE` (a protocol knob that predates `--coherence`)
+/// unset, set to a real mode and set to garbage must all succeed and
+/// write byte-identical tables and artefacts.
+#[test]
+fn the_environment_does_not_change_a_run() {
+    let root = std::env::temp_dir().join(format!("hsim-bench-env-{}", std::process::id()));
+    let legs: [Option<&str>; 3] = [None, Some("mesi"), Some("bogus")];
+    let outputs: Vec<Vec<(String, Vec<u8>)>> = legs
+        .iter()
+        .map(|leg| {
+            let dir = root.join(leg.unwrap_or("unset"));
+            std::fs::create_dir_all(&dir).unwrap();
+            // Both sweeps of a leg, spawned together; legs run in turn.
+            let children = ["scaling", "hetero"].map(|name| {
+                let mut cmd = Command::new(env!("CARGO_BIN_EXE_hsim-bench"));
+                cmd.args([name, "--smoke"])
+                    .current_dir(&dir)
+                    .stdout(Stdio::piped());
+                match leg {
+                    Some(v) => cmd.env("HSIM_COHERENCE", v),
+                    None => cmd.env_remove("HSIM_COHERENCE"),
+                };
+                (name, cmd.spawn().expect("spawn hsim-bench"))
+            });
+            let mut files = Vec::new();
+            for (name, child) in children {
+                let out = child.wait_with_output().unwrap();
+                assert!(out.status.success(), "{name} under {leg:?}");
+                files.push((format!("{name} stdout"), out.stdout));
+                let json = format!("BENCH_{name}.json");
+                files.push((json.clone(), std::fs::read(dir.join(&json)).unwrap()));
+            }
+            files
+        })
+        .collect();
+    std::fs::remove_dir_all(&root).unwrap();
+    for (leg, files) in legs.iter().zip(&outputs).skip(1) {
+        for ((name, got), (_, want)) in files.iter().zip(&outputs[0]) {
+            assert!(got == want, "{name} differs under HSIM_COHERENCE={leg:?}");
+        }
+    }
 }
 
 #[test]
@@ -77,10 +134,16 @@ fn unknown_names_and_flags_are_usage_errors_listing_every_name() {
         &["fig9", "fig10"],
         &["--smoke"],
         &[],
+        &["scaling", "--coherence", "nope"],
+        &["scaling", "--coherence"],
     ] {
         let usage = parse_args(&args(bad)).expect_err("must be rejected");
         for (name, _) in commands() {
             assert!(usage.contains(name), "{bad:?}: usage must list {name}");
+        }
+        for mode in CoherenceMode::ALL {
+            let mode = mode.name();
+            assert!(usage.contains(mode), "{bad:?}: usage must list {mode}");
         }
     }
     // The binary turns the error into a non-zero exit with the usage on

@@ -47,18 +47,18 @@ fn assert_rows<R>(file: &str, array: &str, first: usize, cols: &[Col<R>], rows: 
     }
 }
 
-/// One test on purpose: the drivers read `HSIM_COHERENCE` for their
-/// default machines, the artefacts were recorded with it unset, and
-/// nothing else may run in this process while the variable is pinned.
+/// The artefacts were recorded under `hsim-bench`'s default
+/// `--coherence replicate`, so every driver here runs `Replicate`.
 #[test]
 fn committed_artefacts_reproduce_their_cheapest_rows() {
-    std::env::set_var("HSIM_COHERENCE", "replicate");
+    let cm = CoherenceMode::Replicate;
     let mode = SysMode::HybridCoherent;
+    let cfg = MachineConfig::for_mode(mode).with_coherence(cm);
     let cg = [nas::cg(Scale::Test)];
     let ep = [nas::ep(Scale::Test)];
 
     // CG on one core is row 0 of the three per-kernel × per-core grids.
-    let rows = backside_sweep(&cg, &[1], mode).unwrap();
+    let rows = backside_sweep(&cg, &[1], &cfg).unwrap();
     assert_rows(
         "BENCH_backside.json",
         "rows",
@@ -67,7 +67,7 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
         &rows,
     );
 
-    let rows = scaling_sweep(&cg, &[1], &MachineConfig::for_mode(mode)).unwrap();
+    let rows = scaling_sweep(&cg, &[1], &cfg).unwrap();
     assert_rows(
         "BENCH_scaling.json",
         "rows",
@@ -93,7 +93,7 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
     );
 
     // EP (the shortest kernel) on every 4-core shape: rows 7..14.
-    let rows = hetero_sweep(&ep, 4).unwrap();
+    let rows = hetero_sweep(&ep, 4, cm).unwrap();
     assert_eq!(rows.len(), 7);
     assert_rows(
         "BENCH_hetero.json",
@@ -107,7 +107,7 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
     let topo = ClusterTopology::new(1, 4);
     let report = RunSpec::new(&cg[0])
         .clustered(&ClusterConfig::new(topo))
-        .config(MachineConfig::for_mode(mode))
+        .config(cfg.clone())
         .run()
         .unwrap()
         .into_clusters();
@@ -130,7 +130,7 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
     let seed = meta("BENCH_faults.json", "seed").parse().unwrap();
     let report = RunSpec::new(&cg[0])
         .cores(4)
-        .config(MachineConfig::for_mode(mode).with_faults(FaultConfig::uniform(seed, 0.2)))
+        .config(cfg.with_faults(FaultConfig::uniform(seed, 0.2)))
         .run()
         .unwrap()
         .into_multi();
@@ -150,12 +150,12 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
 
     // Every comm family and request serving on 2 cores: rows 0..12 and
     // 0..2.
-    let rows = comm_sweep(Scale::Test, &[2]).unwrap();
+    let rows = comm_sweep(Scale::Test, &[2], cm).unwrap();
     assert_eq!(rows.len(), 12);
     assert_rows("BENCH_comm.json", "rows", 0, &sweeps::comm_cols(), &rows);
     let seed = meta("BENCH_comm.json", "seed").parse().unwrap();
     let load = meta("BENCH_comm.json", "load_permille").parse().unwrap();
-    let reports = request_serving_sweep(Scale::Test, &[2], seed, load).unwrap();
+    let reports = request_serving_sweep(Scale::Test, &[2], cm, seed, load).unwrap();
     assert_rows(
         "BENCH_comm.json",
         "request_serving",

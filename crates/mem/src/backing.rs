@@ -42,7 +42,7 @@
 //!   order: byte `i` of a page is bits `8 * (i % 8)..` of word `i / 8`,
 //!   and reads and writes take their bytes by shifts.
 
-use crate::fault::{FaultConfig, FaultRoller, FaultSite};
+use crate::fault::{FaultConfig, FaultRoller, FaultSite, MAX_RETRIES};
 use hsim_isa::Words;
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -632,8 +632,6 @@ pub struct DramController {
     /// Deterministic transient-read-error roller (disabled by default:
     /// `new` builds a fault-free channel).
     faults: FaultRoller,
-    /// Retry budget per faulting read (from the fault plan).
-    ecc_max_retries: u32,
     /// Channel totals (per-core shares are kept by the caller).
     pub stats: DramStats,
 }
@@ -664,7 +662,6 @@ impl DramController {
             open_rows: vec![None; banks],
             queue: VecDeque::with_capacity(cfg.timing.queue_depth),
             faults: FaultRoller::new(fault, FaultSite::DramRead, instance),
-            ecc_max_retries: fault.max_retries,
             stats: DramStats::default(),
             cfg,
         }
@@ -738,7 +735,7 @@ impl DramController {
     /// (which would break the exact stat partitioning).
     fn ecc_replays(&mut self) -> u64 {
         let mut n = 0u64;
-        while n < self.ecc_max_retries as u64 && self.faults.roll() {
+        while n < MAX_RETRIES as u64 && self.faults.roll() {
             n += 1;
             self.busy_until += self.cfg.gap;
         }
@@ -1188,22 +1185,19 @@ mod tests {
     #[test]
     fn ecc_retries_are_deterministic_bounded_and_timing_only() {
         use crate::fault::FaultConfig;
-        // Rate 1.0: every read replays exactly max_retries times (the
-        // livelock watchdog) and pays t_cas + one channel gap each.
-        let plan = FaultConfig {
-            max_retries: 3,
-            ..FaultConfig::uniform(11, 1.0)
-        };
+        // Rate 1.0: every read replays exactly MAX_RETRIES = 4 times
+        // (the livelock watchdog) and pays t_cas + one channel gap each.
+        let plan = FaultConfig::uniform(11, 1.0);
         let t = DramTiming::default();
         let mut d = DramController::with_faults(DramConfig::default(), &plan, 0);
         let (lat, outcome, retries) = d.read(0, 0);
-        assert_eq!(retries, 3);
+        assert_eq!(retries, 4);
         assert_eq!(outcome, RowOutcome::Miss);
-        assert_eq!(lat, 200 + 3 * t.t_cas);
-        assert_eq!(d.stats.ecc_retries, 3);
+        assert_eq!(lat, 200 + 4 * t.t_cas);
+        assert_eq!(d.stats.ecc_retries, 4);
         assert_eq!(d.stats.row_misses, 1, "replays never re-classify rows");
-        // The replays held the channel: 1 gap for the read + 3 more.
-        assert_eq!(d.busy_until, 4 * d.cfg.gap);
+        // The replays held the channel: 1 gap for the read + 4 more.
+        assert_eq!(d.busy_until, 5 * d.cfg.gap);
         // Same seed, fresh controller: byte-identical replay.
         let mut e = DramController::with_faults(DramConfig::default(), &plan, 0);
         assert_eq!(e.read(0, 0), (lat, outcome, retries));

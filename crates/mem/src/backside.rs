@@ -65,7 +65,7 @@ use crate::backing::{DramController, DramStats};
 use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats, Evicted};
 use crate::config::{CacheEvent, CoherenceConfig, Level, MemConfig};
 use crate::dirslice::DirectorySlice;
-use crate::fault::{backoff_delay, FaultRoller, FaultSite};
+use crate::fault::{backoff_delay, FaultRoller, FaultSite, MAX_RETRIES};
 use hsim_coherence::protocol::{CoherenceProtocol, Obligations, ProtocolTable};
 
 /// Per-core inter-core coherence activity (all zero under
@@ -221,10 +221,6 @@ pub struct SharedBackside {
     /// simulated order, so the draw sequence is independent of host
     /// scheduling.
     nack_faults: FaultRoller,
-    /// Retry budget per NACKed arbitration — the livelock watchdog.
-    fault_max_retries: u32,
-    /// Base backoff delay between NACK re-arbitrations.
-    fault_backoff_base: u64,
 }
 
 impl SharedBackside {
@@ -290,8 +286,6 @@ impl SharedBackside {
             shared_ranges: Vec::new(),
             pending_upper_inval: (0..n_cores).map(|_| Vec::new()).collect(),
             nack_faults: FaultRoller::new(&cfg.fault, FaultSite::DirNack, 0),
-            fault_max_retries: cfg.fault.max_retries,
-            fault_backoff_base: cfg.fault.backoff_base,
         }
     }
 
@@ -637,8 +631,8 @@ impl SharedBackside {
         let contended = start > now;
         let mut nacks = 0u32;
         if contended {
-            while nacks < self.fault_max_retries && self.nack_faults.roll() {
-                start += backoff_delay(self.fault_backoff_base, nacks);
+            while nacks < MAX_RETRIES && self.nack_faults.roll() {
+                start += backoff_delay(nacks);
                 nacks += 1;
             }
         }

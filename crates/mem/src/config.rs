@@ -73,11 +73,12 @@ impl Default for L3Geometry {
 
 /// Inter-core coherence model of the shared backside (see the
 /// [`backside`](crate::backside) module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CoherenceMode {
     /// Per-core address tagging: cores keep private replicas of every
-    /// cacheable line (the historical model; bit-identical to the
-    /// pre-directory backside).
+    /// cacheable line (the historical model and the default;
+    /// bit-identical to the pre-directory backside).
+    #[default]
     Replicate,
     /// Directory slices at the L3 banks stepping the three-state MSI
     /// table (no Exclusive state; dirty recalls re-read memory).
@@ -113,34 +114,19 @@ impl CoherenceMode {
         CoherenceMode::Mesif,
     ];
 
-    /// Parses a mode name, case-insensitively: `replicate` or the empty
-    /// string select [`CoherenceMode::Replicate`], `msi`, `mesi`, `moesi`
-    /// and `mesif` the corresponding directory protocol. Anything else is
-    /// an `Err` listing the valid names.
-    pub fn parse(knob: &str) -> Result<Self, String> {
-        let found = Self::ALL
+    /// Parses a mode name ([`CoherenceMode::name`]), case-insensitively.
+    /// Anything else is an `Err` listing the valid names, so a typo
+    /// cannot silently run another protocol.
+    pub fn parse(name: &str) -> Result<Self, String> {
+        Self::ALL
             .into_iter()
-            .find(|m| knob.eq_ignore_ascii_case(m.name()));
-        match found {
-            Some(mode) => Ok(mode),
-            None if knob.is_empty() => Ok(CoherenceMode::Replicate),
-            None => Err(format!(
-                "unknown coherence mode {knob:?}: expected one of {}",
-                Self::ALL.map(Self::name).join(", ")
-            )),
-        }
-    }
-
-    /// Reads the mode from the `HSIM_COHERENCE` environment variable
-    /// through [`CoherenceMode::parse`] (unset selects `Replicate`), and
-    /// panics on a value it rejects, so a typo cannot silently run
-    /// `Replicate`. This is the CI matrix knob: the same test and
-    /// bench-smoke suite runs once per mode. Tests that pin recorded
-    /// cycle counts set the mode explicitly instead of inheriting it
-    /// from here.
-    pub fn from_env() -> Self {
-        let knob = std::env::var_os("HSIM_COHERENCE").unwrap_or_default();
-        Self::parse(&knob.to_string_lossy()).unwrap_or_else(|e| panic!("HSIM_COHERENCE: {e}"))
+            .find(|m| name.eq_ignore_ascii_case(m.name()))
+            .ok_or_else(|| {
+                format!(
+                    "unknown coherence mode {name:?}: expected one of {}",
+                    Self::ALL.map(Self::name).join(", ")
+                )
+            })
     }
 
     /// Whether this mode runs directory slices at the L3 banks (every
@@ -161,7 +147,8 @@ impl CoherenceMode {
         }
     }
 
-    /// The lower-case knob / report name.
+    /// The lower-case name, as [`CoherenceMode::parse`] reads it and
+    /// reports print it.
     pub fn name(self) -> &'static str {
         self.protocol().map_or("replicate", CoherenceProtocol::name)
     }
@@ -202,17 +189,6 @@ impl Default for CoherenceConfig {
             // Recalling a dirty upper line reads it out of the L2 — one
             // L2 visit's worth of port occupancy on the victim tile.
             dirty_recall_latency: 15,
-        }
-    }
-}
-
-impl CoherenceConfig {
-    /// The default timings with the mode taken from `HSIM_COHERENCE`
-    /// (see [`CoherenceMode::from_env`]).
-    pub fn from_env() -> Self {
-        CoherenceConfig {
-            mode: CoherenceMode::from_env(),
-            ..Default::default()
         }
     }
 }
@@ -303,7 +279,7 @@ impl MemConfig {
             l3_port_gap: 0,
             lm: Some(LmConfig::default()),
             dma: DmaConfig::default(),
-            coherence: CoherenceConfig::from_env(),
+            coherence: CoherenceConfig::default(),
             fault: FaultConfig::none(),
         }
     }
@@ -382,18 +358,15 @@ mod tests {
         assert!(!a.backside_compatible(&b));
     }
 
-    /// `parse`, not the environment: tests share one process, and other
-    /// tests read `HSIM_COHERENCE`.
     #[test]
     fn coherence_mode_names_parse_and_typos_are_rejected() {
-        assert_eq!(CoherenceMode::parse(""), Ok(CoherenceMode::Replicate));
         for mode in CoherenceMode::ALL {
             assert_eq!(CoherenceMode::parse(mode.name()), Ok(mode));
             let upper = mode.name().to_ascii_uppercase();
             assert_eq!(CoherenceMode::parse(&upper), Ok(mode));
         }
         assert_eq!(CoherenceMode::parse("MeSiF"), Ok(CoherenceMode::Mesif));
-        for typo in ["mseI ", "moesi2", "mesi ", " msi", "none"] {
+        for typo in ["", "mseI ", "moesi2", "mesi ", " msi", "none"] {
             let err = CoherenceMode::parse(typo).expect_err(typo);
             assert!(
                 err.contains(typo) && err.contains("replicate, msi, mesi, moesi, mesif"),

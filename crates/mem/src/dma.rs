@@ -26,7 +26,9 @@
 //!   row-classified: block transfers stream whole rows, and their
 //!   bandwidth cost is already modeled here.
 
-use crate::fault::{backoff_delay, FaultConfig, FaultEscalation, FaultRoller, FaultSite};
+use crate::fault::{
+    backoff_delay, FaultConfig, FaultEscalation, FaultRoller, FaultSite, MAX_RETRIES,
+};
 
 /// DMA transfer direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,10 +98,6 @@ pub struct Dmac {
     /// Deterministic transfer-timeout roller (disabled by default:
     /// `new` builds a fault-free engine).
     faults: FaultRoller,
-    /// Retry budget per timing-out transfer (from the fault plan).
-    fault_max_retries: u32,
-    /// Base backoff delay between retries (from the fault plan).
-    fault_backoff_base: u64,
     /// The most recent retry-budget exhaustion, if any (surfaced by
     /// deadlock diagnostics and reports).
     last_escalation: Option<FaultEscalation>,
@@ -122,8 +120,6 @@ impl Dmac {
             tag_done_at: [0; NUM_TAGS],
             engine_free_at: 0,
             faults: FaultRoller::new(fault, FaultSite::DmaTimeout, instance),
-            fault_max_retries: fault.max_retries,
-            fault_backoff_base: fault.backoff_base,
             last_escalation: None,
             stats: DmaStats::default(),
         }
@@ -149,7 +145,7 @@ impl Dmac {
         // completed as-is — recovery is bounded, never a wedge.
         let mut attempt: u32 = 0;
         while self.faults.roll() {
-            if attempt >= self.fault_max_retries {
+            if attempt >= MAX_RETRIES {
                 self.stats.escalations += 1;
                 self.last_escalation = Some(FaultEscalation {
                     site: FaultSite::DmaTimeout,
@@ -158,7 +154,7 @@ impl Dmac {
                 });
                 break;
             }
-            let backoff = backoff_delay(self.fault_backoff_base, attempt);
+            let backoff = backoff_delay(attempt);
             attempt += 1;
             self.stats.retries += 1;
             done += backoff + stream;
@@ -295,13 +291,9 @@ mod tests {
     fn timeouts_retry_with_exponential_backoff_then_escalate() {
         use crate::fault::FaultConfig;
         // Rate 1.0: the transfer times out on every draw, retries
-        // max_retries times (backoff 8, 16), then escalates and
-        // completes anyway.
-        let plan = FaultConfig {
-            max_retries: 2,
-            backoff_base: 8,
-            ..FaultConfig::uniform(5, 1.0)
-        };
+        // MAX_RETRIES = 4 times (backoff 8, 16, 32, 64), then escalates
+        // and completes anyway.
+        let plan = FaultConfig::uniform(5, 1.0);
         let cfg = DmaConfig {
             setup_latency: 10,
             first_data_latency: 100,
@@ -310,13 +302,16 @@ mod tests {
         let mut d = Dmac::with_faults(cfg.clone(), &plan, 0);
         let stream = 1024u64 / 16; // 64 cycles
         let done = d.issue(DmaOp::Get, 1024, 0, 0);
-        assert_eq!(done, 10 + 100 + 64 + (8 + 64) + (16 + 64));
-        assert_eq!(d.stats.retries, 2);
+        assert_eq!(
+            done,
+            10 + 100 + 64 + (8 + 64) + (16 + 64) + (32 + 64) + (64 + 64)
+        );
+        assert_eq!(d.stats.retries, 4);
         assert_eq!(d.stats.escalations, 1);
         let esc = d.last_escalation().expect("budget exhausted");
-        assert_eq!(esc.attempts, 2);
+        assert_eq!(esc.attempts, 4);
         assert_eq!(esc.cycle, done);
-        assert_eq!(d.stats.busy_cycles, 3 * stream, "each retry re-streams");
+        assert_eq!(d.stats.busy_cycles, 5 * stream, "each retry re-streams");
         // Same plan, fresh engine: identical replay. Zero-rate plan:
         // bit-identical to the fault-free engine.
         let mut e = Dmac::with_faults(cfg.clone(), &plan, 0);

@@ -22,7 +22,7 @@
 //!   bit-identical to a machine with no fault plan at all, timing and
 //!   statistics included.
 //! * **Bounded recovery** — every retry loop is capped at
-//!   [`FaultConfig::max_retries`]; a site that keeps faulting past the
+//!   [`MAX_RETRIES`]; a site that keeps faulting past the
 //!   cap escalates to a structured [`FaultEscalation`] (counted, never
 //!   a hang), which is how livelock is ruled out even at rate 1.0.
 
@@ -34,7 +34,7 @@ pub enum FaultSite {
     DramRead,
     /// A DMA transfer timeout: the transfer re-streams after an
     /// exponential backoff (`DmaStats::retries`), escalating after
-    /// `max_retries` (`DmaStats::escalations`).
+    /// [`MAX_RETRIES`] (`DmaStats::escalations`).
     DmaTimeout,
     /// A directory/bank message NACK under L3 port contention: the
     /// request re-arbitrates after a bounded backoff
@@ -55,79 +55,48 @@ impl FaultSite {
     }
 }
 
+/// Retry budget per faulting event; past it the site escalates (DMA) or
+/// the livelock watchdog stops injecting (ECC replays, NACKs).
+pub const MAX_RETRIES: u32 = 4;
+
+/// Base backoff delay in cycles; retry `k` (0-based) waits
+/// `BACKOFF_BASE << k` (see [`backoff_delay`]).
+pub const BACKOFF_BASE: u64 = 8;
+
 /// A seeded fault-injection plan, carried by `MemConfig::fault` and
 /// threaded to every site of the memory fabric.
 ///
-/// Rates are probabilities in `[0, 1]` per *event* (per DRAM read, per
-/// DMA command, per contended port arbitration). The plan is pure
-/// configuration: two machines built from equal plans inject equal
-/// fault sequences.
-#[derive(Clone, Debug, PartialEq)]
+/// The rate is a probability in `[0, 1]` per *event* (per DRAM read, per
+/// DMA command, per contended port arbitration), the same at all three
+/// sites. The plan is pure configuration: two machines built from equal
+/// plans inject equal fault sequences. The default is
+/// [`FaultConfig::none`].
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultConfig {
     /// Seed of every site's counter-based generator.
     pub seed: u64,
-    /// Probability that a DRAM line read takes a transient error and
-    /// pays an ECC retry.
-    pub dram_read_error_rate: f64,
-    /// Probability that a DMA command times out and re-streams after a
-    /// backoff.
-    pub dma_timeout_rate: f64,
-    /// Probability that a *contended* directory/bank port arbitration
-    /// is NACKed and re-arbitrates after a backoff.
-    pub dir_nack_rate: f64,
-    /// Retry budget per faulting event; past it the site escalates
-    /// (DMA) or the livelock watchdog stops injecting (NACKs).
-    pub max_retries: u32,
-    /// Base backoff delay in cycles; retry `k` (0-based) waits
-    /// `backoff_base << k` (see [`backoff_delay`]).
-    pub backoff_base: u64,
+    /// Probability that an event faults: a DRAM line read takes a
+    /// transient error and pays an ECC retry, a DMA command times out
+    /// and re-streams after a backoff, a *contended* directory/bank
+    /// port arbitration is NACKed and re-arbitrates after a backoff.
+    pub rate: f64,
 }
 
 impl FaultConfig {
-    /// The empty plan: all rates zero. Bit-identical to running with no
-    /// plan at all.
+    /// The empty plan: rate zero. Bit-identical to running with no plan
+    /// at all.
     pub fn none() -> Self {
-        FaultConfig {
-            seed: 0,
-            dram_read_error_rate: 0.0,
-            dma_timeout_rate: 0.0,
-            dir_nack_rate: 0.0,
-            max_retries: 4,
-            backoff_base: 8,
-        }
+        Self::uniform(0, 0.0)
     }
 
-    /// A plan injecting at one uniform `rate` across all three sites.
+    /// A plan injecting at one `rate` across all three sites.
     pub fn uniform(seed: u64, rate: f64) -> Self {
-        FaultConfig {
-            seed,
-            dram_read_error_rate: rate,
-            dma_timeout_rate: rate,
-            dir_nack_rate: rate,
-            ..Self::none()
-        }
+        FaultConfig { seed, rate }
     }
 
-    /// Whether the plan injects nothing (every rate is zero).
+    /// Whether the plan injects nothing (the rate is zero).
     pub fn is_none(&self) -> bool {
-        self.dram_read_error_rate == 0.0
-            && self.dma_timeout_rate == 0.0
-            && self.dir_nack_rate == 0.0
-    }
-
-    /// The injection rate configured for `site`.
-    pub fn rate_of(&self, site: FaultSite) -> f64 {
-        match site {
-            FaultSite::DramRead => self.dram_read_error_rate,
-            FaultSite::DmaTimeout => self.dma_timeout_rate,
-            FaultSite::DirNack => self.dir_nack_rate,
-        }
-    }
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        Self::none()
+        self.rate == 0.0
     }
 }
 
@@ -140,17 +109,16 @@ impl Default for FaultConfig {
 pub struct FaultEscalation {
     /// The site that escalated.
     pub site: FaultSite,
-    /// Retries spent before escalating (`max_retries`).
+    /// Retries spent before escalating ([`MAX_RETRIES`]).
     pub attempts: u32,
     /// Simulated cycle of the escalation.
     pub cycle: u64,
 }
 
-/// Exponential backoff delay for retry `attempt` (0-based):
-/// `base << attempt`, saturating so pathological retry budgets cannot
-/// wrap.
-pub fn backoff_delay(base: u64, attempt: u32) -> u64 {
-    base.saturating_mul(1u64 << attempt.min(32))
+/// Exponential backoff delay for retry `attempt` (0-based, below
+/// [`MAX_RETRIES`]): `BACKOFF_BASE << attempt`.
+pub fn backoff_delay(attempt: u32) -> u64 {
+    BACKOFF_BASE << attempt
 }
 
 /// One fault site's deterministic event roller.
@@ -173,7 +141,7 @@ impl FaultRoller {
     /// distinguishes replicated owners of one site (DRAM channel index,
     /// tile id) so they draw from independent streams.
     pub fn new(cfg: &FaultConfig, site: FaultSite, instance: u64) -> Self {
-        let rate = cfg.rate_of(site).clamp(0.0, 1.0);
+        let rate = cfg.rate.clamp(0.0, 1.0);
         let threshold = if rate <= 0.0 {
             0
         } else {
@@ -290,12 +258,9 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_exponential_and_saturates() {
-        assert_eq!(backoff_delay(8, 0), 8);
-        assert_eq!(backoff_delay(8, 1), 16);
-        assert_eq!(backoff_delay(8, 4), 128);
-        assert_eq!(backoff_delay(u64::MAX / 2, 40), u64::MAX);
-        assert_eq!(backoff_delay(0, 10), 0);
+    fn backoff_doubles_from_the_base_on_every_retry() {
+        let delays: Vec<u64> = (0..MAX_RETRIES).map(backoff_delay).collect();
+        assert_eq!(delays, [8, 16, 32, 64]);
     }
 
     #[test]

@@ -33,8 +33,8 @@ fn main() {
         .iter()
         .map(|s| (compile(s, SysMode::HybridCoherent.codegen()), s.clone()))
         .collect();
-    // Pin the first run to per-core replication (the §3 baseline),
-    // whatever HSIM_COHERENCE says, so the contrast below is stable.
+    // The first run uses per-core replication (the §3 baseline), named
+    // explicitly so the contrast with MESI below reads off the code.
     let mut cfg =
         MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(CoherenceMode::Replicate);
     cfg.track_coherence = true;

@@ -6,6 +6,7 @@ use super::spec::{MultiRunError, RunOutcome, RunSpec};
 use super::sweeps::parallel_map;
 use crate::machine::{MachineConfig, SysMode};
 use crate::metrics::{LatencyHistogram, RequestServingReport};
+use hsim_core::config::CoherenceMode;
 use hsim_workloads::comm as commw;
 use hsim_workloads::Scale;
 
@@ -18,10 +19,11 @@ fn xorshift64(state: &mut u64) -> u64 {
     x
 }
 
-/// The request-serving macro-workload: `cores` server tiles gather from
-/// one shared read-mostly table ([`hsim_workloads::comm::request_serving`]),
-/// then a **deterministic open-loop arrival process** replays the
-/// measured per-core service times against seeded inter-arrival gaps:
+/// The request-serving macro-workload: `cores` server tiles built from
+/// `cfg` gather from one shared read-mostly table
+/// ([`hsim_workloads::comm::request_serving`]), then a **deterministic
+/// open-loop arrival process** replays the measured per-core service
+/// times against seeded inter-arrival gaps:
 ///
 /// 1. The machine run measures each core's mean service time per
 ///    request (`core cycles / requests`, backside contention included).
@@ -36,16 +38,16 @@ fn xorshift64(state: &mut u64) -> u64 {
 /// Everything after the machine run is integer math on a seeded
 /// stream: the same seed gives a byte-identical
 /// [`RequestServingReport::render`] (pinned by proptest).
-pub fn request_serving(
+pub fn request_serving_on(
+    cfg: &MachineConfig,
     scale: Scale,
     cores: usize,
-    mode: SysMode,
     seed: u64,
     load_permille: u64,
 ) -> Result<RequestServingReport, MultiRunError> {
     let w = commw::request_serving(scale, cores);
     let m = RunSpec::many(&w.kernels)
-        .config(MachineConfig::for_mode(mode))
+        .config(cfg.clone())
         .run()
         .map(RunOutcome::into_multi)?;
     let service: Vec<u64> = m
@@ -79,7 +81,7 @@ pub fn request_serving(
     }
     Ok(RequestServingReport {
         name: "serve".into(),
-        mode,
+        mode: cfg.mode,
         cores,
         seed,
         requests,
@@ -90,11 +92,29 @@ pub fn request_serving(
     })
 }
 
-/// [`request_serving`] on hybrid-coherent and cache-based chips at
-/// every requested core count, one [`parallel_map`] job per point.
+/// [`request_serving_on`] the default `mode` machine under the MESI
+/// directory. Kept only for the frozen repository benchmark
+/// (`benchmark/`), which calls it by this signature; the ROADMAP's
+/// benchmark-unfreeze item moves that call to [`request_serving_on`]
+/// and deletes this wrapper.
+pub fn request_serving(
+    scale: Scale,
+    cores: usize,
+    mode: SysMode,
+    seed: u64,
+    load_permille: u64,
+) -> Result<RequestServingReport, MultiRunError> {
+    let cfg = MachineConfig::for_mode(mode).with_coherence(CoherenceMode::Mesi);
+    request_serving_on(&cfg, scale, cores, seed, load_permille)
+}
+
+/// [`request_serving_on`] hybrid-coherent and cache-based chips under the
+/// inter-core protocol `cm`, at every requested core count, one
+/// [`parallel_map`] job per point.
 pub fn request_serving_sweep(
     scale: Scale,
     core_counts: &[usize],
+    cm: CoherenceMode,
     seed: u64,
     load_permille: u64,
 ) -> Result<Vec<RequestServingReport>, MultiRunError> {
@@ -103,7 +123,8 @@ pub fn request_serving_sweep(
         .flat_map(|&c| [SysMode::HybridCoherent, SysMode::CacheBased].map(|m| (c, m)))
         .collect();
     parallel_map(points, |(cores, mode)| {
-        request_serving(scale, cores, mode, seed, load_permille)
+        let cfg = MachineConfig::for_mode(mode).with_coherence(cm);
+        request_serving_on(&cfg, scale, cores, seed, load_permille)
     })
     .into_iter()
     .collect()

@@ -249,9 +249,9 @@ pub struct BacksideSweepRow {
 fn backside_point(
     kernel: &Kernel,
     cores: usize,
-    mode: SysMode,
+    cfg: &MachineConfig,
 ) -> Result<Option<BacksideSweepRow>, MultiRunError> {
-    let spec = RunSpec::new(kernel).config(MachineConfig::for_mode(mode));
+    let spec = RunSpec::new(kernel).config(cfg.clone());
     let report = if cores == 1 {
         let r = spec.run()?.into_single();
         MultiRunReport {
@@ -273,16 +273,16 @@ fn backside_point(
 }
 
 /// Backside-sensitivity sweep: row-buffer locality and L3 bank
-/// contention for every kernel × core-count point, on the default
-/// (banked, row-aware) backside. Points a kernel cannot shard to are
-/// skipped; one job per point.
+/// contention for every kernel × core-count point, on machines built
+/// from `cfg` (by default the banked, row-aware backside). Points a
+/// kernel cannot shard to are skipped; one job per point.
 pub fn backside_sweep(
     kernels: &[Kernel],
     core_counts: &[usize],
-    mode: SysMode,
+    cfg: &MachineConfig,
 ) -> Result<Vec<BacksideSweepRow>, MultiRunError> {
     sweep_grid(kernels, core_counts, |k, &cores| {
-        backside_point(k, cores, mode)
+        backside_point(k, cores, cfg)
     })
 }
 
@@ -500,12 +500,11 @@ type HeteroShape = (String, Vec<MachineConfig>, Vec<u64>);
 /// The machine shapes [`hetero_sweep`] visits at one core count: every
 /// hybrid:cache ratio with even shards, an all-hybrid chip with half
 /// the tiles at a quarter LM budget, and a weighted mixed chip whose
-/// hybrid tiles take double iteration shares. Default-configured tiles
-/// inherit the `HSIM_COHERENCE` environment mode like every other
-/// sweep.
-fn hetero_shapes(cores: usize) -> Vec<HeteroShape> {
-    let hybrid = || MachineConfig::for_mode(SysMode::HybridCoherent);
-    let cache = || MachineConfig::for_mode(SysMode::CacheBased);
+/// hybrid tiles take double iteration shares. Every tile runs the
+/// inter-core protocol `cm`.
+fn hetero_shapes(cores: usize, cm: CoherenceMode) -> Vec<HeteroShape> {
+    let hybrid = || MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
+    let cache = || MachineConfig::for_mode(SysMode::CacheBased).with_coherence(cm);
     let mixed = |h: usize| -> Vec<MachineConfig> {
         (0..cores)
             .map(|i| if i < h { hybrid() } else { cache() })
@@ -572,18 +571,20 @@ fn hetero_point(
 }
 
 /// The heterogeneous-chip sweep: every kernel × machine shape (see
-/// `hetero_shapes`) at one core count. The all-hybrid shape (`"4H+0C"`)
-/// is built from default configurations, so it reproduces the
-/// homogeneous sharded machine bit for bit — the anchor the mixed
-/// shapes are compared against. Shapes a kernel cannot shard to are
-/// skipped; one job per (kernel, shape) point.
+/// `hetero_shapes`) at one core count, every tile under the inter-core
+/// protocol `cm`. The all-hybrid shape (`"4H+0C"`) is built from default
+/// configurations, so it reproduces the homogeneous sharded machine
+/// under `cm` bit for bit — the anchor the mixed shapes are compared
+/// against. Shapes a kernel cannot shard to are skipped; one job per
+/// (kernel, shape) point.
 pub fn hetero_sweep(
     kernels: &[Kernel],
     cores: usize,
+    cm: CoherenceMode,
 ) -> Result<Vec<HeteroSweepRow>, MultiRunError> {
     sweep_grid(
         kernels,
-        &hetero_shapes(cores),
+        &hetero_shapes(cores, cm),
         |k, (label, cfgs, weights)| hetero_point(k, label, cfgs, weights),
     )
 }
@@ -649,25 +650,25 @@ fn comm_point(
 
 /// The communication-workload sweep: every family
 /// (ping-pong/queue/lock/barrier) × core count on hybrid-coherent and
-/// cache-based chips under the environment's inter-core protocol, plus
-/// the full protocol family on the cache-based queue (the dirty
-/// hand-off point where MSI/MESI/MOESI/MESIF separate). Core counts
-/// must be even (pair workloads). One job per point.
-pub fn comm_sweep(scale: Scale, core_counts: &[usize]) -> Result<Vec<CommSweepRow>, MultiRunError> {
-    let env_cm = MachineConfig::for_mode(SysMode::HybridCoherent)
-        .mem
-        .coherence
-        .mode;
+/// cache-based chips under the inter-core protocol `cm`, plus the rest
+/// of the protocol family on the cache-based queue (the dirty hand-off
+/// point where MSI/MESI/MOESI/MESIF separate). Core counts must be even
+/// (pair workloads). One job per point.
+pub fn comm_sweep(
+    scale: Scale,
+    core_counts: &[usize],
+    cm: CoherenceMode,
+) -> Result<Vec<CommSweepRow>, MultiRunError> {
     let mut points: Vec<(&'static str, usize, SysMode, CoherenceMode)> = Vec::new();
     for &cores in core_counts {
         for name in ["pingpong", "queue", "lock", "barrier"] {
             for mode in [SysMode::HybridCoherent, SysMode::CacheBased] {
-                points.push((name, cores, mode, env_cm));
+                points.push((name, cores, mode, cm));
             }
         }
-        for cm in CoherenceMode::ALL {
-            if cm != env_cm {
-                points.push(("queue", cores, SysMode::CacheBased, cm));
+        for other in CoherenceMode::ALL {
+            if other != cm {
+                points.push(("queue", cores, SysMode::CacheBased, other));
             }
         }
     }

@@ -130,7 +130,7 @@ pub use cluster::{
 };
 pub use experiments::{
     backside_sweep, coherence_rows, comm_sweep, compare_systems, compile_for_tile, fig7, fig8,
-    geomean, hetero_sweep, parallel_map, protocol_sweep, request_serving, request_serving_sweep,
+    geomean, hetero_sweep, parallel_map, protocol_sweep, request_serving_on, request_serving_sweep,
     scaling_sweep, BacksideSweepRow, CoherenceSweepRow, CommSweepRow, HeteroSweepRow,
     MultiRunError, ProtocolSweepRow, RunOutcome, RunSpec, ScalingRow,
 };
@@ -146,7 +146,7 @@ pub mod prelude {
     };
     pub use crate::experiments::{
         backside_sweep, coherence_rows, comm_sweep, compare_systems, compile_for_tile, fig7, fig8,
-        hetero_sweep, protocol_sweep, request_serving, request_serving_sweep, scaling_sweep,
+        hetero_sweep, protocol_sweep, request_serving_on, request_serving_sweep, scaling_sweep,
         BacksideSweepRow, CoherenceSweepRow, CommSweepRow, HeteroSweepRow, MultiRunError,
         ProtocolSweepRow, RunOutcome, RunSpec, ScalingRow,
     };

@@ -102,12 +102,6 @@ impl MachineConfig {
         }
     }
 
-    /// Enables the runtime coherence checker.
-    pub fn with_tracking(mut self) -> Self {
-        self.track_coherence = true;
-        self
-    }
-
     /// Disables event-horizon cycle skipping (the `lockstep: true`
     /// escape hatch): `run` walks every cycle through the per-stage tick
     /// loop. Reports are bit-identical either way; the equivalence tests
@@ -118,12 +112,12 @@ impl MachineConfig {
     }
 
     /// Selects the inter-core coherence model of the shared backside
-    /// (overriding the `HSIM_COHERENCE` environment default):
-    /// `Replicate` keeps per-core private replicas of every cacheable
-    /// line; `Mesi` serves the sharder's replicated-whole arrays from
-    /// shared, directory-tracked lines. Committed architectural state is
-    /// identical either way — each tile's functional backing store is
-    /// private — only timing and traffic differ.
+    /// (default `Replicate`): `Replicate` keeps per-core private
+    /// replicas of every cacheable line; `Mesi` serves the sharder's
+    /// replicated-whole arrays from shared, directory-tracked lines.
+    /// Committed architectural state is identical either way — each
+    /// tile's functional backing store is private — only timing and
+    /// traffic differ.
     pub fn with_coherence(mut self, mode: hsim_core::config::CoherenceMode) -> Self {
         self.mem.coherence.mode = mode;
         self

@@ -424,7 +424,7 @@ impl LatencyHistogram {
 
 /// The outcome of one request-serving run: the open-loop queueing
 /// measurements layered over the underlying machine run. Produced by
-/// `experiments::request_serving`; rendered deterministically (integer
+/// `experiments::request_serving_on`; rendered deterministically (integer
 /// math only) so equal seeds give byte-identical reports.
 #[derive(Clone, Debug)]
 pub struct RequestServingReport {

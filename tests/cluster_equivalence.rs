@@ -18,6 +18,10 @@
 //! replication fallbacks are counted (never silently free), and the
 //! multi-channel DRAM backside conserves line traffic while
 //! partitioning it.
+//!
+//! Every contract holds under every inter-core protocol, so each test
+//! iterates [`CoherenceMode::ALL`] (the NAS grids through
+//! [`protocols`]).
 
 use hsim::cluster::{cross_cluster_fallbacks, ClusterConfig, ClusterTopology};
 use hsim::compiler::compile;
@@ -95,8 +99,36 @@ fn assert_multi_equal(a: &MultiRunReport, b: &MultiRunReport, what: &str) {
     }
 }
 
+/// The protocols the `i`-th kernel of a NAS grid runs under: all of
+/// them in release builds; in debug builds, where the whole grid under
+/// every protocol takes many minutes, only `ALL[i % 5]`, so each
+/// protocol still runs some kernels.
+fn protocols(i: usize) -> Vec<CoherenceMode> {
+    let all = CoherenceMode::ALL;
+    if cfg!(debug_assertions) {
+        vec![all[i % all.len()]]
+    } else {
+        all.to_vec()
+    }
+}
+
+/// Every NAS kernel at `Scale::Test`, paired with the protocols it runs
+/// under ([`protocols`]).
+fn nas_grid() -> Vec<(hsim::compiler::Kernel, CoherenceMode)> {
+    let kernels = nas::all_nas(Scale::Test).into_iter().enumerate();
+    kernels
+        .flat_map(|(i, k)| protocols(i).into_iter().map(move |cm| (k.clone(), cm)))
+        .collect()
+}
+
+/// The hybrid-coherent machine under `cm`.
+fn hybrid(cm: CoherenceMode) -> MachineConfig {
+    MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm)
+}
+
 fn run(
     kernel: &hsim::compiler::Kernel,
+    cm: CoherenceMode,
     topo: ClusterTopology,
     serial: bool,
     channels: usize,
@@ -106,7 +138,7 @@ fn run(
     if serial {
         cluster = cluster.serial();
     }
-    let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
+    let mut cfg = hybrid(cm);
     cfg.mem.dram_channels = channels;
     if lockstep {
         cfg = cfg.with_lockstep();
@@ -127,19 +159,19 @@ fn run(
 /// kernel across topologies and channel counts.
 #[test]
 fn threaded_clusters_match_serial_oracle() {
-    for kernel in nas::all_nas(Scale::Test) {
+    for (kernel, cm) in nas_grid() {
         for (clusters, per) in [(1, 2), (2, 1), (2, 2), (4, 1)] {
             for channels in [1usize, 2] {
                 let topo = ClusterTopology::new(clusters, per);
-                let Some(serial) = run(&kernel, topo, true, channels, false) else {
+                let Some(serial) = run(&kernel, cm, topo, true, channels, false) else {
                     continue;
                 };
-                let threaded = run(&kernel, topo, false, channels, false)
+                let threaded = run(&kernel, cm, topo, false, channels, false)
                     .expect("shardability cannot depend on threading");
                 assert_cluster_reports_equal(
                     &serial,
                     &threaded,
-                    &format!("{} {clusters}x{per} ch{channels}", kernel.name),
+                    &format!("{} {cm:?} {clusters}x{per} ch{channels}", kernel.name),
                 );
             }
         }
@@ -153,33 +185,35 @@ fn threaded_clusters_match_serial_oracle() {
 #[test]
 fn run_until_chunks_match_one_run() {
     let kernel = nas::cg(Scale::Test);
-    let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
-    let shards: Vec<_> = kernel
-        .shard(4)
-        .expect("CG shards 4 ways")
-        .into_iter()
-        .map(|s| (compile_for_tile(&s, &cfg), s))
-        .collect();
-    let cks: Vec<_> = shards.iter().map(|(ck, _)| ck.clone()).collect();
-    let run = |chunk: Option<u64>| {
-        let mut m = hsim::MultiMachine::for_kernels(cfg.clone(), &shards);
-        match chunk {
-            None => m.run().expect("CG halts"),
-            Some(chunk) => {
-                let mut limit = 0;
-                while !m.all_halted() {
-                    limit += chunk;
-                    m.run_until(limit).expect("CG halts");
+    for cm in CoherenceMode::ALL {
+        let cfg = hybrid(cm);
+        let shards: Vec<_> = kernel
+            .shard(4)
+            .expect("CG shards 4 ways")
+            .into_iter()
+            .map(|s| (compile_for_tile(&s, &cfg), s))
+            .collect();
+        let cks: Vec<_> = shards.iter().map(|(ck, _)| ck.clone()).collect();
+        let run = |chunk: Option<u64>| {
+            let mut m = hsim::MultiMachine::for_kernels(cfg.clone(), &shards);
+            match chunk {
+                None => m.run().expect("CG halts"),
+                Some(chunk) => {
+                    let mut limit = 0;
+                    while !m.all_halted() {
+                        limit += chunk;
+                        m.run_until(limit).expect("CG halts");
+                    }
                 }
             }
+            MultiRunReport::collect(&m, &cks)
+        };
+        let whole = run(None);
+        assert!(whole.total(|c| c.skipped_cycles) > 0, "CG must skip cycles");
+        for chunk in [1, 500] {
+            let what = format!("CG x4 {cm:?} in {chunk}-cycle chunks");
+            assert_multi_equal(&whole, &run(Some(chunk)), &what);
         }
-        MultiRunReport::collect(&m, &cks)
-    };
-    let whole = run(None);
-    assert!(whole.total(|c| c.skipped_cycles) > 0, "CG must skip cycles");
-    for chunk in [1, 500] {
-        let what = format!("CG x4 in {chunk}-cycle chunks");
-        assert_multi_equal(&whole, &run(Some(chunk)), &what);
     }
 }
 
@@ -188,16 +222,16 @@ fn run_until_chunks_match_one_run() {
 /// identity 1; here the *timing* is pinned to the naive loop).
 #[test]
 fn epoch_chunked_skipping_matches_lockstep() {
-    for kernel in nas::all_nas(Scale::Test) {
+    for (kernel, cm) in nas_grid() {
         let topo = ClusterTopology::new(2, 2);
-        let Some(skip) = run(&kernel, topo, true, 1, false) else {
+        let Some(skip) = run(&kernel, cm, topo, true, 1, false) else {
             continue;
         };
         let lock =
-            run(&kernel, topo, true, 1, true).expect("shardability cannot depend on lockstep");
+            run(&kernel, cm, topo, true, 1, true).expect("shardability cannot depend on lockstep");
         assert_eq!(
             skip.makespan, lock.makespan,
-            "{}: skipping changed the makespan",
+            "{} {cm:?}: skipping changed the makespan",
             kernel.name
         );
         assert_eq!(skip.total(|c| c.committed), lock.total(|c| c.committed));
@@ -215,7 +249,7 @@ fn epoch_chunked_skipping_matches_lockstep() {
         {
             let mut core = a.core.clone();
             core.skipped_cycles = 0;
-            assert_eq!(core, b.core, "{}: core stats diverged", kernel.name);
+            assert_eq!(core, b.core, "{} {cm:?}: core stats diverged", kernel.name);
         }
     }
 }
@@ -225,22 +259,22 @@ fn epoch_chunked_skipping_matches_lockstep() {
 /// is a single cluster.
 #[test]
 fn one_cluster_matches_flat_multimachine() {
-    for kernel in nas::all_nas(Scale::Test) {
+    for (kernel, cm) in nas_grid() {
         for n in [1usize, 2, 4] {
             let topo = ClusterTopology::new(1, n);
-            let Some(clustered) = run(&kernel, topo, false, 1, false) else {
+            let Some(clustered) = run(&kernel, cm, topo, false, 1, false) else {
                 continue;
             };
             let flat = RunSpec::new(&kernel)
                 .cores(n)
-                .config(MachineConfig::for_mode(SysMode::HybridCoherent))
+                .config(hybrid(cm))
                 .run()
                 .map(RunOutcome::into_multi)
                 .expect("shards as 1xn");
             assert_eq!(clustered.per_cluster.len(), 1);
             assert_eq!(
                 clustered.makespan, flat.makespan,
-                "{} 1x{n}: makespan",
+                "{} {cm:?} 1x{n}: makespan",
                 kernel.name
             );
             assert_eq!(
@@ -253,7 +287,7 @@ fn one_cluster_matches_flat_multimachine() {
                 .zip(&flat.per_core)
                 .enumerate()
             {
-                assert_cores_equal(a, b, &format!("{} 1x{n} core {i}", kernel.name));
+                assert_cores_equal(a, b, &format!("{} {cm:?} 1x{n} core {i}", kernel.name));
             }
         }
     }
@@ -279,11 +313,14 @@ fn cross_cluster_fallbacks_are_counted() {
     assert_eq!(cross_cluster_fallbacks(&kernel, 1), 0);
     assert_eq!(cross_cluster_fallbacks(&kernel, 2), shared);
     assert_eq!(cross_cluster_fallbacks(&kernel, 4), 3 * shared);
-    let report =
-        run(&kernel, ClusterTopology::new(2, 2), false, 1, false).expect("CG shards to 2x2");
-    assert_eq!(report.cross_cluster_fallbacks, shared);
-    let one = run(&kernel, ClusterTopology::new(1, 4), false, 1, false).expect("CG shards to 1x4");
-    assert_eq!(one.cross_cluster_fallbacks, 0);
+    for cm in CoherenceMode::ALL {
+        let report = run(&kernel, cm, ClusterTopology::new(2, 2), false, 1, false)
+            .expect("CG shards to 2x2");
+        assert_eq!(report.cross_cluster_fallbacks, shared, "{cm:?}");
+        let one = run(&kernel, cm, ClusterTopology::new(1, 4), false, 1, false)
+            .expect("CG shards to 1x4");
+        assert_eq!(one.cross_cluster_fallbacks, 0, "{cm:?}");
+    }
 }
 
 /// Multi-channel DRAM conserves line traffic: striping lines across 2 or
@@ -291,24 +328,24 @@ fn cross_cluster_fallbacks_are_counted() {
 /// same lines, and committed work is architecture-invariant.
 #[test]
 fn dram_channels_conserve_line_traffic() {
-    for kernel in nas::all_nas(Scale::Test) {
+    for (kernel, cm) in nas_grid() {
         let topo = ClusterTopology::new(1, 2);
-        let Some(one) = run(&kernel, topo, false, 1, false) else {
+        let Some(one) = run(&kernel, cm, topo, false, 1, false) else {
             continue;
         };
         for channels in [2usize, 4] {
-            let multi = run(&kernel, topo, false, channels, false)
+            let multi = run(&kernel, cm, topo, false, channels, false)
                 .expect("shardability cannot depend on channels");
             assert_eq!(
                 one.total(|c| c.committed),
                 multi.total(|c| c.committed),
-                "{} ch{channels}: committed work",
+                "{} {cm:?} ch{channels}: committed work",
                 kernel.name
             );
             assert_eq!(
                 one.total(|c| c.dram_reads),
                 multi.total(|c| c.dram_reads),
-                "{} ch{channels}: DRAM line reads",
+                "{} {cm:?} ch{channels}: DRAM line reads",
                 kernel.name
             );
         }
@@ -356,42 +393,48 @@ fn report_totals_partition_the_backsides_of_a_clustered_run() {
     ];
 
     let kernel = nas::cg(Scale::Test);
-    let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
-    let report = run(&kernel, ClusterTopology::new(2, 2), true, 1, false).expect("CG shards 2x2");
-    // Clusters share nothing, so each one's machine can be rebuilt and
-    // run on its own to read its backside directly.
-    let backsides: Vec<(DramStats, CacheStats)> = kernel
-        .shard_clustered(2, 2)
-        .expect("CG shards 2x2")
-        .into_iter()
-        .map(|shards| {
-            let compiled: Vec<_> = shards
-                .into_iter()
-                .map(|s| (compile_for_tile(&s, &cfg), s))
-                .collect();
-            let mut m = hsim::MultiMachine::for_kernels(cfg.clone(), &compiled);
-            m.run().expect("cluster machine halts");
-            let bs = m.backside();
-            let bs = bs.borrow();
-            (bs.dram_total_stats(), bs.l3_total_stats())
-        })
-        .collect();
-
-    for (name, per_core, backside) in counters {
-        let per_cluster: Vec<u64> = report
-            .per_cluster
-            .iter()
-            .map(|m| m.total(per_core))
+    for cm in CoherenceMode::ALL {
+        let cfg = hybrid(cm);
+        let report =
+            run(&kernel, cm, ClusterTopology::new(2, 2), true, 1, false).expect("CG shards 2x2");
+        // Clusters share nothing, so each one's machine can be rebuilt and
+        // run on its own to read its backside directly.
+        let backsides: Vec<(DramStats, CacheStats)> = kernel
+            .shard_clustered(2, 2)
+            .expect("CG shards 2x2")
+            .into_iter()
+            .map(|shards| {
+                let compiled: Vec<_> = shards
+                    .into_iter()
+                    .map(|s| (compile_for_tile(&s, &cfg), s))
+                    .collect();
+                let mut m = hsim::MultiMachine::for_kernels(cfg.clone(), &compiled);
+                m.run().expect("cluster machine halts");
+                let bs = m.backside();
+                let bs = bs.borrow();
+                (bs.dram_total_stats(), bs.l3_total_stats())
+            })
             .collect();
-        let counted: Vec<u64> = backsides.iter().map(|(d, l3)| backside(d, l3)).collect();
-        assert_eq!(per_cluster, counted, "{name}: cluster totals vs backsides");
-        assert_eq!(
-            report.total(per_core),
-            per_cluster.iter().sum::<u64>(),
-            "{name}: machine total vs cluster totals"
-        );
+
+        for (name, per_core, backside) in counters {
+            let per_cluster: Vec<u64> = report
+                .per_cluster
+                .iter()
+                .map(|m| m.total(per_core))
+                .collect();
+            let counted: Vec<u64> = backsides.iter().map(|(d, l3)| backside(d, l3)).collect();
+            assert_eq!(
+                per_cluster, counted,
+                "{cm:?} {name}: cluster totals vs backsides"
+            );
+            assert_eq!(
+                report.total(per_core),
+                per_cluster.iter().sum::<u64>(),
+                "{cm:?} {name}: machine total vs cluster totals"
+            );
+        }
+        assert!(report.total(|c| c.dram_reads) > 0, "the run must use DRAM");
     }
-    assert!(report.total(|c| c.dram_reads) > 0, "the run must use DRAM");
 }
 
 /// The two-level sharder nests exactly: `shard_clustered(c, p)` is

@@ -141,50 +141,52 @@ fn skip_equals_lockstep_for_request_serving_set() {
 }
 
 /// Comm kernel sets on the clustered machine: one host thread per
-/// cluster must be bit-identical to the serial oracle.
+/// cluster must be bit-identical to the serial oracle, under every
+/// [`CoherenceMode`].
 #[test]
 fn clusters_serial_matches_threaded_for_comm_sets() {
-    for w in [
+    let sets = [
         comm::ping_pong(Scale::Test, 4),
         comm::queue(Scale::Test, 4, 64),
-    ] {
+    ];
+    for (w, cm) in sets
+        .iter()
+        .flat_map(|w| CoherenceMode::ALL.map(|cm| (w, cm)))
+    {
         let topo = ClusterTopology::new(2, 2);
-        let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
+        let cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
         let serial = RunSpec::many(&w.kernels)
             .clustered(&ClusterConfig::new(topo).serial())
             .config(cfg.clone())
             .run()
-            .unwrap_or_else(|e| panic!("{} serial: {e}", w.name))
+            .unwrap_or_else(|e| panic!("{} {cm:?} serial: {e}", w.name))
             .into_clusters();
         let threaded = RunSpec::many(&w.kernels)
             .clustered(&ClusterConfig::new(topo))
             .config(cfg)
             .run()
-            .unwrap_or_else(|e| panic!("{} threaded: {e}", w.name))
+            .unwrap_or_else(|e| panic!("{} {cm:?} threaded: {e}", w.name))
             .into_clusters();
-        assert_eq!(serial.makespan, threaded.makespan, "{}: makespan", w.name);
+        let what = format!("{} {cm:?}", w.name);
+        assert_eq!(serial.makespan, threaded.makespan, "{what}: makespan");
         assert_eq!(
             serial.total(|c| c.committed),
             threaded.total(|c| c.committed),
-            "{}: committed",
-            w.name
+            "{what}: committed"
         );
         assert_eq!(
             serial.total(|c| c.skipped_cycles),
             threaded.total(|c| c.skipped_cycles),
-            "{}: skipped",
-            w.name
+            "{what}: skipped"
         );
         assert_eq!(
             serial.total(|c| c.dram_reads),
             threaded.total(|c| c.dram_reads),
-            "{}: DRAM reads",
-            w.name
+            "{what}: DRAM reads"
         );
         assert_eq!(
             serial.cross_cluster_fallbacks, threaded.cross_cluster_fallbacks,
-            "{}: fallbacks",
-            w.name
+            "{what}: fallbacks"
         );
     }
 }
@@ -241,14 +243,28 @@ fn diverged_comm_layout_is_a_hard_error() {
     }
 }
 
+/// The request-serving machine: hybrid-coherent tiles under `cm`.
+fn server(cm: CoherenceMode) -> MachineConfig {
+    MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm)
+}
+
 /// Different arrival seeds actually change the replay (the proptest
-/// below pins the converse).
+/// below pins the converse), under every [`CoherenceMode`].
 #[test]
 fn different_seeds_change_the_request_serving_report() {
-    let a = hsim::request_serving(Scale::Test, 2, SysMode::HybridCoherent, 1, 700).unwrap();
-    let b = hsim::request_serving(Scale::Test, 2, SysMode::HybridCoherent, 2, 700).unwrap();
-    assert_ne!(a.render(), b.render(), "seed must steer the arrivals");
-    assert_eq!(a.requests, b.requests, "seed must not change the load");
+    for cm in CoherenceMode::ALL {
+        let a = hsim::request_serving_on(&server(cm), Scale::Test, 2, 1, 700).unwrap();
+        let b = hsim::request_serving_on(&server(cm), Scale::Test, 2, 2, 700).unwrap();
+        assert_ne!(
+            a.render(),
+            b.render(),
+            "{cm:?}: seed must steer the arrivals"
+        );
+        assert_eq!(
+            a.requests, b.requests,
+            "{cm:?}: seed must not change the load"
+        );
+    }
 }
 
 mod open_loop_determinism {
@@ -259,19 +275,17 @@ mod open_loop_determinism {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         /// The paper-facing pin: the open-loop replay is a pure
-        /// function of (workload, seed, load) — the same seed renders a
-        /// byte-identical report.
+        /// function of (machine, workload, seed, load) — the same seed
+        /// renders a byte-identical report, under any protocol.
         #[test]
         fn same_seed_renders_byte_identical_reports(
             seed in any::<u64>(),
             load in 100u64..901,
+            mode_idx in 0usize..CoherenceMode::ALL.len(),
         ) {
-            let a = hsim::request_serving(
-                Scale::Test, 2, SysMode::HybridCoherent, seed, load,
-            ).unwrap();
-            let b = hsim::request_serving(
-                Scale::Test, 2, SysMode::HybridCoherent, seed, load,
-            ).unwrap();
+            let cfg = server(CoherenceMode::ALL[mode_idx]);
+            let a = hsim::request_serving_on(&cfg, Scale::Test, 2, seed, load).unwrap();
+            let b = hsim::request_serving_on(&cfg, Scale::Test, 2, seed, load).unwrap();
             prop_assert_eq!(a.render(), b.render());
             prop_assert_eq!(a.latency.p99(), b.latency.p99());
             prop_assert_eq!(a.span_cycles, b.span_cycles);

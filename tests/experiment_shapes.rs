@@ -164,26 +164,27 @@ fn parallel_drivers_match_sequential_results() {
 fn scaling_sweep_produces_rising_sublinear_curves() {
     // The promoted scaling experiment: per kernel, speedup rises with
     // cores but stays sublinear (shared backside), and the 1-core point
-    // is exactly 1.0 by construction.
-    let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
-    let rows = scaling_sweep(&[nas::cg(Scale::Test)], &[1, 2, 4], &cfg).unwrap();
-    assert_eq!(rows.len(), 3);
-    assert!((rows[0].speedup - 1.0).abs() < 1e-12, "1-core speedup is 1");
-    for w in rows.windows(2) {
-        assert!(
-            w[1].speedup > w[0].speedup,
-            "speedup must rise: {:.2} -> {:.2}",
-            w[0].speedup,
-            w[1].speedup
-        );
-    }
-    for r in &rows {
-        assert!(
-            r.speedup <= r.cores as f64,
-            "x{}: sublinear expected, got {:.2}",
-            r.cores,
-            r.speedup
-        );
+    // is exactly 1.0 by construction — under every inter-core protocol.
+    for cm in CoherenceMode::ALL {
+        let rows = scaling_sweep(&[nas::cg(Scale::Test)], &[1, 2, 4], &hybrid(cm)).unwrap();
+        assert_eq!(rows.len(), 3);
+        assert!((rows[0].speedup - 1.0).abs() < 1e-12, "1-core speedup is 1");
+        for w in rows.windows(2) {
+            assert!(
+                w[1].speedup > w[0].speedup,
+                "{cm:?}: speedup must rise: {:.2} -> {:.2}",
+                w[0].speedup,
+                w[1].speedup
+            );
+        }
+        for r in &rows {
+            assert!(
+                r.speedup <= r.cores as f64,
+                "{cm:?} x{}: sublinear expected, got {:.2}",
+                r.cores,
+                r.speedup
+            );
+        }
     }
 }
 
@@ -191,43 +192,57 @@ fn scaling_sweep_produces_rising_sublinear_curves() {
 fn hetero_sweep_covers_the_shapes() {
     // The heterogeneous sweep on a 2-core chip: every hybrid:cache
     // ratio plus the LM-asymmetry and weighted shapes, with the
-    // all-hybrid anchor equal to the homogeneous machine.
+    // all-hybrid anchor equal to the homogeneous machine — under every
+    // inter-core protocol.
     let kernels = [nas::cg(Scale::Test)];
-    let rows = hetero_sweep(&kernels, 2).unwrap();
-    let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
-    assert_eq!(
-        labels,
-        ["2H+0C", "1H+1C", "0H+2C", "2H lm/4x1", "1H+1C w2:1"],
-        "CG must shard to every 2-core shape"
-    );
-    let by = |l: &str| rows.iter().find(|r| r.label == l).unwrap();
-    assert_eq!(by("2H+0C").hybrid_tiles, 2);
-    assert_eq!(by("0H+2C").hybrid_tiles, 0);
-    assert_eq!(by("2H lm/4x1").small_lm_tiles, 1);
-    assert_eq!(by("1H+1C w2:1").weights, vec![2, 1]);
+    for cm in CoherenceMode::ALL {
+        let rows = hetero_sweep(&kernels, 2, cm).unwrap();
+        let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["2H+0C", "1H+1C", "0H+2C", "2H lm/4x1", "1H+1C w2:1"],
+            "{cm:?}: CG must shard to every 2-core shape"
+        );
+        let by = |l: &str| rows.iter().find(|r| r.label == l).unwrap();
+        assert_eq!(by("2H+0C").hybrid_tiles, 2);
+        assert_eq!(by("0H+2C").hybrid_tiles, 0);
+        assert_eq!(by("2H lm/4x1").small_lm_tiles, 1);
+        assert_eq!(by("1H+1C w2:1").weights, vec![2, 1]);
 
-    // The all-hybrid shape anchors to the homogeneous machine exactly.
-    let homo = RunSpec::new(&kernels[0])
-        .cores(2)
-        .mode(SysMode::HybridCoherent)
-        .track(false)
-        .run()
-        .map(RunOutcome::into_multi)
-        .unwrap();
-    assert_eq!(by("2H+0C").report.makespan, homo.makespan);
-    assert_eq!(
-        by("2H+0C").report.total(|c| c.committed),
-        homo.total(|c| c.committed)
-    );
-    // Mixing in the cache tile costs cycles on CG.
-    assert!(by("1H+1C").report.makespan > by("2H+0C").report.makespan);
+        // The all-hybrid shape anchors to the homogeneous machine
+        // exactly.
+        let homo = RunSpec::new(&kernels[0])
+            .cores(2)
+            .config(hybrid(cm))
+            .track(false)
+            .run()
+            .map(RunOutcome::into_multi)
+            .unwrap();
+        assert_eq!(by("2H+0C").report.makespan, homo.makespan, "{cm:?}");
+        assert_eq!(
+            by("2H+0C").report.total(|c| c.committed),
+            homo.total(|c| c.committed),
+            "{cm:?}"
+        );
+        // Mixing in the cache tile costs cycles on CG.
+        assert!(
+            by("1H+1C").report.makespan > by("2H+0C").report.makespan,
+            "{cm:?}"
+        );
+    }
+}
+
+/// The hybrid-coherent machine under `cm`.
+fn hybrid(cm: CoherenceMode) -> MachineConfig {
+    MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm)
 }
 
 #[test]
 fn multicore_sharding_scales_the_makespan_down() {
     // One CG kernel sharded over 1/2/4 cores of one machine: more cores
     // means a shorter makespan (the slices shrink), while the shared
-    // backside keeps the scaling sublinear and the contention visible.
+    // backside keeps the scaling sublinear and the contention visible —
+    // under every inter-core protocol.
     let kernel = nas::cg(Scale::Test);
     let solo = RunSpec::new(&kernel)
         .mode(SysMode::HybridCoherent)
@@ -235,52 +250,54 @@ fn multicore_sharding_scales_the_makespan_down() {
         .run()
         .map(RunOutcome::into_single)
         .unwrap();
-    let m1 = RunSpec::new(&kernel)
-        .cores(1)
-        .mode(SysMode::HybridCoherent)
-        .track(false)
-        .run()
-        .map(RunOutcome::into_multi)
-        .unwrap();
-    let m2 = RunSpec::new(&kernel)
-        .cores(2)
-        .mode(SysMode::HybridCoherent)
-        .track(false)
-        .run()
-        .map(RunOutcome::into_multi)
-        .unwrap();
-    let m4 = RunSpec::new(&kernel)
-        .cores(4)
-        .mode(SysMode::HybridCoherent)
-        .track(false)
-        .run()
-        .map(RunOutcome::into_multi)
-        .unwrap();
-    assert_eq!(m1.n_cores(), 1);
-    assert_eq!(m4.n_cores(), 4);
-    assert!(
-        m2.makespan < m1.makespan && m4.makespan < m2.makespan,
-        "makespan must shrink with cores: {} / {} / {}",
-        m1.makespan,
-        m2.makespan,
-        m4.makespan
-    );
-    // The whole kernel's work happens: the per-core committed counts sum
-    // close to the unsharded run (per-shard control overhead aside).
-    let total = m4.total(|c| c.committed) as f64;
-    assert!(
-        total > 0.8 * solo.committed as f64,
-        "sharded work went missing: {} vs {}",
-        total,
-        solo.committed
-    );
-    // Sharing the backside must add waits beyond the one-core floor (a
-    // lone core can still queue behind its own outstanding misses).
-    assert!(
-        m4.total(|c| c.bus_wait_cycles) > m1.total(|c| c.bus_wait_cycles),
-        "four cores must contend: {} vs {}",
-        m4.total(|c| c.bus_wait_cycles),
-        m1.total(|c| c.bus_wait_cycles)
-    );
-    assert_eq!(m4.total(|c| c.violations), 0);
+    for cm in CoherenceMode::ALL {
+        let m1 = RunSpec::new(&kernel)
+            .cores(1)
+            .config(hybrid(cm))
+            .track(false)
+            .run()
+            .map(RunOutcome::into_multi)
+            .unwrap();
+        let m2 = RunSpec::new(&kernel)
+            .cores(2)
+            .config(hybrid(cm))
+            .track(false)
+            .run()
+            .map(RunOutcome::into_multi)
+            .unwrap();
+        let m4 = RunSpec::new(&kernel)
+            .cores(4)
+            .config(hybrid(cm))
+            .track(false)
+            .run()
+            .map(RunOutcome::into_multi)
+            .unwrap();
+        assert_eq!(m1.n_cores(), 1);
+        assert_eq!(m4.n_cores(), 4);
+        assert!(
+            m2.makespan < m1.makespan && m4.makespan < m2.makespan,
+            "{cm:?}: makespan must shrink with cores: {} / {} / {}",
+            m1.makespan,
+            m2.makespan,
+            m4.makespan
+        );
+        // The whole kernel's work happens: the per-core committed counts sum
+        // close to the unsharded run (per-shard control overhead aside).
+        let total = m4.total(|c| c.committed) as f64;
+        assert!(
+            total > 0.8 * solo.committed as f64,
+            "{cm:?}: sharded work went missing: {} vs {}",
+            total,
+            solo.committed
+        );
+        // Sharing the backside must add waits beyond the one-core floor (a
+        // lone core can still queue behind its own outstanding misses).
+        assert!(
+            m4.total(|c| c.bus_wait_cycles) > m1.total(|c| c.bus_wait_cycles),
+            "{cm:?}: four cores must contend: {} vs {}",
+            m4.total(|c| c.bus_wait_cycles),
+            m1.total(|c| c.bus_wait_cycles)
+        );
+        assert_eq!(m4.total(|c| c.violations), 0);
+    }
 }

@@ -211,9 +211,9 @@ proptest! {
     }
 
     /// Contract 4, clustered: under a fault plan, the threaded cluster
-    /// driver is bit-identical to the serial oracle for any topology —
-    /// fault draws depend on simulated order only, never on host
-    /// scheduling.
+    /// driver is bit-identical to the serial oracle for any topology
+    /// and coherence mode — fault draws depend on simulated order only,
+    /// never on host scheduling.
     #[test]
     fn clustered_fault_runs_are_host_schedule_invariant(
         kernel in arb_kernel(),
@@ -221,6 +221,7 @@ proptest! {
         per in 1usize..3,
         seed in any::<u64>(),
         rate_pct in 1u32..51,
+        mode_idx in 0usize..CoherenceMode::ALL.len(),
     ) {
         let topo = ClusterTopology::new(clusters, per);
         let fault = FaultConfig::uniform(seed, rate_pct as f64 / 100.0);
@@ -230,6 +231,7 @@ proptest! {
                 cluster = cluster.serial();
             }
             let cfg = MachineConfig::for_mode(SysMode::HybridCoherent)
+                .with_coherence(CoherenceMode::ALL[mode_idx])
                 .with_faults(fault.clone());
             match RunSpec::new(&kernel).clustered(&cluster).config(cfg).run().map(RunOutcome::into_clusters) {
                 Ok(r) => Some(r),
@@ -362,45 +364,50 @@ fn injected_cluster_panic_degrades_gracefully() {
         .into_iter()
         .find(|k| k.shard(2).is_ok())
         .expect("some NAS kernel shards 2 ways");
-    let topo = ClusterTopology::new(2, 1);
-    let mut errors = Vec::new();
-    for serial in [false, true] {
-        let mut cluster = ClusterConfig::new(topo);
-        cluster.inject_panic = Some(0);
-        if serial {
-            cluster = cluster.serial();
+    for cm in CoherenceMode::ALL {
+        let topo = ClusterTopology::new(2, 1);
+        let mut errors = Vec::new();
+        for serial in [false, true] {
+            let mut cluster = ClusterConfig::new(topo);
+            cluster.inject_panic = Some(0);
+            if serial {
+                cluster = cluster.serial();
+            }
+            let cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
+            let err = RunSpec::new(&kernel)
+                .clustered(&cluster)
+                .config(cfg)
+                .run()
+                .map(RunOutcome::into_clusters)
+                .expect_err("a panicking cluster must fail the run");
+            let MultiRunError::Cluster(e) = err else {
+                panic!("expected a structured cluster error, got {err}");
+            };
+            assert_eq!(e.failures.len(), 1, "exactly the injected cluster fails");
+            let (c, cause) = &e.failures[0];
+            assert_eq!(*c, 0, "the injected cluster is named");
+            let ClusterFailure::Panic(msg) = cause else {
+                panic!("expected a contained panic, got {cause}");
+            };
+            assert!(msg.contains("injected"), "panic payload survives: {msg}");
+            assert_eq!(e.completed.len(), 1, "the surviving cluster completed");
+            let (survivor, report) = &e.completed[0];
+            assert_eq!(*survivor, 1);
+            assert!(
+                report.total(|c| c.committed) > 0,
+                "partial results carry real work"
+            );
+            assert!(
+                e.to_string().contains("cluster 0"),
+                "display names the cluster"
+            );
+            errors.push(e);
         }
-        let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
-        let err = RunSpec::new(&kernel)
-            .clustered(&cluster)
-            .config(cfg)
-            .run()
-            .map(RunOutcome::into_clusters)
-            .expect_err("a panicking cluster must fail the run");
-        let MultiRunError::Cluster(e) = err else {
-            panic!("expected a structured cluster error, got {err}");
-        };
-        assert_eq!(e.failures.len(), 1, "exactly the injected cluster fails");
-        let (c, cause) = &e.failures[0];
-        assert_eq!(*c, 0, "the injected cluster is named");
-        let ClusterFailure::Panic(msg) = cause else {
-            panic!("expected a contained panic, got {cause}");
-        };
-        assert!(msg.contains("injected"), "panic payload survives: {msg}");
-        assert_eq!(e.completed.len(), 1, "the surviving cluster completed");
-        let (survivor, report) = &e.completed[0];
-        assert_eq!(*survivor, 1);
-        assert!(
-            report.total(|c| c.committed) > 0,
-            "partial results carry real work"
+        assert_eq!(
+            errors[0], errors[1],
+            "{cm:?}: threaded and serial fail identically"
         );
-        assert!(
-            e.to_string().contains("cluster 0"),
-            "display names the cluster"
-        );
-        errors.push(e);
     }
-    assert_eq!(errors[0], errors[1], "threaded and serial fail identically");
 }
 
 /// The per-core cycle budget is the runaway bound of a clustered run:
@@ -418,32 +425,37 @@ fn over_budget_cluster_fails_alone() {
     };
     let kernels = [micro(256), micro(8 * 1024)];
     let topo = ClusterTopology::new(2, 1);
-    let run = |cluster: &ClusterConfig, max_cycles: u64| {
-        let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
-        cfg.core.max_cycles = max_cycles;
-        RunSpec::many(&kernels).clustered(cluster).config(cfg).run()
-    };
-    let free = run(&ClusterConfig::new(topo), u64::MAX)
-        .expect("both kernels halt without a budget")
-        .into_clusters();
-    let (short, long) = (free.per_cluster[0].makespan, free.per_cluster[1].makespan);
-    assert!(short < long, "kernel sizes order the runtimes");
-    let budget = short + (long - short) / 2;
-    let mut errors = Vec::new();
-    for cluster in [ClusterConfig::new(topo), ClusterConfig::new(topo).serial()] {
-        let err = run(&cluster, budget).expect_err("the long cluster exceeds the budget");
-        let MultiRunError::Cluster(e) = err else {
-            panic!("expected a structured cluster error, got {err}");
+    for cm in CoherenceMode::ALL {
+        let run = |cluster: &ClusterConfig, max_cycles: u64| {
+            let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
+            cfg.core.max_cycles = max_cycles;
+            RunSpec::many(&kernels).clustered(cluster).config(cfg).run()
         };
+        let free = run(&ClusterConfig::new(topo), u64::MAX)
+            .expect("both kernels halt without a budget")
+            .into_clusters();
+        let (short, long) = (free.per_cluster[0].makespan, free.per_cluster[1].makespan);
+        assert!(short < long, "kernel sizes order the runtimes");
+        let budget = short + (long - short) / 2;
+        let mut errors = Vec::new();
+        for cluster in [ClusterConfig::new(topo), ClusterConfig::new(topo).serial()] {
+            let err = run(&cluster, budget).expect_err("the long cluster exceeds the budget");
+            let MultiRunError::Cluster(e) = err else {
+                panic!("expected a structured cluster error, got {err}");
+            };
+            assert_eq!(
+                e.failures,
+                [(1, ClusterFailure::Sim(SimError::CycleLimit))],
+                "only the over-budget cluster fails"
+            );
+            assert_eq!(e.completed.len(), 1, "the short cluster completed");
+            assert_eq!(e.completed[0].0, 0);
+            assert_eq!(e.completed[0].1.makespan, short, "the budget never bit");
+            errors.push(e);
+        }
         assert_eq!(
-            e.failures,
-            [(1, ClusterFailure::Sim(SimError::CycleLimit))],
-            "only the over-budget cluster fails"
+            errors[0], errors[1],
+            "{cm:?}: threaded and serial fail identically"
         );
-        assert_eq!(e.completed.len(), 1, "the short cluster completed");
-        assert_eq!(e.completed[0].0, 0);
-        assert_eq!(e.completed[0].1.makespan, short, "the budget never bit");
-        errors.push(e);
     }
-    assert_eq!(errors[0], errors[1], "threaded and serial fail identically");
 }

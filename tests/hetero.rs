@@ -193,25 +193,32 @@ fn small_lm_tiles_pay_more_dma_round_trips() {
     // still complete and the little tiles must issue more DMA traffic
     // per iteration than the big ones.
     let kernel = nas::cg(Scale::Test);
-    let mut cfgs = vec![MachineConfig::for_mode(SysMode::HybridCoherent); 4];
-    for c in cfgs.iter_mut().skip(2) {
-        c.mem.lm.as_mut().unwrap().size_bytes /= 4;
-    }
-    let (m, report) = run_hetero_machine(&kernel, &cfgs, &[1, 1, 1, 1]);
-    assert!(report.makespan > 0);
-    let dma_cmds: Vec<u64> = m
-        .tiles
-        .iter()
-        .map(|t| t.world.mem.dmac.stats.gets + t.world.mem.dmac.stats.puts)
-        .collect();
-    assert!(
-        dma_cmds[2] > dma_cmds[0],
-        "a quarter-LM tile must issue more DMA commands ({dma_cmds:?})"
-    );
-    // Same architectural result notwithstanding: every tile halts and
-    // commits its shard.
-    for r in &report.per_core {
-        assert!(r.committed > 0, "tile {} must commit work", r.core_id);
+    for cm in CoherenceMode::ALL {
+        let hybrid = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
+        let mut cfgs = vec![hybrid; 4];
+        for c in cfgs.iter_mut().skip(2) {
+            c.mem.lm.as_mut().unwrap().size_bytes /= 4;
+        }
+        let (m, report) = run_hetero_machine(&kernel, &cfgs, &[1, 1, 1, 1]);
+        assert!(report.makespan > 0);
+        let dma_cmds: Vec<u64> = m
+            .tiles
+            .iter()
+            .map(|t| t.world.mem.dmac.stats.gets + t.world.mem.dmac.stats.puts)
+            .collect();
+        assert!(
+            dma_cmds[2] > dma_cmds[0],
+            "{cm:?}: a quarter-LM tile must issue more DMA commands ({dma_cmds:?})"
+        );
+        // Same architectural result notwithstanding: every tile halts and
+        // commits its shard.
+        for r in &report.per_core {
+            assert!(
+                r.committed > 0,
+                "{cm:?}: tile {} must commit work",
+                r.core_id
+            );
+        }
     }
 }
 
@@ -223,31 +230,33 @@ fn every_run_spec_shape_compiles_against_the_tiles_own_lm() {
     // the configuration said). Smaller DMA buffers mean more round
     // trips, so more committed control instructions.
     let kernel = nas::cg(Scale::Test);
+    let quarter = |mut cfg: MachineConfig| {
+        cfg.mem.lm.as_mut().unwrap().size_bytes /= 4;
+        cfg
+    };
     let default_lm = MachineConfig::for_mode(SysMode::HybridCoherent);
-    let mut quarter_lm = default_lm.clone();
-    quarter_lm.mem.lm.as_mut().unwrap().size_bytes /= 4;
-
-    let single = |cfg: &MachineConfig| {
-        let spec = RunSpec::new(&kernel).config(cfg.clone());
+    let single = |cfg: MachineConfig| {
+        let spec = RunSpec::new(&kernel).config(cfg);
         spec.run().expect("single run").into_single().committed
     };
     assert!(
-        single(&quarter_lm) > single(&default_lm),
+        single(quarter(default_lm.clone())) > single(default_lm),
         "a quarter-LM single machine must commit more instructions"
     );
 
     let cluster = hsim::ClusterConfig::new(hsim::ClusterTopology::new(2, 2));
-    let clustered = |cfg: &MachineConfig| {
-        let spec = RunSpec::new(&kernel)
-            .clustered(&cluster)
-            .config(cfg.clone());
+    let clustered = |cfg: MachineConfig| {
+        let spec = RunSpec::new(&kernel).clustered(&cluster).config(cfg);
         let report = spec.run().expect("clustered run").into_clusters();
         report.total(|c| c.committed)
     };
-    assert!(
-        clustered(&quarter_lm) > clustered(&default_lm),
-        "a quarter-LM 2x2 clustered machine must commit more instructions"
-    );
+    for cm in CoherenceMode::ALL {
+        let default_lm = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
+        assert!(
+            clustered(quarter(default_lm.clone())) > clustered(default_lm),
+            "{cm:?}: a quarter-LM 2x2 clustered machine must commit more instructions"
+        );
+    }
 }
 
 #[test]

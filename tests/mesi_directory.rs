@@ -97,20 +97,16 @@ fn sharded_cg_reads_less_dram_under_mesi() {
 
 #[test]
 fn replicate_mode_matches_the_default_machine_bit_for_bit() {
-    // `with_coherence(Replicate)` must be the PR-3 machine exactly —
-    // same makespan, same per-core cycle counts — whatever the
-    // HSIM_COHERENCE environment says.
+    // `with_coherence(Replicate)` must be the default machine exactly —
+    // same makespan, same per-core cycle counts: the spec's default
+    // protocol is `Replicate`, and nothing else can change it.
     let kernel = nas::cg(Scale::Test);
     let (a, _) = run_sharded(
         &kernel,
         4,
         cfg_with(SysMode::HybridCoherent, CoherenceMode::Replicate),
     );
-    let (b, _) = run_sharded(
-        &kernel,
-        4,
-        cfg_with(SysMode::HybridCoherent, CoherenceMode::Replicate),
-    );
+    let (b, _) = run_sharded(&kernel, 4, MachineConfig::for_mode(SysMode::HybridCoherent));
     assert_eq!(a.makespan, b.makespan);
     for (x, y) in a.per_core.iter().zip(&b.per_core) {
         assert_eq!(x.cycles, y.cycles);

@@ -15,8 +15,8 @@
 //!    `Replicate` baseline commit the same final memory images and the
 //!    same instruction counts; protocols only move cycles around.
 //!
-//! The suite runs identically under any `HSIM_COHERENCE` leg: every
-//! configuration here pins its coherence mode explicitly.
+//! Every configuration here names its coherence mode explicitly; the
+//! machine spec is the only input.
 
 use hsim::cluster::{ClusterConfig, ClusterTopology};
 use hsim::compiler::compile;

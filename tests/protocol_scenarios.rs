@@ -2,6 +2,7 @@
 //! cases — the situations the design discussion reasons about, exercised
 //! directly with assembly on the coherent machine.
 
+use hsim::core::config::CoherenceMode;
 use hsim::isa::asm::assemble;
 use hsim::machine::{Machine, MachineConfig, MultiMachine, SysMode};
 use hsim_compiler::compile;
@@ -314,28 +315,30 @@ fn multicore_directories_are_isolated() {
     solo.run().expect("solo halts");
     let solo_dir = solo.world.dir.as_ref().unwrap().stats;
 
-    let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
-    cfg.track_coherence = true;
-    let mut multi = Machine::new_multi_hetero(vec![cfg; 4], vec![program; 4]);
-    multi.run().expect("all cores halt");
+    for cm in CoherenceMode::ALL {
+        let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
+        cfg.track_coherence = true;
+        let mut multi = Machine::new_multi_hetero(vec![cfg; 4], vec![program.clone(); 4]);
+        multi.run().expect("all cores halt");
 
-    for tile in &multi.tiles {
-        let dir = tile.world.dir.as_ref().unwrap();
-        assert_eq!(
-            dir.stats.lookups, solo_dir.lookups,
-            "extra directory lookups"
-        );
-        assert_eq!(
-            dir.stats.hits, solo_dir.hits,
-            "directory hit count diverged"
-        );
-        assert_eq!(
-            dir.stats.updates, solo_dir.updates,
-            "extra directory updates"
-        );
-        assert_eq!(tile.violations(), 0);
+        for tile in &multi.tiles {
+            let dir = tile.world.dir.as_ref().unwrap();
+            assert_eq!(
+                dir.stats.lookups, solo_dir.lookups,
+                "{cm:?}: extra directory lookups"
+            );
+            assert_eq!(
+                dir.stats.hits, solo_dir.hits,
+                "{cm:?}: directory hit count diverged"
+            );
+            assert_eq!(
+                dir.stats.updates, solo_dir.updates,
+                "{cm:?}: extra directory updates"
+            );
+            assert_eq!(tile.violations(), 0);
+        }
+        assert_eq!(multi.violations(), 0);
     }
-    assert_eq!(multi.violations(), 0);
 }
 
 /// Disjoint-slice equivalence: a 4-core machine on CG's shards computes,
@@ -344,63 +347,67 @@ fn multicore_directories_are_isolated() {
 /// never function.
 #[test]
 fn disjoint_shards_match_single_core_runs() {
-    let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
-    cfg.track_coherence = true;
-    let (mut multi, compiled) = cg_shard_machine(4, &cfg);
-    multi.run().expect("all cores halt");
-    assert_eq!(multi.violations(), 0);
+    for cm in CoherenceMode::ALL {
+        let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
+        cfg.track_coherence = true;
+        let (mut multi, compiled) = cg_shard_machine(4, &cfg);
+        multi.run().expect("all cores halt");
+        assert_eq!(multi.violations(), 0);
 
-    for (tile, (ck, shard)) in multi.tiles.iter().zip(&compiled) {
-        let mut solo = Machine::for_kernel(cfg.clone(), ck, shard);
-        solo.run().expect("solo shard halts");
-        assert_eq!(
-            tile.core.stats.committed, solo.core.stats.committed,
-            "{}: committed instructions diverged",
-            shard.name
-        );
-        for id in 0..shard.arrays.len() {
+        for (tile, (ck, shard)) in multi.tiles.iter().zip(&compiled) {
+            let mut solo = Machine::for_kernel(cfg.clone(), ck, shard);
+            solo.run().expect("solo shard halts");
             assert_eq!(
-                tile.read_array(ck, shard, id),
-                solo.read_array(ck, shard, id),
-                "{}: array {} diverged between multi-core and solo runs",
-                shard.name,
-                shard.arrays[id].name
+                tile.core.stats.committed, solo.core.stats.committed,
+                "{} {cm:?}: committed instructions diverged",
+                shard.name
             );
+            for id in 0..shard.arrays.len() {
+                assert_eq!(
+                    tile.read_array(ck, shard, id),
+                    solo.read_array(ck, shard, id),
+                    "{} {cm:?}: array {} diverged between multi-core and solo runs",
+                    shard.name,
+                    shard.arrays[id].name
+                );
+            }
+            assert_eq!(solo.violations(), 0);
         }
-        assert_eq!(solo.violations(), 0);
     }
 }
 
 /// Shared-L3/DRAM contention is visible per core: with four cores
 /// hammering one backside, every core's cycle count strictly exceeds its
 /// own uncontended (solo, same configuration) run, and the arbiter
-/// records bus waits for every core.
+/// records bus waits for every core — under every inter-core protocol.
 #[test]
 fn shared_backside_contention_slows_every_core() {
-    let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
-    cfg.mem.l3_port_gap = 16;
-    let (mut multi, compiled) = cg_shard_machine(4, &cfg);
-    multi.run().expect("all cores halt");
+    for cm in CoherenceMode::ALL {
+        let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
+        cfg.mem.l3_port_gap = 16;
+        let (mut multi, compiled) = cg_shard_machine(4, &cfg);
+        multi.run().expect("all cores halt");
 
-    for (tile, (ck, shard)) in multi.tiles.iter().zip(&compiled) {
-        let mut solo = Machine::for_kernel(cfg.clone(), ck, shard);
-        solo.run().expect("solo shard halts");
-        let contended = tile.core.stats.cycles;
-        let uncontended = solo.core.stats.cycles;
-        assert!(
-            contended > uncontended,
-            "{}: contended run must be strictly slower ({contended} vs {uncontended})",
-            shard.name
-        );
-        // A solo core can queue behind its own outstanding misses (the
-        // port bounds memory-level parallelism); cross-core contention
-        // must add waits beyond that self-induced floor.
-        let waits = tile.world.mem.backside_stats().bus_wait_cycles;
-        let solo_waits = solo.world.mem.backside_stats().bus_wait_cycles;
-        assert!(
-            waits > solo_waits,
-            "{}: sharing the backside must add bus waits ({waits} vs solo {solo_waits})",
-            shard.name
-        );
+        for (tile, (ck, shard)) in multi.tiles.iter().zip(&compiled) {
+            let mut solo = Machine::for_kernel(cfg.clone(), ck, shard);
+            solo.run().expect("solo shard halts");
+            let contended = tile.core.stats.cycles;
+            let uncontended = solo.core.stats.cycles;
+            assert!(
+                contended > uncontended,
+                "{} {cm:?}: contended run must be strictly slower ({contended} vs {uncontended})",
+                shard.name
+            );
+            // A solo core can queue behind its own outstanding misses (the
+            // port bounds memory-level parallelism); cross-core contention
+            // must add waits beyond that self-induced floor.
+            let waits = tile.world.mem.backside_stats().bus_wait_cycles;
+            let solo_waits = solo.world.mem.backside_stats().bus_wait_cycles;
+            assert!(
+                waits > solo_waits,
+                "{} {cm:?}: sharing the backside must add bus waits ({waits} vs solo {solo_waits})",
+                shard.name
+            );
+        }
     }
 }

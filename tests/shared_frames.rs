@@ -16,22 +16,19 @@ use hsim_workloads::nas;
 const PAGE: u64 = 4096;
 const PAGE_WORDS: usize = 512;
 
-/// Shards `kernel` over `n` tiles of `mode` and builds the machine.
+/// Shards `kernel` over `n` tiles of `cfg` and builds the machine.
 fn build(
     kernel: &Kernel,
     n: usize,
-    mode: SysMode,
+    cfg: &MachineConfig,
 ) -> (MultiMachine, Vec<(CompiledKernel, Kernel)>) {
     let shards: Vec<_> = kernel
         .shard(n)
         .expect("kernel must shard")
         .into_iter()
-        .map(|s| (compile(&s, mode.codegen()), s))
+        .map(|s| (compile(&s, cfg.mode.codegen()), s))
         .collect();
-    (
-        MultiMachine::for_kernels(MachineConfig::for_mode(mode), &shards),
-        shards,
-    )
+    (MultiMachine::for_kernels(cfg.clone(), &shards), shards)
 }
 
 /// The copying loader that mapping replaced: every init word stored
@@ -78,7 +75,7 @@ fn a_replicated_table_is_stored_once_across_the_tiles() {
     let (x, table_pages) = gathered_table(&kernel);
     assert_eq!(table_pages, 24, "96 KiB of f64");
     for n in [4, 8] {
-        let (m, shards) = build(&kernel, n, SysMode::CacheBased);
+        let (m, shards) = build(&kernel, n, &MachineConfig::for_mode(SysMode::CacheBased));
         for (i, (tile, (ck, shard))) in m.tiles.iter().zip(&shards).enumerate() {
             let b = &tile.world.backing;
             // x's 24 pages, and the sliced arrays' whole pages: 3 each
@@ -102,7 +99,8 @@ fn a_replicated_table_is_stored_once_across_the_tiles() {
 fn a_write_into_a_shared_page_changes_only_the_writing_tile() {
     let kernel = nas::cg(Scale::Test);
     let (x, _) = gathered_table(&kernel);
-    let (mut m, shards) = build(&kernel, 4, SysMode::HybridCoherent);
+    let hybrid = MachineConfig::for_mode(SysMode::HybridCoherent);
+    let (mut m, shards) = build(&kernel, 4, &hybrid);
     let borrowed: Vec<usize> = m
         .tiles
         .iter()
@@ -138,8 +136,12 @@ fn a_write_into_a_shared_page_changes_only_the_writing_tile() {
 #[test]
 fn tiles_copy_only_partial_last_pages_and_run_as_if_loaded_by_copy() {
     let kernel = nas::cg(Scale::Test);
-    for n in [4, 8, 16] {
-        let (mut m, shards) = build(&kernel, n, SysMode::HybridCoherent);
+    let tiles = CoherenceMode::ALL
+        .into_iter()
+        .flat_map(|cm| [4, 8, 16].map(|n| (cm, n)));
+    for (cm, n) in tiles {
+        let cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
+        let (mut m, shards) = build(&kernel, n, &cfg);
         for (i, (tile, (_, shard))) in m.tiles.iter().zip(&shards).enumerate() {
             let (whole, partial) = whole_and_partial_pages(shard);
             let b = &tile.world.backing;
@@ -147,11 +149,11 @@ fn tiles_copy_only_partial_last_pages_and_run_as_if_loaded_by_copy() {
             assert_eq!(
                 (b.private_pages(), b.shared_pages()),
                 (partial, whole),
-                "{n} tiles: tile {i} copies only its partial last pages"
+                "{cm:?} {n} tiles: tile {i} copies only its partial last pages"
             );
         }
         // The same machine with every tile loaded by copy.
-        let (mut copied, _) = build(&kernel, n, SysMode::HybridCoherent);
+        let (mut copied, _) = build(&kernel, n, &cfg);
         for (tile, (ck, shard)) in copied.tiles.iter_mut().zip(&shards) {
             tile.world.backing = copied_image(ck, shard);
         }
@@ -159,8 +161,8 @@ fn tiles_copy_only_partial_last_pages_and_run_as_if_loaded_by_copy() {
         copied.run().expect("copying run completes");
         for (i, (tile, (ck, _))) in m.tiles.iter().zip(&shards).enumerate() {
             let reference = &copied.tiles[i];
-            assert_eq!(tile.core.stats, reference.core.stats, "tile {i}");
-            let what = format!("{n} tiles: tile {i} after the run");
+            let what = format!("{cm:?} {n} tiles: tile {i} after the run");
+            assert_eq!(tile.core.stats, reference.core.stats, "{what}");
             assert_same_image(&tile.world.backing, &reference.world.backing, ck, &what);
         }
     }

@@ -8,7 +8,8 @@
 //! The grids mirror the paper's row builders: the Figure 7
 //! microbenchmark sweep, Figure 8's coherent-vs-oracle kernel runs, and
 //! the Figure 9/10 hybrid-vs-cache comparison, on single-core and
-//! 4-core machines in all three `SysMode`s.
+//! 4-core machines in all three `SysMode`s — the multicore ones under
+//! every `CoherenceMode`.
 
 use hsim::compiler::compile;
 use hsim::core::{DmaKind, MemoryPort, RouteInfo};
@@ -176,34 +177,43 @@ fn final_memory_images_match_lockstep() {
     }
 }
 
+/// Every system mode under every inter-core protocol: the multicore
+/// tests' configuration grid.
+fn every_machine() -> impl Iterator<Item = MachineConfig> {
+    SysMode::ALL.into_iter().flat_map(|mode| {
+        CoherenceMode::ALL.map(|cm| MachineConfig::for_mode(mode).with_coherence(cm))
+    })
+}
+
 #[test]
 fn four_core_machines_are_identical_in_all_modes() {
     let kernel = nas::cg(Scale::Test);
-    for mode in SysMode::ALL {
+    for cfg in every_machine() {
+        let what = format!("cg x4 {:?} {:?}", cfg.mode, cfg.mem.coherence.mode);
         let skip = RunSpec::new(&kernel)
             .cores(4)
-            .config(MachineConfig::for_mode(mode))
+            .config(cfg.clone())
             .run()
             .map(RunOutcome::into_multi)
             .expect("4-core skip run");
         let lock = RunSpec::new(&kernel)
             .cores(4)
-            .config(MachineConfig::for_mode(mode).with_lockstep())
+            .config(cfg.with_lockstep())
             .run()
             .map(RunOutcome::into_multi)
             .expect("4-core lockstep run");
-        assert_eq!(skip.makespan, lock.makespan, "{mode:?}: makespan");
+        assert_eq!(skip.makespan, lock.makespan, "{what}: makespan");
         assert_eq!(skip.n_cores(), lock.n_cores());
         assert_eq!(lock.total(|c| c.skipped_cycles), 0);
         for (s, l) in skip.per_core.iter().zip(&lock.per_core) {
-            assert_reports_equal(s, l, &format!("cg x4 {:?} core {}", mode, s.core_id));
+            assert_reports_equal(s, l, &format!("{what} core {}", s.core_id));
         }
         // Contention statistics must survive the jumped round-robin
         // rotation: both runs see the same arbitration order.
         assert_eq!(
             skip.total(|c| c.bus_wait_cycles),
             lock.total(|c| c.bus_wait_cycles),
-            "{mode:?}: total bus waits"
+            "{what}: total bus waits"
         );
     }
 }
@@ -213,8 +223,8 @@ fn four_core_mesi_machines_skip_bit_identically() {
     // The directory's message charges, back-invalidation queues and
     // owner-attributed write-backs all live inside access calls, so the
     // event-horizon scheduler must stay bit-identical under
-    // `CoherenceMode::Mesi` too — whatever the HSIM_COHERENCE
-    // environment leg this suite runs in.
+    // `CoherenceMode::Mesi` too — on a grid that provably reaches the
+    // directory (shared hits > 0).
     let kernel = nas::cg(Scale::Test);
     let cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(CoherenceMode::Mesi);
     let skip = RunSpec::new(&kernel)
@@ -252,22 +262,23 @@ fn four_core_mesi_machines_skip_bit_identically() {
 #[test]
 fn identical_config_hetero_machine_is_bit_identical_to_homogeneous() {
     let kernel = nas::cg(Scale::Test);
-    for mode in SysMode::ALL {
+    for cfg in every_machine() {
+        let (mode, cm) = (cfg.mode, cfg.mem.coherence.mode);
         let homo = RunSpec::new(&kernel)
             .cores(4)
-            .config(MachineConfig::for_mode(mode))
+            .config(cfg.clone())
             .run()
             .map(RunOutcome::into_multi)
             .expect("homogeneous run");
-        let cfgs = vec![MachineConfig::for_mode(mode); 4];
+        let cfgs = vec![cfg; 4];
         let hetero = RunSpec::new(&kernel)
             .hetero(cfgs.to_vec())
             .weights(&[1, 1, 1, 1])
             .run()
             .map(RunOutcome::into_multi)
             .expect("hetero run");
-        assert_eq!(homo.makespan, hetero.makespan, "{mode:?}: makespan");
-        assert_eq!(hetero.replication_fallbacks, 0);
+        assert_eq!(homo.makespan, hetero.makespan, "{mode:?} {cm:?}: makespan");
+        assert_eq!(hetero.replication_fallbacks, 0, "{mode:?} {cm:?}");
         for (h, e) in homo.per_core.iter().zip(&hetero.per_core) {
             // The strictest comparator in the suite: every observable
             // of every tile must match bit for bit — including the
@@ -275,10 +286,10 @@ fn identical_config_hetero_machine_is_bit_identical_to_homogeneous() {
             assert_observables_equal(
                 e,
                 h,
-                &format!("hetero-identity {:?} core {}", mode, h.core_id),
+                &format!("hetero-identity {mode:?} {cm:?} core {}", h.core_id),
             );
-            assert_eq!(h.skipped_cycles, e.skipped_cycles, "{mode:?}: skips");
-            assert_eq!(h.core, e.core, "{mode:?}: full core stats");
+            assert_eq!(h.skipped_cycles, e.skipped_cycles, "{mode:?} {cm:?}: skips");
+            assert_eq!(h.core, e.core, "{mode:?} {cm:?}: full core stats");
         }
     }
 }
@@ -288,9 +299,9 @@ fn mixed_hybrid_cache_chip_skips_bit_identically() {
     // A 2-hybrid/2-cache-based chip: per-tile horizons differ wildly
     // (DMA-phased hybrid tiles skip; cache tiles grind), so this is the
     // sharpest test of the per-tile due cycles and lazy clocks under
-    // heterogeneity — in both coherence modes.
+    // heterogeneity — under every coherence mode.
     let kernel = nas::cg(Scale::Test);
-    for cm in [CoherenceMode::Replicate, CoherenceMode::Mesi] {
+    for cm in CoherenceMode::ALL {
         let cfgs = |lockstep: bool| -> Vec<MachineConfig> {
             [
                 SysMode::HybridCoherent,
@@ -343,8 +354,8 @@ fn mixed_hybrid_cache_chip_skips_bit_identically() {
 // ------------------------------------------------------- pinned cycles
 //
 // Recorded cycle counts of the default (banked, row-aware) backside
-// under `CoherenceMode::Replicate` — pinned explicitly, so the goldens
-// hold in every HSIM_COHERENCE leg. An unintended timing change of the
+// under `CoherenceMode::Replicate` — named explicitly, so the goldens
+// say which protocol they were recorded under. An unintended timing change of the
 // model every experiment runs shows up here first; an intended one
 // re-records these constants (and the committed `BENCH_*.json`).
 
@@ -477,25 +488,27 @@ fn banked_backside_runs_differ_from_flat_but_partition_stats() {
     // live: it must produce row-classified DRAM traffic, and per-core
     // shares must still partition the shared totals exactly.
     let kernel = nas::cg(Scale::Test);
-    let r = RunSpec::new(&kernel)
-        .cores(4)
-        .config(MachineConfig::for_mode(SysMode::HybridCoherent))
-        .run()
-        .map(RunOutcome::into_multi)
-        .expect("banked 4-core run");
-    let classified: u64 = r
-        .per_core
-        .iter()
-        .map(|c| c.dram_row_hits + c.dram_row_misses + c.dram_row_conflicts)
-        .sum();
-    assert!(classified > 0, "banked backside must classify rows");
-    let timed_reads: u64 = r.per_core.iter().map(|c| c.dram_reads).sum();
-    let drains: u64 = r.per_core.iter().map(|c| c.dram_queue_stalls).sum();
-    assert!(
-        classified <= timed_reads + drains,
-        "row classification covers timed reads and drained writes only \
-         (DMA lines are not classified)"
-    );
+    for cm in CoherenceMode::ALL {
+        let r = RunSpec::new(&kernel)
+            .cores(4)
+            .config(MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm))
+            .run()
+            .map(RunOutcome::into_multi)
+            .expect("banked 4-core run");
+        let classified: u64 = r
+            .per_core
+            .iter()
+            .map(|c| c.dram_row_hits + c.dram_row_misses + c.dram_row_conflicts)
+            .sum();
+        assert!(classified > 0, "{cm:?}: banked backside must classify rows");
+        let timed_reads: u64 = r.per_core.iter().map(|c| c.dram_reads).sum();
+        let drains: u64 = r.per_core.iter().map(|c| c.dram_queue_stalls).sum();
+        assert!(
+            classified <= timed_reads + drains,
+            "{cm:?}: row classification covers timed reads and drained writes \
+             only (DMA lines are not classified)"
+        );
+    }
 }
 
 #[test]
@@ -549,9 +562,12 @@ fn multicore_errors_leave_every_tile_where_lockstep_does() {
     // up. The limits fail different tiles, early and late in the run.
     use hsim::core::pipeline::SimError;
     let kernel = nas::cg(Scale::Test);
-    for limit in [5_000, 5_001, 5_002, 7_777] {
+    for (cm, limit) in CoherenceMode::ALL
+        .into_iter()
+        .flat_map(|cm| [5_000, 5_001, 5_002, 7_777].map(|limit| (cm, limit)))
+    {
         let run = |lockstep: bool| {
-            let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
+            let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
             cfg.core.max_cycles = limit;
             if lockstep {
                 cfg = cfg.with_lockstep();
@@ -560,9 +576,10 @@ fn multicore_errors_leave_every_tile_where_lockstep_does() {
             let err = m.run().expect_err("CG cannot finish within the budget");
             (err, tile_clocks(&m))
         };
+        let what = format!("{cm:?} limit {limit}");
         let skip = run(false);
-        assert_eq!(skip.0, SimError::CycleLimit, "limit {limit}");
-        assert_eq!(skip, run(true), "limit {limit}: (error, per-tile clocks)");
+        assert_eq!(skip.0, SimError::CycleLimit, "{what}");
+        assert_eq!(skip, run(true), "{what}: (error, per-tile clocks)");
     }
     // Every live tile reaches a cycle limit on the same cycle, so only a
     // program error can fail a tile that is not first in its cycle's
@@ -585,10 +602,11 @@ fn multicore_errors_leave_every_tile_where_lockstep_does() {
         base = hsim::isa::memmap::DATA_BASE,
     ))
     .expect("assembles");
-    let mut positions = Vec::new();
-    for spins in 1000..1004 {
-        let faulty = hsim::isa::asm::assemble(&format!(
-            "
+    for cm in CoherenceMode::ALL {
+        let mut positions = Vec::new();
+        for spins in 1000..1004 {
+            let faulty = hsim::isa::asm::assemble(&format!(
+                "
             li r2, 0
             li r3, {spins}
         spin:
@@ -597,28 +615,34 @@ fn multicore_errors_leave_every_tile_where_lockstep_does() {
             ret
             halt
             "
-        ))
-        .expect("assembles");
-        let run = |lockstep: bool| {
-            let mut cfg = MachineConfig::for_mode(SysMode::CacheBased);
-            if lockstep {
-                cfg = cfg.with_lockstep();
-            }
-            let mut programs = vec![sleeper.clone(); 4];
-            programs[2] = faulty.clone();
-            let mut m = Machine::new_multi_hetero(vec![cfg; 4], programs);
-            let err = m.run().expect_err("tile 2 returns without a call");
-            (err, tile_clocks(&m))
-        };
-        let skip = run(false);
-        assert_eq!(skip.0, SimError::RetWithoutCall { pc: 4 }, "{spins} spins");
-        assert_eq!(skip, run(true), "{spins} spins: (error, per-tile clocks)");
-        // The error cuts tile 2's cycle short, so its clock names it.
-        let cycle = skip.1[2].0;
-        positions.push((2 + 4 - cycle % 4) % 4);
+            ))
+            .expect("assembles");
+            let run = |lockstep: bool| {
+                let mut cfg = MachineConfig::for_mode(SysMode::CacheBased).with_coherence(cm);
+                if lockstep {
+                    cfg = cfg.with_lockstep();
+                }
+                let mut programs = vec![sleeper.clone(); 4];
+                programs[2] = faulty.clone();
+                let mut m = Machine::new_multi_hetero(vec![cfg; 4], programs);
+                let err = m.run().expect_err("tile 2 returns without a call");
+                (err, tile_clocks(&m))
+            };
+            let what = format!("{cm:?} {spins} spins");
+            let skip = run(false);
+            assert_eq!(skip.0, SimError::RetWithoutCall { pc: 4 }, "{what}");
+            assert_eq!(skip, run(true), "{what}: (error, per-tile clocks)");
+            // The error cuts tile 2's cycle short, so its clock names it.
+            let cycle = skip.1[2].0;
+            positions.push((2 + 4 - cycle % 4) % 4);
+        }
+        positions.sort();
+        assert_eq!(
+            positions,
+            [0, 1, 2, 3],
+            "{cm:?}: tile 2's rotation positions"
+        );
     }
-    positions.sort();
-    assert_eq!(positions, [0, 1, 2, 3], "tile 2's rotation positions");
 }
 
 #[test]
@@ -628,15 +652,18 @@ fn lazy_tile_clocks_advance_only_on_a_wake_up() {
     // tile executed a cycle. (Advancing every idle tile at every other
     // tile's cycle costs many advances per scan.)
     let kernel = nas::cg(Scale::Test);
-    let cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
-    for cores in [4, 8] {
+    for (cm, cores) in CoherenceMode::ALL
+        .into_iter()
+        .flat_map(|cm| [4, 8].map(|cores| (cm, cores)))
+    {
+        let cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
         let mut m = sharded(&kernel, cores, &cfg);
         let mut prof = hsim::core::HostProfile::default();
         m.run_profiled(&mut prof).expect("the kernel halts");
-        assert!(prof.advances > 0, "cg x{cores}: no tile ever slept");
+        assert!(prof.advances > 0, "cg x{cores} {cm:?}: no tile ever slept");
         assert!(
             prof.advances <= prof.horizon_scans,
-            "cg x{cores}: {} bulk advances for {} horizon scans",
+            "cg x{cores} {cm:?}: {} bulk advances for {} horizon scans",
             prof.advances,
             prof.horizon_scans
         );

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # The byte-identity gate for refactors: every `hsim-bench <name> --smoke`
 # stdout and every BENCH_<name>.json must be identical between
-# <parent-rev> and the working tree, under HSIM_COHERENCE unset and
-# =mesi. The outputs hold only simulated numbers, so they compare raw.
+# <parent-rev> and the working tree, under `--coherence replicate` and
+# `--coherence mesi`. A parent that predates the flag runs each leg under
+# HSIM_COHERENCE=<leg> instead. The outputs hold only simulated numbers,
+# so they compare raw.
 #
 #   tools/byte_identity.sh <parent-rev>
 #
@@ -28,27 +30,38 @@ build() { # <source dir> <target dir>
 build "$work/parent" "$work/target-parent"
 build "$root" "$work/target-change"
 
-run_tree() { # <hsim-bench binary> <output dir>
+parent_bin=$work/target-parent/release/hsim-bench
+change_bin=$work/target-change/release/hsim-bench
+unset HSIM_COHERENCE
+parent_has_flag=false
+if "$parent_bin" table1 --coherence replicate >/dev/null 2>&1; then
+    parent_has_flag=true
+fi
+
+run_tree() { # <hsim-bench binary> <output dir> <leg> <pass the flag?>
     mkdir -p "$2"
     (
         cd "$2"
         for name in $NAMES; do
-            "$1" "$name" --smoke >"$name.out"
+            if [ "$4" = true ]; then
+                "$1" "$name" --smoke --coherence "$3" >"$name.out"
+            else
+                HSIM_COHERENCE=$3 "$1" "$name" --smoke >"$name.out"
+            fi
         done
     )
 }
 
 status=0
-for leg in unset mesi; do
-    if [ "$leg" = unset ]; then unset HSIM_COHERENCE; else export HSIM_COHERENCE=$leg; fi
-    run_tree "$work/target-parent/release/hsim-bench" "$work/out/$leg/parent" &
+for leg in replicate mesi; do
+    run_tree "$parent_bin" "$work/out/$leg/parent" "$leg" "$parent_has_flag" &
     parent_job=$!
-    run_tree "$work/target-change/release/hsim-bench" "$work/out/$leg/change"
+    run_tree "$change_bin" "$work/out/$leg/change" "$leg" true
     wait "$parent_job"
     if diff -r "$work/out/$leg/parent" "$work/out/$leg/change"; then
-        echo "byte-identity: HSIM_COHERENCE=$leg identical ($(ls "$work/out/$leg/change" | wc -l) files)"
+        echo "byte-identity: --coherence $leg identical ($(ls "$work/out/$leg/change" | wc -l) files)"
     else
-        echo "byte-identity: HSIM_COHERENCE=$leg DIFFERS from $rev" >&2
+        echo "byte-identity: --coherence $leg DIFFERS from $rev" >&2
         status=1
     fi
 done
