@@ -718,14 +718,34 @@ impl KernelBuilder {
 
     /// Declares an `f64` array with initial values.
     pub fn array_f64_init(&mut self, name: &str, data: &[f64]) -> ArrayId {
-        let bits = data.iter().map(|v| v.to_bits()).collect();
-        self.push_array(name, Elem::F64, data.len() as u64, bits)
+        self.array_f64_from(name, data.iter().copied())
     }
 
     /// Declares an `i64` array with initial values.
     pub fn array_i64_init(&mut self, name: &str, data: &[i64]) -> ArrayId {
-        let bits = data.iter().map(|v| *v as u64).collect();
-        self.push_array(name, Elem::I64, data.len() as u64, bits)
+        self.array_i64_from(name, data.iter().copied())
+    }
+
+    /// Declares an `f64` array whose initial values `data` yields,
+    /// collected straight into the kernel's buffer (one allocation when
+    /// `data` knows its length, as a mapped range does).
+    pub fn array_f64_from(&mut self, name: &str, data: impl IntoIterator<Item = f64>) -> ArrayId {
+        let init = data.into_iter().map(f64::to_bits).collect();
+        self.array_words(name, Elem::F64, init)
+    }
+
+    /// Declares an `i64` array whose initial values `data` yields (see
+    /// [`KernelBuilder::array_f64_from`]).
+    pub fn array_i64_from(&mut self, name: &str, data: impl IntoIterator<Item = i64>) -> ArrayId {
+        let init = data.into_iter().map(|v| v as u64).collect();
+        self.array_words(name, Elem::I64, init)
+    }
+
+    /// Declares an array of `init.len()` elements whose initial words
+    /// are `init`. The kernel holds the view itself, so kernels that
+    /// declare clones of one [`Words`] share its buffer.
+    pub fn array_words(&mut self, name: &str, elem: Elem, init: Words) -> ArrayId {
+        self.push_array(name, elem, init.len() as u64, init)
     }
 
     fn push_array(&mut self, name: &str, elem: Elem, len: u64, init: Words) -> ArrayId {

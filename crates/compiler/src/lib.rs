@@ -41,6 +41,8 @@ pub mod layout;
 pub use alias::{AliasAnswer, AliasOracle};
 pub use classify::{classify_loop, LoopPlan, RefClass};
 pub use codegen::{compile, compile_with_lm, CodegenMode, CompiledKernel};
+/// The read-only init views a [`Kernel`] holds (re-exported from `hsim-isa`).
+pub use hsim_isa::Words;
 pub use interp::interpret;
 pub use ir::{
     ArrayDecl, ArrayId, Elem, Expr, Index, Kernel, KernelBuilder, LoopNest, MemRef, RefId,

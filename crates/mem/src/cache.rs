@@ -5,6 +5,10 @@
 //! Table 3 accounting: demand hits/misses by kind, prefetch fills, line
 //! placements, write-through traffic, write-backs, snoop lookups and
 //! invalidations.
+//!
+//! The tag array is stored so that an empty way is all-zero bits: a new
+//! cache is one zeroed allocation, which the allocator hands out as
+//! untouched zero pages. A run pays memory only for the sets it touches.
 
 /// Write policy of one cache level (Table 1: L1D is write-through, L2 and
 /// L3 are write-back).
@@ -148,17 +152,19 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// True when the line was placed by the prefetcher and has not yet
-    /// been touched by a demand access (used for pollution statistics).
-    prefetched: bool,
-    /// LRU timestamp (global counter).
-    lru: u64,
-}
+/// One way of a set: `[key, lru << LRU_SHIFT | flags]`. `key` is the
+/// line number (address >> line shift) plus one, so 0 marks an empty way;
+/// `lru` is the cache clock of the line's last touch. An empty way is
+/// `[0, 0]`.
+type Way = [u64; 2];
+
+/// Flag: the line is dirty (only ever set at a write-back level, except
+/// by a dirty refresh in [`Cache::fill`]).
+const DIRTY: u64 = 0b10;
+/// Flag: the prefetcher placed the line and no demand access has touched
+/// it yet (pollution statistics).
+const PREFETCHED: u64 = 0b01;
+const LRU_SHIFT: u32 = 2;
 
 /// A dirty line evicted by a fill; the owner must write it back below.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -173,7 +179,7 @@ pub struct Evicted {
 pub struct Cache {
     /// The immutable configuration.
     pub cfg: CacheConfig,
-    sets: Vec<Line>,
+    sets: Vec<Way>,
     ways: usize,
     set_mask: u64,
     line_shift: u32,
@@ -188,12 +194,14 @@ impl Cache {
     /// Builds an empty cache from its configuration.
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.num_sets();
-        assert!(cfg.line_bytes.is_power_of_two());
+        // Lines of two bytes or more leave a line number room for the +1
+        // of its key.
+        assert!(cfg.line_bytes.is_power_of_two() && cfg.line_bytes > 1);
         Cache {
             ways: cfg.ways,
             set_mask: sets as u64 - 1,
             line_shift: cfg.line_bytes.trailing_zeros(),
-            sets: vec![Line::default(); sets * cfg.ways],
+            sets: vec![[0; 2]; sets * cfg.ways],
             clock: 0,
             stats: CacheStats::default(),
             prefetch_useful: 0,
@@ -207,19 +215,25 @@ impl Cache {
         addr >> self.line_shift << self.line_shift
     }
 
+    /// The first way of `addr`'s set, and `addr`'s key.
     #[inline]
     fn index(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
-        (((line & self.set_mask) as usize) * self.ways, line)
+        (((line & self.set_mask) as usize) * self.ways, line + 1)
     }
 
     #[inline]
     fn find(&self, addr: u64) -> Option<usize> {
-        let (base, tag) = self.index(addr);
-        (0..self.ways).map(|w| base + w).find(|&i| {
-            let l = &self.sets[i];
-            l.valid && l.tag == tag
-        })
+        let (base, key) = self.index(addr);
+        (base..base + self.ways).find(|&i| self.sets[i][0] == key)
+    }
+
+    /// Stamps way `i` with the clock, keeping its flags, and marks it
+    /// dirty when `dirty`.
+    #[inline]
+    fn touch(&mut self, i: usize, dirty: bool) {
+        let flags = self.sets[i][1] & (DIRTY | PREFETCHED);
+        self.sets[i][1] = self.clock << LRU_SHIFT | flags | if dirty { DIRTY } else { 0 };
     }
 
     /// Tag lookup with no state change and no accounting.
@@ -233,24 +247,18 @@ impl Cache {
     /// fetching from below, mirroring an MSHR-mediated placement.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> bool {
         self.clock += 1;
+        let write_back = self.cfg.write_policy == WritePolicy::WriteBack;
         let hit = match self.find(addr) {
             Some(i) => {
-                let clock = self.clock;
-                let line = &mut self.sets[i];
-                line.lru = clock;
-                if line.prefetched && kind != AccessKind::Prefetch {
-                    line.prefetched = false;
+                if self.sets[i][1] & PREFETCHED != 0 && kind != AccessKind::Prefetch {
+                    self.sets[i][1] &= !PREFETCHED;
                     self.prefetch_useful += 1;
                 }
-                if kind == AccessKind::Write {
-                    debug_assert!(
-                        self.cfg.write_policy == WritePolicy::WriteBack || !self.sets[i].dirty,
-                        "write-through lines must stay clean"
-                    );
-                    if self.cfg.write_policy == WritePolicy::WriteBack {
-                        self.sets[i].dirty = true;
-                    }
-                }
+                debug_assert!(
+                    kind != AccessKind::Write || write_back || self.sets[i][1] & DIRTY == 0,
+                    "write-through lines must stay clean"
+                );
+                self.touch(i, kind == AccessKind::Write && write_back);
                 true
             }
             None => false,
@@ -265,15 +273,11 @@ impl Cache {
     pub fn writethrough_from_above(&mut self, addr: u64) -> bool {
         self.clock += 1;
         self.stats.writethrough_writes += 1;
-        if let Some(i) = self.find(addr) {
-            self.sets[i].lru = self.clock;
-            if self.cfg.write_policy == WritePolicy::WriteBack {
-                self.sets[i].dirty = true;
-            }
-            true
-        } else {
-            false
+        let found = self.find(addr);
+        if let Some(i) = found {
+            self.touch(i, self.cfg.write_policy == WritePolicy::WriteBack);
         }
+        found.is_some()
     }
 
     /// Places a line fetched from below, evicting the LRU victim if the
@@ -285,42 +289,26 @@ impl Cache {
         if prefetched {
             self.stats.prefetch_fills += 1;
         }
-        let (base, tag) = self.index(addr);
         // Already present (e.g. race between prefetch and demand): refresh.
-        for w in 0..self.ways {
-            let l = &mut self.sets[base + w];
-            if l.valid && l.tag == tag {
-                l.lru = self.clock;
-                l.dirty |= dirty;
-                return None;
-            }
+        if let Some(i) = self.find(addr) {
+            self.touch(i, dirty);
+            return None;
         }
-        // Choose victim: first invalid way, else LRU.
-        let mut victim = base;
-        let mut best = u64::MAX;
-        for w in 0..self.ways {
-            let l = &self.sets[base + w];
-            if !l.valid {
-                victim = base + w;
-                break;
-            }
-            if l.lru < best {
-                best = l.lru;
-                victim = base + w;
-            }
-        }
-        let old = self.sets[victim];
-        let evicted = old.valid.then(|| Evicted {
-            addr: (old.tag) << self.line_shift,
-            dirty: old.dirty,
+        // Choose victim: first empty way, else the least recently used.
+        // An empty way's clock is 0 and a line's at least 1, so the first
+        // way with the smallest clock is exactly that.
+        let (base, key) = self.index(addr);
+        let victim = (base..base + self.ways)
+            .min_by_key(|&i| self.sets[i][1] >> LRU_SHIFT)
+            .expect("a cache has at least one way");
+        let [old_key, old_meta] = self.sets[victim];
+        let evicted = (old_key != 0).then(|| Evicted {
+            addr: (old_key - 1) << self.line_shift,
+            dirty: old_meta & DIRTY != 0,
         });
-        self.sets[victim] = Line {
-            tag,
-            valid: true,
-            dirty: dirty && self.cfg.write_policy == WritePolicy::WriteBack,
-            prefetched,
-            lru: self.clock,
-        };
+        let dirty = dirty && self.cfg.write_policy == WritePolicy::WriteBack;
+        let flags = if dirty { DIRTY } else { 0 } | if prefetched { PREFETCHED } else { 0 };
+        self.sets[victim] = [key, self.clock << LRU_SHIFT | flags];
         if let Some(e) = evicted {
             if e.dirty {
                 self.stats.writebacks_out += 1;
@@ -341,8 +329,8 @@ impl Cache {
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
         self.stats.invalidations += 1;
         self.find(addr).map(|i| {
-            let was_dirty = self.sets[i].dirty;
-            self.sets[i] = Line::default();
+            let was_dirty = self.sets[i][1] & DIRTY != 0;
+            self.sets[i] = [0; 2];
             was_dirty
         })
     }
@@ -354,10 +342,7 @@ impl Cache {
         self.stats.writebacks_in += 1;
         self.clock += 1;
         if let Some(i) = self.find(addr) {
-            self.sets[i].lru = self.clock;
-            if self.cfg.write_policy == WritePolicy::WriteBack {
-                self.sets[i].dirty = true;
-            }
+            self.touch(i, self.cfg.write_policy == WritePolicy::WriteBack);
             return None;
         }
         self.fill(addr, true, false)
@@ -365,18 +350,291 @@ impl Cache {
 
     /// Number of valid lines currently resident (for tests).
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().filter(|l| l.valid).count()
+        self.sets.iter().filter(|w| w[0] != 0).count()
     }
 
     /// Resets all lines (not the statistics).
     pub fn flush_all(&mut self) {
-        self.sets.fill(Line::default());
+        self.sets.fill([0; 2]);
+    }
+}
+
+/// The tag array as it was stored before ways became zero-means-empty
+/// words: one `Line` struct per way. Kept as the oracle the storage is
+/// checked against op by op.
+#[cfg(test)]
+mod reference {
+    use super::{AccessKind, CacheConfig, CacheStats, Evicted, WritePolicy};
+
+    #[derive(Clone, Copy, Default)]
+    struct Line {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        prefetched: bool,
+        lru: u64,
+    }
+
+    pub struct RefCache {
+        cfg: CacheConfig,
+        sets: Vec<Line>,
+        ways: usize,
+        set_mask: u64,
+        line_shift: u32,
+        clock: u64,
+        pub stats: CacheStats,
+        pub prefetch_useful: u64,
+    }
+
+    impl RefCache {
+        pub fn new(cfg: CacheConfig) -> Self {
+            let sets = cfg.num_sets();
+            RefCache {
+                ways: cfg.ways,
+                set_mask: sets as u64 - 1,
+                line_shift: cfg.line_bytes.trailing_zeros(),
+                sets: vec![Line::default(); sets * cfg.ways],
+                clock: 0,
+                stats: CacheStats::default(),
+                prefetch_useful: 0,
+                cfg,
+            }
+        }
+
+        fn index(&self, addr: u64) -> (usize, u64) {
+            let line = addr >> self.line_shift;
+            (((line & self.set_mask) as usize) * self.ways, line)
+        }
+
+        fn find(&self, addr: u64) -> Option<usize> {
+            let (base, tag) = self.index(addr);
+            (0..self.ways).map(|w| base + w).find(|&i| {
+                let l = &self.sets[i];
+                l.valid && l.tag == tag
+            })
+        }
+
+        pub fn probe(&self, addr: u64) -> bool {
+            self.find(addr).is_some()
+        }
+
+        pub fn access(&mut self, addr: u64, kind: AccessKind) -> bool {
+            self.clock += 1;
+            let hit = match self.find(addr) {
+                Some(i) => {
+                    let clock = self.clock;
+                    let line = &mut self.sets[i];
+                    line.lru = clock;
+                    if line.prefetched && kind != AccessKind::Prefetch {
+                        line.prefetched = false;
+                        self.prefetch_useful += 1;
+                    }
+                    if kind == AccessKind::Write && self.cfg.write_policy == WritePolicy::WriteBack
+                    {
+                        self.sets[i].dirty = true;
+                    }
+                    true
+                }
+                None => false,
+            };
+            self.stats.count_access(kind, hit);
+            hit
+        }
+
+        pub fn writethrough_from_above(&mut self, addr: u64) -> bool {
+            self.clock += 1;
+            self.stats.writethrough_writes += 1;
+            if let Some(i) = self.find(addr) {
+                self.sets[i].lru = self.clock;
+                if self.cfg.write_policy == WritePolicy::WriteBack {
+                    self.sets[i].dirty = true;
+                }
+                true
+            } else {
+                false
+            }
+        }
+
+        pub fn fill(&mut self, addr: u64, dirty: bool, prefetched: bool) -> Option<Evicted> {
+            self.clock += 1;
+            self.stats.fills += 1;
+            if prefetched {
+                self.stats.prefetch_fills += 1;
+            }
+            let (base, tag) = self.index(addr);
+            for w in 0..self.ways {
+                let l = &mut self.sets[base + w];
+                if l.valid && l.tag == tag {
+                    l.lru = self.clock;
+                    l.dirty |= dirty;
+                    return None;
+                }
+            }
+            let mut victim = base;
+            let mut best = u64::MAX;
+            for w in 0..self.ways {
+                let l = &self.sets[base + w];
+                if !l.valid {
+                    victim = base + w;
+                    break;
+                }
+                if l.lru < best {
+                    best = l.lru;
+                    victim = base + w;
+                }
+            }
+            let old = self.sets[victim];
+            let evicted = old.valid.then(|| Evicted {
+                addr: (old.tag) << self.line_shift,
+                dirty: old.dirty,
+            });
+            self.sets[victim] = Line {
+                tag,
+                valid: true,
+                dirty: dirty && self.cfg.write_policy == WritePolicy::WriteBack,
+                prefetched,
+                lru: self.clock,
+            };
+            if let Some(e) = evicted {
+                if e.dirty {
+                    self.stats.writebacks_out += 1;
+                }
+            }
+            evicted
+        }
+
+        pub fn snoop(&mut self, addr: u64) -> bool {
+            self.stats.snoops += 1;
+            self.probe(addr)
+        }
+
+        pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
+            self.stats.invalidations += 1;
+            self.find(addr).map(|i| {
+                let was_dirty = self.sets[i].dirty;
+                self.sets[i] = Line::default();
+                was_dirty
+            })
+        }
+
+        pub fn writeback_fill(&mut self, addr: u64) -> Option<Evicted> {
+            self.stats.writebacks_in += 1;
+            self.clock += 1;
+            if let Some(i) = self.find(addr) {
+                self.sets[i].lru = self.clock;
+                if self.cfg.write_policy == WritePolicy::WriteBack {
+                    self.sets[i].dirty = true;
+                }
+                return None;
+            }
+            self.fill(addr, true, false)
+        }
+
+        pub fn resident_lines(&self) -> usize {
+            self.sets.iter().filter(|l| l.valid).count()
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::RefCache;
     use super::*;
+    use proptest::prelude::*;
+
+    /// One cache operation with its arguments: `(op, address, kind,
+    /// dirty, prefetched)`.
+    type Op = (u8, u64, u8, bool, bool);
+
+    /// Applies `op` to both caches and fails on the first answer that
+    /// differs. A `Some` comparison covers hits, `Evicted` victims and
+    /// invalidation results alike.
+    fn step(
+        c: &mut Cache,
+        r: &mut RefCache,
+        (op, addr, kind, dirty, pf): Op,
+    ) -> Result<(), String> {
+        let kind = [AccessKind::Read, AccessKind::Write, AccessKind::Prefetch][kind as usize % 3];
+        let (got, want) = match op % 7 {
+            0 => (
+                format!("{:?}", c.access(addr, kind)),
+                format!("{:?}", r.access(addr, kind)),
+            ),
+            1 => (
+                format!("{:?}", c.writethrough_from_above(addr)),
+                format!("{:?}", r.writethrough_from_above(addr)),
+            ),
+            2 => (
+                format!("{:?}", c.fill(addr, dirty, pf)),
+                format!("{:?}", r.fill(addr, dirty, pf)),
+            ),
+            3 => (
+                format!("{:?}", c.invalidate(addr)),
+                format!("{:?}", r.invalidate(addr)),
+            ),
+            4 => (
+                format!("{:?}", c.snoop(addr)),
+                format!("{:?}", r.snoop(addr)),
+            ),
+            5 => (
+                format!("{:?}", c.writeback_fill(addr)),
+                format!("{:?}", r.writeback_fill(addr)),
+            ),
+            _ => (
+                format!("{:?}", c.probe(addr)),
+                format!("{:?}", r.probe(addr)),
+            ),
+        };
+        if got != want {
+            return Err(format!("op {op} at {addr:#x}: {got} != {want}"));
+        }
+        if (c.stats, c.prefetch_useful, c.resident_lines())
+            != (r.stats, r.prefetch_useful, r.resident_lines())
+        {
+            return Err(format!("op {op} at {addr:#x}: counters diverged"));
+        }
+        Ok(())
+    }
+
+    /// A geometry of `sets` × `ways` 64-byte lines.
+    fn oracle_cfg(sets: u64, ways: usize, write_policy: WritePolicy) -> CacheConfig {
+        CacheConfig {
+            name: "O",
+            size_bytes: sets * ways as u64 * 64,
+            ways,
+            line_bytes: 64,
+            latency: 1,
+            write_policy,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The zero-means-empty tag array answers every operation as the
+        /// one-`Line`-per-way array did, with the same counters after
+        /// every step, over random operation sequences on small
+        /// geometries under both write policies.
+        #[test]
+        fn tag_storage_matches_the_line_array_oracle(
+            shape in (0u32..3, 1usize..5, prop::bool::ANY),
+            ops in prop::collection::vec(
+                (0u8..7, 0u64..48 * 64, 0u8..3, prop::bool::ANY, prop::bool::ANY),
+                1..300,
+            ),
+        ) {
+            let (sets_log2, ways, wb) = shape;
+            let policy = if wb { WritePolicy::WriteBack } else { WritePolicy::WriteThrough };
+            let cfg = oracle_cfg(1 << sets_log2, ways, policy);
+            let (mut c, mut r) = (Cache::new(cfg.clone()), RefCache::new(cfg));
+            for (op, addr, kind, dirty, pf) in ops {
+                // A dirty fill into a write-through level is a caller
+                // error that `access`'s debug assertion catches.
+                let dirty = dirty && wb;
+                step(&mut c, &mut r, (op, addr, kind, dirty, pf)).map_err(TestCaseError::fail)?;
+            }
+        }
+    }
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 64B = 512B.

@@ -42,9 +42,8 @@
 //!   under the open-loop arrival driver in `hsim::experiments`.
 
 use crate::nas::Scale;
-use hsim_compiler::{Expr, Kernel, KernelBuilder};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::{rng, uniform};
+use hsim_compiler::{Elem, Expr, Kernel, KernelBuilder, Words};
 
 /// One communication workload: a set of per-core kernels (index =
 /// core id) plus the hand-off count the timing results are normalized
@@ -72,18 +71,6 @@ pub struct RequestServingWorkload {
     pub gathers_per_request: u64,
     /// Elements in the shared read-mostly table.
     pub table_len: u64,
-}
-
-fn rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
-}
-
-fn rand_f64s(r: &mut StdRng, n: u64) -> Vec<f64> {
-    (0..n).map(|_| r.gen_range(-1.0..1.0)).collect()
-}
-
-fn rand_idx(r: &mut StdRng, n: u64, bound: u64) -> Vec<i64> {
-    (0..n).map(|_| r.gen_range(0..bound as i64)).collect()
 }
 
 /// Flag/data ping-pong over `cores/2` producer/consumer pairs
@@ -169,7 +156,8 @@ pub fn queue(scale: Scale, cores: usize, buffers: u64) -> CommWorkload {
     let n = scale.pick(2 * 1024, 16 * 1024);
     let nb = n.div_ceil(buffers);
     let pairs = cores / 2;
-    let bidx_vals: Vec<i64> = (0..n as i64).map(|i| i / buffers as i64).collect();
+    // Every kernel declares the same slot → buffer map: built once.
+    let bidx_words: Words = (0..n).map(|i| i / buffers).collect();
     let mut kernels = Vec::with_capacity(cores);
     for c in 0..cores {
         let p = c / 2;
@@ -190,7 +178,7 @@ pub fn queue(scale: Scale, cores: usize, buffers: u64) -> CommWorkload {
             flags.push(fl);
             credits.push(cr);
         }
-        let bidx = kb.array_i64_init("bidx", &bidx_vals);
+        let bidx = kb.array_words("bidx", Elem::I64, bidx_words.clone());
         let sink = kb.array_f64("sink", n);
         kb.begin_loop(n);
         let rb = kb.ref_affine(bidx, 1, 0);
@@ -305,13 +293,17 @@ pub fn request_serving(scale: Scale, cores: usize) -> RequestServingWorkload {
     let gathers = 16u64;
     let n = requests * gathers;
     let table_len = scale.pick(8 * 1024, 64 * 1024);
-    let table_vals = rand_f64s(&mut rng(0x7AB1E), table_len);
+    // Every kernel declares the same table: built once.
+    let table_words: Words = uniform(&mut rng(0x7AB1E), table_len, -1.0..1.0)
+        .map(f64::to_bits)
+        .collect();
     let mut kernels = Vec::with_capacity(cores);
     for c in 0..cores {
         let mut kb = KernelBuilder::new(&format!("serve.c{c}"));
-        let table = kb.array_f64_init("table", &table_vals);
+        let table = kb.array_words("table", Elem::F64, table_words.clone());
         kb.mark_comm(table);
-        let idx = kb.array_i64_init("idx", &rand_idx(&mut rng(0x5EED + c as u64), n, table_len));
+        let mut r = rng(0x5EED + c as u64);
+        let idx = kb.array_i64_from("idx", uniform(&mut r, n, 0..table_len as i64));
         let out = kb.array_f64("out", n);
         kb.begin_loop(n);
         let ridx = kb.ref_affine(idx, 1, 0);

@@ -35,3 +35,23 @@ pub use comm::{
 };
 pub use microbench::{microbench, MicroMode, MicrobenchConfig};
 pub use nas::{all_nas, cg, ep, ft, is, mg, sp, Scale};
+
+use rand::rngs::StdRng;
+use rand::{Rng, SampleUniform, SeedableRng};
+use std::ops::Range;
+
+/// The generator every workload draws its data from, seeded per array
+/// set.
+fn rng(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed)
+}
+
+/// `n` uniform draws from `range`, in order. The iterator knows its
+/// length, so collecting it into a kernel's buffer allocates once.
+fn uniform<'a, T: SampleUniform + 'a>(
+    rng: &'a mut StdRng,
+    n: u64,
+    range: Range<T>,
+) -> impl Iterator<Item = T> + 'a {
+    (0..n).map(move |_| rng.gen_range(range.clone()))
+}

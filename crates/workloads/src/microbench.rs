@@ -81,9 +81,8 @@ pub fn microbench(cfg: &MicrobenchConfig) -> Kernel {
     let mut kb = KernelBuilder::new("microbench");
     let arrays: Vec<_> = (0..CHAINS)
         .map(|k| {
-            let mut init = vec![0i64; (cfg.n + 1) as usize];
-            init[0] = k as i64 + 1;
-            kb.array_i64_init(&format!("a{k}"), &init)
+            let init = (0..=cfg.n).map(|i| if i == 0 { k as i64 + 1 } else { 0 });
+            kb.array_i64_from(&format!("a{k}"), init)
         })
         .collect();
     kb.begin_loop(cfg.n);

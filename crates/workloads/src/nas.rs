@@ -18,9 +18,10 @@
 //! *hit* and are diverted to the LM — the Figure 5 `gld17H` path — while
 //! CG/FT/IS guards miss and fall through to the caches (`gld17M`).
 
+use crate::{rng, uniform};
 use hsim_compiler::{Expr, Kernel, KernelBuilder};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Workload size: `Test` keeps runs small for unit/integration tests,
 /// `Paper` is the benchmark-harness size.
@@ -43,27 +44,13 @@ impl Scale {
     }
 }
 
-fn rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
-}
-
-fn rand_f64s(rng: &mut StdRng, n: u64) -> Vec<f64> {
-    (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
-}
-
-fn rand_idx(rng: &mut StdRng, n: u64, bound: u64) -> Vec<i64> {
-    (0..n).map(|_| rng.gen_range(0..bound as i64)).collect()
-}
-
 /// NAS IS key distribution: the average of four uniforms (approximately
 /// Gaussian), concentrating accesses on the middle buckets.
-fn nas_is_keys(rng: &mut StdRng, n: u64, bound: u64) -> Vec<i64> {
-    (0..n)
-        .map(|_| {
-            let s: i64 = (0..4).map(|_| rng.gen_range(0..bound as i64)).sum();
-            s / 4
-        })
-        .collect()
+fn nas_is_keys(rng: &mut StdRng, n: u64, bound: u64) -> impl Iterator<Item = i64> + '_ {
+    (0..n).map(move |_| {
+        let s: i64 = (0..4).map(|_| rng.gen_range(0..bound as i64)).sum();
+        s / 4
+    })
 }
 
 /// CG: sparse-matrix/vector-flavored kernel. 7 references, 1 potentially
@@ -81,21 +68,19 @@ pub fn cg(scale: Scale) -> Kernel {
     let x_len: u64 = 12 * 1024;
     let mut r = rng(0xC6);
     let mut kb = KernelBuilder::new("CG");
-    let a = kb.array_f64_init("a", &rand_f64s(&mut r, n));
+    let a = kb.array_f64_from("a", uniform(&mut r, n, -1.0..1.0));
     let band = 3 * 1024i64;
-    let cols: Vec<i64> = (0..n)
-        .map(|i| {
-            let center = (i as i64 * x_len as i64) / n as i64;
-            let off = r.gen_range(-band / 2..band / 2);
-            (center + off).rem_euclid(x_len as i64)
-        })
-        .collect();
-    let col = kb.array_i64_init("col", &cols);
-    let p = kb.array_f64_init("p", &rand_f64s(&mut r, n));
-    let q = kb.array_f64_init("q", &rand_f64s(&mut r, n));
-    let z = kb.array_f64_init("z", &rand_f64s(&mut r, n));
-    let rr = kb.array_f64_init("r", &rand_f64s(&mut r, n));
-    let x = kb.array_f64_init("x", &rand_f64s(&mut r, x_len));
+    let cols = (0..n).map(|i| {
+        let center = (i as i64 * x_len as i64) / n as i64;
+        let off = r.gen_range(-band / 2..band / 2);
+        (center + off).rem_euclid(x_len as i64)
+    });
+    let col = kb.array_i64_from("col", cols);
+    let p = kb.array_f64_from("p", uniform(&mut r, n, -1.0..1.0));
+    let q = kb.array_f64_from("q", uniform(&mut r, n, -1.0..1.0));
+    let z = kb.array_f64_from("z", uniform(&mut r, n, -1.0..1.0));
+    let rr = kb.array_f64_from("r", uniform(&mut r, n, -1.0..1.0));
+    let x = kb.array_f64_from("x", uniform(&mut r, x_len, -1.0..1.0));
     kb.begin_loop(n);
     let ra = kb.ref_affine(a, 1, 0); // strided
     let rcol = kb.ref_affine(col, 1, 0); // strided
@@ -125,11 +110,11 @@ pub fn ep(scale: Scale) -> Kernel {
     let n = scale.pick(4 * 1024, 48 * 1024);
     let mut r = rng(0xE9);
     let mut kb = KernelBuilder::new("EP");
-    let x = kb.array_f64_init("x", &rand_f64s(&mut r, n));
-    let y = kb.array_f64_init("y", &rand_f64s(&mut r, n));
-    let t = kb.array_f64_init("t", &rand_f64s(&mut r, n + 1));
-    let w = kb.array_f64_init("w", &rand_f64s(&mut r, n + 1));
-    let locals = kb.array_f64_init("locals", &rand_f64s(&mut r, 16));
+    let x = kb.array_f64_from("x", uniform(&mut r, n, -1.0..1.0));
+    let y = kb.array_f64_from("y", uniform(&mut r, n, -1.0..1.0));
+    let t = kb.array_f64_from("t", uniform(&mut r, n + 1, -1.0..1.0));
+    let w = kb.array_f64_from("w", uniform(&mut r, n + 1, -1.0..1.0));
+    let locals = kb.array_f64_from("locals", uniform(&mut r, 16, -1.0..1.0));
     kb.begin_loop(n);
     let rx = kb.ref_affine(x, 1, 0);
     let ry = kb.ref_affine(y, 1, 0);
@@ -172,14 +157,14 @@ pub fn ft(scale: Scale) -> Kernel {
     let mut kb = KernelBuilder::new("FT");
     // 14 paired re/im streams.
     let streams: Vec<_> = (0..14)
-        .map(|k| kb.array_f64_init(&format!("s{k}"), &rand_f64s(&mut r, n + 1)))
+        .map(|k| kb.array_f64_from(&format!("s{k}"), uniform(&mut r, n + 1, -1.0..1.0)))
         .collect();
-    let idx1 = kb.array_i64_init("idx1", &rand_idx(&mut r, n, sc_len));
-    let idx2 = kb.array_i64_init("idx2", &rand_idx(&mut r, n, sc_len));
-    let tw1 = kb.array_f64_init("tw1", &rand_f64s(&mut r, sc_len));
-    let tw2 = kb.array_f64_init("tw2", &rand_f64s(&mut r, sc_len));
-    let out1 = kb.array_f64_init("out1", &rand_f64s(&mut r, sc_len));
-    let out2 = kb.array_f64_init("out2", &rand_f64s(&mut r, sc_len));
+    let idx1 = kb.array_i64_from("idx1", uniform(&mut r, n, 0..sc_len as i64));
+    let idx2 = kb.array_i64_from("idx2", uniform(&mut r, n, 0..sc_len as i64));
+    let tw1 = kb.array_f64_from("tw1", uniform(&mut r, sc_len, -1.0..1.0));
+    let tw2 = kb.array_f64_from("tw2", uniform(&mut r, sc_len, -1.0..1.0));
+    let out1 = kb.array_f64_from("out1", uniform(&mut r, sc_len, -1.0..1.0));
+    let out2 = kb.array_f64_from("out2", uniform(&mut r, sc_len, -1.0..1.0));
     kb.begin_loop(n);
     let rs: Vec<_> = streams.iter().map(|s| kb.ref_affine(*s, 1, 0)).collect(); // 14
     let rs1: Vec<_> = streams
@@ -235,8 +220,8 @@ pub fn is(scale: Scale) -> Kernel {
     let buckets = 64 * 1024;
     let mut r = rng(0x15);
     let mut kb = KernelBuilder::new("IS");
-    let key1 = kb.array_i64_init("key1", &nas_is_keys(&mut r, n, buckets));
-    let key2 = kb.array_i64_init("key2", &nas_is_keys(&mut r, n, buckets));
+    let key1 = kb.array_i64_from("key1", nas_is_keys(&mut r, n, buckets));
+    let key2 = kb.array_i64_from("key2", nas_is_keys(&mut r, n, buckets));
     let rank = kb.array_i64("rank", n);
     let h = kb.array_i64("h", buckets);
     kb.begin_loop(n);
@@ -265,13 +250,12 @@ pub fn mg(scale: Scale) -> Kernel {
     // 19 stencil arrays x 3 offsets = 57 refs, + gather index + gather +
     // coefficient = 60.
     let arrays: Vec<_> = (0..19)
-        .map(|k| kb.array_f64_init(&format!("v{k}"), &rand_f64s(&mut r, n + 2)))
+        .map(|k| kb.array_f64_from(&format!("v{k}"), uniform(&mut r, n + 2, -1.0..1.0)))
         .collect();
     // Window-local gather indices: g[i] = i rounded down to a multiple of
     // 64 — always inside the current LM window (buf >= 64 elements).
-    let gidx: Vec<i64> = (0..n as i64).map(|i| i & !63).collect();
-    let gather_idx = kb.array_i64_init("gidx", &gidx);
-    let coef = kb.array_f64_init("coef", &rand_f64s(&mut r, n));
+    let gather_idx = kb.array_i64_from("gidx", (0..n as i64).map(|i| i & !63));
+    let coef = kb.array_f64_from("coef", uniform(&mut r, n, -1.0..1.0));
     kb.begin_loop(n);
     let mut refs = Vec::new();
     for a in &arrays {
@@ -318,7 +302,7 @@ pub fn sp(scale: Scale) -> Kernel {
     // A pool of arrays reused across loops (large enough that the
     // Paper-scale footprint exceeds the 4 MB L3).
     let pool: Vec<_> = (0..60)
-        .map(|k| kb.array_f64_init(&format!("w{k}"), &rand_f64s(&mut r, n)))
+        .map(|k| kb.array_f64_from(&format!("w{k}"), uniform(&mut r, n, -1.0..1.0)))
         .collect();
     let mut total_refs = 0usize;
     for l in 0..25 {

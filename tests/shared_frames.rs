@@ -168,3 +168,25 @@ fn tiles_copy_only_partial_last_pages_and_run_as_if_loaded_by_copy() {
     }
     assert_eq!(kernel.init, nas::cg(Scale::Test).init, "no buffer changed");
 }
+
+/// Asserts that array `name` of every kernel views one allocation.
+fn one_buffer_for(kernels: &[Kernel], name: &str) {
+    let id = kernels[0].arrays.iter().position(|a| a.name == name);
+    let id = id.unwrap_or_else(|| panic!("no array {name}"));
+    let (first, range) = kernels[0].init[id].buffer();
+    assert_eq!(range, 0..first.len(), "{name} views its whole buffer");
+    for (c, k) in kernels.iter().enumerate() {
+        assert_eq!(k.arrays[id].name, name);
+        assert!(
+            std::sync::Arc::ptr_eq(k.init[id].buffer().0, first),
+            "core {c}'s {name} is a copy"
+        );
+    }
+}
+
+#[test]
+fn a_table_every_core_declares_is_generated_once() {
+    use hsim_workloads::{queue, request_serving};
+    one_buffer_for(&request_serving(Scale::Paper, 4).kernels, "table");
+    one_buffer_for(&queue(Scale::Paper, 4, 64).kernels, "bidx");
+}
