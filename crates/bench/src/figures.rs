@@ -1,18 +1,105 @@
 //! The paper's §4 artefacts: Tables 1–3, Figures 7–10 and the
 //! design-choice ablations. Each prints the paper-reported values next
-//! to the measured ones; none writes a file.
+//! to the measured ones; none writes a file. A figure row pairs its
+//! axes with the `[measured, reference]` runs a bar is normalized by.
 
 use crate::{
-    paper_energy_overhead, paper_speedup, paper_table3, paper_time_overhead, print_table, Col,
-    Flags, Table, Val,
+    grid, paper_energy_overhead, paper_speedup, paper_table3, paper_time_overhead, print_table,
+    ratio, sweep, Col, Flags, Table, Val,
 };
-use hsim::experiments::{ComparisonRow, Fig8Row};
 use hsim::machine::{MachineConfig, SysMode};
 use hsim::metrics::RunReport;
 use hsim::prelude::*;
 use hsim_isa::asm::format_inst;
 use hsim_isa::Inst;
 use hsim_workloads::nas;
+
+/// A row of Figures 8–10 and Table 3: the kernel and its `[measured,
+/// reference]` runs.
+pub type FigRow<'k> = (&'k Kernel, [RunReport; 2]);
+
+/// A point of Figure 7: `(mode, % guarded)` and its `[measured,
+/// Baseline-mode]` runs.
+pub type Fig7Row = ((MicroMode, u32), [RunReport; 2]);
+
+/// Figure 8's systems: the hybrid-coherent machine against the
+/// incoherent oracle.
+pub const VS_ORACLE: [SysMode; 2] = [SysMode::HybridCoherent, SysMode::HybridOracle];
+
+/// The systems of Figures 9 and 10 and Table 3: the hybrid-coherent
+/// machine against the cache-based one.
+pub const VS_CACHE: [SysMode; 2] = [SysMode::HybridCoherent, SysMode::CacheBased];
+
+/// Runs every kernel on the `[measured, reference]` systems `modes`,
+/// one job per kernel.
+pub fn two_systems(
+    kernels: &[Kernel],
+    modes: [SysMode; 2],
+) -> Result<Vec<FigRow<'_>>, MultiRunError> {
+    sweep(kernels.iter().collect(), |&k| {
+        let run = |mode| {
+            RunSpec::new(k)
+                .mode(mode)
+                .run()
+                .map(RunOutcome::into_single)
+        };
+        Ok(Some([run(modes[0])?, run(modes[1])?]))
+    })
+}
+
+/// Measured cycles over reference cycles: Figure 8's time overhead,
+/// Figure 9's bar.
+pub fn time_ratio([run, reference]: &[RunReport; 2]) -> f64 {
+    ratio(run.cycles, reference.cycles)
+}
+
+/// Reference cycles over measured cycles: Figure 9's speedup of the
+/// hybrid system.
+pub fn speedup([run, reference]: &[RunReport; 2]) -> f64 {
+    ratio(reference.cycles, run.cycles)
+}
+
+/// Measured energy over reference energy: Figure 8's energy overhead,
+/// Figure 10's bar.
+pub fn energy_ratio([run, reference]: &[RunReport; 2]) -> f64 {
+    run.energy_total() / reference.energy_total()
+}
+
+/// Figure 7's microbenchmark sweep: the RD / WR / RD+WR modes at every
+/// `step` percent (a multiple of 10) of guarded references, `n`
+/// iterations each. The Baseline-mode run goes first (every point is
+/// normalized by it), then every (mode, pct) point is one job.
+pub fn fig7_points(n: u64, step: u32) -> Result<Vec<Fig7Row>, MultiRunError> {
+    let run = |mode, guarded_pct| {
+        let k = microbench(&MicrobenchConfig {
+            mode,
+            guarded_pct,
+            n,
+        });
+        RunSpec::new(&k).run().map(RunOutcome::into_single)
+    };
+    let base = run(MicroMode::Baseline, 0)?;
+    let modes = [MicroMode::Rd, MicroMode::Wr, MicroMode::RdWr];
+    let pcts = (0..=100).step_by(step.max(10) as usize);
+    sweep(grid(modes, pcts), |&(mode, pct)| {
+        Ok(Some([run(mode, pct)?, base.clone()]))
+    })
+}
+
+/// Work-phase cycles against the Baseline mode's: Figure 7's overhead.
+///
+/// The work phase isolates the cost of the guards and double stores,
+/// which is what the paper's microbenchmark measures; the control phase
+/// additionally differs because a buffer that is only written through
+/// guarded stores is mapped read-only and skips its `dma-put`s.
+pub fn overhead((_, [run, base]): &Fig7Row) -> f64 {
+    ratio(run.phase(Phase::Work), base.phase(Phase::Work))
+}
+
+/// Committed instructions against the Baseline mode's.
+pub fn inst_ratio((_, [run, base]): &Fig7Row) -> f64 {
+    ratio(run.committed, base.committed)
+}
 
 /// Table 1: the simulated core and memory configuration.
 pub fn table1(_: Flags) {
@@ -176,7 +263,8 @@ pub fn table2(_: Flags) {
 /// cache-based systems (guarded references, AMAT, L1 hit ratio, and
 /// access counts per component in thousands).
 pub fn table3(flags: Flags) {
-    let rows = compare_systems(&nas::all_nas(flags.scale())).expect("simulation failed");
+    let kernels = nas::all_nas(flags.scale());
+    let rows = two_systems(&kernels, VS_CACHE).expect("simulation failed");
     let k = |x: u64| format!("{}", x / 1000);
 
     println!("TABLE 3: activity in the memory subsystem (counts in thousands)");
@@ -187,38 +275,38 @@ pub fn table3(flags: Flags) {
         "Dir acc",
     ]);
     t.sep();
-    for r in &rows {
+    for (kernel, [hybrid, cache]) in &rows {
         let g = format!(
             "{}/{} ({:.0}%)",
-            r.hybrid.guarded_refs,
-            r.hybrid.total_refs,
-            100.0 * r.hybrid.guarded_refs as f64 / r.hybrid.total_refs.max(1) as f64
+            hybrid.guarded_refs,
+            hybrid.total_refs,
+            100.0 * hybrid.guarded_refs as f64 / hybrid.total_refs.max(1) as f64
         );
         t.row(&[
-            r.name.clone(),
+            kernel.name.clone(),
             "Hybrid coherent".into(),
             g,
-            format!("{:.2}", r.hybrid.amat),
-            format!("{:.2}", r.hybrid.l1d_hit_ratio),
-            k(r.hybrid.l1_accesses),
-            k(r.hybrid.l2_accesses),
-            k(r.hybrid.l3_accesses),
-            k(r.hybrid.lm_accesses),
-            k(r.hybrid.dir_accesses),
+            format!("{:.2}", hybrid.amat),
+            format!("{:.2}", hybrid.l1d_hit_ratio),
+            k(hybrid.l1_accesses),
+            k(hybrid.l2_accesses),
+            k(hybrid.l3_accesses),
+            k(hybrid.lm_accesses),
+            k(hybrid.dir_accesses),
         ]);
         t.row(&[
-            r.name.clone(),
+            kernel.name.clone(),
             "Cache-based".into(),
             "0".into(),
-            format!("{:.2}", r.cache.amat),
-            format!("{:.2}", r.cache.l1d_hit_ratio),
-            k(r.cache.l1_accesses),
-            k(r.cache.l2_accesses),
-            k(r.cache.l3_accesses),
+            format!("{:.2}", cache.amat),
+            format!("{:.2}", cache.l1d_hit_ratio),
+            k(cache.l1_accesses),
+            k(cache.l2_accesses),
+            k(cache.l3_accesses),
             "0".into(),
             "0".into(),
         ]);
-        if let Some((pg, ha, hl1, ca, cl1)) = paper_table3(&r.name) {
+        if let Some((pg, ha, hl1, ca, cl1)) = paper_table3(&kernel.name) {
             let mut paper = vec![String::new(); 10];
             paper[1] = "(paper)".into();
             paper[2] = pg.into();
@@ -235,6 +323,17 @@ pub fn table3(flags: Flags) {
     println!("the ratios and orderings are.");
 }
 
+/// Columns of Figure 7's table.
+pub fn fig7_cols() -> Vec<Col<Fig7Row>> {
+    type C = Col<Fig7Row>;
+    vec![
+        C::table("mode", 6, |((mode, _), _)| Val::text(mode.name())),
+        C::table("%", 6, |((_, pct), _)| u64::from(*pct).into()),
+        C::table("overhead", 10, |p| overhead(p).into()).decimals(3, 3),
+        C::table("insts", 10, |p| inst_ratio(p).into()).decimals(3, 3),
+    ]
+}
+
 /// Figure 7: microbenchmark overhead in all modes as the share of
 /// potentially incoherent references grows.
 pub fn fig7(flags: Flags) {
@@ -242,165 +341,178 @@ pub fn fig7(flags: Flags) {
         Scale::Test => 8 * 1024,
         Scale::Paper => 64 * 1024,
     };
-    let pts = hsim::fig7(n, 10).expect("simulation failed");
+    let pts = fig7_points(n, 10).expect("simulation failed");
     println!("FIGURE 7: work-phase overhead vs % of guarded references");
     println!("(paper: RD flat at 1.00; WR and RD/WR linear up to ~1.28 at 100%,");
     println!(" driven by a ~26% instruction increase from the double store)");
     println!();
-    type C = Col<hsim::experiments::Fig7Point>;
-    print_table(
-        &[
-            C::table("mode", 6, |p| Val::text(p.mode.name())),
-            C::table("%", 6, |p| u64::from(p.pct).into()),
-            C::table("overhead", 10, |p| p.overhead.into()).decimals(3, 3),
-            C::table("insts", 10, |p| p.inst_ratio.into()).decimals(3, 3),
-        ],
-        &pts,
-    );
+    print_table(&fig7_cols(), &pts);
     // Headline claims.
     let rd_max = pts
         .iter()
-        .filter(|p| p.mode == MicroMode::Rd)
-        .map(|p| p.overhead)
+        .filter(|((mode, _), _)| *mode == MicroMode::Rd)
+        .map(overhead)
         .fold(0.0, f64::max);
     let wr100 = pts
         .iter()
-        .find(|p| p.mode == MicroMode::Wr && p.pct == 100)
+        .find(|(axes, _)| *axes == (MicroMode::Wr, 100))
         .expect("the WR sweep ends at 100%");
     println!();
     println!("RD max overhead: {:.3} (paper: 1.00)", rd_max);
     println!(
         "WR @100%: overhead {:.3}, insts {:.3} (paper: 1.28, 1.26)",
-        wr100.overhead, wr100.inst_ratio
+        overhead(wr100),
+        inst_ratio(wr100)
     );
+}
+
+/// Columns of Figure 8's table.
+pub fn fig8_cols<'k>() -> Vec<Col<FigRow<'k>>> {
+    type C<'k> = Col<FigRow<'k>>;
+    fn pct(ratio: f64) -> Val {
+        Val::text(format!("{:+.2}%", (ratio - 1.0) * 100.0))
+    }
+    vec![
+        C::table("", 4, |(k, _)| (&k.name).into()),
+        C::table("time ovh", 12, |(_, r)| pct(time_ratio(r))),
+        C::table("energy ovh", 12, |(_, r)| pct(energy_ratio(r))),
+        C::table("paper time", 14, |(k, _)| {
+            Val::text(format!("{:+.2}%", paper_time_overhead(&k.name)))
+        }),
+        C::table("paper energy", 14, |(k, _)| {
+            Val::text(format!("~{:+.1}%", paper_energy_overhead(&k.name)))
+        }),
+    ]
 }
 
 /// Figure 8: overhead of the coherence protocol on the real benchmarks,
 /// against the incoherent hybrid with an oracle compiler.
 pub fn fig8(flags: Flags) {
-    let rows = hsim::fig8(&nas::all_nas(flags.scale())).expect("simulation failed");
+    let kernels = nas::all_nas(flags.scale());
+    let rows = two_systems(&kernels, VS_ORACLE).expect("simulation failed");
     println!("FIGURE 8: coherence-protocol overhead vs the oracle baseline");
     println!();
-    let t = print_table(
-        &[
-            Col::table("", 4, |r: &Fig8Row| (&r.name).into()),
-            Col::table("time ovh", 12, |r| {
-                Val::text(format!("{:+.2}%", (r.time_ratio - 1.0) * 100.0))
-            }),
-            Col::table("energy ovh", 12, |r| {
-                Val::text(format!("{:+.2}%", (r.energy_ratio - 1.0) * 100.0))
-            }),
-            Col::table("paper time", 14, |r| {
-                Val::text(format!("{:+.2}%", paper_time_overhead(&r.name)))
-            }),
-            Col::table("paper energy", 14, |r| {
-                Val::text(format!("~{:+.1}%", paper_energy_overhead(&r.name)))
-            }),
-        ],
-        &rows,
-    );
+    let t = print_table(&fig8_cols(), &rows);
     t.sep();
-    let avg = |f: fn(&Fig8Row) -> f64| {
-        let overhead = rows.iter().map(|r| f(r) - 1.0).sum::<f64>() / rows.len() as f64;
+    let avg = |f: fn(&[RunReport; 2]) -> f64| {
+        let overhead = rows.iter().map(|(_, r)| f(r) - 1.0).sum::<f64>() / rows.len() as f64;
         format!("{:+.2}%", overhead * 100.0)
     };
     t.row(&[
         "AVG".into(),
-        avg(|r| r.time_ratio),
-        avg(|r| r.energy_ratio),
+        avg(time_ratio),
+        avg(energy_ratio),
         "+0.26%".to_string(),
         "+2.03%".to_string(),
     ]);
     println!();
     println!("Directory accesses (coherent runs):");
-    for r in &rows {
+    for (k, [coherent, _]) in &rows {
         println!(
             "  {:4} {:10} lookups+updates; collapsed double stores: {}",
-            r.name, r.coherent.dir_accesses, r.coherent.core.collapsed_stores
+            k.name, coherent.dir_accesses, coherent.core.collapsed_stores
         );
     }
+}
+
+/// Columns of Figure 9's table.
+pub fn fig9_cols<'k>() -> Vec<Col<FigRow<'k>>> {
+    type C<'k> = Col<FigRow<'k>>;
+    vec![
+        C::table("", 4, |(k, _)| (&k.name).into()),
+        C::table("time", 10, |(_, r)| time_ratio(r).into()).decimals(3, 3),
+        C::table("work", 8, |(_, [h, c])| {
+            ratio(h.phase_cycles[3], c.cycles).into()
+        })
+        .decimals(3, 3),
+        C::table("synch", 8, |(_, [h, c])| {
+            ratio(h.phase_cycles[2], c.cycles).into()
+        })
+        .decimals(3, 3),
+        C::table("control", 8, |(_, [h, c])| {
+            ratio(h.phase_cycles[1], c.cycles).into()
+        })
+        .decimals(3, 3),
+        C::table("other", 8, |(_, [h, c])| {
+            ratio(h.phase_cycles[0], c.cycles).into()
+        })
+        .decimals(3, 3),
+        C::table("speedup", 10, |(_, r)| speedup(r).into())
+            .decimals(2, 2)
+            .suffix("x"),
+        C::table("paper", 12, |(k, _)| paper_speedup(&k.name).into())
+            .decimals(2, 2)
+            .suffix("x"),
+    ]
 }
 
 /// Figure 9: execution-time reduction of the coherent hybrid memory
 /// system vs the cache-based system, with the work / synch / control
 /// phase split.
 pub fn fig9(flags: Flags) {
-    let rows = compare_systems(&nas::all_nas(flags.scale())).expect("simulation failed");
+    let kernels = nas::all_nas(flags.scale());
+    let rows = two_systems(&kernels, VS_CACHE).expect("simulation failed");
     println!("FIGURE 9: execution time normalized to the cache-based system");
     println!();
-    type C = Col<ComparisonRow>;
-    print_table(
-        &[
-            C::table("", 4, |r| (&r.name).into()),
-            C::table("time", 10, |r| r.time_norm.into()).decimals(3, 3),
-            C::table("work", 8, |r| r.phases_norm[3].into()).decimals(3, 3),
-            C::table("synch", 8, |r| r.phases_norm[2].into()).decimals(3, 3),
-            C::table("control", 8, |r| r.phases_norm[1].into()).decimals(3, 3),
-            C::table("other", 8, |r| r.phases_norm[0].into()).decimals(3, 3),
-            C::table("speedup", 10, |r| r.speedup.into())
-                .decimals(2, 2)
-                .suffix("x"),
-            C::table("paper", 12, |r| paper_speedup(&r.name).into())
-                .decimals(2, 2)
-                .suffix("x"),
-        ],
-        &rows,
-    )
-    .sep();
+    print_table(&fig9_cols(), &rows).sep();
     println!(
         "average speedup: {:.2}x (paper: 1.38x)",
-        rows.iter().map(|r| r.speedup).sum::<f64>() / rows.len() as f64
+        rows.iter().map(|(_, r)| speedup(r)).sum::<f64>() / rows.len() as f64
     );
+}
+
+/// Columns of Figure 10's table.
+pub fn fig10_cols<'k>() -> Vec<Col<FigRow<'k>>> {
+    type C<'k> = Col<FigRow<'k>>;
+    vec![
+        C::table("", 4, |(k, _)| (&k.name).into()),
+        C::table("total", 8, |(_, r)| energy_ratio(r).into()).decimals(3, 3),
+        C::table("cpu", 8, |(_, [h, c])| {
+            (h.energy.cpu / c.energy_total()).into()
+        })
+        .decimals(3, 3),
+        C::table("caches", 8, |(_, [h, c])| {
+            (h.energy.caches / c.energy_total()).into()
+        })
+        .decimals(3, 3),
+        C::table("lm", 8, |(_, [h, c])| {
+            (h.energy.lm / c.energy_total()).into()
+        })
+        .decimals(3, 3),
+        C::table("others", 8, |(_, [h, c])| {
+            (h.energy.others / c.energy_total()).into()
+        })
+        .decimals(3, 3),
+        C::table("saving", 12, |(_, r)| {
+            ((1.0 - energy_ratio(r)) * 100.0).into()
+        })
+        .decimals(1, 1)
+        .suffix("%"),
+    ]
 }
 
 /// Figure 10: energy-consumption reduction of the coherent hybrid
 /// memory system vs the cache-based system, with the CPU / caches / LM
 /// / others component split.
 pub fn fig10(flags: Flags) {
-    let rows = compare_systems(&nas::all_nas(flags.scale())).expect("simulation failed");
+    let kernels = nas::all_nas(flags.scale());
+    let rows = two_systems(&kernels, VS_CACHE).expect("simulation failed");
     println!("FIGURE 10: energy normalized to the cache-based system");
     println!("(component split of the hybrid bar; paper reports 12%-41% savings, avg 27%)");
     println!();
-    type C = Col<ComparisonRow>;
-    print_table(
-        &[
-            C::table("", 4, |r| (&r.name).into()),
-            C::table("total", 8, |r| r.energy_norm.into()).decimals(3, 3),
-            C::table("cpu", 8, |r| {
-                (r.hybrid.energy.cpu / r.cache.energy_total()).into()
-            })
-            .decimals(3, 3),
-            C::table("caches", 8, |r| {
-                (r.hybrid.energy.caches / r.cache.energy_total()).into()
-            })
-            .decimals(3, 3),
-            C::table("lm", 8, |r| {
-                (r.hybrid.energy.lm / r.cache.energy_total()).into()
-            })
-            .decimals(3, 3),
-            C::table("others", 8, |r| {
-                (r.hybrid.energy.others / r.cache.energy_total()).into()
-            })
-            .decimals(3, 3),
-            C::table("saving", 12, |r| ((1.0 - r.energy_norm) * 100.0).into())
-                .decimals(1, 1)
-                .suffix("%"),
-        ],
-        &rows,
-    )
-    .sep();
+    print_table(&fig10_cols(), &rows).sep();
     println!(
         "average saving: {:.1}% (paper: 27%)",
-        (1.0 - rows.iter().map(|r| r.energy_norm).sum::<f64>() / rows.len() as f64) * 100.0
+        (1.0 - rows.iter().map(|(_, r)| energy_ratio(r)).sum::<f64>() / rows.len() as f64) * 100.0
     );
     println!();
     println!("Cache-based component split, for reference:");
-    for r in &rows {
-        let ct = r.cache.energy_total();
-        let e = &r.cache.energy;
+    for (k, [_, cache]) in &rows {
+        let ct = cache.energy_total();
+        let e = &cache.energy;
         println!(
             "  {:4} cpu={:.3} caches={:.3} others={:.3}",
-            r.name,
+            k.name,
             e.cpu / ct,
             e.caches / ct,
             e.others / ct

@@ -36,12 +36,17 @@
 //! every mode. Nothing is read from the environment. Host speed is
 //! measured by the repository benchmark (`benchmark/`), not here.
 //!
-//! Layout: [`figures`] holds the paper's tables and figures, [`sweeps`]
-//! the JSON-writing sweeps, [`shapes`] the shape invariants shared by
-//! the sweeps and `figshapes`; this module holds what they share — the
-//! flags, the [`Col`] declarations rendered to both the printed table
-//! and [`SweepJson`], and the paper's reference values.
+//! Layout: every table, figure and sweep has one home, which builds its
+//! grid, runs it through [`RunSpec`] and keeps `(axes, report)` pairs;
+//! derived numbers (speedups, normalized times, ratios) are computed
+//! where they are printed or asserted. [`figures`] holds the paper's
+//! tables and figures, [`sweeps`] the JSON-writing sweeps (one module
+//! each), [`shapes`] the shape invariants shared by the sweeps and
+//! `figshapes`; this module holds what they share — the flags, the grid
+//! runner [`sweep`], the [`Col`] declarations rendered to both the
+//! printed table and [`SweepJson`], and the paper's reference values.
 
+use hsim::parallel_map;
 use hsim::prelude::*;
 use hsim_workloads::nas;
 
@@ -103,6 +108,39 @@ impl Flags {
         }
         kernels
     }
+}
+
+/// `x / by` with `by` clamped to 1: every derived ratio a table prints
+/// or a shape asserts (speedups, normalized times, overheads).
+pub fn ratio(x: u64, by: u64) -> f64 {
+    x as f64 / by.max(1) as f64
+}
+
+/// The cartesian grid `outer × inner`, outer-major.
+pub fn grid<A: Copy, B>(
+    outer: impl IntoIterator<Item = A>,
+    inner: impl Iterator<Item = B> + Clone,
+) -> Vec<(A, B)> {
+    outer
+        .into_iter()
+        .flat_map(|a| inner.clone().map(move |b| (a, b)))
+        .collect()
+}
+
+/// Runs `point` at every axes of `grid`, one [`parallel_map`] job per
+/// point, and returns the `(axes, report)` pairs in grid order, leaving
+/// out the points `point` skipped (`Ok(None)`: a kernel that does not
+/// shard to the point). The first error in grid order fails the sweep.
+/// Every point is deterministic and self-contained, so the results do
+/// not depend on the host schedule.
+pub fn sweep<A: Send, R: Send>(
+    grid: Vec<A>,
+    point: impl Fn(&A) -> Result<Option<R>, MultiRunError> + Sync,
+) -> Result<Vec<(A, R)>, MultiRunError> {
+    parallel_map(grid, |a| Ok(point(&a)?.map(|r| (a, r))))
+        .into_iter()
+        .filter_map(Result::transpose)
+        .collect()
 }
 
 /// A subcommand's entry point.

@@ -3,6 +3,12 @@
 //! it and the `figshapes` guard — a violated shape is a failed build,
 //! not a silently drifting figure.
 
+use crate::figures::{fig7_points, inst_ratio, overhead, speedup, time_ratio, two_systems};
+use crate::figures::{VS_CACHE, VS_ORACLE};
+use crate::sweeps::{
+    comm_points, hetero_points, hetero_shapes, protocol_points, round_cycles, scaling_points,
+    scaling_speedup, CommRow, ProtocolRow,
+};
 use crate::Flags;
 use hsim::prelude::*;
 use hsim_workloads::nas;
@@ -46,16 +52,18 @@ pub fn mixed_chip_interpolates(what: &str, mixed: u64, all_hybrid: u64, all_cach
 /// designated forwarder never scores fewer shared hits than MESI. Ties
 /// are legitimate on read-mostly tables: the orderings are non-strict.
 /// Returns the `[msi, mesi, moesi, mesif]` rows of the point.
-pub fn protocol_family_ordering(point: &[ProtocolSweepRow]) -> [&ProtocolSweepRow; 4] {
-    let row = |name: &str| {
+pub fn protocol_family_ordering<'p, 'k>(point: &'p [ProtocolRow<'k>]) -> [&'p ProtocolRow<'k>; 4] {
+    let row = |cm: CoherenceMode| {
         point
             .iter()
-            .find(|r| r.protocol == name)
-            .unwrap_or_else(|| panic!("every point runs under {name}"))
+            .find(|((.., m), _)| *m == cm)
+            .unwrap_or_else(|| panic!("every point runs under {}", cm.name()))
     };
-    let (msi, mesi, moesi, mesif) = (row("msi"), row("mesi"), row("moesi"), row("mesif"));
-    let what = format!("{} x{}", mesi.kernel, mesi.cores);
-    let [r_msi, r_mesi, r_moesi] = [msi, mesi, moesi].map(|r| dram_reads(&r.report));
+    use CoherenceMode::{Mesi, Mesif, Moesi, Msi};
+    let (msi, mesi, moesi, mesif) = (row(Msi), row(Mesi), row(Moesi), row(Mesif));
+    let ((kernel, cores, _), _) = mesi;
+    let what = format!("{} x{cores}", kernel.name);
+    let [r_msi, r_mesi, r_moesi] = [msi, mesi, moesi].map(|r| dram_reads(&r.1));
     assert!(
         r_msi >= r_mesi,
         "{what}: MSI DRAM reads ({r_msi}) must be >= MESI ({r_mesi})"
@@ -64,7 +72,7 @@ pub fn protocol_family_ordering(point: &[ProtocolSweepRow]) -> [&ProtocolSweepRo
         r_mesi >= r_moesi,
         "{what}: MESI DRAM reads ({r_mesi}) must be >= MOESI ({r_moesi})"
     );
-    let (h_mesif, h_mesi) = (shared_hits(&mesif.report), shared_hits(&mesi.report));
+    let (h_mesif, h_mesi) = (shared_hits(&mesif.1), shared_hits(&mesi.1));
     assert!(
         h_mesif >= h_mesi,
         "{what}: MESIF shared hits ({h_mesif}) must be >= MESI ({h_mesi})"
@@ -82,35 +90,33 @@ pub fn protocol_family_ordering(point: &[ProtocolSweepRow]) -> [&ProtocolSweepRo
 /// re-read: MSI upper-bounds both on DRAM reads. Returns the
 /// `[pingpong hybrid, pingpong cache, queue msi, queue moesi, queue
 /// mesif]` rows.
-pub fn comm_orderings(rows: &[CommSweepRow], cores: usize) -> [&CommSweepRow; 5] {
-    let find = |workload: &str, mode: SysMode, proto: Option<&str>| {
+pub fn comm_orderings(rows: &[CommRow], cores: usize) -> [&CommRow; 5] {
+    let find = |workload: &str, mode: SysMode, proto: Option<CoherenceMode>| {
         rows.iter()
-            .find(|r| {
-                r.workload == workload
-                    && r.cores == cores
-                    && r.mode == mode
-                    && (proto.is_none() || proto == Some(&r.protocol))
+            .find(|((w, c, m, cm), _)| {
+                (*w, *c, *m) == (workload, cores, mode) && (proto.is_none() || proto == Some(*cm))
             })
             .unwrap_or_else(|| panic!("{workload} x{cores} must run on {mode:?} {proto:?}"))
     };
     let hybrid = find("pingpong", SysMode::HybridCoherent, None);
     let cache = find("pingpong", SysMode::CacheBased, None);
     assert!(
-        hybrid.round_cycles < cache.round_cycles,
+        round_cycles(hybrid) < round_cycles(cache),
         "pingpong x{cores}: hybrid LM+DMA RTT ({:.1}) must beat the \
          cache-coherent flag-spinning RTT ({:.1})",
-        hybrid.round_cycles,
-        cache.round_cycles
+        round_cycles(hybrid),
+        round_cycles(cache)
     );
     let q = |proto| find("queue", SysMode::CacheBased, Some(proto));
-    let (msi, moesi, mesif) = (q("msi"), q("moesi"), q("mesif"));
-    let msi_reads = dram_reads(&msi.report);
-    for other in [moesi, mesif] {
-        let reads = dram_reads(&other.report);
+    use CoherenceMode::{Mesif, Moesi, Msi};
+    let (msi, moesi, mesif) = (q(Msi), q(Moesi), q(Mesif));
+    let msi_reads = dram_reads(&msi.1 .0);
+    for ((.., cm), (report, _)) in [moesi, mesif] {
+        let reads = dram_reads(report);
         assert!(
             msi_reads >= reads,
             "queue x{cores}: MSI hand-off DRAM reads ({msi_reads}) must be >= {} ({reads})",
-            other.protocol
+            cm.name()
         );
     }
     [hybrid, cache, msi, moesi, mesif]
@@ -131,36 +137,37 @@ pub fn figshapes(flags: Flags) {
     // RD guards are free (the CAM lookup fits the AGU cycle); WR
     // overhead grows monotonically with the guarded share, driven by
     // the double store's extra instructions.
-    let pts = fig7(n, 50).expect("fig7");
-    for p in pts.iter().filter(|p| p.mode == MicroMode::Rd) {
+    let pts = fig7_points(n, 50).expect("fig7");
+    let of = |mode| pts.iter().filter(move |((m, _), _)| *m == mode);
+    for p in of(MicroMode::Rd) {
         assert!(
-            (p.overhead - 1.0).abs() < 0.05,
+            (overhead(p) - 1.0).abs() < 0.05,
             "fig7 RD@{}%: overhead must be ~1.0, got {:.3}",
-            p.pct,
-            p.overhead
+            p.0 .1,
+            overhead(p)
         );
         checked += 1;
     }
-    let wr: Vec<_> = pts.iter().filter(|p| p.mode == MicroMode::Wr).collect();
+    let wr: Vec<_> = of(MicroMode::Wr).collect();
     for w in wr.windows(2) {
         assert!(
-            w[1].overhead >= w[0].overhead - 0.02,
+            overhead(w[1]) >= overhead(w[0]) - 0.02,
             "fig7 WR: overhead must be monotone in the guarded share \
              ({:.3}@{}% -> {:.3}@{}%)",
-            w[0].overhead,
-            w[0].pct,
-            w[1].overhead,
-            w[1].pct
+            overhead(w[0]),
+            w[0].0 .1,
+            overhead(w[1]),
+            w[1].0 .1
         );
         checked += 1;
     }
     let wr_last = wr.last().expect("WR points");
     assert!(
-        wr_last.overhead > wr[0].overhead + 0.05,
+        overhead(wr_last) > overhead(wr[0]) + 0.05,
         "fig7 WR: the curve must actually rise"
     );
     assert!(
-        wr_last.inst_ratio > 1.10,
+        inst_ratio(wr_last) > 1.10,
         "fig7 WR@100%: the double store must add instructions"
     );
     checked += 2;
@@ -170,14 +177,15 @@ pub fn figshapes(flags: Flags) {
     // Protocol overhead vs the oracle: never a speedup beyond noise,
     // and the double-store kernels (IS) sit above the read-only ones
     // (CG).
-    let f8 = fig8(&[nas::is(Scale::Test), nas::cg(Scale::Test)]).expect("fig8");
-    let ratio = |name: &str| f8.iter().find(|r| r.name == name).unwrap().time_ratio;
-    for r in &f8 {
+    let f8_kernels = [nas::is(Scale::Test), nas::cg(Scale::Test)];
+    let f8 = two_systems(&f8_kernels, VS_ORACLE).expect("fig8");
+    let ratio = |name: &str| time_ratio(&f8.iter().find(|(k, _)| k.name == name).unwrap().1);
+    for (k, r) in &f8 {
         assert!(
-            r.time_ratio > 0.999,
+            time_ratio(r) > 0.999,
             "fig8 {}: the coherent machine cannot beat the oracle ({:.4})",
-            r.name,
-            r.time_ratio
+            k.name,
+            time_ratio(r)
         );
         checked += 1;
     }
@@ -193,26 +201,26 @@ pub fn figshapes(flags: Flags) {
     // ---------------------------------------------------------- fig 9
     // Hybrid vs cache-based: the stream/reuse kernels (MG, FT) must
     // favor the hybrid, compute-bound EP sits near parity below them.
-    let f9 = compare_systems(&[
+    let f9_kernels = [
         nas::ep(Scale::Test),
         nas::ft(Scale::Test),
         nas::mg(Scale::Test),
-    ])
-    .expect("fig9");
-    let speedup = |name: &str| f9.iter().find(|r| r.name == name).unwrap().speedup;
-    assert!(speedup("MG") > 1.1, "fig9 MG: {:.2}", speedup("MG"));
-    assert!(speedup("FT") > 1.05, "fig9 FT: {:.2}", speedup("FT"));
+    ];
+    let f9 = two_systems(&f9_kernels, VS_CACHE).expect("fig9");
+    let speedup_of = |name: &str| speedup(&f9.iter().find(|(k, _)| k.name == name).unwrap().1);
+    assert!(speedup_of("MG") > 1.1, "fig9 MG: {:.2}", speedup_of("MG"));
+    assert!(speedup_of("FT") > 1.05, "fig9 FT: {:.2}", speedup_of("FT"));
     assert!(
-        speedup("MG") > speedup("EP") && speedup("FT") > speedup("EP"),
+        speedup_of("MG") > speedup_of("EP") && speedup_of("FT") > speedup_of("EP"),
         "fig9 ordering: memory-bound kernels ({:.2}, {:.2}) must beat EP ({:.2})",
-        speedup("MG"),
-        speedup("FT"),
-        speedup("EP")
+        speedup_of("MG"),
+        speedup_of("FT"),
+        speedup_of("EP")
     );
     assert!(
-        (0.75..1.3).contains(&speedup("EP")),
+        (0.75..1.3).contains(&speedup_of("EP")),
         "fig9 EP must sit near parity: {:.2}",
-        speedup("EP")
+        speedup_of("EP")
     );
     checked += 4;
     println!("fig9 shapes OK (MG/FT favor hybrid, EP near parity)");
@@ -223,41 +231,39 @@ pub fn figshapes(flags: Flags) {
     // backside keeps it sublinear (speedup < cores).
     let cg = nas::cg(Scale::Test);
     let cfg = flags.config(SysMode::HybridCoherent);
-    let curves = scaling_sweep(std::slice::from_ref(&cg), &[1, 2, 4], &cfg).expect("scaling");
+    let curves = scaling_points(std::slice::from_ref(&cg), &[1, 2, 4], &cfg).expect("scaling");
     assert_eq!(curves.len(), 3, "CG must shard to every point");
-    for w in curves.windows(2) {
+    let makespan = |i: usize| curves[i].1[0].makespan;
+    let s: Vec<f64> = curves.iter().map(scaling_speedup).collect();
+    for i in 1..curves.len() {
+        let cores = |i: usize| curves[i].0 .1;
         assert!(
-            w[1].report.makespan < w[0].report.makespan,
+            makespan(i) < makespan(i - 1),
             "scaling: makespan must shrink with cores ({}@x{} -> {}@x{})",
-            w[0].report.makespan,
-            w[0].cores,
-            w[1].report.makespan,
-            w[1].cores
+            makespan(i - 1),
+            cores(i - 1),
+            makespan(i),
+            cores(i)
         );
-        assert!(
-            w[1].speedup > w[0].speedup,
-            "scaling: speedup must rise with cores"
-        );
+        assert!(s[i] > s[i - 1], "scaling: speedup must rise with cores");
         checked += 2;
     }
-    for r in &curves {
+    for (((_, cores), _), s) in curves.iter().zip(&s) {
         assert!(
-            r.speedup <= r.cores as f64 + 1e-9,
-            "scaling x{}: speedup {:.2} cannot be superlinear here",
-            r.cores,
-            r.speedup
+            *s <= *cores as f64 + 1e-9,
+            "scaling x{cores}: speedup {s:.2} cannot be superlinear here"
         );
         checked += 1;
     }
+    let bus_wait = |i: usize| curves[i].1[0].total(|c| c.bus_wait_cycles);
     assert!(
-        curves[2].report.total(|c| c.bus_wait_cycles)
-            >= curves[0].report.total(|c| c.bus_wait_cycles),
+        bus_wait(2) >= bus_wait(0),
         "scaling: contention must not shrink with more cores"
     );
     checked += 1;
     println!(
         "scaling shapes OK (CG x1/2/4 speedups {:.2}/{:.2}/{:.2}, {:?} coherence)",
-        curves[0].speedup, curves[1].speedup, curves[2].speedup, cfg.mem.coherence.mode
+        s[0], s[1], s[2], cfg.mem.coherence.mode
     );
 
     // --------------------------------------------------------- hetero
@@ -265,12 +271,12 @@ pub fn figshapes(flags: Flags) {
     // makespan toward (and between) the all-cache endpoint — the
     // coexistence claim, as a curve.
     let cores = 4;
-    let chips =
-        hetero_sweep(std::slice::from_ref(&cg), cores, flags.coherence).expect("hetero sweep");
+    let shapes = hetero_shapes(cores, flags.coherence);
+    let chips = hetero_points(std::slice::from_ref(&cg), &shapes).expect("hetero sweep");
     let chip = |shape: &str| {
-        let row = chips.iter().find(|r| r.label == shape);
+        let row = chips.iter().find(|((_, (label, ..)), _)| label == shape);
         row.unwrap_or_else(|| panic!("CG must run on {shape}"))
-            .report
+            .1
             .makespan
     };
     let (all_hybrid, mixed, all_cache) = (chip("4H+0C"), chip("2H+2C"), chip("0H+4C"));
@@ -295,23 +301,23 @@ pub fn figshapes(flags: Flags) {
 
     // ------------------------------------------------- protocol family
     // CG x4 under every directory protocol; no protocol may change
-    // committed work (`protocol_sweep` asserts it for every row).
-    let proto = protocol_sweep(std::slice::from_ref(&cg), &[4], SysMode::HybridCoherent)
+    // committed work (`protocol_points` asserts it for every row).
+    let proto = protocol_points(std::slice::from_ref(&cg), &[4], SysMode::HybridCoherent)
         .expect("protocol sweep");
     let [msi, mesi, moesi, mesif] = protocol_family_ordering(&proto);
     checked += 3 + proto.len();
     println!(
         "protocol shapes OK (CG x4 dramR msi/mesi/moesi {}/{}/{}, \
          shrhits mesif/mesi {}/{})",
-        dram_reads(&msi.report),
-        dram_reads(&mesi.report),
-        dram_reads(&moesi.report),
-        shared_hits(&mesif.report),
-        shared_hits(&mesi.report)
+        dram_reads(&msi.1),
+        dram_reads(&mesi.1),
+        dram_reads(&moesi.1),
+        shared_hits(&mesif.1),
+        shared_hits(&mesi.1)
     );
 
     // ----------------------------------------------- comm workloads
-    let comm = comm_sweep(Scale::Test, &[4], flags.coherence).expect("comm sweep");
+    let comm = comm_points(Scale::Test, &[4], flags.coherence).expect("comm sweep");
     let [pp_hybrid, pp_cache, q_msi, q_moesi, q_mesif] = comm_orderings(&comm, 4);
     // Protocols are timing-only: every cache-based queue run commits
     // the same instructions regardless of the directory table. (The
@@ -319,25 +325,25 @@ pub fn figshapes(flags: Flags) {
     // invariance is asserted within one system mode.)
     let cache_queue: Vec<_> = comm
         .iter()
-        .filter(|r| r.workload == "queue" && r.mode == SysMode::CacheBased)
+        .filter(|((w, _, mode, _), _)| *w == "queue" && *mode == SysMode::CacheBased)
         .collect();
-    for r in &cache_queue {
+    for ((.., cm), (report, _)) in &cache_queue {
         assert_eq!(
-            committed(&r.report),
-            committed(&q_msi.report),
+            committed(report),
+            committed(&q_msi.1 .0),
             "comm: queue committed work must be protocol-invariant ({})",
-            r.protocol
+            cm.name()
         );
     }
     checked += 3 + cache_queue.len();
     println!(
         "comm shapes OK (pingpong RTT hybrid/cache {:.1}/{:.1}, \
          queue dramR msi/moesi/mesif {}/{}/{})",
-        pp_hybrid.round_cycles,
-        pp_cache.round_cycles,
-        dram_reads(&q_msi.report),
-        dram_reads(&q_moesi.report),
-        dram_reads(&q_mesif.report)
+        round_cycles(pp_hybrid),
+        round_cycles(pp_cache),
+        dram_reads(&q_msi.1 .0),
+        dram_reads(&q_moesi.1 .0),
+        dram_reads(&q_mesif.1 .0)
     );
 
     println!("all figure shapes hold ({checked} assertions)");

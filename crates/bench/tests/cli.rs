@@ -5,7 +5,9 @@
 
 use hsim::cluster::{ClusterConfig, ClusterTopology};
 use hsim::prelude::*;
-use hsim_bench::{commands, json_keys, parse_args, sweeps, table_cells, table_headers, Col, Flags};
+use hsim_bench::{
+    commands, figures, json_keys, parse_args, sweeps, table_cells, table_headers, Col, Flags,
+};
 use std::process::{Command, Stdio};
 
 fn args(list: &[&str]) -> Vec<String> {
@@ -224,7 +226,8 @@ fn every_table_renders_one_cell_per_header() {
         assert_eq!(table_headers(&cols).len(), headers);
         assert_eq!(table_cells(&cols, &row).len(), headers);
     }
-    // Every row wraps a report; one tiny real run fills them all.
+    // Every row pairs its axes with a report; one tiny real run of each
+    // machine shape fills them all.
     let mut kb = KernelBuilder::new("axpy");
     let a = kb.array_f64("a", 256);
     kb.begin_loop(256);
@@ -232,97 +235,43 @@ fn every_table_renders_one_cell_per_header() {
     kb.stmt(ra, Expr::add(Expr::Ref(ra), Expr::ConstF(1.0)));
     kb.end_loop();
     let kernel = kb.build().unwrap();
+    let single = RunSpec::new(&kernel).run().unwrap().into_single();
     let spec = RunSpec::new(&kernel).cores(2);
     let report = spec.clone().run().unwrap().into_multi();
+    let topo = ClusterTopology::new(1, 2);
     let clustered = spec
-        .clustered(&ClusterConfig::new(ClusterTopology::new(1, 2)))
+        .clustered(&ClusterConfig::new(topo))
         .run()
         .unwrap()
         .into_clusters();
-    let name = String::from("axpy");
-    check(
-        sweeps::backside_cols(),
-        BacksideSweepRow {
-            kernel: name.clone(),
-            cores: 2,
-            report: report.clone(),
-        },
-        10,
-    );
-    check(
-        sweeps::scaling_cols(),
-        ScalingRow {
-            kernel: name.clone(),
-            cores: 2,
-            speedup: 1.0,
-            report: report.clone(),
-        },
-        9,
-    );
-    check(
-        sweeps::coherence_cols(),
-        CoherenceSweepRow {
-            kernel: name.clone(),
-            cores: 2,
-            replicate: report.clone(),
-            mesi: report.clone(),
-            cluster_fallbacks: 0,
-        },
-        11,
-    );
+    let pair = || [single.clone(), single.clone()];
+    check(figures::fig7_cols(), ((MicroMode::Wr, 50), pair()), 4);
+    check(figures::fig8_cols(), (&kernel, pair()), 5);
+    check(figures::fig9_cols(), (&kernel, pair()), 8);
+    check(figures::fig10_cols(), (&kernel, pair()), 7);
+    let multi_pair = || [report.clone(), report.clone()];
+    check(sweeps::backside_cols(), ((&kernel, 2), report.clone()), 10);
+    check(sweeps::scaling_cols(), ((&kernel, 2), multi_pair()), 9);
+    check(sweeps::coherence_cols(), ((&kernel, 2), multi_pair()), 11);
     check(
         sweeps::protocol_cols(),
-        ProtocolSweepRow {
-            kernel: name.clone(),
-            cores: 2,
-            protocol: "mesi".into(),
-            report: report.clone(),
-        },
+        ((&kernel, 2, CoherenceMode::Mesi), report.clone()),
         8,
     );
+    let shape = sweeps::hetero_shapes(2, CoherenceMode::Replicate).remove(0);
     check(
         sweeps::hetero_cols(),
-        HeteroSweepRow {
-            kernel: name.clone(),
-            label: "2H+0C".into(),
-            hybrid_tiles: 2,
-            small_lm_tiles: 0,
-            weights: vec![1; 2],
-            report: report.clone(),
-        },
+        ((&kernel, &shape), report.clone()),
         8,
     );
-    check(
-        sweeps::clusters_cols(),
-        sweeps::ClusterRow {
-            kernel: name.clone(),
-            topo: ClusterTopology::new(1, 2),
-            channels: 1,
-            report: clustered,
-        },
-        7,
-    );
-    check(
-        sweeps::faults_cols(),
-        sweeps::FaultRow {
-            kernel: name,
-            rate: 0.0,
-            baseline: report.makespan,
-            report: report.clone(),
-        },
-        9,
-    );
+    check(sweeps::clusters_cols(), ((&kernel, topo, 1), clustered), 7);
+    check(sweeps::faults_cols(), ((&kernel, 0.0), multi_pair()), 9);
     check(
         sweeps::comm_cols(),
-        CommSweepRow {
-            workload: "queue".into(),
-            cores: 2,
-            mode: SysMode::HybridCoherent,
-            protocol: "msi".into(),
-            rounds: 1,
-            round_cycles: 1.0,
-            report,
-        },
+        (
+            ("queue", 2, SysMode::HybridCoherent, CoherenceMode::Msi),
+            (report, 1),
+        ),
         11,
     );
 }

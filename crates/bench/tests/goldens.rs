@@ -6,7 +6,7 @@
 
 use hsim::cluster::{ClusterConfig, ClusterTopology};
 use hsim::prelude::*;
-use hsim_bench::sweeps::{self, ClusterRow, FaultRow};
+use hsim_bench::sweeps;
 use hsim_bench::{json_row, Col};
 use hsim_workloads::nas;
 
@@ -58,7 +58,7 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
     let ep = [nas::ep(Scale::Test)];
 
     // CG on one core is row 0 of the three per-kernel × per-core grids.
-    let rows = backside_sweep(&cg, &[1], &cfg).unwrap();
+    let rows = sweeps::backside_points(&cg, &[1], &cfg).unwrap();
     assert_rows(
         "BENCH_backside.json",
         "rows",
@@ -67,7 +67,7 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
         &rows,
     );
 
-    let rows = scaling_sweep(&cg, &[1], &cfg).unwrap();
+    let rows = sweeps::scaling_points(&cg, &[1], &cfg).unwrap();
     assert_rows(
         "BENCH_scaling.json",
         "rows",
@@ -76,13 +76,13 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
         &rows,
     );
 
-    let proto = protocol_sweep(&cg, &[1], mode).unwrap();
+    let proto = sweeps::protocol_points(&cg, &[1], mode).unwrap();
     assert_rows(
         "BENCH_coherence.json",
         "rows",
         0,
         &sweeps::coherence_cols(),
-        &coherence_rows(&cg, &proto),
+        &sweeps::coherence_view(&proto),
     );
     assert_rows(
         "BENCH_coherence.json",
@@ -93,7 +93,8 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
     );
 
     // EP (the shortest kernel) on every 4-core shape: rows 7..14.
-    let rows = hetero_sweep(&ep, 4, cm).unwrap();
+    let shapes = sweeps::hetero_shapes(4, cm);
+    let rows = sweeps::hetero_points(&ep, &shapes).unwrap();
     assert_eq!(rows.len(), 7);
     assert_rows(
         "BENCH_hetero.json",
@@ -111,22 +112,17 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
         .run()
         .unwrap()
         .into_clusters();
-    let row = ClusterRow {
-        kernel: "CG".into(),
-        topo,
-        channels: 1,
-        report,
-    };
     assert_rows(
         "BENCH_clusters.json",
         "rows",
         0,
         &sweeps::clusters_cols(),
-        &[row],
+        &[((&cg[0], topo, 1), report)],
     );
 
     // CG on 4 cores at the highest fault rate (every recovery counter
-    // is non-zero there): row 5.
+    // is non-zero there): row 5. Its fault-free run only feeds the
+    // printed `degr` column, so the run itself stands in for it.
     let seed = meta("BENCH_faults.json", "seed").parse().unwrap();
     let report = RunSpec::new(&cg[0])
         .cores(4)
@@ -134,28 +130,22 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
         .run()
         .unwrap()
         .into_multi();
-    let row = FaultRow {
-        kernel: "CG".into(),
-        rate: 0.2,
-        report,
-        baseline: 0,
-    };
     assert_rows(
         "BENCH_faults.json",
         "rows",
         5,
         &sweeps::faults_cols(),
-        &[row],
+        &[((&cg[0], 0.2), [report.clone(), report])],
     );
 
     // Every comm family and request serving on 2 cores: rows 0..12 and
     // 0..2.
-    let rows = comm_sweep(Scale::Test, &[2], cm).unwrap();
+    let rows = sweeps::comm_points(Scale::Test, &[2], cm).unwrap();
     assert_eq!(rows.len(), 12);
     assert_rows("BENCH_comm.json", "rows", 0, &sweeps::comm_cols(), &rows);
     let seed = meta("BENCH_comm.json", "seed").parse().unwrap();
     let load = meta("BENCH_comm.json", "load_permille").parse().unwrap();
-    let reports = request_serving_sweep(Scale::Test, &[2], cm, seed, load).unwrap();
+    let reports = sweeps::request_serving_points(Scale::Test, &[2], cm, seed, load).unwrap();
     assert_rows(
         "BENCH_comm.json",
         "request_serving",

@@ -257,12 +257,6 @@ impl Directory {
     pub fn note_presence_stall(&mut self) {
         self.stats.presence_stalls += 1;
     }
-
-    /// Invalidates every entry (used at kernel boundaries by generated
-    /// code via reconfiguration; exposed for tests).
-    pub fn invalidate_all(&mut self) {
-        self.entries.iter_mut().for_each(|e| e.valid = false);
-    }
 }
 
 #[cfg(test)]

@@ -400,11 +400,6 @@ impl Core {
         self.int_regs[r.index()]
     }
 
-    /// Architectural value of an FP register.
-    pub fn fp_reg(&self, r: FReg) -> f64 {
-        self.fp_regs[r.index()]
-    }
-
     /// Runs to completion (or error).
     ///
     /// By default the loop is tick → skip-to-horizon → tick: after every

@@ -91,11 +91,6 @@ pub struct ClusterConfig {
     /// path (the determinism tests pin this); useful for debugging and
     /// single-CPU hosts.
     pub serial_clusters: bool,
-    /// Robustness test hook: panic the given cluster's driver before its
-    /// run, exercising the containment path (the panic is caught, the
-    /// peers complete, the run fails with a structured
-    /// [`ClusterError`]).
-    pub inject_panic: Option<usize>,
 }
 
 impl ClusterConfig {
@@ -104,7 +99,6 @@ impl ClusterConfig {
         ClusterConfig {
             topology,
             serial_clusters: false,
-            inject_panic: None,
         }
     }
 
@@ -247,7 +241,7 @@ pub fn cross_cluster_fallbacks(kernel: &Kernel, clusters: usize) -> u64 {
     }
 }
 
-/// Runs cluster `id` to completion on the calling thread: builds its
+/// Runs one cluster to completion on the calling thread: builds its
 /// machine over `shards` (one `(CompiledKernel, Kernel)` per core), runs
 /// it and collects its report, all under `catch_unwind`, then hands the
 /// machine to `done`. Diverging comm-array layouts fail the cluster with
@@ -255,19 +249,14 @@ pub fn cross_cluster_fallbacks(kernel: &Kernel, clusters: usize) -> u64 {
 /// so it lives and dies on this thread; only plain data crosses a
 /// thread boundary.
 fn run_lane(
-    id: usize,
     cfg: &MachineConfig,
     shards: &[(CompiledKernel, Kernel)],
-    inject_panic: Option<usize>,
     done: &mut Vec<MultiMachine>,
 ) -> Result<MultiRunReport, ClusterFailure> {
     catch_unwind(AssertUnwindSafe(|| {
         let cfgs = vec![cfg.clone(); shards.len()];
         let mut m =
             MultiMachine::try_for_kernels_hetero(cfgs, shards).map_err(ClusterFailure::Shard)?;
-        if inject_panic == Some(id) {
-            panic!("injected cluster-thread panic (cluster {id})");
-        }
         m.run()?;
         let cks: Vec<CompiledKernel> = shards.iter().map(|(ck, _)| ck.clone()).collect();
         let report = MultiRunReport::collect(&m, &cks);
@@ -305,18 +294,20 @@ pub fn run_clusters(
             "cluster {c}: one shard per core"
         );
     }
-    let lanes: Vec<_> = shards.iter().enumerate().collect();
-    let inject = cluster.inject_panic;
     // The serial driver frees its machines together once every cluster
     // has run. Freeing each one after its report lowers peak memory, but
     // hands the caller's next set-up a colder heap: on a 2-CPU host,
     // set-up of the next benchmark point then took a third longer.
     let mut machines = Vec::new();
     let results: Vec<_> = if cluster.serial_clusters {
-        let lane = |(c, s): (usize, &Vec<_>)| run_lane(c, cfg, s, inject, &mut machines);
-        lanes.into_iter().map(lane).collect()
+        shards
+            .iter()
+            .map(|s| run_lane(cfg, s, &mut machines))
+            .collect()
     } else {
-        parallel_map(lanes, |(c, s)| run_lane(c, cfg, s, inject, &mut Vec::new()))
+        parallel_map(shards.iter().collect(), |s| {
+            run_lane(cfg, s, &mut Vec::new())
+        })
     };
     let mut failures = Vec::new();
     let mut completed = Vec::new();

@@ -3,7 +3,6 @@
 //! process replays it into a latency report.
 
 use super::spec::{MultiRunError, RunOutcome, RunSpec};
-use super::sweeps::parallel_map;
 use crate::machine::{MachineConfig, SysMode};
 use crate::metrics::{LatencyHistogram, RequestServingReport};
 use hsim_core::config::CoherenceMode;
@@ -106,26 +105,4 @@ pub fn request_serving(
 ) -> Result<RequestServingReport, MultiRunError> {
     let cfg = MachineConfig::for_mode(mode).with_coherence(CoherenceMode::Mesi);
     request_serving_on(&cfg, scale, cores, seed, load_permille)
-}
-
-/// [`request_serving_on`] hybrid-coherent and cache-based chips under the
-/// inter-core protocol `cm`, at every requested core count, one
-/// [`parallel_map`] job per point.
-pub fn request_serving_sweep(
-    scale: Scale,
-    core_counts: &[usize],
-    cm: CoherenceMode,
-    seed: u64,
-    load_permille: u64,
-) -> Result<Vec<RequestServingReport>, MultiRunError> {
-    let points: Vec<(usize, SysMode)> = core_counts
-        .iter()
-        .flat_map(|&c| [SysMode::HybridCoherent, SysMode::CacheBased].map(|m| (c, m)))
-        .collect();
-    parallel_map(points, |(cores, mode)| {
-        let cfg = MachineConfig::for_mode(mode).with_coherence(cm);
-        request_serving_on(&cfg, scale, cores, seed, load_permille)
-    })
-    .into_iter()
-    .collect()
 }

@@ -54,7 +54,7 @@
 //! | [`workloads`] | Table 2 microbenchmark, six NAS-signature kernels, communication workloads (`workloads::comm`) |
 //! | [`machine`] | the assembled systems — hybrid coherent / hybrid oracle / cache-based — as single-core [`Machine`]s or N-core [`MultiMachine`]s sharing one backside, homogeneous or with per-tile configurations |
 //! | [`cluster`] | hierarchical clusters: per-cluster backside slices (own L3 + DRAM channel), each cluster run to completion on its own, one host thread each or serially ([`run_clusters`], [`ClusterTopology`]) |
-//! | [`experiments`] | [`RunSpec`] (the one way to run kernels on any machine shape), sweep drivers regenerating every table and figure (host-parallel via [`parallel_map`]), the communication sweep and the open-loop request-serving driver |
+//! | [`experiments`] | [`RunSpec`] (the one way to run kernels on any machine shape), the open-loop request-serving driver and [`parallel_map`] (host threads); the tables, figures and sweeps that use them live in `crates/bench` (`hsim-bench <name>`) |
 //!
 //! ## Multicore model
 //!
@@ -68,9 +68,9 @@
 //! reported in each core's [`RunReport`] and aggregated in
 //! [`MultiRunReport`], partitioning the chip totals exactly.
 //! [`compiler::Kernel::shard`] splits one kernel into the disjoint
-//! per-core slices the paper's evaluation model assumes, and
-//! [`experiments::backside_sweep`] measures row-buffer locality and
-//! bank contention across kernels and core counts
+//! per-core slices the paper's evaluation model assumes, and the bench
+//! driver's `backside` sweep measures row-buffer locality and bank
+//! contention across kernels and core counts
 //! (`cargo run -p hsim-bench -- backside`).
 //!
 //! Machines are built **per tile**: [`Machine::new_multi_hetero`] /
@@ -79,8 +79,8 @@
 //! hybrid tiles with different LM budgets — coexist on one chip under
 //! one inter-core protocol (the paper's §3/§6 coexistence claim,
 //! simulated). [`compiler::Kernel::shard_weighted`] matches iteration
-//! counts to tile strength, and [`experiments::hetero_sweep`] sweeps
-//! hybrid:cache ratios and LM asymmetry
+//! counts to tile strength, and the bench driver's `hetero` sweep
+//! visits hybrid:cache ratios and LM asymmetry
 //! (`cargo run -p hsim-bench -- hetero`).
 //!
 //! ## Cycle-skipping scheduler
@@ -129,10 +129,7 @@ pub use cluster::{
     ClusterRunReport, ClusterTopology,
 };
 pub use experiments::{
-    backside_sweep, coherence_rows, comm_sweep, compare_systems, compile_for_tile, fig7, fig8,
-    geomean, hetero_sweep, parallel_map, protocol_sweep, request_serving_on, request_serving_sweep,
-    scaling_sweep, BacksideSweepRow, CoherenceSweepRow, CommSweepRow, HeteroSweepRow,
-    MultiRunError, ProtocolSweepRow, RunOutcome, RunSpec, ScalingRow,
+    compile_for_tile, parallel_map, request_serving_on, MultiRunError, RunOutcome, RunSpec,
 };
 pub use machine::{Machine, MachineConfig, MultiMachine, SysMode, World};
 pub use metrics::{
@@ -145,10 +142,7 @@ pub mod prelude {
         ClusterConfig, ClusterError, ClusterFailure, ClusterRunReport, ClusterTopology,
     };
     pub use crate::experiments::{
-        backside_sweep, coherence_rows, comm_sweep, compare_systems, compile_for_tile, fig7, fig8,
-        hetero_sweep, protocol_sweep, request_serving_on, request_serving_sweep, scaling_sweep,
-        BacksideSweepRow, CoherenceSweepRow, CommSweepRow, HeteroSweepRow, MultiRunError,
-        ProtocolSweepRow, RunOutcome, RunSpec, ScalingRow,
+        compile_for_tile, request_serving_on, MultiRunError, RunOutcome, RunSpec,
     };
     pub use crate::machine::{Machine, MachineConfig, MultiMachine, SysMode};
     pub use crate::metrics::{

@@ -1,50 +1,59 @@
 //! Shape tests for the paper's experiments at test scale: the qualitative
 //! claims (who wins, what is flat, what grows) must hold even on the
-//! small workloads the CI runs.
+//! small workloads the CI runs. The drivers are the bench driver's
+//! (`hsim_bench`), so these tests run the code that prints the figures.
 
 use hsim::prelude::*;
+use hsim_bench::figures::{
+    energy_ratio, fig7_points, inst_ratio, overhead, speedup, time_ratio, two_systems, VS_CACHE,
+    VS_ORACLE,
+};
+use hsim_bench::sweeps::{
+    hetero_points, hetero_shapes, hybrid_tiles, scaling_points, scaling_speedup, small_lm_tiles,
+};
 use hsim_workloads::nas;
 
 #[test]
 fn fig7_rd_is_free_and_wr_grows_linearly() {
-    let pts = fig7(4 * 1024, 20).unwrap();
+    let pts = fig7_points(4 * 1024, 20).unwrap();
+    let of = |mode| pts.iter().filter(move |((m, _), _)| *m == mode);
     // RD: flat at 1.0 (guarded loads are free — the lookup fits the AGU
     // cycle).
-    for p in pts.iter().filter(|p| p.mode == MicroMode::Rd) {
+    for p in of(MicroMode::Rd) {
         assert!(
-            (p.overhead - 1.0).abs() < 0.02,
+            (overhead(p) - 1.0).abs() < 0.02,
             "RD overhead at {}% must be ~1.0, got {:.3}",
-            p.pct,
-            p.overhead
+            p.0 .1,
+            overhead(p)
         );
     }
     // WR: monotonically growing with the guarded share, driven by the
     // double store's extra instructions.
-    let wr: Vec<_> = pts.iter().filter(|p| p.mode == MicroMode::Wr).collect();
+    let wr: Vec<_> = of(MicroMode::Wr).collect();
     assert!(
-        wr.last().unwrap().overhead > 1.15,
+        overhead(wr.last().unwrap()) > 1.15,
         "WR @100% must cost >15%"
     );
     assert!(
-        wr.last().unwrap().overhead < 1.6,
+        overhead(wr.last().unwrap()) < 1.6,
         "WR @100% must stay bounded"
     );
     for w in wr.windows(2) {
         assert!(
-            w[1].overhead >= w[0].overhead - 0.02,
+            overhead(w[1]) >= overhead(w[0]) - 0.02,
             "WR overhead must grow with the guarded share"
         );
     }
     // Instruction count at 100% grows by the double store's extra store.
-    assert!(wr.last().unwrap().inst_ratio > 1.15);
-    assert!(wr.last().unwrap().inst_ratio < 1.35);
+    assert!(inst_ratio(wr.last().unwrap()) > 1.15);
+    assert!(inst_ratio(wr.last().unwrap()) < 1.35);
     // RD/WR tracks WR (the guarded load adds nothing).
-    let rdwr: Vec<_> = pts.iter().filter(|p| p.mode == MicroMode::RdWr).collect();
+    let rdwr: Vec<_> = of(MicroMode::RdWr).collect();
     for (a, b) in wr.iter().zip(&rdwr) {
         assert!(
-            (a.overhead - b.overhead).abs() < 0.05,
+            (overhead(a) - overhead(b)).abs() < 0.05,
             "RD/WR must track WR at {}%",
-            a.pct
+            a.0 .1
         );
     }
 }
@@ -52,35 +61,36 @@ fn fig7_rd_is_free_and_wr_grows_linearly() {
 #[test]
 fn fig8_overheads_are_small_and_double_store_driven() {
     let kernels = nas::all_nas(Scale::Test);
-    let rows = fig8(&kernels).unwrap();
-    for r in &rows {
-        match r.name.as_str() {
+    let rows = two_systems(&kernels, VS_ORACLE).unwrap();
+    for (k, r) in &rows {
+        let [coherent, oracle] = r;
+        match k.name.as_str() {
             // No potentially incoherent writes: zero time overhead.
             "CG" | "MG" | "SP" => {
                 assert!(
-                    (r.time_ratio - 1.0).abs() < 0.002,
+                    (time_ratio(r) - 1.0).abs() < 0.002,
                     "{} must have ~zero protocol overhead, got {:.4}",
-                    r.name,
-                    r.time_ratio
+                    k.name,
+                    time_ratio(r)
                 );
             }
             // Double-store kernels: small but nonzero.
             "EP" | "FT" | "IS" => {
                 assert!(
-                    r.time_ratio < 1.15,
+                    time_ratio(r) < 1.15,
                     "{} overhead must stay small, got {:.3}",
-                    r.name,
-                    r.time_ratio
+                    k.name,
+                    time_ratio(r)
                 );
-                assert!(r.coherent.committed > r.oracle.committed);
+                assert!(coherent.committed > oracle.committed);
             }
             _ => unreachable!(),
         }
         // Energy overhead present but bounded.
         assert!(
-            r.energy_ratio >= 0.999 && r.energy_ratio < 1.15,
+            energy_ratio(r) >= 0.999 && energy_ratio(r) < 1.15,
             "{}",
-            r.name
+            k.name
         );
     }
 }
@@ -95,52 +105,47 @@ fn fig9_memory_bound_kernels_favor_the_hybrid() {
         nas::ft(Scale::Test),
         nas::mg(Scale::Test),
     ];
-    let rows = compare_systems(&kernels).unwrap();
-    let get = |n: &str| rows.iter().find(|r| r.name == n).unwrap();
-    assert!(get("MG").speedup > 1.2, "MG: {:.2}", get("MG").speedup);
-    assert!(get("FT").speedup > 1.1, "FT: {:.2}", get("FT").speedup);
-    let ep = get("EP").speedup;
+    let rows = two_systems(&kernels, VS_CACHE).unwrap();
+    let get = |n: &str| speedup(&rows.iter().find(|(k, _)| k.name == n).unwrap().1);
+    assert!(get("MG") > 1.2, "MG: {:.2}", get("MG"));
+    assert!(get("FT") > 1.1, "FT: {:.2}", get("FT"));
+    let ep = get("EP");
     assert!((0.8..1.25).contains(&ep), "EP must be near parity: {ep:.2}");
 }
 
 #[test]
 fn fig10_hybrid_saves_energy_on_stream_kernels() {
     let kernels = vec![nas::ft(Scale::Test), nas::mg(Scale::Test)];
-    for r in compare_systems(&kernels).unwrap() {
+    for (k, r) in two_systems(&kernels, VS_CACHE).unwrap() {
         assert!(
-            r.energy_norm < 0.95,
+            energy_ratio(&r) < 0.95,
             "{}: hybrid must save energy, got {:.3}",
-            r.name,
-            r.energy_norm
+            k.name,
+            energy_ratio(&r)
         );
         // The LM itself must be a small fraction of total energy (paper:
         // <5%).
-        let lm_share = r.hybrid.energy.lm / r.hybrid.energy_total();
-        assert!(lm_share < 0.10, "{}: LM share {:.3}", r.name, lm_share);
+        let [hybrid, _] = &r;
+        let lm_share = hybrid.energy.lm / hybrid.energy_total();
+        assert!(lm_share < 0.10, "{}: LM share {:.3}", k.name, lm_share);
     }
 }
 
 #[test]
 fn table3_activity_shifts_from_caches_to_lm() {
     let kernels = vec![nas::mg(Scale::Test)];
-    let r = &compare_systems(&kernels).unwrap()[0];
+    let rows = two_systems(&kernels, VS_CACHE).unwrap();
+    let [hybrid, cache] = &rows[0].1;
     // The hybrid system must serve most traffic from the LM and touch the
     // caches less than the cache-based system does.
-    assert!(r.hybrid.lm_accesses > 0);
+    assert!(hybrid.lm_accesses > 0);
     assert!(
-        r.hybrid.l1_accesses < r.cache.l1_accesses,
+        hybrid.l1_accesses < cache.l1_accesses,
         "L1 activity must drop: {} vs {}",
-        r.hybrid.l1_accesses,
-        r.cache.l1_accesses
+        hybrid.l1_accesses,
+        cache.l1_accesses
     );
-    assert!(r.hybrid.amat < r.cache.amat, "AMAT must improve");
-}
-
-#[test]
-fn geomean_helper() {
-    let g = hsim::geomean([2.0, 8.0].into_iter());
-    assert!((g - 4.0).abs() < 1e-12);
-    assert_eq!(hsim::geomean(std::iter::empty()), 1.0);
+    assert!(hybrid.amat < cache.amat, "AMAT must improve");
 }
 
 #[test]
@@ -166,23 +171,23 @@ fn scaling_sweep_produces_rising_sublinear_curves() {
     // cores but stays sublinear (shared backside), and the 1-core point
     // is exactly 1.0 by construction — under every inter-core protocol.
     for cm in CoherenceMode::ALL {
-        let rows = scaling_sweep(&[nas::cg(Scale::Test)], &[1, 2, 4], &hybrid(cm)).unwrap();
+        let cg = [nas::cg(Scale::Test)];
+        let rows = scaling_points(&cg, &[1, 2, 4], &hybrid(cm)).unwrap();
         assert_eq!(rows.len(), 3);
-        assert!((rows[0].speedup - 1.0).abs() < 1e-12, "1-core speedup is 1");
-        for w in rows.windows(2) {
+        let s: Vec<f64> = rows.iter().map(scaling_speedup).collect();
+        assert!((s[0] - 1.0).abs() < 1e-12, "1-core speedup is 1");
+        for w in s.windows(2) {
             assert!(
-                w[1].speedup > w[0].speedup,
+                w[1] > w[0],
                 "{cm:?}: speedup must rise: {:.2} -> {:.2}",
-                w[0].speedup,
-                w[1].speedup
+                w[0],
+                w[1]
             );
         }
-        for r in &rows {
+        for (((_, cores), _), s) in rows.iter().zip(&s) {
             assert!(
-                r.speedup <= r.cores as f64,
-                "{cm:?} x{}: sublinear expected, got {:.2}",
-                r.cores,
-                r.speedup
+                *s <= *cores as f64,
+                "{cm:?} x{cores}: sublinear expected, got {s:.2}"
             );
         }
     }
@@ -196,18 +201,26 @@ fn hetero_sweep_covers_the_shapes() {
     // inter-core protocol.
     let kernels = [nas::cg(Scale::Test)];
     for cm in CoherenceMode::ALL {
-        let rows = hetero_sweep(&kernels, 2, cm).unwrap();
-        let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
+        let shapes = hetero_shapes(2, cm);
+        let rows = hetero_points(&kernels, &shapes).unwrap();
+        let labels: Vec<&str> = rows.iter().map(|((_, (l, ..)), _)| l.as_str()).collect();
         assert_eq!(
             labels,
             ["2H+0C", "1H+1C", "0H+2C", "2H lm/4x1", "1H+1C w2:1"],
             "{cm:?}: CG must shard to every 2-core shape"
         );
-        let by = |l: &str| rows.iter().find(|r| r.label == l).unwrap();
-        assert_eq!(by("2H+0C").hybrid_tiles, 2);
-        assert_eq!(by("0H+2C").hybrid_tiles, 0);
-        assert_eq!(by("2H lm/4x1").small_lm_tiles, 1);
-        assert_eq!(by("1H+1C w2:1").weights, vec![2, 1]);
+        let shape = |l: &str| shapes.iter().find(|(label, ..)| label == l).unwrap();
+        assert_eq!(hybrid_tiles(&shape("2H+0C").1), 2);
+        assert_eq!(hybrid_tiles(&shape("0H+2C").1), 0);
+        assert_eq!(small_lm_tiles(&shape("2H lm/4x1").1), 1);
+        assert_eq!(shape("1H+1C w2:1").2, vec![2, 1]);
+        let by = |l: &str| {
+            &rows
+                .iter()
+                .find(|((_, (label, ..)), _)| label == l)
+                .unwrap()
+                .1
+        };
 
         // The all-hybrid shape anchors to the homogeneous machine
         // exactly.
@@ -218,17 +231,14 @@ fn hetero_sweep_covers_the_shapes() {
             .run()
             .map(RunOutcome::into_multi)
             .unwrap();
-        assert_eq!(by("2H+0C").report.makespan, homo.makespan, "{cm:?}");
+        assert_eq!(by("2H+0C").makespan, homo.makespan, "{cm:?}");
         assert_eq!(
-            by("2H+0C").report.total(|c| c.committed),
+            by("2H+0C").total(|c| c.committed),
             homo.total(|c| c.committed),
             "{cm:?}"
         );
         // Mixing in the cache tile costs cycles on CG.
-        assert!(
-            by("1H+1C").report.makespan > by("2H+0C").report.makespan,
-            "{cm:?}"
-        );
+        assert!(by("1H+1C").makespan > by("2H+0C").makespan, "{cm:?}");
     }
 }
 

@@ -15,12 +15,12 @@
 //! 4. **Deterministic** — equal seeds replay equal fault sequences,
 //!    regardless of host threading (clustered runs included).
 //!
-//! Plus the degradation contracts of clustered runs: an injected
-//! cluster-thread panic, or a cluster that exhausts its cycle budget,
+//! Plus the degradation contracts of clustered runs: a panic inside one
+//! cluster's driver, or a cluster that exhausts its cycle budget,
 //! fails only that cluster with a structured [`ClusterFailure`]
 //! carrying the surviving clusters' reports.
 
-use hsim::cluster::{ClusterConfig, ClusterTopology};
+use hsim::cluster::{run_clusters, ClusterConfig, ClusterTopology};
 use hsim::compiler::compile;
 use hsim::core::SimError;
 use hsim::experiments::MultiRunError;
@@ -353,43 +353,53 @@ fn saturated_fault_rate_recovers_and_escalates_without_hanging() {
     );
 }
 
-/// The acceptance test for host-level degradation: a cluster-thread
-/// panic injected before its run terminates the run with a structured
-/// [`ClusterFailure::Panic`] naming the cluster, and the surviving
-/// cluster's completed report rides along. The serial
-/// oracle fails identically (ClusterError equality is failure-based).
+/// The acceptance test for host-level degradation: a panic inside one
+/// cluster's driver — here cluster 0's shard compiled for the
+/// cache-based machine, which trips the machine's codegen-mode assert
+/// while that cluster builds its hybrid tile — terminates the run with a
+/// structured [`ClusterFailure::Panic`] naming the cluster, and the
+/// surviving cluster's completed report rides along. The serial oracle
+/// fails identically (ClusterError equality is failure-based).
 #[test]
 fn injected_cluster_panic_degrades_gracefully() {
     let kernel = nas::all_nas(Scale::Test)
         .into_iter()
         .find(|k| k.shard(2).is_ok())
         .expect("some NAS kernel shards 2 ways");
+    let shards = kernel.shard(2).unwrap();
+    let topo = ClusterTopology::new(2, 1);
     for cm in CoherenceMode::ALL {
-        let topo = ClusterTopology::new(2, 1);
+        let cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
+        let lanes: Vec<Vec<_>> = shards
+            .iter()
+            .enumerate()
+            .map(|(c, shard)| {
+                let mode = if c == 0 {
+                    CodegenMode::CacheBased
+                } else {
+                    cfg.mode.codegen()
+                };
+                vec![(compile(shard, mode), shard.clone())]
+            })
+            .collect();
         let mut errors = Vec::new();
         for serial in [false, true] {
             let mut cluster = ClusterConfig::new(topo);
-            cluster.inject_panic = Some(0);
             if serial {
                 cluster = cluster.serial();
             }
-            let cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
-            let err = RunSpec::new(&kernel)
-                .clustered(&cluster)
-                .config(cfg)
-                .run()
-                .map(RunOutcome::into_clusters)
+            let e = run_clusters(&cfg, &cluster, &lanes, 0)
                 .expect_err("a panicking cluster must fail the run");
-            let MultiRunError::Cluster(e) = err else {
-                panic!("expected a structured cluster error, got {err}");
-            };
-            assert_eq!(e.failures.len(), 1, "exactly the injected cluster fails");
+            assert_eq!(e.failures.len(), 1, "exactly the panicking cluster fails");
             let (c, cause) = &e.failures[0];
-            assert_eq!(*c, 0, "the injected cluster is named");
+            assert_eq!(*c, 0, "the panicking cluster is named");
             let ClusterFailure::Panic(msg) = cause else {
                 panic!("expected a contained panic, got {cause}");
             };
-            assert!(msg.contains("injected"), "panic payload survives: {msg}");
+            assert!(
+                msg.contains("machine mode must match the kernel's codegen mode"),
+                "panic payload survives: {msg}"
+            );
             assert_eq!(e.completed.len(), 1, "the surviving cluster completed");
             let (survivor, report) = &e.completed[0];
             assert_eq!(*survivor, 1);

@@ -11,6 +11,7 @@
 
 use hsim::compiler::compile;
 use hsim::prelude::*;
+use hsim_bench::sweeps::{coherence_view, protocol_points};
 use hsim_workloads::nas;
 
 /// Shards `kernel`, runs it on an `n`-core machine built from `cfg`,
@@ -247,19 +248,19 @@ fn diverged_shard_layouts_fall_back_to_replication() {
 #[test]
 fn coherence_sweep_driver_reports_the_cg_win() {
     let cg = [nas::cg(Scale::Test)];
-    let proto = protocol_sweep(&cg, &[1, 4], SysMode::HybridCoherent).expect("sweep");
-    let rows = coherence_rows(&cg, &proto);
+    let proto = protocol_points(&cg, &[1, 4], SysMode::HybridCoherent).expect("sweep");
+    let rows = coherence_view(&proto);
     assert_eq!(rows.len(), 2);
-    let one = &rows[0];
-    assert_eq!(one.cores, 1);
+    let ((_, cores), [replicate, mesi]) = &rows[0];
+    assert_eq!(*cores, 1);
     assert_eq!(
-        one.replicate.makespan, one.mesi.makespan,
+        replicate.makespan, mesi.makespan,
         "a lone core has nothing to share"
     );
     let reads = |m: &MultiRunReport| m.total(|c| c.dram_reads);
-    assert_eq!(reads(&one.replicate), reads(&one.mesi));
-    let four = &rows[1];
-    assert_eq!(four.cores, 4);
-    assert!(reads(&four.mesi) < reads(&four.replicate));
-    assert!(four.mesi.total(|c| c.coh_shared_hits) > 0);
+    assert_eq!(reads(replicate), reads(mesi));
+    let ((_, cores), [replicate, mesi]) = &rows[1];
+    assert_eq!(*cores, 4);
+    assert!(reads(mesi) < reads(replicate));
+    assert!(mesi.total(|c| c.coh_shared_hits) > 0);
 }

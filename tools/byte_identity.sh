@@ -2,9 +2,8 @@
 # The byte-identity gate for refactors: every `hsim-bench <name> --smoke`
 # stdout and every BENCH_<name>.json must be identical between
 # <parent-rev> and the working tree, under `--coherence replicate` and
-# `--coherence mesi`. A parent that predates the flag runs each leg under
-# HSIM_COHERENCE=<leg> instead. The outputs hold only simulated numbers,
-# so they compare raw.
+# `--coherence mesi`. The outputs hold only simulated numbers, so they
+# compare raw.
 #
 #   tools/byte_identity.sh <parent-rev>
 #
@@ -32,31 +31,21 @@ build "$root" "$work/target-change"
 
 parent_bin=$work/target-parent/release/hsim-bench
 change_bin=$work/target-change/release/hsim-bench
-unset HSIM_COHERENCE
-parent_has_flag=false
-if "$parent_bin" table1 --coherence replicate >/dev/null 2>&1; then
-    parent_has_flag=true
-fi
-
-run_tree() { # <hsim-bench binary> <output dir> <leg> <pass the flag?>
+run_tree() { # <hsim-bench binary> <output dir> <leg>
     mkdir -p "$2"
     (
         cd "$2"
         for name in $NAMES; do
-            if [ "$4" = true ]; then
-                "$1" "$name" --smoke --coherence "$3" >"$name.out"
-            else
-                HSIM_COHERENCE=$3 "$1" "$name" --smoke >"$name.out"
-            fi
+            "$1" "$name" --smoke --coherence "$3" >"$name.out"
         done
     )
 }
 
 status=0
 for leg in replicate mesi; do
-    run_tree "$parent_bin" "$work/out/$leg/parent" "$leg" "$parent_has_flag" &
+    run_tree "$parent_bin" "$work/out/$leg/parent" "$leg" &
     parent_job=$!
-    run_tree "$change_bin" "$work/out/$leg/change" "$leg" true
+    run_tree "$change_bin" "$work/out/$leg/change" "$leg"
     wait "$parent_job"
     if diff -r "$work/out/$leg/parent" "$work/out/$leg/change"; then
         echo "byte-identity: --coherence $leg identical ($(ls "$work/out/$leg/change" | wc -l) files)"
