@@ -19,7 +19,7 @@
 //! | `ablate` | design-choice ablations (store collapsing, directory latency, prefetcher table, DMA pipelining) |
 //! | `backside` | DRAM row-hit rate and L3 bank contention per kernel × core count (`BENCH_backside.json`) |
 //! | `scaling` | speedup-vs-cores curves per kernel with bus-wait breakdowns (`BENCH_scaling.json`) |
-//! | `coherence` | `Replicate` vs `Mesi` side by side, then the protocol family — DRAM traffic, shared hits, invalidations, interventions, replication fallbacks (`BENCH_coherence.json`) |
+//! | `coherence` | the private-tables baseline vs `Mesi` side by side, then the protocol family — DRAM traffic, shared hits, invalidations, interventions, replication fallbacks (`BENCH_coherence.json`) |
 //! | `hetero` | mixed hybrid/cache-based chips: tile ratios, LM-size asymmetry and weighted shards, with interpolation/identity assertions (`BENCH_hetero.json`) |
 //! | `clusters` | hierarchical clusters: channels × clusters × cores, threaded runs asserted bit-identical to the serial oracle, cross-cluster replication fallbacks counted (`BENCH_clusters.json`) |
 //! | `faults` | fault rate × kernel makespan-degradation curves with recovery counters, every point replayed same-seed and asserted bit-identical (`BENCH_faults.json`) |
@@ -31,9 +31,9 @@
 //! shrinks a sweep to its CI guard grid (the paper tables and figures
 //! have no smaller grid and ignore it). `--coherence <mode>` selects the
 //! inter-core protocol of every machine a run builds without naming one
-//! (`replicate`, the default, or `msi`, `mesi`, `moesi`, `mesif`; CI
-//! runs the smoke grid once per mode); the protocol sweeps still visit
-//! every mode. Nothing is read from the environment. Host speed is
+//! (`msi`, `mesi` — the default — `moesi` or `mesif`; CI runs the smoke
+//! grid once per protocol); the protocol sweeps still visit every
+//! protocol. Nothing is read from the environment. Host speed is
 //! measured by the repository benchmark (`benchmark/`), not here.
 //!
 //! Layout: every table, figure and sweep has one home, which builds its
@@ -63,7 +63,7 @@ pub struct Flags {
     pub test_scale: bool,
     /// `--coherence <mode>`: the inter-core protocol of the machines a
     /// run builds ([`Flags::config`]).
-    pub coherence: CoherenceMode,
+    pub coherence: CoherenceProtocol,
 }
 
 impl Flags {
@@ -108,6 +108,20 @@ impl Flags {
         }
         kernels
     }
+}
+
+/// The private-tables baseline of a sharded run: `shards` with every
+/// [`ArrayDecl::shared`](hsim_compiler::ArrayDecl::shared) mark cleared,
+/// so the machine registers none of the sharder's read-only tables with
+/// the directory and each core caches private lines of them.
+/// Communication arrays stay shared. Run through [`RunSpec::many`], it
+/// is the reference the protocol sweeps and tests measure sharing
+/// against; on NAS shards it reports the same under every protocol.
+pub fn private_tables(mut shards: Vec<Kernel>) -> Vec<Kernel> {
+    for decl in shards.iter_mut().flat_map(|k| &mut k.arrays) {
+        decl.shared = false;
+    }
+    shards
 }
 
 /// `x / by` with `by` clamped to 1: every derived ratio a table prints
@@ -194,7 +208,7 @@ pub fn parse_args(args: &[String]) -> Result<(Run, Flags), String> {
     let commands = commands();
     let usage = || {
         let names: Vec<&str> = commands.iter().map(|(n, _)| *n).collect();
-        let modes = CoherenceMode::ALL.map(CoherenceMode::name);
+        let modes = CoherenceProtocol::ALL.map(CoherenceProtocol::name);
         format!(
             "usage: hsim-bench <name> [--smoke|--test-scale] [--coherence <mode>]\n\
              names: {}\nmodes: {}",
@@ -211,7 +225,7 @@ pub fn parse_args(args: &[String]) -> Result<(Run, Flags), String> {
             "--test-scale" => flags.test_scale = true,
             "--coherence" => {
                 let name = args.next().map_or("", String::as_str);
-                flags.coherence = CoherenceMode::parse(name)
+                flags.coherence = CoherenceProtocol::parse(name)
                     .map_err(|e| format!("--coherence: {e}\n{}", usage()))?;
             }
             name => match (commands.iter().find(|(n, _)| *n == name), run) {

@@ -53,13 +53,13 @@ pub fn mixed_chip_interpolates(what: &str, mixed: u64, all_hybrid: u64, all_cach
 /// are legitimate on read-mostly tables: the orderings are non-strict.
 /// Returns the `[msi, mesi, moesi, mesif]` rows of the point.
 pub fn protocol_family_ordering<'p, 'k>(point: &'p [ProtocolRow<'k>]) -> [&'p ProtocolRow<'k>; 4] {
-    let row = |cm: CoherenceMode| {
+    let row = |cm: CoherenceProtocol| {
         point
             .iter()
-            .find(|((.., m), _)| *m == cm)
+            .find(|((.., m), _)| *m == Some(cm))
             .unwrap_or_else(|| panic!("every point runs under {}", cm.name()))
     };
-    use CoherenceMode::{Mesi, Mesif, Moesi, Msi};
+    use CoherenceProtocol::{Mesi, Mesif, Moesi, Msi};
     let (msi, mesi, moesi, mesif) = (row(Msi), row(Mesi), row(Moesi), row(Mesif));
     let ((kernel, cores, _), _) = mesi;
     let what = format!("{} x{cores}", kernel.name);
@@ -91,7 +91,7 @@ pub fn protocol_family_ordering<'p, 'k>(point: &'p [ProtocolRow<'k>]) -> [&'p Pr
 /// `[pingpong hybrid, pingpong cache, queue msi, queue moesi, queue
 /// mesif]` rows.
 pub fn comm_orderings(rows: &[CommRow], cores: usize) -> [&CommRow; 5] {
-    let find = |workload: &str, mode: SysMode, proto: Option<CoherenceMode>| {
+    let find = |workload: &str, mode: SysMode, proto: Option<CoherenceProtocol>| {
         rows.iter()
             .find(|((w, c, m, cm), _)| {
                 (*w, *c, *m) == (workload, cores, mode) && (proto.is_none() || proto == Some(*cm))
@@ -108,7 +108,7 @@ pub fn comm_orderings(rows: &[CommRow], cores: usize) -> [&CommRow; 5] {
         round_cycles(cache)
     );
     let q = |proto| find("queue", SysMode::CacheBased, Some(proto));
-    use CoherenceMode::{Mesif, Moesi, Msi};
+    use CoherenceProtocol::{Mesif, Moesi, Msi};
     let (msi, moesi, mesif) = (q(Msi), q(Moesi), q(Mesif));
     let msi_reads = dram_reads(&msi.1 .0);
     for ((.., cm), (report, _)) in [moesi, mesif] {
@@ -300,8 +300,8 @@ pub fn figshapes(flags: Flags) {
     );
 
     // ------------------------------------------------- protocol family
-    // CG x4 under every directory protocol; no protocol may change
-    // committed work (`protocol_points` asserts it for every row).
+    // CG x4 with private tables and under every protocol; no run may
+    // change committed work (`protocol_points` asserts it for every row).
     let proto = protocol_points(std::slice::from_ref(&cg), &[4], SysMode::HybridCoherent)
         .expect("protocol sweep");
     let [msi, mesi, moesi, mesif] = protocol_family_ordering(&proto);

@@ -1,23 +1,32 @@
-//! `coherence`: `Replicate` vs `Mesi` side by side, then the whole
-//! protocol family, on the same sharded kernels.
+//! `coherence`: the private-tables baseline vs `Mesi` side by side,
+//! then the whole protocol family, on the same sharded kernels.
 
 use crate::shapes::protocol_family_ordering;
-use crate::{grid, jstr, print_table, sweep, Col, Flags, SweepJson, Val};
+use crate::{grid, jstr, print_table, private_tables, sweep, Col, Flags, SweepJson, Val};
 use hsim::cluster::cross_cluster_fallbacks;
 use hsim::prelude::*;
 
 /// A protocol-family point: `(kernel, cores, protocol)` and its run.
-pub type ProtocolRow<'k> = ((&'k Kernel, usize, CoherenceMode), MultiRunReport);
+/// Protocol `None` is the point's [`private_tables`] baseline.
+pub type ProtocolRow<'k> = (
+    (&'k Kernel, usize, Option<CoherenceProtocol>),
+    MultiRunReport,
+);
 
-/// A `Replicate`-vs-`Mesi` row: `(kernel, cores)` and its `[replicate,
+/// The rows [`protocol_points`] keeps per point: the private-tables
+/// baseline, then every protocol.
+const ROWS_PER_POINT: usize = 1 + CoherenceProtocol::ALL.len();
+
+/// A private-tables-vs-`Mesi` row: `(kernel, cores)` and its `[private,
 /// mesi]` runs. The `Mesi` run commits exactly the instructions of the
-/// `Replicate` one — the modes may only change timing.
+/// private one — sharing may only change timing.
 pub type CoherenceRow<'k> = ((&'k Kernel, usize), [MultiRunReport; 2]);
 
-/// Runs every kernel × core-count point on `mode` machines under every
-/// [`CoherenceMode`] in turn (one job per point, one row per mode, in
-/// [`CoherenceMode::ALL`] order) and asserts that no protocol changes
-/// the committed-instruction count. Points a kernel cannot shard to are
+/// Runs every kernel × core-count point on `mode` machines, first as
+/// its [`private_tables`] baseline and then under every
+/// [`CoherenceProtocol`] in turn (one job per point, one row per run in
+/// that order), and asserts that no run changes the
+/// committed-instruction count. Points a kernel cannot shard to are
 /// skipped.
 pub fn protocol_points<'k>(
     kernels: &'k [Kernel],
@@ -27,24 +36,28 @@ pub fn protocol_points<'k>(
     let points = sweep(
         grid(kernels, core_counts.iter().copied()),
         |&(kernel, cores)| {
-            let mut runs: Vec<ProtocolRow> = Vec::new();
-            for cm in CoherenceMode::ALL {
-                let cfg = MachineConfig::for_mode(mode).with_coherence(cm);
-                let spec = RunSpec::new(kernel).cores(cores).config(cfg);
-                let Some(out) = MultiRunError::skip_unshardable(spec.run())? else {
-                    return Ok(None);
-                };
-                let report = out.into_multi();
-                if let Some((_, first)) = runs.first() {
-                    assert_eq!(
-                        first.total(|c| c.committed),
-                        report.total(|c| c.committed),
-                        "{} x{cores}: {} changed committed work",
-                        kernel.name,
-                        cm.name()
-                    );
-                }
-                runs.push(((kernel, cores, cm), report));
+            let shards = kernel.shard(cores).map_err(MultiRunError::from);
+            let Some(shards) = MultiRunError::skip_unshardable(shards)? else {
+                return Ok(None);
+            };
+            let cfg = MachineConfig::for_mode(mode);
+            let private = RunSpec::many(&private_tables(shards.clone()))
+                .config(cfg.clone())
+                .run()?
+                .into_multi();
+            let committed = private.total(|c| c.committed);
+            let mut runs: Vec<ProtocolRow> = vec![((kernel, cores, None), private)];
+            for cm in CoherenceProtocol::ALL {
+                let spec = RunSpec::many(&shards).config(cfg.clone().with_coherence(cm));
+                let report = spec.run()?.into_multi();
+                assert_eq!(
+                    committed,
+                    report.total(|c| c.committed),
+                    "{} x{cores}: {} changed committed work",
+                    kernel.name,
+                    cm.name()
+                );
+                runs.push(((kernel, cores, Some(cm)), report));
             }
             Ok(Some(runs))
         },
@@ -52,19 +65,19 @@ pub fn protocol_points<'k>(
     Ok(points.into_iter().flat_map(|(_, runs)| runs).collect())
 }
 
-/// The `Replicate`-vs-`Mesi` view of [`protocol_points`]' rows: one row
-/// per point, so every point is simulated once whichever table reports
-/// it.
+/// The private-tables-vs-`Mesi` view of [`protocol_points`]' rows: one
+/// row per point, so every point is simulated once whichever table
+/// reports it.
 pub fn coherence_view<'k>(proto: &[ProtocolRow<'k>]) -> Vec<CoherenceRow<'k>> {
     proto
-        .chunks(CoherenceMode::ALL.len())
+        .chunks(ROWS_PER_POINT)
         .map(|point| {
             let run = |cm| {
                 let row = point.iter().find(|((.., m), _)| *m == cm);
-                row.expect("every mode ran").1.clone()
+                row.expect("every run of the point is kept").1.clone()
             };
             let (kernel, cores, _) = point[0].0;
-            let runs = [run(CoherenceMode::Replicate), run(CoherenceMode::Mesi)];
+            let runs = [run(None), run(Some(CoherenceProtocol::Mesi))];
             ((kernel, cores), runs)
         })
         .collect()
@@ -79,28 +92,27 @@ fn cluster_fallbacks(((kernel, _), _): &CoherenceRow) -> u64 {
     cross_cluster_fallbacks(kernel, 2)
 }
 
-/// Columns of the `coherence` sweep's Replicate-vs-Mesi table.
+/// Columns of the `coherence` sweep's private-tables-vs-Mesi table.
 pub fn coherence_cols<'k>() -> Vec<Col<CoherenceRow<'k>>> {
     type C<'k> = Col<CoherenceRow<'k>>;
-    let replicate =
-        |header, width, key, counter| C::total(header, width, key, |r| &r.1[0], counter);
+    let private = |header, width, key, counter| C::total(header, width, key, |r| &r.1[0], counter);
     let mesi = |header, width, key, counter| C::total(header, width, key, |r| &r.1[1], counter);
     vec![
         C::both("kernel", 6, "kernel", |((k, _), _)| (&k.name).into()),
         C::both("cores", 5, "cores", |((_, cores), _)| (*cores).into()),
-        C::both("mk.rep", 10, "makespan_replicate", |(_, [rep, _])| {
-            rep.makespan.into()
+        C::both("mk.priv", 10, "makespan_private", |(_, [private, _])| {
+            private.makespan.into()
         }),
         C::both("mk.mesi", 10, "makespan_mesi", |(_, [_, mesi])| {
             mesi.makespan.into()
         }),
-        replicate("dramR.rep", 9, "dram_reads_replicate", |c| c.dram_reads),
-        mesi("dramR.mesi", 9, "dram_reads_mesi", |c| c.dram_reads),
+        private("dramR.priv", 10, "dram_reads_private", |c| c.dram_reads),
+        mesi("dramR.mesi", 10, "dram_reads_mesi", |c| c.dram_reads),
         mesi("shrhits", 9, "shared_hits", |c| c.coh_shared_hits),
         mesi("invals", 8, "invalidations", |c| c.coh_invalidations),
         mesi("intervs", 8, "interventions", |c| c.coh_interventions),
-        C::json("committed", |(_, [rep, _])| {
-            rep.total(|c| c.committed).into()
+        C::json("committed", |(_, [private, _])| {
+            private.total(|c| c.committed).into()
         }),
         C::both("replfall", 8, "replication_fallbacks", |(_, [_, mesi])| {
             mesi.replication_fallbacks.into()
@@ -118,7 +130,9 @@ pub fn protocol_cols<'k>() -> Vec<Col<ProtocolRow<'k>>> {
     vec![
         C::both("kernel", 6, "kernel", |((k, ..), _)| (&k.name).into()),
         C::both("cores", 5, "cores", |((_, cores, _), _)| (*cores).into()),
-        C::both("proto", 9, "protocol", |((.., cm), _)| Val::text(cm.name())),
+        C::both("proto", 9, "protocol", |((.., cm), _)| {
+            Val::text(cm.map_or("private", CoherenceProtocol::name))
+        }),
         C::both("makespan", 10, "makespan", |(_, r)| r.makespan.into()),
         total("dramR", 9, "dram_reads", |c| c.dram_reads),
         total("shrhits", 9, "shared_hits", |c| c.coh_shared_hits),
@@ -128,27 +142,28 @@ pub fn protocol_cols<'k>() -> Vec<Col<ProtocolRow<'k>>> {
     ]
 }
 
-/// Coherence comparison: `Replicate` (per-core private replicas of
-/// every cacheable line) vs the directory protocol family
-/// (`Msi`/`Mesi`/`Moesi`/`Mesif`, serving the sharder's
-/// replicated-whole tables from shared, directory-tracked lines at the
-/// L3 banks) on the same sharded kernels. The headline is DRAM read
-/// traffic: under a directory protocol a shared table is fetched once
-/// per chip instead of once per core. The grid always includes CG at 4
-/// cores, whose gathered `x` table is the acceptance case.
+/// Coherence comparison: the private-tables baseline (the same shards
+/// with their `shared` marks cleared, so every core caches private
+/// lines of the sharder's replicated-whole tables) vs the directory
+/// protocol family (`Msi`/`Mesi`/`Moesi`/`Mesif`, serving those tables
+/// from shared, directory-tracked lines at the L3 banks) on the same
+/// sharded kernels. The headline is DRAM read traffic: a shared table
+/// is fetched once per chip instead of once per core. The grid always
+/// includes CG at 4 cores, whose gathered `x` table is the acceptance
+/// case.
 pub fn coherence(flags: Flags) {
     let scale = flags.sweep_scale();
     // Smoke: CG plus one double-store kernel.
     let kernels = flags.sweep_kernels(&["CG", "IS"]);
     let core_counts: &[usize] = flags.pick(&[1, 2, 4], &[1, 2, 4, 8]);
 
-    // One simulation per point and mode; the Replicate-vs-Mesi table is
-    // a view of the protocol rows.
+    // One simulation per point and run; the private-vs-Mesi table is a
+    // view of the protocol rows.
     let proto_rows = protocol_points(&kernels, core_counts, SysMode::HybridCoherent)
         .expect("protocol sweep failed");
     let rows = coherence_view(&proto_rows);
 
-    println!("COHERENCE: Replicate vs Mesi on the shared backside ({scale:?} scale)");
+    println!("COHERENCE: private tables vs Mesi on the shared backside ({scale:?} scale)");
     println!("(hybrid-coherent machine; dramR = total DRAM line reads)");
     println!();
     print_table(&coherence_cols(), &rows);
@@ -176,29 +191,29 @@ pub fn coherence(flags: Flags) {
     }
 
     // The acceptance shape: sharded CG at 4 cores must read less DRAM
-    // under Mesi than under Replicate (the gathered x table is fetched
-    // once per chip, not once per core).
+    // under Mesi than with private tables (the gathered x table is
+    // fetched once per chip, not once per core).
     let cg4 = rows
         .iter()
         .find(|((k, cores), _)| k.name == "CG" && *cores == 4);
-    if let Some((_, [replicate, mesi])) = cg4 {
-        let reads_replicate = replicate.total(|c| c.dram_reads);
+    if let Some((_, [private, mesi])) = cg4 {
+        let reads_private = private.total(|c| c.dram_reads);
         let reads_mesi = mesi.total(|c| c.dram_reads);
         let shared_hits = mesi.total(|c| c.coh_shared_hits);
         println!(
-            "CG x4 DRAM reads: {reads_replicate} (Replicate) vs {reads_mesi} (Mesi), \
+            "CG x4 DRAM reads: {reads_private} (private tables) vs {reads_mesi} (Mesi), \
              {shared_hits} shared hits"
         );
         assert!(
-            reads_mesi < reads_replicate,
-            "CG x4 must read less DRAM under Mesi ({reads_mesi} vs {reads_replicate})"
+            reads_mesi < reads_private,
+            "CG x4 must read less DRAM under Mesi ({reads_mesi} vs {reads_private})"
         );
         assert!(shared_hits > 0, "CG x4 must score shared hits");
     }
-    // Single-core points must be mode-invariant (nothing is shared).
-    for ((k, _), [replicate, mesi]) in rows.iter().filter(|((_, cores), _)| *cores == 1) {
+    // Single-core points must be invariant (nothing is shared).
+    for ((k, _), [private, mesi]) in rows.iter().filter(|((_, cores), _)| *cores == 1) {
         assert_eq!(
-            replicate.makespan, mesi.makespan,
+            private.makespan, mesi.makespan,
             "{}: a lone core has nothing to share",
             k.name
         );
@@ -212,8 +227,8 @@ pub fn coherence(flags: Flags) {
     print_table(&protocol_cols(), &proto_rows);
     println!();
 
-    // Every point contributes one row per coherence mode, contiguously.
-    for point in proto_rows.chunks(CoherenceMode::ALL.len()) {
+    // Every point contributes its rows contiguously.
+    for point in proto_rows.chunks(ROWS_PER_POINT) {
         if point[0].0 .1 > 1 {
             protocol_family_ordering(point);
         }

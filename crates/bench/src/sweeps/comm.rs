@@ -11,7 +11,7 @@ use hsim_workloads::comm as commw;
 /// run with the workload's modeled hand-offs per core (pair workloads
 /// use `cores/2` pairs).
 pub type CommRow = (
-    (&'static str, usize, SysMode, CoherenceMode),
+    (&'static str, usize, SysMode, CoherenceProtocol),
     (MultiRunReport, u64),
 );
 
@@ -30,7 +30,7 @@ pub fn round_cycles((_, (report, rounds)): &CommRow) -> f64 {
 pub fn comm_points(
     scale: Scale,
     core_counts: &[usize],
-    cm: CoherenceMode,
+    cm: CoherenceProtocol,
 ) -> Result<Vec<CommRow>, MultiRunError> {
     let mut points = Vec::new();
     for &cores in core_counts {
@@ -39,7 +39,7 @@ pub fn comm_points(
                 points.push((name, cores, mode, cm));
             }
         }
-        for other in CoherenceMode::ALL {
+        for other in CoherenceProtocol::ALL {
             if other != cm {
                 points.push(("queue", cores, SysMode::CacheBased, other));
             }
@@ -65,7 +65,7 @@ pub fn comm_points(
 pub fn request_serving_points(
     scale: Scale,
     core_counts: &[usize],
-    cm: CoherenceMode,
+    cm: CoherenceProtocol,
     seed: u64,
     load_permille: u64,
 ) -> Result<Vec<RequestServingReport>, MultiRunError> {

@@ -22,7 +22,7 @@ pub type HeteroRow<'k> = ((&'k Kernel, &'k HeteroShape), MultiRunReport);
 /// from default configurations, so it reproduces the homogeneous
 /// sharded machine under `cm` bit for bit — the anchor the mixed shapes
 /// are compared against.
-pub fn hetero_shapes(cores: usize, cm: CoherenceMode) -> Vec<HeteroShape> {
+pub fn hetero_shapes(cores: usize, cm: CoherenceProtocol) -> Vec<HeteroShape> {
     let hybrid = || MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
     let cache = || MachineConfig::for_mode(SysMode::CacheBased).with_coherence(cm);
     let mixed = |h: usize| -> Vec<MachineConfig> {

@@ -46,9 +46,9 @@ fn every_subcommand_name_resolves() {
         assert!(flags.smoke && flags.test_scale);
     }
     // `--coherence` selects the protocol of every machine a run builds;
-    // the default is `Replicate`.
-    assert_eq!(Flags::default().coherence, CoherenceMode::Replicate);
-    for mode in CoherenceMode::ALL {
+    // the default is `Mesi`.
+    assert_eq!(Flags::default().coherence, CoherenceProtocol::Mesi);
+    for mode in CoherenceProtocol::ALL {
         let (_, flags) = parse_args(&args(&["scaling", "--coherence", mode.name()])).unwrap();
         assert_eq!(flags.coherence, mode);
         let cfg = flags.config(SysMode::CacheBased);
@@ -137,16 +137,17 @@ fn unknown_names_and_flags_are_usage_errors_listing_every_name() {
         &["--smoke"],
         &[],
         &["scaling", "--coherence", "nope"],
+        &["scaling", "--coherence", "replicate"],
         &["scaling", "--coherence"],
     ] {
         let usage = parse_args(&args(bad)).expect_err("must be rejected");
         for (name, _) in commands() {
             assert!(usage.contains(name), "{bad:?}: usage must list {name}");
         }
-        for mode in CoherenceMode::ALL {
-            let mode = mode.name();
-            assert!(usage.contains(mode), "{bad:?}: usage must list {mode}");
-        }
+        assert!(
+            usage.contains("\nmodes: msi mesi moesi mesif"),
+            "{bad:?}: usage must list the four protocols: {usage}"
+        );
     }
     // The binary turns the error into a non-zero exit with the usage on
     // stderr, and runs nothing.
@@ -255,10 +256,10 @@ fn every_table_renders_one_cell_per_header() {
     check(sweeps::coherence_cols(), ((&kernel, 2), multi_pair()), 11);
     check(
         sweeps::protocol_cols(),
-        ((&kernel, 2, CoherenceMode::Mesi), report.clone()),
+        ((&kernel, 2, Some(CoherenceProtocol::Mesi)), report.clone()),
         8,
     );
-    let shape = sweeps::hetero_shapes(2, CoherenceMode::Replicate).remove(0);
+    let shape = sweeps::hetero_shapes(2, CoherenceProtocol::Msi).remove(0);
     check(
         sweeps::hetero_cols(),
         ((&kernel, &shape), report.clone()),
@@ -269,7 +270,7 @@ fn every_table_renders_one_cell_per_header() {
     check(
         sweeps::comm_cols(),
         (
-            ("queue", 2, SysMode::HybridCoherent, CoherenceMode::Msi),
+            ("queue", 2, SysMode::HybridCoherent, CoherenceProtocol::Msi),
             (report, 1),
         ),
         11,

@@ -48,10 +48,10 @@ fn assert_rows<R>(file: &str, array: &str, first: usize, cols: &[Col<R>], rows: 
 }
 
 /// The artefacts were recorded under `hsim-bench`'s default
-/// `--coherence replicate`, so every driver here runs `Replicate`.
+/// `--coherence mesi`, so every driver here runs the default protocol.
 #[test]
 fn committed_artefacts_reproduce_their_cheapest_rows() {
-    let cm = CoherenceMode::Replicate;
+    let cm = CoherenceProtocol::default();
     let mode = SysMode::HybridCoherent;
     let cfg = MachineConfig::for_mode(mode).with_coherence(cm);
     let cg = [nas::cg(Scale::Test)];
@@ -138,10 +138,10 @@ fn committed_artefacts_reproduce_their_cheapest_rows() {
         &[((&cg[0], 0.2), [report.clone(), report])],
     );
 
-    // Every comm family and request serving on 2 cores: rows 0..12 and
+    // Every comm family and request serving on 2 cores: rows 0..11 and
     // 0..2.
     let rows = sweeps::comm_points(Scale::Test, &[2], cm).unwrap();
-    assert_eq!(rows.len(), 12);
+    assert_eq!(rows.len(), 11);
     assert_rows("BENCH_comm.json", "rows", 0, &sweeps::comm_cols(), &rows);
     let seed = meta("BENCH_comm.json", "seed").parse().unwrap();
     let load = meta("BENCH_comm.json", "load_permille").parse().unwrap();

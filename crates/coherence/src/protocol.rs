@@ -39,13 +39,17 @@
 
 use std::fmt;
 
-/// The inter-core protocol family member a directory runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// The inter-core protocol family member the shared backside's
+/// directory slices run — the protocol axis of a machine configuration
+/// (`MemConfig::coherence.mode` in `hsim-mem`). MESI by default.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum CoherenceProtocol {
     /// Three-state Modified/Shared/Invalid (no silent-upgrade Exclusive;
     /// dirty recalls re-read memory).
     Msi,
-    /// The PR 4 four-state protocol.
+    /// The PR 4 four-state protocol (a frozen golden of its 20
+    /// transitions pins the table).
+    #[default]
     Mesi,
     /// MESI plus an Owned state: dirty sharing via cache-to-cache
     /// transfer, write-backs deferred until the owner's copy is evicted.
@@ -64,6 +68,10 @@ impl CoherenceProtocol {
         CoherenceProtocol::Mesif,
     ];
 
+    /// [`CoherenceProtocol::ALL`] under the name the frozen `benchmark/`
+    /// package iterates; goes with the benchmark-unfreeze item.
+    pub const DIRECTORY: [CoherenceProtocol; 4] = Self::ALL;
+
     /// The lower-case knob / report name (`msi`, `mesi`, `moesi`,
     /// `mesif`).
     pub fn name(self) -> &'static str {
@@ -73,6 +81,21 @@ impl CoherenceProtocol {
             CoherenceProtocol::Moesi => "moesi",
             CoherenceProtocol::Mesif => "mesif",
         }
+    }
+
+    /// Parses a protocol name ([`CoherenceProtocol::name`]),
+    /// case-insensitively. Anything else is an `Err` listing the valid
+    /// names, so a typo cannot silently run another protocol.
+    pub fn parse(name: &str) -> Result<Self, String> {
+        Self::ALL
+            .into_iter()
+            .find(|p| name.eq_ignore_ascii_case(p.name()))
+            .ok_or_else(|| {
+                format!(
+                    "unknown coherence mode {name:?}: expected one of {}",
+                    Self::ALL.map(Self::name).join(", ")
+                )
+            })
     }
 }
 
@@ -751,6 +774,27 @@ mod tests {
     use super::*;
 
     const EVENTS: [LineEvent; 5] = [LocalRead, LocalWrite, RemoteRead, RemoteWrite, Evict];
+
+    #[test]
+    fn protocol_names_parse_and_typos_are_rejected() {
+        assert_eq!(CoherenceProtocol::default(), CoherenceProtocol::Mesi);
+        for p in CoherenceProtocol::ALL {
+            assert_eq!(CoherenceProtocol::parse(p.name()), Ok(p));
+            let upper = p.name().to_ascii_uppercase();
+            assert_eq!(CoherenceProtocol::parse(&upper), Ok(p));
+        }
+        assert_eq!(
+            CoherenceProtocol::parse("MeSiF"),
+            Ok(CoherenceProtocol::Mesif)
+        );
+        for typo in ["", "mseI ", "moesi2", "mesi ", " msi", "none", "replicate"] {
+            let err = CoherenceProtocol::parse(typo).expect_err(typo);
+            assert!(
+                err.contains(typo) && err.contains("msi, mesi, moesi, mesif"),
+                "{err}"
+            );
+        }
+    }
 
     /// Every guard context a row can be consulted under.
     fn every_ctx() -> impl Iterator<Item = GuardCtx> {

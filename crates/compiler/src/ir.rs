@@ -46,7 +46,7 @@ pub struct ArrayDecl {
     /// whole into every shard (gathered tables): each core's copy holds
     /// the same values at the same addresses, so a machine running the
     /// shards may serve the array from shared cache lines instead of
-    /// per-core replicas (`CoherenceMode::Mesi`). Written
+    /// per-core replicas (`CoherenceProtocol::Mesi`). Written
     /// replicated-whole arrays (scalar accumulators, scattered
     /// histograms) stay private — they are per-core state a
     /// parallelizing compiler would privatize. Always `false` on
@@ -344,7 +344,8 @@ impl Kernel {
     }
 }
 
-/// Why a kernel cannot be sharded across cores.
+/// Why a kernel cannot be sharded across cores, or its shards cannot be
+/// laid out on one machine.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShardError {
     /// The kernel has no loops to split.
@@ -385,6 +386,14 @@ pub enum ShardError {
     CommLayoutDiverged {
         /// The offending array's name.
         name: String,
+    },
+    /// More kernels than one machine has tiles for: the shared
+    /// backside's directory names its sharers in a `max`-bit set.
+    TooManyTiles {
+        /// Kernels (tiles) requested.
+        tiles: usize,
+        /// The most tiles one backside serves.
+        max: usize,
     },
 }
 
@@ -428,6 +437,9 @@ impl std::fmt::Display for ShardError {
                      pattern — declare identical array lists (same order and \
                      lengths) in every participating kernel"
                 )
+            }
+            ShardError::TooManyTiles { tiles, max } => {
+                write!(f, "{tiles} tiles exceed the {max}-bit directory sharer set")
             }
         }
     }
@@ -650,7 +662,7 @@ impl Kernel {
                     // at (layout permitting) the same addresses. When it
                     // is also read-only and there is more than one
                     // shard, mark it so the machine can serve it from
-                    // shared lines under `CoherenceMode::Mesi` instead
+                    // shared lines under `CoherenceProtocol::Mesi` instead
                     // of per-core replicas.
                     decl.shared = n > 1 && !written[id];
                     continue;

@@ -3,16 +3,16 @@
 //! The uncore knobs a machine configuration combines with [`CoreConfig`]
 //! are re-exported here for discoverability: [`L3Geometry`] (banking of
 //! the shared last-level cache), [`DramTiming`] (row-buffer timing of
-//! the memory channel), and [`CoherenceMode`]/[`CoherenceConfig`] (the
-//! inter-core coherence model of the shared backside —
-//! [`CoherenceMode::Replicate`] keeps per-core private replicas bit-for-
-//! bit as before; [`CoherenceMode::Mesi`] adds a directory slice per L3
-//! bank serving registered shared ranges from one copy). The DRAM
+//! the memory channel), and [`CoherenceProtocol`]/[`CoherenceConfig`] (the
+//! inter-core protocol of the shared backside: a directory slice per L3
+//! bank serves registered shared ranges from one copy under MSI, MESI —
+//! the default — MOESI or MESIF, while every other line stays private
+//! to its core). The DRAM
 //! defaults decompose the paper's flat 200-cycle DRAM latency
 //! (`t_rcd + t_cas`), so a cold access to a closed row costs exactly
 //! that.
 
-pub use hsim_mem::{CoherenceConfig, CoherenceMode, DramTiming, L3Geometry};
+pub use hsim_mem::{CoherenceConfig, CoherenceMode, CoherenceProtocol, DramTiming, L3Geometry};
 
 /// Configuration of the out-of-order core.
 #[derive(Clone, Debug)]

@@ -85,7 +85,7 @@ pub mod port;
 pub mod stats;
 
 pub use branch::{BranchPredictor, Btb, Ras};
-pub use config::{CoherenceConfig, CoherenceMode, CoreConfig, DramTiming, L3Geometry};
+pub use config::{CoherenceConfig, CoherenceProtocol, CoreConfig, DramTiming, L3Geometry};
 pub use pipeline::{Core, DeadlockReport, HostProfile, SimError, TickOutcome};
 pub use port::{DmaKind, MemSide, MemoryPort, PortDiagnostics, RouteInfo};
 pub use stats::CoreStats;

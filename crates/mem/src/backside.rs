@@ -13,30 +13,36 @@
 //! the rotating round-robin order the machine ticks cores in.
 //! Single-core systems embed a private one-core backside.
 //!
-//! ## Inter-core coherence modes
+//! ## Private and shared lines
 //!
 //! How the shared arrays treat the *same* system-memory address on two
-//! cores is governed by [`CoherenceMode`](crate::CoherenceMode):
+//! cores depends on whether the address was registered as cross-core
+//! shared ([`SharedBackside::mark_shared_range`], fed from the kernel
+//! sharder's read-only replicated-whole arrays and from communication
+//! arrays):
 //!
-//! * `Replicate` (the default, and the only model of earlier
-//!   revisions): every cacheable line is tagged with its core id in the
-//!   shared arrays, so cores keep fully private replicas — no read
-//!   sharing, no invalidation traffic. Bit-identical to the
-//!   pre-directory backside.
-//! * The directory modes (`Msi`, `Mesi`, `Moesi`, `Mesif`): address
-//!   ranges registered as cross-core shared
-//!   ([`SharedBackside::mark_shared_range`], fed from the kernel
-//!   sharder's read-only replicated-whole arrays) drop the core tag.
-//!   Each L3 bank owns a directory slice (`dirslice.rs`) tracking, per
-//!   resident shared line, the protocol state, a sharer bitset and the
-//!   owner, stepped through the mode's [`ProtocolTable`]. Reads are
-//!   served to multiple cores from one line (`shared_hits`); a write
-//!   recalls other sharers' copies with invalidation messages; a read
-//!   of another core's dirty line pays an intervention; evicting a
-//!   shared line (capacity or DMA) back-invalidates every upper copy.
-//!   Message latencies are charged on the home bank's port, so later
-//!   requests to that bank queue behind them. Everything outside the
-//!   registered ranges keeps the `Replicate` path.
+//! * **Private** lines — everything unregistered — are tagged with
+//!   their core id in the shared arrays and in the DRAM row mapping.
+//!   Each tile runs in its own address space (its functional backing
+//!   store is private), so one address on two cores names two physical
+//!   lines; the tag models that separation, not a coherence mode. No
+//!   directory state, no sharing, no invalidation traffic.
+//! * **Shared** lines drop the core tag. Each L3 bank owns a directory
+//!   slice (`dirslice.rs`) tracking, per resident shared line, the
+//!   protocol state, a sharer bitset and the owner, stepped through the
+//!   [`ProtocolTable`] of the configured
+//!   [`CoherenceProtocol`](crate::CoherenceProtocol) (MSI, MESI, MOESI or
+//!   MESIF). Reads are served to multiple cores from one line
+//!   (`shared_hits`); a write recalls other sharers' copies with
+//!   invalidation messages; a read of another core's dirty line pays an
+//!   intervention; evicting a shared line (capacity or DMA)
+//!   back-invalidates every upper copy. Message latencies are charged
+//!   on the home bank's port, so later requests to that bank queue
+//!   behind them — up to a finite backlog ([`BANK_BACKLOG_WINDOW`]).
+//!
+//! A machine that registers nothing (for instance, shards whose
+//! `ArrayDecl::shared` marks are cleared) runs every line private and
+//! behaves identically under all four protocols.
 //!
 //! Every entry point resolves its line once (`home`), and whatever a
 //! directory transition owes — for a demand hit, a posted store or a
@@ -66,10 +72,10 @@ use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats, Evicted};
 use crate::config::{CacheEvent, CoherenceConfig, Level, MemConfig};
 use crate::dirslice::DirectorySlice;
 use crate::fault::{backoff_delay, FaultRoller, FaultSite, MAX_RETRIES};
-use hsim_coherence::protocol::{CoherenceProtocol, Obligations, ProtocolTable};
+use hsim_coherence::protocol::{Obligations, ProtocolTable};
 
-/// Per-core inter-core coherence activity (all zero under
-/// [`CoherenceMode::Replicate`](crate::CoherenceMode::Replicate)).
+/// Per-core inter-core coherence activity (all zero on a machine with
+/// no shared lines, except `dir_nacks`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoherenceStats {
     /// L3 hits this core scored on a shared line brought in or also held
@@ -91,8 +97,8 @@ pub struct CoherenceStats {
     pub dirty_recalls: u64,
     /// Directory/bank message NACKs injected by the fault plan on this
     /// core's contended port arbitrations, each recovered by a bounded
-    /// backoff re-arbitration (counted in both coherence modes — the
-    /// bank port is the message fabric either way).
+    /// backoff re-arbitration (counted for private and shared lines
+    /// alike — the bank port is the message fabric either way).
     pub dir_nacks: u64,
 }
 
@@ -126,8 +132,7 @@ pub struct BacksideCoreStats {
     /// contention signal (a strict subset of `bus_requests`, and 0 when
     /// `l3_port_gap` is 0).
     pub bank_conflicts: u64,
-    /// Inter-core coherence activity (all zero under
-    /// [`CoherenceMode::Replicate`](crate::CoherenceMode::Replicate)).
+    /// Inter-core coherence activity.
     pub coh: CoherenceStats,
 }
 
@@ -138,9 +143,24 @@ pub struct BacksideCoreStats {
 const CORE_TAG_SHIFT: u32 = 48;
 
 /// The pseudo-core id tagging cross-core **shared** lines in the shared
-/// arrays under the directory modes. Real core ids are small, so the
+/// arrays. Real core ids are below [`SharedBackside::MAX_CORES`], so the
 /// tag can never collide with a private line's.
 const SHARED_CORE: usize = (1 << 16) - 1;
+
+/// How far ahead of a coherence message's start the home bank's port
+/// may be booked, in cycles. The bank's message queue is finite: a
+/// message that finds the port booked this far ahead is absorbed without
+/// extending the booking, as the DRAM controller's `backlog_window`
+/// caps a channel's lead. Without the cap, posted stores that keep
+/// recalling one line (four hybrid tiles spinning on a lock word) book
+/// the port hundreds of thousands of cycles ahead, and the next demand
+/// load to that bank waits past the core's deadlock watchdog
+/// (`DEADLOCK_WINDOW`, 200 000 cycles). The value is the smallest power
+/// of two above the deepest backlog a draining workload builds — 24 286
+/// cycles, eight cache-based tiles contending for one lock word under
+/// MOESI — so it changes no run whose backlog drains on its own, and it
+/// stays well under the watchdog.
+pub const BANK_BACKLOG_WINDOW: u64 = 32_768;
 
 /// One bank of the shared L3: its slice of the array, its own arbitrated
 /// port, and its slice of the inter-core directory.
@@ -156,8 +176,8 @@ struct L3Bank {
 
 /// Where one core's line lives in the backside.
 struct Home {
-    /// Directory-tracked: a registered shared range under a directory
-    /// mode, one copy for every core. Private lines are per-core copies.
+    /// Directory-tracked: a registered shared range, one copy for every
+    /// core. Private lines are per-core copies.
     shared: bool,
     /// The bank serving the line.
     bank: usize,
@@ -203,14 +223,11 @@ pub struct SharedBackside {
     /// Per-core residency-event queues (coherence tracking); `None`
     /// queues collect nothing.
     events: Vec<Option<Vec<CacheEvent>>>,
-    /// Inter-core coherence model and message timings.
+    /// Inter-core protocol and message timings.
     coherence: CoherenceConfig,
-    /// The guarded-action rule table the directory slices step (the
-    /// Mesi table under `Replicate` too, where it is never consulted —
-    /// the directory stays empty).
+    /// The guarded-action rule table the directory slices step.
     table: ProtocolTable,
-    /// Byte ranges registered as cross-core shared (`[start, end)`);
-    /// consulted only under the directory modes.
+    /// Byte ranges registered as cross-core shared (`[start, end)`).
     shared_ranges: Vec<(u64, u64)>,
     /// Per-core queues of back-invalidation messages (global line
     /// addresses) the directory sent; each tile drains its queue into
@@ -224,14 +241,22 @@ pub struct SharedBackside {
 }
 
 impl SharedBackside {
+    /// The most tiles one backside serves: the directory's sharer
+    /// bitset is one `u64`. Machine builders check it up front and
+    /// return a typed error.
+    pub const MAX_CORES: usize = 64;
+
     /// Builds a backside for `n_cores` tiles from the shared slice of a
     /// memory configuration.
     ///
-    /// Panics on a geometry the arrays cannot represent and, under a
-    /// directory mode, on more than 64 cores (the directory's sharer
-    /// bitset is one `u64`; `Replicate` keeps none and accepts more).
+    /// Panics on a geometry the arrays cannot represent and on more
+    /// than [`SharedBackside::MAX_CORES`] cores.
     pub fn new(cfg: &MemConfig, n_cores: usize) -> Self {
         assert!(n_cores >= 1, "backside needs at least one core");
+        assert!(
+            n_cores <= Self::MAX_CORES,
+            "{n_cores} cores overflow the directory's 64-bit sharer bitset"
+        );
         let n_banks = cfg.l3_geometry.banks;
         assert!(
             n_banks.is_power_of_two(),
@@ -246,15 +271,6 @@ impl SharedBackside {
             size_bytes: cfg.l3.size_bytes / n_banks as u64,
             ..cfg.l3.clone()
         };
-        assert!(
-            n_cores < SHARED_CORE,
-            "core count collides with the shared-line tag"
-        );
-        assert!(
-            n_cores <= 64 || !cfg.coherence.mode.is_directory(),
-            "{n_cores} cores overflow the directory's 64-bit sharer bitset \
-             (only `Replicate` backsides take more than 64)"
-        );
         assert!(
             cfg.dram_channels.is_power_of_two(),
             "DRAM channel count must be a power of two"
@@ -277,12 +293,7 @@ impl SharedBackside {
             per_core: vec![BacksideCoreStats::default(); n_cores],
             events: (0..n_cores).map(|_| None).collect(),
             coherence: cfg.coherence.clone(),
-            table: ProtocolTable::new(
-                cfg.coherence
-                    .mode
-                    .protocol()
-                    .unwrap_or(CoherenceProtocol::Mesi),
-            ),
+            table: ProtocolTable::new(cfg.coherence.mode),
             shared_ranges: Vec::new(),
             pending_upper_inval: (0..n_cores).map(|_| Vec::new()).collect(),
             nack_faults: FaultRoller::new(&cfg.fault, FaultSite::DirNack, 0),
@@ -340,12 +351,9 @@ impl SharedBackside {
     }
 
     /// Registers `[start, start + bytes)` as cross-core shared data:
-    /// under the directory modes its lines drop the per-core tag and
-    /// are tracked by the per-bank directory slices. Under
-    /// [`CoherenceMode::Replicate`](crate::CoherenceMode::Replicate) the
-    /// registration is recorded but never consulted. Duplicate
-    /// registrations (every tile registers the same shard layout) are
-    /// idempotent.
+    /// its lines drop the per-core tag and are tracked by the per-bank
+    /// directory slices. Duplicate registrations (every tile registers
+    /// the same shard layout) are idempotent.
     pub fn mark_shared_range(&mut self, start: u64, bytes: u64) {
         if bytes == 0 || self.shared_ranges.contains(&(start, start + bytes)) {
             return;
@@ -354,14 +362,13 @@ impl SharedBackside {
     }
 
     /// Resolves where `core`'s `line_addr` lives. A line is shared when
-    /// a registered range holds it under a directory mode.
+    /// a registered range holds it.
     #[inline]
     fn home(&self, core: usize, line_addr: u64) -> Home {
-        let shared = self.coherence.mode.is_directory()
-            && self
-                .shared_ranges
-                .iter()
-                .any(|&(s, e)| line_addr >= s && line_addr < e);
+        let shared = self
+            .shared_ranges
+            .iter()
+            .any(|&(s, e)| line_addr >= s && line_addr < e);
         let tag_core = if shared { SHARED_CORE } else { core };
         // The low line-number bits select the bank; stripping them
         // leaves the address looked up in that bank's array (so each
@@ -379,8 +386,7 @@ impl SharedBackside {
     }
 
     /// Drains the back-invalidation messages addressed to `core`'s upper
-    /// levels, counting their application. Always empty under
-    /// `Replicate`.
+    /// levels, counting their application.
     pub fn take_upper_invals(&mut self, core: usize) -> Vec<u64> {
         let lines = std::mem::take(&mut self.pending_upper_inval[core]);
         self.per_core[core].coh.upper_invals_applied += lines.len() as u64;
@@ -424,14 +430,19 @@ impl SharedBackside {
 
     /// Occupies `bank`'s port for `cycles` starting no earlier than
     /// `start` — the channel cost of coherence messages the directory
-    /// sends. Ideally-ported configurations (`l3_port_gap == 0`) have an
-    /// ideal coherence channel too, mirroring the request-port model.
+    /// sends — booking it at most [`BANK_BACKLOG_WINDOW`] cycles past
+    /// `start`. Ideally-ported configurations (`l3_port_gap == 0`) have
+    /// an ideal coherence channel too, mirroring the request-port model.
     fn occupy_bank(&mut self, bank: usize, start: u64, cycles: u64) {
         if self.l3_port_gap == 0 || cycles == 0 {
             return;
         }
         let b = &mut self.banks[bank];
-        b.busy_until = b.busy_until.max(start) + cycles;
+        b.busy_until = (b.busy_until.max(start) + cycles).min(start + BANK_BACKLOG_WINDOW);
+        debug_assert!(
+            b.busy_until - start <= BANK_BACKLOG_WINDOW,
+            "bank {bank}'s port is booked more than the backlog window past {start}"
+        );
     }
 
     /// Reconstructs the line address of a bank-local one (the inverse of
@@ -557,7 +568,7 @@ impl SharedBackside {
     /// requesting core whose fill caused the eviction (matching the
     /// pre-banking attribution).
     ///
-    /// Shared victims (directory modes): the directory entry is
+    /// Shared victims: the directory entry is
     /// retired and every upper copy recalled (back-invalidation messages
     /// charged to the evicting requester — the sharer-eviction race the
     /// protocol must close). The write-back of a dirty-state victim is
@@ -650,10 +661,9 @@ impl SharedBackside {
     /// on behalf of `core`. `now` is the cycle the request reaches the
     /// L3 (after the L2 latency). Returns the latency beyond the L2, the
     /// serving level, and whether the access paid an M-state
-    /// intervention (always `false` under
-    /// [`CoherenceMode::Replicate`](crate::CoherenceMode::Replicate);
-    /// the tile flags the MSHR entry with it so merge stalls can be
-    /// attributed to cross-core sharing). A hit on a shared line steps
+    /// intervention (always `false` for a private line; the tile flags
+    /// the MSHR entry with it so merge stalls can be attributed to
+    /// cross-core sharing). A hit on a shared line steps
     /// the home slice's record; what the transition owes leaves after
     /// the L3 lookup and adds its latency.
     pub fn access(
@@ -755,8 +765,7 @@ impl SharedBackside {
     /// write — ownership moves to the writer and other sharers are
     /// recalled. No latency is charged to the store (write-through posts
     /// are fire-and-forget); the recall messages occupy the home bank's
-    /// port. Cheap no-op under `Replicate` (the tile does not even call
-    /// in).
+    /// port.
     pub fn note_shared_store(&mut self, core: usize, now: u64, line_addr: u64) {
         let home = self.home(core, line_addr);
         if home.shared {

@@ -1,8 +1,8 @@
 //! Unit tests of the shared backside: tiles meeting at the banked L3,
-//! the directory modes, and the guards on `home` / `discharge`.
+//! the directory, and the guards on `home` / `discharge`.
 
 use super::*;
-use crate::config::CoherenceMode;
+use crate::config::CoherenceProtocol;
 use crate::fault::FaultConfig;
 use crate::tile::MemSystem;
 use std::cell::RefCell;
@@ -228,13 +228,12 @@ fn bank_address_mapping_round_trips() {
 
 // ------------------------------------------------- MESI directory
 
-/// Two tiles in Mesi mode with `[0x1000_0000, +8 MiB)` registered as
-/// cross-core shared.
+/// Two tiles under MESI (the default protocol) with `[0x1000_0000,
+/// +8 MiB)` registered as cross-core shared.
 fn mesi_pair(l3_port_gap: u64) -> (MemSystem, MemSystem) {
     let mut cfg = MemConfig::hybrid();
     cfg.prefetch.enabled = false;
     cfg.l3_port_gap = l3_port_gap;
-    cfg.coherence.mode = CoherenceMode::Mesi;
     let backside = Rc::new(RefCell::new(SharedBackside::new(&cfg, 2)));
     backside
         .borrow_mut()
@@ -443,7 +442,7 @@ fn mesi_stats_still_partition_chip_totals_exactly() {
 }
 
 #[test]
-fn replicate_mode_has_inert_directory_state() {
+fn unregistered_lines_have_inert_directory_state() {
     let (mut a, mut b) = shared_pair(4);
     for i in 0..32u64 {
         a.data_access(i * 500, 0x40, 0x1000_0000 + i * 64, i % 3 == 0);
@@ -462,18 +461,40 @@ fn replicate_mode_has_inert_directory_state() {
 #[test]
 #[should_panic(expected = "sharer bitset")]
 fn directory_backside_refuses_more_tiles_than_sharer_bits() {
-    let mut cfg = MemConfig::hybrid();
-    cfg.coherence.mode = CoherenceMode::Mesi;
-    SharedBackside::new(&cfg, 65);
+    SharedBackside::new(&MemConfig::hybrid(), SharedBackside::MAX_CORES + 1);
 }
 
 #[test]
-fn replicate_backside_takes_more_than_64_tiles() {
+fn every_protocol_takes_as_many_tiles_as_sharer_bits() {
     let mut cfg = MemConfig::hybrid();
-    cfg.coherence.mode = CoherenceMode::Replicate;
-    assert_eq!(SharedBackside::new(&cfg, 65).n_cores(), 65);
-    cfg.coherence.mode = CoherenceMode::Mesi;
-    assert_eq!(SharedBackside::new(&cfg, 64).n_cores(), 64);
+    for mode in CoherenceProtocol::ALL {
+        cfg.coherence.mode = mode;
+        assert_eq!(SharedBackside::new(&cfg, 64).n_cores(), 64);
+    }
+}
+
+#[test]
+fn posted_stores_book_a_bank_port_at_most_the_backlog_window_ahead() {
+    // Tiles 0 and 1 trade ownership of one shared line with posted
+    // stores — each an intervention plus an invalidation round on the
+    // home bank's port — far faster than the port drains them, as
+    // hybrid tiles spinning on one lock word do. Tile 2's demand load
+    // to a private line of the same bank then waits at most the
+    // backlog window, not the whole booked message train.
+    let bs = &mut three_tiles(CoherenceProtocol::Mesi, true);
+    let now = 2_000;
+    for i in 0..2_000 {
+        bs.note_shared_store(i % 2, now, SHARED_LINE);
+    }
+    assert!(bs.core_stats(1).coh.interventions >= 999, "stores recall");
+    let same_bank = PRIVATE_LINE + 64 * bs.banks.len() as u64;
+    assert_eq!(bs.home(2, same_bank).bank, bs.home(2, SHARED_LINE).bank);
+    bs.access(2, now, same_bank, AccessKind::Read);
+    let wait = bs.core_stats(2).bus_wait_cycles;
+    assert!(
+        wait > 0 && wait <= BANK_BACKLOG_WINDOW,
+        "demand load waited {wait} cycles behind posted coherence messages"
+    );
 }
 
 // ------------------------------------------- work guard + discharge pins
@@ -484,7 +505,7 @@ const PRIVATE_LINE: u64 = 0x5000_0000;
 /// A 3-tile backside with `l3_port_gap` 4 and `SHARED_LINE` registered
 /// as cross-core shared, after tile 0 write-allocated the line (dirty at
 /// 0) and, when `shared`, tile 1 read it.
-fn three_tiles(mode: CoherenceMode, shared: bool) -> SharedBackside {
+fn three_tiles(mode: CoherenceProtocol, shared: bool) -> SharedBackside {
     let mut cfg = MemConfig::hybrid();
     cfg.l3_port_gap = 4;
     cfg.coherence = CoherenceConfig {
@@ -511,7 +532,7 @@ fn lookups_of(bs: &mut SharedBackside, op: impl FnOnce(&mut SharedBackside)) -> 
 
 #[test]
 fn directory_work_is_one_lookup_per_shared_access_and_none_otherwise() {
-    let bs = &mut three_tiles(CoherenceMode::Mesi, true);
+    let bs = &mut three_tiles(CoherenceProtocol::Mesi, true);
     let demand_hit = lookups_of(bs, |bs| {
         let (_, served, _) = bs.access(2, 2_000, SHARED_LINE, AccessKind::Read);
         assert_eq!(served, Level::L3);
@@ -534,8 +555,14 @@ fn directory_work_is_one_lookup_per_shared_access_and_none_otherwise() {
     });
     assert_eq!(private, 0, "private lines never reach the directory");
 
-    let bs = &mut three_tiles(CoherenceMode::Replicate, true);
-    let replicate = lookups_of(bs, |bs| {
+    // With nothing registered (the private-tables machine), the same
+    // operations on the same line never reach the directory.
+    let mut cfg = MemConfig::hybrid();
+    cfg.l3_port_gap = 4;
+    let bs = &mut SharedBackside::new(&cfg, 3);
+    bs.access(0, 0, SHARED_LINE, AccessKind::Write);
+    bs.access(1, 1_000, SHARED_LINE, AccessKind::Read);
+    let unregistered = lookups_of(bs, |bs| {
         bs.access(2, 2_000, SHARED_LINE, AccessKind::Read);
         bs.access(2, 3_000, SHARED_LINE, AccessKind::Write);
         bs.note_shared_store(1, 4_000, SHARED_LINE);
@@ -544,7 +571,10 @@ fn directory_work_is_one_lookup_per_shared_access_and_none_otherwise() {
         bs.snoop(2, 7_000, SHARED_LINE);
         bs.invalidate(2, SHARED_LINE);
     });
-    assert_eq!(replicate, 0, "Replicate keeps no directory");
+    assert_eq!(
+        unregistered, 0,
+        "unregistered lines keep no directory state"
+    );
 }
 
 /// One pinned `discharge` composition: the mode, the scenario, the
@@ -552,7 +582,7 @@ fn directory_work_is_one_lookup_per_shared_access_and_none_otherwise() {
 /// earliest port still busy after `now`; 0 = idle) and per tile
 /// `[shared_hits, invalidations_sent, interventions, dram.reads,
 /// dram.writes]`.
-type DischargePin = (CoherenceMode, Scenario, u64, u64, [[u64; 5]; 3]);
+type DischargePin = (CoherenceProtocol, Scenario, u64, u64, [[u64; 5]; 3]);
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Scenario {
@@ -574,22 +604,22 @@ use Scenario::*;
 /// discharge sites), asserted against the single `discharge`.
 #[rustfmt::skip]
 const DISCHARGE_PINS: [DischargePin; 16] = [
-    (CoherenceMode::Msi, PostedStore, 0, 2012, [[0, 0, 0, 1, 1], [0, 0, 1, 1, 0], [0, 2, 0, 0, 0]]),
-    (CoherenceMode::Msi, DemandRead, 40, 2004, [[0, 0, 0, 1, 1], [0, 0, 1, 1, 0], [1, 0, 0, 0, 0]]),
-    (CoherenceMode::Msi, DmaSnoop, 0, 0, [[0, 0, 0, 1, 1], [0, 0, 1, 1, 0], [0, 0, 0, 0, 0]]),
-    (CoherenceMode::Msi, DmaSnoopModified, 0, 2030, [[0, 0, 0, 1, 1], [0, 0, 0, 0, 0], [0, 0, 1, 1, 0]]),
-    (CoherenceMode::Mesi, PostedStore, 0, 2012, [[0, 0, 0, 1, 1], [0, 0, 1, 0, 0], [0, 2, 0, 0, 0]]),
-    (CoherenceMode::Mesi, DemandRead, 40, 2004, [[0, 0, 0, 1, 1], [0, 0, 1, 0, 0], [1, 0, 0, 0, 0]]),
-    (CoherenceMode::Mesi, DmaSnoop, 0, 0, [[0, 0, 0, 1, 1], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0]]),
-    (CoherenceMode::Mesi, DmaSnoopModified, 0, 2030, [[0, 0, 0, 1, 1], [0, 0, 0, 0, 0], [0, 0, 1, 0, 0]]),
-    (CoherenceMode::Moesi, PostedStore, 0, 2042, [[0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 2, 1, 0, 0]]),
-    (CoherenceMode::Moesi, DemandRead, 70, 2070, [[0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 0, 1, 0, 0]]),
-    (CoherenceMode::Moesi, DmaSnoop, 0, 2030, [[0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 0, 1, 0, 0]]),
-    (CoherenceMode::Moesi, DmaSnoopModified, 0, 2030, [[0, 0, 0, 1, 0], [0, 0, 0, 0, 0], [0, 0, 1, 0, 0]]),
-    (CoherenceMode::Mesif, PostedStore, 0, 2012, [[0, 0, 0, 1, 1], [0, 0, 1, 0, 0], [0, 2, 0, 0, 0]]),
-    (CoherenceMode::Mesif, DemandRead, 40, 2004, [[0, 0, 0, 1, 1], [0, 0, 1, 0, 0], [1, 0, 0, 0, 0]]),
-    (CoherenceMode::Mesif, DmaSnoop, 0, 0, [[0, 0, 0, 1, 1], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0]]),
-    (CoherenceMode::Mesif, DmaSnoopModified, 0, 2030, [[0, 0, 0, 1, 1], [0, 0, 0, 0, 0], [0, 0, 1, 0, 0]]),
+    (CoherenceProtocol::Msi, PostedStore, 0, 2012, [[0, 0, 0, 1, 1], [0, 0, 1, 1, 0], [0, 2, 0, 0, 0]]),
+    (CoherenceProtocol::Msi, DemandRead, 40, 2004, [[0, 0, 0, 1, 1], [0, 0, 1, 1, 0], [1, 0, 0, 0, 0]]),
+    (CoherenceProtocol::Msi, DmaSnoop, 0, 0, [[0, 0, 0, 1, 1], [0, 0, 1, 1, 0], [0, 0, 0, 0, 0]]),
+    (CoherenceProtocol::Msi, DmaSnoopModified, 0, 2030, [[0, 0, 0, 1, 1], [0, 0, 0, 0, 0], [0, 0, 1, 1, 0]]),
+    (CoherenceProtocol::Mesi, PostedStore, 0, 2012, [[0, 0, 0, 1, 1], [0, 0, 1, 0, 0], [0, 2, 0, 0, 0]]),
+    (CoherenceProtocol::Mesi, DemandRead, 40, 2004, [[0, 0, 0, 1, 1], [0, 0, 1, 0, 0], [1, 0, 0, 0, 0]]),
+    (CoherenceProtocol::Mesi, DmaSnoop, 0, 0, [[0, 0, 0, 1, 1], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0]]),
+    (CoherenceProtocol::Mesi, DmaSnoopModified, 0, 2030, [[0, 0, 0, 1, 1], [0, 0, 0, 0, 0], [0, 0, 1, 0, 0]]),
+    (CoherenceProtocol::Moesi, PostedStore, 0, 2042, [[0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 2, 1, 0, 0]]),
+    (CoherenceProtocol::Moesi, DemandRead, 70, 2070, [[0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 0, 1, 0, 0]]),
+    (CoherenceProtocol::Moesi, DmaSnoop, 0, 2030, [[0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 0, 1, 0, 0]]),
+    (CoherenceProtocol::Moesi, DmaSnoopModified, 0, 2030, [[0, 0, 0, 1, 0], [0, 0, 0, 0, 0], [0, 0, 1, 0, 0]]),
+    (CoherenceProtocol::Mesif, PostedStore, 0, 2012, [[0, 0, 0, 1, 1], [0, 0, 1, 0, 0], [0, 2, 0, 0, 0]]),
+    (CoherenceProtocol::Mesif, DemandRead, 40, 2004, [[0, 0, 0, 1, 1], [0, 0, 1, 0, 0], [1, 0, 0, 0, 0]]),
+    (CoherenceProtocol::Mesif, DmaSnoop, 0, 0, [[0, 0, 0, 1, 1], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0]]),
+    (CoherenceProtocol::Mesif, DmaSnoopModified, 0, 2030, [[0, 0, 0, 1, 1], [0, 0, 0, 0, 0], [0, 0, 1, 0, 0]]),
 ];
 
 #[test]

@@ -1,6 +1,6 @@
 //! Configuration and the small value types every layer of the memory
 //! system speaks: the Table 1 geometry ([`MemConfig`]), the inter-core
-//! coherence model and its message timings ([`CoherenceMode`],
+//! protocol and its message timings ([`CoherenceProtocol`],
 //! [`CoherenceConfig`]), the banking of the shared L3 ([`L3Geometry`]),
 //! and what an access reports back ([`Level`], [`AccessResponse`],
 //! [`CacheEvent`]).
@@ -12,7 +12,6 @@ use crate::fault::FaultConfig;
 use crate::lm::LmConfig;
 use crate::prefetch::PrefetchConfig;
 use crate::tlb::TlbConfig;
-use hsim_coherence::protocol::CoherenceProtocol;
 
 /// Which component served an access (for AMAT and replay accounting).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,95 +70,20 @@ impl Default for L3Geometry {
     }
 }
 
-/// Inter-core coherence model of the shared backside (see the
+/// The inter-core protocol of the shared backside (see the
 /// [`backside`](crate::backside) module docs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CoherenceMode {
-    /// Per-core address tagging: cores keep private replicas of every
-    /// cacheable line (the historical model and the default;
-    /// bit-identical to the pre-directory backside).
-    #[default]
-    Replicate,
-    /// Directory slices at the L3 banks stepping the three-state MSI
-    /// table (no Exclusive state; dirty recalls re-read memory).
-    Msi,
-    /// Directory slices stepping the four-state MESI table (PR 4's
-    /// protocol, row for row; a frozen golden of its 20 transitions pins
-    /// the table).
-    Mesi,
-    /// Directory slices stepping the MOESI table: an Owned state shares
-    /// dirty lines cache-to-cache, deferring write-backs to eviction.
-    Moesi,
-    /// Directory slices stepping the MESIF table: a designated clean
-    /// Forwarder answers shared reads.
-    Mesif,
-}
+pub use hsim_coherence::protocol::CoherenceProtocol;
 
-impl CoherenceMode {
-    /// Every mode, in the order benches and CI sweep them.
-    pub const ALL: [CoherenceMode; 5] = [
-        CoherenceMode::Replicate,
-        CoherenceMode::Msi,
-        CoherenceMode::Mesi,
-        CoherenceMode::Moesi,
-        CoherenceMode::Mesif,
-    ];
+/// [`CoherenceProtocol`] under the name the frozen `benchmark/` package
+/// imports; goes with the benchmark-unfreeze item.
+pub use hsim_coherence::protocol::CoherenceProtocol as CoherenceMode;
 
-    /// The directory-backed modes (everything but `Replicate`) — the
-    /// protocol axis equivalence suites and sweeps iterate.
-    pub const DIRECTORY: [CoherenceMode; 4] = [
-        CoherenceMode::Msi,
-        CoherenceMode::Mesi,
-        CoherenceMode::Moesi,
-        CoherenceMode::Mesif,
-    ];
-
-    /// Parses a mode name ([`CoherenceMode::name`]), case-insensitively.
-    /// Anything else is an `Err` listing the valid names, so a typo
-    /// cannot silently run another protocol.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        Self::ALL
-            .into_iter()
-            .find(|m| name.eq_ignore_ascii_case(m.name()))
-            .ok_or_else(|| {
-                format!(
-                    "unknown coherence mode {name:?}: expected one of {}",
-                    Self::ALL.map(Self::name).join(", ")
-                )
-            })
-    }
-
-    /// Whether this mode runs directory slices at the L3 banks (every
-    /// mode but `Replicate`).
-    pub fn is_directory(self) -> bool {
-        self.protocol().is_some()
-    }
-
-    /// The protocol table family member this mode steps (`None` under
-    /// `Replicate`).
-    pub fn protocol(self) -> Option<CoherenceProtocol> {
-        match self {
-            CoherenceMode::Replicate => None,
-            CoherenceMode::Msi => Some(CoherenceProtocol::Msi),
-            CoherenceMode::Mesi => Some(CoherenceProtocol::Mesi),
-            CoherenceMode::Moesi => Some(CoherenceProtocol::Moesi),
-            CoherenceMode::Mesif => Some(CoherenceProtocol::Mesif),
-        }
-    }
-
-    /// The lower-case name, as [`CoherenceMode::parse`] reads it and
-    /// reports print it.
-    pub fn name(self) -> &'static str {
-        self.protocol().map_or("replicate", CoherenceProtocol::name)
-    }
-}
-
-/// Coherence-mode configuration: the model plus the message timings the
-/// directory charges on the home bank's port.
+/// Coherence configuration: the inter-core protocol plus the message
+/// timings the directory charges on the home bank's port.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoherenceConfig {
-    /// The inter-core model.
-    pub mode: CoherenceMode,
+    /// The inter-core protocol the directory slices step.
+    pub mode: CoherenceProtocol,
     /// Cycles an M-state intervention adds to the requesting access
     /// (recalling the owner's dirty line: probe + transfer).
     pub intervention_latency: u64,
@@ -178,7 +102,7 @@ pub struct CoherenceConfig {
 impl Default for CoherenceConfig {
     fn default() -> Self {
         CoherenceConfig {
-            mode: CoherenceMode::Replicate,
+            mode: CoherenceProtocol::Mesi,
             // An intervention is an L2-probe round trip into another
             // tile plus the line transfer: on the order of an L2 visit
             // both ways.
@@ -228,7 +152,7 @@ pub struct MemConfig {
     pub lm: Option<LmConfig>,
     /// DMA controller configuration.
     pub dma: DmaConfig,
-    /// Inter-core coherence model of the shared backside.
+    /// Inter-core protocol of the shared backside and its timings.
     pub coherence: CoherenceConfig,
     /// Deterministic fault-injection plan threaded to every site of the
     /// fabric (DRAM reads, the DMA engine, the bank ports). The default
@@ -307,8 +231,8 @@ impl MemConfig {
     /// Whether two per-tile configurations agree on everything the
     /// *shared* backside is built from: the L3 array and its banking,
     /// the DRAM controller, the L3 port occupancy, the inter-core
-    /// coherence model and the fault plan (whose DRAM and NACK sites
-    /// live in the shared slice) — and both keep a uniform line size through
+    /// protocol and the fault plan (whose DRAM and NACK sites live in
+    /// the shared slice) — and both keep a uniform line size through
     /// their own hierarchy ([`MemConfig::line_sizes_uniform`]), since
     /// the backside tracks residency at L3-line granularity. Tiles of
     /// one heterogeneous machine may differ in anything else above the
@@ -356,22 +280,5 @@ mod tests {
         let mut b = MemConfig::hybrid();
         b.fault = FaultConfig::uniform(1, 0.1);
         assert!(!a.backside_compatible(&b));
-    }
-
-    #[test]
-    fn coherence_mode_names_parse_and_typos_are_rejected() {
-        for mode in CoherenceMode::ALL {
-            assert_eq!(CoherenceMode::parse(mode.name()), Ok(mode));
-            let upper = mode.name().to_ascii_uppercase();
-            assert_eq!(CoherenceMode::parse(&upper), Ok(mode));
-        }
-        assert_eq!(CoherenceMode::parse("MeSiF"), Ok(CoherenceMode::Mesif));
-        for typo in ["", "mseI ", "moesi2", "mesi ", " msi", "none"] {
-            let err = CoherenceMode::parse(typo).expect_err(typo);
-            assert!(
-                err.contains(typo) && err.contains("replicate, msi, mesi, moesi, mesif"),
-                "{err}"
-            );
-        }
     }
 }

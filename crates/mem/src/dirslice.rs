@@ -4,7 +4,7 @@
 //! A slice keeps one [`DirLine`] per resident *shared* line of its bank,
 //! keyed by the bank-local line address (entry existence tracks L3
 //! residency, so capacity never exceeds the bank's line count); it stays
-//! empty under [`CoherenceMode::Replicate`](crate::CoherenceMode::Replicate).
+//! empty on a machine that registers no shared range.
 //! Each operation is one lookup that steps the record in place through
 //! the backside's [`ProtocolTable`] and hands back the [`Obligations`]
 //! the transition owes, for the backside's `discharge` to pay.

@@ -31,7 +31,7 @@
 //!   retry/backoff — faults perturb timing only, never architectural
 //!   state.
 //! * [`config`] — the Table 1 geometry ([`MemConfig`]), the inter-core
-//!   coherence model and message timings ([`CoherenceMode`],
+//!   protocol and message timings ([`CoherenceProtocol`],
 //!   [`CoherenceConfig`]) and what an access reports back ([`Level`],
 //!   [`AccessResponse`], [`CacheEvent`]).
 //! * [`tile`] — the per-core [`MemSystem`]: the L1/L2 walk with MSHR
@@ -66,7 +66,8 @@ pub use backing::{DramConfig, DramController, DramStats, DramTiming, PagedMem, R
 pub use backside::{BacksideCoreStats, CoherenceStats, SharedBackside};
 pub use cache::{AccessKind, Cache, CacheConfig, CacheStats, WritePolicy};
 pub use config::{
-    AccessResponse, CacheEvent, CoherenceConfig, CoherenceMode, L3Geometry, Level, MemConfig,
+    AccessResponse, CacheEvent, CoherenceConfig, CoherenceMode, CoherenceProtocol, L3Geometry,
+    Level, MemConfig,
 };
 pub use dma::{DmaConfig, DmaOp, DmaStats, Dmac};
 pub use fault::{FaultConfig, FaultEscalation, FaultRoller, FaultSite};

@@ -35,7 +35,7 @@ pub struct MshrStats {
     /// Cycles lost waiting for a free entry.
     pub full_stall_cycles: u64,
     /// Of the merges, those that waited on a fill lengthened by an
-    /// inter-core M-state intervention (`CoherenceMode::Mesi` only): the
+    /// inter-core M-state intervention (`CoherenceProtocol::Mesi` only): the
     /// per-core cost of sharing a line another core is writing.
     pub intervention_stalls: u64,
 }

@@ -178,12 +178,9 @@ impl MemSystem {
     /// cost: each *dirty* line recalled out of the L1/L2 charges
     /// [`CoherenceConfig::dirty_recall_latency`](crate::CoherenceConfig::dirty_recall_latency)
     /// cycles to the memory operation draining the queue, so recall
-    /// storms couple into the victim core's timing. A cheap no-op under
-    /// `Replicate` — the backside is not even consulted.
+    /// storms couple into the victim core's timing.
     fn apply_upper_invals(&mut self) -> u64 {
-        if !self.cfg.coherence.mode.is_directory()
-            || !self.backside.borrow().has_upper_invals(self.core_id)
-        {
+        if !self.backside.borrow().has_upper_invals(self.core_id) {
             return 0;
         }
         let lines = self.backside.borrow_mut().take_upper_invals(self.core_id);
@@ -267,14 +264,14 @@ impl MemSystem {
     /// Propagates a write-through store below L1. The walk above
     /// guarantees L2 normally holds the line; when it does not, the write
     /// keeps descending into the shared backside (and is posted to DRAM
-    /// at the bottom). Under the directory modes, a store absorbed by
-    /// the L2 still notifies the directory when the line is shared, so
-    /// ownership tracking stays sound.
+    /// at the bottom). A store absorbed by the L2 still notifies the
+    /// directory when the line is shared, so ownership tracking stays
+    /// sound.
     fn writethrough_below(&mut self, now: u64, addr: u64) {
         let a2 = self.l2.line_addr(addr);
         if !self.l2.writethrough_from_above(a2) {
             self.on_backside(|bs, core| bs.writethrough(core, now, a2));
-        } else if self.cfg.coherence.mode.is_directory() {
+        } else {
             self.on_backside(|bs, core| bs.note_shared_store(core, now, a2));
         }
     }

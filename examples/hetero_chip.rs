@@ -6,10 +6,11 @@
 //! The sibling of `multicore.rs`: where that example runs four
 //! identical hybrid tiles, this one builds a 2-hybrid/2-cache 4-core
 //! chip, shards one NAS kernel across it with weights matched to tile
-//! strength (`Kernel::shard_weighted`), and runs the same chip under
-//! both inter-core coherence modes. Under `Mesi` the read-only gathered
-//! table is served from shared directory-tracked lines to *both* kinds
-//! of tile at once — a cache-based tile and a hybrid tile reading one
+//! strength (`Kernel::shard_weighted`), and runs the same chip twice:
+//! with private tables (the shards' `shared` marks cleared), then with
+//! the marks kept. Under MESI the read-only gathered table is then
+//! served from shared directory-tracked lines to *both* kinds of tile
+//! at once — a cache-based tile and a hybrid tile reading one
 //! physical copy while each hybrid tile's private LM protocol runs
 //! untouched above it.
 //!
@@ -18,6 +19,7 @@
 //! ```
 
 use hsim::prelude::*;
+use hsim_bench::private_tables;
 use hsim_workloads::nas;
 
 fn main() {
@@ -39,7 +41,10 @@ fn main() {
     ];
     let weights = [2u64, 2, 1, 1];
     let shards = kernel.shard_weighted(&weights).expect("CG shards cleanly");
-    for cm in [CoherenceMode::Replicate, CoherenceMode::Mesi] {
+    for (run, shards) in [
+        ("private tables", private_tables(shards.clone())),
+        ("shared tables (MESI)", shards),
+    ] {
         // Each shard compiles for its own tile's system: guarded loads
         // and DMA tiling on the hybrid tiles, plain cacheable code on
         // the cache-based ones. The data layout is mode-independent, so
@@ -47,7 +52,7 @@ fn main() {
         let cfgs: Vec<MachineConfig> = modes
             .iter()
             .map(|&m| {
-                let mut c = MachineConfig::for_mode(m).with_coherence(cm);
+                let mut c = MachineConfig::for_mode(m);
                 c.track_coherence = true; // §3: the protocols must not interact
                 c
             })
@@ -63,7 +68,7 @@ fn main() {
         let cks: Vec<_> = compiled.iter().map(|(ck, _)| ck.clone()).collect();
         let report = MultiRunReport::collect(&machine, &cks);
 
-        println!("\n{cm:?}: {}", report.mode_summary());
+        println!("\n{run}: {}", report.mode_summary());
         for r in &report.per_core {
             println!(
                 "  core {} ({:>15}, {} iters): {:>7} cycles, {:>5} bus-wait, \
@@ -90,7 +95,7 @@ fn main() {
         );
     }
     println!(
-        "\nunder Mesi the chip fetches CG's gathered table from DRAM once and serves \
+        "\nwith shared tables the chip fetches CG's gathered table from DRAM once and serves \
          hybrid and cache-based tiles from the same directory-tracked lines; the \
          per-tile hybrid LM protocol observes zero violations either way (§3: the \
          protocols do not interact)."

@@ -7,16 +7,18 @@
 //! cache coherence. This example shards one NAS kernel into disjoint
 //! iteration slices, runs all cores as *one* machine, and reports what
 //! the single-core story cannot show: per-core shared-L3/DRAM
-//! contention and the parallel makespan — then runs the same machine
-//! again under `CoherenceMode::Mesi`, where the L3-bank directory
-//! slices serve CG's read-only gathered table from shared lines
-//! instead of per-core replicas.
+//! contention and the parallel makespan. The first run keeps private
+//! tables (the shards' `shared` marks cleared, so every core caches its
+//! own lines of CG's read-only gathered table); the second runs the
+//! same shards as sharded, where the MESI directory slices at the L3
+//! banks serve that table from shared lines.
 //!
 //! ```text
 //! cargo run --release --example multicore
 //! ```
 
 use hsim::prelude::*;
+use hsim_bench::private_tables;
 use hsim_compiler::compile;
 use hsim_workloads::nas;
 
@@ -29,19 +31,21 @@ fn main() {
     );
 
     let shards = kernel.shard(cores).expect("CG shards cleanly");
-    let compiled: Vec<_> = shards
-        .iter()
-        .map(|s| (compile(s, SysMode::HybridCoherent.codegen()), s.clone()))
-        .collect();
-    // The first run uses per-core replication (the §3 baseline), named
-    // explicitly so the contrast with MESI below reads off the code.
-    let mut cfg =
-        MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(CoherenceMode::Replicate);
+    let compile_all = |shards: Vec<Kernel>| -> Vec<_> {
+        shards
+            .into_iter()
+            .map(|s| (compile(&s, SysMode::HybridCoherent.codegen()), s))
+            .collect()
+    };
+    let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
     cfg.track_coherence = true;
-    let mut machine = MultiMachine::for_kernels(cfg, &compiled);
+    // The first run keeps every table private: the §3 baseline, where
+    // no line is directory-tracked.
+    let private = compile_all(private_tables(shards.clone()));
+    let mut machine = MultiMachine::for_kernels(cfg.clone(), &private);
     machine.run().expect("all cores halt");
 
-    let cks: Vec<_> = compiled.iter().map(|(ck, _)| ck.clone()).collect();
+    let cks: Vec<_> = private.iter().map(|(ck, _)| ck.clone()).collect();
     let report = MultiRunReport::collect(&machine, &cks);
     for r in &report.per_core {
         println!(
@@ -64,24 +68,23 @@ fn main() {
         report.total(|c| c.violations)
     );
     println!(
-        "under Replicate, no inter-core coherence traffic exists: each directory only ever \
+        "with private tables, no inter-core coherence traffic exists: each directory only ever \
          observes its own core, and the only cross-core coupling is timing through the shared \
          L3/DRAM backside."
     );
 
-    // The same machine with the MESI directory at the L3 banks: the
-    // sharder's read-only gathered table (CG's x) is served from shared
-    // lines, so the chip fetches it from DRAM once instead of once per
-    // core. The per-tile hybrid protocol is untouched (§3): still zero
-    // violations with the tracker on.
-    let mut mesi_cfg =
-        MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(CoherenceMode::Mesi);
-    mesi_cfg.track_coherence = true;
-    let mut mesi_machine = MultiMachine::for_kernels(mesi_cfg, &compiled);
+    // The same shards with their marks kept: the MESI directory at the
+    // L3 banks serves the sharder's read-only gathered table (CG's x)
+    // from shared lines, so the chip fetches it from DRAM once instead
+    // of once per core. The per-tile hybrid protocol is untouched (§3):
+    // still zero violations with the tracker on.
+    let shared = compile_all(shards);
+    let mut mesi_machine = MultiMachine::for_kernels(cfg, &shared);
     mesi_machine.run().expect("all cores halt");
+    let cks: Vec<_> = shared.iter().map(|(ck, _)| ck.clone()).collect();
     let mesi = MultiRunReport::collect(&mesi_machine, &cks);
     println!(
-        "\nsame shards under CoherenceMode::Mesi: makespan {} cycles ({} under Replicate), \
+        "\nsame shards with shared tables under MESI: makespan {} cycles ({} with private tables), \
          DRAM reads {} (vs {}), {} shared-line hits, {} invalidations, {} interventions, \
          coherence violations: {}",
         mesi.makespan,

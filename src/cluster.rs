@@ -11,9 +11,8 @@
 //!
 //! ## Cross-cluster shared data (v1: counted replication)
 //!
-//! Within a cluster, read-only shared arrays are served as usual
-//! (directory-tracked shared lines under `CoherenceMode::Mesi`,
-//! per-core replicas under `Replicate`). *Across* clusters, v1 does not
+//! Within a cluster, read-only shared arrays are served as usual, from
+//! directory-tracked shared lines. *Across* clusters, v1 does not
 //! model a home-directory hop: a shared range whose sharers span
 //! clusters falls back to one replica per cluster: each cluster caches
 //! its own lines of it, while its storage stays the one init buffer

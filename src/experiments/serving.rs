@@ -5,7 +5,6 @@
 use super::spec::{MultiRunError, RunOutcome, RunSpec};
 use crate::machine::{MachineConfig, SysMode};
 use crate::metrics::{LatencyHistogram, RequestServingReport};
-use hsim_core::config::CoherenceMode;
 use hsim_workloads::comm as commw;
 use hsim_workloads::Scale;
 
@@ -91,8 +90,7 @@ pub fn request_serving_on(
     })
 }
 
-/// [`request_serving_on`] the default `mode` machine under the MESI
-/// directory. Kept only for the frozen repository benchmark
+/// [`request_serving_on`] the default `mode` machine (MESI). Kept only for the frozen repository benchmark
 /// (`benchmark/`), which calls it by this signature; the ROADMAP's
 /// benchmark-unfreeze item moves that call to [`request_serving_on`]
 /// and deletes this wrapper.
@@ -103,6 +101,6 @@ pub fn request_serving(
     seed: u64,
     load_permille: u64,
 ) -> Result<RequestServingReport, MultiRunError> {
-    let cfg = MachineConfig::for_mode(mode).with_coherence(CoherenceMode::Mesi);
+    let cfg = MachineConfig::for_mode(mode);
     request_serving_on(&cfg, scale, cores, seed, load_permille)
 }

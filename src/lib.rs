@@ -151,7 +151,7 @@ pub mod prelude {
     pub use hsim_compiler::{
         compile, compile_with_lm, interpret, CodegenMode, Expr, Kernel, KernelBuilder,
     };
-    pub use hsim_core::config::{CoherenceConfig, CoherenceMode};
+    pub use hsim_core::config::{CoherenceConfig, CoherenceProtocol};
     pub use hsim_isa::{Phase, Program, ProgramBuilder, Route};
     pub use hsim_mem::{FaultConfig, FaultEscalation, FaultSite};
     pub use hsim_workloads::{microbench, MicroMode, MicrobenchConfig, Scale};

@@ -111,14 +111,13 @@ impl MachineConfig {
         self
     }
 
-    /// Selects the inter-core coherence model of the shared backside
-    /// (default `Replicate`): `Replicate` keeps per-core private
-    /// replicas of every cacheable line; `Mesi` serves the sharder's
-    /// replicated-whole arrays from shared, directory-tracked lines.
-    /// Committed architectural state is identical either way — each
-    /// tile's functional backing store is private — only timing and
-    /// traffic differ.
-    pub fn with_coherence(mut self, mode: hsim_core::config::CoherenceMode) -> Self {
+    /// Selects the inter-core protocol of the shared backside (default
+    /// MESI), which steps the directory-tracked lines that serve the
+    /// sharder's replicated-whole arrays and the communication arrays.
+    /// Committed architectural state is identical under every protocol
+    /// — each tile's functional backing store is private — only timing
+    /// and traffic differ.
+    pub fn with_coherence(mut self, mode: hsim_core::config::CoherenceProtocol) -> Self {
         self.mem.coherence.mode = mode;
         self
     }
@@ -267,8 +266,8 @@ impl Machine {
     /// controller, port occupancy, inter-core coherence model), because
     /// there is only one L3 and one memory channel per chip
     /// ([`hsim_mem::MemConfig::backside_compatible`]; violations
-    /// panic, as do more than 64 tiles under a directory mode, whose
-    /// sharer bitset is one `u64` — `Replicate` takes more).
+    /// panic, as do more than [`SharedBackside::MAX_CORES`] tiles,
+    /// whose sharer bitset is one `u64`).
     /// Per-core stat partitioning and the event horizons are
     /// geometry-independent, so everything the homogeneous machine
     /// guarantees — exact per-core shares, bit-identical cycle skipping
@@ -327,14 +326,14 @@ impl Machine {
 /// Everything the paper's protocol adds — LM, directory, guarded AGU
 /// path, DMAC — is private per tile and never interacts across cores
 /// (§3: the protocol "does not interact with the inter-core cache
-/// coherence protocol"). Under `CoherenceMode::Replicate` the only
-/// cross-core coupling is timing through the shared backside; under
-/// `CoherenceMode::Mesi` a *real* inter-core protocol runs below the
+/// coherence protocol"). A *real* inter-core protocol runs below the
 /// tiles — per-L3-bank directory slices serving the sharder's
-/// replicated-whole arrays from shared lines — and the §3 claim is
-/// demonstrated against it: the per-tile hybrid machinery is untouched
-/// by the mode, and the coherence-tracker invariants hold identically
-/// in both (pinned by the `mesi_directory` integration tests).
+/// replicated-whole arrays and the communication arrays from shared
+/// lines — and the §3 claim is demonstrated against it: the per-tile
+/// hybrid machinery is untouched by the protocol, and the
+/// coherence-tracker invariants hold identically on a machine whose
+/// tables stay private (pinned by the `mesi_directory` integration
+/// tests).
 pub struct MultiMachine {
     /// The per-core tiles, indexed by core id.
     pub tiles: Vec<Machine>,
@@ -374,10 +373,12 @@ impl MultiMachine {
     /// mixed modes: the data layout is mode-independent, so a
     /// cache-based tile and a hybrid tile can serve one read-only array
     /// from the same directory-tracked lines under
-    /// `CoherenceMode::Mesi`.
+    /// the same directory.
     ///
-    /// Surfaces the one construction failure that must not be papered
-    /// over: a
+    /// Surfaces the construction failures that must not be papered
+    /// over: more kernels than a backside's directory can name as
+    /// sharers ([`ShardError::TooManyTiles`], checked before any tile is
+    /// built), and a
     /// **communication array** ([`hsim_compiler::ArrayDecl::comm`] —
     /// flags, queue slots, locks, shared request tables) whose layouts
     /// diverge across the per-core kernels. A read-only sharder-derived
@@ -393,6 +394,12 @@ impl MultiMachine {
         shards: &[(CompiledKernel, Kernel)],
     ) -> Result<MultiMachine, ShardError> {
         assert_eq!(cfgs.len(), shards.len(), "one configuration per shard");
+        if shards.len() > SharedBackside::MAX_CORES {
+            return Err(ShardError::TooManyTiles {
+                tiles: shards.len(),
+                max: SharedBackside::MAX_CORES,
+            });
+        }
         let programs = cfgs
             .iter()
             .zip(shards)
@@ -416,10 +423,8 @@ impl MultiMachine {
 
     /// Registers the sharder's read-only replicated-whole arrays
     /// (`ArrayDecl::shared`) as cross-core shared address ranges with
-    /// the backside, so `CoherenceMode::Mesi` can serve them from
-    /// shared directory-tracked lines instead of per-core replicas.
-    /// (Under `Replicate` the registration is recorded but never
-    /// consulted.)
+    /// the backside, so the directory serves them from shared lines
+    /// instead of per-core replicas.
     ///
     /// An array is only registered when **every** shard's layout places
     /// it at the same base with the same size. Shards with uneven
@@ -429,7 +434,7 @@ impl MultiMachine {
     /// differences); a range that diverges across shards would alias
     /// one core's table lines with another core's unrelated private
     /// data, so such arrays are left unregistered instead: each core
-    /// caches its own lines of them, as under `Replicate`. Only the
+    /// caches its own private lines of them. Only the
     /// cache lines are per core — the storage is still the kernel's one
     /// buffer, borrowed by every tile. Each such array is counted in
     /// [`MultiMachine::replication_fallbacks`], so the fallback is
@@ -473,8 +478,7 @@ impl MultiMachine {
     /// How many shared-marked arrays could **not** be registered as
     /// coherent shared ranges because the shards' layouts diverged
     /// (uneven slices moving later arrays): each core caches its own
-    /// lines of those arrays even under `CoherenceMode::Mesi`, instead
-    /// of sharing directory-tracked ones. Storage is never replicated:
+    /// lines of those arrays instead of sharing directory-tracked ones. Storage is never replicated:
     /// every tile borrows the array's one buffer either way. 0 on
     /// evenly-sharded and single-core machines. Surfaced through
     /// `MultiRunReport::replication_fallbacks` and the `coherence` /

@@ -68,24 +68,23 @@ pub struct RunReport {
     pub dram_queue_stalls: u64,
     /// The subset of this core's `dram_queue_stalls` whose drained
     /// victim was an M-intervention write-back of *this core's* dirty
-    /// data (directory protocols only; 0 under `Replicate`).
+    /// data (shared lines only).
     pub dram_intervention_drain_stalls: u64,
     /// L3 hits this core scored on shared, directory-tracked lines also
-    /// held or brought in by another core (directory protocols only; 0
-    /// under `Replicate`).
+    /// held or brought in by another core.
     pub coh_shared_hits: u64,
     /// Invalidation messages this core's writes/evictions sent to other
-    /// cores' upper levels (directory protocols only).
+    /// cores' upper levels (shared lines only).
     pub coh_invalidations: u64,
     /// Dirty-owner interventions this core's requests triggered
-    /// (directory protocols only).
+    /// (shared lines only).
     pub coh_interventions: u64,
     /// MSHR merges that stalled on a fill lengthened by an intervention
-    /// (directory protocols only).
+    /// (shared lines only).
     pub coh_intervention_stalls: u64,
     /// Back-invalidations that recalled a *dirty* line out of this
     /// core's L1/L2, each charging the tile-side recall port occupancy
-    /// (directory protocols only).
+    /// (shared lines only).
     pub coh_dirty_recalls: u64,
     /// Injected transient DRAM read errors recovered by ECC replay on
     /// behalf of this core (0 without a fault plan; timing-only).
@@ -192,8 +191,8 @@ pub struct MultiRunReport {
     pub makespan: u64,
     /// Shared-marked arrays that could not be registered as coherent
     /// shared ranges because the shards' layouts diverged (uneven
-    /// weighted shards): under a directory protocol each core caches
-    /// its own lines of them instead of sharing. Their storage is not
+    /// weighted shards): each core caches its own lines of them
+    /// instead of sharing. Their storage is not
     /// replicated. 0 on evenly-sharded machines.
     pub replication_fallbacks: u64,
 }

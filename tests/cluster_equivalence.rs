@@ -20,7 +20,7 @@
 //! partitioning it.
 //!
 //! Every contract holds under every inter-core protocol, so each test
-//! iterates [`CoherenceMode::ALL`] (the NAS grids through
+//! iterates [`CoherenceProtocol::ALL`] (the NAS grids through
 //! [`protocols`]).
 
 use hsim::cluster::{cross_cluster_fallbacks, ClusterConfig, ClusterTopology};
@@ -101,10 +101,10 @@ fn assert_multi_equal(a: &MultiRunReport, b: &MultiRunReport, what: &str) {
 
 /// The protocols the `i`-th kernel of a NAS grid runs under: all of
 /// them in release builds; in debug builds, where the whole grid under
-/// every protocol takes many minutes, only `ALL[i % 5]`, so each
-/// protocol still runs some kernels.
-fn protocols(i: usize) -> Vec<CoherenceMode> {
-    let all = CoherenceMode::ALL;
+/// every protocol takes many minutes, only `ALL[i % ALL.len()]`, so
+/// each protocol still runs some kernels.
+fn protocols(i: usize) -> Vec<CoherenceProtocol> {
+    let all = CoherenceProtocol::ALL;
     if cfg!(debug_assertions) {
         vec![all[i % all.len()]]
     } else {
@@ -114,7 +114,7 @@ fn protocols(i: usize) -> Vec<CoherenceMode> {
 
 /// Every NAS kernel at `Scale::Test`, paired with the protocols it runs
 /// under ([`protocols`]).
-fn nas_grid() -> Vec<(hsim::compiler::Kernel, CoherenceMode)> {
+fn nas_grid() -> Vec<(hsim::compiler::Kernel, CoherenceProtocol)> {
     let kernels = nas::all_nas(Scale::Test).into_iter().enumerate();
     kernels
         .flat_map(|(i, k)| protocols(i).into_iter().map(move |cm| (k.clone(), cm)))
@@ -122,13 +122,13 @@ fn nas_grid() -> Vec<(hsim::compiler::Kernel, CoherenceMode)> {
 }
 
 /// The hybrid-coherent machine under `cm`.
-fn hybrid(cm: CoherenceMode) -> MachineConfig {
+fn hybrid(cm: CoherenceProtocol) -> MachineConfig {
     MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm)
 }
 
 fn run(
     kernel: &hsim::compiler::Kernel,
-    cm: CoherenceMode,
+    cm: CoherenceProtocol,
     topo: ClusterTopology,
     serial: bool,
     channels: usize,
@@ -185,7 +185,7 @@ fn threaded_clusters_match_serial_oracle() {
 #[test]
 fn run_until_chunks_match_one_run() {
     let kernel = nas::cg(Scale::Test);
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         let cfg = hybrid(cm);
         let shards: Vec<_> = kernel
             .shard(4)
@@ -313,7 +313,7 @@ fn cross_cluster_fallbacks_are_counted() {
     assert_eq!(cross_cluster_fallbacks(&kernel, 1), 0);
     assert_eq!(cross_cluster_fallbacks(&kernel, 2), shared);
     assert_eq!(cross_cluster_fallbacks(&kernel, 4), 3 * shared);
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         let report = run(&kernel, cm, ClusterTopology::new(2, 2), false, 1, false)
             .expect("CG shards to 2x2");
         assert_eq!(report.cross_cluster_fallbacks, shared, "{cm:?}");
@@ -393,7 +393,7 @@ fn report_totals_partition_the_backsides_of_a_clustered_run() {
     ];
 
     let kernel = nas::cg(Scale::Test);
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         let cfg = hybrid(cm);
         let report =
             run(&kernel, cm, ClusterTopology::new(2, 2), true, 1, false).expect("CG shards 2x2");

@@ -7,7 +7,7 @@
 //! - **skip == lockstep**: the event-horizon scheduler must stay a pure
 //!   host-speed optimization under flag ping-pong, dirty queue
 //!   hand-offs and the request-serving gather — across every
-//!   [`CoherenceMode`], on hybrid and cache-based chips.
+//!   [`CoherenceProtocol`], on hybrid and cache-based chips.
 //! - **clusters serial == threaded**: comm kernel sets on the cluster
 //!   machine are bit-identical whether the clusters run on one host
 //!   thread or one thread each.
@@ -75,7 +75,7 @@ fn assert_multi_equal(a: &MultiRunReport, b: &MultiRunReport, what: &str) {
 
 /// Runs one comm kernel set with and without cycle skipping and
 /// demands identical observables.
-fn check_skip_lockstep(w: &comm::CommWorkload, mode: SysMode, cm: CoherenceMode) {
+fn check_skip_lockstep(w: &comm::CommWorkload, mode: SysMode, cm: CoherenceProtocol) {
     let what = format!("{} {mode:?} {}", w.name, cm.name());
     let cfg = MachineConfig::for_mode(mode).with_coherence(cm);
     let skip = RunSpec::many(&w.kernels)
@@ -104,7 +104,7 @@ fn skip_equals_lockstep_for_handoff_workloads_all_protocols() {
         comm::ping_pong(Scale::Test, 4),
         comm::queue(Scale::Test, 4, 64),
     ] {
-        for cm in CoherenceMode::ALL {
+        for cm in CoherenceProtocol::ALL {
             for mode in [SysMode::HybridCoherent, SysMode::CacheBased] {
                 check_skip_lockstep(&w, mode, cm);
             }
@@ -117,9 +117,28 @@ fn skip_equals_lockstep_for_handoff_workloads_all_protocols() {
 /// covers the mode × system cross).
 #[test]
 fn skip_equals_lockstep_for_contention_workloads() {
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         check_skip_lockstep(&comm::lock(Scale::Test, 4), SysMode::CacheBased, cm);
         check_skip_lockstep(&comm::barrier(Scale::Test, 4), SysMode::HybridCoherent, cm);
+    }
+}
+
+/// Four hybrid tiles contending for one lock word at Paper scale: the
+/// spinning tiles' posted stores keep recalling the line, and the
+/// home bank's port may be booked at most `BANK_BACKLOG_WINDOW` ahead,
+/// so every protocol finishes instead of tripping the deadlock
+/// watchdog behind an unbounded message backlog.
+#[test]
+fn hybrid_lock_completes_at_paper_scale_under_every_protocol() {
+    let w = comm::lock(Scale::Paper, 4);
+    for cm in CoherenceProtocol::ALL {
+        let cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
+        let report = RunSpec::many(&w.kernels)
+            .config(cfg)
+            .run()
+            .unwrap_or_else(|e| panic!("{}: {e}", cm.name()))
+            .into_multi();
+        assert!(report.makespan > 0, "{}: lock must finish", cm.name());
     }
 }
 
@@ -133,7 +152,7 @@ fn skip_equals_lockstep_for_request_serving_set() {
         kernels: w.kernels,
         rounds: w.requests_per_core,
     };
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         for mode in [SysMode::HybridCoherent, SysMode::CacheBased] {
             check_skip_lockstep(&fake, mode, cm);
         }
@@ -142,7 +161,7 @@ fn skip_equals_lockstep_for_request_serving_set() {
 
 /// Comm kernel sets on the clustered machine: one host thread per
 /// cluster must be bit-identical to the serial oracle, under every
-/// [`CoherenceMode`].
+/// [`CoherenceProtocol`].
 #[test]
 fn clusters_serial_matches_threaded_for_comm_sets() {
     let sets = [
@@ -151,7 +170,7 @@ fn clusters_serial_matches_threaded_for_comm_sets() {
     ];
     for (w, cm) in sets
         .iter()
-        .flat_map(|w| CoherenceMode::ALL.map(|cm| (w, cm)))
+        .flat_map(|w| CoherenceProtocol::ALL.map(|cm| (w, cm)))
     {
         let topo = ClusterTopology::new(2, 2);
         let cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
@@ -244,15 +263,15 @@ fn diverged_comm_layout_is_a_hard_error() {
 }
 
 /// The request-serving machine: hybrid-coherent tiles under `cm`.
-fn server(cm: CoherenceMode) -> MachineConfig {
+fn server(cm: CoherenceProtocol) -> MachineConfig {
     MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm)
 }
 
 /// Different arrival seeds actually change the replay (the proptest
-/// below pins the converse), under every [`CoherenceMode`].
+/// below pins the converse), under every [`CoherenceProtocol`].
 #[test]
 fn different_seeds_change_the_request_serving_report() {
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         let a = hsim::request_serving_on(&server(cm), Scale::Test, 2, 1, 700).unwrap();
         let b = hsim::request_serving_on(&server(cm), Scale::Test, 2, 2, 700).unwrap();
         assert_ne!(
@@ -281,9 +300,9 @@ mod open_loop_determinism {
         fn same_seed_renders_byte_identical_reports(
             seed in any::<u64>(),
             load in 100u64..901,
-            mode_idx in 0usize..CoherenceMode::ALL.len(),
+            mode_idx in 0usize..CoherenceProtocol::ALL.len(),
         ) {
-            let cfg = server(CoherenceMode::ALL[mode_idx]);
+            let cfg = server(CoherenceProtocol::ALL[mode_idx]);
             let a = hsim::request_serving_on(&cfg, Scale::Test, 2, seed, load).unwrap();
             let b = hsim::request_serving_on(&cfg, Scale::Test, 2, seed, load).unwrap();
             prop_assert_eq!(a.render(), b.render());

@@ -170,7 +170,7 @@ fn scaling_sweep_produces_rising_sublinear_curves() {
     // The promoted scaling experiment: per kernel, speedup rises with
     // cores but stays sublinear (shared backside), and the 1-core point
     // is exactly 1.0 by construction — under every inter-core protocol.
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         let cg = [nas::cg(Scale::Test)];
         let rows = scaling_points(&cg, &[1, 2, 4], &hybrid(cm)).unwrap();
         assert_eq!(rows.len(), 3);
@@ -200,7 +200,7 @@ fn hetero_sweep_covers_the_shapes() {
     // all-hybrid anchor equal to the homogeneous machine — under every
     // inter-core protocol.
     let kernels = [nas::cg(Scale::Test)];
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         let shapes = hetero_shapes(2, cm);
         let rows = hetero_points(&kernels, &shapes).unwrap();
         let labels: Vec<&str> = rows.iter().map(|((_, (l, ..)), _)| l.as_str()).collect();
@@ -243,7 +243,7 @@ fn hetero_sweep_covers_the_shapes() {
 }
 
 /// The hybrid-coherent machine under `cm`.
-fn hybrid(cm: CoherenceMode) -> MachineConfig {
+fn hybrid(cm: CoherenceProtocol) -> MachineConfig {
     MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm)
 }
 
@@ -260,7 +260,7 @@ fn multicore_sharding_scales_the_makespan_down() {
         .run()
         .map(RunOutcome::into_single)
         .unwrap();
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         let m1 = RunSpec::new(&kernel)
             .cores(1)
             .config(hybrid(cm))

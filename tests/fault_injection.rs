@@ -127,7 +127,7 @@ fn run_multi(
     kernel: &Kernel,
     n: usize,
     fault: FaultConfig,
-    cm: CoherenceMode,
+    cm: CoherenceProtocol,
 ) -> Option<(Images, MultiRunReport)> {
     let shards = kernel.shard(n).ok()?;
     let cfg = MachineConfig::for_mode(SysMode::HybridCoherent)
@@ -186,16 +186,15 @@ proptest! {
 
     /// Contract 1: the fault rate never changes architectural state —
     /// final memory images and committed instruction counts match the
-    /// fault-free run at any rate, under every coherence mode (the
-    /// `Replicate` baseline and all four directory protocols).
+    /// fault-free run at any rate, under every inter-core protocol.
     #[test]
     fn fault_rate_never_changes_architectural_state(
         kernel in arb_kernel(),
         seed in any::<u64>(),
         rate_pct in 1u32..61,
-        mode_idx in 0usize..CoherenceMode::ALL.len(),
+        mode_idx in 0usize..CoherenceProtocol::ALL.len(),
     ) {
-        let cm = CoherenceMode::ALL[mode_idx];
+        let cm = CoherenceProtocol::ALL[mode_idx];
         let Some((clean_img, clean)) = run_multi(&kernel, 2, FaultConfig::none(), cm) else {
             return Ok(());
         };
@@ -221,7 +220,7 @@ proptest! {
         per in 1usize..3,
         seed in any::<u64>(),
         rate_pct in 1u32..51,
-        mode_idx in 0usize..CoherenceMode::ALL.len(),
+        mode_idx in 0usize..CoherenceProtocol::ALL.len(),
     ) {
         let topo = ClusterTopology::new(clusters, per);
         let fault = FaultConfig::uniform(seed, rate_pct as f64 / 100.0);
@@ -231,7 +230,7 @@ proptest! {
                 cluster = cluster.serial();
             }
             let cfg = MachineConfig::for_mode(SysMode::HybridCoherent)
-                .with_coherence(CoherenceMode::ALL[mode_idx])
+                .with_coherence(CoherenceProtocol::ALL[mode_idx])
                 .with_faults(fault.clone());
             match RunSpec::new(&kernel).clustered(&cluster).config(cfg).run().map(RunOutcome::into_clusters) {
                 Ok(r) => Some(r),
@@ -368,7 +367,7 @@ fn injected_cluster_panic_degrades_gracefully() {
         .expect("some NAS kernel shards 2 ways");
     let shards = kernel.shard(2).unwrap();
     let topo = ClusterTopology::new(2, 1);
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         let cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
         let lanes: Vec<Vec<_>> = shards
             .iter()
@@ -435,7 +434,7 @@ fn over_budget_cluster_fails_alone() {
     };
     let kernels = [micro(256), micro(8 * 1024)];
     let topo = ClusterTopology::new(2, 1);
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         let run = |cluster: &ClusterConfig, max_cycles: u64| {
             let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
             cfg.core.max_cycles = max_cycles;

@@ -2,18 +2,20 @@
 //! tiles, per-tile LM budgets and weighted shards on one machine.
 //!
 //! The acceptance scenario of the hetero refactor: a 2-hybrid /
-//! 2-cache-based 4-core chip runs the NAS kernels to completion under
-//! both coherence modes, with every backside counter still partitioned
+//! 2-cache-based 4-core chip runs the NAS kernels to completion with
+//! private and with shared tables, with every backside counter still partitioned
 //! exactly across the per-core shares — the invariant the homogeneous
 //! machine has pinned since the banked backside landed, re-proven for
 //! tiles that differ.
 
+use hsim::compiler::ShardError;
 use hsim::machine::MultiMachine;
 use hsim::prelude::*;
+use hsim_bench::private_tables;
 use hsim_workloads::nas;
 
-/// 2 hybrid + 2 cache-based tiles under one coherence mode.
-fn mixed_cfgs(cm: CoherenceMode) -> Vec<MachineConfig> {
+/// 2 hybrid + 2 cache-based tiles under one inter-core protocol.
+fn mixed_cfgs(cm: CoherenceProtocol) -> Vec<MachineConfig> {
     [
         SysMode::HybridCoherent,
         SysMode::HybridCoherent,
@@ -25,15 +27,17 @@ fn mixed_cfgs(cm: CoherenceMode) -> Vec<MachineConfig> {
     .collect()
 }
 
-/// Shards `kernel` by `weights`, compiles each shard for its tile, and
-/// returns the finished machine (for backside inspection) plus the
-/// report.
+/// `kernel`'s shards by `weights`.
+fn weighted(kernel: &Kernel, weights: &[u64]) -> Vec<Kernel> {
+    kernel.shard_weighted(weights).expect("kernel must shard")
+}
+
+/// Compiles each shard for its tile and returns the finished machine
+/// (for backside inspection) plus the report.
 fn run_hetero_machine(
-    kernel: &hsim_compiler::Kernel,
+    shards: Vec<Kernel>,
     cfgs: &[MachineConfig],
-    weights: &[u64],
 ) -> (MultiMachine, MultiRunReport) {
-    let shards = kernel.shard_weighted(weights).expect("kernel must shard");
     let compiled: Vec<_> = shards
         .into_iter()
         .zip(cfgs)
@@ -53,17 +57,21 @@ fn run_hetero_machine(
 #[test]
 fn mixed_chip_runs_nas_kernels_with_exact_stat_partitioning() {
     // The acceptance criterion: CG, FT and IS complete on the mixed
-    // chip under Replicate AND Mesi, and for every backside counter the
-    // per-core shares sum to the chip totals exactly.
+    // chip with private AND with shared tables, and for every backside
+    // counter the per-core shares sum to the chip totals exactly.
     for kernel in [
         nas::cg(Scale::Test),
         nas::ft(Scale::Test),
         nas::is(Scale::Test),
     ] {
-        for cm in [CoherenceMode::Replicate, CoherenceMode::Mesi] {
-            let cfgs = mixed_cfgs(cm);
-            let (m, report) = run_hetero_machine(&kernel, &cfgs, &[1, 1, 1, 1]);
-            let what = format!("{} {:?}", kernel.name, cm);
+        let shards = weighted(&kernel, &[1, 1, 1, 1]);
+        for (tables, shards) in [
+            ("private", private_tables(shards.clone())),
+            ("shared", shards),
+        ] {
+            let cfgs = mixed_cfgs(CoherenceProtocol::Mesi);
+            let (m, report) = run_hetero_machine(shards, &cfgs);
+            let what = format!("{} {tables} tables", kernel.name);
             assert!(report.makespan > 0, "{what}: must run to completion");
             assert_eq!(report.n_cores(), 4);
             assert!(report.is_mixed_chip());
@@ -107,12 +115,15 @@ fn mixed_chip_shares_read_only_tables_across_modes_under_mesi() {
     // compile for different SysModes (the data layout is
     // mode-independent). Under Mesi the chip must serve it from shared
     // lines — hybrid and cache-based tiles alike — and read less DRAM
-    // than under Replicate.
-    let kernel = nas::cg(Scale::Test);
-    let (_, rep) = run_hetero_machine(&kernel, &mixed_cfgs(CoherenceMode::Replicate), &[1; 4]);
-    let (_, mesi) = run_hetero_machine(&kernel, &mixed_cfgs(CoherenceMode::Mesi), &[1; 4]);
-    assert_eq!(rep.replication_fallbacks, 0, "even shards must not diverge");
-    assert_eq!(mesi.replication_fallbacks, 0);
+    // than with private tables.
+    let shards = weighted(&nas::cg(Scale::Test), &[1; 4]);
+    let cfgs = mixed_cfgs(CoherenceProtocol::Mesi);
+    let (_, rep) = run_hetero_machine(private_tables(shards.clone()), &cfgs);
+    let (_, mesi) = run_hetero_machine(shards, &cfgs);
+    assert_eq!(
+        mesi.replication_fallbacks, 0,
+        "even shards must not diverge"
+    );
     assert_eq!(rep.total(|c| c.coh_shared_hits), 0);
     assert!(
         mesi.total(|c| c.coh_shared_hits) > 0,
@@ -154,9 +165,10 @@ fn weighted_shards_speed_up_a_mixed_chip() {
         nas::ft(Scale::Test),
         nas::is(Scale::Test),
     ] {
-        let cfgs = mixed_cfgs(CoherenceMode::Replicate);
-        let (_, even) = run_hetero_machine(&kernel, &cfgs, &[1, 1, 1, 1]);
-        let (_, weighted) = run_hetero_machine(&kernel, &cfgs, &[2, 2, 1, 1]);
+        let cfgs = mixed_cfgs(CoherenceProtocol::Mesi);
+        let private = |weights| private_tables(weighted(&kernel, weights));
+        let (_, even) = run_hetero_machine(private(&[1, 1, 1, 1]), &cfgs);
+        let (_, weighted) = run_hetero_machine(private(&[2, 2, 1, 1]), &cfgs);
         assert!(
             weighted.makespan < even.makespan,
             "{}: 2:1 weights toward the hybrid tiles must beat the even \
@@ -193,13 +205,13 @@ fn small_lm_tiles_pay_more_dma_round_trips() {
     // still complete and the little tiles must issue more DMA traffic
     // per iteration than the big ones.
     let kernel = nas::cg(Scale::Test);
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         let hybrid = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
         let mut cfgs = vec![hybrid; 4];
         for c in cfgs.iter_mut().skip(2) {
             c.mem.lm.as_mut().unwrap().size_bytes /= 4;
         }
-        let (m, report) = run_hetero_machine(&kernel, &cfgs, &[1, 1, 1, 1]);
+        let (m, report) = run_hetero_machine(weighted(&kernel, &[1, 1, 1, 1]), &cfgs);
         assert!(report.makespan > 0);
         let dma_cmds: Vec<u64> = m
             .tiles
@@ -250,7 +262,7 @@ fn every_run_spec_shape_compiles_against_the_tiles_own_lm() {
         let report = spec.run().expect("clustered run").into_clusters();
         report.total(|c| c.committed)
     };
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         let default_lm = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
         assert!(
             clustered(quarter(default_lm.clone())) > clustered(default_lm),
@@ -265,5 +277,33 @@ fn tiles_disagreeing_on_the_backside_are_rejected() {
     let kernel = nas::cg(Scale::Test);
     let mut cfgs = vec![MachineConfig::for_mode(SysMode::HybridCoherent); 2];
     cfgs[1].mem.l3_geometry.banks = 1; // one chip cannot have two L3 shapes
-    let _ = run_hetero_machine(&kernel, &cfgs, &[1, 1]);
+    let _ = run_hetero_machine(weighted(&kernel, &[1, 1]), &cfgs);
+}
+
+#[test]
+fn more_tiles_than_sharer_bits_is_a_construction_error() {
+    // The directory names sharers in a 64-bit set: a 65-tile machine is
+    // refused with a typed error before any tile is built, through the
+    // machine constructor and through `RunSpec` alike.
+    let mut kb = KernelBuilder::new("wide");
+    let a = kb.array_i64_init("a", &[1; 65]);
+    kb.begin_loop(65);
+    let ra = kb.ref_affine(a, 1, 0);
+    kb.stmt(ra, Expr::add(Expr::Ref(ra), Expr::ConstI(1)));
+    kb.end_loop();
+    let shards = kb
+        .build()
+        .unwrap()
+        .shard(65)
+        .expect("one iteration per shard");
+    let want = ShardError::TooManyTiles { tiles: 65, max: 64 };
+    let cfg = MachineConfig::for_mode(SysMode::CacheBased);
+    let compiled: Vec<_> = shards
+        .iter()
+        .map(|s| (compile_for_tile(s, &cfg), s.clone()))
+        .collect();
+    let built = MultiMachine::try_for_kernels_hetero(vec![cfg.clone(); 65], &compiled);
+    assert_eq!(built.err(), Some(want.clone()));
+    let run = RunSpec::many(&shards).config(cfg).run();
+    assert_eq!(run.err(), Some(MultiRunError::Shard(want)));
 }

@@ -1,27 +1,32 @@
-//! Integration tests of the per-L3-bank MESI directory
-//! (`CoherenceMode::Mesi`) against the `Replicate` baseline:
+//! Integration tests of the per-L3-bank MESI directory (the default
+//! protocol) against the private-tables baseline — the same shards
+//! with their `ArrayDecl::shared` marks cleared, so no table is
+//! directory-tracked:
 //!
 //! * timing-only: committed architectural state (final memory images,
-//!   per-core committed counts) is identical in both modes;
+//!   per-core committed counts) is identical either way;
 //! * sharing works: sharded CG reads less DRAM under `Mesi` because the
 //!   gathered table is fetched once per chip;
+//! * the baseline is protocol-free: a private-tables run reports the
+//!   same under every protocol;
 //! * the §3 non-interaction claim: the hybrid protocol's runtime
 //!   tracker finds exactly zero violations under the real inter-core
-//!   protocol, same as under replication.
+//!   protocol, same as with private tables.
 
 use hsim::compiler::compile;
 use hsim::prelude::*;
+use hsim_bench::private_tables;
 use hsim_bench::sweeps::{coherence_view, protocol_points};
 use hsim_workloads::nas;
 
-/// Shards `kernel`, runs it on an `n`-core machine built from `cfg`,
+/// `kernel` sharded `n` ways.
+fn split(kernel: &Kernel, n: usize) -> Vec<Kernel> {
+    kernel.shard(n).expect("kernel must shard")
+}
+
+/// Runs `shards` on a machine of one tile per shard built from `cfg`,
 /// and returns the report plus every shard's final array images.
-fn run_sharded(
-    kernel: &hsim_compiler::Kernel,
-    n: usize,
-    cfg: MachineConfig,
-) -> (MultiRunReport, Vec<Vec<Vec<u64>>>) {
-    let shards = kernel.shard(n).expect("kernel must shard");
+fn run_sharded(shards: Vec<Kernel>, cfg: MachineConfig) -> (MultiRunReport, Vec<Vec<Vec<u64>>>) {
     let compiled: Vec<_> = shards
         .iter()
         .map(|s| (compile(s, cfg.mode.codegen()), s.clone()))
@@ -42,16 +47,17 @@ fn run_sharded(
     (MultiRunReport::collect(&m, &cks), images)
 }
 
-fn cfg_with(mode: SysMode, cm: CoherenceMode) -> MachineConfig {
+fn cfg_with(mode: SysMode, cm: CoherenceProtocol) -> MachineConfig {
     MachineConfig::for_mode(mode).with_coherence(cm)
 }
 
 #[test]
 fn modes_only_change_timing_never_architectural_state() {
-    let kernel = nas::cg(Scale::Test);
+    let shards = split(&nas::cg(Scale::Test), 4);
     for mode in SysMode::ALL {
-        let (rep, rep_img) = run_sharded(&kernel, 4, cfg_with(mode, CoherenceMode::Replicate));
-        let (mesi, mesi_img) = run_sharded(&kernel, 4, cfg_with(mode, CoherenceMode::Mesi));
+        let cfg = cfg_with(mode, CoherenceProtocol::Mesi);
+        let (rep, rep_img) = run_sharded(private_tables(shards.clone()), cfg.clone());
+        let (mesi, mesi_img) = run_sharded(shards.clone(), cfg);
         assert_eq!(rep_img, mesi_img, "{mode:?}: memory images diverged");
         for (r, m) in rep.per_core.iter().zip(&mesi.per_core) {
             assert_eq!(
@@ -66,19 +72,12 @@ fn modes_only_change_timing_never_architectural_state() {
 #[test]
 fn sharded_cg_reads_less_dram_under_mesi() {
     // The acceptance shape: CG's gathered x table (replicated whole by
-    // the sharder) is fetched once per core under Replicate and once
-    // per chip under Mesi.
-    let kernel = nas::cg(Scale::Test);
-    let (rep, _) = run_sharded(
-        &kernel,
-        4,
-        cfg_with(SysMode::HybridCoherent, CoherenceMode::Replicate),
-    );
-    let (mesi, _) = run_sharded(
-        &kernel,
-        4,
-        cfg_with(SysMode::HybridCoherent, CoherenceMode::Mesi),
-    );
+    // the sharder) is fetched once per core with private tables and
+    // once per chip under Mesi.
+    let shards = split(&nas::cg(Scale::Test), 4);
+    let cfg = cfg_with(SysMode::HybridCoherent, CoherenceProtocol::Mesi);
+    let (rep, _) = run_sharded(private_tables(shards.clone()), cfg.clone());
+    let (mesi, _) = run_sharded(shards, cfg);
     assert!(
         mesi.total(|c| c.dram_reads) < rep.total(|c| c.dram_reads),
         "Mesi must read less DRAM: {} vs {}",
@@ -92,22 +91,21 @@ fn sharded_cg_reads_less_dram_under_mesi() {
     assert_eq!(
         rep.total(|c| c.coh_shared_hits),
         0,
-        "Replicate has no sharing machinery"
+        "private tables have nothing to share"
     );
 }
 
 #[test]
-fn replicate_mode_matches_the_default_machine_bit_for_bit() {
-    // `with_coherence(Replicate)` must be the default machine exactly —
-    // same makespan, same per-core cycle counts: the spec's default
-    // protocol is `Replicate`, and nothing else can change it.
-    let kernel = nas::cg(Scale::Test);
+fn mesi_matches_the_default_machine_bit_for_bit() {
+    // `with_coherence(Mesi)` must be the default machine exactly — same
+    // makespan, same per-core cycle counts: the spec's default protocol
+    // is `Mesi`, and nothing else can change it.
+    let shards = split(&nas::cg(Scale::Test), 4);
     let (a, _) = run_sharded(
-        &kernel,
-        4,
-        cfg_with(SysMode::HybridCoherent, CoherenceMode::Replicate),
+        shards.clone(),
+        cfg_with(SysMode::HybridCoherent, CoherenceProtocol::Mesi),
     );
-    let (b, _) = run_sharded(&kernel, 4, MachineConfig::for_mode(SysMode::HybridCoherent));
+    let (b, _) = run_sharded(shards, MachineConfig::for_mode(SysMode::HybridCoherent));
     assert_eq!(a.makespan, b.makespan);
     for (x, y) in a.per_core.iter().zip(&b.per_core) {
         assert_eq!(x.cycles, y.cycles);
@@ -116,33 +114,72 @@ fn replicate_mode_matches_the_default_machine_bit_for_bit() {
 }
 
 #[test]
+fn private_tables_run_identically_under_every_protocol() {
+    // With no table registered, every line is private to its core and
+    // no directory state exists: the protocol cannot show. Pinned on
+    // every NAS kernel, core count and system mode, it is what makes
+    // the private-tables run the protocol-free baseline.
+    let kernels = nas::all_nas(Scale::Test);
+    let points: Vec<_> = kernels
+        .iter()
+        .flat_map(|k| [1, 2, 4].map(|cores| (k, cores)))
+        .collect();
+    hsim::parallel_map(points, |(kernel, cores)| {
+        let Ok(shards) = kernel.shard(cores) else {
+            return;
+        };
+        let shards = private_tables(shards);
+        for mode in SysMode::ALL {
+            let run = |cm| {
+                let spec = RunSpec::many(&shards).config(cfg_with(mode, cm));
+                format!("{:?}", spec.run().expect("run").into_multi())
+            };
+            let [first, rest @ ..] = CoherenceProtocol::ALL;
+            let first = run(first);
+            for cm in rest {
+                assert!(
+                    run(cm) == first,
+                    "{} x{cores} {mode:?}: private tables differ under {}",
+                    kernel.name,
+                    cm.name()
+                );
+            }
+        }
+    });
+}
+
+#[test]
 fn hybrid_tracker_stays_clean_under_the_inter_core_protocol() {
     // The §3 non-interaction claim, end to end: with the runtime
     // checker replaying every LM map/writeback and cache residency
-    // event, turning the MESI directory on must not create (or mask) a
-    // single hybrid-protocol violation.
-    let kernel = nas::is(Scale::Test);
-    for cm in [CoherenceMode::Replicate, CoherenceMode::Mesi] {
-        let mut cfg = cfg_with(SysMode::HybridCoherent, cm);
+    // event, sharing tables through the MESI directory must not create
+    // (or mask) a single hybrid-protocol violation.
+    let shards = split(&nas::is(Scale::Test), 2);
+    for (tables, shards) in [
+        ("private", private_tables(shards.clone())),
+        ("shared", shards),
+    ] {
+        let mut cfg = cfg_with(SysMode::HybridCoherent, CoherenceProtocol::Mesi);
         cfg.track_coherence = true;
-        let shards = kernel.shard(2).expect("shards");
         let compiled: Vec<_> = shards
             .iter()
             .map(|s| (compile(s, cfg.mode.codegen()), s.clone()))
             .collect();
         let mut m = MultiMachine::for_kernels(cfg, &compiled);
         m.run().expect("run");
-        assert_eq!(m.violations(), 0, "{cm:?}: hybrid invariants violated");
+        assert_eq!(
+            m.violations(),
+            0,
+            "{tables} tables: hybrid invariants violated"
+        );
     }
 }
 
 #[test]
 fn mesi_coherence_counters_reach_the_reports() {
-    let kernel = nas::cg(Scale::Test);
     let (mesi, _) = run_sharded(
-        &kernel,
-        4,
-        cfg_with(SysMode::HybridCoherent, CoherenceMode::Mesi),
+        split(&nas::cg(Scale::Test), 4),
+        cfg_with(SysMode::HybridCoherent, CoherenceProtocol::Mesi),
     );
     // Sharing happened and was attributed to cores (partitioned, so the
     // totals are sums of per-core shares by construction).
@@ -164,8 +201,8 @@ fn diverged_shard_layouts_fall_back_to_replication() {
     // LM-size alignment boundary shifts everything after it). Sharing a
     // range that is not the same slot in every layout would alias one
     // core's table with another core's unrelated private data, so such
-    // arrays must silently stay replicated: zero sharing traffic, and
-    // Mesi bit-identical to Replicate.
+    // arrays must stay private: zero sharing traffic, and Mesi
+    // bit-identical to the private-tables run.
     let n = 8193u64; // 2 shards: 4097 vs 4096 elements -> 32776 vs 32768 bytes
     let mut kb = KernelBuilder::new("uneven");
     let a = kb.array_i64_init("a", &vec![1i64; n as usize]);
@@ -190,16 +227,9 @@ fn diverged_shard_layouts_fall_back_to_replication() {
     assert_ne!(bases[0], bases[1], "the layouts must actually diverge");
     let _ = (a, idx);
 
-    let (rep, rep_img) = run_sharded(
-        &kernel,
-        2,
-        cfg_with(SysMode::HybridCoherent, CoherenceMode::Replicate),
-    );
-    let (mesi, mesi_img) = run_sharded(
-        &kernel,
-        2,
-        cfg_with(SysMode::HybridCoherent, CoherenceMode::Mesi),
-    );
+    let cfg = cfg_with(SysMode::HybridCoherent, CoherenceProtocol::Mesi);
+    let (rep, rep_img) = run_sharded(private_tables(shards.clone()), cfg.clone());
+    let (mesi, mesi_img) = run_sharded(shards, cfg);
     assert_eq!(
         mesi.total(|c| c.coh_shared_hits),
         0,
@@ -208,14 +238,14 @@ fn diverged_shard_layouts_fall_back_to_replication() {
     assert_eq!(mesi.total(|c| c.coh_invalidations), 0);
     assert_eq!(
         rep.makespan, mesi.makespan,
-        "with nothing registered, Mesi is the Replicate machine"
+        "with nothing registered, Mesi is the private-tables machine"
     );
     assert_eq!(rep_img, mesi_img);
     // The fallback is no longer silent: the report counts the one
-    // shared-marked array whose layouts diverged — in both modes (the
-    // registration runs regardless; only Mesi would have consulted it).
+    // shared-marked array whose layouts diverged. The private-tables
+    // run marks nothing, so nothing falls back.
     assert_eq!(mesi.replication_fallbacks, 1, "fallback must be surfaced");
-    assert_eq!(rep.replication_fallbacks, 1);
+    assert_eq!(rep.replication_fallbacks, 0);
 
     // An evenly-splitting sibling (8192 iterations -> two 4096-element
     // slices, identical layouts) registers cleanly and reports zero.
@@ -234,9 +264,8 @@ fn diverged_shard_layouts_fall_back_to_replication() {
         kb.build().unwrap()
     };
     let (even_rep, _) = run_sharded(
-        &even,
-        2,
-        cfg_with(SysMode::HybridCoherent, CoherenceMode::Mesi),
+        split(&even, 2),
+        cfg_with(SysMode::HybridCoherent, CoherenceProtocol::Mesi),
     );
     assert_eq!(even_rep.replication_fallbacks, 0);
     assert!(
@@ -251,16 +280,16 @@ fn coherence_sweep_driver_reports_the_cg_win() {
     let proto = protocol_points(&cg, &[1, 4], SysMode::HybridCoherent).expect("sweep");
     let rows = coherence_view(&proto);
     assert_eq!(rows.len(), 2);
-    let ((_, cores), [replicate, mesi]) = &rows[0];
+    let ((_, cores), [private, mesi]) = &rows[0];
     assert_eq!(*cores, 1);
     assert_eq!(
-        replicate.makespan, mesi.makespan,
+        private.makespan, mesi.makespan,
         "a lone core has nothing to share"
     );
     let reads = |m: &MultiRunReport| m.total(|c| c.dram_reads);
-    assert_eq!(reads(replicate), reads(mesi));
-    let ((_, cores), [replicate, mesi]) = &rows[1];
+    assert_eq!(reads(private), reads(mesi));
+    let ((_, cores), [private, mesi]) = &rows[1];
     assert_eq!(*cores, 4);
-    assert!(reads(mesi) < reads(replicate));
+    assert!(reads(mesi) < reads(private));
     assert!(mesi.total(|c| c.coh_shared_hits) > 0);
 }

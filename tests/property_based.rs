@@ -202,15 +202,14 @@ mod coherence_mode_props {
     use super::*;
     use hsim::compiler::compile;
     use hsim::machine::MultiMachine;
+    use hsim_bench::private_tables;
 
     /// Final array images, indexed `[shard][array][element]`.
     type Images = Vec<Vec<Vec<u64>>>;
 
-    /// Shards a kernel over `n` cores under one coherence mode and
-    /// returns (final array images per shard, committed per core);
-    /// `None` when the kernel does not shard.
-    fn run_mode(kernel: &Kernel, n: usize, cm: CoherenceMode) -> Option<(Images, Vec<u64>)> {
-        let shards = kernel.shard(n).ok()?;
+    /// Runs `shards` on one tile each under one coherence mode and
+    /// returns (final array images per shard, committed per core).
+    fn run_mode(shards: Vec<Kernel>, cm: CoherenceProtocol) -> (Images, Vec<u64>) {
         let cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
         let compiled: Vec<_> = shards
             .iter()
@@ -229,24 +228,24 @@ mod coherence_mode_props {
             })
             .collect();
         let committed = m.tiles.iter().map(|t| t.core.stats.committed).collect();
-        Some((images, committed))
+        (images, committed)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// The coherence mode is a pure timing model: for any shardable
-        /// kernel, the `Replicate` baseline and every directory protocol
+        /// kernel, the private-tables baseline and every protocol
         /// (`Msi`/`Mesi`/`Moesi`/`Mesif`) commit identical architectural
         /// state (final memory images, committed instruction counts) —
         /// the directory may only move cycles around.
         #[test]
         fn coherence_mode_never_changes_architectural_state(kernel in arb_kernel()) {
-            let Some((rep_img, rep_committed)) =
-                run_mode(&kernel, 2, CoherenceMode::Replicate) else { return Ok(()); };
-            for cm in CoherenceMode::DIRECTORY {
-                let (img, committed) =
-                    run_mode(&kernel, 2, cm).expect("shards under every mode");
+            let Ok(shards) = kernel.shard(2) else { return Ok(()); };
+            let (rep_img, rep_committed) =
+                run_mode(private_tables(shards.clone()), CoherenceProtocol::Mesi);
+            for cm in CoherenceProtocol::ALL {
+                let (img, committed) = run_mode(shards.clone(), cm);
                 prop_assert_eq!(
                     &rep_img, &img,
                     "memory images diverged under {}", cm.name()
@@ -270,7 +269,7 @@ mod cluster_props {
     fn run(
         kernel: &Kernel,
         topo: ClusterTopology,
-        cm: CoherenceMode,
+        cm: CoherenceProtocol,
         channels: usize,
         serial: bool,
     ) -> Option<hsim::ClusterRunReport> {
@@ -306,11 +305,11 @@ mod cluster_props {
             kernel in arb_kernel(),
             clusters in 1usize..4,
             per in 1usize..3,
-            mode_idx in 0usize..CoherenceMode::ALL.len(),
+            mode_idx in 0usize..CoherenceProtocol::ALL.len(),
             two_channels in prop::bool::ANY,
         ) {
             let topo = ClusterTopology::new(clusters, per);
-            let cm = CoherenceMode::ALL[mode_idx];
+            let cm = CoherenceProtocol::ALL[mode_idx];
             let channels = if two_channels { 2 } else { 1 };
             let Some(serial) = run(&kernel, topo, cm, channels, true) else { return Ok(()); };
             let threaded = run(&kernel, topo, cm, channels, false)

@@ -12,8 +12,8 @@
 //!    perturbation under every protocol: architectural state matches
 //!    the fault-free run, and skipping stays invisible under faults;
 //! 4. **architectural invariance** — all four protocols and the
-//!    `Replicate` baseline commit the same final memory images and the
-//!    same instruction counts; protocols only move cycles around.
+//!    private-tables baseline commit the same final memory images and
+//!    the same instruction counts; protocols only move cycles around.
 //!
 //! Every configuration here names its coherence mode explicitly; the
 //! machine spec is the only input.
@@ -23,6 +23,7 @@ use hsim::compiler::compile;
 use hsim::experiments::MultiRunError;
 use hsim::machine::MultiMachine;
 use hsim::prelude::*;
+use hsim_bench::private_tables;
 use hsim_workloads::nas;
 
 /// Every observable of two per-core reports, with the skip counters
@@ -63,7 +64,7 @@ fn assert_cores_equal(a: &RunReport, b: &RunReport, what: &str) {
 #[test]
 fn every_protocol_skips_bit_identically() {
     let kernel = nas::cg(Scale::Test);
-    for cm in CoherenceMode::DIRECTORY {
+    for cm in CoherenceProtocol::ALL {
         let cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
         let skip = RunSpec::new(&kernel)
             .cores(4)
@@ -103,7 +104,7 @@ fn every_protocol_skips_bit_identically() {
 #[test]
 fn every_protocol_keeps_threaded_clusters_equal_to_serial() {
     let kernel = nas::cg(Scale::Test);
-    for cm in CoherenceMode::DIRECTORY {
+    for cm in CoherenceProtocol::ALL {
         let run = |serial: bool| {
             let mut cluster = ClusterConfig::new(ClusterTopology::new(2, 2));
             if serial {
@@ -157,7 +158,7 @@ fn every_protocol_keeps_threaded_clusters_equal_to_serial() {
 #[test]
 fn every_protocol_treats_faults_as_pure_timing() {
     let kernel = nas::cg(Scale::Test);
-    for cm in CoherenceMode::DIRECTORY {
+    for cm in CoherenceProtocol::ALL {
         let cfg = |fault: FaultConfig| {
             MachineConfig::for_mode(SysMode::HybridCoherent)
                 .with_coherence(cm)
@@ -216,11 +217,10 @@ fn every_protocol_treats_faults_as_pure_timing() {
 #[test]
 fn all_protocols_commit_identical_architectural_state() {
     // Final memory images and committed counts across the whole family,
-    // against the `Replicate` baseline, on the sharded CG kernel whose
-    // gathered table is the acceptance case for directory sharing.
-    let kernel = nas::cg(Scale::Test);
-    let images = |cm: CoherenceMode| -> (Vec<Vec<Vec<u64>>>, u64) {
-        let shards = kernel.shard(4).expect("CG shards to 4");
+    // against the private-tables baseline, on the sharded CG kernel
+    // whose gathered table is the acceptance case for directory sharing.
+    let shards = nas::cg(Scale::Test).shard(4).expect("CG shards to 4");
+    let images = |shards: Vec<Kernel>, cm: CoherenceProtocol| -> (Vec<Vec<Vec<u64>>>, u64) {
         let cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
         let compiled: Vec<_> = shards
             .iter()
@@ -241,9 +241,10 @@ fn all_protocols_commit_identical_architectural_state() {
         let committed = m.tiles.iter().map(|t| t.core.stats.committed).sum();
         (imgs, committed)
     };
-    let (base_img, base_committed) = images(CoherenceMode::Replicate);
-    for cm in CoherenceMode::DIRECTORY {
-        let (img, committed) = images(cm);
+    let (base_img, base_committed) =
+        images(private_tables(shards.clone()), CoherenceProtocol::Mesi);
+    for cm in CoherenceProtocol::ALL {
+        let (img, committed) = images(shards.clone(), cm);
         assert_eq!(base_img, img, "{}: memory images diverged", cm.name());
         assert_eq!(
             base_committed,
@@ -262,7 +263,7 @@ fn family_members_differ_only_where_their_tables_say() {
     // designated forwarder serves at least MESI's shared hits. CG's
     // shared table is read-mostly, so the orderings are non-strict.
     let kernel = nas::cg(Scale::Test);
-    let run = |cm: CoherenceMode| {
+    let run = |cm: CoherenceProtocol| {
         RunSpec::new(&kernel)
             .cores(4)
             .config(MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm))
@@ -270,10 +271,10 @@ fn family_members_differ_only_where_their_tables_say() {
             .map(RunOutcome::into_multi)
             .expect("run")
     };
-    let msi = run(CoherenceMode::Msi);
-    let mesi = run(CoherenceMode::Mesi);
-    let moesi = run(CoherenceMode::Moesi);
-    let mesif = run(CoherenceMode::Mesif);
+    let msi = run(CoherenceProtocol::Msi);
+    let mesi = run(CoherenceProtocol::Mesi);
+    let moesi = run(CoherenceProtocol::Moesi);
+    let mesif = run(CoherenceProtocol::Mesif);
     assert!(
         msi.total(|c| c.dram_reads) >= mesi.total(|c| c.dram_reads),
         "MSI must not read less DRAM than MESI ({} vs {})",

@@ -2,7 +2,7 @@
 //! cases — the situations the design discussion reasons about, exercised
 //! directly with assembly on the coherent machine.
 
-use hsim::core::config::CoherenceMode;
+use hsim::core::config::CoherenceProtocol;
 use hsim::isa::asm::assemble;
 use hsim::machine::{Machine, MachineConfig, MultiMachine, SysMode};
 use hsim_compiler::compile;
@@ -315,7 +315,7 @@ fn multicore_directories_are_isolated() {
     solo.run().expect("solo halts");
     let solo_dir = solo.world.dir.as_ref().unwrap().stats;
 
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
         cfg.track_coherence = true;
         let mut multi = Machine::new_multi_hetero(vec![cfg; 4], vec![program.clone(); 4]);
@@ -347,7 +347,7 @@ fn multicore_directories_are_isolated() {
 /// never function.
 #[test]
 fn disjoint_shards_match_single_core_runs() {
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
         cfg.track_coherence = true;
         let (mut multi, compiled) = cg_shard_machine(4, &cfg);
@@ -382,7 +382,7 @@ fn disjoint_shards_match_single_core_runs() {
 /// records bus waits for every core — under every inter-core protocol.
 #[test]
 fn shared_backside_contention_slows_every_core() {
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
         cfg.mem.l3_port_gap = 16;
         let (mut multi, compiled) = cg_shard_machine(4, &cfg);

@@ -136,7 +136,7 @@ fn a_write_into_a_shared_page_changes_only_the_writing_tile() {
 #[test]
 fn tiles_copy_only_partial_last_pages_and_run_as_if_loaded_by_copy() {
     let kernel = nas::cg(Scale::Test);
-    let tiles = CoherenceMode::ALL
+    let tiles = CoherenceProtocol::ALL
         .into_iter()
         .flat_map(|cm| [4, 8, 16].map(|n| (cm, n)));
     for (cm, n) in tiles {

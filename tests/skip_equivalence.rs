@@ -9,11 +9,12 @@
 //! microbenchmark sweep, Figure 8's coherent-vs-oracle kernel runs, and
 //! the Figure 9/10 hybrid-vs-cache comparison, on single-core and
 //! 4-core machines in all three `SysMode`s — the multicore ones under
-//! every `CoherenceMode`.
+//! every `CoherenceProtocol`.
 
 use hsim::compiler::compile;
 use hsim::core::{DmaKind, MemoryPort, RouteInfo};
 use hsim::prelude::*;
+use hsim_bench::private_tables;
 use hsim_workloads::nas;
 
 /// Asserts that a skipping run and a lockstep run produced identical
@@ -181,7 +182,7 @@ fn final_memory_images_match_lockstep() {
 /// tests' configuration grid.
 fn every_machine() -> impl Iterator<Item = MachineConfig> {
     SysMode::ALL.into_iter().flat_map(|mode| {
-        CoherenceMode::ALL.map(|cm| MachineConfig::for_mode(mode).with_coherence(cm))
+        CoherenceProtocol::ALL.map(|cm| MachineConfig::for_mode(mode).with_coherence(cm))
     })
 }
 
@@ -223,10 +224,11 @@ fn four_core_mesi_machines_skip_bit_identically() {
     // The directory's message charges, back-invalidation queues and
     // owner-attributed write-backs all live inside access calls, so the
     // event-horizon scheduler must stay bit-identical under
-    // `CoherenceMode::Mesi` too — on a grid that provably reaches the
+    // `CoherenceProtocol::Mesi` too — on a grid that provably reaches the
     // directory (shared hits > 0).
     let kernel = nas::cg(Scale::Test);
-    let cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(CoherenceMode::Mesi);
+    let cfg =
+        MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(CoherenceProtocol::Mesi);
     let skip = RunSpec::new(&kernel)
         .cores(4)
         .config(cfg.clone())
@@ -301,7 +303,7 @@ fn mixed_hybrid_cache_chip_skips_bit_identically() {
     // sharpest test of the per-tile due cycles and lazy clocks under
     // heterogeneity — under every coherence mode.
     let kernel = nas::cg(Scale::Test);
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         let cfgs = |lockstep: bool| -> Vec<MachineConfig> {
             [
                 SysMode::HybridCoherent,
@@ -354,14 +356,16 @@ fn mixed_hybrid_cache_chip_skips_bit_identically() {
 // ------------------------------------------------------- pinned cycles
 //
 // Recorded cycle counts of the default (banked, row-aware) backside
-// under `CoherenceMode::Replicate` — named explicitly, so the goldens
-// say which protocol they were recorded under. An unintended timing change of the
-// model every experiment runs shows up here first; an intended one
-// re-records these constants (and the committed `BENCH_*.json`).
+// on private tables: a single machine registers no shared range, and
+// the 4-core run clears its shards' `shared` marks, so no line is
+// directory-tracked and the goldens hold under every protocol. An
+// unintended timing change of the model every experiment runs shows up
+// here first; an intended one re-records these constants (and the
+// committed `BENCH_*.json`).
 
-/// A default-backside machine with the coherence mode pinned.
+/// A default-backside machine.
 fn pinned(mode: SysMode) -> MachineConfig {
-    MachineConfig::for_mode(mode).with_coherence(CoherenceMode::Replicate)
+    MachineConfig::for_mode(mode)
 }
 
 /// Recorded cycles of the Figure 7 grid (HybridCoherent, n = 2048).
@@ -453,11 +457,10 @@ fn banked_backside_pins_four_core_cg_runs() {
             78686,
         ),
     ];
-    let kernel = nas::cg(Scale::Test);
+    let shards = private_tables(nas::cg(Scale::Test).shard(4).expect("CG shards to 4"));
     for &(mode, makespan, per_core, bus_waits) in want {
         let cfg = pinned(mode);
-        let r = RunSpec::new(&kernel)
-            .cores(4)
+        let r = RunSpec::many(&shards)
             .config(cfg.clone())
             .run()
             .map(RunOutcome::into_multi)
@@ -470,8 +473,7 @@ fn banked_backside_pins_four_core_cg_runs() {
             bus_waits,
             "{mode:?}: bus waits"
         );
-        let lock = RunSpec::new(&kernel)
-            .cores(4)
+        let lock = RunSpec::many(&shards)
             .config(cfg.with_lockstep())
             .run()
             .map(RunOutcome::into_multi)
@@ -488,7 +490,7 @@ fn banked_backside_runs_differ_from_flat_but_partition_stats() {
     // live: it must produce row-classified DRAM traffic, and per-core
     // shares must still partition the shared totals exactly.
     let kernel = nas::cg(Scale::Test);
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         let r = RunSpec::new(&kernel)
             .cores(4)
             .config(MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm))
@@ -562,7 +564,7 @@ fn multicore_errors_leave_every_tile_where_lockstep_does() {
     // up. The limits fail different tiles, early and late in the run.
     use hsim::core::pipeline::SimError;
     let kernel = nas::cg(Scale::Test);
-    for (cm, limit) in CoherenceMode::ALL
+    for (cm, limit) in CoherenceProtocol::ALL
         .into_iter()
         .flat_map(|cm| [5_000, 5_001, 5_002, 7_777].map(|limit| (cm, limit)))
     {
@@ -602,7 +604,7 @@ fn multicore_errors_leave_every_tile_where_lockstep_does() {
         base = hsim::isa::memmap::DATA_BASE,
     ))
     .expect("assembles");
-    for cm in CoherenceMode::ALL {
+    for cm in CoherenceProtocol::ALL {
         let mut positions = Vec::new();
         for spins in 1000..1004 {
             let faulty = hsim::isa::asm::assemble(&format!(
@@ -652,7 +654,7 @@ fn lazy_tile_clocks_advance_only_on_a_wake_up() {
     // tile executed a cycle. (Advancing every idle tile at every other
     // tile's cycle costs many advances per scan.)
     let kernel = nas::cg(Scale::Test);
-    for (cm, cores) in CoherenceMode::ALL
+    for (cm, cores) in CoherenceProtocol::ALL
         .into_iter()
         .flat_map(|cm| [4, 8].map(|cores| (cm, cores)))
     {
@@ -748,7 +750,7 @@ fn every_port_call_lands_on_the_same_cycle_without_a_memory_side_horizon() {
     // tile under MESI the miss-bound stream.
     let systems = [
         MachineConfig::for_mode(SysMode::HybridCoherent),
-        MachineConfig::for_mode(SysMode::CacheBased).with_coherence(CoherenceMode::Mesi),
+        MachineConfig::for_mode(SysMode::CacheBased).with_coherence(CoherenceProtocol::Mesi),
     ];
     for kernel in [nas::cg(Scale::Test), nas::is(Scale::Test)] {
         for cfg in &systems {

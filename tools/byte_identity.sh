@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The byte-identity gate for refactors: every `hsim-bench <name> --smoke`
 # stdout and every BENCH_<name>.json must be identical between
-# <parent-rev> and the working tree, under `--coherence replicate` and
-# `--coherence mesi`. The outputs hold only simulated numbers, so they
-# compare raw.
+# <parent-rev> and the working tree, under `--coherence msi` and
+# `--coherence mesi` (the default). The outputs hold only simulated
+# numbers, so they compare raw.
 #
 #   tools/byte_identity.sh <parent-rev>
 #
@@ -42,7 +42,7 @@ run_tree() { # <hsim-bench binary> <output dir> <leg>
 }
 
 status=0
-for leg in replicate mesi; do
+for leg in msi mesi; do
     run_tree "$parent_bin" "$work/out/$leg/parent" "$leg" &
     parent_job=$!
     run_tree "$change_bin" "$work/out/$leg/change" "$leg"
