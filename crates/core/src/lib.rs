@@ -53,8 +53,8 @@
 //! its issue cycle, so nothing woken during a select is selectable in
 //! it; select runs in age order, so a store issued earlier in the cycle
 //! is visible as issued to a younger load in the same cycle; and a
-//! wheel key is never skipped, because [`Core::next_event_at`] reports
-//! the nearest non-empty bucket and [`Core::advance_to`] takes the
+//! wheel key is never skipped, because `Core::next_event_at` reports
+//! the nearest non-empty bucket and `Core::advance_to` takes the
 //! blocked loads due at its departure cycle along.
 //!
 //! That horizon is complete without asking the memory side anything:
@@ -62,13 +62,14 @@
 //! load's latency and its presence-bit `ready_at` become `done_at`, a
 //! `dma-synch`'s completion `synch_until`, an I-miss `fetch_resume_at` —
 //! and memory-side state changes only inside such calls, which only a
-//! tick that moves something makes. [`Core::skip_target`] therefore
-//! clamps the horizon to the watchdog and the cycle budget and nothing
-//! else.
+//! tick that moves something makes. `Core::skip_target` therefore
+//! clamps the horizon to the cycle budget and nothing else, and a live
+//! core with no horizon at all can never move again: the [`Scheduler`]
+//! reports it as deadlocked at that cycle.
 //!
 //! Cost model: a tick pays for what commits, issues, wakes or
 //! dispatches, plus one lookup per disambiguation-blocked load;
-//! [`Core::next_event_at`] pays for the blocked loads, one bucket and
+//! `Core::next_event_at` pays for the blocked loads, one bucket and
 //! one heap peek. Entries that only wait — the bulk of a full ROB behind
 //! a cache miss — cost nothing, however many stores are in flight. The
 //! scans this replaced are kept as test-only oracles: the structures
@@ -82,10 +83,12 @@ pub mod branch;
 pub mod config;
 pub mod pipeline;
 pub mod port;
+pub mod sched;
 pub mod stats;
 
 pub use branch::{BranchPredictor, Btb, Ras};
 pub use config::{CoherenceConfig, CoherenceProtocol, CoreConfig, DramTiming, L3Geometry};
-pub use pipeline::{Core, DeadlockReport, HostProfile, SimError, TickOutcome};
+pub use pipeline::{Core, DeadlockReport, HostProfile, SimError};
 pub use port::{DmaKind, MemSide, MemoryPort, PortDiagnostics, RouteInfo};
+pub use sched::{Scheduler, Tile};
 pub use stats::CoreStats;

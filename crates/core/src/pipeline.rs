@@ -9,6 +9,7 @@
 use crate::branch::{BranchPredictor, Btb, Ras};
 use crate::config::CoreConfig;
 use crate::port::{DmaKind, MemSide, MemoryPort, RouteInfo};
+use crate::sched::Scheduler;
 use crate::stats::{level_index, phase_index, CoreStats};
 use hsim_isa::inst::{Inst, Operand, Phase};
 use hsim_isa::memmap::MemoryMap;
@@ -18,18 +19,13 @@ use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Cycles without a commit before the watchdog declares
-/// [`SimError::Deadlock`]. The cycle skipper clamps its jumps to
-/// `last_commit + DEADLOCK_WINDOW` so the watchdog fires at the same
-/// cycle number as the naive per-cycle loop.
-pub const DEADLOCK_WINDOW: u64 = 200_000;
-
-/// What the stalled machine looked like when the deadlock watchdog
-/// fired: the stalled core, the instruction wedged at the ROB head, and
-/// the memory-side work still in flight ([`MemoryPort::stall_diagnostics`]).
-/// Derived purely from architectural + timing state at the firing
-/// cycle, so the lockstep and cycle-skipping loops produce *equal*
-/// reports — the skip-equivalence suites compare them with `==`.
+/// What a deadlocked core looked like at the quiet tick that found it
+/// with no next event: the core, the instruction wedged at the ROB head,
+/// and the memory-side work still in flight
+/// ([`MemoryPort::stall_diagnostics`]). Derived purely from the
+/// architectural and timing state at that cycle, so the lockstep and
+/// cycle-skipping loops produce *equal* reports — the skip-equivalence
+/// suites compare them with `==`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeadlockReport {
     /// Tile/core id of the stalled core.
@@ -39,9 +35,9 @@ pub struct DeadlockReport {
     pub rob_head_pc: Option<usize>,
     /// Rendered opcode of the ROB-head instruction.
     pub rob_head_op: String,
-    /// Outstanding MSHR entries at the firing cycle.
+    /// Outstanding MSHR entries at the deadlock cycle.
     pub mshr_in_flight: usize,
-    /// Bitmask of DMA tags still in flight at the firing cycle.
+    /// Bitmask of DMA tags still in flight at the deadlock cycle.
     pub dma_tags: u8,
 }
 
@@ -65,9 +61,10 @@ impl std::fmt::Display for DeadlockReport {
 /// Simulation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// No instruction committed for a long time: a modeling deadlock.
+    /// A live core ticked quiet and has no next event: every wait it is
+    /// in has no end, so it can never move again (a modeling deadlock).
     Deadlock {
-        /// Cycle at which the watchdog fired.
+        /// Cycle of the quiet tick that found it.
         cycle: u64,
         /// Snapshot of the stall (boxed to keep the error small on the
         /// per-tick `Result` path).
@@ -107,18 +104,16 @@ impl std::error::Error for SimError {}
 /// data.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct HostProfile {
-    /// Host seconds spent inside [`Core::tick`].
+    /// Host seconds spent ticking cores.
     pub tick_secs: f64,
     /// Ticks executed.
     pub ticks: u64,
-    /// Host seconds spent inside [`Core::advance_to`] (bulk skips).
+    /// Host seconds spent bulk-advancing core clocks over skipped cycles.
     pub advance_secs: f64,
-    /// Bulk advances performed: one catch-up per wake-up of a core
-    /// from a quiet tick, under both the single-core and the multicore
-    /// schedulers.
+    /// Bulk advances performed: one catch-up per wake-up of a core from
+    /// a quiet tick, on one tile or many ([`Scheduler`]).
     pub advances: u64,
-    /// Host seconds spent computing skip targets (the horizon scan:
-    /// [`Core::skip_target`]).
+    /// Host seconds spent computing skip targets (the horizon scan).
     pub horizon_secs: f64,
     /// Horizon scans performed.
     pub horizon_scans: u64,
@@ -140,7 +135,7 @@ impl HostProfile {
 /// Runs `f`, charging its wall-clock time to `secs`/`count` when `on`.
 /// Monomorphized away entirely when the caller passes a const `false`.
 #[inline(always)]
-pub fn timed<T>(on: bool, secs: &mut f64, count: &mut u64, f: impl FnOnce() -> T) -> T {
+pub(crate) fn timed<T>(on: bool, secs: &mut f64, count: &mut u64, f: impl FnOnce() -> T) -> T {
     if on {
         let t0 = std::time::Instant::now();
         let r = f();
@@ -152,10 +147,9 @@ pub fn timed<T>(on: bool, secs: &mut f64, count: &mut u64, f: impl FnOnce() -> T
     }
 }
 
-/// What one [`Core::tick_classified`] tick did, as the cycle-skipping
-/// schedulers see it.
+/// What one [`Core::tick_classified`] tick did, as the scheduler sees it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TickOutcome {
+pub(crate) enum TickOutcome {
     /// The program halted during the tick.
     Halted,
     /// The pipeline moved something: the core is due again next cycle.
@@ -255,7 +249,7 @@ struct Fetched {
 
 /// The out-of-order core.
 pub struct Core {
-    cfg: CoreConfig,
+    pub(crate) cfg: CoreConfig,
     program: Program,
     mmap: MemoryMap,
 
@@ -325,7 +319,6 @@ pub struct Core {
     now: u64,
     cur_phase: Phase,
     halted: bool,
-    last_commit_cycle: u64,
     /// Statistics.
     pub stats: CoreStats,
 }
@@ -380,7 +373,6 @@ impl Core {
             now: 0,
             cur_phase: Phase::Other,
             halted: false,
-            last_commit_cycle: 0,
             stats: CoreStats::default(),
         }
     }
@@ -400,17 +392,15 @@ impl Core {
         self.int_regs[r.index()]
     }
 
-    /// Runs to completion (or error).
-    ///
-    /// By default the loop is tick → skip-to-horizon → tick: after every
-    /// executed cycle the core computes the earliest cycle at which
-    /// anything can change ([`Core::next_event_at`], clamped by
-    /// [`Core::skip_target`]) and bulk-advances over the provably idle
-    /// cycles in between ([`Core::advance_to`]). The result — every
+    /// Runs to completion (or error): the one-tile case of the
+    /// event-horizon [`Scheduler`]. After a quiet tick the core computes
+    /// the earliest cycle at which anything can change and bulk-advances
+    /// over the provably idle cycles in between. The result — every
     /// statistic, every port interaction, every error — is bit-identical
     /// to walking each cycle, which `CoreConfig::lockstep` still does.
     pub fn run(&mut self, port: &mut impl MemoryPort) -> Result<(), SimError> {
-        self.run_gen::<false>(port, &mut HostProfile::default())
+        let mut prof = HostProfile::default();
+        Scheduler::default().run_until::<_, false>(&mut [(self, port)], u64::MAX, &mut prof)
     }
 
     /// Runs to completion like [`Core::run`], attributing host wall-clock
@@ -421,54 +411,18 @@ impl Core {
         port: &mut impl MemoryPort,
         prof: &mut HostProfile,
     ) -> Result<(), SimError> {
-        self.run_gen::<true>(port, prof)
+        Scheduler::default().run_until::<_, true>(&mut [(self, port)], u64::MAX, prof)
     }
 
-    fn run_gen<const PROF: bool>(
-        &mut self,
-        port: &mut impl MemoryPort,
-        prof: &mut HostProfile,
-    ) -> Result<(), SimError> {
-        if self.cfg.lockstep {
-            while !self.halted {
-                timed(PROF, &mut prof.tick_secs, &mut prof.ticks, || {
-                    self.tick(port)
-                })?;
-            }
-            return Ok(());
-        }
-        // Busy ticks assume the pipeline stays busy and skip the horizon
-        // scan entirely — idle periods reveal themselves with one quiet
-        // tick.
-        while !self.halted {
-            if self.tick_classified::<PROF>(port, prof)? != TickOutcome::Quiet {
-                continue;
-            }
-            let target = timed(
-                PROF,
-                &mut prof.horizon_secs,
-                &mut prof.horizon_scans,
-                || self.skip_target(),
-            );
-            if target > self.now {
-                timed(PROF, &mut prof.advance_secs, &mut prof.advances, || {
-                    self.advance_to(target)
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes one tick and classifies it for the cycle-skipping
-    /// schedulers ([`Core::run`] and the multicore due-cycle loop): the
-    /// one place that decides whether a core is busy or quiet. When
+    /// Executes one tick and classifies it for the [`Scheduler`]: the one
+    /// place that decides whether a core is busy or quiet. When
     /// [`Core::progress_certain`] holds, a commit or dispatch is
     /// guaranteed, the fingerprint must change, and both probes are
     /// skipped; otherwise the tick is bracketed by
     /// [`Core::progress_fingerprint`] probes. With `PROF` the tick's host
     /// time is charged to `prof`.
     #[inline(always)]
-    pub fn tick_classified<const PROF: bool>(
+    pub(crate) fn tick_classified<const PROF: bool>(
         &mut self,
         port: &mut impl MemoryPort,
         prof: &mut HostProfile,
@@ -491,7 +445,7 @@ impl Core {
     /// progress fingerprint, so the run loops skip both fingerprint
     /// probes around it — the dominant case in busy stretches.
     #[inline]
-    pub fn commit_ready(&self) -> bool {
+    pub(crate) fn commit_ready(&self) -> bool {
         self.rob
             .front()
             .is_some_and(|e| e.state == EState::Issued && e.done_at <= self.now)
@@ -507,7 +461,7 @@ impl Core {
     /// fingerprint moves. An off-program head also counts: its tick
     /// raises `RanOffProgram` exactly as the probed path would.
     #[inline]
-    pub fn progress_certain(&self) -> bool {
+    pub(crate) fn progress_certain(&self) -> bool {
         self.commit_ready()
             || (!self.fetch_queue.is_empty()
                 && self.rob.len() < self.cfg.rob_size
@@ -519,7 +473,7 @@ impl Core {
     /// run loops consult it to spend horizon scans only on cycles that
     /// did nothing — the cheap busy/idle discriminator of the
     /// cycle-skipping scheduler.
-    pub fn progress_fingerprint(&self) -> u64 {
+    pub(crate) fn progress_fingerprint(&self) -> u64 {
         self.stats.fetched + self.stats.dispatched + self.stats.issued + self.stats.committed
     }
 
@@ -533,8 +487,9 @@ impl Core {
     /// conservative "don't skip" answer. Cycles strictly before the
     /// returned horizon are provable no-ops: no port traffic and no
     /// state change beyond the per-cycle stall accounting that
-    /// [`Core::advance_to`] replicates in bulk.
-    pub fn next_event_at(&self) -> u64 {
+    /// [`Core::advance_to`] replicates in bulk. `u64::MAX` when nothing
+    /// the core holds can ever change: the core is deadlocked.
+    pub(crate) fn next_event_at(&self) -> u64 {
         let now = self.now;
         // Dispatch can drain the fetch queue whenever the ROB has room
         // and the head instruction clears the rename/LSQ gates. A head
@@ -626,17 +581,14 @@ impl Core {
 
     /// The cycle-skipping target for the current state:
     /// [`Core::next_event_at`] clamped so the jump never crosses the
-    /// deadlock watchdog or the cycle budget. The watchdog fires on the
-    /// tick *at* `last_commit + DEADLOCK_WINDOW` and the budget on the
-    /// tick at `max_cycles - 1`; ticking exactly there keeps error cycle
-    /// numbers identical to the naive loop. Nothing on the memory side
+    /// cycle budget, whose error fires on the tick at `max_cycles - 1`;
+    /// ticking exactly there keeps its cycle identical to the naive loop.
+    /// `None` when the core has no next event. Nothing on the memory side
     /// is asked: every port call hands its completion back when it is
     /// made ([`MemoryPort`]), so the core's own horizon is complete.
-    pub fn skip_target(&self) -> u64 {
-        self.next_event_at()
-            .min(self.last_commit_cycle + DEADLOCK_WINDOW)
-            .min(self.cfg.max_cycles.saturating_sub(1))
-            .max(self.now)
+    pub(crate) fn skip_target(&self) -> Option<u64> {
+        let (horizon, budget) = (self.next_event_at(), self.cfg.max_cycles.saturating_sub(1));
+        (horizon != u64::MAX).then(|| horizon.min(budget).max(self.now))
     }
 
     /// Bulk-advances the clock to `target`, accounting the skipped
@@ -644,7 +596,7 @@ impl Core {
     /// would: per-cycle phase attribution, ROB-full and fetch-stall
     /// counters, no port traffic. Callers must only pass targets at or
     /// below [`Core::skip_target`] for the current state.
-    pub fn advance_to(&mut self, target: u64) {
+    pub(crate) fn advance_to(&mut self, target: u64) {
         if target <= self.now {
             return;
         }
@@ -671,7 +623,7 @@ impl Core {
     }
 
     /// Advances the machine one cycle.
-    pub fn tick(&mut self, port: &mut impl MemoryPort) -> Result<(), SimError> {
+    pub(crate) fn tick(&mut self, port: &mut impl MemoryPort) -> Result<(), SimError> {
         self.commit(port);
         if self.halted {
             self.end_cycle();
@@ -681,33 +633,32 @@ impl Core {
         self.dispatch(port)?;
         self.fetch(port);
         self.end_cycle();
-        if self.now - self.last_commit_cycle > DEADLOCK_WINDOW {
-            return Err(SimError::Deadlock {
-                cycle: self.now,
-                report: Box::new(self.deadlock_report(port)),
-            });
-        }
         if self.now >= self.cfg.max_cycles {
             return Err(SimError::CycleLimit);
         }
         Ok(())
     }
 
-    /// Builds the watchdog's stall snapshot from the ROB head and the
-    /// port's in-flight memory state. State-derived only, so lockstep
-    /// and skipping runs that fire at the same cycle report identically.
-    fn deadlock_report(&self, port: &impl MemoryPort) -> DeadlockReport {
-        let diag = port.stall_diagnostics(self.now);
+    /// The [`SimError::Deadlock`] of a core whose quiet tick at `cycle`
+    /// left it with no next event, with the stall snapshot taken from the
+    /// ROB head and the port's in-flight memory state at that cycle.
+    /// State-derived only, so lockstep and skipping runs report
+    /// identically.
+    pub(crate) fn deadlock(&self, port: &impl MemoryPort, cycle: u64) -> SimError {
+        let diag = port.stall_diagnostics(cycle);
         let (rob_head_pc, rob_head_op) = match self.rob.front() {
             Some(e) => (Some(e.pc), format!("{:?}", self.program.insts[e.pc])),
             None => (None, String::new()),
         };
-        DeadlockReport {
-            core: diag.core,
-            rob_head_pc,
-            rob_head_op,
-            mshr_in_flight: diag.mshr_in_flight,
-            dma_tags: diag.dma_tags,
+        SimError::Deadlock {
+            cycle,
+            report: Box::new(DeadlockReport {
+                core: diag.core,
+                rob_head_pc,
+                rob_head_op,
+                mshr_in_flight: diag.mshr_in_flight,
+                dma_tags: diag.dma_tags,
+            }),
         }
     }
 
@@ -777,10 +728,8 @@ impl Core {
             }
             if e.is_halt {
                 self.halted = true;
-                self.last_commit_cycle = self.now;
                 return;
             }
-            self.last_commit_cycle = self.now;
         }
     }
 }
@@ -798,4 +747,4 @@ use issue::{slots_of, LoadPath, SlotSet, StoreFilter, WakeWheel};
 #[cfg(test)]
 mod oracle;
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

@@ -504,7 +504,7 @@ fn run_checked(
             .map_err(|e| TestCaseError::fail(format!("generated program failed: {e}")))?;
         check(&core)?;
         if !lockstep && outcome == TickOutcome::Quiet {
-            let target = core.skip_target();
+            let target = core.skip_target().expect("generated programs halt");
             core.advance_to(target);
             check(&core)?;
         }
@@ -513,8 +513,7 @@ fn run_checked(
 }
 
 proptest! {
-    // The release leg of CI runs the larger case count.
-    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 256 }))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn event_driven_issue_matches_the_scan(

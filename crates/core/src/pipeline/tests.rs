@@ -9,17 +9,17 @@ use std::collections::HashMap;
 /// A flat test port: all SM accesses hit a 4-cycle memory (or the
 /// latency `latency_at` gives their address); LM window accesses
 /// take 2 cycles; no directory.
-pub(super) struct MockPort {
+pub(crate) struct MockPort {
     mem: HashMap<u64, u64>,
     mmap: MemoryMap,
-    pub(super) sm_latency: u64,
-    pub(super) latency_at: HashMap<u64, u64>,
+    pub(crate) sm_latency: u64,
+    pub(crate) latency_at: HashMap<u64, u64>,
     accesses: Vec<(u64, bool)>,
     timed: Vec<(u64, bool)>,
 }
 
 impl MockPort {
-    pub(super) fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MockPort {
             mem: HashMap::new(),
             mmap: MemoryMap::default(),
@@ -410,7 +410,7 @@ fn assert_skip_equivalent_on(
     (lock_result, lock.stats, skipped)
 }
 
-const SM: i64 = 0x1000_0000;
+pub(crate) const SM: i64 = 0x1000_0000;
 
 /// A port whose loads of `SM + 64` take `latency` cycles.
 fn slow_cell(latency: u64) -> impl Fn() -> MockPort {
@@ -499,8 +499,8 @@ fn load_waits_for_a_store_whose_address_arrives_late() {
     assert!(stats.cycles > 500);
     assert!(skipped > 450, "the wait is one jump ({skipped})");
 
-    // The same wait cut short by the cycle budget, then outlasting
-    // the watchdog: the error and its cycle are the lockstep loop's.
+    // The same wait cut short by the cycle budget: the error and its
+    // cycle are the lockstep loop's.
     let budget = CoreConfig {
         max_cycles: 300,
         ..Default::default()
@@ -508,13 +508,24 @@ fn load_waits_for_a_store_whose_address_arrives_late() {
     let (result, stats, _) = assert_skip_equivalent_on(slow_cell(500), budget, build);
     assert_eq!(result, Err(SimError::CycleLimit));
     assert_eq!(stats.cycles, 300);
-    let (result, stats, _) =
+
+    // A wait of a million cycles has an end, so it completes, and it
+    // is one jump: the run makes the 500-cycle wait's bulk advances.
+    let (result, stats, skipped) =
         assert_skip_equivalent_on(slow_cell(1_000_000), CoreConfig::default(), build);
-    let Err(SimError::Deadlock { cycle, report }) = result else {
-        panic!("must deadlock, got {result:?}");
+    result.expect("a finite wait completes");
+    assert_eq!(stats.lsq_forwards, 1);
+    assert!(skipped > 999_000, "the wait is skipped ({skipped})");
+    let advances = |latency| {
+        let mut b = ProgramBuilder::new();
+        build(&mut b);
+        let mut core = Core::new(CoreConfig::default(), b.build(), MemoryMap::default());
+        let mut prof = HostProfile::default();
+        core.run_profiled(&mut slow_cell(latency)(), &mut prof)
+            .expect("the program halts");
+        prof.advances
     };
-    assert_eq!(cycle, stats.cycles);
-    assert_eq!(report.rob_head_pc, Some(2), "the slow load is the head");
+    assert_eq!(advances(1_000_000), advances(500));
 }
 
 #[test]
@@ -672,7 +683,7 @@ fn a_skip_takes_the_blocked_loads_due_at_its_departure_cycle_along() {
         let outcome = core.tick_classified::<false>(&mut port, &mut prof);
         core.check_against_scan().unwrap();
         if outcome.unwrap() == TickOutcome::Quiet {
-            let target = core.skip_target();
+            let target = core.skip_target().expect("the program halts");
             if target > core.now() && slots_of(core.wheel.bucket(core.now())).count() > 0 {
                 departures_with_a_due_bucket += 1;
             }
@@ -745,88 +756,87 @@ fn a_memory_bound_run_never_asks_the_memory_side_for_a_horizon() {
     );
 }
 
-#[test]
-fn deadlock_watchdog_fires_at_the_same_cycle_with_skipping() {
-    // A dma-synch completing far beyond the watchdog window starves
-    // commit; the skipper's horizon must clamp to
-    // `last_commit + DEADLOCK_WINDOW` so the watchdog fires at the
-    // same cycle number as the naive loop.
-    struct FarSynch(MockPort);
-    impl MemoryPort for FarSynch {
-        fn exec_mem(
-            &mut self,
-            pc: u64,
-            addr: u64,
-            width: Width,
-            route: Route,
-            store: Option<u64>,
-        ) -> (u64, RouteInfo) {
-            self.0.exec_mem(pc, addr, width, route, store)
-        }
-        fn timing_access(
-            &mut self,
-            now: u64,
-            pc: u64,
-            info: &RouteInfo,
-            write: bool,
-        ) -> (u64, ServedLevel) {
-            self.0.timing_access(now, pc, info, write)
-        }
-        fn exec_dma(&mut self, now: u64, k: DmaKind, lm: u64, sm: u64, bytes: u64, tag: u8) -> u64 {
-            self.0.exec_dma(now, k, lm, sm, bytes, tag)
-        }
-        fn dma_synch(&mut self, _now: u64, _tag: u8) -> u64 {
-            1_000_000
-        }
-        fn dir_configure(&mut self, b: u64) {
-            self.0.dir_configure(b)
-        }
-        fn fetch_latency(&mut self, now: u64, addr: u64) -> u64 {
-            self.0.fetch_latency(now, addr)
-        }
+/// A [`MockPort`] whose `dma-synch` completes at cycle `until`.
+pub(crate) struct FarSynch {
+    pub(crate) port: MockPort,
+    pub(crate) until: u64,
+}
+
+impl MemoryPort for FarSynch {
+    fn exec_mem(
+        &mut self,
+        pc: u64,
+        addr: u64,
+        width: Width,
+        route: Route,
+        store: Option<u64>,
+    ) -> (u64, RouteInfo) {
+        self.port.exec_mem(pc, addr, width, route, store)
     }
+    fn timing_access(
+        &mut self,
+        now: u64,
+        pc: u64,
+        info: &RouteInfo,
+        write: bool,
+    ) -> (u64, ServedLevel) {
+        self.port.timing_access(now, pc, info, write)
+    }
+    fn exec_dma(&mut self, now: u64, k: DmaKind, lm: u64, sm: u64, bytes: u64, tag: u8) -> u64 {
+        self.port.exec_dma(now, k, lm, sm, bytes, tag)
+    }
+    fn dma_synch(&mut self, _now: u64, _tag: u8) -> u64 {
+        self.until
+    }
+    fn dir_configure(&mut self, b: u64) {
+        self.port.dir_configure(b)
+    }
+    fn fetch_latency(&mut self, now: u64, addr: u64) -> u64 {
+        self.port.fetch_latency(now, addr)
+    }
+}
+
+/// `dma-synch 0` between two instructions.
+fn synch_program() -> Program {
+    let mut b = ProgramBuilder::new();
+    b.li(Reg(1), 1);
+    b.dma_synch(0);
+    b.halt();
+    b.build()
+}
+
+#[test]
+fn a_dma_synch_a_million_cycles_out_completes_in_one_jump() {
+    // Nothing commits behind the synch for a million cycles. The wait
+    // has an end, so the core is live: both loops run it to the halt,
+    // and the skipping one crosses it in one bulk advance.
     let run = |lockstep: bool| {
-        let mut b = ProgramBuilder::new();
-        b.li(Reg(1), 1);
-        b.dma_synch(0);
-        b.halt();
-        let p = b.build();
         let cfg = CoreConfig {
             lockstep,
             ..Default::default()
         };
-        let mut core = Core::new(cfg, p, MemoryMap::default());
-        let mut port = FarSynch(MockPort::new());
-        let err = core.run(&mut port).expect_err("must deadlock");
-        (err, core.stats.cycles, core.stats.skipped_cycles)
+        let mut core = Core::new(cfg, synch_program(), MemoryMap::default());
+        let mut port = FarSynch {
+            port: MockPort::new(),
+            until: 1_000_000,
+        };
+        let mut prof = HostProfile::default();
+        core.run_profiled(&mut port, &mut prof)
+            .expect("a finite wait completes");
+        (core.stats, prof.advances)
     };
-    let (skip_err, skip_cycles, skipped) = run(false);
-    let (lock_err, lock_cycles, lock_skipped) = run(true);
-    let SimError::Deadlock { report, .. } = &skip_err else {
-        panic!("must be a deadlock, got {skip_err:?}");
-    };
-    assert_eq!(
-        report.rob_head_pc,
-        Some(1),
-        "dma-synch wedged at the ROB head"
-    );
+    let (mut skip, advances) = run(false);
+    let (lock, _) = run(true);
+    assert!(skip.cycles > 1_000_000);
     assert!(
-        report.rob_head_op.contains("DmaSynch"),
-        "report names the wedged opcode: {}",
-        report.rob_head_op
+        skip.skipped_cycles > 999_000,
+        "the wait is jumped ({})",
+        skip.skipped_cycles
     );
-    let shown = skip_err.to_string();
-    assert!(
-        shown.contains("DmaSynch") && shown.contains("MSHR"),
-        "Display carries the report: {shown}"
-    );
-    assert_eq!(skip_err, lock_err, "same error at the same cycle");
-    assert_eq!(skip_cycles, lock_cycles);
-    assert_eq!(lock_skipped, 0);
-    assert!(
-        skipped > DEADLOCK_WINDOW / 2,
-        "the dead window must be jumped, not walked ({skipped})"
-    );
+    assert!(advances <= 3, "{advances} bulk advances");
+    assert_eq!(lock.skipped_cycles, 0);
+    skip.skipped_cycles = 0;
+    assert_eq!(skip, lock, "stats must be bit-identical");
 }
 
 #[test]

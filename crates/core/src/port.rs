@@ -51,7 +51,7 @@ pub enum DmaKind {
 pub type ServedLevel = hsim_mem::Level;
 
 /// Memory-side snapshot attached to a deadlock report: what the tile's
-/// memory machinery still had in flight when the watchdog fired.
+/// memory machinery still had in flight at the deadlock cycle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PortDiagnostics {
     /// Tile/core id of the port's owner (0 for single-core mocks).
@@ -106,8 +106,7 @@ pub trait MemoryPort {
     fn fetch_latency(&mut self, now: u64, pc_addr: u64) -> u64;
 
     /// **Uncalled.** The cycle skipper asks only the core
-    /// ([`Core::skip_target`](crate::pipeline::Core::skip_target)):
-    /// every completion a core waits for is handed back by the call
+    /// (`Core::skip_target`): every completion a core waits for is handed back by the call
     /// that starts the wait (`timing_access`, `exec_dma`, `dma_synch`,
     /// `fetch_latency`, [`RouteInfo::ready_at`]), so between a core's
     /// own events nothing on the memory side can concern it. The method
@@ -118,9 +117,10 @@ pub trait MemoryPort {
         None
     }
 
-    /// Snapshot of the port's in-flight memory state at `now`, taken by
-    /// the deadlock watchdog when it fires so [`SimError::Deadlock`]
-    /// can name what the stall was waiting on. Purely observational —
+    /// Snapshot of the port's in-flight memory state at `now`, taken
+    /// when a core's quiet tick at `now` leaves it with no next event, so
+    /// [`SimError::Deadlock`] can name what the stall was waiting on.
+    /// Purely observational —
     /// implementations must not mutate timing state. Timing-only mocks
     /// can rely on this default.
     ///

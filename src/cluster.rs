@@ -188,7 +188,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Aggregated results of a clustered run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClusterRunReport {
     /// Per-cluster reports, indexed by cluster id (each covering that
     /// cluster's cores).

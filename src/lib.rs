@@ -91,18 +91,20 @@
 //! instead of walking them cycle by cycle. Each core reports its **event
 //! horizon** — the earliest cycle at which anything can change
 //! (`Core::next_event_at`: ROB-head completion, producer readiness,
-//! fetch resume), clamped by the watchdog/cycle-budget deadlines
-//! (`Core::skip_target`) — and `Core::advance_to` jumps over the
-//! provably idle cycles in one step. The memory side is never asked:
-//! every port call that starts a wait (a miss, a presence-bit stall, a
-//! `dma-synch`, an I-miss) returns the cycle it ends, so the core's
-//! horizon is complete. [`MultiMachine::run`] keeps one due cycle per
-//! tile and executes the earliest, ticking the due tiles in the
-//! round-robin rotation lock-step would use at that cycle; a tile's
-//! clock is caught up only when it is next due, so every statistic stays
-//! **bit-identical** to the naive lock-step loop (asserted by the
-//! `skip_equivalence` tests against the `lockstep: true` escape hatch,
-//! [`MachineConfig::with_lockstep`]). `CoreStats::skipped_cycles` and
+//! fetch resume), clamped to the cycle budget — and the core's clock
+//! jumps over the provably idle cycles in one step. The memory side is
+//! never asked: every port call that starts a wait (a miss, a
+//! presence-bit stall, a `dma-synch`, an I-miss) returns the cycle it
+//! ends, so the core's horizon is complete — and a live core with no
+//! horizon at all can never move again, so it fails with
+//! `SimError::Deadlock` at once. One loop, [`hsim_core::Scheduler`],
+//! serves a single core and [`MultiMachine::run`] alike: it keeps one
+//! due cycle per tile and executes the earliest, ticking the due tiles
+//! in the round-robin rotation lock-step would use at that cycle; a
+//! tile's clock is caught up only when it is next due, so every
+//! statistic stays **bit-identical** to the naive lock-step loop
+//! (asserted by the `skip_equivalence` tests against the `lockstep:
+//! true` escape hatch, [`MachineConfig::with_lockstep`]). `CoreStats::skipped_cycles` and
 //! `RunReport::skipped_cycles` report how much dead time each workload
 //! had; the repository's benchmark (`benchmark/`, declared in
 //! `BENCHMARK.json`) turns that into simulated cycles per host second,

@@ -22,9 +22,10 @@
 
 use hsim_coherence::{DirConfig, Directory, Tracker};
 use hsim_compiler::{CodegenMode, CompiledKernel, Kernel, ShardError};
-use hsim_core::pipeline::{timed, SimError};
+use hsim_core::pipeline::SimError;
 use hsim_core::{
-    Core, CoreConfig, DmaKind, MemSide, MemoryPort, PortDiagnostics, RouteInfo, TickOutcome,
+    Core, CoreConfig, DmaKind, HostProfile, MemSide, MemoryPort, PortDiagnostics, RouteInfo,
+    Scheduler, Tile,
 };
 use hsim_isa::memmap::{MemoryMap, Region};
 use hsim_isa::{Program, Route, Width};
@@ -232,8 +233,8 @@ impl Machine {
     }
 
     /// Runs to completion, attributing host time to scheduler phases
-    /// (see [`hsim_core::HostProfile`]).
-    pub fn run_profiled(&mut self, prof: &mut hsim_core::HostProfile) -> Result<(), SimError> {
+    /// (see [`HostProfile`]).
+    pub fn run_profiled(&mut self, prof: &mut HostProfile) -> Result<(), SimError> {
         self.core.run_profiled(&mut self.world, prof)
     }
 
@@ -307,8 +308,7 @@ impl Machine {
             tiles,
             backside,
             replication_fallbacks: 0,
-            due: vec![0; n],
-            stretch: false,
+            sched: Scheduler::default(),
         }
     }
 }
@@ -342,13 +342,8 @@ pub struct MultiMachine {
     /// not registered as coherent shared ranges (see
     /// [`MultiMachine::replication_fallbacks`]).
     replication_fallbacks: u64,
-    /// The cycle of each tile's next tick, `u64::MAX` once it has
-    /// halted. With `stretch`, the whole scheduler state carried across
-    /// [`MultiMachine::run_until`] calls.
-    due: Vec<u64>,
-    /// The last executed cycle had every live tile due, and every one of
-    /// them ticked busy: the horizon scans wait until the stretch ends.
-    stretch: bool,
+    /// Carried across [`MultiMachine::run_until`] calls.
+    sched: Scheduler,
 }
 
 impl MultiMachine {
@@ -497,161 +492,44 @@ impl MultiMachine {
         self.tiles.iter().all(|t| t.core.halted())
     }
 
-    /// The lock-step oracle: ticks every non-halted core once at machine
-    /// cycle `cycle`, in rotation from `cycle % n`.
-    fn tick_all(&mut self, cycle: u64) -> Result<(), SimError> {
-        let n = self.tiles.len();
-        let origin = (cycle % n as u64) as usize;
-        for k in 0..n {
-            let tile = &mut self.tiles[(origin + k) % n];
-            if !tile.core.halted() {
-                tile.core.tick(&mut tile.world)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs the whole machine to completion (every core halted).
-    ///
-    /// Execution is event-driven: each tile carries the cycle it is next
-    /// due — the next cycle after a busy tick, its own event horizon
-    /// ([`hsim_core::Core::skip_target`]) after a quiet one — and each
-    /// step executes the earliest due cycle, ticking the due tiles in the
-    /// rotation the lock-step loop would use at that cycle. Every cycle
-    /// a tile is not due is a provable no-op for it, so its clock is
-    /// brought up to date in one [`hsim_core::Core::advance_to`] when it
-    /// next is: backside arbitration order — and with it every
-    /// statistic — stays bit-identical to the naive lock-step loop, and
-    /// an error leaves every tile where that loop would. Building the
-    /// machine with `lockstep: true` in the core configuration falls
-    /// back to the naive loop (the equivalence tests compare the two).
+    /// Runs the whole machine to completion (every core halted) on the
+    /// event-horizon [`Scheduler`]: each tile ticks only on the cycles it
+    /// is due, with every statistic — and any error, and where it leaves
+    /// each tile — bit-identical to ticking every live tile every cycle,
+    /// which `lockstep: true` in the core configuration still does.
     pub fn run(&mut self) -> Result<(), SimError> {
-        let mut prof = hsim_core::HostProfile::default();
-        self.run_until_gen::<false>(u64::MAX, &mut prof)
+        self.run_until(u64::MAX)
     }
 
-    /// Runs to completion like [`MultiMachine::run`], attributing host
-    /// wall-clock time to the scheduler's tick / advance / horizon-scan
-    /// phases in `prof` (what the benchmark's traced pass reads). The
-    /// simulated outcome is identical; only host timing is added.
-    pub fn run_profiled(&mut self, prof: &mut hsim_core::HostProfile) -> Result<(), SimError> {
-        self.run_until_gen::<true>(u64::MAX, prof)
+    /// [`MultiMachine::run`], attributing host wall-clock time to the
+    /// scheduler's tick / advance / horizon-scan phases in `prof` (what
+    /// the benchmark's traced pass reads).
+    pub fn run_profiled(&mut self, prof: &mut HostProfile) -> Result<(), SimError> {
+        self.sched
+            .run_until::<_, true>(&mut self.tiles, u64::MAX, prof)
     }
 
-    /// Runs the machine until every core halts **or** the machine cycle
-    /// reaches `limit`: no tick executes at a cycle ≥ `limit`, and no
-    /// event at or past it is processed. Scheduler state persists on the
-    /// machine between calls, so a chunked run — `run_until(e)` for an
-    /// increasing sequence of limits — performs the *exact* operation
-    /// sequence of one monolithic `run`, leaving every statistic (skip
-    /// counters included) bit-identical.
-    /// Between calls a live tile's clock may lag behind `limit`; it is
-    /// brought up to date when the tile is next due.
+    /// Runs until every core halts **or** the machine cycle reaches
+    /// `limit` ([`Scheduler::run_until`]). The scheduler state persists on
+    /// the machine, so `run_until(e)` for an increasing sequence of limits
+    /// performs the *exact* operation sequence of one `run`, skip counters
+    /// included.
     pub fn run_until(&mut self, limit: u64) -> Result<(), SimError> {
-        let mut prof = hsim_core::HostProfile::default();
-        self.run_until_gen::<false>(limit, &mut prof)
-    }
-
-    fn run_until_gen<const PROF: bool>(
-        &mut self,
-        limit: u64,
-        prof: &mut hsim_core::HostProfile,
-    ) -> Result<(), SimError> {
-        if self.tiles.iter().any(|t| t.cfg.core.lockstep) {
-            // Lock-step: every live tile shares one clock.
-            while let Some(now) = self
-                .tiles
-                .iter()
-                .filter(|t| !t.core.halted())
-                .map(|t| t.core.now())
-                .max()
-            {
-                if now >= limit {
-                    return Ok(());
-                }
-                timed(PROF, &mut prof.tick_secs, &mut prof.ticks, || {
-                    self.tick_all(now)
-                })?;
-            }
-            return Ok(());
-        }
-        let n = self.tiles.len();
-        loop {
-            let event = self.due.iter().copied().min().unwrap_or(u64::MAX);
-            if event >= limit {
-                return Ok(());
-            }
-            // The lock-step rotation of this cycle: its origin moves one
-            // slot per cycle, skipped cycles included.
-            let origin = (event % n as u64) as usize;
-            let (stretch, mut all_due, mut all_busy) = (self.stretch, true, true);
-            for k in 0..n {
-                let i = (origin + k) % n;
-                if self.due[i] != event {
-                    all_due &= self.due[i] == u64::MAX;
-                    continue;
-                }
-                let tile = &mut self.tiles[i];
-                // Every cycle since the tile's last tick was a no-op for
-                // it (its horizon said so): catch its clock up in one step.
-                if tile.core.now() < event {
-                    timed(PROF, &mut prof.advance_secs, &mut prof.advances, || {
-                        tile.core.advance_to(event)
-                    });
-                }
-                let outcome = match tile.core.tick_classified::<PROF>(&mut tile.world, prof) {
-                    Ok(outcome) => outcome,
-                    Err(e) => {
-                        // Leave every other live tile where lock-step
-                        // would: past this cycle if it came earlier in the
-                        // rotation, at it otherwise.
-                        for j in (0..n).filter(|&j| j != k) {
-                            let other = &mut self.tiles[(origin + j) % n];
-                            if !other.core.halted() {
-                                other.core.advance_to(event + u64::from(j < k));
-                            }
-                        }
-                        return Err(e);
-                    }
-                };
-                all_busy &= outcome == TickOutcome::Busy;
-                self.due[i] = match outcome {
-                    TickOutcome::Busy => event + 1,
-                    TickOutcome::Halted => u64::MAX,
-                    // A stretch rescans every live tile once it ends, below.
-                    TickOutcome::Quiet if stretch => event + 1,
-                    TickOutcome::Quiet => Self::horizon::<PROF>(tile, prof),
-                };
-            }
-            // A stretch ends with one horizon scan of every live tile,
-            // busy ones included: where the scans fall decides which
-            // cycles each tile skips, and so its `skipped_cycles`.
-            if stretch && !all_busy {
-                for (tile, due) in self.tiles.iter().zip(&mut self.due) {
-                    if *due != u64::MAX {
-                        *due = Self::horizon::<PROF>(tile, prof);
-                    }
-                }
-            }
-            self.stretch = all_due && all_busy;
-        }
-    }
-
-    /// The tile's next due cycle after a quiet tick: its core's event
-    /// horizon, with the scan charged to `prof` under `PROF`.
-    #[inline(always)]
-    fn horizon<const PROF: bool>(tile: &Machine, prof: &mut hsim_core::HostProfile) -> u64 {
-        timed(
-            PROF,
-            &mut prof.horizon_secs,
-            &mut prof.horizon_scans,
-            || tile.core.skip_target(),
-        )
+        let mut prof = HostProfile::default();
+        self.sched
+            .run_until::<_, false>(&mut self.tiles, limit, &mut prof)
     }
 
     /// Total coherence violations over all tiles (tracking runs only).
     pub fn violations(&self) -> usize {
         self.tiles.iter().map(|t| t.violations()).sum()
+    }
+}
+
+impl Tile for Machine {
+    type Port = World;
+    fn parts(&mut self) -> (&mut Core, &mut World) {
+        (&mut self.core, &mut self.world)
     }
 }
 

@@ -8,7 +8,7 @@ use hsim_isa::Phase;
 
 /// Everything measured in one run — the union of what Table 3 and
 /// Figures 7–10 need, per core.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunReport {
     /// Workload name.
     pub name: String,
@@ -183,7 +183,7 @@ impl RunReport {
 
 /// The measurements of one N-core machine run: one [`RunReport`] per
 /// core plus machine-level aggregates.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MultiRunReport {
     /// Per-core reports, indexed by core id.
     pub per_core: Vec<RunReport>,

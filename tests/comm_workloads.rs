@@ -24,54 +24,8 @@ use hsim::compiler::ShardError;
 use hsim::prelude::*;
 use hsim_workloads::comm;
 
-/// Bit-compares the observables of two multicore runs (everything
-/// except the skip accounting, which the caller checks).
-fn assert_multi_equal(a: &MultiRunReport, b: &MultiRunReport, what: &str) {
-    assert_eq!(a.makespan, b.makespan, "{what}: makespan");
-    assert_eq!(
-        a.total(|c| c.committed),
-        b.total(|c| c.committed),
-        "{what}: committed"
-    );
-    assert_eq!(
-        a.total(|c| c.dram_reads),
-        b.total(|c| c.dram_reads),
-        "{what}: DRAM reads"
-    );
-    assert_eq!(
-        a.total(|c| c.coh_shared_hits),
-        b.total(|c| c.coh_shared_hits),
-        "{what}: shared hits"
-    );
-    assert_eq!(
-        a.total(|c| c.coh_invalidations),
-        b.total(|c| c.coh_invalidations),
-        "{what}: invalidations"
-    );
-    assert_eq!(
-        a.total(|c| c.coh_interventions),
-        b.total(|c| c.coh_interventions),
-        "{what}: interventions"
-    );
-    assert_eq!(
-        a.total(|c| c.coh_dirty_recalls),
-        b.total(|c| c.coh_dirty_recalls),
-        "{what}: dirty recalls"
-    );
-    assert_eq!(
-        a.total(|c| c.bus_wait_cycles),
-        b.total(|c| c.bus_wait_cycles),
-        "{what}: bus waits"
-    );
-    assert_eq!(
-        a.replication_fallbacks, b.replication_fallbacks,
-        "{what}: replication fallbacks"
-    );
-    for (i, (ra, rb)) in a.per_core.iter().zip(&b.per_core).enumerate() {
-        assert_eq!(ra.cycles, rb.cycles, "{what}: core {i} cycles");
-        assert_eq!(ra.committed, rb.committed, "{what}: core {i} committed");
-    }
-}
+mod common;
+use common::Unskipped;
 
 /// Runs one comm kernel set with and without cycle skipping and
 /// demands identical observables.
@@ -88,12 +42,7 @@ fn check_skip_lockstep(w: &comm::CommWorkload, mode: SysMode, cm: CoherenceProto
         .run()
         .unwrap_or_else(|e| panic!("{what} lockstep: {e}"))
         .into_multi();
-    assert_eq!(
-        lock.total(|c| c.skipped_cycles),
-        0,
-        "{what}: lockstep must not skip"
-    );
-    assert_multi_equal(&skip, &lock, &what);
+    assert_eq!(skip.unskipped(), lock, "{what}");
 }
 
 /// Ping-pong and queue hand-offs — the protocol-differentiating
@@ -124,21 +73,27 @@ fn skip_equals_lockstep_for_contention_workloads() {
 }
 
 /// Four hybrid tiles contending for one lock word at Paper scale: the
-/// spinning tiles' posted stores keep recalling the line, and the
-/// home bank's port may be booked at most `BANK_BACKLOG_WINDOW` ahead,
-/// so every protocol finishes instead of tripping the deadlock
-/// watchdog behind an unbounded message backlog.
+/// spinning tiles' posted stores keep recalling the line, and the home
+/// bank's port may be booked at most `BANK_BACKLOG_WINDOW` ahead. The
+/// makespans are pinned: without the cap the backlog delays the next
+/// demand load to the bank by hundreds of thousands of cycles — a wait
+/// that now completes, so only its length shows the missing bound.
 #[test]
 fn hybrid_lock_completes_at_paper_scale_under_every_protocol() {
     let w = comm::lock(Scale::Paper, 4);
-    for cm in CoherenceProtocol::ALL {
+    for (cm, makespan) in [
+        (CoherenceProtocol::Msi, 74_132),
+        (CoherenceProtocol::Mesi, 70_966),
+        (CoherenceProtocol::Moesi, 70_966),
+        (CoherenceProtocol::Mesif, 70_966),
+    ] {
         let cfg = MachineConfig::for_mode(SysMode::HybridCoherent).with_coherence(cm);
         let report = RunSpec::many(&w.kernels)
             .config(cfg)
             .run()
             .unwrap_or_else(|e| panic!("{}: {e}", cm.name()))
             .into_multi();
-        assert!(report.makespan > 0, "{}: lock must finish", cm.name());
+        assert_eq!(report.makespan, makespan, "{}", cm.name());
     }
 }
 

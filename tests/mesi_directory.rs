@@ -132,13 +132,14 @@ fn private_tables_run_identically_under_every_protocol() {
         for mode in SysMode::ALL {
             let run = |cm| {
                 let spec = RunSpec::many(&shards).config(cfg_with(mode, cm));
-                format!("{:?}", spec.run().expect("run").into_multi())
+                spec.run().expect("run").into_multi()
             };
             let [first, rest @ ..] = CoherenceProtocol::ALL;
             let first = run(first);
             for cm in rest {
-                assert!(
-                    run(cm) == first,
+                assert_eq!(
+                    run(cm),
+                    first,
                     "{} x{cores} {mode:?}: private tables differ under {}",
                     kernel.name,
                     cm.name()

@@ -26,40 +26,8 @@ use hsim::prelude::*;
 use hsim_bench::private_tables;
 use hsim_workloads::nas;
 
-/// Every observable of two per-core reports, with the skip counters
-/// normalized away (callers that need them equal assert separately).
-fn assert_cores_equal(a: &RunReport, b: &RunReport, what: &str) {
-    assert_eq!(a.cycles, b.cycles, "{what}: cycles");
-    assert_eq!(a.committed, b.committed, "{what}: committed");
-    assert_eq!(a.phase_cycles, b.phase_cycles, "{what}: phases");
-    assert_eq!(a.l1_accesses, b.l1_accesses, "{what}: L1");
-    assert_eq!(a.l2_accesses, b.l2_accesses, "{what}: L2");
-    assert_eq!(a.l3_accesses, b.l3_accesses, "{what}: L3");
-    assert_eq!(a.lm_accesses, b.lm_accesses, "{what}: LM");
-    assert_eq!(a.bus_requests, b.bus_requests, "{what}: bus requests");
-    assert_eq!(a.bus_wait_cycles, b.bus_wait_cycles, "{what}: bus waits");
-    assert_eq!(a.dram_reads, b.dram_reads, "{what}: DRAM reads");
-    assert_eq!(a.dram_writes, b.dram_writes, "{what}: DRAM writes");
-    assert_eq!(a.coh_shared_hits, b.coh_shared_hits, "{what}: shared hits");
-    assert_eq!(a.coh_invalidations, b.coh_invalidations, "{what}: invals");
-    assert_eq!(a.coh_interventions, b.coh_interventions, "{what}: intervs");
-    assert_eq!(
-        a.coh_dirty_recalls, b.coh_dirty_recalls,
-        "{what}: dirty recalls"
-    );
-    assert_eq!(a.ecc_retries, b.ecc_retries, "{what}: ECC retries");
-    assert_eq!(a.dma_retries, b.dma_retries, "{what}: DMA retries");
-    assert_eq!(
-        a.energy_total().to_bits(),
-        b.energy_total().to_bits(),
-        "{what}: energy"
-    );
-    let mut sa = a.core.clone();
-    sa.skipped_cycles = 0;
-    let mut sb = b.core.clone();
-    sb.skipped_cycles = 0;
-    assert_eq!(sa, sb, "{what}: core stats");
-}
+mod common;
+use common::Unskipped;
 
 #[test]
 fn every_protocol_skips_bit_identically() {
@@ -78,13 +46,6 @@ fn every_protocol_skips_bit_identically() {
             .run()
             .map(RunOutcome::into_multi)
             .expect("lockstep run");
-        assert_eq!(skip.makespan, lock.makespan, "{}: makespan", cm.name());
-        assert_eq!(
-            lock.total(|c| c.skipped_cycles),
-            0,
-            "{}: lockstep",
-            cm.name()
-        );
         assert!(
             skip.total(|c| c.skipped_cycles) > 0,
             "{}: the run must still skip idle cycles",
@@ -95,9 +56,7 @@ fn every_protocol_skips_bit_identically() {
             "{}: CG x4 must actually exercise the directory",
             cm.name()
         );
-        for (s, l) in skip.per_core.iter().zip(&lock.per_core) {
-            assert_cores_equal(s, l, &format!("{} cg x4 core {}", cm.name(), s.core_id));
-        }
+        assert_eq!(skip.unskipped(), lock, "{} cg x4", cm.name());
     }
 }
 
@@ -126,32 +85,8 @@ fn every_protocol_keeps_threaded_clusters_equal_to_serial() {
             panic!("CG must shard to a 2x2 topology");
         };
         let threaded = run(false).expect("shardability cannot depend on threading");
-        assert_eq!(
-            serial.makespan,
-            threaded.makespan,
-            "{}: makespan",
-            cm.name()
-        );
-        assert_eq!(
-            serial.cross_cluster_fallbacks,
-            threaded.cross_cluster_fallbacks,
-            "{}: fallbacks",
-            cm.name()
-        );
-        for (ca, cb) in serial.per_cluster.iter().zip(&threaded.per_cluster) {
-            assert_eq!(ca.makespan, cb.makespan, "{}: cluster makespan", cm.name());
-            for (ra, rb) in ca.per_core.iter().zip(&cb.per_core) {
-                assert_eq!(
-                    ra.core,
-                    rb.core,
-                    "{}: core stats diverged across drivers (incl. skips)",
-                    cm.name()
-                );
-                assert_eq!(ra.coh_shared_hits, rb.coh_shared_hits, "{}", cm.name());
-                assert_eq!(ra.coh_invalidations, rb.coh_invalidations, "{}", cm.name());
-                assert_eq!(ra.coh_interventions, rb.coh_interventions, "{}", cm.name());
-            }
-        }
+        // Skip counters included: both drivers run the same scheduler.
+        assert_eq!(serial, threaded, "{}", cm.name());
     }
 }
 
@@ -198,19 +133,7 @@ fn every_protocol_treats_faults_as_pure_timing() {
             .run()
             .map(RunOutcome::into_multi)
             .expect("faulted lockstep run");
-        assert_eq!(
-            skip.makespan,
-            lock.makespan,
-            "{}: faulted makespan",
-            cm.name()
-        );
-        for (s, l) in skip.per_core.iter().zip(&lock.per_core) {
-            assert_cores_equal(
-                s,
-                l,
-                &format!("{} faulted cg x4 core {}", cm.name(), s.core_id),
-            );
-        }
+        assert_eq!(skip.unskipped(), lock, "{} faulted cg x4", cm.name());
     }
 }
 

@@ -17,86 +17,8 @@ use hsim::prelude::*;
 use hsim_bench::private_tables;
 use hsim_workloads::nas;
 
-/// Asserts that a skipping run and a lockstep run produced identical
-/// reports (everything except the skip accounting itself).
-fn assert_reports_equal(skip: &RunReport, lock: &RunReport, what: &str) {
-    assert_eq!(lock.skipped_cycles, 0, "{what}: lockstep must not skip");
-    assert_observables_equal(skip, lock, what);
-}
-
-/// The shared comparator: every observable of two runs — cycle counts,
-/// per-level hits, phases, backside shares, energy — must match bit
-/// for bit, with only the skip accounting itself left to the caller.
-fn assert_observables_equal(skip: &RunReport, lock: &RunReport, what: &str) {
-    assert_eq!(skip.cycles, lock.cycles, "{what}: cycles");
-    assert_eq!(skip.committed, lock.committed, "{what}: committed");
-    assert_eq!(skip.phase_cycles, lock.phase_cycles, "{what}: phases");
-    assert_eq!(
-        skip.amat.to_bits(),
-        lock.amat.to_bits(),
-        "{what}: AMAT ({} vs {})",
-        skip.amat,
-        lock.amat
-    );
-    assert_eq!(
-        skip.l1d_hit_ratio.to_bits(),
-        lock.l1d_hit_ratio.to_bits(),
-        "{what}: L1D hit ratio"
-    );
-    assert_eq!(skip.l1_accesses, lock.l1_accesses, "{what}: L1 accesses");
-    assert_eq!(skip.l2_accesses, lock.l2_accesses, "{what}: L2 accesses");
-    assert_eq!(skip.l3_accesses, lock.l3_accesses, "{what}: L3 accesses");
-    assert_eq!(skip.lm_accesses, lock.lm_accesses, "{what}: LM accesses");
-    assert_eq!(skip.dir_accesses, lock.dir_accesses, "{what}: dir accesses");
-    assert_eq!(skip.bus_requests, lock.bus_requests, "{what}: bus requests");
-    assert_eq!(
-        skip.bus_wait_cycles, lock.bus_wait_cycles,
-        "{what}: bus waits"
-    );
-    assert_eq!(skip.dram_reads, lock.dram_reads, "{what}: DRAM reads");
-    assert_eq!(skip.dram_writes, lock.dram_writes, "{what}: DRAM writes");
-    assert_eq!(
-        skip.coh_shared_hits, lock.coh_shared_hits,
-        "{what}: shared hits"
-    );
-    assert_eq!(
-        skip.coh_invalidations, lock.coh_invalidations,
-        "{what}: invalidations"
-    );
-    assert_eq!(
-        skip.coh_interventions, lock.coh_interventions,
-        "{what}: interventions"
-    );
-    assert_eq!(
-        skip.coh_intervention_stalls, lock.coh_intervention_stalls,
-        "{what}: intervention stalls"
-    );
-    assert_eq!(
-        skip.coh_dirty_recalls, lock.coh_dirty_recalls,
-        "{what}: dirty recalls"
-    );
-    assert_eq!(
-        skip.dram_intervention_drain_stalls, lock.dram_intervention_drain_stalls,
-        "{what}: intervention drain stalls"
-    );
-    assert_eq!(skip.ecc_retries, lock.ecc_retries, "{what}: ECC retries");
-    assert_eq!(skip.dma_retries, lock.dma_retries, "{what}: DMA retries");
-    assert_eq!(skip.dir_nacks, lock.dir_nacks, "{what}: dir NACKs");
-    assert_eq!(skip.escalations, lock.escalations, "{what}: escalations");
-    assert_eq!(
-        skip.energy_total().to_bits(),
-        lock.energy_total().to_bits(),
-        "{what}: energy"
-    );
-    // The full pipeline statistics, with the skip counters normalized
-    // away on both sides (the only field allowed to differ; callers
-    // that require it equal too assert that separately).
-    let mut a = skip.core.clone();
-    a.skipped_cycles = 0;
-    let mut b = lock.core.clone();
-    b.skipped_cycles = 0;
-    assert_eq!(a, b, "{what}: core stats");
-}
+mod common;
+use common::Unskipped;
 
 /// Runs `kernel` in `mode` both ways and checks the reports match.
 /// Returns the skipping report for further assertions.
@@ -111,7 +33,7 @@ fn check_single(kernel: &hsim_compiler::Kernel, mode: SysMode) -> RunReport {
         .run()
         .map(RunOutcome::into_single)
         .expect("lockstep");
-    assert_reports_equal(&skip, &lock, &format!("{} {:?}", kernel.name, mode));
+    assert_eq!(skip.unskipped(), lock, "{} {:?}", kernel.name, mode);
     skip
 }
 
@@ -203,19 +125,9 @@ fn four_core_machines_are_identical_in_all_modes() {
             .run()
             .map(RunOutcome::into_multi)
             .expect("4-core lockstep run");
-        assert_eq!(skip.makespan, lock.makespan, "{what}: makespan");
-        assert_eq!(skip.n_cores(), lock.n_cores());
-        assert_eq!(lock.total(|c| c.skipped_cycles), 0);
-        for (s, l) in skip.per_core.iter().zip(&lock.per_core) {
-            assert_reports_equal(s, l, &format!("{what} core {}", s.core_id));
-        }
-        // Contention statistics must survive the jumped round-robin
-        // rotation: both runs see the same arbitration order.
-        assert_eq!(
-            skip.total(|c| c.bus_wait_cycles),
-            lock.total(|c| c.bus_wait_cycles),
-            "{what}: total bus waits"
-        );
+        // Contention statistics included: both runs see the same
+        // arbitration order through the jumped round-robin rotation.
+        assert_eq!(skip.unskipped(), lock, "{what}");
     }
 }
 
@@ -241,10 +153,7 @@ fn four_core_mesi_machines_skip_bit_identically() {
         .run()
         .map(RunOutcome::into_multi)
         .expect("mesi lockstep run");
-    assert_eq!(skip.makespan, lock.makespan, "mesi: makespan");
-    for (s, l) in skip.per_core.iter().zip(&lock.per_core) {
-        assert_reports_equal(s, l, &format!("mesi cg x4 core {}", s.core_id));
-    }
+    assert_eq!(skip.unskipped(), lock, "mesi cg x4");
     assert!(
         skip.total(|c| c.coh_shared_hits) > 0,
         "the grid must actually exercise the directory"
@@ -279,20 +188,9 @@ fn identical_config_hetero_machine_is_bit_identical_to_homogeneous() {
             .run()
             .map(RunOutcome::into_multi)
             .expect("hetero run");
-        assert_eq!(homo.makespan, hetero.makespan, "{mode:?} {cm:?}: makespan");
         assert_eq!(hetero.replication_fallbacks, 0, "{mode:?} {cm:?}");
-        for (h, e) in homo.per_core.iter().zip(&hetero.per_core) {
-            // The strictest comparator in the suite: every observable
-            // of every tile must match bit for bit — including the
-            // skip accounting, since both runs use the same scheduler.
-            assert_observables_equal(
-                e,
-                h,
-                &format!("hetero-identity {mode:?} {cm:?} core {}", h.core_id),
-            );
-            assert_eq!(h.skipped_cycles, e.skipped_cycles, "{mode:?} {cm:?}: skips");
-            assert_eq!(h.core, e.core, "{mode:?} {cm:?}: full core stats");
-        }
+        // Skip accounting included: both runs use the same scheduler.
+        assert_eq!(hetero, homo, "hetero-identity {mode:?} {cm:?}");
     }
 }
 
@@ -335,15 +233,11 @@ fn mixed_hybrid_cache_chip_skips_bit_identically() {
             .run()
             .map(RunOutcome::into_multi)
             .expect("lockstep");
-        assert_eq!(skip.makespan, lock.makespan, "{cm:?}: makespan");
-        assert_eq!(lock.total(|c| c.skipped_cycles), 0);
         assert!(
             skip.total(|c| c.skipped_cycles) > 0,
             "{cm:?}: the hybrid tiles must still skip idle cycles"
         );
-        for (s, l) in skip.per_core.iter().zip(&lock.per_core) {
-            assert_reports_equal(s, l, &format!("mixed chip {:?} core {}", cm, s.core_id));
-        }
+        assert_eq!(skip.unskipped(), lock, "mixed chip {cm:?}");
         assert!(skip.is_mixed_chip());
         assert_eq!(
             skip.mode_summary(),
@@ -404,7 +298,7 @@ fn banked_backside_pins_fig7_grid_cycles() {
             .run()
             .map(RunOutcome::into_single)
             .expect("pinned lockstep");
-        assert_reports_equal(&r, &lock, &format!("pinned {mode:?} {pct}%"));
+        assert_eq!(r.unskipped(), lock, "pinned {mode:?} {pct}%");
     }
 }
 
@@ -478,9 +372,7 @@ fn banked_backside_pins_four_core_cg_runs() {
             .run()
             .map(RunOutcome::into_multi)
             .expect("pinned lockstep");
-        for (s, l) in r.per_core.iter().zip(&lock.per_core) {
-            assert_reports_equal(s, l, &format!("pinned cg x4 {:?} core {}", mode, s.core_id));
-        }
+        assert_eq!(r.unskipped(), lock, "pinned cg x4 {mode:?}");
     }
 }
 
