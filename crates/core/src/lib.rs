@@ -26,16 +26,22 @@
 //!
 //! ## The issue stage is event-driven
 //!
-//! Nothing in the back end walks the ROB or the store queue. At dispatch
-//! an instruction links itself onto the *consumer chain* of every
-//! producer that has not issued yet (intrusive, allocation-free:
-//! `dep_head` on the producer, `dep_next[slot]` on the consumer) and
-//! counts those producers in `pending`; producers that already issued
-//! fold their completion time into its `ready_at`. Issuing an entry
-//! walks its chain; a consumer whose `pending` reaches zero waits for
-//! its `ready_at` in the *wake wheel* — 64 buckets of slot bitsets, one
-//! per cycle, with an occupancy word — or, 64 or more cycles out, in
-//! the `far` min-heap. An entry's *slot* is its seq modulo the ROB size
+//! Nothing in the back end walks the ROB or the store queue. The ROB
+//! is a fixed ring indexed by slot and split in two: one 64-byte cache
+//! line of hot fields per entry, written in place at dispatch and left
+//! behind at commit, and a side array of the fields only memory,
+//! `dma-synch` and mispredicted control entries have. Every instruction
+//! is decoded once, when the core is built, into the bits, unit class
+//! and latency the stages ask about. At dispatch an instruction links
+//! itself onto the *consumer chain* of every producer that has not
+//! issued yet (intrusive, allocation-free: `dep_head` on the producer,
+//! `dep_next[source]` on the consumer, each link the consumer's slot
+//! and source) and counts those producers in `pending`; producers that
+//! already issued fold their completion time into its `ready_at`.
+//! Issuing an entry walks its chain; a consumer whose `pending` reaches
+//! zero waits for its `ready_at` in the *wake wheel* — 64 buckets of
+//! slot bitsets, one per cycle, with an occupancy word — or, 64 or more
+//! cycles out, in the `far` min-heap. An entry's *slot* is its seq modulo the ROB size
 //! rounded up to a power of two, so ring order from the head's slot is
 //! age order. Each cycle `issue` ORs the bucket of `now` into `ready`,
 //! a bitset over slots, and select walks its set bits oldest first,

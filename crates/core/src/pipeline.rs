@@ -174,9 +174,10 @@ enum FuClass {
 
 /// What memory disambiguation found the first time it looked at the
 /// stores older than a load (see [`Core::load_disambiguate`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum Blocker {
     /// Not asked yet.
+    #[default]
     Unasked,
     /// No older in-flight store overlaps the load; none ever will.
     Clear,
@@ -193,64 +194,95 @@ struct MemOp {
 }
 
 /// End of a consumer chain.
-const NO_LINK: u64 = u64::MAX;
+const NO_LINK: u32 = u32::MAX;
 
+/// The hot half of an in-flight instruction: what dispatch, wakeup,
+/// select and commit read for every entry. The ROB is a ring of these
+/// indexed by slot (`seq & slot_mask`), written in place at dispatch and
+/// left behind at commit; each fills one cache line of its own, so a
+/// wakeup or select that looks at an entry touches one line, and the
+/// 256 slots of Table 1's ROB take 16 KiB.
+#[derive(Clone, Copy)]
+#[repr(align(64))]
 struct RobEntry {
     seq: u64,
-    pc: usize,
-    state: EState,
-    /// Source operands whose producer has not issued yet. At zero a
-    /// `Waiting` entry is in `Core::ready`, `Core::wheel` or `Core::far`.
-    pending: u8,
     /// Latest `done_at` over the producers that had issued when this
     /// entry linked to them or was woken by them: once `pending` is
     /// zero, the cycle from which the operands are all available.
     ready_at: u64,
-    /// Head of this entry's consumer chain: the entries waiting for it
-    /// to issue, each link encoded `consumer seq << 2 | source slot`.
-    dep_head: u64,
-    /// Per source slot (up to 3: e.g. dma-get reads 3 regs), the next
-    /// link on that producer's consumer chain.
-    dep_next: [u64; 3],
-    /// Producer sequence numbers per source slot, kept for the scan
-    /// oracle the wakeup chains are tested against.
-    #[cfg(test)]
-    srcs: [Option<u64>; 3],
-    fu: FuClass,
-    /// Execution latency for non-memory instructions.
-    latency: u64,
     /// Cycle the result is available (valid once issued).
     done_at: u64,
-    is_load: bool,
-    is_store: bool,
-    is_fp: bool,
-    writes_int: bool,
-    is_branch: bool,
+    pc: u32,
+    /// Execution latency for non-memory instructions.
+    latency: u32,
+    /// Head of this entry's consumer chain: the entries waiting for it
+    /// to issue, each link encoded `consumer slot << 2 | source slot`.
+    /// A slot names its consumer for as long as the link exists: a
+    /// linked consumer is in flight until it issues, and nothing is ever
+    /// squashed.
+    dep_head: u32,
+    /// Per source slot (up to 3: e.g. dma-get reads 3 regs), the next
+    /// link on that producer's consumer chain.
+    dep_next: [u32; 3],
+    /// The decode bits ([`decode`]) plus [`decode::MISPREDICTED`].
+    flags: u16,
+    state: EState,
+    /// Source operands whose producer has not issued yet. At zero a
+    /// `Waiting` entry is in `Core::ready`, `Core::wheel` or `Core::far`.
+    pending: u8,
+    fu: FuClass,
+}
+
+const _: () = assert!(std::mem::size_of::<RobEntry>() <= 64);
+
+/// A slot no instruction has occupied yet.
+const VACANT: RobEntry = RobEntry {
+    seq: 0,
+    ready_at: 0,
+    done_at: 0,
+    pc: 0,
+    latency: 1,
+    dep_head: NO_LINK,
+    dep_next: [NO_LINK; 3],
+    flags: 0,
+    state: EState::Issued,
+    pending: 0,
+    fu: FuClass::IntAlu,
+};
+
+/// The cold half, in a slot-indexed array of its own: only loads and
+/// stores, `dma-synch` and mispredicted control instructions write or
+/// read it, each the fields its decode bits say it has.
+#[derive(Clone, Default)]
+struct ColdEntry {
+    /// A load's or store's access.
     mem: Option<MemOp>,
     /// A load's disambiguation memo; a `Cell` because the horizon query,
     /// which only borrows the core, asks too.
     blocker: Cell<Blocker>,
     /// `dma-synch`: may not complete before this cycle.
     synch_until: u64,
-    /// Marks the start of an execution phase at commit.
-    phase_mark: Option<Phase>,
-    is_halt: bool,
-    /// This control instruction was mispredicted; fetch restarts at
-    /// `redirect_to` once it executes.
-    mispredicted: bool,
+    /// A mispredicted control instruction: where fetch restarts.
     redirect_to: usize,
+    /// Producer sequence numbers per source slot, kept for the scan
+    /// oracle the wakeup chains are tested against.
+    #[cfg(test)]
+    srcs: [Option<u64>; 3],
 }
 
-struct Fetched {
-    pc: usize,
-    /// Predicted next PC chosen by the front end.
-    predicted_next: usize,
+impl ColdEntry {
+    /// The access of the load or store in this slot.
+    #[inline]
+    fn mem(&self) -> &MemOp {
+        self.mem.as_ref().expect("a load or store has its access")
+    }
 }
 
 /// The out-of-order core.
 pub struct Core {
     pub(crate) cfg: CoreConfig,
-    program: Program,
+    /// The program, decoded once: `pc` indexes it.
+    decoded: Box<[Decoded]>,
     mmap: MemoryMap,
 
     // Architectural (functional) state.
@@ -260,7 +292,7 @@ pub struct Core {
 
     // Front end.
     fetch_pc: usize,
-    fetch_queue: VecDeque<Fetched>,
+    fetch_queue: VecDeque<(usize, usize)>,
     fetch_resume_at: u64,
     last_fetch_line: u64,
     /// A mispredicted control instruction is in flight; fetch is stalled
@@ -274,8 +306,10 @@ pub struct Core {
     /// Return address stack.
     pub ras: Ras,
 
-    // Back end.
-    rob: VecDeque<RobEntry>,
+    // Back end. The seqs `head_seq..next_seq` are in flight, entry `seq`
+    // in slot `seq & slot_mask` of both halves.
+    rob: Box<[RobEntry]>,
+    cold: Box<[ColdEntry]>,
     head_seq: u64,
     next_seq: u64,
     last_writer_int: [Option<u64>; 32],
@@ -327,6 +361,14 @@ impl Core {
     /// Builds a core ready to execute `program` from PC 0.
     pub fn new(cfg: CoreConfig, program: Program, mmap: MemoryMap) -> Self {
         let slots = cfg.rob_size.next_power_of_two();
+        // Slot links are `u32`s with two bits of source slot; pcs are
+        // `u32`s.
+        assert!(slots <= 1 << 29, "ROB of {} entries", cfg.rob_size);
+        assert!(
+            program.len() < u32::MAX as usize,
+            "program of {} instructions",
+            program.len()
+        );
         Core {
             bp: BranchPredictor::new(
                 cfg.gshare_entries,
@@ -343,19 +385,20 @@ impl Core {
             far: BinaryHeap::new(),
             store_q: VecDeque::with_capacity(cfg.lsq_stores),
             store_filter: StoreFilter::new(cfg.lsq_stores),
+            fetch_queue: VecDeque::with_capacity(cfg.fetch_queue),
             cfg,
-            program,
+            decoded: program.insts.into_iter().map(decode).collect(),
             mmap,
             int_regs: [0; 32],
             fp_regs: [0.0; 32],
             arch_call_stack: Vec::new(),
             fetch_pc: 0,
-            fetch_queue: VecDeque::new(),
             fetch_resume_at: 0,
             last_fetch_line: u64::MAX,
             pending_redirect: None,
             fetch_off: false,
-            rob: VecDeque::new(),
+            rob: vec![VACANT; slots].into(),
+            cold: vec![ColdEntry::default(); slots].into(),
             head_seq: 0,
             next_seq: 0,
             last_writer_int: [None; 32],
@@ -446,8 +489,7 @@ impl Core {
     /// probes around it — the dominant case in busy stretches.
     #[inline]
     pub(crate) fn commit_ready(&self) -> bool {
-        self.rob
-            .front()
+        self.rob_head()
             .is_some_and(|e| e.state == EState::Issued && e.done_at <= self.now)
     }
 
@@ -464,7 +506,7 @@ impl Core {
     pub(crate) fn progress_certain(&self) -> bool {
         self.commit_ready()
             || (!self.fetch_queue.is_empty()
-                && self.rob.len() < self.cfg.rob_size
+                && self.rob_len() < self.cfg.rob_size
                 && !self.dispatch_blocked())
     }
 
@@ -497,7 +539,7 @@ impl Core {
         // drops — which happens at commit, already covered by the
         // ROB-head horizon below.
         if !self.fetch_queue.is_empty()
-            && self.rob.len() < self.cfg.rob_size
+            && self.rob_len() < self.cfg.rob_size
             && !self.dispatch_blocked()
         {
             return now;
@@ -507,7 +549,7 @@ impl Core {
         // instructions left and somewhere to put them.
         if !self.fetch_off
             && self.pending_redirect.is_none()
-            && self.fetch_pc < self.program.len()
+            && self.fetch_pc < self.decoded.len()
             && self.fetch_queue.len() < self.cfg.fetch_queue
         {
             let t = self.fetch_resume_at.max(now);
@@ -518,7 +560,7 @@ impl Core {
         }
         // Completion matters at the head (commit); elsewhere it is
         // observed through dependents' wake keys below.
-        if let Some(head) = self.rob.front() {
+        if let Some(head) = self.rob_head() {
             if head.state == EState::Issued {
                 horizon = horizon.min(head.done_at.max(now));
             }
@@ -560,18 +602,39 @@ impl Core {
     /// Whether the in-flight entry in `slot` is a load that memory
     /// disambiguation holds back this cycle.
     fn is_blocked_load(&self, slot: usize) -> bool {
-        let i = self.rob_index_of_slot(slot);
-        self.rob[i].is_load && self.load_disambiguate(i) == LoadPath::Blocked
+        let slot = self.visit(slot);
+        self.rob[slot].flags & decode::LOAD != 0
+            && self.load_disambiguate(slot) == LoadPath::Blocked
     }
 
-    /// ROB position of in-flight entry `seq`. Every seq-to-entry lookup
-    /// of the back end goes through here, so the test-only visit count
-    /// bounds the entries a tick or a horizon query examines.
+    /// The slot of in-flight entry `seq`, looked up by the back end
+    /// (see [`Core::visit`]).
     #[inline(always)]
     fn rob_index(&self, seq: u64) -> usize {
+        self.visit(self.slot(seq))
+    }
+
+    /// `slot`, whose entry the back end is about to examine. Every
+    /// lookup of an entry by seq or slot goes through here, so the
+    /// test-only visit count bounds the entries a tick or a horizon
+    /// query examines.
+    #[inline(always)]
+    fn visit(&self, slot: usize) -> usize {
         #[cfg(test)]
         self.rob_visits.set(self.rob_visits.get() + 1);
-        (seq - self.head_seq) as usize
+        slot
+    }
+
+    /// The number of in-flight entries.
+    #[inline(always)]
+    fn rob_len(&self) -> usize {
+        (self.next_seq - self.head_seq) as usize
+    }
+
+    /// The oldest in-flight entry.
+    #[inline]
+    fn rob_head(&self) -> Option<&RobEntry> {
+        (self.head_seq != self.next_seq).then(|| &self.rob[self.slot(self.head_seq)])
     }
 
     #[inline]
@@ -605,7 +668,7 @@ impl Core {
         self.wheel.drain_into(self.now, &mut self.ready);
         let delta = target - self.now;
         self.stats.phase_cycles[phase_index(self.cur_phase)] += delta;
-        if self.rob.len() >= self.cfg.rob_size {
+        if self.rob_len() >= self.cfg.rob_size {
             self.stats.rob_full_stalls += delta;
         }
         if self.fetch_off || self.pending_redirect.is_some() {
@@ -646,8 +709,11 @@ impl Core {
     /// identically.
     pub(crate) fn deadlock(&self, port: &impl MemoryPort, cycle: u64) -> SimError {
         let diag = port.stall_diagnostics(cycle);
-        let (rob_head_pc, rob_head_op) = match self.rob.front() {
-            Some(e) => (Some(e.pc), format!("{:?}", self.program.insts[e.pc])),
+        let (rob_head_pc, rob_head_op) = match self.rob_head() {
+            Some(e) => (
+                Some(e.pc as usize),
+                format!("{:?}", self.decoded[e.pc as usize].inst),
+            ),
             None => (None, String::new()),
         };
         SimError::Deadlock {
@@ -670,46 +736,51 @@ impl Core {
 
     // --------------------------------------------------------------- commit
 
+    /// Retires up to the commit width of completed entries from the
+    /// head: a retired entry's slot is simply left behind.
     fn commit(&mut self, port: &mut impl MemoryPort) {
+        use decode::{COND_BRANCH, HALT, LOAD, PHASE, STORE, WRITES_FP, WRITES_INT};
         let mut committed = 0;
         let mut store_ports = self.cfg.ls_units;
         let mut last_store: Option<(u64, u64, MemSide)> = None; // (addr, width, side)
         while committed < self.cfg.commit_width {
-            let Some(e) = self.rob.front() else { break };
+            let Some(e) = self.rob_head() else { break };
             if e.state != EState::Issued || e.done_at > self.now {
                 break;
             }
-            if e.is_store && store_ports == 0 {
+            let (flags, pc) = (e.flags, e.pc as usize);
+            if flags & STORE != 0 && store_ports == 0 {
                 break;
             }
-            let e = self.rob.pop_front().unwrap();
-            self.head_seq = e.seq + 1;
+            let slot = self.slot(self.head_seq);
+            self.head_seq += 1;
             committed += 1;
             self.stats.committed += 1;
-            if e.is_load {
+            if flags & LOAD != 0 {
                 self.stats.loads += 1;
                 self.loads_inflight -= 1;
             }
-            if e.is_fp {
+            if flags & WRITES_FP != 0 {
                 self.stats.fp_ops += 1;
                 self.fp_inflight -= 1;
-            } else if e.writes_int {
+            } else if flags & WRITES_INT != 0 {
                 self.int_inflight -= 1;
             }
-            if e.is_branch {
+            if flags & COND_BRANCH != 0 {
                 self.stats.branches += 1;
             }
-            if let Some(m) = &e.mem {
-                match e.mem_route() {
+            if flags & (LOAD | STORE) != 0 {
+                let m = *self.cold[slot].mem();
+                match m.route {
                     Route::Guarded => self.stats.guarded += 1,
                     Route::Oracle => self.stats.oracle_routed += 1,
                     Route::Plain => {}
                 }
-                if e.is_store {
+                if flags & STORE != 0 {
                     self.stats.stores += 1;
                     self.stores_inflight -= 1;
                     let oldest = self.store_q.pop_front();
-                    debug_assert_eq!(oldest, Some(e.seq), "stores commit in order");
+                    debug_assert_eq!(oldest, Some(self.head_seq - 1), "stores commit in order");
                     self.store_filter.remove(m.info.addr, m.width.bytes());
                     store_ports -= 1;
                     let key = (m.info.addr, m.width.bytes(), m.info.side);
@@ -718,15 +789,17 @@ impl Core {
                         // store into the first — one cache access.
                         self.stats.collapsed_stores += 1;
                     } else {
-                        let _ = port.timing_access(self.now, self.pc_addr(e.pc), &m.info, true);
+                        let _ = port.timing_access(self.now, self.pc_addr(pc), &m.info, true);
                         last_store = Some(key);
                     }
                 }
             }
-            if let Some(p) = e.phase_mark {
-                self.cur_phase = p;
+            if flags & PHASE != 0 {
+                if let Inst::PhaseMark { phase } = self.decoded[pc].inst {
+                    self.cur_phase = phase;
+                }
             }
-            if e.is_halt {
+            if flags & HALT != 0 {
                 self.halted = true;
                 return;
             }
@@ -734,14 +807,10 @@ impl Core {
     }
 }
 
-impl RobEntry {
-    fn mem_route(&self) -> Route {
-        self.mem.map(|m| m.route).unwrap_or(Route::Plain)
-    }
-}
-
+mod decode;
 mod frontend;
 mod issue;
+use decode::{decode, Decoded};
 use issue::{slots_of, LoadPath, SlotSet, StoreFilter, WakeWheel};
 
 #[cfg(test)]

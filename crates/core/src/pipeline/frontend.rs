@@ -1,6 +1,7 @@
 //! The in-order front half: fetch, and dispatch with its functional
 //! execution.
 
+use super::decode::{CONTROL, HALT, LOAD, MISPREDICTED, STORE, WRITES_FP, WRITES_INT};
 use super::*;
 
 impl Core {
@@ -12,139 +13,128 @@ impl Core {
     /// impending `RanOffProgram` error must surface on a real tick, never
     /// be skipped over.
     pub(super) fn dispatch_blocked(&self) -> bool {
-        let Some(f) = self.fetch_queue.front() else {
+        let Some(&(pc, _)) = self.fetch_queue.front() else {
             return true;
         };
-        f.pc < self.program.len() && self.dispatch_gated(&self.program.insts[f.pc])
+        self.decoded
+            .get(pc)
+            .is_some_and(|d| self.dispatch_gated(d.flags))
     }
 
-    /// The rename/LSQ gates: whether `inst` must wait for a commit to
-    /// free a physical register or a load/store-queue entry.
-    fn dispatch_gated(&self, inst: &Inst) -> bool {
-        (writes_int(inst) && self.int_inflight >= self.cfg.int_rename_budget())
-            || (writes_fp(inst) && self.fp_inflight >= self.cfg.fp_rename_budget())
-            || (inst.is_load() && self.loads_inflight >= self.cfg.lsq_loads)
-            || (inst.is_store() && self.stores_inflight >= self.cfg.lsq_stores)
+    /// The rename/LSQ gates: whether an instruction with decode bits
+    /// `flags` must wait for a commit to free a physical register or a
+    /// load/store-queue entry.
+    fn dispatch_gated(&self, flags: u16) -> bool {
+        (flags & WRITES_INT != 0 && self.int_inflight >= self.cfg.int_rename_budget())
+            || (flags & WRITES_FP != 0 && self.fp_inflight >= self.cfg.fp_rename_budget())
+            || (flags & LOAD != 0 && self.loads_inflight >= self.cfg.lsq_loads)
+            || (flags & STORE != 0 && self.stores_inflight >= self.cfg.lsq_stores)
     }
 
+    /// Renames, functionally executes and enters up to the fetch width
+    /// of instructions into the ROB, each written in place into its slot.
     pub(super) fn dispatch(&mut self, port: &mut impl MemoryPort) -> Result<(), SimError> {
         let mut budget = self.cfg.fetch_width;
         while budget > 0 {
-            if self.rob.len() >= self.cfg.rob_size {
+            if self.rob_len() >= self.cfg.rob_size {
                 self.stats.rob_full_stalls += 1;
                 break;
             }
-            let Some(f) = self.fetch_queue.front() else {
+            let Some(&(pc, predicted_next)) = self.fetch_queue.front() else {
                 break;
             };
-            let pc = f.pc;
-            if pc >= self.program.len() {
+            let Some(&d) = self.decoded.get(pc) else {
                 return Err(SimError::RanOffProgram);
-            }
-            let inst = self.program.insts[pc];
-            if self.dispatch_gated(&inst) {
+            };
+            if self.dispatch_gated(d.flags) {
                 break;
             }
-            let f = self.fetch_queue.pop_front().unwrap();
+            self.fetch_queue.pop_front();
             budget -= 1;
             let seq = self.next_seq;
             self.next_seq += 1;
             self.stats.dispatched += 1;
-
-            let mut entry = RobEntry {
-                seq,
-                pc,
-                state: EState::Waiting,
-                pending: 0,
-                ready_at: 0,
-                dep_head: NO_LINK,
-                dep_next: [NO_LINK; 3],
-                #[cfg(test)]
-                srcs: [None; 3],
-                fu: FuClass::IntAlu,
-                latency: 1,
-                done_at: 0,
-                is_load: inst.is_load(),
-                is_store: inst.is_store(),
-                is_fp: writes_fp(&inst),
-                writes_int: writes_int(&inst),
-                is_branch: inst.is_cond_branch(),
-                mem: None,
-                blocker: Cell::new(Blocker::Unasked),
-                synch_until: 0,
-                phase_mark: None,
-                is_halt: false,
-                mispredicted: false,
-                redirect_to: 0,
-            };
+            let slot = self.slot(seq);
 
             // Functional execution + dependence collection.
             let mut srcs = [None; 3];
-            let actual_next = self.exec_functional(port, &inst, pc, &mut entry, &mut srcs)?;
+            let actual_next = self.exec_functional(port, &d.inst, pc, seq, slot, &mut srcs)?;
 
             // Wakeup links. A committed producer's value is architectural
             // and an issued one's completion time is known; only a
             // producer still waiting to issue has to wake this entry.
-            for (slot, src) in srcs.into_iter().enumerate() {
+            let (mut ready_at, mut pending, mut dep_next) = (0, 0, [NO_LINK; 3]);
+            for (src_slot, src) in srcs.into_iter().enumerate() {
                 let Some(src) = src.filter(|&s| s >= self.head_seq) else {
                     continue;
                 };
                 let at = self.rob_index(src);
                 let producer = &mut self.rob[at];
                 if producer.state == EState::Issued {
-                    entry.ready_at = entry.ready_at.max(producer.done_at);
+                    ready_at = ready_at.max(producer.done_at);
                 } else {
-                    entry.dep_next[slot] = producer.dep_head;
-                    producer.dep_head = seq << 2 | slot as u64;
-                    entry.pending += 1;
+                    dep_next[src_slot] = producer.dep_head;
+                    producer.dep_head = (slot as u32) << 2 | src_slot as u32;
+                    pending += 1;
                 }
             }
             #[cfg(test)]
             {
-                entry.srcs = srcs;
+                self.cold[slot].srcs = srcs;
             }
+            let mispredicted = actual_next != predicted_next;
+            self.rob[slot] = RobEntry {
+                seq,
+                ready_at,
+                done_at: 0,
+                pc: pc as u32,
+                latency: d.latency,
+                dep_head: NO_LINK,
+                dep_next,
+                flags: d.flags | if mispredicted { MISPREDICTED } else { 0 },
+                state: EState::Waiting,
+                pending,
+                fu: d.fu,
+            };
 
-            if entry.writes_int {
+            if d.flags & WRITES_INT != 0 {
                 self.int_inflight += 1;
             }
-            if entry.is_fp {
+            if d.flags & WRITES_FP != 0 {
                 self.fp_inflight += 1;
             }
-            if entry.is_load {
+            if d.flags & LOAD != 0 {
                 self.loads_inflight += 1;
+                self.cold[slot].blocker.set(Blocker::Unasked);
             }
-            if entry.is_store {
+            if d.flags & STORE != 0 {
                 self.stores_inflight += 1;
                 self.store_q.push_back(seq);
-                let m = entry.mem.as_ref().unwrap();
+                let m = self.cold[slot].mem();
                 self.store_filter.add(m.info.addr, m.width.bytes());
             }
-            let slot = self.slot(seq);
-            self.waiting[entry.fu as usize].insert(slot);
-            if entry.pending == 0 {
+            self.waiting[d.fu as usize].insert(slot);
+            if pending == 0 {
                 // Due by the next select, whenever that runs.
-                if entry.ready_at <= self.now + 1 {
+                if ready_at <= self.now + 1 {
                     self.ready.insert(slot);
                 } else {
-                    self.park(seq, entry.ready_at);
+                    self.park(seq, ready_at);
                 }
             }
-            self.rob.push_back(entry);
 
             // Control-flow resolution: compare against the front end's
             // prediction.
-            if actual_next != f.predicted_next {
+            if mispredicted {
                 self.stats.mispredicts += 1;
-                let e = self.rob.back_mut().unwrap();
-                e.mispredicted = true;
-                e.redirect_to = actual_next;
+                self.cold[slot].redirect_to = actual_next;
                 self.pending_redirect = Some(seq);
                 self.fetch_queue.clear();
                 self.bp.repair();
                 self.ras.restore_from(&self.arch_call_stack);
                 break;
             }
-            if matches!(inst, Inst::Halt) {
+            if d.flags & HALT != 0 {
                 self.fetch_off = true;
                 self.fetch_queue.clear();
                 break;
@@ -153,15 +143,16 @@ impl Core {
         Ok(())
     }
 
-    /// Functionally executes `inst`, filling latency/FU class in `entry`
-    /// and the producer sequence numbers of its source registers in
-    /// `srcs`, and returns the actual next PC.
+    /// Functionally executes `inst`, entry `seq` in `slot`: fills the
+    /// producer sequence numbers of its source registers in `srcs` and
+    /// the slot's cold fields, and returns the actual next PC.
     fn exec_functional(
         &mut self,
         port: &mut impl MemoryPort,
         inst: &Inst,
         pc: usize,
-        entry: &mut RobEntry,
+        seq: u64,
+        slot: usize,
         srcs: &mut [Option<u64>; 3],
     ) -> Result<usize, SimError> {
         use Inst::*;
@@ -175,41 +166,34 @@ impl Core {
                 };
                 srcs[0] = self.last_writer_int[rs1.index()];
                 srcs[1] = src2_dep;
-                entry.latency = op.latency() as u64;
-                self.write_int(rd, op.eval(a, b), entry);
+                self.write_int(rd, op.eval(a, b), seq);
             }
             Li { rd, imm } => {
-                self.write_int(rd, imm, entry);
+                self.write_int(rd, imm, seq);
             }
             Fpu { op, fd, fs1, fs2 } => {
                 let a = self.fp_regs[fs1.index()];
                 let b = self.fp_regs[fs2.index()];
                 srcs[0] = self.last_writer_fp[fs1.index()];
                 srcs[1] = self.last_writer_fp[fs2.index()];
-                entry.fu = FuClass::FpAlu;
-                entry.latency = op.latency() as u64;
-                self.write_fp(fd, op.eval(a, b), entry);
+                self.write_fp(fd, op.eval(a, b), seq);
             }
             MovIF { fd, rs } => {
                 srcs[0] = self.last_writer_int[rs.index()];
-                entry.fu = FuClass::FpAlu;
                 let v = f64::from_bits(self.int_regs[rs.index()] as u64);
-                self.write_fp(fd, v, entry);
+                self.write_fp(fd, v, seq);
             }
             MovFI { rd, fs } => {
                 srcs[0] = self.last_writer_fp[fs.index()];
-                self.write_int(rd, self.fp_regs[fs.index()].to_bits() as i64, entry);
+                self.write_int(rd, self.fp_regs[fs.index()].to_bits() as i64, seq);
             }
             CvtIF { fd, rs } => {
                 srcs[0] = self.last_writer_int[rs.index()];
-                entry.fu = FuClass::FpAlu;
-                entry.latency = 3;
-                self.write_fp(fd, self.int_regs[rs.index()] as f64, entry);
+                self.write_fp(fd, self.int_regs[rs.index()] as f64, seq);
             }
             CvtFI { rd, fs } => {
                 srcs[0] = self.last_writer_fp[fs.index()];
-                entry.latency = 3;
-                self.write_int(rd, self.fp_regs[fs.index()] as i64, entry);
+                self.write_int(rd, self.fp_regs[fs.index()] as i64, seq);
             }
             Load {
                 rd,
@@ -221,11 +205,10 @@ impl Core {
             } => {
                 srcs[0] = self.last_writer_int[base.index()];
                 srcs[1] = index.and_then(|x| self.last_writer_int[x.index()]);
-                entry.fu = FuClass::Mem;
                 let addr = self.effective_addr(base, index, offset);
                 let (bits, info) = port.exec_mem(self.pc_addr(pc), addr, width, route, None);
-                entry.mem = Some(MemOp { info, width, route });
-                self.write_int(rd, bits as i64, entry);
+                self.cold[slot].mem = Some(MemOp { info, width, route });
+                self.write_int(rd, bits as i64, seq);
             }
             Store {
                 rs,
@@ -238,11 +221,10 @@ impl Core {
                 srcs[0] = self.last_writer_int[rs.index()];
                 srcs[1] = self.last_writer_int[base.index()];
                 srcs[2] = index.and_then(|x| self.last_writer_int[x.index()]);
-                entry.fu = FuClass::Mem;
                 let addr = self.effective_addr(base, index, offset);
                 let bits = self.int_regs[rs.index()] as u64;
                 let (_, info) = port.exec_mem(self.pc_addr(pc), addr, width, route, Some(bits));
-                entry.mem = Some(MemOp { info, width, route });
+                self.cold[slot].mem = Some(MemOp { info, width, route });
             }
             FLoad {
                 fd,
@@ -253,15 +235,14 @@ impl Core {
             } => {
                 srcs[0] = self.last_writer_int[base.index()];
                 srcs[1] = index.and_then(|x| self.last_writer_int[x.index()]);
-                entry.fu = FuClass::Mem;
                 let addr = self.effective_addr(base, index, offset);
                 let (bits, info) = port.exec_mem(self.pc_addr(pc), addr, Width::D, route, None);
-                entry.mem = Some(MemOp {
+                self.cold[slot].mem = Some(MemOp {
                     info,
                     width: Width::D,
                     route,
                 });
-                self.write_fp(fd, f64::from_bits(bits), entry);
+                self.write_fp(fd, f64::from_bits(bits), seq);
             }
             FStore {
                 fs,
@@ -273,11 +254,10 @@ impl Core {
                 srcs[0] = self.last_writer_fp[fs.index()];
                 srcs[1] = self.last_writer_int[base.index()];
                 srcs[2] = index.and_then(|x| self.last_writer_int[x.index()]);
-                entry.fu = FuClass::Mem;
                 let addr = self.effective_addr(base, index, offset);
                 let bits = self.fp_regs[fs.index()].to_bits();
                 let (_, info) = port.exec_mem(self.pc_addr(pc), addr, Width::D, route, Some(bits));
-                entry.mem = Some(MemOp {
+                self.cold[slot].mem = Some(MemOp {
                     info,
                     width: Width::D,
                     route,
@@ -312,7 +292,6 @@ impl Core {
                 srcs[0] = self.last_writer_int[lm.index()];
                 srcs[1] = self.last_writer_int[sm.index()];
                 srcs[2] = self.last_writer_int[bytes.index()];
-                entry.fu = FuClass::Mem;
                 let _ = port.exec_dma(
                     self.now,
                     DmaKind::Get,
@@ -326,7 +305,6 @@ impl Core {
                 srcs[0] = self.last_writer_int[lm.index()];
                 srcs[1] = self.last_writer_int[sm.index()];
                 srcs[2] = self.last_writer_int[bytes.index()];
-                entry.fu = FuClass::Mem;
                 let _ = port.exec_dma(
                     self.now,
                     DmaKind::Put,
@@ -337,19 +315,13 @@ impl Core {
                 );
             }
             DmaSynch { tag } => {
-                entry.synch_until = port.dma_synch(self.now, tag).max(1);
+                self.cold[slot].synch_until = port.dma_synch(self.now, tag).max(1);
             }
             DirCfg { rs } => {
                 srcs[0] = self.last_writer_int[rs.index()];
                 port.dir_configure(self.int_regs[rs.index()] as u64);
             }
-            PhaseMark { phase } => {
-                entry.phase_mark = Some(phase);
-            }
-            Halt => {
-                entry.is_halt = true;
-            }
-            Nop => {}
+            PhaseMark { .. } | Halt | Nop => {}
         }
         Ok(next)
     }
@@ -363,14 +335,14 @@ impl Core {
         a.wrapping_add(offset as u64)
     }
 
-    fn write_int(&mut self, rd: Reg, v: i64, entry: &mut RobEntry) {
+    fn write_int(&mut self, rd: Reg, v: i64, seq: u64) {
         self.int_regs[rd.index()] = v;
-        self.last_writer_int[rd.index()] = Some(entry.seq);
+        self.last_writer_int[rd.index()] = Some(seq);
     }
 
-    fn write_fp(&mut self, fd: FReg, v: f64, entry: &mut RobEntry) {
+    fn write_fp(&mut self, fd: FReg, v: f64, seq: u64) {
         self.fp_regs[fd.index()] = v;
-        self.last_writer_fp[fd.index()] = Some(entry.seq);
+        self.last_writer_fp[fd.index()] = Some(seq);
     }
 
     // ---------------------------------------------------------------- fetch
@@ -387,7 +359,7 @@ impl Core {
         let mut slots = self.cfg.fetch_width;
         while slots > 0 && self.fetch_queue.len() < self.cfg.fetch_queue {
             let pc = self.fetch_pc;
-            if pc >= self.program.len() {
+            if pc >= self.decoded.len() {
                 break; // dispatch will flag RanOffProgram if reached
             }
             // I-cache: charge a bubble when crossing into a line that
@@ -402,16 +374,15 @@ impl Core {
                     return;
                 }
             }
-            let inst = self.program.insts[pc];
-            let predicted_next = self.predict_next(pc, &inst);
-            self.fetch_queue.push_back(Fetched { pc, predicted_next });
+            let predicted_next = self.predict_next(pc);
+            self.fetch_queue.push_back((pc, predicted_next));
             self.stats.fetched += 1;
             slots -= 1;
             self.fetch_pc = predicted_next;
             if predicted_next != pc + 1 {
                 break; // taken-control fetch break
             }
-            if matches!(inst, Inst::Halt) {
+            if self.decoded[pc].flags & HALT != 0 {
                 break;
             }
         }
@@ -419,8 +390,12 @@ impl Core {
 
     /// Front-end next-PC logic: real predictor state, no peeking at
     /// functional outcomes.
-    fn predict_next(&mut self, pc: usize, inst: &Inst) -> usize {
-        match *inst {
+    #[inline]
+    fn predict_next(&mut self, pc: usize) -> usize {
+        if self.decoded[pc].flags & CONTROL == 0 {
+            return pc + 1;
+        }
+        match self.decoded[pc].inst {
             Inst::Branch { target, .. } => {
                 let taken = self.bp.predict(self.pc_addr(pc));
                 if taken {
@@ -445,22 +420,4 @@ impl Core {
             _ => pc + 1,
         }
     }
-}
-
-fn writes_int(inst: &Inst) -> bool {
-    matches!(
-        inst,
-        Inst::Alu { .. }
-            | Inst::Li { .. }
-            | Inst::MovFI { .. }
-            | Inst::CvtFI { .. }
-            | Inst::Load { .. }
-    )
-}
-
-fn writes_fp(inst: &Inst) -> bool {
-    matches!(
-        inst,
-        Inst::Fpu { .. } | Inst::MovIF { .. } | Inst::CvtIF { .. } | Inst::FLoad { .. }
-    )
 }

@@ -7,6 +7,7 @@
 //! walking the slots in ring order from the ROB head's visits entries
 //! oldest first.
 
+use super::decode::{LOAD, MISPREDICTED, SYNCH};
 use super::*;
 
 /// A set of ROB slots, one bit each.
@@ -175,14 +176,6 @@ impl Core {
         (seq & self.slot_mask) as usize
     }
 
-    /// ROB position of the in-flight entry in `slot`.
-    #[inline(always)]
-    pub(super) fn rob_index_of_slot(&self, slot: usize) -> usize {
-        #[cfg(test)]
-        self.rob_visits.set(self.rob_visits.get() + 1);
-        ((slot as u64).wrapping_sub(self.head_seq) & self.slot_mask) as usize
-    }
-
     /// Wakeup and select. The keys that come due this cycle — the wheel
     /// bucket of `now` and the top of `far` — join `ready`; select then
     /// runs oldest-first over `ready` alone, losers (no free unit, a
@@ -257,8 +250,8 @@ impl Core {
             while bits != 0 {
                 let bit = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let i = self.rob_index_of_slot(w * 64 + bit);
-                let Some(fu) = self.try_issue(i, port) else {
+                let slot = self.visit(w * 64 + bit);
+                let Some(fu) = self.try_issue(slot, port) else {
                     continue; // a blocked load stays set
                 };
                 self.ready.words[w] &= !(1 << bit);
@@ -278,15 +271,16 @@ impl Core {
         }
     }
 
-    /// Issues ROB entry `i`, whose operands are ready and whose unit
-    /// class has a unit free, unless it is a load that disambiguation
-    /// holds back. Returns the unit class it occupies.
+    /// Issues the entry in `slot`, whose operands are ready and whose
+    /// unit class has a unit free, unless it is a load that
+    /// disambiguation holds back. Returns the unit class it occupies.
     #[inline]
-    fn try_issue(&mut self, i: usize, port: &mut impl MemoryPort) -> Option<usize> {
+    fn try_issue(&mut self, slot: usize, port: &mut impl MemoryPort) -> Option<usize> {
         let now = self.now;
-        let done_at = if self.rob[i].is_load {
+        let e = &self.rob[slot];
+        let done_at = if e.flags & LOAD != 0 {
             // Loads: memory disambiguation against older stores.
-            match self.load_disambiguate(i) {
+            match self.load_disambiguate(slot) {
                 LoadPath::Blocked => return None,
                 LoadPath::Forward => {
                     self.stats.lsq_forwards += 1;
@@ -294,8 +288,8 @@ impl Core {
                     now + 1 + self.cfg.forward_latency
                 }
                 LoadPath::Memory => {
-                    let e = &self.rob[i];
-                    let info = e.mem.as_ref().unwrap().info;
+                    let pc_addr = self.pc_addr(e.pc as usize);
+                    let info = self.cold[slot].mem().info;
                     // AGU takes one cycle; the presence bit may delay
                     // the access further (§3.2 double-buffer support).
                     let mut start = now + 1;
@@ -303,7 +297,7 @@ impl Core {
                         self.stats.presence_stalls += 1;
                         start = info.ready_at;
                     }
-                    let (lat, served) = port.timing_access(start, self.pc_addr(e.pc), &info, false);
+                    let (lat, served) = port.timing_access(start, pc_addr, &info, false);
                     self.stats.load_latency_sum += start + lat - (now + 1);
                     self.stats.loads_timed += 1;
                     self.stats.served[level_index(served)] += 1;
@@ -316,50 +310,46 @@ impl Core {
                     start + lat
                 }
             }
+        } else if e.flags & SYNCH != 0 {
+            (now + 1).max(self.cold[slot].synch_until)
         } else {
-            let e = &self.rob[i];
-            if e.synch_until > 0 {
-                (now + 1).max(e.synch_until)
-            } else {
-                now + e.latency
-            }
+            now + e.latency as u64
         };
         debug_assert!(done_at > now, "a result is never ready in its issue cycle");
-        let e = &mut self.rob[i];
+        let e = &mut self.rob[slot];
         e.state = EState::Issued;
         e.done_at = done_at;
-        let fu = e.fu as usize;
+        let (fu, flags) = (e.fu as usize, e.flags);
         #[cfg(test)]
         self.selected.push(e.seq);
         self.stats.issued += 1;
         // A resolved misprediction restarts the front end.
-        if e.mispredicted {
-            let target = e.redirect_to;
+        if flags & MISPREDICTED != 0 {
             let resume = done_at + self.cfg.redirect_penalty;
             self.pending_redirect = None;
-            self.fetch_pc = target;
+            self.fetch_pc = self.cold[slot].redirect_to;
             self.fetch_resume_at = self.fetch_resume_at.max(resume);
             self.last_fetch_line = u64::MAX;
         }
-        self.wake_dependents(i);
+        self.wake_dependents(slot, done_at);
         Some(fu)
     }
 
-    /// Entry `i` just issued: walks its consumer chain, folding its
-    /// completion time into each consumer's `ready_at`; a consumer whose
-    /// last un-issued producer this was is parked until then.
-    fn wake_dependents(&mut self, i: usize) {
-        let done_at = self.rob[i].done_at;
-        let mut link = std::mem::replace(&mut self.rob[i].dep_head, NO_LINK);
+    /// The entry in `slot` just issued, its result due at `done_at`:
+    /// walks its consumer chain, folding that into each consumer's
+    /// `ready_at`; a consumer whose last un-issued producer this was is
+    /// parked until then.
+    #[inline]
+    fn wake_dependents(&mut self, slot: usize, done_at: u64) {
+        let mut link = std::mem::replace(&mut self.rob[slot].dep_head, NO_LINK);
         while link != NO_LINK {
-            let (seq, slot) = (link >> 2, (link & 3) as usize);
-            let at = self.rob_index(seq);
+            let at = self.visit((link >> 2) as usize);
             let c = &mut self.rob[at];
             c.ready_at = c.ready_at.max(done_at);
             c.pending -= 1;
-            link = c.dep_next[slot];
+            link = c.dep_next[(link & 3) as usize];
             if c.pending == 0 {
-                let ready_at = c.ready_at;
+                let (seq, ready_at) = (c.seq, c.ready_at);
                 self.park(seq, ready_at);
             }
         }
@@ -388,12 +378,13 @@ impl Core {
     /// youngest older overlapping one, and once it has committed no
     /// older store is left at all. Every ask but the first is one ROB
     /// lookup.
-    pub(super) fn load_disambiguate(&self, i: usize) -> LoadPath {
-        let e = &self.rob[i];
-        if e.blocker.get() == Blocker::Unasked {
-            e.blocker.set(self.find_blocker(e));
+    #[inline]
+    pub(super) fn load_disambiguate(&self, slot: usize) -> LoadPath {
+        let blocker = &self.cold[slot].blocker;
+        if blocker.get() == Blocker::Unasked {
+            blocker.set(self.find_blocker(slot));
         }
-        match e.blocker.get() {
+        match blocker.get() {
             // A store whose address is not generated yet blocks, and so
             // does a partial overlap, until the store commits.
             Blocker::Store { seq, partial } if seq >= self.head_seq => {
@@ -407,20 +398,21 @@ impl Core {
         }
     }
 
-    /// The first ask: the store filter clears a load no in-flight store
-    /// can overlap; only past it are the older stores walked, youngest
-    /// first.
-    fn find_blocker(&self, load: &RobEntry) -> Blocker {
-        let m = load.mem.as_ref().unwrap();
+    /// The first ask for the load in `slot`: the store filter clears a
+    /// load no in-flight store can overlap; only past it are the older
+    /// stores walked, youngest first.
+    fn find_blocker(&self, slot: usize) -> Blocker {
+        let m = self.cold[slot].mem();
         let (a, w) = (m.info.addr, m.width.bytes());
         if !self.store_filter.may_overlap(a, w) {
             return Blocker::Clear;
         }
-        let older = self.store_q.partition_point(|&s| s < load.seq);
+        let load_seq = self.rob[slot].seq;
+        let older = self.store_q.partition_point(|&s| s < load_seq);
         for &seq in self.store_q.range(..older).rev() {
             #[cfg(test)]
             self.store_q_visits.set(self.store_q_visits.get() + 1);
-            let sm = self.rob[self.rob_index(seq)].mem.as_ref().unwrap();
+            let sm = self.cold[self.rob_index(seq)].mem();
             let (sa, sw) = (sm.info.addr, sm.width.bytes());
             if overlaps(a, w, sa, sw) {
                 let partial = sa != a || sw != w;

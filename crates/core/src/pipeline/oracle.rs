@@ -16,17 +16,27 @@ use hsim_isa::ProgramBuilder;
 use proptest::prelude::*;
 
 impl Core {
-    /// Earliest cycle ROB entry `i`'s operands can all be ready: `None`
+    /// The in-flight entries, oldest first.
+    pub(super) fn in_flight(&self) -> impl Iterator<Item = &RobEntry> {
+        (self.head_seq..self.next_seq).map(|seq| &self.rob[self.slot(seq)])
+    }
+
+    /// In-flight entry `seq`, without counting a visit.
+    fn entry(&self, seq: u64) -> &RobEntry {
+        assert!((self.head_seq..self.next_seq).contains(&seq));
+        &self.rob[self.slot(seq)]
+    }
+
+    /// Earliest cycle entry `seq`'s operands can all be ready: `None`
     /// while a producer has not issued, otherwise the latest `done_at`
     /// over its in-flight producers (0 when every producer committed).
-    fn scan_operand_ready_at(&self, i: usize) -> Option<u64> {
-        let head = self.head_seq;
+    fn scan_operand_ready_at(&self, seq: u64) -> Option<u64> {
         let mut ready_at = 0u64;
-        for s in self.rob[i].srcs.iter().flatten() {
-            if *s < head {
+        for &s in self.cold[self.slot(seq)].srcs.iter().flatten() {
+            if s < self.head_seq {
                 continue; // producer committed
             }
-            let p = &self.rob[(*s - head) as usize];
+            let p = self.entry(s);
             if p.state != EState::Issued {
                 return None;
             }
@@ -35,17 +45,17 @@ impl Core {
         Some(ready_at)
     }
 
-    /// Disambiguation by walking the ROB backwards from load `i`, the
+    /// Disambiguation by walking the ROB backwards from load `seq`, the
     /// stores in `issued_now` counting as issued.
-    fn scan_load_disambiguate(&self, i: usize, issued_now: &[u64]) -> LoadPath {
-        let m = self.rob[i].mem.as_ref().unwrap();
+    fn scan_load_disambiguate(&self, seq: u64, issued_now: &[u64]) -> LoadPath {
+        let m = self.cold[self.slot(seq)].mem();
         let (a, w) = (m.info.addr, m.width.bytes());
-        for j in (0..i).rev() {
-            let s = &self.rob[j];
-            if !s.is_store {
+        for j in (self.head_seq..seq).rev() {
+            let s = self.entry(j);
+            if s.flags & decode::STORE == 0 {
                 continue;
             }
-            let sm = s.mem.as_ref().unwrap();
+            let sm = self.cold[self.slot(j)].mem();
             let (sa, sw) = (sm.info.addr, sm.width.bytes());
             // Byte by byte, on the wrapping address space.
             if !(0..w).any(|k| a.wrapping_add(k).wrapping_sub(sa) < sw) {
@@ -68,14 +78,17 @@ impl Core {
     pub(super) fn scan_select(&self) -> Vec<u64> {
         let mut free = [self.cfg.int_alus, self.cfg.fp_alus, self.cfg.ls_units];
         let mut picked = Vec::new();
-        for (i, e) in self.rob.iter().enumerate() {
+        for e in self.in_flight() {
             if picked.len() == self.cfg.issue_width {
                 break;
             }
             if e.state != EState::Waiting
                 || free[e.fu as usize] == 0
-                || self.scan_operand_ready_at(i).is_none_or(|t| t > self.now)
-                || (e.is_load && self.scan_load_disambiguate(i, &picked) == LoadPath::Blocked)
+                || self
+                    .scan_operand_ready_at(e.seq)
+                    .is_none_or(|t| t > self.now)
+                || (e.flags & decode::LOAD != 0
+                    && self.scan_load_disambiguate(e.seq, &picked) == LoadPath::Blocked)
             {
                 continue;
             }
@@ -90,7 +103,7 @@ impl Core {
     fn scan_next_event_at(&self) -> u64 {
         let now = self.now;
         if !self.fetch_queue.is_empty()
-            && self.rob.len() < self.cfg.rob_size
+            && self.rob_len() < self.cfg.rob_size
             && !self.dispatch_blocked()
         {
             return now;
@@ -98,26 +111,26 @@ impl Core {
         let mut horizon = u64::MAX;
         if !self.fetch_off
             && self.pending_redirect.is_none()
-            && self.fetch_pc < self.program.len()
+            && self.fetch_pc < self.decoded.len()
             && self.fetch_queue.len() < self.cfg.fetch_queue
         {
             horizon = horizon.min(self.fetch_resume_at.max(now));
         }
-        for (i, e) in self.rob.iter().enumerate() {
+        for e in self.in_flight() {
             match e.state {
                 EState::Issued => {
-                    if i == 0 {
+                    if e.seq == self.head_seq {
                         horizon = horizon.min(e.done_at.max(now));
                     }
                 }
                 EState::Waiting => {
-                    let Some(ready_at) = self.scan_operand_ready_at(i) else {
+                    let Some(ready_at) = self.scan_operand_ready_at(e.seq) else {
                         continue;
                     };
                     let ready_at = ready_at.max(now);
                     if ready_at <= now
-                        && e.is_load
-                        && self.scan_load_disambiguate(i, &[]) == LoadPath::Blocked
+                        && e.flags & decode::LOAD != 0
+                        && self.scan_load_disambiguate(e.seq, &[]) == LoadPath::Blocked
                     {
                         continue;
                     }
@@ -128,19 +141,24 @@ impl Core {
         horizon
     }
 
+    /// The seq of the in-flight entry in `slot`, if one is.
+    fn seq_in(&self, slot: usize) -> Option<u64> {
+        let age = (slot as u64).wrapping_sub(self.head_seq) & self.slot_mask;
+        (age < self.rob_len() as u64).then_some(self.head_seq + age)
+    }
+
     /// The seqs of the in-flight entries whose slots are set in `words`,
     /// oldest first.
     pub(super) fn seqs_of(&self, words: &[u64]) -> Result<Vec<u64>, String> {
         let mut seqs = Vec::new();
         for slot in slots_of(words) {
-            let age = (slot as u64).wrapping_sub(self.head_seq) & self.slot_mask;
-            if age >= self.rob.len() as u64 {
+            let Some(seq) = self.seq_in(slot) else {
                 return Err(format!(
                     "cycle {}: slot {slot} is set but holds no in-flight entry",
                     self.now
                 ));
-            }
-            seqs.push(self.head_seq + age);
+            };
+            seqs.push(seq);
         }
         seqs.sort_unstable();
         Ok(seqs)
@@ -166,7 +184,7 @@ impl Core {
             for seq in bucket {
                 // The only cycle of `now..now + 64` that maps to this
                 // bucket is `at`.
-                if self.rob[(seq - head) as usize].ready_at != at {
+                if self.entry(seq).ready_at != at {
                     return fail("a wheel key is not in the bucket of its cycle", seq);
                 }
                 wheel.push(seq);
@@ -184,10 +202,11 @@ impl Core {
         let mut chained = 0usize;
         let mut selectable = Vec::new();
         let mut waiting: [Vec<u64>; 3] = Default::default();
-        for (i, e) in self.rob.iter().enumerate() {
+        for (i, e) in self.in_flight().enumerate() {
             if e.seq != head + i as u64 {
-                return fail("ROB seqs are not contiguous", e.seq);
+                return fail("the slots do not hold the seqs in flight", e.seq);
             }
+            let srcs = &self.cold[self.slot(e.seq)].srcs;
             if e.state == EState::Issued {
                 if e.dep_head != NO_LINK || listed.binary_search(&e.seq).is_ok() {
                     return fail("an issued entry still has consumers or is listed", e.seq);
@@ -195,28 +214,29 @@ impl Core {
                 continue;
             }
             waiting[e.fu as usize].push(e.seq);
-            // Every link on the chain is a consumer naming this producer
-            // in that source slot.
+            // Every link on the chain is an in-flight consumer naming
+            // this producer in that source slot.
             let mut link = e.dep_head;
             while link != NO_LINK {
-                let (cseq, slot) = (link >> 2, (link & 3) as usize);
-                let c = &self.rob[(cseq - head) as usize];
-                if c.srcs[slot] != Some(e.seq) {
+                let (cslot, src) = ((link >> 2) as usize, (link & 3) as usize);
+                let Some(cseq) = self.seq_in(cslot) else {
+                    return fail("a chain link names a slot with no entry in flight", e.seq);
+                };
+                if self.cold[cslot].srcs[src] != Some(e.seq) {
                     return fail("a chain link names the wrong producer", cseq);
                 }
                 chained += 1;
-                link = c.dep_next[slot];
+                link = self.rob[cslot].dep_next[src];
             }
-            let unissued = e
-                .srcs
+            let unissued = srcs
                 .iter()
                 .flatten()
-                .filter(|&&s| s >= head && self.rob[(s - head) as usize].state != EState::Issued)
+                .filter(|&&s| s >= head && self.entry(s).state != EState::Issued)
                 .count();
             if e.pending as usize != unissued {
                 return fail("pending is not the count of un-issued producers", e.seq);
             }
-            match self.scan_operand_ready_at(i) {
+            match self.scan_operand_ready_at(e.seq) {
                 None => {
                     if unissued == 0 || listed.binary_search(&e.seq).is_ok() {
                         return fail("an entry with an un-issued producer is listed", e.seq);
@@ -241,14 +261,15 @@ impl Core {
                     }
                 }
             }
-            if e.is_load
+            if e.flags & decode::LOAD != 0
                 && e.pending == 0
-                && self.load_disambiguate(i) != self.scan_load_disambiguate(i, &[])
+                && self.load_disambiguate(self.slot(e.seq))
+                    != self.scan_load_disambiguate(e.seq, &[])
             {
                 return fail("memo'd disambiguation disagrees with the ROB walk", e.seq);
             }
         }
-        let pending: usize = self.rob.iter().map(|e| e.pending as usize).sum();
+        let pending: usize = self.in_flight().map(|e| e.pending as usize).sum();
         if chained != pending {
             return Err(format!(
                 "cycle {now}: {chained} chain links for {pending} pending operands"
@@ -274,9 +295,8 @@ impl Core {
         }
 
         let stores: Vec<u64> = self
-            .rob
-            .iter()
-            .filter(|e| e.is_store)
+            .in_flight()
+            .filter(|e| e.flags & decode::STORE != 0)
             .map(|e| e.seq)
             .collect();
         if !self.store_q.iter().eq(stores.iter()) {
@@ -286,8 +306,8 @@ impl Core {
             ));
         }
         let mut recount = StoreFilter::new(self.cfg.lsq_stores);
-        for e in self.rob.iter().filter(|e| e.is_store) {
-            let m = e.mem.as_ref().unwrap();
+        for &seq in &stores {
+            let m = self.cold[self.slot(seq)].mem();
             recount.add(m.info.addr, m.width.bytes());
         }
         if recount.counts != self.store_filter.counts {

@@ -369,6 +369,39 @@ fn deterministic_across_runs() {
     assert_eq!(a.stats.mispredicts, b2.stats.mispredicts);
 }
 
+/// A control target at or past `u32::MAX` is as far off the program as
+/// any other: the run stops where it stops for a near off-program
+/// target, never wrapping round to an instruction inside the program.
+#[test]
+fn a_control_target_past_u32_max_stays_off_the_program() {
+    for (src, cycle, committed, mispredicts) in [
+        ("jmp @5\nhalt\n", 4, 1, 0),
+        ("jmp @4294967296\nhalt\n", 4, 1, 0),
+        ("call @4294967296\nhalt\n", 4, 1, 0),
+        ("li r1, 1\nbeq r1, r1, @4294967297\nhalt\n", 5, 2, 1),
+    ] {
+        let p = hsim_isa::asm::assemble(src).unwrap();
+        // A wrapped target loops inside the program: end it in a few
+        // thousand cycles rather than never.
+        let cfg = CoreConfig {
+            max_cycles: 10_000,
+            ..CoreConfig::default()
+        };
+        let mut core = Core::new(cfg, p, MemoryMap::default());
+        let r = core.run(&mut MockPort::new());
+        assert!(
+            matches!(r, Err(SimError::Deadlock { cycle: c, .. }) if c == cycle),
+            "{src:?}: {r:?}"
+        );
+        let s = &core.stats;
+        assert_eq!(
+            (s.committed, s.mispredicts, core.halted()),
+            (committed, mispredicts, false),
+            "{src:?}"
+        );
+    }
+}
+
 /// Runs the same program in lockstep and skipping configurations and
 /// asserts the statistics are identical (minus the skip counter).
 fn assert_skip_equivalent(build: impl Fn(&mut ProgramBuilder) + Copy) -> (CoreStats, u64) {
@@ -468,7 +501,7 @@ fn store_issued_this_cycle_forwards_to_a_load_ready_this_cycle() {
     let mut core = Core::new(CoreConfig::default(), b.build(), MemoryMap::default());
     let mut port = MockPort::new();
     let issued = |core: &Core, pc: usize| {
-        let e = core.rob.iter().find(|e| e.pc == pc);
+        let e = core.in_flight().find(|e| e.pc as usize == pc);
         e.map(|e| e.state == EState::Issued)
     };
     while issued(&core, 4) != Some(true) {
@@ -559,11 +592,11 @@ fn a_full_rob_behind_one_load_costs_nothing_per_tick() {
     let mut port = slow_cell(10_000)();
     // Until the ROB is full behind the load and fetch has topped up
     // its queue: from there on nothing can move.
-    while core.rob.len() < cfg.rob_size || core.fetch_queue.len() < cfg.fetch_queue {
+    while core.rob_len() < cfg.rob_size || core.fetch_queue.len() < cfg.fetch_queue {
         core.tick(&mut port).unwrap();
     }
-    assert_eq!(core.rob[0].pc, 2);
-    let load_done = core.rob[0].done_at;
+    assert_eq!(core.rob_head().unwrap().pc, 2);
+    let load_done = core.rob_head().unwrap().done_at;
     assert!(load_done > 10_000);
     assert_eq!(core.store_q.len(), 17);
     for _ in 0..2_000 {
@@ -574,7 +607,7 @@ fn a_full_rob_behind_one_load_costs_nothing_per_tick() {
         let before = core.rob_visits.get();
         core.tick(&mut port).unwrap();
         let tick_visits = core.rob_visits.get() - before;
-        assert_eq!(core.rob.len(), cfg.rob_size);
+        assert_eq!(core.rob_len(), cfg.rob_size);
         assert!(
             tick_visits <= bound,
             "a tick examined {tick_visits} ROB entries with {blocked} blocked load(s) ready"
@@ -587,7 +620,7 @@ fn a_full_rob_behind_one_load_costs_nothing_per_tick() {
             "next_event_at examined {horizon_visits} ROB entries"
         );
     }
-    let blocked_load = core.rob.iter().find(|e| e.pc == 20).unwrap().seq;
+    let blocked_load = core.in_flight().find(|e| e.pc == 20).unwrap().seq;
     assert_eq!(core.seqs_of(&core.ready.words).unwrap(), [blocked_load]);
     assert_eq!(core.wheel.occupied, 0);
     assert_eq!(core.far.len(), 2, "the first store and the first add");
@@ -621,7 +654,7 @@ fn disambiguation_walks_the_store_queue_once_per_blocked_load() {
     let mut core = Core::new(cfg.clone(), b.build(), MemoryMap::default());
     let mut port = slow_cell(10_000)();
     // Until the slow load's return is the only event left.
-    while core.rob.front().is_none_or(|e| e.pc != 2) || core.next_event_at() < 10_000 {
+    while core.rob_head().is_none_or(|e| e.pc != 2) || core.next_event_at() < 10_000 {
         core.tick(&mut port).unwrap();
     }
     assert_eq!(core.store_q.len(), cfg.lsq_stores);
