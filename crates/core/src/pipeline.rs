@@ -546,10 +546,11 @@ impl Core {
         }
         let mut horizon = u64::MAX;
         // Fetch wakes when the front end leaves its stall — if it has
-        // instructions left and somewhere to put them.
+        // an instruction (or an off-program pc) left to queue and
+        // somewhere to put it.
         if !self.fetch_off
             && self.pending_redirect.is_none()
-            && self.fetch_pc < self.decoded.len()
+            && !self.fetch_parked()
             && self.fetch_queue.len() < self.cfg.fetch_queue
         {
             let t = self.fetch_resume_at.max(now);

@@ -360,7 +360,13 @@ impl Core {
         while slots > 0 && self.fetch_queue.len() < self.cfg.fetch_queue {
             let pc = self.fetch_pc;
             if pc >= self.decoded.len() {
-                break; // dispatch will flag RanOffProgram if reached
+                // Queued once and unpredicted: dispatch raises
+                // RanOffProgram if the program really gets here, and a
+                // wrong path is flushed before it does.
+                if !self.fetch_parked() {
+                    self.fetch_queue.push_back((pc, pc));
+                }
+                break;
             }
             // I-cache: charge a bubble when crossing into a line that
             // misses.
@@ -386,6 +392,16 @@ impl Core {
                 break;
             }
         }
+    }
+
+    /// Whether fetch stands at an off-program pc it has queued already,
+    /// so it has nothing left to fetch until a redirect moves it.
+    pub(super) fn fetch_parked(&self) -> bool {
+        self.fetch_pc >= self.decoded.len()
+            && self
+                .fetch_queue
+                .back()
+                .is_some_and(|&(pc, _)| pc == self.fetch_pc)
     }
 
     /// Front-end next-PC logic: real predictor state, no peeking at

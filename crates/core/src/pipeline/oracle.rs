@@ -111,7 +111,7 @@ impl Core {
         let mut horizon = u64::MAX;
         if !self.fetch_off
             && self.pending_redirect.is_none()
-            && self.fetch_pc < self.decoded.len()
+            && !self.fetch_parked()
             && self.fetch_queue.len() < self.cfg.fetch_queue
         {
             horizon = horizon.min(self.fetch_resume_at.max(now));

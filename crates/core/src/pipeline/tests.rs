@@ -369,34 +369,42 @@ fn deterministic_across_runs() {
     assert_eq!(a.stats.mispredicts, b2.stats.mispredicts);
 }
 
-/// A control target at or past `u32::MAX` is as far off the program as
-/// any other: the run stops where it stops for a near off-program
-/// target, never wrapping round to an instruction inside the program.
+/// A control target off the program — near, or at or past `u32::MAX` —
+/// ends the run in `RanOffProgram` when the program really goes there,
+/// never wrapping round to an instruction inside the program, and at
+/// the same cycle with the same statistics whether cycles are skipped or
+/// walked. An off-program pc fetched on a wrong path is flushed with it:
+/// the loop's fall-through is fetched while the loop still runs.
 #[test]
-fn a_control_target_past_u32_max_stays_off_the_program() {
+fn a_control_target_off_the_program_ends_in_ran_off_program() {
     for (src, cycle, committed, mispredicts) in [
-        ("jmp @5\nhalt\n", 4, 1, 0),
-        ("jmp @4294967296\nhalt\n", 4, 1, 0),
-        ("call @4294967296\nhalt\n", 4, 1, 0),
-        ("li r1, 1\nbeq r1, r1, @4294967297\nhalt\n", 5, 2, 1),
+        ("jmp @5\nhalt\n", 2, 0, 0),
+        ("jmp @4294967296\nhalt\n", 2, 0, 0),
+        ("call @4294967296\nhalt\n", 2, 0, 0),
+        ("li r1, 1\nbeq r1, r1, @4294967297\nhalt\n", 9, 2, 1),
+        ("li r1, 3\nadd r1, r1, -1\nbne r1, r0, @1\n", 26, 7, 3),
     ] {
-        let p = hsim_isa::asm::assemble(src).unwrap();
-        // A wrapped target loops inside the program: end it in a few
-        // thousand cycles rather than never.
-        let cfg = CoreConfig {
-            max_cycles: 10_000,
-            ..CoreConfig::default()
+        let run = |lockstep: bool| {
+            let cfg = CoreConfig {
+                max_cycles: 10_000,
+                lockstep,
+                ..CoreConfig::default()
+            };
+            let p = hsim_isa::asm::assemble(src).unwrap();
+            let mut core = Core::new(cfg, p, MemoryMap::default());
+            let r = core.run(&mut MockPort::new());
+            (r, core)
         };
-        let mut core = Core::new(cfg, p, MemoryMap::default());
-        let r = core.run(&mut MockPort::new());
-        assert!(
-            matches!(r, Err(SimError::Deadlock { cycle: c, .. }) if c == cycle),
-            "{src:?}: {r:?}"
-        );
-        let s = &core.stats;
+        let ((skip_r, skip), (lock_r, lock)) = (run(false), run(true));
+        assert_eq!(skip_r, Err(SimError::RanOffProgram), "{src:?}");
+        assert_eq!(lock_r, skip_r, "{src:?}");
+        let mut norm = skip.stats.clone();
+        norm.skipped_cycles = 0;
+        assert_eq!(norm, lock.stats, "{src:?}");
+        let s = &lock.stats;
         assert_eq!(
-            (s.committed, s.mispredicts, core.halted()),
-            (committed, mispredicts, false),
+            (lock.now(), s.committed, s.mispredicts, lock.halted()),
+            (cycle, committed, mispredicts, false),
             "{src:?}"
         );
     }

@@ -10,8 +10,9 @@
 //!   correctness is independent of timing bugs — which in turn lets the
 //!   test suite check the coherence protocol end to end by comparing
 //!   final memory images across machine configurations. Pages are 4 KiB
-//!   frames of 512 words, allocated on first touch; a one-entry
-//!   translation cache makes the common sequential-access pattern cheap.
+//!   frames of 512 words, allocated on first touch; a small
+//!   direct-mapped translation memo, indexed by a hash of the page
+//!   number, answers the pages a loop's arrays are on without the map.
 //!   Initial data is mapped, not copied ([`PagedMem::map_words`]): a page
 //!   an init view covers whole borrows a read-only window of the view's
 //!   buffer, so one table sliced over, or replicated into, every tile is
@@ -59,6 +60,9 @@ const PAGE_WORDS: usize = PAGE_SIZE / 8;
 /// page can never equal it.
 const NO_PAGE: u64 = u64::MAX;
 
+/// `log2` of the translation memo's entries.
+const MEMO_BITS: u32 = 6;
+
 /// Tags a frame slot as an index into the borrowed windows rather than
 /// the private frames.
 const BORROWED: usize = 1 << (usize::BITS - 1);
@@ -68,8 +72,8 @@ type Frame = [u64; PAGE_WORDS];
 
 /// Hashes a page number by one multiplication. Page numbers come from
 /// the simulated program's addresses, not from outside input, and the
-/// default SipHash costs more than the access it translates whenever a
-/// loop alternates arrays and the one-entry memo misses.
+/// default SipHash costs more than the access it translates whenever
+/// the memo misses.
 #[derive(Default)]
 struct PageHasher(u64);
 
@@ -85,8 +89,14 @@ impl Hasher for PageHasher {
     }
 
     fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = crate::fib_index(n, 64);
     }
+}
+
+/// The memo entry of page `pn`.
+#[inline]
+fn memo_of(pn: u64) -> usize {
+    crate::fib_index(pn, MEMO_BITS) as usize
 }
 
 /// A page borrowed from a mapped init buffer: the page's words are
@@ -115,9 +125,10 @@ impl Window {
 /// hold it; the first write to a borrowed page copies it into a private
 /// frame, so no memory ever sees another's stores and no buffer ever
 /// changes. A `HashMap` translates page numbers to frame slots, whose
-/// top bit says which kind the frame is, and a one-entry
-/// `(page, slot)` memo short-circuits the map on the sequential access
-/// patterns that dominate kernel traffic (both reads and writes).
+/// top bit says which kind the frame is, and a direct-mapped memo of
+/// 64 `(page, slot)` entries, indexed by a hash of the page number,
+/// short-circuits the map for reads and writes alike: a loop over a few
+/// arrays finds each array's page there however it alternates them.
 pub struct PagedMem {
     /// Private frames, indexed by the untagged slots in `index`.
     pages: Vec<Box<Frame>>,
@@ -126,10 +137,14 @@ pub struct PagedMem {
     borrowed: Vec<Window>,
     /// Page number → frame slot.
     index: HashMap<u64, usize, BuildHasherDefault<PageHasher>>,
-    /// One-entry translation memo: the last resident page touched, as
-    /// `(page number, frame slot)`. A `Cell` so the read path (`&self`)
-    /// can refresh it too.
-    last: Cell<(u64, usize)>,
+    /// Translation memo: entry [`memo_of`]`(pn)` holds the last resident
+    /// page touched among those that hash there, as `(page number,
+    /// frame slot)`. `Cell`s so the read path (`&self`) can refresh it
+    /// too.
+    memo: [Cell<(u64, usize)>; 1 << MEMO_BITS],
+    /// Translations the memo could not answer, looked up in `index`.
+    #[cfg(test)]
+    index_lookups: Cell<u64>,
 }
 
 impl Default for PagedMem {
@@ -138,7 +153,9 @@ impl Default for PagedMem {
             pages: Vec::new(),
             borrowed: Vec::new(),
             index: HashMap::default(),
-            last: Cell::new((NO_PAGE, 0)),
+            memo: std::array::from_fn(|_| Cell::new((NO_PAGE, 0))),
+            #[cfg(test)]
+            index_lookups: Cell::new(0),
         }
     }
 }
@@ -205,13 +222,26 @@ impl PagedMem {
     /// Resolves a page number to its frame slot, through the memo.
     #[inline]
     fn slot_of(&self, pn: u64) -> Option<usize> {
-        let (last_pn, last_slot) = self.last.get();
-        if last_pn == pn {
-            return Some(last_slot);
+        let memo = &self.memo[memo_of(pn)];
+        let (memo_pn, memo_slot) = memo.get();
+        if memo_pn == pn {
+            return Some(memo_slot);
         }
+        #[cfg(test)]
+        self.index_lookups.set(self.index_lookups.get() + 1);
         let slot = *self.index.get(&pn)?;
-        self.last.set((pn, slot));
+        memo.set((pn, slot));
         Some(slot)
+    }
+
+    /// Records that `pn` now lives in frame slot `slot`, in the index and
+    /// in its memo entry if that holds it.
+    fn move_page(&mut self, pn: u64, slot: usize) {
+        self.index.insert(pn, slot);
+        let memo = &self.memo[memo_of(pn)];
+        if memo.get().0 == pn {
+            memo.set((pn, slot));
+        }
     }
 
     /// The resident frame for `pn`, if any. A `BORROWED`-tagged slot is
@@ -246,8 +276,8 @@ impl PagedMem {
             Some(tagged) => {
                 let window = self.borrowed.swap_remove(tagged ^ BORROWED);
                 // The last window moved into the vacated slot.
-                if let Some(moved) = self.borrowed.get(tagged ^ BORROWED) {
-                    self.index.insert(moved.pn, tagged);
+                if let Some(moved) = self.borrowed.get(tagged ^ BORROWED).map(|w| w.pn) {
+                    self.move_page(moved, tagged);
                 }
                 Box::new(*window.frame())
             }
@@ -255,7 +285,7 @@ impl PagedMem {
         let s = self.pages.len();
         self.pages.push(frame);
         self.index.insert(pn, s);
-        self.last.set((pn, s));
+        self.memo[memo_of(pn)].set((pn, s));
         &mut self.pages[s]
     }
 
@@ -887,6 +917,42 @@ mod tests {
     }
 
     #[test]
+    fn a_loop_over_four_arrays_translates_without_the_index_once_warm() {
+        // Four two-page arrays 1 MiB apart, so page numbers that agree in
+        // their low bits: `a[i] = b[i] + c[i] + d[i]`, twice.
+        let base = |k: u64| (k + 1) << 20;
+        let mut m = PagedMem::new();
+        for k in 0..4 {
+            for i in 0..1024 {
+                m.write_u64(base(k) + 8 * i, k * i);
+            }
+        }
+        let pages: Vec<usize> = (0..4)
+            .flat_map(|k| [base(k) >> PAGE_SHIFT, (base(k) >> PAGE_SHIFT) + 1])
+            .map(memo_of)
+            .collect();
+        let mut distinct = pages.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(
+            distinct.len(),
+            pages.len(),
+            "the eight pages share no entry"
+        );
+        let pass = |m: &mut PagedMem| {
+            for i in 0..1024 {
+                let sum = (1..4).map(|k| m.read_u64(base(k) + 8 * i)).sum();
+                m.write_u64(base(0) + 8 * i, sum);
+            }
+        };
+        pass(&mut m);
+        let warm = m.index_lookups.get();
+        pass(&mut m);
+        assert_eq!(m.index_lookups.get(), warm);
+        assert_eq!(m.read_u64(base(0) + 8 * 1023), 6 * 1023);
+    }
+
+    #[test]
     fn copy_non_overlapping() {
         let mut m = PagedMem::new();
         for i in 0..64u64 {
@@ -1035,11 +1101,20 @@ mod tests {
         let table: Words = (0..3 * 512).map(|i| i + 1).collect();
         let mut m = PagedMem::new();
         m.map_words(0, &table);
-        assert_eq!(m.read_u64(2 * 4096), 1025);
+        // Every page in the memo, each in an entry of its own, so the
+        // moved window's entry is live when the move happens.
+        for page in 0..3u64 {
+            assert_eq!(m.read_u64(page * 4096), page * 512 + 1);
+        }
+        assert_eq!(m.memo[memo_of(2)].get(), (2, 2 | BORROWED));
+        assert!(memo_of(0) != memo_of(2) && memo_of(1) != memo_of(2));
         m.write_u64(0, 42);
+        assert_eq!(m.memo[memo_of(2)].get(), (2, BORROWED), "refreshed");
+        let lookups = m.index_lookups.get();
         for page in 1..3u64 {
             assert_eq!(m.read_u64(page * 4096 + 8), page * 512 + 2);
         }
+        assert_eq!(m.index_lookups.get(), lookups, "answered by the memo");
         m.write_u64(2 * 4096, 7);
         m.write_u64(4096, 8);
         assert_eq!(

@@ -76,3 +76,12 @@ pub use mshr::MshrFile;
 pub use prefetch::{PrefetchConfig, StreamPrefetcher};
 pub use tile::MemSystem;
 pub use tlb::{Tlb, TlbConfig};
+
+/// Fibonacci hashing: the top `bits` (1..=64) bits of `x` times 2^64/φ,
+/// so keys that differ only in high bits — arrays a power of two apart —
+/// still spread over a table of `1 << bits` slots. The page map and
+/// memo of [`PagedMem`] and the buckets of [`MshrFile`] index by it.
+#[inline]
+pub(crate) fn fib_index(x: u64, bits: u32) -> u64 {
+    x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)
+}

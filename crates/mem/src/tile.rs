@@ -226,15 +226,12 @@ impl MemSystem {
             (in_flight.map_or(l1_latency, wait_for), Level::L1)
         } else {
             // L1 miss: allocate or merge in the MSHR file.
-            match self.mshr.lookup_or_allocate(line_addr, now) {
+            match self.mshr.lookup(line_addr, now) {
                 MshrOutcome::Merged { ready_at } => (wait_for(ready_at), Level::L1),
-                MshrOutcome::Allocated { idx, start_at } => {
+                MshrOutcome::Free { idx, start_at } => {
                     let (below, served, intervention) = self.walk_l2(start_at, line_addr, kind);
                     let total = (start_at - now) + l1_latency + below;
-                    self.mshr.set_ready(idx, now + total);
-                    if intervention {
-                        self.mshr.note_intervention(idx);
-                    }
+                    self.mshr.fill(idx, line_addr, now + total, intervention);
                     self.fill_l1d(line_addr, false);
                     (total, served)
                 }
@@ -313,11 +310,8 @@ impl MemSystem {
         self.fill_l1d(line, true);
         // Record the in-flight window so demand accesses that catch up
         // with this prefetch wait for it.
-        if let MshrOutcome::Allocated { idx, start_at } = self.mshr.lookup_or_allocate(line, now) {
-            self.mshr.set_ready(idx, start_at + latency);
-            if intervention {
-                self.mshr.note_intervention(idx);
-            }
+        if let MshrOutcome::Free { idx, start_at } = self.mshr.lookup(line, now) {
+            self.mshr.fill(idx, line, start_at + latency, intervention);
         }
     }
 
@@ -454,6 +448,23 @@ mod tests {
         assert_eq!(m.mshr.stats.merges, 1);
         // DRAM was read exactly once.
         assert_eq!(m.backside_stats().dram.reads, 1);
+    }
+
+    #[test]
+    fn an_l1_hit_with_no_fill_in_flight_visits_no_mshr_entry() {
+        let mut m = small_system(false);
+        let line = |i: u64| 0x1000_0000 + 64 * i;
+        // 48 misses, one per entry, all completed long before the hits.
+        for i in 0..48 {
+            m.data_access(1_000 * i, 0x40, line(i), false);
+        }
+        let before = m.mshr.visits;
+        for i in 0..48 {
+            let r = m.data_access(100_000 + i, 0x40, line(i) + 8, false);
+            assert_eq!((r.served, r.latency), (Level::L1, 2));
+        }
+        assert_eq!(m.mshr.visits, before);
+        assert_eq!(m.mshr.stats.merges, 0);
     }
 
     #[test]

@@ -4,15 +4,26 @@
 //! copies in both directions, and mappings of random views at random
 //! 8-aligned bases — partial pages, whole pages borrowed from a shared
 //! buffer, and writes into those borrowed pages — must read exactly as
-//! the model does, and no mapped buffer may ever change.
+//! the model does, and no mapped buffer may ever change. The addresses
+//! fall in four regions 1 GiB apart, so the pages of one region compete
+//! with the others' for entries of the translation memo.
 
 use hsim_isa::Words;
 use hsim_mem::PagedMem;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Addresses stay within these bytes, so operations collide often.
+/// Addresses stay within these bytes of a region, so operations
+/// collide often.
 const SPAN: u64 = 6 * 4096;
+
+/// The regions' distance.
+const REGION: u64 = 1 << 30;
+
+/// An address in one of the four regions, picked by `x`'s top bits.
+fn at(x: u64) -> u64 {
+    (x >> 62) * REGION + x % SPAN
+}
 
 /// The model memory: bytes by address, zero where absent.
 #[derive(Default)]
@@ -60,7 +71,7 @@ fn apply(
     (kind, a, b, c): Op,
 ) -> Result<(), TestCaseError> {
     let size = [1, 4, 8][(c % 3) as usize];
-    let addr = a % SPAN;
+    let addr = at(a);
     match kind {
         // Reads and writes, at any alignment.
         0..=3 => {
@@ -74,7 +85,7 @@ fn apply(
         // Copies: overlapping ones within a few words, either way.
         8..=9 => {
             let len = c % 9000;
-            let (src, near) = (b % SPAN, a % 24);
+            let (src, near) = (at(b), a % 24);
             let dst = match (kind, a / 24 % 2) {
                 (8, _) => addr,
                 (_, 0) => src + near,
@@ -122,7 +133,7 @@ proptest! {
             apply(&mut m, &mut model, &buffers, op)?;
         }
         // Copies and mappings reach at most four pages past `SPAN`.
-        for addr in 0..SPAN + 4 * 4096 {
+        for addr in (0..4).flat_map(|r| r * REGION..r * REGION + SPAN + 4 * 4096) {
             prop_assert_eq!(m.read_u8(addr), model.read(addr, 1) as u8, "byte {addr:#x}");
         }
         for (buffer, words) in buffers.iter().zip(&pristine) {

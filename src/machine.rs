@@ -535,7 +535,9 @@ impl Tile for Machine {
 
 impl World {
     /// Resolves the routing of a memory access (the pre-MMU range check
-    /// plus, for guarded/oracle accesses, the directory).
+    /// plus, for guarded/oracle accesses, the directory). Inlined into
+    /// [`World::exec_mem`], as that is into dispatch.
+    #[inline(always)]
     fn route_access(&mut self, addr: u64, route: Route) -> RouteInfo {
         match self.mmap.region(addr) {
             Region::LocalMem => RouteInfo {
@@ -653,6 +655,10 @@ impl World {
 }
 
 impl MemoryPort for World {
+    /// Inlined into the core's dispatch, so the returned `RouteInfo`
+    /// reaches the ROB entry's cold half without a trip through a stack
+    /// temporary; plain `#[inline]` leaves it a call.
+    #[inline(always)]
     fn exec_mem(
         &mut self,
         _pc: u64,

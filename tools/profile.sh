@@ -17,7 +17,10 @@
 #     frame that names a stage decides — memory-port (code of hsim-mem,
 #     the coherence crate and the machine's `MemoryPort`), dispatch,
 #     wake, select, commit, fetch, scheduler — else `tick` for the rest
-#     of `Core::tick`, else `other`.
+#     of `Core::tick`, else `other`;
+#   * the hot source lines (top 20): each sampled PC's innermost inlined
+#     frame, `file:line` and function, so a stall on one load or store
+#     shows up although the stage table spreads it over its stage.
 #
 # Clock sampling can deliver far fewer samples than its nominal rate
 # (about ten per second of run time on a 2-CPU VM), so give it the
@@ -74,7 +77,7 @@ awk -v obj="$obj" "$hex"' NR == FNR { off[NR] = $1; va[NR] = $2; len[NR] = $3; s
 # whatever pipeline frame inlined it; a frame named `tick` only decides
 # when no frame inside it names a stage.
 addr2line -a -i -f -C -e "$bin" <"$work/$wl.addrs" |
-    awk '
+    awk -v root="$root/" -v lines="$work/$wl.lines" '
         # The name without the generic arguments it ends in, if any.
         function bare(fn,    i, depth, c) {
             if (fn !~ />$/) return fn
@@ -100,14 +103,31 @@ addr2line -a -i -f -C -e "$bin" <"$work/$wl.addrs" |
             if (last == "tick") ticked = 1
             return ""
         }
-        function flush() { if (n) print (got != "" ? got : ticked ? "tick" : "other") }
-        /^0x/ { flush(); n++; got = ""; ticked = 0; fn = ""; next }
+        function flush() {
+            if (!n) return
+            print (got != "" ? got : ticked ? "tick" : "other")
+            print (inner != "" ? inner : "??") >lines
+        }
+        /^0x/ { flush(); n++; got = ""; ticked = 0; fn = ""; inner = ""; next }
         fn == "" { fn = $0; next }
-        { if (got == "") got = stage(fn, $0); fn = "" }
+        {
+            # The innermost frame: where the sampled instruction is.
+            if (inner == "") {
+                loc = $0; sub(/ \(discriminator [0-9]+\)$/, "", loc)
+                if (index(loc, root) == 1) loc = substr(loc, length(root) + 1)
+                inner = loc "  " bare(fn)
+            }
+            if (got == "") got = stage(fn, $0); fn = ""
+        }
         END { flush() }' >"$work/$wl.stages"
 
 echo "== stages (share of the binary's samples)"
 awk -v obj="$obj" '$2 == obj { print $1 }' "$work/$wl.pcs" | paste -d' ' - "$work/$wl.stages" |
     awk '{ t[$2] += $1; total += $1 }
         END { for (k in t) printf "%6.1f %%  %s\n", 100 * t[k] / total, k }' | sort -nr
+
+echo "== hot source lines (innermost inlined frame, share of the binary's samples, top 20)"
+awk -v obj="$obj" '$2 == obj { print $1 }' "$work/$wl.pcs" | paste -d'\t' - "$work/$wl.lines" |
+    awk -F'\t' '{ t[$2] += $1; total += $1 }
+        END { for (k in t) printf "%6.1f %%  %s\n", 100 * t[k] / total, k }' | sort -nr | head -n 20
 echo "($(awk -v obj="$obj" '$2 == obj { s += $1 } END { printf "%.1f", s }' "$work/$wl.pcs") s of samples in the binary; experiment: $exp)"
